@@ -330,6 +330,9 @@ func (c *Config) Validate() error {
 	if c.Latency == nil || c.NodeDistribution == nil {
 		return fmt.Errorf("core: latency model and node distribution are required")
 	}
+	if err := c.P2P.Validate(); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
 	if len(c.Pools) == 0 {
 		return fmt.Errorf("core: at least one mining pool is required")
 	}

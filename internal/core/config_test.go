@@ -1,10 +1,12 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"ethmeasure/internal/geo"
+	"ethmeasure/internal/p2p"
 )
 
 func TestPresetsValidate(t *testing.T) {
@@ -49,6 +51,35 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: expected validation error", tt.name)
 		}
+	}
+}
+
+func TestValidateRejectsNegativeP2PTimings(t *testing.T) {
+	tests := []struct {
+		name   string
+		mutate func(*p2p.Config)
+	}{
+		{"ArriveTimeout", func(c *p2p.Config) { c.ArriveTimeout = -time.Millisecond }},
+		{"GatherSlack", func(c *p2p.Config) { c.GatherSlack = -time.Millisecond }},
+		{"HeaderCheckMean", func(c *p2p.Config) { c.HeaderCheckMean = -time.Millisecond }},
+		{"ImportBase", func(c *p2p.Config) { c.ImportBase = -time.Millisecond }},
+		{"ImportPerTx", func(c *p2p.Config) { c.ImportPerTx = -time.Millisecond }},
+		{"ImportJitter", func(c *p2p.Config) { c.ImportJitter = -0.1 }},
+	}
+	for _, tt := range tests {
+		cfg := DefaultConfig()
+		tt.mutate(&cfg.P2P)
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), tt.name) {
+			t.Errorf("negative %s: Validate() = %v, want an error naming it", tt.name, err)
+		}
+	}
+	// Zero is a legal value for every one of them.
+	cfg := DefaultConfig()
+	cfg.P2P.ArriveTimeout, cfg.P2P.GatherSlack, cfg.P2P.HeaderCheckMean = 0, 0, 0
+	cfg.P2P.ImportBase, cfg.P2P.ImportPerTx, cfg.P2P.ImportJitter = 0, 0, 0
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("zero P2P timings rejected: %v", err)
 	}
 }
 

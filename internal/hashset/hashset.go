@@ -1,183 +1,167 @@
-// Package hashset provides an open-addressed set of uint64 keys with
-// linear probing, Fibonacci hashing and a bitset filter in front of
-// the table (a clear bit proves absence, so hot negative lookups skip
-// the probe entirely). The table starts small and doubles lazily, so
-// an idle set costs a few hundred bytes regardless of its expected
-// working size.
+// Package hashset provides a set of uint64 keys stored as a window
+// bitmap: one bit per id over [base, base+64·len(words)). The
+// simulator's hashes come from types.HashIssuer, which hands out
+// sequential ids, so the members of every known-hash set crowd into a
+// short span of the id space and a bitmap over that span answers
+// membership with one shift and one mask.
 //
-// The technique originated as the per-peer known-hash LRU cache in
-// internal/p2p (where the eager Go maps it replaced dominated the heap
-// at 5,000 nodes); it is extracted here so the measurement layer's
-// first-observation filters can share it.
+// Memory contract: a set costs nothing until its first Add, then one
+// bit per id of live span (between the smallest and largest member),
+// with at most 2× headroom — not a per-entry cost. When a new key
+// falls outside the window the set re-bases to the live span, sliding
+// the bits in place when the array is big enough, so a FIFO cache over
+// sequential ids slides forever without allocating. A key too far from
+// the window to fit within the span limit (one 64-bit word per member,
+// and never less than 4096 ids) goes to a small overflow map instead,
+// so membership stays exact for any uint64; campaigns never fill it.
+//
+// The per-peer known-hash caches in internal/p2p and the measurement
+// layer's first-observation filters share this set.
 package hashset
 
 import "math/bits"
 
-// U64 is an unbounded open-addressed set of uint64 keys. Zero is a
-// valid member, tracked out of band since 0 marks an empty table slot.
-// The zero value is not ready to use; call New.
+const (
+	minWords     = 4  // smallest window, in 64-bit words
+	minSpanWords = 64 // span below which a key never overflows, in words
+	maxWordIndex = 1 << 58
+)
+
+// U64 is an unbounded set of uint64 keys. The zero value is an empty
+// set ready to use.
 type U64 struct {
-	table   []uint64 // open-addressed storage, 0 = empty slot
-	mask    uint64
-	shift   uint     // 64 - log2(len(table)), for Fibonacci hashing
-	filter  []uint64 // bitset over home slots; clear bit => absent
-	n       int      // non-zero keys stored
-	hasZero bool
+	base  uint64   // id of bit 0 of words[0]; a multiple of 64
+	words []uint64 // window bitmap
+	n     int      // members stored in words
+	far   map[uint64]struct{}
 }
 
-// New returns a set sized for roughly capacityHint keys. The hint only
-// bounds the initial table; the set grows as needed.
-func New(capacityHint int) *U64 {
-	s := &U64{}
-	size := 8
-	for size < 2*capacityHint && size < 64 {
-		size <<= 1
-	}
-	s.grow(size)
-	return s
+// New returns an empty set. The hint is the expected number of live
+// members; storage follows the live span, so no allocation happens
+// before the first Add however large the hint.
+func New(capacityHint int) *U64 { return &U64{} }
+
+// inWindow returns k's bit offset from base and whether the window
+// covers k.
+func (s *U64) inWindow(k uint64) (uint64, bool) {
+	i := k - s.base
+	return i, i < uint64(len(s.words))<<6
 }
 
-// grow rebuilds the table (and filter) at the given power-of-two size.
-func (s *U64) grow(size int) {
-	old := s.table
-	s.table = make([]uint64, size)
-	s.mask = uint64(size - 1)
-	s.shift = 64 - uint(bits.TrailingZeros(uint(size)))
-	s.filter = make([]uint64, (size+63)/64)
-	for _, k := range old {
-		if k != 0 {
-			s.insert(k)
-		}
-	}
-}
-
-// home is the preferred slot of a key (Fibonacci hashing: issued
-// hashes are sequential counters, so low bits alone would cluster).
-func (s *U64) home(k uint64) uint64 {
-	return (k * 0x9E3779B97F4A7C15) >> s.shift
-}
-
-// insert places k in the table and marks the filter. k must be
-// non-zero and not present.
-func (s *U64) insert(k uint64) {
-	h := s.home(k)
-	s.filter[h>>6] |= 1 << (h & 63)
-	for i := h; ; i = (i + 1) & s.mask {
-		if s.table[i] == 0 {
-			s.table[i] = k
-			return
-		}
-	}
-}
-
-// lookup reports whether k (non-zero) is present.
-func (s *U64) lookup(k uint64) bool {
-	h := s.home(k)
-	if s.filter[h>>6]&(1<<(h&63)) == 0 {
-		return false
-	}
-	for i := h; ; i = (i + 1) & s.mask {
-		switch s.table[i] {
-		case k:
-			return true
-		case 0:
-			return false
-		}
-	}
-}
-
-// Add inserts k, reporting whether it was newly added. The table is
-// kept at most half full so probe chains stay short.
+// Add inserts k, reporting whether it was newly added.
 func (s *U64) Add(k uint64) bool {
-	if k == 0 {
-		if s.hasZero {
-			return false
-		}
-		s.hasZero = true
-		return true
-	}
-	if s.lookup(k) {
+	i, ok := s.inWindow(k)
+	if ok && s.words[i>>6]&(1<<(i&63)) != 0 || s.hasFar(k) {
 		return false
 	}
-	if 2*(s.n+1) > len(s.table) {
-		s.grow(2 * len(s.table))
+	if !ok {
+		if !s.rebase(k) {
+			if s.far == nil {
+				s.far = make(map[uint64]struct{})
+			}
+			s.far[k] = struct{}{}
+			return true
+		}
+		i = k - s.base
 	}
-	s.insert(k)
+	s.words[i>>6] |= 1 << (i & 63)
 	s.n++
 	return true
 }
 
-// Has reports whether k is in the set.
+// Has reports whether k is in the set. A key parked in the overflow
+// map stays there when a later re-base slides the window over it, so
+// the map is consulted whenever the bit is clear.
 func (s *U64) Has(k uint64) bool {
-	if k == 0 {
-		return s.hasZero
-	}
-	return s.lookup(k)
-}
-
-// Remove deletes k if present, reporting whether it was a member. It
-// uses backward-shift compaction so probe chains stay dense without
-// tombstones. Filter bits are left set; stale bits only cost a probe,
-// never correctness.
-func (s *U64) Remove(k uint64) bool {
-	if k == 0 {
-		if !s.hasZero {
-			return false
-		}
-		s.hasZero = false
+	if i, ok := s.inWindow(k); ok && s.words[i>>6]&(1<<(i&63)) != 0 {
 		return true
 	}
-	if !s.lookup(k) {
-		return false
-	}
-	s.n--
-	i := s.home(k)
-	for s.table[i] != k {
-		i = (i + 1) & s.mask
-	}
-	for {
-		s.table[i] = 0
-		j := i
-		for {
-			j = (j + 1) & s.mask
-			cur := s.table[j]
-			if cur == 0 {
-				return true
-			}
-			// cur may shift back to i only if its home slot lies at or
-			// before i along the probe path ending at j.
-			if (j-s.home(cur))&s.mask >= (j-i)&s.mask {
-				s.table[i] = cur
-				i = j
-				break
-			}
-		}
-	}
+	return s.hasFar(k)
 }
 
-// Clear removes every member while keeping the allocated table and
-// filter, so a recycled set refills without reallocating. Table size
-// only affects probe paths, never membership answers, so a cleared set
-// is observationally identical to a freshly constructed one.
-func (s *U64) Clear() {
-	if s.n == 0 && !s.hasZero {
-		// Already empty: every table slot is zero (Remove zeroes slots
-		// as it compacts). Filter bits can be stale after Removes, but
-		// a stale bit only costs a probe, never correctness — and the
-		// skip makes double-Clear (scrub at reclaim, re-clear at reuse)
-		// free.
-		return
+func (s *U64) hasFar(k uint64) bool {
+	if len(s.far) == 0 {
+		return false
 	}
-	clear(s.table)
-	clear(s.filter)
-	s.n = 0
-	s.hasZero = false
+	_, ok := s.far[k]
+	return ok
+}
+
+// Remove deletes k if present, reporting whether it was a member.
+func (s *U64) Remove(k uint64) bool {
+	if i, ok := s.inWindow(k); ok {
+		if w, bit := &s.words[i>>6], uint64(1)<<(i&63); *w&bit != 0 {
+			*w &^= bit
+			s.n--
+			return true
+		}
+	}
+	if !s.hasFar(k) {
+		return false
+	}
+	delete(s.far, k)
+	return true
+}
+
+// rebase moves the window so it covers k and every bitmap member,
+// reporting false (window untouched) when that span exceeds the limit.
+func (s *U64) rebase(k uint64) bool {
+	var first, last int  // member words in the current window
+	lo, hi := k>>6, k>>6 // absolute word indices of the new span
+	if s.n > 0 {
+		first, last = 0, len(s.words)-1
+		for s.words[first] == 0 {
+			first++
+		}
+		for s.words[last] == 0 {
+			last--
+		}
+		lo = min(lo, s.base>>6+uint64(first))
+		hi = max(hi, s.base>>6+uint64(last))
+	}
+	span := hi - lo + 1
+	if span > max(minSpanWords, uint64(s.n)+1) {
+		return false
+	}
+	size := uint64(len(s.words))
+	if size < 2*span {
+		size = max(minWords, uint64(1)<<bits.Len64(2*span-1))
+	}
+	// Leave the headroom on the side k arrived from, so an ascending
+	// (or descending) run of ids re-bases rarely.
+	start := lo
+	if k>>6 == lo && s.n > 0 {
+		start = hi + 1 - min(hi+1, size)
+	}
+	start = min(start, maxWordIndex-size) // keep base+64·size within uint64
+
+	words := s.words
+	if size > uint64(cap(words)) {
+		words = make([]uint64, size)
+	}
+	words = words[:size]
+	if s.n > 0 {
+		// copy is a memmove, so sliding within one array is safe.
+		from := int(s.base>>6 + uint64(first) - start)
+		to := from + copy(words[from:], s.words[first:last+1])
+		clear(words[:from])
+		clear(words[to:])
+	}
+	s.words, s.base = words, start<<6
+	return true
+}
+
+// Clear removes every member while keeping the allocated window, so a
+// recycled set refills without reallocating. Window placement never
+// affects membership answers, so a cleared set is observationally
+// identical to a fresh one.
+func (s *U64) Clear() {
+	if s.n > 0 {
+		clear(s.words)
+		s.n = 0
+	}
+	s.far = nil
 }
 
 // Len returns the number of members.
-func (s *U64) Len() int {
-	if s.hasZero {
-		return s.n + 1
-	}
-	return s.n
-}
+func (s *U64) Len() int { return s.n + len(s.far) }

@@ -61,8 +61,10 @@ func TestZeroKey(t *testing.T) {
 }
 
 // TestAgainstMap cross-checks against Go's map under a random
-// add/remove workload, including sequential counter-like keys (the
-// hash-issuer pattern that motivated Fibonacci hashing).
+// add/remove workload mixing small counter-like keys with random
+// 64-bit ones (which land in the overflow map), then under a sliding
+// window of sequential ids with removals and far keys that later
+// re-bases slide the window over.
 func TestAgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := New(8)
@@ -89,6 +91,69 @@ func TestAgainstMap(t *testing.T) {
 			delete(ref, k)
 		}
 	}
+	checkAgainst(t, s, ref)
+
+	// Sliding window: a FIFO of sequential ids (what a known-hash cache
+	// sees) with extra out-of-order removals, plus far keys parked in
+	// the overflow map ahead of the window that the slide later passes
+	// over, and keys near both ends of uint64.
+	s, ref = New(256), make(map[uint64]bool)
+	const base = uint64(2)<<48 + 1
+	add := func(k uint64) {
+		t.Helper()
+		if got, want := s.Add(k), !ref[k]; got != want {
+			t.Fatalf("Add(%d) = %v, want %v", k, got, want)
+		}
+		ref[k] = true
+	}
+	remove := func(k uint64) {
+		t.Helper()
+		if got, want := s.Remove(k), ref[k]; got != want {
+			t.Fatalf("Remove(%d) = %v, want %v", k, got, want)
+		}
+		delete(ref, k)
+	}
+	far := []uint64{0, 1, 1<<64 - 64, 1<<64 - 1}
+	for j := uint64(1); j <= 8; j++ {
+		far = append(far, base+j*50_000)
+	}
+	for i := uint64(0); i < 500_000; i++ {
+		add(base + i)
+		if i >= 300 {
+			remove(base + i - 300)
+		}
+		if i%7 == 0 {
+			remove(base + i - uint64(rng.Intn(300)))
+		}
+		switch i {
+		case 1000:
+			for _, k := range far {
+				add(k)
+			}
+			if len(s.far) != len(far) {
+				t.Fatalf("%d keys overflowed, want %d", len(s.far), len(far))
+			}
+		case 300_000:
+			remove(base + 100_000) // behind the window by now
+			remove(base + 350_000) // still ahead
+			remove(1)
+		}
+		if i%4099 == 0 {
+			for _, k := range append([]uint64{base + i + 1, base + i - 301}, far...) {
+				if s.Has(k) != ref[k] {
+					t.Fatalf("step %d: Has(%d) = %v, want %v", i, k, s.Has(k), ref[k])
+				}
+			}
+		}
+	}
+	if len(s.words) > 64 {
+		t.Errorf("window grew to %d words for a ~300-id live span", len(s.words))
+	}
+	checkAgainst(t, s, ref)
+}
+
+func checkAgainst(t *testing.T, s *U64, ref map[uint64]bool) {
+	t.Helper()
 	if s.Len() != len(ref) {
 		t.Fatalf("Len = %d, map has %d", s.Len(), len(ref))
 	}
@@ -99,18 +164,19 @@ func TestAgainstMap(t *testing.T) {
 	}
 }
 
+// TestLazyGrowth: a huge capacity hint allocates nothing before the
+// first Add, and the first Add sizes storage by the key, not the hint.
 func TestLazyGrowth(t *testing.T) {
-	// A huge capacity hint must not preallocate a huge table.
-	s := New(1 << 20)
-	if len(s.table) > 64 {
-		t.Fatalf("initial table %d slots; growth must be lazy", len(s.table))
+	var s *U64
+	if allocs := testing.AllocsPerRun(10, func() { s = New(1 << 30) }); allocs > 1 {
+		t.Fatalf("New(1<<30) made %.0f allocations, want only the set header", allocs)
 	}
-	for k := uint64(1); k <= 10000; k++ {
-		s.Add(k)
+	if cap(s.words) != 0 || s.Len() != 0 || s.Has(0) || s.Has(1<<30) {
+		t.Fatal("fresh set holds storage or members")
 	}
-	// Invariant: at most half full.
-	if 2*s.n > len(s.table) {
-		t.Fatalf("table over half full: %d/%d", s.n, len(s.table))
+	s.Add(1<<48 + 1)
+	if cap(s.words) > minWords {
+		t.Fatalf("first Add allocated %d words, want at most %d", cap(s.words), minWords)
 	}
 }
 

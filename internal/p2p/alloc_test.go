@@ -70,3 +70,56 @@ func TestTxRelayZeroAllocsSteadyState(t *testing.T) {
 		t.Fatalf("steady-state tx relay allocated %.1f times per 64-tx batch, want 0", allocs)
 	}
 }
+
+// TestHashSetSlidesWithoutAllocating: a full FIFO cache fed sequential
+// ids (the issuer pattern) evicts and re-bases its bitmap in place, so
+// steady-state Adds allocate nothing.
+func TestHashSetSlidesWithoutAllocating(t *testing.T) {
+	s := newHashSet(4096)
+	h := types.Hash(uint64(2)<<48 + 1)
+	add := func() {
+		if !s.Add(h) {
+			t.Fatalf("fresh hash %v reported known", h)
+		}
+		h++
+	}
+	for i := 0; i < 100_000; i++ {
+		add()
+	}
+	if allocs := testing.AllocsPerRun(100_000, add); allocs != 0 {
+		t.Fatalf("steady-state Add allocated %.4f times per call, want 0", allocs)
+	}
+	if s.Len() != 4096 {
+		t.Fatalf("Len = %d, want 4096", s.Len())
+	}
+}
+
+// TestNewEdgeHoldsNoSetStorage: the four known-hash caches of a fresh
+// edge live inside the Edge and hold no storage until a hash crosses
+// the link, so building an edge is exactly one allocation.
+func TestNewEdgeHoldsNoSetStorage(t *testing.T) {
+	engine := sim.NewEngine(1)
+	net := simnet.New(engine, geo.DefaultLatencyModel())
+	reg := chain.NewRegistry(0, types.NewHashIssuer(1))
+	cfg := DefaultConfig()
+	var nodes [2]*Node
+	for i := range nodes {
+		ep, err := net.AddNode(geo.WesternEurope, 1e9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = NewNode(&cfg, net, ep, reg)
+	}
+	var e *Edge
+	if allocs := testing.AllocsPerRun(10, func() { e = newEdge(nodes[0], nodes[1]) }); allocs != 1 {
+		t.Fatalf("newEdge made %.0f allocations, want 1 (the Edge itself)", allocs)
+	}
+	for _, s := range []*hashSet{&e.aKnownBlocks, &e.bKnownBlocks, &e.aKnownTxs, &e.bKnownTxs} {
+		if cap(s.ring) != 0 || s.Len() != 0 || s.set.Len() != 0 {
+			t.Fatalf("fresh edge cache holds storage: ring cap %d, %d members", cap(s.ring), s.set.Len())
+		}
+	}
+	if e.aKnownTxs.capacity != cfg.KnownTxsPerPeer || e.bKnownBlocks.capacity != cfg.KnownBlocksPerPeer {
+		t.Fatal("fresh edge caches not sized from the config")
+	}
+}

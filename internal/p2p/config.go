@@ -1,6 +1,7 @@
 package p2p
 
 import (
+	"fmt"
 	"math/rand"
 	"time"
 )
@@ -61,6 +62,30 @@ func DefaultConfig() Config {
 		KnownTxsPerPeer:     4096,
 		KnownTxCache:        1 << 17,
 	}
+}
+
+// Validate rejects negative timings: a negative GatherSlack would
+// panic inside the fetcher's jitter draw at the first announcement, and
+// negative delays have no protocol meaning.
+func (c *Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		d    time.Duration
+	}{
+		{"ArriveTimeout", c.ArriveTimeout},
+		{"GatherSlack", c.GatherSlack},
+		{"HeaderCheckMean", c.HeaderCheckMean},
+		{"ImportBase", c.ImportBase},
+		{"ImportPerTx", c.ImportPerTx},
+	} {
+		if f.d < 0 {
+			return fmt.Errorf("p2p: %s must be non-negative, got %v", f.name, f.d)
+		}
+	}
+	if c.ImportJitter < 0 {
+		return fmt.Errorf("p2p: ImportJitter must be non-negative, got %v", c.ImportJitter)
+	}
+	return nil
 }
 
 // headerCheckDelay samples the pre-relay header check duration.

@@ -9,42 +9,29 @@ import (
 // per-peer "known blocks/transactions" LRU caches Geth keeps so that a
 // hash is not re-sent to a peer that already has it.
 //
-// Storage is the shared open-addressed uint64 table in
-// internal/hashset (Fibonacci hashing, bitset filter for hot negative
-// Has calls, lazy growth: a capacity-131072 cache costs a few hundred
-// bytes until a node actually sees traffic — at 5,000 nodes the eager
-// maps this replaces dominated the whole campaign's heap). This type
+// Storage is the window bitmap of internal/hashset: issued hashes are
+// sequential, so a cache's members span a short id range and cost about
+// one bit each, and nothing is allocated until the first Add. This type
 // adds the insertion ring that turns the unbounded set into a
-// fixed-capacity FIFO cache.
+// fixed-capacity FIFO cache. The zero value is not ready to use; call
+// reset with a capacity first.
 type hashSet struct {
 	capacity int
 	ring     []types.Hash // members in insertion order
 	pos      int          // next eviction slot once the ring is full
-	set      *hashset.U64
+	set      hashset.U64
 }
 
-func newHashSet(capacity int) *hashSet {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	return &hashSet{capacity: capacity, set: hashset.New(capacity)}
-}
-
-// reset returns the set to the state newHashSet(capacity) would
-// produce while keeping the ring's backing array and the open-addressed
-// table, so recycled caches refill without reallocating.
+// reset empties the set and sets its capacity (at least 1), keeping the
+// ring's backing array and the bitmap, so recycled caches refill
+// without reallocating.
 func (s *hashSet) reset(capacity int) {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	s.capacity = capacity
-	s.ring = s.ring[:0]
-	s.pos = 0
-	s.set.Clear()
+	s.capacity = max(capacity, 1)
+	s.scrub()
 }
 
 // scrub is reset without the capacity change: it empties the set in
-// place so the table sweep runs at reclaim time instead of on the next
+// place so the bitmap sweep runs at reclaim time instead of on the next
 // run's build path (a later reset on a scrubbed set is free).
 func (s *hashSet) scrub() {
 	s.ring = s.ring[:0]
@@ -53,19 +40,21 @@ func (s *hashSet) scrub() {
 }
 
 // Add inserts h, evicting the oldest entry when full. It reports
-// whether h was newly added.
+// whether h was newly added; the membership test and the insert are
+// one probe.
 func (s *hashSet) Add(h types.Hash) bool {
-	if s.set.Has(uint64(h)) {
+	if !s.set.Add(uint64(h)) {
 		return false
 	}
 	if len(s.ring) < s.capacity {
 		s.ring = append(s.ring, h)
-	} else {
-		s.set.Remove(uint64(s.ring[s.pos]))
-		s.ring[s.pos] = h
-		s.pos = (s.pos + 1) % s.capacity
+		return true
 	}
-	s.set.Add(uint64(h))
+	s.set.Remove(uint64(s.ring[s.pos]))
+	s.ring[s.pos] = h
+	if s.pos++; s.pos == s.capacity {
+		s.pos = 0
+	}
 	return true
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // refFIFOSet is the original map+ring implementation, kept as the
-// behavioural reference for the open-addressed rewrite.
+// behavioural reference for the hashset-backed cache.
 type refFIFOSet struct {
 	capacity int
 	m        map[types.Hash]struct{}
@@ -41,7 +41,7 @@ func (s *refFIFOSet) Add(h types.Hash) bool {
 func (s *refFIFOSet) Has(h types.Hash) bool { _, ok := s.m[h]; return ok }
 func (s *refFIFOSet) Len() int              { return len(s.m) }
 
-// TestHashSetMatchesReference drives the open-addressed set and the
+// TestHashSetMatchesReference drives the hashset-backed cache and the
 // original map-based implementation through the same random operation
 // streams — every Add return, Has answer and Len must agree, across
 // capacities, duplicate rates and the reserved zero hash.
@@ -79,7 +79,7 @@ func TestHashSetMatchesReference(t *testing.T) {
 }
 
 // TestHashSetSequentialHashes mirrors production traffic: issuer hashes
-// are sequential counters, the worst case for a low-bits table layout.
+// are sequential counters, so the bitmap window slides as they arrive.
 func TestHashSetSequentialHashes(t *testing.T) {
 	const capacity = 256
 	s := newHashSet(capacity)

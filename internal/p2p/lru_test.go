@@ -7,6 +7,12 @@ import (
 	"ethmeasure/internal/types"
 )
 
+func newHashSet(capacity int) *hashSet {
+	s := &hashSet{}
+	s.reset(capacity)
+	return s
+}
+
 func TestHashSetAddHas(t *testing.T) {
 	s := newHashSet(4)
 	if s.Has(1) {

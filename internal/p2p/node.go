@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"ethmeasure/internal/chain"
+	"ethmeasure/internal/hashset"
 	"ethmeasure/internal/rlp"
 	"ethmeasure/internal/sim"
 	"ethmeasure/internal/simnet"
@@ -91,10 +92,10 @@ type Observer interface {
 // hash the receiver has not yet seen.
 type Edge struct {
 	a, b         *Node
-	aKnownBlocks *hashSet
-	bKnownBlocks *hashSet
-	aKnownTxs    *hashSet
-	bKnownTxs    *hashSet
+	aKnownBlocks hashSet
+	bKnownBlocks hashSet
+	aKnownTxs    hashSet
+	bKnownTxs    hashSet
 }
 
 // Other returns the endpoint of the edge that is not n.
@@ -109,18 +110,18 @@ func (e *Edge) Other(n *Node) *Node {
 // this edge already has.
 func (e *Edge) knownBlocksFor(n *Node) *hashSet {
 	if e.a == n {
-		return e.aKnownBlocks
+		return &e.aKnownBlocks
 	}
-	return e.bKnownBlocks
+	return &e.bKnownBlocks
 }
 
 // knownTxsFor returns n's own view of which transactions the peer
 // across this edge already has.
 func (e *Edge) knownTxsFor(n *Node) *hashSet {
 	if e.a == n {
-		return e.aKnownTxs
+		return &e.aKnownTxs
 	}
-	return e.bKnownTxs
+	return &e.bKnownTxs
 }
 
 // Node is one protocol participant.
@@ -134,11 +135,11 @@ type Node struct {
 	view    *chain.View
 
 	edges      []*Edge
-	peerBits   bitset              // peer node IDs, for O(1) isPeer checks
-	pushTmp    []*Edge             // reusable scratch for pushBlock targets
-	seenBlocks map[types.Hash]bool // received at least once (pre-import)
-	fetching   map[types.Hash]bool // announced, awaiting push or fetch
-	knownTxs   *hashSet
+	peerBits   bitset      // peer node IDs, for O(1) isPeer checks
+	pushTmp    []*Edge     // reusable scratch for pushBlock targets
+	seenBlocks hashset.U64 // received at least once (pre-import)
+	fetching   hashset.U64 // announced, awaiting push or fetch
+	knownTxs   hashSet
 
 	// procSpeed scales this node's processing delays: 1.0 = baseline
 	// hardware, <1 = faster. The paper's measurement machines are well
@@ -166,19 +167,18 @@ type Node struct {
 // timers on the endpoint's shard, and draws jitter from a per-node RNG
 // stream so its randomness is independent of event interleaving.
 func NewNode(cfg *Config, net *simnet.Network, endpoint *simnet.Node, reg *chain.Registry) *Node {
-	return &Node{
-		cfg:        cfg,
-		net:        net,
-		netNode:    endpoint,
-		sched:      net.SchedulerFor(endpoint),
-		rng:        sim.NewStream(net.Engine().Seed(), "p2p", uint64(endpoint.ID)),
-		reg:        reg,
-		view:       chain.NewView(reg),
-		seenBlocks: make(map[types.Hash]bool, 256),
-		fetching:   make(map[types.Hash]bool, 16),
-		knownTxs:   newHashSet(cfg.KnownTxCache),
-		procSpeed:  1,
+	n := &Node{
+		cfg:       cfg,
+		net:       net,
+		netNode:   endpoint,
+		sched:     net.SchedulerFor(endpoint),
+		rng:       sim.NewStream(net.Engine().Seed(), "p2p", uint64(endpoint.ID)),
+		reg:       reg,
+		view:      chain.NewView(reg),
+		procSpeed: 1,
 	}
+	n.knownTxs.reset(cfg.KnownTxCache)
+	return n
 }
 
 // SetProcSpeed scales the node's processing delays (1.0 = baseline,
@@ -314,10 +314,9 @@ func (n *Node) HandleSimEvent(arg sim.Arg) {
 // the block is imported locally, pushed in full to sqrt(peers) and
 // announced to everyone else, exactly as Geth's mined-block broadcast.
 func (n *Node) PublishBlock(b *types.Block) {
-	if n.seenBlocks[b.Hash] {
+	if !n.seenBlocks.Add(uint64(b.Hash)) {
 		return
 	}
-	n.seenBlocks[b.Hash] = true
 	if n.view.Import(b) && n.OnNewHead != nil {
 		n.OnNewHead(b)
 	}
@@ -331,11 +330,10 @@ func (n *Node) handleBlock(b *types.Block, from *Edge, kind MsgKind) {
 	if n.Observer != nil {
 		n.Observer.ObserveBlock(n.sched.Now(), b, from.Other(n).ID(), kind)
 	}
-	if n.seenBlocks[b.Hash] {
+	if !n.seenBlocks.Add(uint64(b.Hash)) {
 		return
 	}
-	n.seenBlocks[b.Hash] = true
-	delete(n.fetching, b.Hash)
+	n.fetching.Remove(uint64(b.Hash))
 
 	// Direct propagation happens after only a header sanity check;
 	// full import (validation + state execution) completes later and
@@ -396,10 +394,9 @@ func (n *Node) announceBlock(b *types.Block) {
 		return
 	}
 	for _, e := range n.edges {
-		if e.knownBlocksFor(n).Has(b.Hash) {
+		if !e.knownBlocksFor(n).Add(b.Hash) {
 			continue
 		}
-		e.knownBlocksFor(n).Add(b.Hash)
 		peer := e.Other(n)
 		n.net.Send(n.netNode, peer.netNode, rlp.AnnouncementWireSize(b.Number),
 			peer, simnet.Envelope{Kind: evAnnounce, Data: b, Aux: e})
@@ -416,10 +413,9 @@ func (n *Node) handleAnnounce(b *types.Block, from *Edge) {
 	if n.Observer != nil {
 		n.Observer.ObserveAnnounce(n.sched.Now(), h, b.Number, from.Other(n).ID())
 	}
-	if n.seenBlocks[h] || n.fetching[h] {
+	if n.seenBlocks.Has(uint64(h)) || !n.fetching.Add(uint64(h)) {
 		return
 	}
-	n.fetching[h] = true
 	n.sched.AfterArg(n.cfg.fetchDelay(n.rng), n, sim.Arg{A: b, B: from, K: tmFetch})
 }
 
@@ -427,10 +423,9 @@ func (n *Node) handleAnnounce(b *types.Block, from *Edge) {
 // direct push: request it explicitly from the announcing peer.
 func (n *Node) fetchTimeout(b *types.Block, announcer *Edge) {
 	h := b.Hash
-	if !n.fetching[h] || n.seenBlocks[h] {
+	if n.seenBlocks.Has(uint64(h)) || !n.fetching.Remove(uint64(h)) {
 		return
 	}
-	delete(n.fetching, h)
 	peer := announcer.Other(n)
 	n.net.Send(n.netNode, peer.netNode, 64,
 		peer, simnet.Envelope{Kind: evGetBlock, Num: uint64(h), Aux: announcer})
@@ -439,7 +434,7 @@ func (n *Node) fetchTimeout(b *types.Block, announcer *Edge) {
 // handleGetBlock serves a block body to a peer that requested it after
 // an announcement.
 func (n *Node) handleGetBlock(h types.Hash, from *Edge) {
-	if !n.seenBlocks[h] {
+	if !n.seenBlocks.Has(uint64(h)) {
 		return // cannot serve what we do not have
 	}
 	b, ok := n.reg.Get(h)
@@ -480,10 +475,9 @@ func (n *Node) handleTx(tx *types.Transaction, from *Edge) {
 // (Geth 1.8 broadcasts transactions to all unknowing peers).
 func (n *Node) relayTx(tx *types.Transaction) {
 	for _, e := range n.edges {
-		if e.knownTxsFor(n).Has(tx.Hash) {
+		if !e.knownTxsFor(n).Add(tx.Hash) {
 			continue
 		}
-		e.knownTxsFor(n).Add(tx.Hash)
 		peer := e.Other(n)
 		n.net.Send(n.netNode, peer.netNode, tx.Size,
 			peer, simnet.Envelope{Kind: evTx, Data: tx, Aux: e})

@@ -69,7 +69,7 @@ func (r *Recycler) NewNode(cfg *Config, net *simnet.Network, endpoint *simnet.No
 	n.reg = reg
 	n.view = chain.NewView(reg)
 	n.edges = n.edges[:0]
-	// peerBits, seenBlocks, fetching and the knownTxs table were swept
+	// peerBits, seenBlocks, fetching and the knownTxs bitmap were swept
 	// by Reclaim; reset here only applies the new config's capacity
 	// (free on a scrubbed set).
 	n.knownTxs.reset(cfg.KnownTxCache)
@@ -86,7 +86,7 @@ func (r *Recycler) NewNode(cfg *Config, net *simnet.Network, endpoint *simnet.No
 // handed every node of the campaign. References into the finished run
 // (registry, views, callbacks, scratch) are dropped immediately so the
 // pool does not pin the previous run's object graph while idle, and
-// the known-hash caches, seen-maps and peer bitsets are swept here —
+// the known-hash caches, seen-sets and peer bitsets are swept here —
 // at reclaim time — so the next run's build is pure reassignment. The
 // caller must not touch the reclaimed nodes afterwards.
 func (r *Recycler) Reclaim(lists ...[]*Node) {
@@ -106,8 +106,8 @@ func (r *Recycler) Reclaim(lists ...[]*Node) {
 			}
 			n.edges = n.edges[:0]
 			n.peerBits.reset()
-			clear(n.seenBlocks)
-			clear(n.fetching)
+			n.seenBlocks.Clear()
+			n.fetching.Clear()
 			n.knownTxs.scrub()
 			pt := n.pushTmp[:cap(n.pushTmp)]
 			clear(pt)
@@ -121,28 +121,24 @@ func (r *Recycler) Reclaim(lists ...[]*Node) {
 }
 
 // newEdge builds the edge for Connect, drawing on a's recycler when the
-// node is pooled. A recycled edge's four known-hash caches are reset to
-// the exact capacities a cold Connect would size them with.
+// node is pooled. Its four known-hash caches are reset to the endpoint
+// configs' capacities, so a recycled edge matches a cold one exactly; a
+// cold edge is a single allocation, its caches holding no storage until
+// the first hash crosses the link.
 func newEdge(a, b *Node) *Edge {
-	if r := a.rec; r != nil {
-		if k := len(r.edges); k > 0 {
-			e := r.edges[k-1]
-			r.edges = r.edges[:k-1]
-			r.edgesReused++
-			e.a, e.b = a, b
-			e.aKnownBlocks.reset(a.cfg.KnownBlocksPerPeer)
-			e.bKnownBlocks.reset(b.cfg.KnownBlocksPerPeer)
-			e.aKnownTxs.reset(a.cfg.KnownTxsPerPeer)
-			e.bKnownTxs.reset(b.cfg.KnownTxsPerPeer)
-			return e
-		}
+	var e *Edge
+	if r := a.rec; r != nil && len(r.edges) > 0 {
+		k := len(r.edges)
+		e = r.edges[k-1]
+		r.edges = r.edges[:k-1]
+		r.edgesReused++
+	} else {
+		e = &Edge{}
 	}
-	return &Edge{
-		a:            a,
-		b:            b,
-		aKnownBlocks: newHashSet(a.cfg.KnownBlocksPerPeer),
-		bKnownBlocks: newHashSet(b.cfg.KnownBlocksPerPeer),
-		aKnownTxs:    newHashSet(a.cfg.KnownTxsPerPeer),
-		bKnownTxs:    newHashSet(b.cfg.KnownTxsPerPeer),
-	}
+	e.a, e.b = a, b
+	e.aKnownBlocks.reset(a.cfg.KnownBlocksPerPeer)
+	e.bKnownBlocks.reset(b.cfg.KnownBlocksPerPeer)
+	e.aKnownTxs.reset(a.cfg.KnownTxsPerPeer)
+	e.bKnownTxs.reset(b.cfg.KnownTxsPerPeer)
+	return e
 }

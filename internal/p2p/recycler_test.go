@@ -84,8 +84,8 @@ func TestRecyclerResetsNodeState(t *testing.T) {
 		if n.knownTxs.Len() != 0 {
 			t.Errorf("node %d: known-tx cache not emptied", i)
 		}
-		if len(n.seenBlocks) != 0 || len(n.fetching) != 0 {
-			t.Errorf("node %d: block tracking maps not emptied", i)
+		if n.seenBlocks.Len() != 0 || n.fetching.Len() != 0 {
+			t.Errorf("node %d: block tracking sets not emptied", i)
 		}
 		if n.View().Head() != h2.reg.Genesis() {
 			t.Errorf("node %d: view not reset to genesis", i)

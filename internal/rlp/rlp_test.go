@@ -2,6 +2,7 @@ package rlp
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -178,6 +179,28 @@ func TestWireSizesRealistic(t *testing.T) {
 	annSize := AnnouncementWireSize(7_500_000)
 	if annSize < 35 || annSize > 48 {
 		t.Errorf("announcement wire size = %d, want ≈38-40", annSize)
+	}
+}
+
+// TestAnnouncementWireSize pins the closed-form size to the encoded
+// item at every byte-length boundary of the number.
+func TestAnnouncementWireSize(t *testing.T) {
+	numbers := []uint64{0, 1, 0x7f, 0x80}
+	for n := 1; n <= 8; n++ {
+		largest := uint64(math.MaxUint64) >> (64 - 8*n) // largest n-byte number
+		numbers = append(numbers, largest)
+		if n < 8 {
+			numbers = append(numbers, largest+1)
+		}
+	}
+	for _, n := range numbers {
+		want := EncodedSize(List(hashItem(), Uint(n)))
+		if got := AnnouncementWireSize(n); got != want {
+			t.Errorf("AnnouncementWireSize(%#x) = %d, want %d", n, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { AnnouncementWireSize(7_500_000) }); allocs != 0 {
+		t.Errorf("AnnouncementWireSize allocated %.0f times, want 0", allocs)
 	}
 }
 

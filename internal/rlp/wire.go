@@ -1,6 +1,8 @@
 package rlp
 
 import (
+	"math/bits"
+
 	"ethmeasure/internal/types"
 )
 
@@ -91,8 +93,15 @@ func BlockWireSize(b *types.Block, txs []*types.Transaction) int {
 	return EncodedSize(BlockItem(b, txs))
 }
 
-// AnnouncementWireSize is the RLP size of one NewBlockHashes entry:
-// [hash, number].
+// AnnouncementWireSize is the RLP size of one NewBlockHashes entry,
+// [hash, number], computed without building the item: a 33-byte hash
+// string, the number (one byte below 0x80, else a length byte plus its
+// big-endian bytes) and a one-byte list header, the payload never
+// exceeding 55 bytes.
 func AnnouncementWireSize(number uint64) int {
-	return EncodedSize(List(hashItem(), Uint(number)))
+	numberSize := 1
+	if number >= 0x80 {
+		numberSize += (bits.Len64(number) + 7) / 8
+	}
+	return 1 + 1 + hashWireBytes + numberSize
 }

@@ -259,9 +259,10 @@ func (e *Engine) AfterArg(d time.Duration, h Handler, arg Arg) {
 	e.ScheduleArg(e.now+d, h, arg)
 }
 
-// Stop halts the run loop after the currently executing event returns.
-// Unlike every other Engine method it is safe to call from another
-// goroutine — the campaign server cancels in-flight jobs this way.
+// Stop halts the run loop after the currently executing event returns,
+// or makes the next Run return before its first event. Unlike every
+// other Engine method it is safe to call from another goroutine — the
+// campaign server cancels in-flight jobs this way.
 func (e *Engine) Stop() { e.stopped.Store(true) }
 
 // NextAt returns the timestamp of the earliest pending event, or false
@@ -310,10 +311,16 @@ func (e *Engine) execTop() {
 // Run executes events in order until the queue drains, the virtual
 // clock passes horizon, or Stop is called. Events scheduled exactly at
 // the horizon still run. It returns the virtual time at which the run
-// ended and ErrStopped if the engine was stopped explicitly.
+// ended and ErrStopped if the engine was stopped explicitly. A Stop
+// issued before Run starts is honoured too (a cancelling goroutine may
+// win the race to the engine); returning ErrStopped consumes it, so a
+// later Run continues.
 func (e *Engine) Run(horizon Time) (Time, error) {
-	e.stopped.Store(false)
 	for {
+		if e.stopped.Load() {
+			e.stopped.Store(false)
+			return e.now, ErrStopped
+		}
 		at, ok := e.qPeek()
 		if !ok {
 			break
@@ -323,9 +330,6 @@ func (e *Engine) Run(horizon Time) (Time, error) {
 			return e.now, nil
 		}
 		e.execTop()
-		if e.stopped.Load() {
-			return e.now, ErrStopped
-		}
 	}
 	if e.now < horizon {
 		e.now = horizon

@@ -114,6 +114,24 @@ func TestEngineStop(t *testing.T) {
 	}
 }
 
+// TestEngineStopBeforeRun: a Stop that lands before Run starts (a
+// cancelling goroutine winning the race) is not lost, and it is
+// consumed, so the next Run continues where the first left off.
+func TestEngineStopBeforeRun(t *testing.T) {
+	e := NewEngine(1)
+	count := 0
+	for i := 1; i <= 5; i++ {
+		e.Schedule(Time(i)*time.Millisecond, func() { count++ })
+	}
+	e.Stop()
+	if _, err := e.Run(time.Second); err != ErrStopped || count != 0 {
+		t.Fatalf("Run after Stop = %v with %d events, want ErrStopped with 0", err, count)
+	}
+	if _, err := e.Run(time.Second); err != nil || count != 5 {
+		t.Fatalf("second Run = %v with %d events, want nil with 5", err, count)
+	}
+}
+
 func TestEngineStep(t *testing.T) {
 	e := NewEngine(1)
 	if e.Step() {

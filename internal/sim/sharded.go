@@ -232,8 +232,9 @@ func (sh *Sharded) EventsRun() uint64 {
 	return total
 }
 
-// Stop halts the run at the next barrier or coordinator step. Safe to
-// call from any goroutine, including a shard callback mid-window.
+// Stop halts the run at the next barrier or coordinator step, or the
+// next Run before it starts. Safe to call from any goroutine, including
+// a shard callback mid-window.
 func (sh *Sharded) Stop() { sh.stopped.Store(true) }
 
 // Route schedules the delivery of an allocation-free event on shard
@@ -493,7 +494,6 @@ func (sh *Sharded) flushDeferred() {
 // or beyond its own timestamp. Events scheduled exactly at the horizon
 // still run, matching Engine.Run.
 func (sh *Sharded) Run(horizon Time) (Time, error) {
-	sh.stopped.Store(false)
 	sh.done = make(chan int, len(sh.shards))
 	for _, s := range sh.shards {
 		s.cmd = make(chan windowCmd, 1)
@@ -507,6 +507,9 @@ func (sh *Sharded) Run(horizon Time) (Time, error) {
 
 	for {
 		if sh.stopped.Load() {
+			// Consumed like Engine.Run's, and likewise honoured when
+			// Stop came before Run.
+			sh.stopped.Store(false)
 			return sh.global.now, ErrStopped
 		}
 		tg, okG := sh.global.NextAt()

@@ -165,6 +165,21 @@ func TestShardedStopMidWindow(t *testing.T) {
 	}
 }
 
+// TestShardedStopBeforeRun mirrors TestEngineStopBeforeRun for the
+// coordinator.
+func TestShardedStopBeforeRun(t *testing.T) {
+	s := NewSharded(NewEngine(3), 2, time.Millisecond)
+	count := 0
+	s.Shard(1).Schedule(time.Millisecond, func() { count++ })
+	s.Stop()
+	if _, err := s.Run(time.Second); !errors.Is(err, ErrStopped) || count != 0 {
+		t.Fatalf("Run after Stop = %v with %d events, want ErrStopped with 0", err, count)
+	}
+	if _, err := s.Run(time.Second); err != nil || count != 1 {
+		t.Fatalf("second Run = %v with %d events, want nil with 1", err, count)
+	}
+}
+
 // TestShardedRejectsLookaheadViolation: a parallel-phase cross-shard
 // send below the lookahead is a correctness bug and must panic rather
 // than silently race.
