@@ -46,6 +46,16 @@ func benchTxConfig(seed int64) Config {
 	return cfg
 }
 
+// mustScenario parses a scenario spec or fails the benchmark.
+func mustScenario(b *testing.B, spec string) ScenarioSpec {
+	b.Helper()
+	s, err := ParseScenario(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s
+}
+
 func runCampaign(b *testing.B, cfg Config) *Results {
 	b.Helper()
 	campaign, err := NewCampaign(cfg)
@@ -364,8 +374,8 @@ func BenchmarkAblationChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchBlocksConfig(int64(i) + 1)
 		cfg.Duration = 30 * time.Minute
-		cfg.Churn = core.DefaultChurnConfig()
-		cfg.Churn.Interval = 20 * time.Second // ~25% of nodes cycling/hour
+		// ~25% of nodes cycling/hour.
+		cfg.Scenarios = []ScenarioSpec{mustScenario(b, "churn:interval=20s,downtime=5m")}
 		res := runCampaign(b, cfg)
 		b.ReportMetric(res.Propagation.MedianMs, "ms-median")
 		b.ReportMetric(res.Propagation.P99Ms, "ms-p99")
@@ -416,8 +426,7 @@ func BenchmarkExtensionWithholding(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchBlocksConfig(int64(i) + 1)
 		cfg.Duration = 2 * time.Hour
-		cfg.WithholdingPool = "Ethermine"
-		cfg.WithholdDepth = 3
+		cfg.Scenarios = []ScenarioSpec{mustScenario(b, "withhold:pool=Ethermine,depth=3")}
 		res := runCampaign(b, cfg)
 		var burst, seq int
 		for _, row := range res.Withholding.Rows {

@@ -16,8 +16,8 @@
 // streaming record pipeline's cost) for a fixed-seed run, plus
 // scheduler microbenchmarks (engine/selfschedule on a near-empty
 // queue, engine/schedule-churn under a 4096-event standing
-// population), a delivery-path pair (simnet/deliver with and without
-// coalescing on a tie-heavy fan-in) and two chain protocol-dispatch
+// population), the delivery path (simnet/deliver on a tie-heavy
+// fan-in) and two chain protocol-dispatch
 // microbenchmarks (per-import fork choice, uncle-candidate sweep —
 // the hot paths that call through the consensus.Protocol interface)
 // via testing.Benchmark.
@@ -540,68 +540,51 @@ func (s *benchSink) DeliverEnvelope(env simnet.Envelope) { s.delivered++ }
 
 // deliverEntries microbenchmarks the network delivery path on a
 // tie-heavy fan-in (64 senders flooding one destination over a
-// zero-jitter link, so every burst lands at one instant), once plain
-// and once with delivery coalescing, quantifying what the coalesced
-// path saves in scheduled events per delivery.
+// zero-jitter link, so every burst lands at one instant).
 func deliverEntries(w io.Writer) []Entry {
 	const fanIn = 64
-	bench := func(coalesce bool) testing.BenchmarkResult {
-		return testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			engine := sim.NewEngine(1)
-			net := simnet.New(engine, geo.UniformLatencyModel(10*time.Millisecond, 0))
-			if coalesce {
-				net.EnableCoalescing()
-			}
-			senders := make([]*simnet.Node, fanIn)
-			for i := range senders {
-				ep, err := net.AddNode(geo.NorthAmerica, 1e9)
-				if err != nil {
-					b.Fatal(err)
-				}
-				senders[i] = ep
-			}
-			dst, err := net.AddNode(geo.NorthAmerica, 1e9)
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		engine := sim.NewEngine(1)
+		net := simnet.New(engine, geo.UniformLatencyModel(10*time.Millisecond, 0))
+		senders := make([]*simnet.Node, fanIn)
+		for i := range senders {
+			ep, err := net.AddNode(geo.NorthAmerica, 1e9)
 			if err != nil {
 				b.Fatal(err)
 			}
-			sink := &benchSink{}
-			round := func(n int) {
-				for i := 0; i < n; i++ {
-					net.Send(senders[i], dst, 600, sink, simnet.Envelope{Kind: 1, Num: uint64(i)})
-				}
-				if _, err := engine.Run(engine.Now() + time.Second); err != nil {
-					b.Fatal(err)
-				}
+			senders[i] = ep
+		}
+		dst, err := net.AddNode(geo.NorthAmerica, 1e9)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sink := &benchSink{}
+		round := func(n int) {
+			for i := 0; i < n; i++ {
+				net.Send(senders[i], dst, 600, sink, simnet.Envelope{Kind: 1, Num: uint64(i)})
 			}
-			// Warm the batch slab and the scheduler's ring buckets so the
-			// timed region measures steady state, not first-touch growth.
-			for i := 0; i < 512; i++ {
-				round(fanIn)
+			if _, err := engine.Run(engine.Now() + time.Second); err != nil {
+				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for sent := 0; sent < b.N; sent += fanIn {
-				n := fanIn
-				if rem := b.N - sent; rem < n {
-					n = rem
-				}
-				round(n)
+		}
+		// Warm the event slab and the scheduler's ring buckets so the
+		// timed region measures steady state, not first-touch growth.
+		for i := 0; i < 512; i++ {
+			round(fanIn)
+		}
+		b.ResetTimer()
+		for sent := 0; sent < b.N; sent += fanIn {
+			n := fanIn
+			if rem := b.N - sent; rem < n {
+				n = rem
 			}
-			b.StopTimer()
-			if coalesce && net.CoalescedBatches() == 0 {
-				b.Fatal("coalesced benchmark never batched")
-			}
-		})
-	}
-	plain, coal := bench(false), bench(true)
-	entries := []Entry{
-		{Name: "simnet/deliver", NsPerOp: float64(plain.NsPerOp()), AllocsPerOp: float64(plain.AllocsPerOp())},
-		{Name: "simnet/deliver/coalesce", NsPerOp: float64(coal.NsPerOp()), AllocsPerOp: float64(coal.AllocsPerOp())},
-	}
-	for _, e := range entries {
-		fmt.Fprintf(w, "%-22s %9.1f ns/op    %8.3f allocs/op\n", e.Name, e.NsPerOp, e.AllocsPerOp)
-	}
-	return entries
+			round(n)
+		}
+	})
+	e := Entry{Name: "simnet/deliver", NsPerOp: float64(res.NsPerOp()), AllocsPerOp: float64(res.AllocsPerOp())}
+	fmt.Fprintf(w, "%-22s %9.1f ns/op    %8.3f allocs/op\n", e.Name, e.NsPerOp, e.AllocsPerOp)
+	return []Entry{e}
 }
 
 // chainDispatchEntries microbenchmarks the chain/mining hot paths that

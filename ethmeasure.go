@@ -243,13 +243,6 @@ func RunSweep(ctx context.Context, m *SweepMatrix, workers int) (*SweepAggregate
 	return sweep.Sweep(ctx, m, workers)
 }
 
-// DefaultChurnConfig returns the mild churn profile used by the churn
-// ablation (node restarts across the regular population).
-func DefaultChurnConfig() core.ChurnConfig { return core.DefaultChurnConfig() }
-
-// ChurnConfig models node turnover (see Config.Churn).
-type ChurnConfig = core.ChurnConfig
-
 // Scenario types: composable interventions plugged into a campaign via
 // Config.Scenarios (see internal/scenario for the plugin catalog:
 // churn, withhold, partition, relayoverlay, eclipse, bandwidth,

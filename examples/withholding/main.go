@@ -33,9 +33,12 @@ func run() error {
 		return err
 	}
 
+	withhold, err := ethmeasure.ParseScenario("withhold:pool=Ethermine,depth=3")
+	if err != nil {
+		return err
+	}
 	attack := base
-	attack.WithholdingPool = "Ethermine"
-	attack.WithholdDepth = 3
+	attack.Scenarios = []ethmeasure.ScenarioSpec{withhold}
 	fmt.Println("=== Campaign B: Ethermine withholds blocks (depth 3) ===")
 	return runForensic(attack)
 }

@@ -5,27 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"ethmeasure/internal/consensus"
 	"ethmeasure/internal/types"
 )
-
-func TestUncleRewardETH(t *testing.T) {
-	tests := []struct {
-		depth uint64
-		want  float64
-	}{
-		{1, 1.75}, // (8-1)/8 * 2
-		{2, 1.5},
-		{6, 0.5},
-		{7, 0.25},
-		{0, 0},
-		{8, 0},
-	}
-	for _, tt := range tests {
-		if got := UncleRewardETH(tt.depth); math.Abs(got-tt.want) > 1e-12 {
-			t.Errorf("UncleRewardETH(%d) = %f, want %f", tt.depth, got, tt.want)
-		}
-	}
-}
 
 func TestRewardsAccounting(t *testing.T) {
 	f := newFixture(t)
@@ -57,7 +39,7 @@ func TestRewardsAccounting(t *testing.T) {
 		t.Errorf("pool1 main blocks = %d", p1.MainBlocks)
 	}
 	// 3 block rewards + 2 nephew rewards + own sibling uncle at depth 1.
-	wantP1 := 3*BlockRewardETH + 2*NephewRewardETH + 1.75
+	wantP1 := 3*consensus.EthereumBlockReward + 2*consensus.EthereumNephewReward + 1.75
 	if math.Abs(p1.TotalETH-wantP1) > 1e-9 {
 		t.Errorf("pool1 total = %f, want %f", p1.TotalETH, wantP1)
 	}

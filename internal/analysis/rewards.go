@@ -3,32 +3,8 @@ package analysis
 import (
 	"sort"
 
-	"ethmeasure/internal/consensus"
 	"ethmeasure/internal/types"
 )
-
-// Ethereum reward constants for the Constantinople era the paper
-// measured (EIP-1234), in ETH.
-//
-// Deprecated: these are the ethereum protocol's parameters, kept for
-// callers that predate pluggable consensus. Protocol-generic code
-// reads the schedule from consensus.Protocol instead.
-const (
-	// BlockRewardETH is the static reward per main-chain block.
-	BlockRewardETH = consensus.EthereumBlockReward
-	// NephewRewardETH is paid per uncle referenced (1/32 of the block
-	// reward).
-	NephewRewardETH = consensus.EthereumNephewReward
-)
-
-// UncleRewardETH computes the reward of an uncle at depth d =
-// includingHeight − uncleHeight: (8 − d) / 8 × block reward.
-//
-// Deprecated: this is the ethereum protocol's schedule; use
-// Protocol.ReferenceReward for protocol-generic code.
-func UncleRewardETH(d uint64) float64 {
-	return consensus.Ethereum().ReferenceReward(d)
-}
 
 // PoolRewardRow aggregates one pool's earnings.
 type PoolRewardRow struct {

@@ -39,16 +39,6 @@ func TestRegistryDefaultsToEthereum(t *testing.T) {
 	}
 }
 
-func TestDeprecatedConstsMatchEthereumProtocol(t *testing.T) {
-	e := consensus.Ethereum()
-	if uint64(MaxUncleDepth) != e.MaxReferenceDepth() {
-		t.Errorf("MaxUncleDepth %d diverged from the ethereum protocol's %d", MaxUncleDepth, e.MaxReferenceDepth())
-	}
-	if MaxUnclesPerBlock != e.MaxReferencesPerBlock() {
-		t.Errorf("MaxUnclesPerBlock %d diverged from the ethereum protocol's %d", MaxUnclesPerBlock, e.MaxReferencesPerBlock())
-	}
-}
-
 func TestBitcoinRegistryAcceptsNoUncles(t *testing.T) {
 	reg := NewRegistry(0, types.NewHashIssuer(1))
 	reg.SetProtocol(consensus.Bitcoin())

@@ -14,22 +14,6 @@ import (
 	"ethmeasure/internal/types"
 )
 
-// MaxUncleDepth is how many generations back an uncle's parent may sit
-// relative to the including block (Ethereum: uncle.number ≥
-// block.number − 6, i.e. "within 7 generations").
-//
-// Deprecated: this is the ethereum protocol's parameter, kept for
-// callers that predate pluggable consensus. Code that must work across
-// protocols reads Registry.Protocol().MaxReferenceDepth() instead.
-const MaxUncleDepth = consensus.EthereumUncleDepth
-
-// MaxUnclesPerBlock is Ethereum's cap on uncle references per block.
-//
-// Deprecated: this is the ethereum protocol's parameter, kept for
-// callers that predate pluggable consensus. Code that must work across
-// protocols reads Registry.Protocol().MaxReferencesPerBlock() instead.
-const MaxUnclesPerBlock = consensus.EthereumUnclesPerBlock
-
 // Registry is the global, append-only store of all blocks created in a
 // simulation, including every fork. The analysis pipeline classifies
 // forks and determines the final main chain from it. It is the

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ethmeasure/internal/consensus"
 	"ethmeasure/internal/types"
 )
 
@@ -191,9 +192,10 @@ func TestValidUncleRules(t *testing.T) {
 		t.Error("already-referenced uncle must be rejected")
 	}
 
-	// Depth limit: uncles older than MaxUncleDepth generations expire.
+	// Depth limit: uncles older than the ethereum protocol's reference
+	// depth expire.
 	head := a3
-	for i := 0; i < MaxUncleDepth; i++ {
+	for i := 0; i < consensus.EthereumUncleDepth; i++ {
 		head = tc.extend(head, 1)
 	}
 	fresh := tc.extend(g, 3) // another sibling at height 101

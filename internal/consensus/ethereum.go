@@ -14,9 +14,7 @@ const EthereumName = "ethereum"
 const DefaultName = EthereumName
 
 // Ethereum's consensus parameters for the measurement period
-// (Constantinople, EIP-1234). These are the canonical values the rest
-// of the system historically hard-coded; chain.MaxUncleDepth and
-// analysis.BlockRewardETH now delegate here.
+// (Constantinople, EIP-1234).
 const (
 	// EthereumUncleDepth is how many generations back an uncle's parent
 	// may sit relative to the including block (uncle.number ≥
@@ -73,9 +71,9 @@ func (ethereum) BlockReward() float64 { return EthereumBlockReward }
 
 // ReferenceReward implements Ethereum's uncle schedule: (8 − d) / 8 of
 // the block reward at depth d. The d ≤ 7 bound mirrors the yellow
-// paper's schedule (and the historical UncleRewardETH definition);
-// with the 6-generation validity window, depth 7 is never reached by
-// an included uncle, so in practice the deepest paid tier is 2/8.
+// paper's schedule; with the 6-generation validity window, depth 7 is
+// never reached by an included uncle, so in practice the deepest paid
+// tier is 2/8.
 func (ethereum) ReferenceReward(depth uint64) float64 {
 	if depth < 1 || depth > 7 {
 		return 0

@@ -172,12 +172,6 @@ func (c *Campaign) build() error {
 		c.engine = sim.NewEngine(cfg.Seed)
 		c.network = simnet.New(c.engine, cfg.Latency)
 	}
-	if cfg.CoalesceDelivery {
-		// Serial engine only: when sharding is enabled below, Send's
-		// sharded path bypasses coalescing (batches would straddle the
-		// barrier exchange).
-		c.network.EnableCoalescing()
-	}
 	if shards := cfg.ResolveShards(); shards > 1 {
 		// Conservative PDES: the lookahead is the smallest delay any
 		// message can take — the latency model's floor over every region
@@ -324,18 +318,16 @@ func (c *Campaign) build() error {
 		}
 	}
 
-	// Scenario composition: registered plugins replace the old
-	// special-cased churn/withholding wiring. Build instantiates every
-	// configured spec (legacy fields first), then topology mutators
-	// rewire the assembled graph and miner strategies attach to their
-	// pools; interventions wait for Simulate.
-	specs := cfg.scenarioSpecs()
-	scenarios, err := scenario.Build(specs)
+	// Scenario composition: Build instantiates every configured spec,
+	// then topology mutators rewire the assembled graph and miner
+	// strategies attach to their pools; interventions wait for
+	// Simulate.
+	scenarios, err := scenario.Build(cfg.Scenarios)
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 	c.scenarios = scenarios
-	c.scenarioTags = scenario.Tags(specs)
+	c.scenarioTags = scenario.Tags(cfg.Scenarios)
 	c.scenarioEnv = &scenario.Env{
 		Engine:    c.engine,
 		Network:   c.network,

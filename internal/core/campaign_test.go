@@ -237,11 +237,8 @@ func TestCampaignForkRateInPaperRange(t *testing.T) {
 }
 
 func TestCampaignWithChurn(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.EnableTxWorkload = false
-	cfg.Churn = DefaultChurnConfig()
-	cfg.Churn.Interval = 30 * time.Second // aggressive for a short run
-	cfg.Churn.DowntimeMean = time.Minute
+	// Aggressive for a short run.
+	cfg := scenarioConfig(t, "churn:interval=30s,downtime=1m")
 	campaign, err := NewCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -271,9 +268,7 @@ func TestCampaignWithChurn(t *testing.T) {
 
 func TestChurnDeterministic(t *testing.T) {
 	run := func() float64 {
-		cfg := tinyConfig()
-		cfg.EnableTxWorkload = false
-		cfg.Churn = ChurnConfig{Interval: 20 * time.Second, DowntimeMean: time.Minute}
+		cfg := scenarioConfig(t, "churn:interval=20s,downtime=1m")
 		campaign, err := NewCampaign(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -315,15 +310,12 @@ func TestCampaignWithholdingDetected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("longer statistical run")
 	}
-	cfg := tinyConfig()
+	cfg := scenarioConfig(t, "withhold:pool=Ethermine,depth=3")
 	cfg.Duration = 45 * time.Minute
 	// Detection is statistical: the forensic flags a pool only when a
 	// majority of its consecutive-block sequences arrive as bursts.
 	// This seed's 45-minute window shows a clear burst majority.
 	cfg.Seed = 4
-	cfg.EnableTxWorkload = false
-	cfg.WithholdingPool = "Ethermine"
-	cfg.WithholdDepth = 3
 	campaign, err := NewCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -379,9 +371,7 @@ func TestCampaignHonestPoolsNotFlagged(t *testing.T) {
 }
 
 func TestCampaignWithholdingConfigValidation(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.WithholdingPool = "NoSuchPool"
-	cfg.WithholdDepth = 3
+	cfg := scenarioConfig(t, "withhold:pool=NoSuchPool,depth=3")
 	if _, err := NewCampaign(cfg); err == nil {
 		t.Fatal("unknown withholding pool accepted")
 	}

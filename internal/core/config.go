@@ -150,37 +150,8 @@ type Config struct {
 	// "relayoverlay", "eclipse", "bandwidth", "churnburst", "churn",
 	// "withhold") plus its parameters. Scenarios apply in list order
 	// after the base system is built; an empty list is the vanilla
-	// campaign. The legacy Churn and WithholdingPool fields below are
-	// converted into equivalent specs and composed before this list.
+	// campaign.
 	Scenarios []scenario.Spec
-
-	// Churn models node turnover across the regular population (Kim et
-	// al., IMC'18). Zero Interval disables it; calibration presets run
-	// without churn and the churn ablation benchmark enables it.
-	// Legacy surface for the "churn" scenario plugin.
-	Churn ChurnConfig
-
-	// WithholdingPool, when non-empty, attaches the selfish
-	// block-withholding strategy (Eyal-Sirer; §III-D's FAW discussion)
-	// to the named pool, releasing private chains once they reach
-	// WithholdDepth or when public progress threatens them. Empty
-	// disables the attack (all presets). Legacy surface for the
-	// "withhold" scenario plugin.
-	WithholdingPool string
-
-	// WithholdDepth is the private-chain length that forces a release.
-	WithholdDepth int
-
-	// CoalesceDelivery batches same-destination message deliveries that
-	// land at the same virtual instant through one scheduled event
-	// instead of one per message (internal/simnet). Per destination and
-	// instant, delivery order is exactly the uncoalesced send order;
-	// across destinations sharing an exact instant the interleaving may
-	// differ, which continuous-jitter latency models (the default)
-	// never produce — but the switch stays off by default until a
-	// campaign's model is known tie-free. Serial engine only: sharded
-	// campaigns ignore it.
-	CoalesceDelivery bool
 
 	// Clock is the NTP offset model for vantage timestamps.
 	Clock measure.ClockModel
@@ -386,7 +357,7 @@ func (c *Config) Validate() error {
 	if err := consensus.Validate(c.Protocol); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	for _, spec := range c.scenarioSpecs() {
+	for _, spec := range c.Scenarios {
 		if err := scenario.Validate(spec); err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
@@ -417,31 +388,11 @@ func (c *Config) ResolveShards() int {
 // carried by results and log metadata.
 func (c *Config) ProtocolTag() string { return c.Protocol.String() }
 
-// scenarioSpecs returns the full composed scenario list: the legacy
-// churn and withholding fields converted to their plugin specs,
-// followed by the explicit Scenarios list.
-func (c *Config) scenarioSpecs() []scenario.Spec {
-	specs := make([]scenario.Spec, 0, len(c.Scenarios)+2)
-	if c.Churn.Interval > 0 {
-		specs = append(specs, c.Churn.Spec())
-	}
-	if c.WithholdingPool != "" {
-		specs = append(specs, scenario.Spec{
-			Name: scenario.WithholdName,
-			Params: map[string]string{
-				"pool":  c.WithholdingPool,
-				"depth": fmt.Sprintf("%d", c.WithholdDepth),
-			},
-		})
-	}
-	return append(specs, c.Scenarios...)
-}
-
 // ScenarioTags returns the canonical textual form of every composed
-// scenario (legacy fields included), in composition order — the
-// annotation carried by results and log metadata.
+// scenario, in composition order — the annotation carried by results
+// and log metadata.
 func (c *Config) ScenarioTags() []string {
-	return scenario.Tags(c.scenarioSpecs())
+	return scenario.Tags(c.Scenarios)
 }
 
 // PrimaryVantages returns the non-auxiliary vantage names in

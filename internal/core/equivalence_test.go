@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"ethmeasure/internal/consensus"
 	"ethmeasure/internal/logs"
@@ -36,12 +35,20 @@ func equivalenceVariants() []struct {
 	name string
 	cfg  Config
 } {
+	addScenario := func(cfg Config, specs ...string) Config {
+		for _, raw := range specs {
+			spec, err := scenario.Parse(raw)
+			if err != nil {
+				panic(err)
+			}
+			cfg.Scenarios = append(cfg.Scenarios, spec)
+		}
+		return cfg
+	}
+
 	quick := tinyConfig()
 
-	churn := tinyConfig()
-	churn.Churn = DefaultChurnConfig()
-	churn.Churn.Interval = 30 * time.Second
-	churn.Churn.DowntimeMean = time.Minute
+	churn := addScenario(tinyConfig(), "churn:interval=30s,downtime=1m0s")
 
 	discovery := tinyConfig()
 	discovery.UseDiscovery = true
@@ -57,19 +64,8 @@ func equivalenceVariants() []struct {
 	// configs. Propagation-only keeps them cheap.
 	withhold := tinyConfig()
 	withhold.EnableTxWorkload = false
-	withhold.WithholdingPool = "Ethermine"
-	withhold.WithholdDepth = 3
+	withhold = addScenario(withhold, "withhold:pool=Ethermine,depth=3")
 
-	addScenario := func(cfg Config, specs ...string) Config {
-		for _, raw := range specs {
-			spec, err := scenario.Parse(raw)
-			if err != nil {
-				panic(err)
-			}
-			cfg.Scenarios = append(cfg.Scenarios, spec)
-		}
-		return cfg
-	}
 	partitionCfg := tinyConfig()
 	partitionCfg.EnableTxWorkload = false
 	partitionCfg = addScenario(partitionCfg, "partition:a=EA+SEA,start=2m,dur=3m")

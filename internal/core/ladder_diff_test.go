@@ -88,31 +88,3 @@ func TestLadderHeapEquivalenceShards(t *testing.T) {
 		})
 	}
 }
-
-// TestCoalesceDeliveryEquivalence backs the Config.CoalesceDelivery
-// contract: under the default continuous-jitter latency model, exact
-// cross-node delivery ties have measure zero, so a coalesced campaign
-// is bit-identical to an uncoalesced one on every surface.
-func TestCoalesceDeliveryEquivalence(t *testing.T) {
-	plain := tinyConfig()
-	coal := tinyConfig()
-	coal.CoalesceDelivery = true
-
-	recP, chainP, jsonP, kmP := ladderFingerprint(t, plain)
-	recC, chainC, jsonC, kmC := ladderFingerprint(t, coal)
-
-	if recP != recC {
-		t.Errorf("record streams diverged:\nplain:     %s\ncoalesced: %s", recP, recC)
-	}
-	if chainP != chainC {
-		t.Errorf("chains diverged")
-	}
-	for name, p := range jsonP {
-		if c := jsonC[name]; c != p {
-			t.Errorf("%s diverged:\nplain:     %.200s\ncoalesced: %.200s", name, p, c)
-		}
-	}
-	if !reflect.DeepEqual(kmP, kmC) {
-		t.Errorf("KeyMetrics diverged:\nplain:     %v\ncoalesced: %v", kmP, kmC)
-	}
-}

@@ -28,62 +28,6 @@ func runFingerprinted(t *testing.T, cfg Config) (string, string, *Results) {
 	return hasher.Sum(), chainFingerprint(campaign), res
 }
 
-// TestLegacyChurnEqualsScenarioSpec is the plugin-conversion contract:
-// configuring churn through the legacy Config.Churn field and through
-// an explicit Scenarios spec must be bit-identical runs.
-func TestLegacyChurnEqualsScenarioSpec(t *testing.T) {
-	if testing.Short() {
-		t.Skip("conversion contract runs in the full suite")
-	}
-	legacy := tinyConfig()
-	legacy.EnableTxWorkload = false
-	legacy.Churn = ChurnConfig{Interval: 30 * time.Second, DowntimeMean: time.Minute, RedialPeers: 3}
-
-	spec := tinyConfig()
-	spec.EnableTxWorkload = false
-	spec.Scenarios = []scenario.Spec{{
-		Name:   scenario.ChurnName,
-		Params: map[string]string{"interval": "30s", "downtime": "1m0s", "redial": "3"},
-	}}
-
-	recA, chainA, resA := runFingerprinted(t, legacy)
-	recB, chainB, resB := runFingerprinted(t, spec)
-	if recA != recB {
-		t.Error("record streams diverged between legacy churn and scenario spec")
-	}
-	if chainA != chainB {
-		t.Error("chains diverged between legacy churn and scenario spec")
-	}
-	if resA.Scenarios.Metrics["scenario_churn_events"] != resB.Scenarios.Metrics["scenario_churn_events"] {
-		t.Errorf("churn events diverged: %v vs %v", resA.Scenarios.Metrics, resB.Scenarios.Metrics)
-	}
-}
-
-// TestLegacyWithholdingEqualsScenarioSpec: same contract for the
-// withholding attack.
-func TestLegacyWithholdingEqualsScenarioSpec(t *testing.T) {
-	if testing.Short() {
-		t.Skip("conversion contract runs in the full suite")
-	}
-	legacy := tinyConfig()
-	legacy.EnableTxWorkload = false
-	legacy.WithholdingPool = "Ethermine"
-	legacy.WithholdDepth = 3
-
-	spec := tinyConfig()
-	spec.EnableTxWorkload = false
-	spec.Scenarios = []scenario.Spec{{
-		Name:   scenario.WithholdName,
-		Params: map[string]string{"pool": "Ethermine", "depth": "3"},
-	}}
-
-	recA, chainA, _ := runFingerprinted(t, legacy)
-	recB, chainB, _ := runFingerprinted(t, spec)
-	if recA != recB || chainA != chainB {
-		t.Error("legacy withholding and scenario spec diverged")
-	}
-}
-
 // scenarioConfig composes the given spec strings onto a tiny
 // propagation-only campaign.
 func scenarioConfig(t *testing.T, specs ...string) Config {
@@ -291,8 +235,7 @@ func TestScenarioKeyMetricsMerged(t *testing.T) {
 // TestScenarioTagsInLogMeta: the composed tags travel through the log
 // pipeline (WriteLogs and SpillPath both lead with the meta entry).
 func TestScenarioTagsInLogMeta(t *testing.T) {
-	cfg := scenarioConfig(t, "eclipse:node=3")
-	cfg.Churn = ChurnConfig{Interval: time.Minute, DowntimeMean: time.Minute}
+	cfg := scenarioConfig(t, "churn:interval=1m,downtime=1m", "eclipse:node=3")
 	campaign, err := NewCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"ethmeasure/internal/geo"
 	"ethmeasure/internal/scenario"
@@ -29,20 +28,22 @@ func shardEquivalenceVariants() []struct {
 	name string
 	cfg  Config
 } {
+	withSpec := func(cfg Config, raw string) Config {
+		spec, err := scenario.Parse(raw)
+		if err != nil {
+			panic(err)
+		}
+		cfg.Scenarios = append(cfg.Scenarios, spec)
+		return cfg
+	}
+
 	quick := tinyConfig()
 
-	churn := tinyConfig()
-	churn.Churn = DefaultChurnConfig()
-	churn.Churn.Interval = 30 * time.Second
-	churn.Churn.DowntimeMean = time.Minute
+	churn := withSpec(tinyConfig(), "churn:interval=30s,downtime=1m0s")
 
 	partitionCfg := tinyConfig()
 	partitionCfg.EnableTxWorkload = false
-	spec, err := scenario.Parse("partition:a=EA+SEA,start=2m,dur=3m")
-	if err != nil {
-		panic(err)
-	}
-	partitionCfg.Scenarios = append(partitionCfg.Scenarios, spec)
+	partitionCfg = withSpec(partitionCfg, "partition:a=EA+SEA,start=2m,dur=3m")
 
 	return []struct {
 		name string

@@ -136,8 +136,7 @@ func (w *Withholding) Discarded() int { return w.discarded }
 func (w *Withholding) BindProtocol(p consensus.Protocol) { w.proto = p }
 
 // paysReferences reports whether the bound protocol rewards referenced
-// side blocks. Unbound strategies assume Ethereum's schedule (the
-// legacy ConfigureWithholding path binds on attach anyway).
+// side blocks. Unbound strategies assume Ethereum's schedule.
 func (w *Withholding) paysReferences() bool {
 	if w.proto == nil {
 		return true
@@ -197,18 +196,6 @@ func (w *Withholding) flush() []*types.Block {
 	w.bursts++
 	w.released += len(out)
 	return out
-}
-
-// ConfigureWithholding attaches the withholding strategy to the named
-// pool. Returns false if the pool is unknown, already has a strategy,
-// or the depth is below 2. Kept as the legacy entry point behind
-// Config.WithholdingPool; new code goes through AttachStrategy.
-func (m *Miner) ConfigureWithholding(poolName string, depth int) bool {
-	w, err := NewWithholding(depth)
-	if err != nil {
-		return false
-	}
-	return m.AttachStrategy(poolName, w) == nil
 }
 
 // Withheld returns how many blocks are currently private across all

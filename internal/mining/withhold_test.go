@@ -9,18 +9,31 @@ import (
 	"ethmeasure/internal/types"
 )
 
+// attachWithholding binds a fresh withholding strategy of the given
+// depth to the named pool.
+func attachWithholding(m *Miner, pool string, depth int) error {
+	w, err := NewWithholding(depth)
+	if err != nil {
+		return err
+	}
+	return m.AttachStrategy(pool, w)
+}
+
 func TestConfigureWithholding(t *testing.T) {
 	h := newMiningHarness(t, 2)
 	cfg := DefaultConfig()
 	m := h.newMiner(cfg, twoPoolSpecs(), [][]*p2p.Node{{h.nodes[0]}, {h.nodes[1]}})
-	if m.ConfigureWithholding("NoSuchPool", 3) {
+	if attachWithholding(m, "NoSuchPool", 3) == nil {
 		t.Error("unknown pool accepted")
 	}
-	if m.ConfigureWithholding("Alpha", 1) {
+	if attachWithholding(m, "Alpha", 1) == nil {
 		t.Error("depth < 2 accepted")
 	}
-	if !m.ConfigureWithholding("Alpha", 3) {
-		t.Error("valid configuration rejected")
+	if err := attachWithholding(m, "Alpha", 3); err != nil {
+		t.Errorf("valid configuration rejected: %v", err)
+	}
+	if attachWithholding(m, "Alpha", 3) == nil {
+		t.Error("second strategy on one pool accepted")
 	}
 }
 
@@ -34,8 +47,8 @@ func TestWithholdingPublishesInBursts(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.InterBlockTime = 8 * time.Second
 	m := h.newMiner(cfg, specs, [][]*p2p.Node{{h.nodes[0]}, {h.nodes[1]}})
-	if !m.ConfigureWithholding("Attacker", 3) {
-		t.Fatal("configure failed")
+	if err := attachWithholding(m, "Attacker", 3); err != nil {
+		t.Fatal(err)
 	}
 	m.Start(20 * time.Minute)
 	if _, err := h.engine.Run(20 * time.Minute); err != nil {
@@ -80,8 +93,8 @@ func TestWithholdingOverridesPublicProgress(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.InterBlockTime = time.Hour // manual block injection below
 	m := h.newMiner(cfg, specs, [][]*p2p.Node{{h.nodes[0]}, {h.nodes[1]}})
-	if !m.ConfigureWithholding("Attacker", 10) {
-		t.Fatal("configure failed")
+	if err := attachWithholding(m, "Attacker", 10); err != nil {
+		t.Fatal(err)
 	}
 	attacker := m.Pools()[0]
 	honest := m.Pools()[1]

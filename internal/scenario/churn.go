@@ -12,8 +12,7 @@ import (
 const ChurnName = "churn"
 
 // Default churn profile: one restart every two minutes with five-minute
-// downtimes, roughly 12% of a 220-node population cycling per hour
-// (mirrors core.DefaultChurnConfig).
+// downtimes, roughly 12% of a 220-node population cycling per hour.
 const (
 	defaultChurnInterval = 2 * time.Minute
 	defaultChurnDowntime = 5 * time.Minute
@@ -47,10 +46,6 @@ func init() {
 // all its connections drop, and after a downtime it re-dials a fresh
 // random peer set — exactly what a relaunched Geth does. Vantages and
 // pool gateways are long-lived and never churn.
-//
-// This plugin is the former core-internal churn driver; it draws from
-// the historical "churn" RNG stream so campaigns configured through the
-// legacy Config.Churn field remain bit-identical.
 type Churn struct {
 	// Interval is the mean time between churn events (exponentially
 	// distributed).

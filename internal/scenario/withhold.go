@@ -33,8 +33,7 @@ func init() {
 // Withhold attaches the selfish block-withholding strategy
 // (mining.Withholding) to the named pool: the pool keeps its blocks
 // private, extends its private chain, and publishes in a burst when
-// the public chain threatens it or the lead reaches Depth. This plugin
-// is the former hard-coded Config.WithholdingPool/WithholdDepth path.
+// the public chain threatens it or the lead reaches Depth.
 type Withhold struct {
 	// Pool names the attacking pool.
 	Pool string

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"ethmeasure/internal/cliutil"
@@ -59,12 +61,20 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSONResponse(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// maxSubmitBytes bounds a POST /v1/jobs body. A job spec is a few
+// hundred bytes; the cap keeps one request from buffering unbounded
+// input.
+const maxSubmitBytes = 1 << 20
+
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid job spec: %v", err)
+	spec, err := decodeJobSpec(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, "invalid job spec: %v", err)
 		return
 	}
 	job, err := s.m.Submit(spec)
@@ -74,6 +84,25 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Location", "/v1/jobs/"+job.ID)
 	writeJSONResponse(w, http.StatusCreated, job)
+}
+
+// decodeJobSpec reads exactly one JSON job spec: unknown fields and
+// anything after the first value are rejected.
+func decodeJobSpec(body io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return spec, err
+	}
+	switch err := dec.Decode(new(json.RawMessage)); err {
+	case io.EOF:
+		return spec, nil
+	case nil:
+		return spec, errors.New("trailing data after the job spec")
+	default:
+		return spec, err
+	}
 }
 
 func (s *Server) list(w http.ResponseWriter, r *http.Request) {

@@ -204,6 +204,69 @@ func TestHTTPValidationAndNotFound(t *testing.T) {
 	}
 }
 
+// postRaw submits a raw body to POST /v1/jobs and returns the status
+// and the decoded error message.
+func postRaw(t *testing.T, ts *httptest.Server, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Errorf("error body not JSON: %v", err)
+	}
+	return resp.StatusCode, e.Error
+}
+
+// TestHTTPSubmitRejectsTrailingData: a body must hold exactly one job
+// spec; anything after the first JSON value is a 400 and submits
+// nothing.
+func TestHTTPSubmitRejectsTrailingData(t *testing.T) {
+	ts, _ := newTestServer(t)
+	spec, err := json.Marshal(quickSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{
+		string(spec) + " garbage",
+		string(spec) + string(spec),
+		string(spec) + "{}",
+	} {
+		if status, msg := postRaw(t, ts, body); status != http.StatusBadRequest || msg == "" {
+			t.Errorf("%.40s...: status %d (%q), want 400", body[len(spec):], status, msg)
+		}
+	}
+	var list struct {
+		Jobs []Job `json:"jobs"`
+	}
+	getJSON(t, ts.URL+"/v1/jobs", &list)
+	if len(list.Jobs) != 0 {
+		t.Errorf("rejected bodies submitted %d jobs", len(list.Jobs))
+	}
+	// Trailing whitespace is not data.
+	if status, msg := postRaw(t, ts, string(spec)+"\n"); status != http.StatusCreated {
+		t.Errorf("spec with trailing newline: status %d (%q), want 201", status, msg)
+	}
+}
+
+// TestHTTPSubmitBodyTooLarge: a body over the 1 MiB cap is a 413,
+// even when the spec inside it would be valid.
+func TestHTTPSubmitBodyTooLarge(t *testing.T) {
+	ts, _ := newTestServer(t)
+	spec, err := json.Marshal(quickSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := strings.Repeat(" ", maxSubmitBytes) + string(spec)
+	if status, msg := postRaw(t, ts, body); status != http.StatusRequestEntityTooLarge || msg == "" {
+		t.Errorf("oversized body: status %d (%q), want 413", status, msg)
+	}
+}
+
 func TestHTTPCatalogVersionHealthz(t *testing.T) {
 	ts, _ := newTestServer(t)
 

@@ -27,10 +27,9 @@ import (
 const maxTime = Time(math.MaxInt64)
 
 // xev is one cross-shard event in transit: the absolute delivery time
-// plus the same closure-or-handler payload the Engine slab stores.
+// plus the handler payload the Engine slab stores.
 type xev struct {
 	at  Time
-	fn  func()
 	h   Handler
 	arg Arg
 }
@@ -196,8 +195,8 @@ func scrubShard(s *Shard) {
 	s.defHead = 0
 }
 
-// clearXevs zeroes a queue over its full capacity (releasing closure
-// and handler references the GC would otherwise keep reachable through
+// clearXevs zeroes a queue over its full capacity (releasing handler
+// and payload references the GC would otherwise keep reachable through
 // the backing array) and truncates it for reuse.
 func clearXevs(q []xev) []xev {
 	q = q[:cap(q)]
@@ -260,31 +259,6 @@ func (sh *Sharded) Route(src, dst int, d time.Duration, h Handler, arg Arg) {
 		panic(fmt.Sprintf("sim: cross-shard send with delay %v below lookahead %v", d, sh.lookahead))
 	}
 	s.outbox[dst] = append(s.outbox[dst], xev{at: at, h: h, arg: arg})
-	if at < s.outMin[dst] {
-		s.outMin[dst] = at
-	}
-}
-
-// RouteFunc is Route for closure-based deliveries (allocates; hot
-// paths use Route).
-func (sh *Sharded) RouteFunc(src, dst int, d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	s := sh.shards[src]
-	at := s.Now() + d
-	if !sh.parallel {
-		sh.shards[dst].eng.Schedule(at, fn)
-		return
-	}
-	if src == dst {
-		s.eng.Schedule(at, fn)
-		return
-	}
-	if d < sh.lookahead {
-		panic(fmt.Sprintf("sim: cross-shard send with delay %v below lookahead %v", d, sh.lookahead))
-	}
-	s.outbox[dst] = append(s.outbox[dst], xev{at: at, fn: fn})
 	if at < s.outMin[dst] {
 		s.outMin[dst] = at
 	}
@@ -353,12 +327,7 @@ func (s *Shard) drainInbox() {
 	for src := range s.inbox {
 		evs := s.inbox[src]
 		for i := range evs {
-			x := &evs[i]
-			if x.fn != nil {
-				s.eng.Schedule(x.at, x.fn)
-			} else {
-				s.eng.ScheduleArg(x.at, x.h, x.arg)
-			}
+			s.eng.ScheduleArg(evs[i].at, evs[i].h, evs[i].arg)
 			evs[i] = xev{} // release references
 		}
 		s.inbox[src] = evs[:0]

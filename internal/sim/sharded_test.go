@@ -8,6 +8,11 @@ import (
 	"time"
 )
 
+// handlerFunc adapts a function to the Handler interface.
+type handlerFunc func(Arg)
+
+func (f handlerFunc) HandleSimEvent(arg Arg) { f(arg) }
+
 // shardedTrace runs a fixed actor workload under the given shard
 // count and returns the ordered trace of serial-phase observations.
 // Actors ping each other round-robin with delays at or above the
@@ -31,20 +36,22 @@ func shardedTrace(t *testing.T, numShards int, actors int, horizon Time) []strin
 	}
 
 	var send func(from, to int, hop int)
+	deliver := handlerFunc(func(arg Arg) {
+		from, to, hop := arg.A.(int), int(arg.K), int(arg.U)
+		sh := shardOf(to)
+		at := sh.Now()
+		sh.Defer(func() {
+			trace = append(trace, fmt.Sprintf("%d->%d hop=%d at=%d", from, to, hop, at))
+		})
+		send(to, (to+1)%actors, hop+1)
+	})
 	send = func(from, to int, hop int) {
 		if hop > 40 {
 			return
 		}
 		d := lookahead + time.Duration(streams[from].Int63n(int64(4*time.Millisecond)))
 		src, dst := from%numShards, to%numShards
-		s.RouteFunc(src, dst, d, func() {
-			sh := shardOf(to)
-			at := sh.Now()
-			sh.Defer(func() {
-				trace = append(trace, fmt.Sprintf("%d->%d hop=%d at=%d", from, to, hop, at))
-			})
-			send(to, (to+1)%actors, hop+1)
-		})
+		s.Route(src, dst, d, deliver, Arg{A: from, U: uint64(hop), K: int32(to)})
 	}
 
 	// Seed the system from the serial phase via a global kick-off event.
@@ -193,7 +200,7 @@ func TestShardedRejectsLookaheadViolation(t *testing.T) {
 			}
 			s.Stop()
 		}()
-		s.RouteFunc(0, 1, time.Millisecond, func() {})
+		s.Route(0, 1, time.Millisecond, handlerFunc(func(Arg) {}), Arg{})
 	})
 	if _, err := s.Run(time.Second); !errors.Is(err, ErrStopped) {
 		t.Fatalf("Run = %v, want ErrStopped", err)

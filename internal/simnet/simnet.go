@@ -58,52 +58,12 @@ type Network struct {
 
 	delivered atomic.Uint64
 
-	// Delivery-coalescing state (EnableCoalescing): envelopes bound for
-	// the same destination at the same virtual instant share one
-	// scheduled drain event instead of one event each. Batches live in
-	// a recycled slab; batchAt maps the (destination, instant) key to
-	// the open batch.
-	coalesce    bool
-	batchAt     map[coalKey]int32
-	batches     []coalBatch
-	freeBatches []int32
-	drainer     batchDrainer
-	batchesRun  uint64
-
 	// Warm-run spares: node structs and jitter streams harvested by
 	// Reset, drawn again by AddNode so recycled networks rebuild their
 	// endpoint tables without allocating.
 	spareNodes []*Node
 	spareRNG   []*rand.Rand
 }
-
-// coalKey identifies one coalesced delivery instant.
-type coalKey struct {
-	at  sim.Time
-	dst types.NodeID
-}
-
-// pendingEnv is one delivery waiting in a batch.
-type pendingEnv struct {
-	sink Sink
-	env  Envelope
-}
-
-// coalBatch collects the deliveries of one (destination, instant), in
-// send order.
-type coalBatch struct {
-	at   sim.Time
-	dst  types.NodeID
-	envs []pendingEnv
-}
-
-// batchDrainer is the engine-facing handler for coalesced batches. It
-// is a distinct type (not the Network itself, which handles single
-// deliveries) so batch events need no sentinel in Arg.K and can never
-// collide with protocol message kinds.
-type batchDrainer struct{ n *Network }
-
-func (b *batchDrainer) HandleSimEvent(arg sim.Arg) { b.n.drainBatch(int32(arg.U)) }
 
 // New creates a network on the given engine with the given latency model.
 func New(engine *sim.Engine, latency *geo.LatencyModel) *Network {
@@ -132,22 +92,6 @@ func (n *Network) Reset(engine *sim.Engine, latency *geo.LatencyModel) {
 	n.shardOf = n.shardOf[:0]
 	n.MinOverhead = 200 * time.Microsecond
 	n.delivered.Store(0)
-	n.coalesce = false
-	n.batchesRun = 0
-	clear(n.batchAt)
-	// Undrained batches (a campaign that ended at its horizon with
-	// deliveries still in flight) hold sink and payload references;
-	// release them over each slice's full capacity before reuse.
-	for i := range n.batches {
-		b := &n.batches[i]
-		envs := b.envs[:cap(b.envs)]
-		clear(envs)
-		*b = coalBatch{envs: envs[:0]}
-	}
-	n.freeBatches = n.freeBatches[:0]
-	for i := range n.batches {
-		n.freeBatches = append(n.freeBatches, int32(i))
-	}
 }
 
 // EnableSharding routes all traffic through the sharded coordinator:
@@ -165,31 +109,6 @@ func (n *Network) EnableSharding(sharded *sim.Sharded, pick func(geo.Region) int
 
 // Sharded returns the sharded coordinator, or nil in serial mode.
 func (n *Network) Sharded() *sim.Sharded { return n.sharded }
-
-// EnableCoalescing makes Send batch envelopes that land on the same
-// destination at the same virtual instant through one scheduled drain
-// event instead of one event each, cutting the engine's event count
-// under announce floods and zero-jitter latency models. Within one
-// (destination, instant) the envelopes are delivered in send order —
-// exactly the uncoalesced order. Across destinations sharing an
-// instant, delivery order follows each destination's first send
-// rather than strict per-message seq order; with the default
-// continuous-jitter latency models exact cross-node ties have measure
-// zero, so production runs are unaffected, but the switch defaults to
-// off (core.Config.CoalesceDelivery) until a campaign's model is
-// known tie-free or tie-order-insensitive. Serial engine only:
-// sharded-mode sends bypass coalescing.
-func (n *Network) EnableCoalescing() {
-	n.coalesce = true
-	n.drainer.n = n
-	if n.batchAt == nil {
-		n.batchAt = make(map[coalKey]int32)
-	}
-}
-
-// CoalescedBatches reports how many batch drain events have run —
-// each replaced len(batch) single-delivery events with one.
-func (n *Network) CoalescedBatches() uint64 { return n.batchesRun }
 
 // AddNode registers a node in the given region with the given bandwidth
 // (bytes/second). Bandwidth must be positive.
@@ -300,64 +219,12 @@ type Sink interface {
 // receive time. The steady-state path performs zero allocations.
 func (n *Network) Send(from, to *Node, size int, sink Sink, env Envelope) {
 	d := n.TransferDelay(from, to, size)
+	arg := sim.Arg{A: sink, B: env.Data, C: env.Aux, U: env.Num, K: env.Kind}
 	if n.sharded == nil {
-		if n.coalesce {
-			n.sendCoalesced(to.ID, n.engine.Now()+d, sink, env)
-			return
-		}
-		arg := sim.Arg{A: sink, B: env.Data, C: env.Aux, U: env.Num, K: env.Kind}
 		n.engine.AfterArg(d, n, arg)
 		return
 	}
-	arg := sim.Arg{A: sink, B: env.Data, C: env.Aux, U: env.Num, K: env.Kind}
 	n.sharded.Route(int(n.shardOf[from.ID]), int(n.shardOf[to.ID]), d, n, arg)
-}
-
-// sendCoalesced appends the delivery to the open batch for its
-// (destination, instant), creating and scheduling the batch on first
-// use. Steady state allocates nothing: batches come from a recycled
-// slab and the key map reuses its buckets.
-func (n *Network) sendCoalesced(dst types.NodeID, at sim.Time, sink Sink, env Envelope) {
-	key := coalKey{at: at, dst: dst}
-	if bi, ok := n.batchAt[key]; ok {
-		b := &n.batches[bi]
-		b.envs = append(b.envs, pendingEnv{sink: sink, env: env})
-		return
-	}
-	var bi int32
-	if k := len(n.freeBatches); k > 0 {
-		bi = n.freeBatches[k-1]
-		n.freeBatches = n.freeBatches[:k-1]
-	} else {
-		n.batches = append(n.batches, coalBatch{})
-		bi = int32(len(n.batches) - 1)
-	}
-	b := &n.batches[bi]
-	b.at, b.dst = at, dst
-	b.envs = append(b.envs, pendingEnv{sink: sink, env: env})
-	n.batchAt[key] = bi
-	n.engine.ScheduleArg(at, &n.drainer, sim.Arg{U: uint64(bi)})
-}
-
-// drainBatch delivers one batch's envelopes in send order. The batch
-// is unkeyed before delivery, so a handler that triggers a zero-delay
-// send back to the same (destination, instant) opens a fresh batch
-// scheduled later in this same instant — matching where uncoalesced
-// delivery events would have landed.
-func (n *Network) drainBatch(bi int32) {
-	b := &n.batches[bi]
-	delete(n.batchAt, coalKey{at: b.at, dst: b.dst})
-	n.batchesRun++
-	envs := b.envs
-	for i := range envs {
-		n.delivered.Add(1)
-		envs[i].sink.DeliverEnvelope(envs[i].env)
-		envs[i] = pendingEnv{} // release references
-	}
-	// Re-index: delivery handlers may have sent messages and grown the
-	// batch slab, moving the element b pointed at.
-	n.batches[bi].envs = envs[:0]
-	n.freeBatches = append(n.freeBatches, bi)
 }
 
 // HandleSimEvent is the engine-facing delivery trampoline: it counts
@@ -366,22 +233,6 @@ func (n *Network) drainBatch(bi int32) {
 func (n *Network) HandleSimEvent(arg sim.Arg) {
 	n.delivered.Add(1)
 	arg.A.(Sink).DeliverEnvelope(Envelope{Kind: arg.K, Data: arg.B, Aux: arg.C, Num: arg.U})
-}
-
-// SendFunc schedules a closure-based delivery. It allocates per
-// message and exists for tests and low-rate callers; hot paths use
-// Send.
-func (n *Network) SendFunc(from, to *Node, size int, deliver func()) {
-	d := n.TransferDelay(from, to, size)
-	body := func() {
-		n.delivered.Add(1)
-		deliver()
-	}
-	if n.sharded == nil {
-		n.engine.After(d, body)
-		return
-	}
-	n.sharded.RouteFunc(int(n.shardOf[from.ID]), int(n.shardOf[to.ID]), d, body)
 }
 
 // Engine returns the simulation engine the network runs on.

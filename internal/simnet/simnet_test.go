@@ -65,7 +65,7 @@ func TestSendDeliversAtComputedTime(t *testing.T) {
 	a, _ := net.AddNode(geo.NorthAmerica, 1e9)
 	b, _ := net.AddNode(geo.NorthAmerica, 1e9)
 	var deliveredAt sim.Time
-	net.SendFunc(a, b, 100, func() { deliveredAt = engine.Now() })
+	net.Send(a, b, 100, sinkFunc(func(Envelope) { deliveredAt = engine.Now() }), Envelope{})
 	if _, err := engine.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -85,14 +85,17 @@ func TestSendOrderingPreserved(t *testing.T) {
 	a, _ := net.AddNode(geo.NorthAmerica, 1e9)
 	b, _ := net.AddNode(geo.NorthAmerica, 1e9)
 	var got []int
+	record := sinkFunc(func(env Envelope) { got = append(got, int(env.Num)) })
 	for i := 0; i < 5; i++ {
-		i := i
-		net.SendFunc(a, b, 10, func() { got = append(got, i) })
+		net.Send(a, b, 10, record, Envelope{Num: uint64(i)})
 	}
 	if _, err := engine.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
 	// Equal-size messages on a zero-jitter network deliver in order.
+	if len(got) != 5 {
+		t.Fatalf("delivered %d of 5 messages", len(got))
+	}
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("delivery order %v", got)

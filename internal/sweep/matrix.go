@@ -364,26 +364,39 @@ const (
 )
 
 // ChurnProfiles varies node turnover. Accepted kinds: "none",
-// "default" (the mild ablation profile), "heavy" (4x faster cycling).
+// "default" (the mild ablation profile: a restart every 2 min with
+// 5 min downtimes), "heavy" (4x faster cycling). A profile prepends
+// its "churn" scenario spec to the run's Scenarios list, so churn
+// composes before any other scenario whichever order the axes are
+// declared in.
 func ChurnProfiles(kinds ...string) (Axis, error) {
 	ax := Axis{Name: "churn"}
 	for _, kind := range kinds {
-		var cc core.ChurnConfig
+		v := Variant{Name: kind, Apply: func(*core.Config) {}}
 		switch kind {
 		case ChurnNone:
-			// zero value: disabled
 		case ChurnDefault:
-			cc = core.DefaultChurnConfig()
+			v.Apply = prependChurn("2m0s")
 		case ChurnHeavy:
-			cc = core.DefaultChurnConfig()
-			cc.Interval /= 4
+			v.Apply = prependChurn("30s")
 		default:
 			return Axis{}, fmt.Errorf("sweep: unknown churn profile %q (want none|default|heavy)", kind)
 		}
-		ax.Variants = append(ax.Variants, Variant{
-			Name:  kind,
-			Apply: func(cfg *core.Config) { cfg.Churn = cc },
-		})
+		ax.Variants = append(ax.Variants, v)
 	}
 	return ax, nil
+}
+
+// prependChurn returns an Apply that puts a churn spec with the given
+// mean restart interval and 5 min downtimes first in a run's Scenarios.
+func prependChurn(interval string) func(*core.Config) {
+	spec := scenario.Spec{
+		Name:   scenario.ChurnName,
+		Params: map[string]string{"interval": interval, "downtime": "5m0s"},
+	}
+	return func(cfg *core.Config) {
+		// A fresh slice: the base config's is shared across every
+		// expanded run.
+		cfg.Scenarios = append([]scenario.Spec{spec}, cfg.Scenarios...)
+	}
 }

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -154,23 +155,58 @@ func TestChurnProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgs := make([]core.Config, len(ax.Variants))
+	// The tags are the run annotations results and log metadata carry;
+	// pinning them literally keeps every churn sweep's output stable.
+	want := [][]string{
+		nil,
+		{"churn:downtime=5m0s,interval=2m0s"},
+		{"churn:downtime=5m0s,interval=30s"},
+	}
+	base := core.QuickConfig()
 	for i, v := range ax.Variants {
-		cfgs[i] = core.QuickConfig()
-		v.Apply(&cfgs[i])
+		cfg := base
+		v.Apply(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s: %v", v.Name, err)
+		}
+		if got := cfg.ScenarioTags(); !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("%s: scenario tags = %q, want %q", v.Name, got, want[i])
+		}
 	}
-	if cfgs[0].Churn.Interval != 0 {
-		t.Error("none profile enables churn")
-	}
-	if cfgs[1].Churn.Interval == 0 {
-		t.Error("default profile disables churn")
-	}
-	if cfgs[2].Churn.Interval*4 != cfgs[1].Churn.Interval {
-		t.Errorf("heavy interval %v not 4x faster than default %v",
-			cfgs[2].Churn.Interval, cfgs[1].Churn.Interval)
+	if len(base.Scenarios) != 0 {
+		t.Error("Apply mutated the shared base config")
 	}
 	if _, err := ChurnProfiles("bogus"); err == nil {
 		t.Fatal("unknown churn profile accepted")
+	}
+}
+
+// TestChurnAxisComposesFirst: a churn profile crossed with a Scenarios
+// axis composes churn before the other scenario whichever axis is
+// declared first, so tags (and the run itself) do not depend on axis
+// order.
+func TestChurnAxisComposesFirst(t *testing.T) {
+	churn, err := ChurnProfiles(ChurnHeavy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scen, err := Scenarios("relayoverlay")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"churn:downtime=5m0s,interval=30s", "relayoverlay"}
+	for _, axes := range [][]Axis{{churn, scen}, {scen, churn}} {
+		m := &Matrix{Base: core.QuickConfig(), Axes: axes}
+		runs, err := m.Runs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(runs) != 1 {
+			t.Fatalf("runs = %d, want 1", len(runs))
+		}
+		if got := runs[0].Config.ScenarioTags(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: scenario tags = %q, want %q", runs[0].Scenario, got, want)
+		}
 	}
 }
 
