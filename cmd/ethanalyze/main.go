@@ -6,8 +6,11 @@
 // The log is processed as a stream: each record is folded into the
 // analysis collector's incremental state as it is parsed, so memory is
 // bounded by distinct blocks and transactions, never by file size.
-// Both log encodings (binary ethlog and JSONL) are auto-detected;
-// -format pins the decoder when auto-detection must be bypassed.
+// The log must open with the campaign metadata entry (vantage roster,
+// pool names, timing); a log without one is rejected. Campaigns write
+// binary ethlog; -convert exports it as JSON Lines (and back), and
+// both encodings are auto-detected on input. -format pins the decoder
+// when auto-detection must be bypassed.
 //
 // Usage:
 //
@@ -20,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -87,49 +89,26 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-
-	dataset := &analysis.Dataset{}
-	networkSize := 0
-	redundancyVantage := ""
-	var scenarioTags []string
-	protocolTag := ""
-	var builder logs.ChainBuilder
-	if first.Kind == logs.KindMeta && first.Meta != nil {
-		meta := first.Meta
-		dataset.Vantages = meta.Vantages
-		dataset.PoolNames = meta.PoolNames
-		dataset.InterBlock = time.Duration(meta.InterBlockNs)
-		dataset.Duration = time.Duration(meta.DurationNs)
-		networkSize = meta.NetworkSize
-		redundancyVantage = meta.RedundancyVantage
-		scenarioTags = meta.Scenarios
-		// Re-analysis applies the original campaign's consensus rules
-		// (protocol-less logs predate pluggable consensus: ethereum).
-		proto, err := logs.ProtocolFromMeta(meta)
-		if err != nil {
-			return err
-		}
-		builder.Protocol = proto
-		protocolTag = proto.Name()
-		if meta.Protocol != "" {
-			protocolTag = meta.Protocol
-		}
-	} else {
-		// Legacy log without metadata: a cheap prescan collects the
-		// vantage roster (records are decoded but never retained), then
-		// the main pass restarts from the top. The default-peers node
-		// cannot be identified without metadata, so all vantages are
-		// treated as primary.
-		names, err := scanVantages(*logPath, inFormat)
-		if err != nil {
-			return err
-		}
-		dataset.Vantages = names
-		dataset.InterBlock = 13300 * time.Millisecond
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return err
-		}
-		reader = logs.NewReaderFormat(f, inFormat)
+	if first.Kind != logs.KindMeta || first.Meta == nil {
+		return fmt.Errorf("log file %s has no campaign metadata (it must open with a meta entry, as ethsim -out and ethmeasure -logs write)", *logPath)
+	}
+	meta := first.Meta
+	dataset := &analysis.Dataset{
+		Vantages:   meta.Vantages,
+		PoolNames:  meta.PoolNames,
+		InterBlock: time.Duration(meta.InterBlockNs),
+		Duration:   time.Duration(meta.DurationNs),
+	}
+	// Re-analysis applies the original campaign's consensus rules
+	// (protocol-less logs predate pluggable consensus: ethereum).
+	proto, err := logs.ProtocolFromMeta(meta)
+	if err != nil {
+		return err
+	}
+	builder := logs.ChainBuilder{Protocol: proto}
+	protocolTag := proto.Name()
+	if meta.Protocol != "" {
+		protocolTag = meta.Protocol
 	}
 
 	if len(dataset.Vantages) > analysis.MaxVantages {
@@ -139,7 +118,7 @@ func run(args []string) error {
 
 	// One streaming pass: records fold into the collector, chain
 	// entries rebuild the registry incrementally.
-	collector := analysis.NewCollector(dataset, redundancyVantage)
+	collector := analysis.NewCollector(dataset, meta.RedundancyVantage)
 	for {
 		e, err := reader.Next()
 		if err == io.EOF {
@@ -173,11 +152,9 @@ func run(args []string) error {
 	}
 	fmt.Printf("streamed %d block records, %d tx records, %d chain blocks from %s\n",
 		collector.BlockRecords(), collector.TxRecords(), dataset.Chain.Len(), *logPath)
-	if protocolTag != "" {
-		fmt.Printf("consensus protocol: %s\n", protocolTag)
-	}
-	if len(scenarioTags) > 0 {
-		fmt.Printf("campaign scenarios: %s\n", strings.Join(scenarioTags, "; "))
+	fmt.Printf("consensus protocol: %s\n", protocolTag)
+	if len(meta.Scenarios) > 0 {
+		fmt.Printf("campaign scenarios: %s\n", strings.Join(meta.Scenarios, "; "))
 	}
 	fmt.Println()
 
@@ -191,8 +168,8 @@ func run(args []string) error {
 	report.Figure1(os.Stdout, prop)
 	fmt.Println()
 
-	if redundancyVantage != "" {
-		red, err := collector.Redundancy(networkSize)
+	if meta.RedundancyVantage != "" {
+		red, err := collector.Redundancy(meta.NetworkSize)
 		if err != nil {
 			return err
 		}
@@ -281,35 +258,4 @@ func convert(src, dst string, inFormat, outFormat logs.Format) (err error) {
 	}
 	fmt.Printf("converted %d entries (%s -> %s) to %s\n", w.Entries(), reader.Format(), outFormat, dst)
 	return nil
-}
-
-// scanVantages streams a legacy (metadata-less) log once, collecting
-// the vantage names that appear in block records, sorted.
-func scanVantages(path string, format logs.Format) ([]string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("logs: open: %w", err)
-	}
-	defer f.Close()
-	reader := logs.NewReaderFormat(f, format)
-	seen := make(map[string]bool)
-	var names []string
-	for {
-		e, err := reader.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if e.Kind != logs.KindBlock || e.Block == nil {
-			continue
-		}
-		if !seen[e.Block.Vantage] {
-			seen[e.Block.Vantage] = true
-			names = append(names, e.Block.Vantage)
-		}
-	}
-	sort.Strings(names)
-	return names, nil
 }

@@ -11,7 +11,6 @@ import (
 
 	"ethmeasure"
 	"ethmeasure/internal/logs"
-	"ethmeasure/internal/measure"
 )
 
 func analyzerConfig() ethmeasure.Config {
@@ -41,64 +40,117 @@ func TestRunMissingFile(t *testing.T) {
 	}
 }
 
-func TestRunAnalyzesCampaignFile(t *testing.T) {
-	cfg := analyzerConfig()
-	campaign, err := ethmeasure.NewCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := campaign.Run(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "campaign.jsonl")
-	if err := campaign.WriteLogs(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-logs", path}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRunAnalyzesSpillFile streams a bounded-memory campaign's spill
-// file — the records were never materialized, neither by the campaign
-// nor by the analyzer.
-func TestRunAnalyzesSpillFile(t *testing.T) {
-	cfg := analyzerConfig()
-	cfg.RetainRecords = false
-	cfg.SpillPath = filepath.Join(t.TempDir(), "spill.jsonl")
-	campaign, err := ethmeasure.NewCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := campaign.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-logs", cfg.SpillPath}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// writeLegacyFile emits a metadata-less log, the pre-metadata format.
-func writeLegacyFile(t *testing.T, path string) {
+// spillCampaign runs the analyzer test campaign, streaming its log to
+// path.
+func spillCampaign(t *testing.T, path string) {
 	t.Helper()
-	campaign, err := ethmeasure.NewCampaign(analyzerConfig())
+	cfg := analyzerConfig()
+	cfg.SpillPath = path
+	campaign, err := ethmeasure.NewCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := campaign.Run(); err != nil {
 		t.Fatal(err)
 	}
-	rec := campaign.Recorder()
-	if err := logs.WriteFile(path, rec.Blocks, rec.Txs, campaign.Registry()); err != nil {
+}
+
+// readEntries reads every entry of a log.
+func readEntries(t *testing.T, path string) []*logs.Entry {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	reader := logs.NewReader(f)
+	var entries []*logs.Entry
+	for {
+		e, err := reader.Next()
+		if err == io.EOF {
+			return entries
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, e)
+	}
+}
+
+// writeEntries writes entries to a binary log at path.
+func writeEntries(t *testing.T, path string, entries []*logs.Entry) {
+	t.Helper()
+	w, err := logs.CreateFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		w.Write(e)
+	}
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestRunAnalyzesLegacyFileWithoutMeta(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "legacy.jsonl")
-	writeLegacyFile(t, path)
+// TestRunAnalyzesCampaignFile: the report depends on the log's
+// content, not its layout. A file grouped by kind (metadata, every
+// block record, every tx record, then the chain dump — the layout
+// older whole-file writers produced) analyzes to the same report as
+// the interleaved spill it was rearranged from.
+func TestRunAnalyzesCampaignFile(t *testing.T) {
+	dir := t.TempDir()
+	spillPath := filepath.Join(dir, "spill.ethlog")
+	spillCampaign(t, spillPath)
+
+	entries := readEntries(t, spillPath)
+	var grouped []*logs.Entry
+	for _, kind := range []string{logs.KindMeta, logs.KindBlock, logs.KindTx, logs.KindChain} {
+		for _, e := range entries {
+			if e.Kind == kind {
+				grouped = append(grouped, e)
+			}
+		}
+	}
+	groupedPath := filepath.Join(dir, "grouped.ethlog")
+	writeEntries(t, groupedPath, grouped)
+
+	a := captureRun(t, []string{"-logs", spillPath}, spillPath)
+	b := captureRun(t, []string{"-logs", groupedPath}, groupedPath)
+	if a != b {
+		t.Errorf("grouped layout analyzes differently:\n--- spill ---\n%.400s\n--- grouped ---\n%.400s", a, b)
+	}
+}
+
+// TestRunAnalyzesSpillFile streams a campaign's spill file — the
+// records were never materialized, neither by the campaign nor by the
+// analyzer.
+func TestRunAnalyzesSpillFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "spill.ethlog")
+	spillCampaign(t, path)
 	if err := run([]string{"-logs", path}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunRejectsLogWithoutMeta: without the leading metadata entry the
+// vantage roster, pool names and redundancy vantage are unknown, so
+// the analyzer refuses the log instead of guessing them.
+func TestRunRejectsLogWithoutMeta(t *testing.T) {
+	dir := t.TempDir()
+	spillPath := filepath.Join(dir, "spill.ethlog")
+	spillCampaign(t, spillPath)
+	entries := readEntries(t, spillPath)
+	if entries[0].Kind != logs.KindMeta {
+		t.Fatalf("spill opens with a %q entry, want meta", entries[0].Kind)
+	}
+	path := filepath.Join(dir, "no-meta.ethlog")
+	writeEntries(t, path, entries[1:])
+	err := run([]string{"-logs", path})
+	if err == nil {
+		t.Fatal("log without metadata analyzed")
+	}
+	if !strings.Contains(err.Error(), "metadata") {
+		t.Errorf("error %q does not name the missing metadata", err)
 	}
 }
 
@@ -131,31 +183,20 @@ func captureRun(t *testing.T, args []string, paths ...string) string {
 	return s
 }
 
-// TestGoldenCrossFormatAnalysis is the end-to-end golden test: the
-// same campaign analyzed from a binary log and from its JSONL
-// transcription must print byte-identical reports (every table,
-// figure and key metric), and converting back to binary must
-// reproduce the original file byte-for-byte.
+// TestGoldenCrossFormatAnalysis is the end-to-end golden test: a
+// campaign's binary spill and its -convert JSONL export must print
+// byte-identical reports (every table, figure and key metric), and
+// converting back to binary must reproduce the spill byte-for-byte.
 func TestGoldenCrossFormatAnalysis(t *testing.T) {
-	cfg := analyzerConfig()
-	campaign, err := ethmeasure.NewCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := campaign.Run(); err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
 	binPath := filepath.Join(dir, "campaign.ethlog")
-	if err := campaign.WriteLogs(binPath); err != nil {
-		t.Fatal(err)
-	}
+	spillCampaign(t, binPath)
 	raw, err := os.ReadFile(binPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(raw) == 0 || raw[0] == '{' {
-		t.Fatal("WriteLogs default format is not binary")
+		t.Fatal("campaign spill is not binary")
 	}
 
 	// Transcode binary -> JSONL -> binary.
@@ -200,23 +241,5 @@ func TestGoldenCrossFormatAnalysis(t *testing.T) {
 	}
 	if err := run([]string{"-logs", binPath, "-to", "jsonl"}); err == nil {
 		t.Error("-to without -convert accepted")
-	}
-}
-
-func TestScanVantages(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "legacy.jsonl")
-	blocks := []measure.BlockRecord{
-		{Vantage: "WE", Hash: 1}, {Vantage: "EA", Hash: 1},
-		{Vantage: "WE", Hash: 2}, {Vantage: "NA", Hash: 2},
-	}
-	if err := logs.WriteFile(path, blocks, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := scanVantages(path, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0] != "EA" || got[1] != "NA" || got[2] != "WE" {
-		t.Errorf("scanned %v", got)
 	}
 }

@@ -346,7 +346,6 @@ func runCampaignEntry(s scale, retain bool, vantagePeers, shards int, proto cons
 // run's: the benchmark doubles as an end-to-end cold≡warm check.
 func reuseEntries(s scale, runs int, w io.Writer) ([]Entry, error) {
 	cfg := campaignConfig(s, 1, 0)
-	cfg.RetainRecords = false
 
 	mallocs := func() uint64 {
 		var ms runtime.MemStats

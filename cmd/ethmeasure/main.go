@@ -7,8 +7,12 @@
 //
 //	ethmeasure [-preset quick|default|paper] [-seed N] [-duration D]
 //	           [-nodes N] [-txrate R] [-shards N] [-progress]
-//	           [-print-infra] [-logs PATH] [-format binary|jsonl]
+//	           [-print-infra] [-logs PATH]
 //	           [-protocol name[:key=val,...]]
+//
+// -logs streams the campaign's records and chain dump to a binary
+// ethlog file during the run (the same log ethsim -out writes), for
+// re-analysis with ethanalyze.
 package main
 
 import (
@@ -22,7 +26,6 @@ import (
 	"ethmeasure"
 	"ethmeasure/internal/cliutil"
 	"ethmeasure/internal/core"
-	"ethmeasure/internal/logs"
 	"ethmeasure/internal/measure"
 	"ethmeasure/internal/report"
 )
@@ -46,8 +49,7 @@ func run(args []string) error {
 		shards     = fs.Int("shards", 0, "event-engine shards (0 = one per geo region up to GOMAXPROCS, 1 = serial)")
 		progress   = fs.Bool("progress", false, "print live progress lines during the run")
 		printInfra = fs.Bool("print-infra", false, "print Table I (infrastructure) and exit")
-		logPath    = fs.String("logs", "", "write measurement logs + chain dump to this file")
-		format     = fs.String("format", "", "log encoding for -logs: binary | jsonl (default binary)")
+		logPath    = fs.String("logs", "", "stream measurement logs + chain dump to this binary ethlog file")
 		protocol   = fs.String("protocol", "", "consensus protocol: name[:key=val,...] (default ethereum; see ethsim -list-protocols)")
 		version    = fs.Bool("version", false, "print build version and exit")
 		scens      cliutil.StringList
@@ -66,16 +68,21 @@ func run(args []string) error {
 		return nil
 	}
 
-	var cfg ethmeasure.Config
-	switch *preset {
-	case "quick":
-		cfg = ethmeasure.QuickConfig()
-	case "default":
-		cfg = ethmeasure.DefaultConfig()
-	case "paper":
-		cfg = ethmeasure.PaperScaleConfig()
-	default:
-		return fmt.Errorf("unknown preset %q", *preset)
+	if *duration < 0 {
+		return fmt.Errorf("-duration must be non-negative, got %v", *duration)
+	}
+	if *nodes < 0 {
+		return fmt.Errorf("-nodes must be non-negative, got %d", *nodes)
+	}
+	if *txRate < 0 {
+		return fmt.Errorf("-txrate must be non-negative, got %g", *txRate)
+	}
+	if *shards < 0 {
+		return fmt.Errorf("-shards must be non-negative, got %d", *shards)
+	}
+	cfg, err := core.Preset(*preset)
+	if err != nil {
+		return err
 	}
 	cfg.Seed = *seed
 	if *duration > 0 {
@@ -91,15 +98,8 @@ func run(args []string) error {
 	if *noTx {
 		cfg.EnableTxWorkload = false
 	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards must be non-negative, got %d", *shards)
-	}
 	cfg.Shards = *shards
-	spillFormat, err := logs.ParseFormat(*format)
-	if err != nil {
-		return err
-	}
-	cfg.SpillFormat = spillFormat
+	cfg.SpillPath = *logPath
 	if *protocol != "" {
 		spec, err := ethmeasure.ParseProtocol(*protocol)
 		if err != nil {
@@ -154,9 +154,6 @@ func run(args []string) error {
 	ethmeasure.WriteReport(os.Stdout, results)
 
 	if *logPath != "" {
-		if err := campaign.WriteLogs(*logPath); err != nil {
-			return err
-		}
 		fmt.Printf("wrote measurement logs to %s\n", *logPath)
 	}
 	return nil

@@ -12,6 +12,21 @@ func TestRunUnknownPreset(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNegativeOverrides: a negative override is an error,
+// not a silent fall-back to the preset's value.
+func TestRunRejectsNegativeOverrides(t *testing.T) {
+	for _, args := range [][]string{
+		{"-duration", "-5m"},
+		{"-nodes", "-3"},
+		{"-txrate", "-0.5"},
+		{"-shards", "-1"},
+	} {
+		if err := run(append([]string{"-preset", "quick"}, args...)); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
+}
+
 func TestRunPrintInfra(t *testing.T) {
 	if err := run([]string{"-print-infra"}); err != nil {
 		t.Fatal(err)
@@ -19,7 +34,7 @@ func TestRunPrintInfra(t *testing.T) {
 }
 
 func TestRunQuickCampaignWithLogs(t *testing.T) {
-	logPath := filepath.Join(t.TempDir(), "out.jsonl")
+	logPath := filepath.Join(t.TempDir(), "out.ethlog")
 	err := run([]string{
 		"-preset", "quick", "-duration", "5m", "-nodes", "60",
 		"-no-tx", "-logs", logPath,

@@ -1,23 +1,20 @@
-// Command ethsim runs the network simulation and writes the raw
-// measurement logs (plus the chain dump) to a campaign log file — the
-// simulated equivalent of the paper's instrumented Geth deployment,
-// producing the dataset that cmd/ethanalyze post-processes. The log
-// encodes as compact binary ethlog frames by default; -format jsonl
-// selects JSON Lines for interop.
+// Command ethsim runs the network simulation and streams the raw
+// measurement records (plus the chain dump at the end) to a binary
+// ethlog campaign log — the simulated equivalent of the paper's
+// instrumented Geth deployment, producing the dataset that
+// cmd/ethanalyze post-processes. Records are written as they are
+// produced, never accumulated in RAM, so memory stays bounded at
+// paper-scale durations. ethanalyze -convert exports the log as JSON
+// Lines for external tooling.
 //
 // Usage:
 //
 //	ethsim -out logs.ethlog [-preset quick|default|paper] [-seed N]
-//	       [-duration D] [-nodes N] [-no-tx] [-shards N] [-stream] [-progress]
-//	       [-format binary|jsonl]
+//	       [-duration D] [-nodes N] [-no-tx] [-shards N] [-progress]
 //	       [-protocol name[:key=val,...]]
 //	       [-scenario name[:key=val,...]]...
 //	ethsim -list-scenarios
 //	ethsim -list-protocols
-//
-// With -stream the campaign runs in bounded-memory mode: records spill
-// straight to the output file as they are produced instead of
-// accumulating in RAM first — the mode for paper-scale durations.
 //
 // -protocol selects the consensus rule set the chain runs under
 // (fork choice, uncle policy, reward schedule): "ethereum" (default),
@@ -40,7 +37,7 @@ import (
 	"ethmeasure"
 	"ethmeasure/internal/cliutil"
 	"ethmeasure/internal/consensus"
-	"ethmeasure/internal/logs"
+	"ethmeasure/internal/core"
 	"ethmeasure/internal/scenario"
 )
 
@@ -54,15 +51,13 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("ethsim", flag.ContinueOnError)
 	var (
-		out        = fs.String("out", "", "output log file (required)")
-		format     = fs.String("format", "", "log encoding: binary | jsonl (default binary)")
+		out        = fs.String("out", "", "output log file, binary ethlog (required)")
 		preset     = fs.String("preset", "quick", "configuration preset: quick | default | paper")
 		seed       = fs.Int64("seed", 1, "simulation seed")
 		duration   = fs.Duration("duration", 0, "override virtual campaign duration")
 		nodes      = fs.Int("nodes", 0, "override regular node count")
 		noTx       = fs.Bool("no-tx", false, "disable the transaction workload")
 		shards     = fs.Int("shards", 0, "event-engine shards (0 = one per geo region up to GOMAXPROCS, 1 = serial)")
-		stream     = fs.Bool("stream", false, "bounded-memory mode: spill records to -out during the run instead of retaining them")
 		progress   = fs.Bool("progress", false, "print live progress lines during the run")
 		listScens  = fs.Bool("list-scenarios", false, "print the scenario catalog and exit")
 		listProtos = fs.Bool("list-protocols", false, "print the consensus-protocol catalog and exit")
@@ -90,16 +85,18 @@ func run(args []string) error {
 		return fmt.Errorf("-out is required")
 	}
 
-	var cfg ethmeasure.Config
-	switch *preset {
-	case "quick":
-		cfg = ethmeasure.QuickConfig()
-	case "default":
-		cfg = ethmeasure.DefaultConfig()
-	case "paper":
-		cfg = ethmeasure.PaperScaleConfig()
-	default:
-		return fmt.Errorf("unknown preset %q", *preset)
+	if *duration < 0 {
+		return fmt.Errorf("-duration must be non-negative, got %v", *duration)
+	}
+	if *nodes < 0 {
+		return fmt.Errorf("-nodes must be non-negative, got %d", *nodes)
+	}
+	if *shards < 0 {
+		return fmt.Errorf("-shards must be non-negative, got %d", *shards)
+	}
+	cfg, err := core.Preset(*preset)
+	if err != nil {
+		return err
 	}
 	cfg.Seed = *seed
 	if *duration > 0 {
@@ -111,19 +108,8 @@ func run(args []string) error {
 	if *noTx {
 		cfg.EnableTxWorkload = false
 	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards must be non-negative, got %d", *shards)
-	}
 	cfg.Shards = *shards
-	spillFormat, err := logs.ParseFormat(*format)
-	if err != nil {
-		return err
-	}
-	cfg.SpillFormat = spillFormat
-	if *stream {
-		cfg.RetainRecords = false
-		cfg.SpillPath = *out
-	}
+	cfg.SpillPath = *out
 	if *protocol != "" {
 		spec, err := ethmeasure.ParseProtocol(*protocol)
 		if err != nil {
@@ -176,11 +162,6 @@ func run(args []string) error {
 		}
 	}
 
-	if !*stream {
-		if err := campaign.WriteLogs(*out); err != nil {
-			return err
-		}
-	}
 	fmt.Printf("wrote %d block records, %d tx records and the chain dump to %s\n",
 		st.BlockRecords, st.TxRecords, *out)
 	fmt.Println("analyze with: ethanalyze -logs", *out)

@@ -1,13 +1,53 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"ethmeasure/internal/chain"
 	"ethmeasure/internal/logs"
 	"ethmeasure/internal/types"
 )
+
+// readLog reads a campaign log's metadata and rebuilds its chain dump
+// under the protocol the metadata names.
+func readLog(t *testing.T, path string) (*logs.Meta, *chain.Registry) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	reader := logs.NewReader(f)
+	var meta *logs.Meta
+	var builder logs.ChainBuilder
+	for {
+		e, err := reader.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch e.Kind {
+		case logs.KindMeta:
+			meta = e.Meta
+			if builder.Protocol, err = logs.ProtocolFromMeta(meta); err != nil {
+				t.Fatal(err)
+			}
+		case logs.KindChain:
+			if err := builder.Add(e.Chain); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if meta == nil || builder.Registry() == nil {
+		t.Fatalf("%s lacks metadata or chain dump", path)
+	}
+	return meta, builder.Registry()
+}
 
 func TestRunRequiresOut(t *testing.T) {
 	if err := run(nil); err == nil {
@@ -15,15 +55,33 @@ func TestRunRequiresOut(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNegativeOverrides: a negative override is an error,
+// not a silent fall-back to the preset's value.
+func TestRunRejectsNegativeOverrides(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "x.ethlog")
+	for _, args := range [][]string{
+		{"-duration", "-5m"},
+		{"-nodes", "-3"},
+		{"-shards", "-1"},
+	} {
+		if err := run(append([]string{"-out", out}, args...)); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
+	if _, err := os.Stat(out); err == nil {
+		t.Error("rejected run wrote a log")
+	}
+}
+
 func TestRunRejectsUnknownPreset(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "x.jsonl")
+	out := filepath.Join(t.TempDir(), "x.ethlog")
 	if err := run([]string{"-out", out, "-preset", "bogus"}); err == nil {
 		t.Fatal("unknown preset accepted")
 	}
 }
 
 func TestRunWritesLogs(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "campaign.jsonl")
+	out := filepath.Join(t.TempDir(), "campaign.ethlog")
 	err := run([]string{
 		"-out", out, "-preset", "quick",
 		"-duration", "5m", "-nodes", "60", "-no-tx", "-seed", "3",
@@ -37,36 +95,6 @@ func TestRunWritesLogs(t *testing.T) {
 	}
 	if info.Size() == 0 {
 		t.Fatal("log file empty")
-	}
-}
-
-// TestRunStreamMatchesBatch writes the same campaign both ways and
-// requires identical file contents: the spill path is the batch file,
-// produced without retaining records. (Byte-identity holds here
-// because -no-tx leaves a single record kind; with transactions the
-// spill interleaves kinds in arrival order while WriteLogs groups
-// them — same per-kind order, which is all the analyzers read.)
-func TestRunStreamMatchesBatch(t *testing.T) {
-	dir := t.TempDir()
-	batch := filepath.Join(dir, "batch.jsonl")
-	stream := filepath.Join(dir, "stream.jsonl")
-	args := []string{"-preset", "quick", "-duration", "5m", "-nodes", "60", "-no-tx", "-seed", "3"}
-	if err := run(append([]string{"-out", batch}, args...)); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(append([]string{"-out", stream, "-stream"}, args...)); err != nil {
-		t.Fatal(err)
-	}
-	a, err := os.ReadFile(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) == 0 || string(a) != string(b) {
-		t.Fatalf("streamed file differs from batch file (%d vs %d bytes)", len(a), len(b))
 	}
 }
 
@@ -84,7 +112,7 @@ func TestListScenarios(t *testing.T) {
 }
 
 func TestRunRejectsBadScenario(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "x.jsonl")
+	out := filepath.Join(t.TempDir(), "x.ethlog")
 	for _, spec := range []string{"no-such", "partition", "eclipse:attackers=0"} {
 		if err := run([]string{"-out", out, "-scenario", spec}); err == nil {
 			t.Errorf("-scenario %q accepted", spec)
@@ -93,7 +121,7 @@ func TestRunRejectsBadScenario(t *testing.T) {
 }
 
 func TestRunWithScenarioWritesTaggedLogs(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "scenario.jsonl")
+	out := filepath.Join(t.TempDir(), "scenario.ethlog")
 	err := run([]string{
 		"-out", out, "-preset", "quick",
 		"-duration", "5m", "-nodes", "60", "-no-tx", "-seed", "3",
@@ -103,13 +131,10 @@ func TestRunWithScenarioWritesTaggedLogs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := logs.ReadCampaignFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
+	meta, _ := readLog(t, out)
 	want := []string{"relayoverlay", "churnburst:count=5,start=2m"}
-	if len(c.Meta.Scenarios) != 2 || c.Meta.Scenarios[0] != want[0] || c.Meta.Scenarios[1] != want[1] {
-		t.Errorf("log meta scenarios = %v, want %v", c.Meta.Scenarios, want)
+	if len(meta.Scenarios) != 2 || meta.Scenarios[0] != want[0] || meta.Scenarios[1] != want[1] {
+		t.Errorf("log meta scenarios = %v, want %v", meta.Scenarios, want)
 	}
 }
 
@@ -121,7 +146,7 @@ func TestListProtocols(t *testing.T) {
 }
 
 func TestRunRejectsBadProtocol(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "x.jsonl")
+	out := filepath.Join(t.TempDir(), "x.ethlog")
 	for _, spec := range []string{"no-such", "bitcoin:reward=-1", "ghost-inclusive:depth=oops"} {
 		if err := run([]string{"-out", out, "-protocol", spec}); err == nil {
 			t.Errorf("-protocol %q accepted", spec)
@@ -130,7 +155,7 @@ func TestRunRejectsBadProtocol(t *testing.T) {
 }
 
 func TestRunWithProtocolWritesTaggedLogs(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "bitcoin.jsonl")
+	out := filepath.Join(t.TempDir(), "bitcoin.ethlog")
 	err := run([]string{
 		"-out", out, "-preset", "quick",
 		"-duration", "5m", "-nodes", "60", "-no-tx", "-seed", "3",
@@ -139,19 +164,16 @@ func TestRunWithProtocolWritesTaggedLogs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := logs.ReadCampaignFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Meta.Protocol != "bitcoin" {
-		t.Errorf("log meta protocol = %q, want bitcoin", c.Meta.Protocol)
+	meta, reg := readLog(t, out)
+	if meta.Protocol != "bitcoin" {
+		t.Errorf("log meta protocol = %q, want bitcoin", meta.Protocol)
 	}
 	// The rebuilt registry applies the logged protocol and the chain
 	// carries no uncle references.
-	if got := c.Chain.Protocol().Name(); got != "bitcoin" {
+	if got := reg.Protocol().Name(); got != "bitcoin" {
 		t.Errorf("rebuilt registry protocol = %q", got)
 	}
-	c.Chain.Blocks(func(b *types.Block) bool {
+	reg.Blocks(func(b *types.Block) bool {
 		if len(b.Uncles) != 0 {
 			t.Errorf("block %s carries uncles under bitcoin", b.Hash)
 		}

@@ -94,16 +94,18 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-seeds must be at least 1, got %d", *seeds)
 	}
 
-	var base core.Config
-	switch *preset {
-	case "quick":
-		base = core.QuickConfig()
-	case "default":
-		base = core.DefaultConfig()
-	case "paper":
-		base = core.PaperScaleConfig()
-	default:
-		return fmt.Errorf("unknown preset %q", *preset)
+	if *duration < 0 {
+		return fmt.Errorf("-duration must be non-negative, got %v", *duration)
+	}
+	if *nodes < 0 {
+		return fmt.Errorf("-nodes must be non-negative, got %d", *nodes)
+	}
+	if *shards < 0 {
+		return fmt.Errorf("-shards must be non-negative, got %d", *shards)
+	}
+	base, err := core.Preset(*preset)
+	if err != nil {
+		return err
 	}
 	if *duration > 0 {
 		base.Duration = *duration
@@ -113,9 +115,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *noTx {
 		base.EnableTxWorkload = false
-	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards must be non-negative, got %d", *shards)
 	}
 	base.Shards = *shards
 

@@ -22,6 +22,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-vary", "txrate=x"},
 		{"-vary", "duration=x"},
 		{"-vary", "unknown=1"},
+		{"-duration", "-5m"},
+		{"-nodes", "-3"},
 	}
 	for _, args := range cases {
 		if err := run(args, &buf); err == nil {

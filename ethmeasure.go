@@ -81,17 +81,6 @@ type (
 	HistoricalEpoch = mining.HistoricalEpoch
 	// SequencesResult is the Figure 7 / §III-D sequence analysis.
 	SequencesResult = analysis.SequencesResult
-	// LogFormat selects the on-disk encoding of campaign logs
-	// (Config.SpillFormat, Campaign.WriteLogs output).
-	LogFormat = logs.Format
-)
-
-// Campaign log encodings.
-const (
-	// LogFormatBinary is the compact binary ethlog framing (default).
-	LogFormatBinary = logs.FormatBinary
-	// LogFormatJSONL is line-delimited JSON, for external tooling.
-	LogFormatJSONL = logs.FormatJSONL
 )
 
 // Geographic regions (the first four are the paper's vantage points).

@@ -45,7 +45,6 @@ func run() error {
 		cfg := ethmeasure.QuickConfig()
 		cfg.Duration = 40 * time.Minute
 		cfg.EnableTxWorkload = false
-		cfg.RetainRecords = false // streaming mode; no raw records needed
 		cfg.Protocol = spec
 
 		campaign, err := ethmeasure.NewCampaign(cfg)

@@ -30,7 +30,6 @@ func run() error {
 	base := ethmeasure.QuickConfig()
 	base.Duration = 40 * time.Minute
 	base.EnableTxWorkload = false
-	base.RetainRecords = false // streaming mode; no raw records needed
 
 	variants := []struct {
 		label string

@@ -24,13 +24,13 @@ type Dataset struct {
 	Vantages []string
 
 	// Blocks holds every block-related message reception at every
-	// vantage (full blocks, announcements, fetched bodies). Nil when
-	// the campaign ran in bounded-memory mode: the records streamed
-	// through the Collector instead of being retained.
+	// vantage (full blocks, announcements, fetched bodies). Nil unless
+	// the campaign opted into record retention: by default the records
+	// stream through the Collector instead of being retained.
 	Blocks []measure.BlockRecord
 
 	// Txs holds the first observation of each transaction per vantage.
-	// Nil in bounded-memory mode, like Blocks.
+	// Nil without record retention, like Blocks.
 	Txs []measure.TxRecord
 
 	// Chain is the global registry of all blocks created during the

@@ -111,10 +111,10 @@ type Campaign struct {
 
 	// Record pipeline: every vantage writes to the bus, which fans out
 	// to the streaming analysis collector, the optional in-memory
-	// retainer and the optional JSONL spill writer.
+	// retainer and the optional binary spill writer.
 	bus       *measure.Bus
 	collector *analysis.Collector
-	recorder  *measure.MemoryRecorder // nil in bounded-memory mode
+	recorder  *measure.MemoryRecorder // nil unless Config.RetainRecords
 	spill     *logs.FileWriter        // nil unless Config.SpillPath set
 	dataset   *analysis.Dataset
 
@@ -361,7 +361,7 @@ func (c *Campaign) build() error {
 	// The metadata entry leads the file (the network is fully sized
 	// here); the chain dump is appended when the run finishes.
 	if cfg.SpillPath != "" {
-		spill, err := logs.CreateFileFormat(cfg.SpillPath, cfg.SpillFormat)
+		spill, err := logs.CreateFile(cfg.SpillPath)
 		if err != nil {
 			return err
 		}
@@ -419,10 +419,6 @@ func (c *Campaign) Protocol() consensus.Protocol { return c.proto }
 
 // Store exposes the transaction store.
 func (c *Campaign) Store() *txgen.Store { return c.store }
-
-// Recorder exposes the collected measurement records. Nil when the
-// campaign runs in bounded-memory mode (Config.RetainRecords false).
-func (c *Campaign) Recorder() *measure.MemoryRecorder { return c.recorder }
 
 // Collector exposes the streaming analysis pipeline.
 func (c *Campaign) Collector() *analysis.Collector { return c.collector }
@@ -501,9 +497,10 @@ func (c *Campaign) snapshotScenarios() *analysis.ScenarioResult {
 // analysis phase's working set is the record pipeline and the block
 // registry, not the dead simulation graph. Call it between Simulate
 // and Analyze on memory-constrained long campaigns; afterwards
-// Engine() and Miner() return nil while Analyze, WriteLogs, Dataset,
-// Registry and Store keep working. Run does not call it, so the
-// accessors stay valid on the default path.
+// Engine() and Miner() return nil while Analyze, Dataset, Registry
+// and Store keep working. The spill log (Config.SpillPath) is already
+// complete when Simulate returns, so releasing loses none of it. Run
+// does not call it, so the accessors stay valid on the default path.
 func (c *Campaign) ReleaseNetwork() {
 	if !c.simulated {
 		return // the simulation still needs all of it
@@ -571,17 +568,6 @@ func (c *Campaign) LogMeta() *logs.Meta {
 	}
 	meta.Vantages = c.cfg.PrimaryVantages()
 	return meta
-}
-
-// WriteLogs persists the campaign's records, chain dump and metadata to
-// a file compatible with cmd/ethanalyze, encoded per
-// Config.SpillFormat (binary by default). It needs the retained
-// records; bounded-memory campaigns stream to Config.SpillPath instead.
-func (c *Campaign) WriteLogs(path string) error {
-	if c.recorder == nil {
-		return fmt.Errorf("core: raw records were not retained (RetainRecords=false); set Config.SpillPath to stream them to disk during the run")
-	}
-	return logs.WriteCampaignFileFormat(path, c.cfg.SpillFormat, c.LogMeta(), c.recorder.Blocks, c.recorder.Txs, c.registry)
 }
 
 // analyze assembles every per-figure result: record-driven analyses

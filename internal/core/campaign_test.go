@@ -100,8 +100,10 @@ func TestCampaignEndToEnd(t *testing.T) {
 }
 
 func TestCampaignDeterministicAcrossRuns(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.RetainRecords = true // compares the retained record counts
 	run := func() (*Results, []types.Hash) {
-		campaign, err := NewCampaign(tinyConfig())
+		campaign, err := NewCampaign(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +179,9 @@ func TestCampaignWithoutTxWorkload(t *testing.T) {
 }
 
 func TestCampaignAuxiliaryVantageExcluded(t *testing.T) {
-	campaign, err := NewCampaign(tinyConfig())
+	cfg := tinyConfig()
+	cfg.RetainRecords = true // inspects individual receptions
+	campaign, err := NewCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 	"ethmeasure/internal/analysis"
 	"ethmeasure/internal/consensus"
 	"ethmeasure/internal/geo"
-	"ethmeasure/internal/logs"
 	"ethmeasure/internal/measure"
 	"ethmeasure/internal/mining"
 	"ethmeasure/internal/p2p"
@@ -156,29 +155,22 @@ type Config struct {
 	// Clock is the NTP offset model for vantage timestamps.
 	Clock measure.ClockModel
 
-	// RetainRecords keeps every raw measurement record in memory (the
-	// MemoryRecorder bus consumer), preserving Results.Dataset.Blocks/
-	// Txs and Campaign.WriteLogs. The presets enable it. When false the
-	// campaign runs in bounded-memory mode: records stream through the
-	// analysis collector (and the optional SpillPath writer) only, so
-	// record memory is bounded by distinct blocks + transactions rather
-	// than by total receptions — the mode for long-duration and
-	// high-redundancy campaigns. Analysis results are bit-identical in
-	// both modes.
+	// RetainRecords additionally keeps every raw measurement record in
+	// memory (a MemoryRecorder on the bus) and exposes the slices as
+	// Results.Dataset.Blocks/Txs. It is an opt-in for callers that
+	// inspect individual receptions; the presets leave it off. Without
+	// it records stream through the analysis collector (and the
+	// optional SpillPath writer) only, so record memory is bounded by
+	// distinct blocks + transactions rather than by total receptions.
+	// Analysis results are bit-identical either way.
 	RetainRecords bool
 
-	// SpillPath, when non-empty, streams every raw record to a
-	// campaign log at this path as it is produced (metadata first,
-	// chain dump appended at the end of the run) — the bounded-memory
-	// replacement for WriteLogs. The file is compatible with
-	// cmd/ethanalyze.
+	// SpillPath, when non-empty, streams every raw record to a binary
+	// ethlog campaign log at this path as it is produced (metadata
+	// first, chain dump appended at the end of the run). It is the one
+	// way a campaign writes a log; cmd/ethanalyze reads it and
+	// ethanalyze -convert exports it as JSON Lines.
 	SpillPath string
-
-	// SpillFormat selects the encoding for SpillPath and WriteLogs
-	// output: logs.FormatBinary (the default when empty; compact
-	// ethlog frames) or logs.FormatJSONL for interop with external
-	// tooling. Readers auto-detect, so either loads everywhere.
-	SpillFormat logs.Format
 }
 
 // DefaultConfig returns a laptop-scale campaign that preserves the
@@ -218,7 +210,6 @@ func DefaultConfig() Config {
 		TxGen:             txgen.DefaultConfig(),
 		EnableTxWorkload:  true,
 		Clock:             measure.DefaultClockModel(),
-		RetainRecords:     true,
 	}
 	ApplyCapacity(&cfg)
 	return cfg
@@ -266,6 +257,21 @@ func PaperScaleConfig() Config {
 	cfg.TxGen.NumAccounts = 50_000
 	ApplyCapacity(&cfg)
 	return cfg
+}
+
+// Preset returns the named configuration preset: "quick"
+// (QuickConfig), "default" (DefaultConfig) or "paper"
+// (PaperScaleConfig).
+func Preset(name string) (Config, error) {
+	switch name {
+	case "quick":
+		return QuickConfig(), nil
+	case "default":
+		return DefaultConfig(), nil
+	case "paper":
+		return PaperScaleConfig(), nil
+	}
+	return Config{}, fmt.Errorf("unknown preset %q", name)
 }
 
 // DeriveBlockCapacity sizes blocks so that steady-state utilization
@@ -350,9 +356,6 @@ func (c *Config) Validate() error {
 		if c.SenderDistribution == nil {
 			return fmt.Errorf("core: tx workload enabled but sender distribution is nil")
 		}
-	}
-	if !c.SpillFormat.Valid() {
-		return fmt.Errorf("core: unknown spill format %q (want %q or %q)", c.SpillFormat, logs.FormatBinary, logs.FormatJSONL)
 	}
 	if err := consensus.Validate(c.Protocol); err != nil {
 		return fmt.Errorf("core: %w", err)

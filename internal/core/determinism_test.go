@@ -6,29 +6,20 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"ethmeasure/internal/logs"
 )
 
 // fingerprint folds every observable output of a finished campaign —
-// the vantage record streams, the full block registry, and the
-// headline analysis numbers — into one hash. Byte-identical
-// fingerprints mean byte-identical runs.
-func fingerprint(c *Campaign, res *Results) string {
+// the vantage record streams (hashed on the bus by rec), the full
+// block registry, and the headline analysis numbers — into one hash.
+// Byte-identical fingerprints mean byte-identical runs.
+func fingerprint(c *Campaign, rec *recordHasher, res *Results) string {
 	h := sha256.New()
 
 	// Records and chain go through the production digests
 	// (logs.RecordFingerprinter / logs.ChainFingerprint), the same
 	// ones checkpoint replay verification compares.
-	fp := logs.NewRecordFingerprinter()
-	for i := range c.recorder.Blocks {
-		fp.RecordBlock(c.recorder.Blocks[i])
-	}
-	for i := range c.recorder.Txs {
-		fp.RecordTx(c.recorder.Txs[i])
-	}
-	fmt.Fprintf(h, "records|%s\n", fp.Sum())
-	fmt.Fprintf(h, "chain|%s\n", logs.ChainFingerprint(c.registry))
+	fmt.Fprintf(h, "records|%s\n", rec.Sum())
+	fmt.Fprintf(h, "chain|%s\n", chainFingerprint(c))
 
 	// Key analysis numbers, printed with full float precision so any
 	// numeric drift shows up.
@@ -73,11 +64,13 @@ func TestCampaignFingerprintDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		hasher := newRecordHasher()
+		campaign.AttachRecorder(hasher)
 		res, err := campaign.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fingerprint(campaign, res)
+		return fingerprint(campaign, hasher, res)
 	}
 
 	a := run(1)

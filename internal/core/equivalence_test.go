@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/json"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -151,7 +150,7 @@ func TestStreamingEquivalence(t *testing.T) {
 	for _, variant := range equivalenceVariants() {
 		variant := variant
 		t.Run(variant.name, func(t *testing.T) {
-			run := func(retain bool) (*Results, string, string, *Campaign) {
+			run := func(retain bool) (*Results, string, string) {
 				cfg := variant.cfg
 				cfg.RetainRecords = retain
 				campaign, err := NewCampaign(cfg)
@@ -164,11 +163,11 @@ func TestStreamingEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return res, hasher.Sum(), chainFingerprint(campaign), campaign
+				return res, hasher.Sum(), chainFingerprint(campaign)
 			}
 
-			resBatch, recBatch, chainBatch, _ := run(true)
-			resStream, recStream, chainStream, streamCampaign := run(false)
+			resBatch, recBatch, chainBatch := run(true)
+			resStream, recStream, chainStream := run(false)
 
 			// The raw record streams and the chain are the same runs.
 			if recBatch != recStream {
@@ -202,12 +201,6 @@ func TestStreamingEquivalence(t *testing.T) {
 			// The memory contract of bounded mode.
 			if resStream.Dataset.Blocks != nil || resStream.Dataset.Txs != nil {
 				t.Error("bounded-memory run retained records")
-			}
-			if streamCampaign.Recorder() != nil {
-				t.Error("bounded-memory run kept a MemoryRecorder")
-			}
-			if err := streamCampaign.WriteLogs(filepath.Join(t.TempDir(), "x.jsonl")); err == nil {
-				t.Error("WriteLogs must fail without retained records")
 			}
 			if resBatch.Dataset.Blocks == nil {
 				t.Error("batch run lost its records")
@@ -263,68 +256,5 @@ func TestReleaseNetworkKeepsAnalysis(t *testing.T) {
 	sa.WallDuration, sb.WallDuration = 0, 0
 	if sa != sb {
 		t.Errorf("stats diverged: %+v vs %+v", sa, sb)
-	}
-	// WriteLogs still works from the retained records + snapshots.
-	if err := released.WriteLogs(filepath.Join(t.TempDir(), "released.jsonl")); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSpillMatchesWriteLogs runs the quick variant twice — batch with
-// WriteLogs, bounded with SpillPath — and requires byte-compatible
-// analysis results when each file is re-loaded.
-func TestSpillMatchesWriteLogs(t *testing.T) {
-	dir := t.TempDir()
-
-	cfg := tinyConfig()
-	batch, err := NewCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := batch.Run(); err != nil {
-		t.Fatal(err)
-	}
-	batchPath := filepath.Join(dir, "batch.jsonl")
-	if err := batch.WriteLogs(batchPath); err != nil {
-		t.Fatal(err)
-	}
-
-	cfg2 := tinyConfig()
-	cfg2.RetainRecords = false
-	cfg2.SpillPath = filepath.Join(dir, "spill.jsonl")
-	bounded, err := NewCampaign(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bounded.Run(); err != nil {
-		t.Fatal(err)
-	}
-
-	load := func(path string) *logs.Campaign {
-		c, err := logs.ReadCampaignFile(path)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		return c
-	}
-	a, b := load(batchPath), load(cfg2.SpillPath)
-	if len(a.Blocks) != len(b.Blocks) || len(a.Txs) != len(b.Txs) {
-		t.Fatalf("record counts differ: %d/%d vs %d/%d", len(a.Blocks), len(a.Txs), len(b.Blocks), len(b.Txs))
-	}
-	for i := range a.Blocks {
-		if !reflect.DeepEqual(a.Blocks[i], b.Blocks[i]) {
-			t.Fatalf("block record %d differs: %+v vs %+v", i, a.Blocks[i], b.Blocks[i])
-		}
-	}
-	for i := range a.Txs {
-		if a.Txs[i] != b.Txs[i] {
-			t.Fatalf("tx record %d differs", i)
-		}
-	}
-	if !reflect.DeepEqual(a.Meta, b.Meta) {
-		t.Fatalf("meta differs: %+v vs %+v", a.Meta, b.Meta)
-	}
-	if a.Chain.Len() != b.Chain.Len() {
-		t.Fatalf("chain dumps differ: %d vs %d blocks", a.Chain.Len(), b.Chain.Len())
 	}
 }

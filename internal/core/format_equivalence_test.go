@@ -1,38 +1,119 @@
 package core
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"ethmeasure/internal/chain"
 	"ethmeasure/internal/logs"
+	"ethmeasure/internal/measure"
 )
 
+// campaignLog is a campaign log read back whole.
+type campaignLog struct {
+	meta   *logs.Meta
+	blocks []measure.BlockRecord
+	txs    []measure.TxRecord
+	chain  *chain.Registry
+	// recordSum is the record fingerprint over the records in file
+	// order, the order the bus carried them.
+	recordSum string
+}
+
+// readLog reads a campaign log with logs.Reader, rebuilding the chain
+// dump with logs.ChainBuilder under the protocol its metadata names.
+func readLog(t *testing.T, path string) *campaignLog {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	reader := logs.NewReader(f)
+	l := &campaignLog{}
+	var builder logs.ChainBuilder
+	fp := logs.NewRecordFingerprinter()
+	for {
+		e, err := reader.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		switch e.Kind {
+		case logs.KindMeta:
+			l.meta = e.Meta
+			if builder.Protocol, err = logs.ProtocolFromMeta(e.Meta); err != nil {
+				t.Fatal(err)
+			}
+		case logs.KindBlock:
+			l.blocks = append(l.blocks, *e.Block)
+			fp.RecordBlock(*e.Block)
+		case logs.KindTx:
+			l.txs = append(l.txs, *e.Tx)
+			fp.RecordTx(*e.Tx)
+		case logs.KindChain:
+			if err := builder.Add(e.Chain); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	l.chain = builder.Registry()
+	l.recordSum = fp.Sum()
+	return l
+}
+
 // TestCrossFormatSpillEquivalence is the golden cross-format test at
-// the core level: one campaign config spilled as JSONL and as binary
-// must load back to identical records, metadata and chain — the
-// analysis pipeline downstream is a pure function of these, so equal
-// inputs guarantee equal Results. (cmd/ethanalyze has the
-// complementary end-to-end test comparing full report bytes.)
+// the core level: a campaign's binary spill holds exactly the record
+// stream its bus carried, and its JSONL transcription (what
+// ethanalyze -convert writes) loads back to identical records,
+// metadata and chain — the analysis pipeline downstream is a pure
+// function of these, so equal inputs guarantee equal Results.
+// (cmd/ethanalyze has the complementary end-to-end test comparing
+// full report bytes.)
 func TestCrossFormatSpillEquivalence(t *testing.T) {
 	dir := t.TempDir()
-	run := func(format logs.Format, name string) string {
-		cfg := tinyConfig()
-		cfg.RetainRecords = false
-		cfg.SpillPath = filepath.Join(dir, name)
-		cfg.SpillFormat = format
-		campaign, err := NewCampaign(cfg)
+	cfg := tinyConfig()
+	cfg.SpillPath = filepath.Join(dir, "spill.ethlog")
+	campaign, err := NewCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hasher := newRecordHasher()
+	campaign.AttachRecorder(hasher)
+	if _, err := campaign.Run(); err != nil {
+		t.Fatal(err)
+	}
+	binaryPath := cfg.SpillPath
+
+	jsonlPath := filepath.Join(dir, "spill.jsonl")
+	in, err := os.Open(binaryPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	w, err := logs.CreateFileFormat(jsonlPath, logs.FormatJSONL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader := logs.NewReader(in)
+	for {
+		e, err := reader.Next()
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := campaign.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return cfg.SpillPath
+		w.Write(e)
 	}
-	jsonlPath := run(logs.FormatJSONL, "spill.jsonl")
-	binaryPath := run(logs.FormatBinary, "spill.ethlog")
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	// The binary file must actually be binary (and smaller), the JSONL
 	// file actually JSONL.
@@ -45,7 +126,7 @@ func TestCrossFormatSpillEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if jf[0] != '{' {
-		t.Errorf("jsonl spill starts with 0x%02x, want '{'", jf[0])
+		t.Errorf("jsonl transcription starts with 0x%02x, want '{'", jf[0])
 	}
 	if bf[0] == '{' {
 		t.Error("binary spill looks like JSONL")
@@ -54,53 +135,36 @@ func TestCrossFormatSpillEquivalence(t *testing.T) {
 		t.Errorf("binary spill (%d bytes) not smaller than JSONL (%d bytes)", len(bf), len(jf))
 	}
 
-	a, err := logs.ReadCampaignFile(jsonlPath)
-	if err != nil {
-		t.Fatal(err)
+	a, b := readLog(t, jsonlPath), readLog(t, binaryPath)
+	if len(a.blocks) == 0 || len(a.txs) == 0 {
+		t.Fatalf("campaign produced no records (%d blocks, %d txs)", len(a.blocks), len(a.txs))
 	}
-	b, err := logs.ReadCampaignFile(binaryPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Blocks) == 0 || len(a.Txs) == 0 {
-		t.Fatalf("campaign produced no records (%d blocks, %d txs)", len(a.Blocks), len(a.Txs))
-	}
-	if !reflect.DeepEqual(a.Blocks, b.Blocks) {
+	if !reflect.DeepEqual(a.blocks, b.blocks) {
 		t.Error("block records diverge across formats")
 	}
-	if !reflect.DeepEqual(a.Txs, b.Txs) {
+	if !reflect.DeepEqual(a.txs, b.txs) {
 		t.Error("tx records diverge across formats")
 	}
-	if !reflect.DeepEqual(a.Meta, b.Meta) {
-		t.Errorf("meta diverges: %+v vs %+v", a.Meta, b.Meta)
+	if !reflect.DeepEqual(a.meta, b.meta) {
+		t.Errorf("meta diverges: %+v vs %+v", a.meta, b.meta)
 	}
-	if logs.ChainFingerprint(a.Chain) != logs.ChainFingerprint(b.Chain) {
+	if !reflect.DeepEqual(b.meta, campaign.LogMeta()) {
+		t.Errorf("spilled meta %+v, want %+v", b.meta, campaign.LogMeta())
+	}
+	if logs.ChainFingerprint(a.chain) != logs.ChainFingerprint(b.chain) {
 		t.Error("chain dumps diverge across formats")
 	}
-
-	// Record fingerprints across formats must agree too — the digest
-	// a checkpoint of either run would carry.
-	fp := func(c *logs.Campaign) string {
-		f := logs.NewRecordFingerprinter()
-		for i := range c.Blocks {
-			f.RecordBlock(c.Blocks[i])
-		}
-		for i := range c.Txs {
-			f.RecordTx(c.Txs[i])
-		}
-		return f.Sum()
+	if logs.ChainFingerprint(b.chain) != chainFingerprint(campaign) {
+		t.Error("spilled chain dump diverges from the campaign registry")
 	}
-	if fp(a) != fp(b) {
+
+	// Record fingerprints must agree with each other and with the
+	// stream the bus carried — the digest a checkpoint would carry.
+	if a.recordSum != b.recordSum {
 		t.Error("record fingerprints diverge across formats")
 	}
-}
-
-// TestSpillFormatValidation: a bogus format must be rejected up front.
-func TestSpillFormatValidation(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.SpillFormat = "protobuf"
-	if _, err := NewCampaign(cfg); err == nil {
-		t.Fatal("unknown spill format accepted")
+	if b.recordSum != hasher.Sum() {
+		t.Error("spilled records diverge from the bus record stream")
 	}
 }
 
@@ -113,7 +177,6 @@ func TestSpillMetaWriteFailsAtStart(t *testing.T) {
 		t.Skip("/dev/full not available")
 	}
 	cfg := tinyConfig()
-	cfg.RetainRecords = false
 	cfg.SpillPath = "/dev/full"
 	if _, err := NewCampaign(cfg); err == nil {
 		t.Fatal("campaign construction succeeded with a full spill disk")

@@ -11,6 +11,7 @@ import (
 // protocol-level invariants the analyses depend on.
 func TestCampaignInvariants(t *testing.T) {
 	cfg := tinyConfig()
+	cfg.RetainRecords = true // the record invariants inspect each reception
 	cfg.Duration = 20 * time.Minute
 	if testing.Short() {
 		cfg.Duration = 10 * time.Minute

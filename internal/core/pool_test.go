@@ -66,7 +66,6 @@ func TestPoolWarmEquivalence(t *testing.T) {
 		variant := variant
 		t.Run(variant.name, func(t *testing.T) {
 			cfg := variant.cfg
-			cfg.RetainRecords = false
 
 			runOne := func(c *Campaign, err error) (*Results, string, string) {
 				t.Helper()
@@ -135,7 +134,6 @@ func TestPoolWarmEquivalence(t *testing.T) {
 // cold construction.
 func TestPoolWarmAllocs(t *testing.T) {
 	cfg := tinyConfig()
-	cfg.RetainRecords = false
 	cfg.Duration = 5 * time.Minute
 
 	mallocs := func() uint64 {
@@ -202,7 +200,6 @@ func TestPoolWarmAllocs(t *testing.T) {
 // ReleaseNetwork are all no-ops.
 func TestPoolRecycleGuards(t *testing.T) {
 	cfg := tinyConfig()
-	cfg.RetainRecords = false
 	cfg.Duration = 2 * time.Minute
 
 	pool := NewPool()

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ethmeasure/internal/geo"
-	"ethmeasure/internal/logs"
 	"ethmeasure/internal/scenario"
 )
 
@@ -233,9 +232,10 @@ func TestScenarioKeyMetricsMerged(t *testing.T) {
 }
 
 // TestScenarioTagsInLogMeta: the composed tags travel through the log
-// pipeline (WriteLogs and SpillPath both lead with the meta entry).
+// pipeline (the spill leads with the meta entry).
 func TestScenarioTagsInLogMeta(t *testing.T) {
 	cfg := scenarioConfig(t, "churn:interval=1m,downtime=1m", "eclipse:node=3")
+	cfg.SpillPath = filepath.Join(t.TempDir(), "scn.ethlog")
 	campaign, err := NewCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -243,19 +243,12 @@ func TestScenarioTagsInLogMeta(t *testing.T) {
 	if _, err := campaign.Run(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "scn.jsonl")
-	if err := campaign.WriteLogs(path); err != nil {
-		t.Fatal(err)
+	meta := readLog(t, cfg.SpillPath).meta
+	if len(meta.Scenarios) != 2 {
+		t.Fatalf("meta scenarios = %v, want churn + eclipse", meta.Scenarios)
 	}
-	loaded, err := logs.ReadCampaignFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded.Meta.Scenarios) != 2 {
-		t.Fatalf("meta scenarios = %v, want churn + eclipse", loaded.Meta.Scenarios)
-	}
-	if !strings.HasPrefix(loaded.Meta.Scenarios[0], "churn:") || loaded.Meta.Scenarios[1] != "eclipse:node=3" {
-		t.Errorf("meta scenarios = %v", loaded.Meta.Scenarios)
+	if !strings.HasPrefix(meta.Scenarios[0], "churn:") || meta.Scenarios[1] != "eclipse:node=3" {
+		t.Errorf("meta scenarios = %v", meta.Scenarios)
 	}
 }
 

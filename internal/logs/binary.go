@@ -38,14 +38,6 @@ func (f Format) Valid() bool {
 	return false
 }
 
-// Resolve maps the zero value to the default encoding.
-func (f Format) Resolve() Format {
-	if f == "" {
-		return FormatBinary
-	}
-	return f
-}
-
 // ParseFormat converts a CLI flag value into a Format.
 func ParseFormat(s string) (Format, error) {
 	f := Format(s)

@@ -57,33 +57,33 @@ func TestBinaryRoundTripInMemory(t *testing.T) {
 		t.Fatal("stream does not start with the ethlog magic")
 	}
 
-	c, err := LoadCampaign(bytes.NewReader(buf.Bytes()))
+	c, err := readAll(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Meta == nil || c.Meta.Seed != 7 || c.Meta.NetworkSize != 42 {
-		t.Errorf("meta = %+v", c.Meta)
+	if c.meta == nil || c.meta.Seed != 7 || c.meta.NetworkSize != 42 {
+		t.Errorf("meta = %+v", c.meta)
 	}
-	if len(c.Blocks) != len(blocks) {
-		t.Fatalf("blocks = %d, want %d", len(c.Blocks), len(blocks))
+	if len(c.blocks) != len(blocks) {
+		t.Fatalf("blocks = %d, want %d", len(c.blocks), len(blocks))
 	}
 	for i := range blocks {
-		if c.Blocks[i] != blocks[i] {
-			t.Errorf("block %d = %+v, want %+v", i, c.Blocks[i], blocks[i])
+		if c.blocks[i] != blocks[i] {
+			t.Errorf("block %d = %+v, want %+v", i, c.blocks[i], blocks[i])
 		}
 	}
 	for i := range txs {
-		if c.Txs[i] != txs[i] {
-			t.Errorf("tx %d = %+v, want %+v", i, c.Txs[i], txs[i])
+		if c.txs[i] != txs[i] {
+			t.Errorf("tx %d = %+v, want %+v", i, c.txs[i], txs[i])
 		}
 	}
-	if c.Chain == nil || c.Chain.Len() != reg.Len() {
-		t.Fatalf("chain not rebuilt: %v", c.Chain)
+	if c.chain == nil || c.chain.Len() != reg.Len() {
+		t.Fatalf("chain not rebuilt: %v", c.chain)
 	}
-	if c.Chain.Head().Hash != reg.Head().Hash {
+	if c.chain.Head().Hash != reg.Head().Hash {
 		t.Error("rebuilt head differs")
 	}
-	if len(c.Chain.UncleRefs()) != 1 {
+	if len(c.chain.UncleRefs()) != 1 {
 		t.Error("uncle refs lost in binary round trip")
 	}
 }
@@ -96,37 +96,26 @@ func TestBinaryMatchesJSONLSemantics(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "log.jsonl")
 	bpath := filepath.Join(dir, "log.ethlog")
-	if err := WriteCampaignFileFormat(jpath, FormatJSONL, meta, blocks, txs, reg); err != nil {
-		t.Fatal(err)
+	writeLog(t, jpath, FormatJSONL, meta, blocks, txs, reg)
+	writeLog(t, bpath, FormatBinary, meta, blocks, txs, reg)
+	cj, cb := readPath(t, jpath), readPath(t, bpath)
+	if len(cj.blocks) != len(cb.blocks) || len(cj.txs) != len(cb.txs) {
+		t.Fatalf("record counts diverge: %d/%d vs %d/%d", len(cj.blocks), len(cj.txs), len(cb.blocks), len(cb.txs))
 	}
-	if err := WriteCampaignFileFormat(bpath, FormatBinary, meta, blocks, txs, reg); err != nil {
-		t.Fatal(err)
-	}
-	cj, err := ReadCampaignFile(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cb, err := ReadCampaignFile(bpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cj.Blocks) != len(cb.Blocks) || len(cj.Txs) != len(cb.Txs) {
-		t.Fatalf("record counts diverge: %d/%d vs %d/%d", len(cj.Blocks), len(cj.Txs), len(cb.Blocks), len(cb.Txs))
-	}
-	for i := range cj.Blocks {
-		if cj.Blocks[i] != cb.Blocks[i] {
-			t.Errorf("block %d: jsonl %+v vs binary %+v", i, cj.Blocks[i], cb.Blocks[i])
+	for i := range cj.blocks {
+		if cj.blocks[i] != cb.blocks[i] {
+			t.Errorf("block %d: jsonl %+v vs binary %+v", i, cj.blocks[i], cb.blocks[i])
 		}
 	}
-	for i := range cj.Txs {
-		if cj.Txs[i] != cb.Txs[i] {
-			t.Errorf("tx %d: jsonl %+v vs binary %+v", i, cj.Txs[i], cb.Txs[i])
+	for i := range cj.txs {
+		if cj.txs[i] != cb.txs[i] {
+			t.Errorf("tx %d: jsonl %+v vs binary %+v", i, cj.txs[i], cb.txs[i])
 		}
 	}
-	if !reflect.DeepEqual(cj.Meta, cb.Meta) {
-		t.Errorf("meta diverges: %+v vs %+v", cj.Meta, cb.Meta)
+	if !reflect.DeepEqual(cj.meta, cb.meta) {
+		t.Errorf("meta diverges: %+v vs %+v", cj.meta, cb.meta)
 	}
-	if ChainFingerprint(cj.Chain) != ChainFingerprint(cb.Chain) {
+	if ChainFingerprint(cj.chain) != ChainFingerprint(cb.chain) {
 		t.Error("rebuilt chains diverge across formats")
 	}
 	// The binary file should be substantially smaller.

@@ -2,12 +2,12 @@
 // paper's instrumented Geth wrote each observation to a dedicated log
 // with a local timestamp and post-processed the files offline.
 //
-// Two encodings are supported. The default is ethlog v1 (see
-// binary.go): a compact binary framing whose record encoder allocates
-// nothing in steady state, built for the bounded-memory spill path
-// and fast re-analysis. JSON Lines (one JSON object per line) is
-// retained for interop with external tooling. Readers sniff the
-// format from the first bytes, so every load path accepts either.
+// Campaigns write ethlog v1 (see binary.go): a compact binary framing
+// whose record encoder allocates nothing in steady state, streamed
+// during the run and read back one entry at a time. JSON Lines (one
+// JSON object per line) is kept as a read format and as the export
+// target of ethanalyze -convert, for external tooling. Readers sniff
+// the format from the first bytes, so every reader accepts either.
 package logs
 
 import (
@@ -90,7 +90,7 @@ type EntryWriter interface {
 // NewWriterFormat creates an entry writer for the requested encoding
 // ("" means the default, binary).
 func NewWriterFormat(w io.Writer, format Format) EntryWriter {
-	if format.Resolve() == FormatJSONL {
+	if format == FormatJSONL {
 		return NewWriter(w)
 	}
 	return NewBinaryWriter(w)
@@ -315,6 +315,13 @@ func (r *Reader) nextJSONL() (*Entry, error) {
 		if err := json.Unmarshal(raw, &e); err != nil {
 			return nil, fmt.Errorf("logs: line %d: %w", r.line, err)
 		}
+		switch e.Kind {
+		case KindMeta, KindBlock, KindTx, KindChain:
+		default:
+			// The binary decoder rejects unknown frame kinds; JSONL must
+			// not silently feed them to the analyzer either.
+			return nil, fmt.Errorf("logs: line %d: unknown entry kind %q", r.line, e.Kind)
+		}
 		return &e, nil
 	}
 }
@@ -350,14 +357,6 @@ func (r *Reader) nextBinary() (*Entry, error) {
 		return nil, fmt.Errorf("logs: frame %d: %w", r.frame, err)
 	}
 	return e, nil
-}
-
-// Campaign is a fully loaded log file.
-type Campaign struct {
-	Meta   *Meta
-	Blocks []measure.BlockRecord
-	Txs    []measure.TxRecord
-	Chain  *chain.Registry
 }
 
 // ChainBuilder incrementally reconstructs a block registry from
@@ -420,122 +419,4 @@ func ProtocolFromMeta(m *Meta) (consensus.Protocol, error) {
 		return nil, fmt.Errorf("logs: meta protocol: %w", err)
 	}
 	return proto, nil
-}
-
-// Load reads a whole log stream into memory, reconstructing a registry
-// from chain entries when present. The chain dump is in creation
-// order, so parents always precede children.
-func Load(r io.Reader) (blocks []measure.BlockRecord, txs []measure.TxRecord, reg *chain.Registry, err error) {
-	c, err := LoadCampaign(r)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return c.Blocks, c.Txs, c.Chain, nil
-}
-
-// LoadCampaign reads a whole log stream including metadata.
-func LoadCampaign(r io.Reader) (*Campaign, error) {
-	reader := NewReader(r)
-	c := &Campaign{}
-	var builder ChainBuilder
-	for {
-		e, err := reader.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		switch e.Kind {
-		case KindMeta:
-			c.Meta = e.Meta
-			if e.Meta != nil && e.Meta.Protocol != "" && builder.Registry() == nil {
-				proto, err := ProtocolFromMeta(e.Meta)
-				if err != nil {
-					return nil, err
-				}
-				builder.Protocol = proto
-			}
-		case KindBlock:
-			if e.Block != nil {
-				c.Blocks = append(c.Blocks, *e.Block)
-			}
-		case KindTx:
-			if e.Tx != nil {
-				c.Txs = append(c.Txs, *e.Tx)
-			}
-		case KindChain:
-			if e.Chain != nil {
-				if err := builder.Add(e.Chain); err != nil {
-					return nil, err
-				}
-			}
-		default:
-			return nil, fmt.Errorf("logs: unknown entry kind %q", e.Kind)
-		}
-	}
-	c.Chain = builder.Registry()
-	return c, nil
-}
-
-// WriteFile writes records and a chain dump to path (creating parent
-// directories) in the default (binary) encoding, one campaign per
-// file.
-func WriteFile(path string, blocks []measure.BlockRecord, txs []measure.TxRecord, reg *chain.Registry) error {
-	return WriteCampaignFile(path, nil, blocks, txs, reg)
-}
-
-// WriteCampaignFile is WriteFile with a leading metadata entry.
-func WriteCampaignFile(path string, meta *Meta, blocks []measure.BlockRecord, txs []measure.TxRecord, reg *chain.Registry) error {
-	return WriteCampaignFileFormat(path, "", meta, blocks, txs, reg)
-}
-
-// WriteCampaignFileFormat is WriteCampaignFile with an explicit
-// encoding ("" means the default, binary).
-func WriteCampaignFileFormat(path string, format Format, meta *Meta, blocks []measure.BlockRecord, txs []measure.TxRecord, reg *chain.Registry) (err error) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("logs: mkdir: %w", err)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("logs: create: %w", err)
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("logs: close: %w", cerr)
-		}
-	}()
-	w := NewWriterFormat(f, format)
-	if meta != nil {
-		w.Write(&Entry{Kind: KindMeta, Meta: meta})
-	}
-	for i := range blocks {
-		w.RecordBlock(blocks[i])
-	}
-	for i := range txs {
-		w.RecordTx(txs[i])
-	}
-	if reg != nil {
-		WriteChain(w, reg)
-	}
-	return w.Flush()
-}
-
-// ReadFile loads a campaign log file written by WriteFile.
-func ReadFile(path string) ([]measure.BlockRecord, []measure.TxRecord, *chain.Registry, error) {
-	c, err := ReadCampaignFile(path)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return c.Blocks, c.Txs, c.Chain, nil
-}
-
-// ReadCampaignFile loads a campaign log file including metadata.
-func ReadCampaignFile(path string) (*Campaign, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("logs: open: %w", err)
-	}
-	defer f.Close()
-	return LoadCampaign(f)
 }

@@ -3,6 +3,7 @@ package logs
 import (
 	"bytes"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -51,6 +52,84 @@ func sampleRegistry(t *testing.T) *chain.Registry {
 	return reg
 }
 
+// loaded is a log stream read back whole.
+type loaded struct {
+	meta   *Meta
+	blocks []measure.BlockRecord
+	txs    []measure.TxRecord
+	chain  *chain.Registry
+}
+
+// readAll reads a log stream entry by entry with Reader, rebuilding
+// the chain dump with ChainBuilder.
+func readAll(r io.Reader) (*loaded, error) {
+	reader := NewReader(r)
+	l := &loaded{}
+	var builder ChainBuilder
+	for {
+		e, err := reader.Next()
+		if err == io.EOF {
+			l.chain = builder.Registry()
+			return l, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		switch e.Kind {
+		case KindMeta:
+			l.meta = e.Meta
+		case KindBlock:
+			l.blocks = append(l.blocks, *e.Block)
+		case KindTx:
+			l.txs = append(l.txs, *e.Tx)
+		case KindChain:
+			if err := builder.Add(e.Chain); err != nil {
+				return nil, err
+			}
+		}
+	}
+}
+
+// readPath is readAll over a file.
+func readPath(t *testing.T, path string) *loaded {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	l, err := readAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// writeLog writes a campaign log in the given encoding: the optional
+// metadata entry, the records, then the chain dump.
+func writeLog(t *testing.T, path string, format Format, meta *Meta, blocks []measure.BlockRecord, txs []measure.TxRecord, reg *chain.Registry) {
+	t.Helper()
+	w, err := CreateFileFormat(path, format)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta != nil {
+		w.Write(&Entry{Kind: KindMeta, Meta: meta})
+	}
+	for i := range blocks {
+		w.RecordBlock(blocks[i])
+	}
+	for i := range txs {
+		w.RecordTx(txs[i])
+	}
+	if reg != nil {
+		WriteChain(w, reg)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRoundTripInMemory(t *testing.T) {
 	blocks, txs := sampleRecords()
 	reg := sampleRegistry(t)
@@ -71,10 +150,11 @@ func TestRoundTripInMemory(t *testing.T) {
 		t.Errorf("entries = %d", w.Entries())
 	}
 
-	gotBlocks, gotTxs, gotReg, err := Load(&buf)
+	got, err := readAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	gotBlocks, gotTxs, gotReg := got.blocks, got.txs, got.chain
 	if len(gotBlocks) != len(blocks) {
 		t.Fatalf("blocks = %d", len(gotBlocks))
 	}
@@ -121,17 +201,17 @@ func TestReaderSkipsBlankLinesAndReportsCorruption(t *testing.T) {
 }
 
 func TestLoadUnknownKind(t *testing.T) {
-	if _, _, _, err := Load(strings.NewReader(`{"kind":"mystery"}` + "\n")); err == nil {
+	if _, err := readAll(strings.NewReader(`{"kind":"mystery"}` + "\n")); err == nil {
 		t.Fatal("unknown kind must error")
 	}
 }
 
 func TestLoadEmptyStream(t *testing.T) {
-	blocks, txs, reg, err := Load(strings.NewReader(""))
+	l, err := readAll(strings.NewReader(""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if blocks != nil || txs != nil || reg != nil {
+	if l.meta != nil || l.blocks != nil || l.txs != nil || l.chain != nil {
 		t.Error("empty stream should load nothing")
 	}
 }
@@ -145,38 +225,22 @@ func TestReaderEOF(t *testing.T) {
 
 func TestWriteFileReadFile(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "sub", "campaign.jsonl")
+	path := filepath.Join(dir, "sub", "campaign.ethlog")
 	blocks, txs := sampleRecords()
 	reg := sampleRegistry(t)
-	if err := WriteFile(path, blocks, txs, reg); err != nil {
-		t.Fatal(err)
-	}
-	gotBlocks, gotTxs, gotReg, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotBlocks) != 2 || len(gotTxs) != 2 || gotReg == nil {
-		t.Errorf("read back %d blocks, %d txs, reg=%v", len(gotBlocks), len(gotTxs), gotReg != nil)
+	writeLog(t, path, FormatBinary, nil, blocks, txs, reg)
+	got := readPath(t, path)
+	if len(got.blocks) != 2 || len(got.txs) != 2 || got.chain == nil {
+		t.Errorf("read back %d blocks, %d txs, reg=%v", len(got.blocks), len(got.txs), got.chain != nil)
 	}
 }
 
 func TestWriteFileWithoutChain(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "norec.jsonl")
-	if err := WriteFile(path, nil, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	blocks, txs, reg, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if blocks != nil || txs != nil || reg != nil {
+	path := filepath.Join(t.TempDir(), "norec.ethlog")
+	writeLog(t, path, FormatBinary, nil, nil, nil, nil)
+	got := readPath(t, path)
+	if got.blocks != nil || got.txs != nil || got.chain != nil {
 		t.Error("expected an empty campaign file")
-	}
-}
-
-func TestReadFileMissing(t *testing.T) {
-	if _, _, _, err := ReadFile(filepath.Join(t.TempDir(), "absent.jsonl")); err == nil {
-		t.Fatal("missing file must error")
 	}
 }
 
@@ -195,7 +259,7 @@ func TestWriterRecorderInterface(t *testing.T) {
 }
 
 func TestCampaignFileWithMetadata(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "meta.jsonl")
+	path := filepath.Join(t.TempDir(), "meta.ethlog")
 	meta := &Meta{
 		PoolNames:         []string{"Ethermine", "Sparkpool"},
 		Vantages:          []string{"NA", "EA", "WE", "CE"},
@@ -207,29 +271,24 @@ func TestCampaignFileWithMetadata(t *testing.T) {
 	}
 	blocks, txs := sampleRecords()
 	reg := sampleRegistry(t)
-	if err := WriteCampaignFile(path, meta, blocks, txs, reg); err != nil {
-		t.Fatal(err)
-	}
-	c, err := ReadCampaignFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Meta == nil {
+	writeLog(t, path, FormatBinary, meta, blocks, txs, reg)
+	c := readPath(t, path)
+	if c.meta == nil {
 		t.Fatal("metadata lost")
 	}
-	if c.Meta.Seed != 7 || c.Meta.NetworkSize != 220 || c.Meta.RedundancyVantage != "WE-default" {
-		t.Errorf("meta = %+v", c.Meta)
+	if c.meta.Seed != 7 || c.meta.NetworkSize != 220 || c.meta.RedundancyVantage != "WE-default" {
+		t.Errorf("meta = %+v", c.meta)
 	}
-	if len(c.Meta.PoolNames) != 2 || c.Meta.PoolNames[0] != "Ethermine" {
-		t.Errorf("pool names = %v", c.Meta.PoolNames)
+	if len(c.meta.PoolNames) != 2 || c.meta.PoolNames[0] != "Ethermine" {
+		t.Errorf("pool names = %v", c.meta.PoolNames)
 	}
-	if len(c.Meta.Vantages) != 4 {
-		t.Errorf("vantages = %v", c.Meta.Vantages)
+	if len(c.meta.Vantages) != 4 {
+		t.Errorf("vantages = %v", c.meta.Vantages)
 	}
-	if time.Duration(c.Meta.InterBlockNs) != 13300*time.Millisecond {
-		t.Errorf("inter-block = %d", c.Meta.InterBlockNs)
+	if time.Duration(c.meta.InterBlockNs) != 13300*time.Millisecond {
+		t.Errorf("inter-block = %d", c.meta.InterBlockNs)
 	}
-	if len(c.Blocks) != 2 || len(c.Txs) != 2 || c.Chain == nil {
+	if len(c.blocks) != 2 || len(c.txs) != 2 || c.chain == nil {
 		t.Error("records or chain lost alongside metadata")
 	}
 }
@@ -260,7 +319,7 @@ func TestChainBuilderIncremental(t *testing.T) {
 }
 
 func TestFileWriterStreams(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sub", "stream.jsonl")
+	path := filepath.Join(t.TempDir(), "sub", "stream.ethlog")
 	fw, err := CreateFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -270,10 +329,8 @@ func TestFileWriterStreams(t *testing.T) {
 	if err := fw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	blocks, txs, _, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readPath(t, path)
+	blocks, txs := got.blocks, got.txs
 	if len(blocks) != 1 || blocks[0].Hash != 7 || len(txs) != 1 || txs[0].Hash != 8 {
 		t.Fatalf("roundtrip = %+v / %+v", blocks, txs)
 	}

@@ -269,15 +269,12 @@ func (s *JobSpec) checkpointInterval() time.Duration {
 
 // config builds the campaign configuration (sweeps: the matrix base).
 func (s *JobSpec) config() (core.Config, error) {
-	var cfg core.Config
-	switch s.Preset {
-	case "", "quick":
-		cfg = core.QuickConfig()
-	case "default":
-		cfg = core.DefaultConfig()
-	case "paper":
-		cfg = core.PaperScaleConfig()
-	default:
+	preset := s.Preset
+	if preset == "" {
+		preset = "quick"
+	}
+	cfg, err := core.Preset(preset)
+	if err != nil {
 		return cfg, fmt.Errorf("serve: unknown preset %q (quick, default or paper)", s.Preset)
 	}
 	if s.Seed != 0 {
@@ -320,13 +317,6 @@ func (s *JobSpec) config() (core.Config, error) {
 			cfg.Scenarios = append(cfg.Scenarios, spec)
 		}
 	}
-	// Server jobs stream records through the analysis collector and
-	// report KeyMetrics; retaining raw records or spilling to a shared
-	// file would only grow the daemon's footprint. The streaming path
-	// is bit-identical to the batch path (core equivalence suite), so
-	// results are unchanged.
-	cfg.RetainRecords = false
-	cfg.SpillPath = ""
 	if err := cfg.Validate(); err != nil {
 		return cfg, err
 	}

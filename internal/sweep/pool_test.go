@@ -28,7 +28,7 @@ func TestPooledMatchesColdStart(t *testing.T) {
 	}
 
 	warm := &Runner{Workers: 2}
-	if !warm.pooled() {
+	if !warm.pooled(testConfig()) {
 		t.Fatal("default runner should pool")
 	}
 	warmRes, err := warm.Run(context.Background(), matrix())
@@ -37,7 +37,7 @@ func TestPooledMatchesColdStart(t *testing.T) {
 	}
 
 	cold := &Runner{Workers: 2, ColdStart: true}
-	if cold.pooled() {
+	if cold.pooled(testConfig()) {
 		t.Fatal("ColdStart runner must not pool")
 	}
 	coldRes, err := cold.Run(context.Background(), matrix())
@@ -69,14 +69,17 @@ func TestPooledMatchesColdStart(t *testing.T) {
 // anything derived from a run forces cold builds, because the pool
 // would otherwise recycle the collector backing the kept Results.
 func TestKeepResultsDisablesPooling(t *testing.T) {
-	if (&Runner{KeepResults: true}).pooled() {
+	base := testConfig()
+	if (&Runner{KeepResults: true}).pooled(base) {
 		t.Error("KeepResults runner must not pool")
 	}
-	if (&Runner{RetainRecords: true}).pooled() {
-		t.Error("RetainRecords runner must not pool")
+	retained := base
+	retained.RetainRecords = true
+	if (&Runner{}).pooled(retained) {
+		t.Error("RetainRecords base must not pool")
 	}
 	stub := &Runner{runFn: func(core.Config) (*core.Results, error) { return nil, nil }}
-	if stub.pooled() {
+	if stub.pooled(base) {
 		t.Error("stubbed runner must not pool")
 	}
 }

@@ -17,7 +17,6 @@ func protocolSweepBase() core.Config {
 	cfg.NumNodes = 60
 	cfg.OutDegree = 4
 	cfg.EnableTxWorkload = false
-	cfg.RetainRecords = false
 	for i := range cfg.Vantages {
 		if cfg.Vantages[i].Peers > 20 {
 			cfg.Vantages[i].Peers = 20

@@ -38,15 +38,16 @@ func (r *RunResult) Ok() bool { return r.Err == nil && r.Metrics != nil }
 // fully independently; the runner adds no synchronization beyond
 // handing out job indices and collecting results into per-index slots.
 //
-// By default every campaign runs in bounded-memory mode (records
-// stream through the analysis collector instead of accumulating in
-// RAM), so a run's footprint is dominated by its live network state
-// rather than its record volume. That makes worker counts beyond
-// GOMAXPROCS safe memory-wise: oversubscription buys no throughput for
-// these CPU-bound campaigns, but long sweeps no longer need to trim
-// concurrency to fit record retention in memory, and results are
-// unchanged either way (the streaming path is bit-identical to the
-// batch path).
+// Campaigns honour the matrix base's Config.RetainRecords. The presets
+// leave it off, so by default records stream through the analysis
+// collector instead of accumulating in RAM and a run's footprint is
+// dominated by its live network state rather than its record volume.
+// That makes worker counts beyond GOMAXPROCS safe memory-wise:
+// oversubscription buys no throughput for these CPU-bound campaigns,
+// but long sweeps need not trim concurrency to fit record retention
+// in memory. A base with RetainRecords set (with KeepResults, to read
+// Results.Dataset.Blocks/Txs of every run) runs cold; results are
+// bit-identical either way.
 type Runner struct {
 	// Workers is the concurrency level; <= 0 means GOMAXPROCS.
 	Workers int
@@ -55,12 +56,6 @@ type Runner struct {
 	// sweeps with hundreds of runs would otherwise hold every dataset
 	// alive simultaneously.
 	KeepResults bool
-	// RetainRecords runs campaigns with raw-record retention enabled
-	// (Config.RetainRecords as given) instead of forcing bounded-memory
-	// mode. Only useful together with KeepResults, when the caller
-	// wants Results.Dataset.Blocks/Txs of every run. Config.SpillPath
-	// is cleared regardless: all runs would share the one file.
-	RetainRecords bool
 	// OnResult, when set, observes each finished run. Calls are
 	// serialized by the runner and report monotonically increasing
 	// done counts; execution order across workers is nondeterministic,
@@ -90,12 +85,13 @@ type Runner struct {
 }
 
 // pooled reports whether workers may recycle campaign state run to
-// run. Pooling requires that nothing derived from a finished run stays
-// alive: KeepResults keeps the analysis bundle (backed by the pooled
-// collector) and RetainRecords keeps raw records, so either one forces
-// cold builds. A stubbed runFn builds no real campaigns at all.
-func (rn *Runner) pooled() bool {
-	return rn.runFn == nil && !rn.ColdStart && !rn.KeepResults && !rn.RetainRecords
+// run for a matrix over base. Pooling requires that nothing derived
+// from a finished run stays alive: KeepResults keeps the analysis
+// bundle (backed by the pooled collector) and base.RetainRecords keeps
+// raw records, so either one forces cold builds. A stubbed runFn
+// builds no real campaigns at all.
+func (rn *Runner) pooled(base core.Config) bool {
+	return rn.runFn == nil && !rn.ColdStart && !rn.KeepResults && !base.RetainRecords
 }
 
 // runCampaign is the production runFn: build the full system, run it,
@@ -166,7 +162,7 @@ func (rn *Runner) Run(ctx context.Context, m *Matrix) ([]RunResult, error) {
 			// campaign was detached from it anyway, so the safe move
 			// after any irregular exit is to start the next run cold.
 			var pool *core.Pool
-			if rn.pooled() {
+			if rn.pooled(m.Base) {
 				pool = core.NewPool()
 			}
 			for i := range jobs {
@@ -240,9 +236,6 @@ func (rn *Runner) execute(ctx context.Context, run Run, pool *core.Pool) (rr Run
 		runFn = runCampaign
 	}
 	cfg := run.Config
-	if !rn.RetainRecords {
-		cfg.RetainRecords = false
-	}
 	// Matrix expansion copies the base config into every run, so a
 	// SpillPath would point all concurrent campaigns at one file;
 	// sweeps never spill.

@@ -139,8 +139,9 @@ func TestOversubscribedWorkersMatchSerial(t *testing.T) {
 }
 
 // TestRunnerBoundedMemoryDefault verifies the memory contract: runs
-// execute bounded by default (no retained records even with
-// KeepResults), and RetainRecords restores the raw dataset.
+// over a preset base execute bounded (no retained records even with
+// KeepResults), and a base with RetainRecords restores the raw
+// dataset.
 func TestRunnerBoundedMemoryDefault(t *testing.T) {
 	m := &Matrix{Base: testConfig(), Seeds: Seeds(9, 1)}
 
@@ -155,7 +156,8 @@ func TestRunnerBoundedMemoryDefault(t *testing.T) {
 		t.Error("bounded-by-default run retained records")
 	}
 
-	retained, err := (&Runner{Workers: 1, KeepResults: true, RetainRecords: true}).Run(context.Background(), m)
+	m.Base.RetainRecords = true
+	retained, err := (&Runner{Workers: 1, KeepResults: true}).Run(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
