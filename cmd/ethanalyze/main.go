@@ -1,7 +1,7 @@
 // Command ethanalyze post-processes a measurement log written by
-// ethsim (or ethmeasure -logs) and prints the paper's tables and
-// figures — the simulated equivalent of the paper's pandas/NumPy
-// pipeline over 600 GB of raw Geth logs.
+// ethmeasure -logs and prints the paper's tables and figures — the
+// simulated equivalent of the paper's pandas/NumPy pipeline over
+// 600 GB of raw Geth logs.
 //
 // The log is processed as a stream: each record is folded into the
 // analysis collector's incremental state as it is parsed, so memory is
@@ -90,7 +90,7 @@ func run(args []string) error {
 		return err
 	}
 	if first.Kind != logs.KindMeta || first.Meta == nil {
-		return fmt.Errorf("log file %s has no campaign metadata (it must open with a meta entry, as ethsim -out and ethmeasure -logs write)", *logPath)
+		return fmt.Errorf("log file %s has no campaign metadata (it must open with a meta entry, as ethmeasure -logs writes)", *logPath)
 	}
 	meta := first.Meta
 	dataset := &analysis.Dataset{

@@ -25,12 +25,12 @@
 //	duration=30m,2h         virtual campaign length
 //
 // -scenarios adds a scenario axis: semicolon-separated scenario specs
-// ("name[:key=val,...]", see ethsim -list-scenarios for the catalog),
+// ("name[:key=val,...]", see ethmeasure -list-scenarios for the catalog),
 // each sweeping as its own variant; "none" is the unmodified base.
 //
 // -protocols adds a consensus-protocol axis: semicolon-separated
 // protocol specs ("ethereum", "bitcoin", "ghost-inclusive:depth=10",
-// see ethsim -list-protocols), each sweeping as its own variant with
+// see ethmeasure -list-protocols), each sweeping as its own variant with
 // per-protocol cross-seed aggregates.
 //
 // Examples:
@@ -64,80 +64,81 @@ func main() {
 	}
 }
 
-func run(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("ethsweep", flag.ContinueOnError)
-	var (
-		preset   = fs.String("preset", "quick", "base configuration preset: quick | default | paper")
-		seeds    = fs.Int("seeds", 8, "number of seeds per scenario")
-		seedBase = fs.Int64("seed", 1, "first seed (seeds are BASE..BASE+N-1)")
-		workers  = fs.Int("workers", 0, "concurrent campaigns (0 = GOMAXPROCS)")
-		jsonPath = fs.String("json", "", "write the aggregate as JSON to this file ('-' for stdout)")
-		duration = fs.Duration("duration", 0, "override the base virtual campaign duration")
-		nodes    = fs.Int("nodes", 0, "override the base regular node count")
-		noTx     = fs.Bool("no-tx", false, "disable the transaction workload")
-		quiet    = fs.Bool("quiet", false, "suppress per-run progress on stderr")
-		scens    = fs.String("scenarios", "", "scenario axis: semicolon-separated specs (name[:key=val,...]; 'none' = base)")
-		protos   = fs.String("protocols", "", "consensus-protocol axis: semicolon-separated specs (ethereum;bitcoin;...)")
-		shards   = fs.Int("shards", 0, "event-engine shards per campaign (0 = one per geo region up to GOMAXPROCS, 1 = serial)")
-		version  = fs.Bool("version", false, "print build version and exit")
-		vary     cliutil.StringList
-	)
-	fs.Var(&vary, "vary", "axis=v1,v2,... (repeatable; axes: nodes, discovery, pools, churn, txrate, duration)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *version {
-		fmt.Fprintln(stdout, cliutil.VersionLine("ethsweep"))
-		return nil
-	}
-	if *seeds < 1 {
-		return fmt.Errorf("-seeds must be at least 1, got %d", *seeds)
-	}
+// options is the parsed command line.
+type options struct {
+	preset    string
+	seeds     int
+	seedBase  int64
+	workers   int
+	jsonPath  string
+	overrides core.Overrides
+	quiet     bool
+	scens     string
+	protos    string
+	version   bool
+	vary      cliutil.StringList
+}
 
-	if *duration < 0 {
-		return fmt.Errorf("-duration must be non-negative, got %v", *duration)
+func parseFlags(args []string) (*options, error) {
+	fs := flag.NewFlagSet("ethsweep", flag.ContinueOnError)
+	o := &options{}
+	fs.StringVar(&o.preset, "preset", "quick", "base configuration preset: quick | default | paper")
+	fs.IntVar(&o.seeds, "seeds", 8, "number of seeds per scenario")
+	fs.Int64Var(&o.seedBase, "seed", 1, "first seed (seeds are BASE..BASE+N-1)")
+	fs.IntVar(&o.workers, "workers", 0, "concurrent campaigns (0 = GOMAXPROCS)")
+	fs.StringVar(&o.jsonPath, "json", "", "write the aggregate as JSON to this file ('-' for stdout)")
+	fs.DurationVar(&o.overrides.Duration, "duration", 0, "override the base virtual campaign duration")
+	fs.IntVar(&o.overrides.Nodes, "nodes", 0, "override the base regular node count")
+	fs.BoolVar(&o.overrides.NoTx, "no-tx", false, "disable the transaction workload")
+	fs.BoolVar(&o.quiet, "quiet", false, "suppress per-run progress on stderr")
+	fs.StringVar(&o.scens, "scenarios", "", "scenario axis: semicolon-separated specs (name[:key=val,...]; 'none' = base)")
+	fs.StringVar(&o.protos, "protocols", "", "consensus-protocol axis: semicolon-separated specs (ethereum;bitcoin;...)")
+	fs.IntVar(&o.overrides.Shards, "shards", 0, "event-engine shards per campaign (0 = one per geo region up to GOMAXPROCS, 1 = serial)")
+	fs.BoolVar(&o.version, "version", false, "print build version and exit")
+	fs.Var(&o.vary, "vary", "axis=v1,v2,... (repeatable; axes: nodes, discovery, pools, churn, txrate, duration)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
-	if *nodes < 0 {
-		return fmt.Errorf("-nodes must be non-negative, got %d", *nodes)
-	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards must be non-negative, got %d", *shards)
-	}
-	base, err := core.Preset(*preset)
+	return o, nil
+}
+
+func run(args []string, stdout io.Writer) error {
+	o, err := parseFlags(args)
 	if err != nil {
 		return err
 	}
-	if *duration > 0 {
-		base.Duration = *duration
+	if o.version {
+		fmt.Fprintln(stdout, cliutil.VersionLine("ethsweep"))
+		return nil
 	}
-	if *nodes > 0 {
-		base.NumNodes = *nodes
+	if o.seeds < 1 {
+		return fmt.Errorf("-seeds must be at least 1, got %d", o.seeds)
 	}
-	if *noTx {
-		base.EnableTxWorkload = false
+	base, err := core.Configure(o.preset, o.overrides)
+	if err != nil {
+		return err
 	}
-	base.Shards = *shards
 
 	matrix := &sweep.Matrix{
 		Base:  base,
-		Seeds: sweep.Seeds(*seedBase, *seeds),
+		Seeds: sweep.Seeds(o.seedBase, o.seeds),
 	}
-	for _, spec := range vary {
+	for _, spec := range o.vary {
 		axis, err := parseAxis(spec)
 		if err != nil {
 			return err
 		}
 		matrix.Axes = append(matrix.Axes, axis)
 	}
-	if *scens != "" {
-		axis, err := sweep.Scenarios(splitSpecs(*scens)...)
+	if o.scens != "" {
+		axis, err := sweep.Scenarios(splitSpecs(o.scens)...)
 		if err != nil {
 			return err
 		}
 		matrix.Axes = append(matrix.Axes, axis)
 	}
-	if *protos != "" {
-		axis, err := sweep.Protocols(splitSpecs(*protos)...)
+	if o.protos != "" {
+		axis, err := sweep.Protocols(splitSpecs(o.protos)...)
 		if err != nil {
 			return err
 		}
@@ -150,10 +151,10 @@ func run(args []string, stdout io.Writer) error {
 
 	total := matrix.NumRuns()
 	fmt.Fprintf(stdout, "sweeping %s preset: %d scenarios x %d seeds = %d runs (%v virtual each)\n",
-		*preset, total / *seeds, *seeds, total, base.Duration)
+		o.preset, total/o.seeds, o.seeds, total, base.Duration)
 
-	runner := &sweep.Runner{Workers: *workers}
-	if !*quiet {
+	runner := &sweep.Runner{Workers: o.workers}
+	if !o.quiet {
 		runner.OnResult = func(done, total int, r *sweep.RunResult) {
 			status := "ok"
 			if r.Err != nil {
@@ -176,13 +177,13 @@ func run(args []string, stdout io.Writer) error {
 		agg.Runs-agg.Failed, agg.Runs, wall.Round(time.Millisecond))
 	agg.WriteText(stdout)
 
-	if *jsonPath != "" {
-		if *jsonPath == "-" {
+	if o.jsonPath != "" {
+		if o.jsonPath == "-" {
 			if err := agg.WriteJSON(stdout); err != nil {
 				return err
 			}
 		} else {
-			f, err := os.Create(*jsonPath)
+			f, err := os.Create(o.jsonPath)
 			if err != nil {
 				return err
 			}
@@ -193,7 +194,7 @@ func run(args []string, stdout io.Writer) error {
 			if err := f.Close(); err != nil {
 				return err
 			}
-			fmt.Fprintf(stdout, "wrote JSON aggregate to %s\n", *jsonPath)
+			fmt.Fprintf(stdout, "wrote JSON aggregate to %s\n", o.jsonPath)
 		}
 	}
 	if runErr != nil {

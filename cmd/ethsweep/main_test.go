@@ -5,8 +5,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"ethmeasure/internal/core"
+	"ethmeasure/internal/serve"
 )
 
 func TestRunRejectsBadFlags(t *testing.T) {
@@ -293,6 +297,44 @@ func TestRunTinyProtocolSweep(t *testing.T) {
 			}
 		default:
 			t.Errorf("unexpected scenario %q", sc.Scenario)
+		}
+	}
+}
+
+// TestFlagsMatchJobSpec: the same base overrides given as ethsweep
+// flags and as an ethserve sweep job spec build identical matrix base
+// configurations. cmd/ethmeasure checks its flags against the same job
+// specs.
+func TestFlagsMatchJobSpec(t *testing.T) {
+	cases := []struct {
+		args []string
+		spec serve.JobSpec
+	}{
+		{nil, serve.JobSpec{Kind: "sweep"}},
+		{
+			[]string{"-duration", "7m", "-nodes", "60", "-no-tx", "-shards", "1"},
+			serve.JobSpec{Kind: "sweep", Duration: "7m", Nodes: 60, NoTx: true, Shards: 1},
+		},
+		{
+			[]string{"-preset", "default", "-shards", "2"},
+			serve.JobSpec{Kind: "sweep", Preset: "default", Shards: 2},
+		},
+	}
+	for _, tc := range cases {
+		o, err := parseFlags(tc.args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := core.Configure(o.preset, o.overrides)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		want, err := tc.spec.Config()
+		if err != nil {
+			t.Fatalf("%+v: %v", tc.spec, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: config differs from job spec %+v", tc.args, tc.spec)
 		}
 	}
 }

@@ -69,6 +69,6 @@ func run() error {
 			v.label, res.Propagation.MedianMs, res.Propagation.P95Ms,
 			1-res.Forks.MainShare, strings.Join(notes, " "))
 	}
-	fmt.Println("\nfull catalog: go run ./cmd/ethsim -list-scenarios")
+	fmt.Println("\nfull catalog: go run ./cmd/ethmeasure -list-scenarios")
 	return nil
 }

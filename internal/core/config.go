@@ -271,7 +271,85 @@ func Preset(name string) (Config, error) {
 	case "paper":
 		return PaperScaleConfig(), nil
 	}
-	return Config{}, fmt.Errorf("unknown preset %q", name)
+	return Config{}, fmt.Errorf("unknown preset %q (quick, default or paper)", name)
+}
+
+// Overrides are the user adjustments a front end (ethmeasure, ethsweep,
+// ethserve) applies on top of a preset. A zero field keeps the preset's
+// value; a negative one is an error. The seed is not among them: its
+// zero means different things to different front ends, so each sets
+// Config.Seed itself.
+type Overrides struct {
+	// Duration overrides the virtual campaign length.
+	Duration time.Duration
+	// Nodes overrides the regular node count.
+	Nodes int
+	// TxRate overrides the transaction rate (tx/s); the block capacity
+	// is re-derived from it.
+	TxRate float64
+	// NoTx disables the transaction workload.
+	NoTx bool
+	// Shards sets the event-engine shard count.
+	Shards int
+	// Protocol is a consensus spec, "name[:key=val,...]".
+	Protocol string
+	// Scenarios are scenario specs composed in order.
+	Scenarios []string
+}
+
+// Configure returns the named preset with the overrides applied and
+// the result validated: the one path from user input to a Config.
+func Configure(preset string, o Overrides) (Config, error) {
+	switch {
+	case o.Duration < 0:
+		return Config{}, fmt.Errorf("duration must be non-negative, got %v", o.Duration)
+	case o.Nodes < 0:
+		return Config{}, fmt.Errorf("nodes must be non-negative, got %d", o.Nodes)
+	case o.TxRate < 0:
+		return Config{}, fmt.Errorf("txrate must be non-negative, got %g", o.TxRate)
+	case o.Shards < 0:
+		return Config{}, fmt.Errorf("shards must be non-negative, got %d", o.Shards)
+	}
+	cfg, err := Preset(preset)
+	if err != nil {
+		return Config{}, err
+	}
+	if o.Duration > 0 {
+		cfg.Duration = o.Duration
+	}
+	if o.Nodes > 0 {
+		cfg.NumNodes = o.Nodes
+	}
+	if o.TxRate > 0 {
+		cfg.TxGen.Rate = o.TxRate
+		ApplyCapacity(&cfg)
+	}
+	if o.NoTx {
+		cfg.EnableTxWorkload = false
+	}
+	if o.Shards > 0 {
+		cfg.Shards = o.Shards
+	}
+	if o.Protocol != "" {
+		spec, err := consensus.Parse(o.Protocol)
+		if err != nil {
+			return Config{}, err
+		}
+		cfg.Protocol = spec
+	}
+	for _, raw := range o.Scenarios {
+		spec, err := scenario.Parse(raw)
+		if err != nil {
+			return Config{}, err
+		}
+		cfg.Scenarios = append(cfg.Scenarios, spec)
+	}
+	// Validate checks the specs against the catalogs along with the
+	// rest of the config.
+	if err := cfg.Validate(); err != nil {
+		return Config{}, err
+	}
+	return cfg, nil
 }
 
 // DeriveBlockCapacity sizes blocks so that steady-state utilization

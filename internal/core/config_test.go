@@ -1,12 +1,15 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"ethmeasure/internal/consensus"
 	"ethmeasure/internal/geo"
 	"ethmeasure/internal/p2p"
+	"ethmeasure/internal/scenario"
 )
 
 func TestPresetsValidate(t *testing.T) {
@@ -90,6 +93,75 @@ func TestValidateAllowsDisabledTxWorkload(t *testing.T) {
 	cfg.SenderDistribution = nil
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("disabled workload should not require tx settings: %v", err)
+	}
+}
+
+// TestConfigure checks the preset-plus-overrides path field by field:
+// a zero override keeps the preset's value, a positive one replaces it,
+// and a negative value, a bad spec or an invalid result is rejected
+// with an error naming the cause.
+func TestConfigure(t *testing.T) {
+	quick := QuickConfig()
+	if got, err := Configure("quick", Overrides{}); err != nil || !reflect.DeepEqual(got, quick) {
+		t.Fatalf("zero overrides: err %v, config differs from the quick preset", err)
+	}
+
+	accepted := []struct {
+		name string
+		o    Overrides
+		want func(*Config)
+	}{
+		{"duration", Overrides{Duration: 7 * time.Minute}, func(c *Config) { c.Duration = 7 * time.Minute }},
+		{"nodes", Overrides{Nodes: 60}, func(c *Config) { c.NumNodes = 60 }},
+		{"txrate", Overrides{TxRate: 2}, func(c *Config) { c.TxGen.Rate = 2; ApplyCapacity(c) }},
+		{"no-tx", Overrides{NoTx: true}, func(c *Config) { c.EnableTxWorkload = false }},
+		{"shards", Overrides{Shards: 3}, func(c *Config) { c.Shards = 3 }},
+		{"protocol", Overrides{Protocol: "bitcoin"}, func(c *Config) { c.Protocol = consensus.Spec{Name: "bitcoin"} }},
+		{"scenarios", Overrides{Scenarios: []string{"relayoverlay", "churn:interval=90s"}}, func(c *Config) {
+			c.Scenarios = []scenario.Spec{
+				{Name: "relayoverlay"},
+				{Name: "churn", Params: map[string]string{"interval": "90s"}},
+			}
+		}},
+	}
+	for _, tc := range accepted {
+		want := QuickConfig()
+		tc.want(&want)
+		got, err := Configure("quick", tc.o)
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: config differs from the preset with only that field changed", tc.name)
+		}
+	}
+	if c, _ := Configure("quick", Overrides{TxRate: 2}); c.Mining.BlockCapacity == quick.Mining.BlockCapacity {
+		t.Error("txrate override did not re-derive the block capacity")
+	}
+
+	rejected := []struct {
+		name   string
+		preset string
+		o      Overrides
+		frag   string
+	}{
+		{"unknown preset", "huge", Overrides{}, "unknown preset"},
+		{"negative duration", "quick", Overrides{Duration: -time.Minute}, "duration"},
+		{"negative nodes", "quick", Overrides{Nodes: -5}, "nodes"},
+		{"negative txrate", "quick", Overrides{TxRate: -0.5}, "txrate"},
+		{"negative shards", "quick", Overrides{Shards: -1}, "shards"},
+		{"bad protocol name", "quick", Overrides{Protocol: "pow2"}, "unknown protocol"},
+		{"bad protocol param", "quick", Overrides{Protocol: "ethereum:gravity=9"}, "unknown parameter"},
+		{"bad protocol syntax", "quick", Overrides{Protocol: "bitcoin:reward"}, "want key=val"},
+		{"bad scenario name", "quick", Overrides{Scenarios: []string{"mayhem"}}, "unknown scenario"},
+		{"bad scenario param", "quick", Overrides{Scenarios: []string{"eclipse:attackers=0"}}, "attacker"},
+		{"invalid result", "quick", Overrides{Nodes: 5}, "at least 10 nodes"},
+	}
+	for _, tc := range rejected {
+		if _, err := Configure(tc.preset, tc.o); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.frag) {
+			t.Errorf("%s: err = %v, want fragment %q", tc.name, err, tc.frag)
+		}
 	}
 }
 

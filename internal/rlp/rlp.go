@@ -8,11 +8,6 @@
 // unsigned integers (big-endian, no leading zeros — canonical RLP).
 package rlp
 
-import (
-	"errors"
-	"fmt"
-)
-
 // Item is an RLP item: either a byte string (List == false) or a list
 // of items (List == true).
 type Item struct {
@@ -115,134 +110,4 @@ func appendHeader(out []byte, base byte, payloadLen int) []byte {
 		out = append(out, byte(payloadLen>>shift))
 	}
 	return out
-}
-
-// Decoding errors.
-var (
-	ErrTruncated    = errors.New("rlp: input truncated")
-	ErrTrailing     = errors.New("rlp: trailing bytes")
-	ErrNonCanonical = errors.New("rlp: non-canonical encoding")
-)
-
-// Decode parses a single item and requires the input to be fully
-// consumed.
-func Decode(b []byte) (Item, error) {
-	item, rest, err := decodeItem(b)
-	if err != nil {
-		return Item{}, err
-	}
-	if len(rest) != 0 {
-		return Item{}, ErrTrailing
-	}
-	return item, nil
-}
-
-func decodeItem(b []byte) (Item, []byte, error) {
-	if len(b) == 0 {
-		return Item{}, nil, ErrTruncated
-	}
-	prefix := b[0]
-	switch {
-	case prefix < 0x80: // single byte
-		return Item{Str: b[:1]}, b[1:], nil
-	case prefix <= 0xb7: // short string
-		n := int(prefix - 0x80)
-		if len(b) < 1+n {
-			return Item{}, nil, ErrTruncated
-		}
-		s := b[1 : 1+n]
-		if n == 1 && s[0] < 0x80 {
-			return Item{}, nil, ErrNonCanonical // should be single-byte form
-		}
-		return Item{Str: s}, b[1+n:], nil
-	case prefix <= 0xbf: // long string
-		ll := int(prefix - 0xb7)
-		n, rest, err := readLength(b[1:], ll)
-		if err != nil {
-			return Item{}, nil, err
-		}
-		if n <= 55 {
-			return Item{}, nil, ErrNonCanonical
-		}
-		if len(rest) < n {
-			return Item{}, nil, ErrTruncated
-		}
-		return Item{Str: rest[:n]}, rest[n:], nil
-	case prefix <= 0xf7: // short list
-		n := int(prefix - 0xc0)
-		if len(b) < 1+n {
-			return Item{}, nil, ErrTruncated
-		}
-		items, err := decodeList(b[1 : 1+n])
-		if err != nil {
-			return Item{}, nil, err
-		}
-		return Item{List: true, Items: items}, b[1+n:], nil
-	default: // long list
-		ll := int(prefix - 0xf7)
-		n, rest, err := readLength(b[1:], ll)
-		if err != nil {
-			return Item{}, nil, err
-		}
-		if n <= 55 {
-			return Item{}, nil, ErrNonCanonical
-		}
-		if len(rest) < n {
-			return Item{}, nil, ErrTruncated
-		}
-		items, err := decodeList(rest[:n])
-		if err != nil {
-			return Item{}, nil, err
-		}
-		return Item{List: true, Items: items}, rest[n:], nil
-	}
-}
-
-func readLength(b []byte, ll int) (int, []byte, error) {
-	if len(b) < ll {
-		return 0, nil, ErrTruncated
-	}
-	if ll == 0 || b[0] == 0 {
-		return 0, nil, ErrNonCanonical
-	}
-	if ll > 7 {
-		return 0, nil, fmt.Errorf("rlp: length of length %d unsupported", ll)
-	}
-	n := 0
-	for i := 0; i < ll; i++ {
-		n = n<<8 | int(b[i])
-	}
-	return n, b[ll:], nil
-}
-
-func decodeList(payload []byte) ([]Item, error) {
-	var items []Item
-	for len(payload) > 0 {
-		item, rest, err := decodeItem(payload)
-		if err != nil {
-			return nil, err
-		}
-		items = append(items, item)
-		payload = rest
-	}
-	return items, nil
-}
-
-// DecodeUint interprets a byte-string item as a canonical unsigned
-// integer.
-func DecodeUint(item Item) (uint64, error) {
-	if item.List {
-		return 0, fmt.Errorf("rlp: expected string, got list")
-	}
-	if len(item.Str) > 8 {
-		return 0, fmt.Errorf("rlp: integer too large (%d bytes)", len(item.Str))
-	}
-	if len(item.Str) > 0 && item.Str[0] == 0 {
-		return 0, ErrNonCanonical
-	}
-	var v uint64
-	for _, b := range item.Str {
-		v = v<<8 | uint64(b)
-	}
-	return v, nil
 }

@@ -68,7 +68,7 @@ type JobSpec struct {
 	// "ghost-inclusive:depth=10"). Empty means the default protocol.
 	Protocol string `json:"protocol,omitempty"`
 	// Scenarios are scenario specs composed into the run
-	// ("churn:rate=2", "partition:a=EA,start=5m,dur=10m").
+	// ("churn:interval=90s", "partition:a=EA,start=5m,dur=10m").
 	Scenarios []string `json:"scenarios,omitempty"`
 	// CheckpointInterval is the virtual-time spacing of campaign
 	// checkpoints. Zero lets the server pin a default derived from the
@@ -178,26 +178,9 @@ func (s *JobSpec) Normalize() error {
 		return fmt.Errorf("serve: unknown job kind %q (campaign or sweep)", s.Kind)
 	}
 
-	// Validate every spec against the shared catalogs up front, so a
-	// bad submission is a 400 at the API instead of a failed job.
-	if s.Protocol != "" {
-		spec, err := consensus.Parse(s.Protocol)
-		if err != nil {
-			return err
-		}
-		if err := consensus.Validate(spec); err != nil {
-			return err
-		}
-	}
-	for _, raw := range s.Scenarios {
-		spec, err := scenario.Parse(raw)
-		if err != nil {
-			return err
-		}
-		if err := scenario.Validate(spec); err != nil {
-			return err
-		}
-	}
+	// Validate the sweep axes against the shared catalogs up front, so
+	// a bad submission is a 400 at the API instead of a failed job (the
+	// base specs are checked by Config).
 	if s.Sweep != nil {
 		for _, raw := range s.Sweep.Protocols {
 			spec, err := consensus.Parse(raw)
@@ -219,7 +202,7 @@ func (s *JobSpec) Normalize() error {
 		}
 	}
 
-	cfg, err := s.config()
+	cfg, err := s.Config()
 	if err != nil {
 		return err
 	}
@@ -244,7 +227,7 @@ func (s *JobSpec) Normalize() error {
 	}
 	// Re-derive the config with the pinned values to surface any
 	// remaining validation error at submit time.
-	if _, err := s.config(); err != nil {
+	if _, err := s.Config(); err != nil {
 		return err
 	}
 	return nil
@@ -267,65 +250,45 @@ func (s *JobSpec) checkpointInterval() time.Duration {
 	return d
 }
 
-// config builds the campaign configuration (sweeps: the matrix base).
-func (s *JobSpec) config() (core.Config, error) {
+// Config builds the campaign configuration (sweeps: the matrix base)
+// through core.Configure, the override path the CLIs share. An omitted
+// preset is "quick" and an omitted seed keeps the preset's.
+func (s *JobSpec) Config() (core.Config, error) {
 	preset := s.Preset
 	if preset == "" {
 		preset = "quick"
 	}
-	cfg, err := core.Preset(preset)
-	if err != nil {
-		return cfg, fmt.Errorf("serve: unknown preset %q (quick, default or paper)", s.Preset)
-	}
-	if s.Seed != 0 {
-		cfg.Seed = s.Seed
-	}
+	var duration time.Duration
 	if s.Duration != "" {
 		d, err := time.ParseDuration(s.Duration)
 		if err != nil {
-			return cfg, fmt.Errorf("serve: duration: %w", err)
+			return core.Config{}, fmt.Errorf("serve: duration: %w", err)
 		}
 		if d <= 0 {
-			return cfg, fmt.Errorf("serve: duration must be positive")
+			return core.Config{}, fmt.Errorf("serve: duration must be positive")
 		}
-		cfg.Duration = d
+		duration = d
 	}
-	if s.Nodes > 0 {
-		cfg.NumNodes = s.Nodes
-		core.ApplyCapacity(&cfg)
-	}
-	if s.NoTx {
-		cfg.EnableTxWorkload = false
-	}
-	if s.Shards != 0 {
-		cfg.Shards = s.Shards
-	}
-	if s.Protocol != "" {
-		spec, err := consensus.Parse(s.Protocol)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Protocol = spec
-	}
-	if len(s.Scenarios) > 0 {
-		cfg.Scenarios = nil
-		for _, raw := range s.Scenarios {
-			spec, err := scenario.Parse(raw)
-			if err != nil {
-				return cfg, err
-			}
-			cfg.Scenarios = append(cfg.Scenarios, spec)
-		}
-	}
-	if err := cfg.Validate(); err != nil {
+	cfg, err := core.Configure(preset, core.Overrides{
+		Duration:  duration,
+		Nodes:     s.Nodes,
+		NoTx:      s.NoTx,
+		Shards:    s.Shards,
+		Protocol:  s.Protocol,
+		Scenarios: s.Scenarios,
+	})
+	if err != nil {
 		return cfg, err
+	}
+	if s.Seed != 0 {
+		cfg.Seed = s.Seed
 	}
 	return cfg, nil
 }
 
 // matrix expands a sweep job's spec into the run matrix.
 func (s *JobSpec) matrix() (*sweep.Matrix, error) {
-	cfg, err := s.config()
+	cfg, err := s.Config()
 	if err != nil {
 		return nil, err
 	}

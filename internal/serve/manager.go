@@ -408,7 +408,7 @@ func progressInterval(duration time.Duration) time.Duration {
 }
 
 func (m *Manager) runCampaign(ctx context.Context, js *jobState, id string, spec JobSpec, pool *core.Pool) error {
-	cfg, err := spec.config()
+	cfg, err := spec.Config()
 	if err != nil {
 		return err
 	}

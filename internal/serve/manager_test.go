@@ -358,6 +358,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"campaign with sweep block", JobSpec{Kind: "campaign", Sweep: &SweepSpec{}}, "must not carry"},
 		{"bad preset", JobSpec{Kind: "campaign", Preset: "huge"}, "unknown preset"},
 		{"bad duration", JobSpec{Kind: "campaign", Duration: "fast"}, "duration"},
+		{"negative nodes", JobSpec{Kind: "campaign", Nodes: -5}, "nodes"},
 		{"bad protocol", JobSpec{Kind: "campaign", Protocol: "pow2"}, "unknown protocol"},
 		{"bad protocol param", JobSpec{Kind: "campaign", Protocol: "ethereum:gravity=9"}, "unknown parameter"},
 		{"bad scenario", JobSpec{Kind: "campaign", Scenarios: []string{"mayhem"}}, "unknown scenario"},

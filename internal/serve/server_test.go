@@ -165,6 +165,7 @@ func TestHTTPValidationAndNotFound(t *testing.T) {
 		`{"kind":"campaign","protocol":"pow2"}`,
 		`{"kind":"campaign","scenarios":["mayhem"]}`,
 		`{"kind":"campaign","duration":"fast"}`,
+		`{"kind":"campaign","nodes":-5}`,
 		`{"kind":"campaign","bogus_field":1}`, // unknown fields rejected
 		`{invalid json`,
 	}

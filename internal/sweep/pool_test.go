@@ -9,9 +9,9 @@ import (
 
 // TestPooledMatchesColdStart is the sweep-level half of the warm-run
 // equivalence contract: the same matrix run with worker-local pooling
-// (the default) and with ColdStart must produce identical metrics and
-// stats for every run, even with workers recycling state across runs
-// that differ in node count.
+// (the default) and with cold builds (KeepResults forces them) must
+// produce identical metrics and stats for every run, even with workers
+// recycling state across runs that differ in node count.
 func TestPooledMatchesColdStart(t *testing.T) {
 	matrix := func() *Matrix {
 		return &Matrix{
@@ -36,9 +36,9 @@ func TestPooledMatchesColdStart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cold := &Runner{Workers: 2, ColdStart: true}
+	cold := &Runner{Workers: 2, KeepResults: true}
 	if cold.pooled(testConfig()) {
-		t.Fatal("ColdStart runner must not pool")
+		t.Fatal("KeepResults runner must not pool")
 	}
 	coldRes, err := cold.Run(context.Background(), matrix())
 	if err != nil {

@@ -72,13 +72,6 @@ type Runner struct {
 	// Failed or skipped seeds are ignored and their runs re-execute.
 	Completed map[int]RunResult
 
-	// ColdStart disables warm-run pooling: every campaign builds its
-	// state from scratch instead of recycling the worker's previous
-	// run. Results are bit-identical either way (the pool's
-	// equivalence contract); the knob exists for A/B measurement and
-	// as an escape hatch.
-	ColdStart bool
-
 	// runFn executes one campaign; tests stub it to inject failures
 	// and panics. Nil means the real build-and-run path.
 	runFn func(core.Config) (*core.Results, error)
@@ -91,7 +84,7 @@ type Runner struct {
 // raw records, so either one forces cold builds. A stubbed runFn
 // builds no real campaigns at all.
 func (rn *Runner) pooled(base core.Config) bool {
-	return rn.runFn == nil && !rn.ColdStart && !rn.KeepResults && !base.RetainRecords
+	return rn.runFn == nil && !rn.KeepResults && !base.RetainRecords
 }
 
 // runCampaign is the production runFn: build the full system, run it,
