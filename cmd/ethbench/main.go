@@ -567,7 +567,7 @@ func deliverEntries(w io.Writer) []Entry {
 				b.Fatal(err)
 			}
 		}
-		// Warm the event slab and the scheduler's ring buckets so the
+		// Warm the event slab and the scheduler's chunk pool so the
 		// timed region measures steady state, not first-touch growth.
 		for i := 0; i < 512; i++ {
 			round(fanIn)

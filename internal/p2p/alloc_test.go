@@ -58,9 +58,9 @@ func TestTxRelayZeroAllocsSteadyState(t *testing.T) {
 		}
 	}
 	// Warm every cache past capacity, the engine slab past its
-	// high-water mark, and all 256 of the ladder queue's ring buckets
-	// (each batch lands on a different slot residue, so covering the
-	// full ring takes a few hundred rounds).
+	// high-water mark, and the ladder queue's rungs and chunk pool
+	// across the bucket layouts the batches hit as virtual time
+	// advances.
 	for i := 0; i < 320; i++ {
 		batch()
 	}

@@ -6,8 +6,9 @@
 // fully reproducible from its configuration and seed.
 //
 // The scheduler is built for campaign scale (5,000+ nodes, tens of
-// millions of events): events live in a slab indexed by a ladder queue
-// (O(1) amortized push/pop; see queue.go), freed slots are recycled
+// millions of events): events live in a slab indexed by a multi-rung
+// ladder queue (O(1) amortized push/pop, with the heap every pop works
+// on kept a few entries deep; see queue.go), freed slots are recycled
 // through a free list, and the ScheduleArg path lets hot callers
 // (message delivery, protocol timers) enqueue work without allocating
 // a closure — zero steady-state allocations per event.
@@ -126,18 +127,15 @@ func (e *Engine) qSize() int {
 }
 
 // Reset returns the engine to the state NewEngine(seed) would produce
-// while keeping the slab, queue (ladder run, ring buckets, overflow)
+// while keeping the slab, queue (bottom tier, rungs, top, chunk pool)
 // and free-list backing arrays, so a recycled engine schedules its
 // first events without growing anything.
-// The slab is zeroed over its full capacity — the GC scans a slice's
-// whole backing array, so stale handler/closure references beyond len
-// would otherwise pin the previous run's object graph. Named RNG
-// streams are dropped and lazily recreated by RNG, which reproduces
-// them bit-identically from the new seed.
+// The slab's written prefix is zeroed, so the previous run's handler,
+// closure and payload references do not stay reachable through the
+// backing array. Named RNG streams are dropped and lazily recreated by
+// RNG, which reproduces them bit-identically from the new seed.
 func (e *Engine) Reset(seed int64) {
-	// Only the written prefix needs zeroing (releasing the closure and
-	// payload references the GC would otherwise keep reachable through
-	// the backing array): slots past len are either fresh from the
+	// Slots past len need no zeroing: they are either fresh from the
 	// allocator — events hold pointers, so slice growth always hands
 	// back zeroed memory — or were zeroed by a previous Reset, and
 	// truncating after the clear restores that invariant.
@@ -266,9 +264,9 @@ func (e *Engine) AfterArg(d time.Duration, h Handler, arg Arg) {
 func (e *Engine) Stop() { e.stopped.Store(true) }
 
 // NextAt returns the timestamp of the earliest pending event, or false
-// when the queue is empty. Peeking may drain the next ladder bucket
-// into the sorted active run (amortized O(1), and work the following
-// pop would have done anyway); it never changes the pop order, so the
+// when the queue is empty. Peeking may refill the ladder's bottom tier
+// from its next bucket (amortized O(1), and work the following pop
+// would have done anyway); it never changes the pop order, so the
 // sharded barrier loop sees window edges identical to the heap's.
 func (e *Engine) NextAt() (Time, bool) {
 	return e.qPeek()

@@ -26,10 +26,9 @@ func (h *countingHandler) HandleSimEvent(arg Arg) {
 func TestScheduleArgZeroAllocsSteadyState(t *testing.T) {
 	e := NewEngine(1)
 	h := &countingHandler{engine: e}
-	// Warm the slab and the queue. Each round of 32 events lands on a
-	// handful of ladder ring slots, and virtual time strides the slot
-	// index between rounds, so warming all 256 slot arrays to capacity
-	// takes a few hundred rounds.
+	// Warm the slab and the queue (its rung array, chunk pool and
+	// bottom tier) over many rounds, so every bucket layout the
+	// measured rounds can hit as virtual time advances has been seen.
 	for r := 0; r < 400; r++ {
 		for i := 0; i < 32; i++ {
 			e.AfterArg(time.Duration(i)*time.Microsecond, h, Arg{K: int32(i)})
@@ -57,7 +56,7 @@ func TestScheduleArgZeroAllocsSteadyState(t *testing.T) {
 func TestScheduleClosureZeroAllocsSteadyState(t *testing.T) {
 	e := NewEngine(1)
 	fn := func() {}
-	// Warm all ladder ring slots, as above.
+	// Warm the slab and the queue, as above.
 	for r := 0; r < 400; r++ {
 		for i := 0; i < 32; i++ {
 			e.After(time.Duration(i)*time.Microsecond, fn)

@@ -85,6 +85,54 @@ func BenchmarkEngineScheduleChurn(b *testing.B) {
 	}
 }
 
+// fanoutPopulation is the standing pending population of
+// BenchmarkEngineFanout, near relay-1000's time-averaged pending count.
+const fanoutPopulation = 50_000
+
+// fanoutHandler drives BenchmarkEngineFanout. A delivery (K == 0) fans
+// out to 18 peers at geo latencies (8–300 ms) while fewer than
+// fanoutPopulation events are pending, like a transaction relayed to a
+// node that has not seen it; a timer (K == 1) re-arms itself 6 s out.
+type fanoutHandler struct {
+	e         *Engine
+	rng       *rand.Rand
+	remaining int
+}
+
+func (f *fanoutHandler) HandleSimEvent(arg Arg) {
+	if arg.K == 1 {
+		f.e.AfterArg(6*time.Second, f, arg)
+		return
+	}
+	if f.remaining--; f.remaining <= 0 {
+		f.e.Stop()
+		return
+	}
+	if f.e.Pending() >= fanoutPopulation {
+		return
+	}
+	for i := 0; i < 18; i++ {
+		lat := 8*time.Millisecond + time.Duration(f.rng.Int63n(int64(292*time.Millisecond)))
+		f.e.AfterArg(lat, f, arg)
+	}
+}
+
+// BenchmarkEngineFanout measures push/pop cost in relay's shape: a far
+// timer is the first event scheduled, then each delivery fans out 18
+// more at geo latencies over a standing population of 50 000. One op
+// is one delivery executed.
+func BenchmarkEngineFanout(b *testing.B) {
+	e := NewEngine(1)
+	f := &fanoutHandler{e: e, rng: NewStream(1, "bench-fanout", 0), remaining: b.N}
+	e.AfterArg(6*time.Second, f, Arg{K: 1})
+	e.AfterArg(0, f, Arg{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := e.Run(time.Duration(1<<62 - 1)); err != ErrStopped {
+		b.Fatalf("run ended with %v, want ErrStopped", err)
+	}
+}
+
 func BenchmarkRNGStreamAccess(b *testing.B) {
 	e := NewEngine(1)
 	e.RNG("x") // pre-create

@@ -1,11 +1,10 @@
 // The engine's pending-event queue. Production engines run the ladder
-// queue below — a calendar-style structure with O(1) amortized push
-// and pop for near-future events — while the reference binary heap is
-// kept alongside it for differential testing: both order events by the
-// same unique (at, seq) key, so any correct implementation pops the
-// exact same sequence and every downstream fingerprint (records,
-// chains, analysis) is bit-identical regardless of which queue an
-// engine runs on.
+// queue below — a multi-rung ladder queue with O(1) amortized push and
+// pop — while the reference binary heap is kept alongside it for
+// differential testing: both order events by the same unique (at, seq)
+// key, so any correct implementation pops the exact same sequence and
+// every downstream fingerprint (records, chains, analysis) is
+// bit-identical regardless of which queue an engine runs on.
 package sim
 
 import "math/bits"
@@ -69,419 +68,318 @@ func SetQueueImpl(impl QueueImpl) { defaultQueueImpl = impl }
 // CurrentQueueImpl reports the implementation new engines will use.
 func CurrentQueueImpl() QueueImpl { return defaultQueueImpl }
 
-// ladderSlots is the ring size: 256 power-of-two-width buckets. Must
-// be a multiple of 64 (the occupancy bitmap word size).
-const ladderSlots = 256
+// rungBuckets is the bucket count of every rung. Must be a multiple of
+// 64 (the occupancy bitmap word size); 256 makes a child rung's buckets
+// 256 times narrower than the bucket it splits, so a chain of child
+// rungs reaches 1 ns buckets within eight levels.
+const rungBuckets = 256
 
-// bucketTarget is the bucket width tuning goal: width is derived so a
-// bucket drains ~8–16 entries at the pending set's mean density.
-// Draining heapifies the bucket once (O(k)), so entries-per-bucket
-// trades heap depth on the current tier against refill frequency; the
-// degenerate regimes to avoid are width so coarse that the whole
-// pending set piles into the current bucket (the queue decays to a
-// plain binary heap) and width so fine that every bucket holds one
-// entry and refills dominate.
-const bucketTarget = 16
+// splitLimit is the largest bucket refill heapifies into the bottom
+// tier; a fuller bucket becomes a child rung of 256 finer buckets
+// instead, so the bottom heap stays a few entries deep however dense
+// the head of the queue is. It is also the chunk size of bucket lists,
+// so a bucket small enough for the bottom tier is one chunk.
+const splitLimit = 32
 
-// rebuildLimit caps how large the current-bucket tier may grow through
-// in-bucket pushes before the ladder re-derives a finer bucket width
-// from that tier's own density. The tier is a binary heap, so growth
-// past the limit is not catastrophic (pushes stay O(log k)), but a
-// bucket width that underestimates the head-of-queue density — mean
-// density is skewed by sparse far-future events — would otherwise
-// funnel every near-future event through one big heap and forfeit the
-// ring's O(1) routing.
-const rebuildLimit = 512
+// spillLimit caps the bottom tier's growth through pushes that land
+// below the finest rung's frontier (sub-bucket-width follow-ups to the
+// event being run): a bottom grown past it is spilled into a new finest
+// rung over [minimum, frontier), which refill then splits as usual.
+const spillLimit = 256
 
-// ladder is a ladder queue: a small binary-heap "current" tier holding
-// every pending event at or below the current epoch bucket, a 256-slot
-// timing-wheel ring of unsorted near-future buckets, and a binary-heap
-// far-future overflow tier.
+// ladder is a multi-rung ladder queue (Tang, Goh & Thng, "Ladder Queue:
+// An O(1) priority queue structure for large-scale discrete event
+// simulation", ACM TOMACS 2005). Pending entries live in three kinds of
+// tier, each holding a time range strictly after the one below it:
 //
-//   - push lands in the current tier (heap push — the fallback for
-//     events at or before the epoch being drained, typically a few
-//     entries deep), in a ring bucket (append + one bitmap OR), or in
-//     the overflow heap (O(log n), paid only by events beyond the
-//     ring's reach — the sparse far-future minority: block intervals,
-//     timers).
-//   - pop takes the current tier's minimum; when the tier drains, the
-//     next occupied ring bucket — found with a bitmap scan, no slot
-//     walk — is heapified once and becomes the new current tier.
-//     Overflow entries that have come into the ring's reach are
-//     spilled in first (heap pops, so a spill costs O(log n) per entry
-//     moved, never a scan of the whole tier).
-//   - when ring and current tier are both empty, the overflow
-//     migrates: the bucket width (1<<shift nanoseconds) is re-derived
-//     from the overflow's mean event density targeting bucketTarget
-//     entries per bucket, then in-reach events are redistributed. The
-//     current tier's rebuild guard (rebuildLimit) covers the skewed
-//     case where the head of the queue is far denser than that mean.
+//   - bot, a binary heap of every entry below the finest rung's
+//     frontier, so its root is the global minimum;
+//   - rungs[:nr], coarsest first, each 256 unsorted power-of-two-width
+//     buckets built over an exact interval; rung k covers [its front,
+//     rung k-1's front), rung 0 ends at topStart;
+//   - top, an unsorted list of every entry at or after topStart.
+//
+// push routes an entry to the first tier, coarsest first, whose lower
+// bound it reaches: an append to top, one subtraction, shift and
+// append into a rung bucket, or a heap push into bot. pop takes bot's
+// root; when bot is empty, refill takes the finest rung's next
+// occupied bucket (a bitmap scan): a bucket of at most splitLimit
+// entries is heapified as the new bot, a fuller one becomes a child
+// rung over that bucket. An empty finest rung is dropped, and when no
+// rung is left the top becomes a new rung. Every entry is thus copied
+// a bounded number of times (once per rung it passes through) and the
+// bottom heap stays small without any density heuristic.
+//
+// A tier may hold entries at exactly its upper bound (a rung built from
+// entries keeps its maximum, a bucket's end is clamped to its rung's),
+// while a push at a bound goes to the tier above. That keeps the
+// (at, seq) order because a push's seq exceeds every pending seq.
+//
+// Buckets are linked lists of fixed-size chunks from one shared pool,
+// not slices: rungs are rebuilt over ever-new intervals, and per-bucket
+// slices would each keep their largest-ever array — a coarse rung under
+// a transaction flood holds thousands of entries in each bucket the
+// flood spans, and which buckets those are moves with every rebuild.
+// The pool instead holds about the peak pending count.
 //
 // The zero value is an empty, usable queue. reset keeps every backing
 // array, so warm-pool engines re-enqueue without growing anything.
 type ladder struct {
-	n int // total pending entries
+	n   int // total pending entries
+	bot entHeap
 
-	// cur is the tier currently being consumed: a binary heap of every
-	// pending entry with bucket index (at>>shift) <= epoch, so its root
-	// is always the global minimum when non-empty. A heap rather than a
-	// sorted run because event handlers routinely schedule follow-ups
-	// inside the bucket being drained (sub-width latencies), and sorted
-	// insertion would pay O(tier size) memmove per push.
-	cur entHeap
+	// rungs[:nr] are active; rungs past nr are empty, kept for reuse.
+	rungs []rung
+	nr    int
 
-	shift uint   // bucket width is 1<<shift nanoseconds
-	epoch uint64 // absolute bucket index drained into cur
+	top      []qent
+	topStart Time
+	topMax   Time // max(topStart, every top entry)
 
-	// ring[b & 255] holds the unsorted entries of absolute bucket b for
-	// b in (epoch, epoch+256]; occ mirrors slot non-emptiness so the
-	// next occupied slot is one or two word scans away.
-	ring  [ladderSlots][]qent
-	occ   [ladderSlots / 64]uint64
-	ringN int
+	chunks []chunk
+	free   int32 // free chunk list: index+1 of its head, 0 when empty
+}
 
-	// over holds entries beyond the ring's reach, heap-ordered so its
-	// minimum is O(1) to read and in-reach entries spill forward in
-	// (at, seq) order without scanning the tier. refill checks the heap
-	// minimum before committing to a ring bucket, so the epoch never
-	// passes a pending overflow entry.
-	over entHeap
+// chunk is one piece of a bucket's entry list, or of the free list.
+type chunk struct {
+	e    [splitLimit]qent
+	next int32 // index+1 of the next chunk, 0 for none
+}
 
-	// scratch is reused by rebuild to collect the current tier and ring
-	// entries for redistribution under a finer bucket width.
-	scratch []qent
+// bucket is an unsorted entry list: n entries in chunks head..tail,
+// every chunk but the tail full.
+type bucket struct {
+	head, tail, n int32
+}
 
-	// rebuildAt is the current-tier size that triggers the next rebuild
-	// attempt: max(rebuildLimit, backoff). A rebuild that cannot help —
-	// the tier is one big tie group, or the width is already as fine as
-	// its density warrants — must not be retried on every push (each
-	// attempt scans the tier), so a failed attempt doubles the
-	// threshold and a fresh tier era (refill) resets it.
-	rebuildAt int
+// rung is one level of the ladder: 256 buckets of width 1<<shift
+// nanoseconds starting at lo. Buckets below front have been drained
+// and stay empty, so the first occupied bucket is the next one due.
+type rung struct {
+	lo, front Time
+	shift     uint
+	n         int
+	occ       [rungBuckets / 64]uint64
+	b         [rungBuckets]bucket
+}
 
-	// fineShift remembers the bucket width the last rebuild derived
-	// from an observed dense stretch (0 = none observed yet). Campaign
-	// workloads are bursty: between announce floods the pending set is
-	// a handful of seconds-apart timers, and a width derived from that
-	// sparse mix would make the next burst land entirely inside one
-	// bucket. migrate clamps its density-derived width to fineShift,
-	// and relaxes it one notch per clamped migration so a one-off
-	// ultra-dense burst cannot pin the queue too fine forever.
-	fineShift uint
+// put appends e to its bucket of r; e.at must lie in r's range.
+func (l *ladder) put(r *rung, e qent) {
+	i := uint64(e.at-r.lo) >> r.shift
+	b := &r.b[i]
+	k := b.n % splitLimit
+	if k == 0 {
+		c := l.newChunk()
+		if b.n == 0 {
+			r.occ[i>>6] |= 1 << (i & 63)
+			b.head = c
+		} else {
+			l.chunks[b.tail].next = c + 1
+		}
+		b.tail = c
+	}
+	l.chunks[b.tail].e[k] = e
+	b.n++
+	r.n++
+}
+
+func (l *ladder) newChunk() int32 {
+	if c := l.free - 1; c >= 0 {
+		l.free = l.chunks[c].next
+		l.chunks[c].next = 0
+		return c
+	}
+	l.chunks = append(l.chunks, chunk{})
+	return int32(len(l.chunks) - 1)
+}
+
+// take empties bucket i of r, appending its entries to dst.
+func (l *ladder) take(r *rung, i uint, dst []qent) []qent {
+	b := r.b[i]
+	for c, left := b.head, b.n; left > 0; c = l.chunks[c].next - 1 {
+		dst = append(dst, l.chunks[c].e[:min(left, splitLimit)]...)
+		left -= splitLimit
+	}
+	l.drop(r, i)
+	return dst
+}
+
+// drop empties bucket i of r, returning its chunks to the free list.
+func (l *ladder) drop(r *rung, i uint) {
+	b := r.b[i]
+	l.chunks[b.tail].next = l.free
+	l.free = b.head + 1
+	r.b[i] = bucket{}
+	r.occ[i>>6] &^= 1 << (i & 63)
+	r.n -= int(b.n)
+}
+
+// first returns the first occupied bucket. r.n > 0 required.
+func (r *rung) first() uint {
+	for w, m := range r.occ {
+		if m != 0 {
+			return uint(w)<<6 | uint(bits.TrailingZeros64(m))
+		}
+	}
+	panic("sim: ladder rung occupancy corrupt")
 }
 
 func (l *ladder) size() int { return l.n }
+
+// bound returns the upper bound of rung k's range (k == nr: the bottom
+// tier's): the front of the rung above it, or topStart.
+func (l *ladder) bound(k int) Time {
+	if k == 0 {
+		return l.topStart
+	}
+	return l.rungs[k-1].front
+}
 
 func (l *ladder) push(at Time, seq uint64, idx int32) {
 	e := qent{at: at, seq: seq, idx: idx}
 	l.n++
 	if l.n == 1 {
-		// Empty queue: restart the current tier at this event's bucket.
-		// The dominant self-scheduling pattern (pop one event, schedule
-		// its successor) stays on this path and never touches the ring.
-		l.epoch = uint64(at) >> l.shift
-		l.cur.h = append(l.cur.h[:0], e)
+		// Empty queue: the entry alone is the bottom tier and everything
+		// later goes to the top. The dominant self-scheduling pattern
+		// (pop one event, schedule its successor) never leaves this path.
+		l.nr = 0
+		l.topStart, l.topMax = at, at
+		l.bot.h = append(l.bot.h[:0], e)
 		return
 	}
-	b := uint64(at) >> l.shift
-	if b <= l.epoch {
-		l.cur.push(e)
-		if n := l.cur.len(); n > rebuildLimit && n > l.rebuildAt {
-			l.rebuild()
+	if at >= l.topStart {
+		l.topMax = max(l.topMax, at)
+		l.top = append(l.top, e)
+		return
+	}
+	for k := 0; k < l.nr; k++ {
+		if r := &l.rungs[k]; at >= r.front {
+			l.put(r, e)
+			return
 		}
-		return
 	}
-	if b-l.epoch <= ladderSlots {
-		l.ringPut(e, b)
-		return
+	l.bot.push(e)
+	if len(l.bot.h) > spillLimit {
+		l.spill()
 	}
-	l.over.push(e)
 }
 
-// ringPut appends e to the ring slot of absolute bucket b. The caller
-// guarantees b is within the ring's reach: epoch < b <= epoch+256.
-func (l *ladder) ringPut(e qent, b uint64) {
-	slot := b & (ladderSlots - 1)
-	if len(l.ring[slot]) == 0 {
-		l.occ[slot>>6] |= 1 << (slot & 63)
-	}
-	l.ring[slot] = append(l.ring[slot], e)
-	l.ringN++
-}
-
-// densityShift derives the bucket width exponent targeting
-// bucketTarget entries per bucket at mean density: width ≈
-// span·target/count, floored to a power of two. count > 0.
-func densityShift(span, count uint64) uint {
-	ideal := span / count
-	if ideal > 1<<50 {
-		ideal = 1 << 50 // clamp: keeps ideal*bucketTarget in range
-	}
-	ideal *= bucketTarget
-	if ideal == 0 {
-		return 0
-	}
-	return uint(bits.Len64(ideal)) - 1
-}
-
-// rebuild re-derives the bucket width from the current tier's own
-// density and redistributes the tier and the ring under it. Triggered
-// by push when the tier outgrows rebuildLimit: the global mean density
-// that sized the buckets (sparse far-future events included)
-// underestimated the head-of-queue density, so the epoch bucket
-// swallowed the near-future mass. Only runs when the width strictly
-// decreases, so it triggers O(1) times per migration era and its cost
-// is amortized over the >= rebuildLimit pushes that grew the tier.
-func (l *ladder) rebuild() {
-	h := l.cur.h
-	maxAt := h[0].at
-	for _, e := range h[1:] {
-		if e.at > maxAt {
-			maxAt = e.at
-		}
-	}
-	span := uint64(maxAt - h[0].at) // h[0] is the heap minimum
-	if span == 0 {
-		// A tier of exact ties cannot be split finer; heap pushes into
-		// it stay cheap, so the large tier is harmless. Back off so the
-		// ties do not pay this scan again per push.
-		l.rebuildAt = 2 * len(h)
+// spill moves the bottom tier into a new finest rung over [minimum,
+// bound), unless its entries all sit within one nanosecond of the bound
+// (a tie group no rung can split; its heap pushes stay cheap).
+func (l *ladder) spill() {
+	h := l.bot.h
+	end := l.bound(l.nr)
+	if end-h[0].at <= 1 {
 		return
 	}
-	shift := densityShift(span, uint64(len(h)))
-	if shift >= l.shift {
-		l.rebuildAt = 2 * len(h)
-		return
-	}
-	l.rebuildAt = 0
-	// Pin the burst-density width for future migrations (fineShift 0
-	// means unset, so floor the pin at 1).
-	l.fineShift = shift
-	if l.fineShift == 0 {
-		l.fineShift = 1
-	}
-	// Collect the tier and every ring entry, then redistribute under
-	// the finer width. Ring entries all sort after the tier (their old
-	// buckets were beyond the epoch), so the new epoch is the tier's
-	// minimum bucket and beyond-reach entries fall into the overflow
-	// heap.
-	l.scratch = append(l.scratch[:0], h...)
-	l.cur.h = h[:0]
-	if l.ringN > 0 {
-		for w, bm := range l.occ {
-			for bm != 0 {
-				slot := uint(w)<<6 | uint(bits.TrailingZeros64(bm))
-				bm &= bm - 1
-				l.scratch = append(l.scratch, l.ring[slot]...)
-				l.ring[slot] = l.ring[slot][:0]
-			}
-		}
-		l.occ = [ladderSlots / 64]uint64{}
-		l.ringN = 0
-	}
-	l.shift = shift
-	l.redistribute(l.scratch)
+	l.spawn(h, end)
+	l.bot.h = h[:0]
 }
 
-// redistribute rebuilds cur, ring and overflow from entries under the
-// current shift: the epoch becomes the minimum entry's bucket, whose
-// entries form the new current tier (heapified once); in-reach entries
-// fill ring buckets; the rest go to the overflow heap. The caller has
-// emptied cur and ring; entries[0] must hold the minimum timestamp —
-// both callers guarantee it by construction (rebuild: heap root;
-// migrate: scanned minimum swapped to front).
-func (l *ladder) redistribute(entries []qent) {
-	l.epoch = uint64(entries[0].at) >> l.shift
-	for _, e := range entries {
-		b := uint64(e.at) >> l.shift
-		if b == l.epoch {
-			l.cur.h = append(l.cur.h, e)
-			continue
-		}
-		if b-l.epoch <= ladderSlots {
-			l.ringPut(e, b)
-			continue
-		}
-		l.over.push(e)
+// spawn adds es as the new finest rung, covering [min(es), end) — and
+// any of es at exactly end — with the finest bucket width that fits
+// that interval in 256 buckets.
+func (l *ladder) spawn(es []qent, end Time) {
+	lo, hi := es[0].at, es[0].at
+	for _, e := range es[1:] {
+		lo, hi = min(lo, e.at), max(hi, e.at)
 	}
-	l.cur.init()
+	hi = max(hi, end-1)
+	if l.nr == len(l.rungs) {
+		l.rungs = append(l.rungs, rung{})
+	}
+	r := &l.rungs[l.nr]
+	l.nr++
+	r.lo, r.front = lo, lo
+	r.shift = uint(bits.Len64(uint64(hi-lo) >> 8))
+	for _, e := range es {
+		l.put(r, e)
+	}
 }
 
 func (l *ladder) peek() (Time, bool) {
-	if l.cur.len() == 0 && !l.refill() {
+	if len(l.bot.h) == 0 && !l.refill() {
 		return 0, false
 	}
-	return l.cur.h[0].at, true
+	return l.bot.h[0].at, true
 }
 
 func (l *ladder) pop() (int32, bool) {
-	h := l.cur.h
+	h := l.bot.h
 	if len(h) == 0 {
 		if !l.refill() {
 			return 0, false
 		}
-		h = l.cur.h
+		h = l.bot.h
 	}
 	l.n--
 	if len(h) == 1 {
-		// Dominant self-scheduling pattern: one pending event. Skip the
-		// root-swap-and-sift of a general heap pop.
-		l.cur.h = h[:0]
+		// Skip the root-swap-and-sift of a general heap pop: after a
+		// refill of small buckets this is the common case.
+		l.bot.h = h[:0]
 		return h[0].idx, true
 	}
-	return l.cur.popMin().idx, true
+	return l.bot.popMin().idx, true
 }
 
-// refill makes the current tier non-empty, draining the next occupied
-// ring bucket (migrating the overflow first when the ring is empty).
-// Returns false when the queue is empty. On entry the current tier is
-// empty.
+// refill makes the bottom tier non-empty from the finest rung's next
+// occupied bucket, splitting full buckets into child rungs and turning
+// the top into a rung when no rung is left. Returns false when the
+// queue is empty. On entry the bottom tier is empty.
 func (l *ladder) refill() bool {
 	if l.n == 0 {
 		return false
 	}
-	l.rebuildAt = 0 // fresh tier era: re-arm the rebuild guard
-	if l.ringN == 0 {
-		// Only the overflow holds events.
-		if l.over.len() >= rebuildLimit {
-			// Enough of a sample to re-derive the bucket width from
-			// real density; migration leaves the minimum bucket's
-			// events in the current tier.
-			l.migrate()
-			return true
+	for {
+		if l.nr == 0 {
+			l.topStart = l.topMax
+			l.spawn(l.top, l.topMax)
+			l.top = l.top[:0]
 		}
-		// Sparse tier: re-deriving width from a handful of seconds-apart
-		// timers would wreck the next burst (see fineShift), and with
-		// nothing near there is nothing to amortize. Keep the width,
-		// jump the epoch to just before the next pending bucket and
-		// spill that bucket in; the normal drain below picks it up.
-		b0 := uint64(l.over.minAt()) >> l.shift
-		l.epoch = b0 - 1
-		l.spill(b0)
-	}
-	// The first occupied slot at circular distance d >= 1 from the
-	// current epoch holds exactly the events of bucket epoch+1+d':
-	// occupied slots map one-to-one onto buckets in (epoch, epoch+256],
-	// so circular order is bucket order.
-	s0 := uint((l.epoch + 1) & (ladderSlots - 1))
-	slot := l.nextSlot(s0)
-	bNext := l.epoch + 1 + uint64((slot-s0)&(ladderSlots-1))
-	if l.over.len() > 0 && uint64(l.over.minAt())>>l.shift <= bNext {
-		// The epoch has advanced far enough that overflow entries now
-		// fall at or before the next ring bucket: spill every such
-		// entry into the ring before committing, or an earlier event
-		// would be stranded behind this bucket. Spills are heap pops —
-		// O(log n) per entry moved, once per entry's life.
-		l.spill(bNext)
-		slot = l.nextSlot(s0)
-		bNext = l.epoch + 1 + uint64((slot-s0)&(ladderSlots-1))
-	}
-	l.epoch = bNext
-	b := l.ring[slot]
-	l.cur.h = append(l.cur.h[:0], b...)
-	l.cur.init()
-	l.ring[slot] = b[:0]
-	l.occ[slot>>6] &^= 1 << (slot & 63)
-	l.ringN -= len(b)
-	return true
-}
-
-// nextSlot returns the first occupied slot at or circularly after s0.
-// The caller guarantees ringN > 0.
-func (l *ladder) nextSlot(s0 uint) uint {
-	w0, b0 := s0>>6, s0&63
-	if m := l.occ[w0] &^ (1<<b0 - 1); m != 0 {
-		return w0<<6 | uint(bits.TrailingZeros64(m))
-	}
-	for i := uint(1); i < ladderSlots/64; i++ {
-		w := (w0 + i) & (ladderSlots/64 - 1)
-		if m := l.occ[w]; m != 0 {
-			return w<<6 | uint(bits.TrailingZeros64(m))
+		k := l.nr - 1
+		r := &l.rungs[k]
+		if r.n == 0 {
+			l.nr = k
+			continue
 		}
-	}
-	if m := l.occ[w0] & (1<<b0 - 1); m != 0 {
-		return w0<<6 | uint(bits.TrailingZeros64(m))
-	}
-	panic("sim: ladder ring occupancy corrupt")
-}
-
-// spill pops overflow entries whose bucket is at or before bNext into
-// their ring buckets. All overflow buckets are strictly beyond the
-// epoch (refill's check prevents the epoch from ever passing a pending
-// overflow entry) and bNext <= epoch+256, so spilled entries always
-// have a valid ring slot.
-func (l *ladder) spill(bNext uint64) {
-	for l.over.len() > 0 {
-		b := uint64(l.over.minAt()) >> l.shift
-		if b > bNext {
-			return
+		i := r.first()
+		// The bucket's end, clamped to the rung's bound; computed in
+		// uint64 because a last bucket may end past the int64 range.
+		front := uint64(r.lo) + uint64(i+1)<<r.shift
+		r.front = Time(min(front, uint64(l.bound(k))))
+		// The bottom tier's array doubles as the scratch a full bucket
+		// is split from.
+		l.bot.h = l.take(r, i, l.bot.h[:0])
+		if len(l.bot.h) > splitLimit && r.shift > 0 {
+			l.spawn(l.bot.h, r.front)
+			l.bot.h = l.bot.h[:0]
+			continue
 		}
-		l.ringPut(l.over.popMin(), b)
+		l.bot.init()
+		return true
 	}
 }
 
-// migrate re-derives the bucket width from the overflow's mean event
-// density (bucketTarget entries per bucket) and redistributes:
-// minimum-bucket events into the current tier, in-reach events into
-// ring buckets, the rest re-heapified. Called only when cur and ring
-// are both empty and the overflow holds a density sample worth acting
-// on (>= rebuildLimit entries), which at the derived width happens
-// once per ~bucketTarget*ladderSlots pops, amortizing the O(n) pass.
-func (l *ladder) migrate() {
-	h := l.over.h
-	minI := 0
-	minAt, maxAt := h[0].at, h[0].at
-	for i, e := range h[1:] {
-		if e.at < minAt {
-			minAt, minI = e.at, i+1
-		}
-		if e.at > maxAt {
-			maxAt = e.at
-		}
-	}
-	shift := densityShift(uint64(maxAt-minAt), uint64(len(h)))
-	if l.fineShift != 0 && shift > l.fineShift {
-		// The mean density is diluted by far-future events, but a
-		// denser stretch has been observed: stay near that width so
-		// the next burst lands in the ring, and relax the clamp one
-		// notch so a workload that really did turn sparse converges
-		// back to its mean width within a few migrations.
-		shift = l.fineShift
-		l.fineShift++
-	}
-	l.shift = shift
-	h[0], h[minI] = h[minI], h[0]
-	l.over.h = h[:0]
-	l.redistribute(h)
-	// redistribute pushed beyond-reach entries back one by one, each a
-	// sift-up into the tier it came from; the heap invariant holds by
-	// construction.
-}
-
-// reset empties the queue keeping every backing array (current tier,
-// ring buckets, overflow heap), so a recycled engine's first events
-// re-enqueue without allocating. Entries hold no pointers, so stale
-// capacity needs no zeroing.
+// reset empties the queue keeping every backing array (bottom, top,
+// rungs, chunk pool), so a recycled engine's first events re-enqueue
+// without allocating. Entries hold no pointers, so stale capacity needs
+// no zeroing.
 func (l *ladder) reset() {
-	l.cur.h = l.cur.h[:0]
-	if l.ringN > 0 {
-		for i := range l.ring {
-			l.ring[i] = l.ring[i][:0]
+	for k := range l.rungs[:l.nr] {
+		r := &l.rungs[k]
+		for r.n > 0 {
+			l.drop(r, r.first())
 		}
 	}
-	l.occ = [ladderSlots / 64]uint64{}
-	l.ringN = 0
-	l.over.h = l.over.h[:0]
-	l.n = 0
-	l.shift = 0
-	l.epoch = 0
-	l.fineShift = 0
-	l.rebuildAt = 0
+	l.nr, l.n = 0, 0
+	l.bot.h = l.bot.h[:0]
+	l.top = l.top[:0]
+	l.topStart, l.topMax = 0, 0
 }
 
 // entHeap is a binary min-heap of qent ordered by (at, seq). It backs
-// the ladder's current and overflow tiers and the reference queue
-// implementation.
+// the ladder's bottom tier and the reference queue implementation.
 type entHeap struct {
 	h []qent
 }

@@ -19,32 +19,84 @@ func popAll(q queue) []int32 {
 	}
 }
 
+// A diffStep decides one differential operation from the queue's
+// pending count: pop, or push delta ahead of the current time.
+type diffStep func(r *rand.Rand, pending int) (pop bool, delta Time)
+
+// deltaStep pushes two times in three (always when the queue is empty)
+// with deltas drawn from next, and pops otherwise.
+func deltaStep(next func(r *rand.Rand) Time) diffStep {
+	return func(r *rand.Rand, pending int) (bool, Time) {
+		if pending > 0 && r.Intn(3) == 0 {
+			return true, 0
+		}
+		return false, next(r)
+	}
+}
+
+// floodPopulation is the standing population of floodStep.
+const floodPopulation = 50_000
+
+// floodStep models a transaction flood at relay scale: the queue fills
+// to floodPopulation geo-latency deliveries (8–300 ms out), then every
+// pop that leaves it below that population fans out 18 more.
+func floodStep() diffStep {
+	fan, filled := 0, false
+	return func(r *rand.Rand, pending int) (bool, Time) {
+		switch {
+		case fan > 0:
+			fan--
+		case !filled && pending < floodPopulation:
+		case pending < floodPopulation:
+			fan = 17
+		default:
+			filled = true
+			return true, 0
+		}
+		return false, 8*time.Millisecond + Time(r.Int63n(int64(292*time.Millisecond)))
+	}
+}
+
+// farFirstStep pushes one event about 6 s out first, then dense
+// near-term pushes (tens of microseconds) with pops in between: the
+// shape of a campaign whose first scheduled event is a far timer.
+func farFirstStep() diffStep {
+	first := true
+	near := deltaStep(func(r *rand.Rand) Time { return ExpDuration(r, 40*time.Microsecond) })
+	return func(r *rand.Rand, pending int) (bool, Time) {
+		if first {
+			first = false
+			return false, 6*time.Second + Time(r.Intn(int(time.Second)))
+		}
+		return near(r, pending)
+	}
+}
+
 // runDifferential drives a ladder and a refHeap through the identical
 // operation sequence and fails on the first divergence in pop order,
 // peek result or size. Because (at, seq) keys are unique, any two
 // correct priority queues must agree exactly. "Cancel" in the workload
 // sense is realized as pop-and-discard — the engine has no cancel API,
 // so removal always happens at the minimum.
-func runDifferential(t testing.TB, ops int, nextDelta func(r *rand.Rand) Time, r *rand.Rand) {
+func runDifferential(t testing.TB, ops int, step diffStep, r *rand.Rand) {
 	t.Helper()
 	var lad ladder
 	var ref refHeap
 	var now Time
 	var seq uint64
 	for i := 0; i < ops; i++ {
-		switch {
-		case ref.size() == 0 || r.Intn(3) > 0:
-			seq++
-			at := now + nextDelta(r)
-			idx := int32(seq)
-			lad.push(at, seq, idx)
-			ref.push(at, seq, idx)
-		default:
+		if pop, delta := step(r, ref.size()); pop {
 			li, lok := lad.pop()
 			ri, rok := ref.pop()
 			if li != ri || lok != rok {
 				t.Fatalf("op %d: ladder popped (%d,%v), heap popped (%d,%v)", i, li, lok, ri, rok)
 			}
+		} else {
+			seq++
+			at := now + delta
+			idx := int32(seq)
+			lad.push(at, seq, idx)
+			ref.push(at, seq, idx)
 		}
 		lp, lok := lad.peek()
 		rp, rok := ref.peek()
@@ -71,53 +123,171 @@ func runDifferential(t testing.TB, ops int, nextDelta func(r *rand.Rand) Time, r
 
 // TestLadderMatchesRefHeap is the queue-level differential suite: the
 // ladder must pop the exact (at, seq) total order of the reference
-// heap across delta regimes that exercise every tier — active-run
-// inserts (zero and tiny deltas, ties at one instant), ring buckets
-// (mid-range deltas), and the overflow with spill and migration
-// (heavy-tailed and huge deltas).
+// heap across regimes that exercise every tier — bottom-tier inserts
+// and spills (zero and tiny deltas, ties at one instant), rung buckets
+// and child rungs (mid-range deltas), the top (heavy-tailed and huge
+// deltas), a far first event ahead of dense near-term traffic, and a
+// relay-scale flood of 50 000 pending deliveries.
 func TestLadderMatchesRefHeap(t *testing.T) {
-	regimes := map[string]func(r *rand.Rand) Time{
-		"ties": func(r *rand.Rand) Time {
+	type regime struct {
+		ops, seeds int
+		step       func() diffStep
+	}
+	deltas := func(next func(r *rand.Rand) Time) regime {
+		return regime{8_000, 8, func() diffStep { return deltaStep(next) }}
+	}
+	regimes := map[string]regime{
+		"ties": deltas(func(r *rand.Rand) Time {
 			return Time(r.Intn(3)) * time.Millisecond
-		},
-		"micro": func(r *rand.Rand) Time {
+		}),
+		"micro": deltas(func(r *rand.Rand) Time {
 			return Time(r.Intn(2000)) * time.Nanosecond
-		},
-		"delivery": func(r *rand.Rand) Time {
+		}),
+		"delivery": deltas(func(r *rand.Rand) Time {
 			d := ExpDuration(r, 25*time.Millisecond)
 			if r.Intn(2) == 0 {
 				return d + 8*time.Millisecond
 			}
 			return d + 120*time.Millisecond
-		},
-		"heavytail": func(r *rand.Rand) Time {
+		}),
+		"heavytail": deltas(func(r *rand.Rand) Time {
 			if r.Intn(16) == 0 {
 				return ExpDuration(r, 10*time.Hour)
 			}
 			return ExpDuration(r, time.Millisecond)
-		},
-		"horizon": func(r *rand.Rand) Time {
+		}),
+		"horizon": deltas(func(r *rand.Rand) Time {
 			return ExpDuration(r, 30*24*time.Hour)
-		},
+		}),
+		"far-first": {8_000, 8, farFirstStep},
+		"flood":     {200_000, 2, floodStep},
 	}
-	for name, delta := range regimes {
+	for name, rg := range regimes {
 		t.Run(name, func(t *testing.T) {
-			for seed := int64(1); seed <= 8; seed++ {
-				runDifferential(t, 8_000, delta, NewStream(seed, "queue-diff", uint64(seed)))
+			for seed := int64(1); seed <= int64(rg.seeds); seed++ {
+				runDifferential(t, rg.ops, rg.step(), NewStream(seed, "queue-diff", uint64(seed)))
 			}
 		})
 	}
 }
 
+// TestLadderTierBounded pins the shape that makes the ladder fast: on
+// the relay-scale flood the bottom heap every pop works on stays a few
+// entries deep, never outgrows spillLimit, and the ladder stays a few
+// rungs tall. (The single-rung ladder it replaced popped this workload
+// from a current-tier heap of thousands of entries.)
+func TestLadderTierBounded(t *testing.T) {
+	var l ladder
+	step := floodStep()
+	r := NewStream(1, "queue-tier", 1)
+	var now Time
+	var seq uint64
+	pops, botSum, botMax, rungMax := 0, 0, 0, 0
+	for i := 0; i < 300_000; i++ {
+		if pop, delta := step(r, l.size()); pop {
+			now, _ = l.peek()
+			bot, _ := l.tiers()
+			pops++
+			botSum += bot
+			botMax = max(botMax, bot)
+			l.pop()
+		} else {
+			seq++
+			l.push(now+delta, seq, int32(seq))
+		}
+		_, rungs := l.tiers()
+		rungMax = max(rungMax, rungs)
+	}
+	mean := float64(botSum) / float64(pops)
+	t.Logf("%d pops: bottom mean %.1f max %d, rungs max %d", pops, mean, botMax, rungMax)
+	if pops < 100_000 {
+		t.Fatalf("flood popped only %d times", pops)
+	}
+	if mean > 2*splitLimit {
+		t.Errorf("pop-weighted mean bottom size %.1f, want <= %d", mean, 2*splitLimit)
+	}
+	if botMax > spillLimit {
+		t.Errorf("bottom tier reached %d entries at a pop, want <= %d", botMax, spillLimit)
+	}
+	if rungMax > 8 {
+		t.Errorf("ladder grew %d rungs, want <= 8", rungMax)
+	}
+}
+
+// TestLadderTieFloodStaysInBottom pins the spill guard: a tie group no
+// rung can split (zero-delay follow-ups at one instant) stays in the
+// bottom heap instead of being spilled into a new rung on every push.
+func TestLadderTieFloodStaysInBottom(t *testing.T) {
+	var l ladder
+	var seq uint64
+	push := func(at Time) {
+		seq++
+		l.push(at, seq, int32(seq))
+	}
+	push(time.Second)
+	for i := 0; i < 1000; i++ {
+		push(0)
+	}
+	for i := 0; i < 5000; i++ {
+		l.pop()
+		push(0)
+		if bot, rungs := l.tiers(); rungs > 8 {
+			t.Fatalf("step %d: %d rungs (bottom %d) for one tie group", i, rungs, bot)
+		}
+	}
+}
+
+// fuzzPush encodes a FuzzQueueOrder push of mag·40 µs (mag 1–63).
+func fuzzPush(mag int) byte { return 2 | byte(mag)<<2 }
+
+// farFirstFuzzSeed is the far-first regime in FuzzQueueOrder's
+// encoding: one push 3 h out, then dense pushes 40 µs–2.5 ms out with
+// a pop after every two.
+func farFirstFuzzSeed() []byte {
+	b := []byte{3 | 1<<2}
+	for i := 0; i < 900; i++ {
+		if i%3 == 2 {
+			b = append(b, 0)
+		} else {
+			b = append(b, fuzzPush(1+i*37%63))
+		}
+	}
+	return b
+}
+
+// floodFuzzSeed is the flood regime in FuzzQueueOrder's encoding, at a
+// standing population of 2 000 rather than 50 000 so the fuzzer's
+// mutation and minimization of inputs derived from it stay fast: fill
+// with pushes 40 µs–2.5 ms out, then cycles of one pop fanning out 18
+// pushes followed by 17 plain pops.
+func floodFuzzSeed() []byte {
+	var b []byte
+	for i := 0; i < 2_000; i++ {
+		b = append(b, fuzzPush(1+i*37%63))
+	}
+	for c := 0; c < 100; c++ {
+		b = append(b, 0)
+		for i := 0; i < 18; i++ {
+			b = append(b, fuzzPush(1+(c*18+i)*29%63))
+		}
+		for i := 0; i < 17; i++ {
+			b = append(b, 0)
+		}
+	}
+	return b
+}
+
 // FuzzQueueOrder drives both queue implementations from raw bytes:
 // two bits select the operation (pop-and-discard, or a push whose
-// delta magnitude ranges from exact ties through ring-scale to
-// overflow-scale), and the remaining bits scale the delta. The ladder
+// delta magnitude ranges from exact ties through bucket-scale to
+// far-future), and the remaining bits scale the delta. The ladder
 // must match the reference heap's pop order on every input.
 func FuzzQueueOrder(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 255, 254, 17, 0, 0, 129})
 	f.Add([]byte{255, 255, 255, 0, 0, 0, 1, 1})
 	f.Add([]byte{7})
+	f.Add(farFirstFuzzSeed())
+	f.Add(floodFuzzSeed())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var lad ladder
 		var ref refHeap
@@ -165,21 +335,19 @@ func FuzzQueueOrder(f *testing.F) {
 	})
 }
 
-// TestLadderOverflowSpill pins the regression where the epoch advanced
-// past an overflow entry: an event pushed beyond the ring's reach must
-// still pop in order once near-future pushes have dragged the epoch
-// close to it.
+// TestLadderOverflowSpill pins an event far beyond a fine bucket
+// width: it must still pop in order once near-future pushes, popped as
+// they go, have dragged the clock close to it and past it.
 func TestLadderOverflowSpill(t *testing.T) {
 	var l ladder
-	// Two initial events force a migration with a nanosecond-scale
-	// span, fixing a tiny bucket width.
+	// Two nanosecond-scale initial events build a fine first rung.
 	l.push(0, 1, 1)
 	l.push(200, 2, 2)
-	// Far beyond ring reach at shift ~0: goes to the overflow.
+	// Far beyond the first rung's range: goes to the top.
 	l.push(100_000, 3, 3)
-	// Walk the epoch toward the overflow entry with ring-range pushes,
-	// popping as we go, then past it: the overflow entry must surface
-	// in (at, seq) order, not after the later ring buckets.
+	// Walk the clock toward the far entry with near pushes, popping as
+	// we go, then past it: the far entry must surface in (at, seq)
+	// order, not after the later near entries.
 	var ref refHeap
 	ref.push(0, 1, 1)
 	ref.push(200, 2, 2)
@@ -214,11 +382,14 @@ func TestLadderOverflowSpill(t *testing.T) {
 // zero-length slices too), for reuse identity checks.
 func arrayPtr[T any](s []T) uintptr { return reflect.ValueOf(s).Pointer() }
 
+// tiers reports the bottom tier's size and the active rung count.
+func (l *ladder) tiers() (bottom, rungs int) { return len(l.bot.h), l.nr }
+
 // TestEngineResetKeepsQueueArrays is the warm-pool regression test for
-// the ladder queue: after a run that exercised the current tier, the
-// ring and the overflow, Reset must keep the slab and every queue
-// backing array (pointer identity), so a recycled engine's first
-// events allocate nothing.
+// the ladder queue: after a run that exercised the bottom tier, a
+// ladder of rungs and the top, with events still pending in all of
+// them, Reset must keep the slab and every queue backing array (pointer
+// identity), so a recycled engine's first events allocate nothing.
 func TestEngineResetKeepsQueueArrays(t *testing.T) {
 	e := NewEngine(1)
 	if e.ref != nil {
@@ -228,43 +399,43 @@ func TestEngineResetKeepsQueueArrays(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		e.Schedule(Time(i)*time.Millisecond, sink)
 	}
-	e.Schedule(30*24*time.Hour, sink) // overflow tier
+	e.Schedule(30*24*time.Hour, sink) // far past every rung: the top
 	if _, err := e.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
+	e.Schedule(60*24*time.Hour, sink)
 
-	slabPtr := arrayPtr(e.slab)
-	activePtr := arrayPtr(e.lq.cur.h)
-	overPtr := arrayPtr(e.lq.over.h)
-	ringPtrs := make([]uintptr, ladderSlots)
-	occupied := 0
-	for i := range e.lq.ring {
-		ringPtrs[i] = arrayPtr(e.lq.ring[i])
-		if cap(e.lq.ring[i]) > 0 {
-			occupied++
-		}
+	lq := &e.lq
+	if len(lq.top) == 0 || lq.nr < 2 || len(lq.bot.h) == 0 {
+		t.Fatalf("workload left top %d, rungs %d, bottom %d; test is vacuous", len(lq.top), lq.nr, len(lq.bot.h))
 	}
-	if occupied == 0 {
-		t.Fatal("workload never touched the ring; test is vacuous")
+	ptrs := func() [5]uintptr {
+		return [5]uintptr{arrayPtr(e.slab), arrayPtr(lq.bot.h), arrayPtr(lq.top), arrayPtr(lq.rungs), arrayPtr(lq.chunks)}
 	}
+	before := ptrs()
+	chunks := len(lq.chunks)
 
 	e.Reset(2)
 	if e.Pending() != 0 || e.Now() != 0 {
 		t.Fatalf("reset engine not empty: pending=%d now=%v", e.Pending(), e.Now())
 	}
-	if got := arrayPtr(e.slab); got != slabPtr {
-		t.Error("Reset replaced the slab backing array")
-	}
-	if got := arrayPtr(e.lq.cur.h); got != activePtr {
-		t.Error("Reset replaced the active-run backing array")
-	}
-	if got := arrayPtr(e.lq.over.h); got != overPtr {
-		t.Error("Reset replaced the overflow backing array")
-	}
-	for i := range e.lq.ring {
-		if arrayPtr(e.lq.ring[i]) != ringPtrs[i] {
-			t.Errorf("Reset replaced ring bucket %d's backing array", i)
+	names := [5]string{"slab", "bottom tier", "top", "rung", "chunk pool"}
+	for i, p := range ptrs() {
+		if p != before[i] {
+			t.Errorf("Reset replaced the %s backing array", names[i])
 		}
+	}
+	for k := range lq.rungs {
+		if r := &lq.rungs[k]; r.n != 0 || r.occ != [rungBuckets / 64]uint64{} || r.b != [rungBuckets]bucket{} {
+			t.Errorf("Reset left rung %d non-empty: n=%d occ=%x", k, r.n, r.occ)
+		}
+	}
+	free := 0
+	for c := lq.free; c != 0; c = lq.chunks[c-1].next {
+		free++
+	}
+	if free != chunks {
+		t.Errorf("Reset freed %d of %d chunks", free, chunks)
 	}
 
 	// And the recycled queue must order a fresh workload correctly.

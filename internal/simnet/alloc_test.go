@@ -48,9 +48,9 @@ func TestSendZeroAllocsPerDelivery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// One round warms the slab; the loop also warms all 256 of the
-	// ladder queue's ring buckets, which grow on first touch (each
-	// round lands on different slot residues as virtual time advances).
+	// One round warms the slab; the loop also warms the ladder queue's
+	// rungs and chunk pool across the bucket layouts the rounds hit as
+	// virtual time advances.
 	for i := 0; i < 320; i++ {
 		warm()
 	}
