@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -73,6 +74,12 @@ func TestRunTinyCampaignWritesReport(t *testing.T) {
 	e := rep.Entries[0]
 	if e.Name != "campaign/40" || e.Events == 0 || e.NsPerOp <= 0 || e.EventsPerSec <= 0 {
 		t.Fatalf("implausible entry %+v", e)
+	}
+	// A campaign's op is the whole campaign: the gated pair is wall ns
+	// and allocs per campaign, the per-event pair is informational.
+	if math.Abs(e.WallMs*1e6-e.NsPerOp) > 1e-6*e.NsPerOp || math.Abs(e.NsPerEvent*float64(e.Events)-e.NsPerOp) > 1e-6*e.NsPerOp ||
+		math.Abs(e.AllocsPerEvent*float64(e.Events)-e.AllocsPerOp) > 1e-6*e.AllocsPerOp {
+		t.Fatalf("campaign entry is not per campaign: %+v", e)
 	}
 
 	// Self-comparison must pass...

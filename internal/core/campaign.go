@@ -25,7 +25,7 @@ type RunStats struct {
 	VirtualDuration time.Duration
 	WallDuration    time.Duration
 	Events          uint64
-	Messages        uint64
+	Messages        uint64 // wire messages sent, including deliveries dropped as dead
 	BlocksCreated   int
 	TxsCreated      int
 	Nodes           int
@@ -127,9 +127,9 @@ type Campaign struct {
 
 	// Snapshots taken while the simulation state is still alive, so
 	// Analyze and LogMeta keep working after ReleaseNetwork.
-	numNodes  int
-	events    uint64
-	delivered uint64
+	numNodes int
+	events   uint64
+	messages uint64
 }
 
 // NewCampaign validates the configuration and builds the full system:
@@ -531,7 +531,7 @@ func (c *Campaign) Analyze() (*Results, error) {
 			VirtualDuration: c.cfg.Duration,
 			WallDuration:    c.simWall,
 			Events:          c.events,
-			Messages:        c.delivered,
+			Messages:        c.messages,
 			BlocksCreated:   c.registry.Len() - 1,
 			TxsCreated:      c.store.Len(),
 			Nodes:           c.numNodes,

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+	"time"
 
 	"ethmeasure/internal/consensus"
 	"ethmeasure/internal/logs"
@@ -78,16 +79,24 @@ func equivalenceVariants() []struct {
 	// Protocol variants: bounded-memory mode must be proven
 	// bit-identical off the Ethereum consensus path too. The bitcoin
 	// variant exercises the no-reference rules (zero uncles, discarding
-	// withholder); ghost-inclusive the deeper reference window.
-	bitcoinCfg := tinyConfig()
-	bitcoinCfg.EnableTxWorkload = false
-	bitcoinCfg.Protocol = consensus.Spec{Name: consensus.BitcoinName}
-	ghostCfg := tinyConfig()
-	ghostCfg.EnableTxWorkload = false
-	ghostCfg.Protocol = consensus.Spec{
+	// withholder); ghost-inclusive the deeper reference window. Both
+	// run 30 minutes on seed 10, where Ethereum recognizes uncles and
+	// the GHOST window includes a reference Ethereum's cannot, so each
+	// protocol's rules change the chain
+	// (TestProtocolVariantsExerciseTheirRules).
+	protocolCfg := func(spec consensus.Spec) Config {
+		cfg := tinyConfig()
+		cfg.EnableTxWorkload = false
+		cfg.Duration = 30 * time.Minute
+		cfg.Seed = 10
+		cfg.Protocol = spec
+		return cfg
+	}
+	bitcoinCfg := protocolCfg(consensus.Spec{Name: consensus.BitcoinName})
+	ghostCfg := protocolCfg(consensus.Spec{
 		Name:   consensus.GhostInclusiveName,
 		Params: map[string]string{"depth": "10", "cap": "3"},
-	}
+	})
 
 	variants := []struct {
 		name string
@@ -116,6 +125,50 @@ func equivalenceVariants() []struct {
 		}...)
 	}
 	return variants
+}
+
+// TestProtocolVariantsExerciseTheirRules guards the protocol variants
+// of the equivalence suite against configs too small for the rules to
+// matter: the same campaign under Ethereum must recognize uncles, and
+// Ethereum, bitcoin and ghost-inclusive must each produce a different
+// chain. Otherwise the variants re-prove the Ethereum run.
+func TestProtocolVariantsExerciseTheirRules(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the ghost-inclusive variant runs only in the full suite")
+	}
+	byName := make(map[string]Config)
+	for _, v := range equivalenceVariants() {
+		byName[v.name] = v.cfg
+	}
+	eth := byName["bitcoin"]
+	eth.Protocol = consensus.Spec{}
+	ghostBase := byName["ghost-inclusive"]
+	ghostBase.Protocol = consensus.Spec{}
+	if !reflect.DeepEqual(eth, ghostBase) {
+		t.Fatal("bitcoin and ghost-inclusive variants differ in more than the protocol")
+	}
+	seen := make(map[string]string)
+	for _, run := range []struct {
+		name string
+		cfg  Config
+	}{{"ethereum", eth}, {"bitcoin", byName["bitcoin"]}, {"ghost-inclusive", byName["ghost-inclusive"]}} {
+		campaign, err := NewCampaign(run.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := campaign.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run.name == "ethereum" && res.Forks.RecognizedUncles == 0 {
+			t.Fatal("the protocol variants' campaign recognizes no uncle under Ethereum")
+		}
+		fp := chainFingerprint(campaign)
+		if other, dup := seen[fp]; dup {
+			t.Fatalf("%s and %s produced the same chain", other, run.name)
+		}
+		seen[fp] = run.name
+	}
 }
 
 // analysisJSON serializes every analysis field of a Results bit-

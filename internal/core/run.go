@@ -305,7 +305,7 @@ func (c *Campaign) SimulateContext(ctx context.Context, opts RunOptions) error {
 	if c.sharded != nil {
 		c.events = c.sharded.EventsRun()
 	}
-	c.delivered = c.network.Delivered()
+	c.messages = c.network.Sent()
 	if c.recorder != nil {
 		c.dataset.Blocks = c.recorder.Blocks
 		c.dataset.Txs = c.recorder.Txs

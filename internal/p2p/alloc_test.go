@@ -14,7 +14,8 @@ import (
 // TestTxRelayZeroAllocsSteadyState pins the protocol's volume path:
 // once caches are warm, submitting and relaying transactions through
 // the full stack (p2p relay -> simnet envelope -> engine slab ->
-// delivery -> known-set updates) performs zero allocations. The
+// delivery -> known-set and pending-arrival updates) performs zero
+// allocations. The
 // transaction workload dominates event counts in every campaign, so
 // this is the budget that keeps 5,000-node runs off the GC.
 func TestTxRelayZeroAllocsSteadyState(t *testing.T) {
@@ -25,7 +26,6 @@ func TestTxRelayZeroAllocsSteadyState(t *testing.T) {
 	// Small caches so FIFO rings reach capacity during warm-up and the
 	// measured phase exercises steady-state eviction, not growth.
 	cfg.KnownTxCache = 512
-	cfg.KnownTxsPerPeer = 256
 	cfg.KnownBlocksPerPeer = 64
 
 	var nodes []*Node
@@ -94,7 +94,7 @@ func TestHashSetSlidesWithoutAllocating(t *testing.T) {
 	}
 }
 
-// TestNewEdgeHoldsNoSetStorage: the four known-hash caches of a fresh
+// TestNewEdgeHoldsNoSetStorage: the two known-block caches of a fresh
 // edge live inside the Edge and hold no storage until a hash crosses
 // the link, so building an edge is exactly one allocation.
 func TestNewEdgeHoldsNoSetStorage(t *testing.T) {
@@ -114,12 +114,12 @@ func TestNewEdgeHoldsNoSetStorage(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, func() { e = newEdge(nodes[0], nodes[1]) }); allocs != 1 {
 		t.Fatalf("newEdge made %.0f allocations, want 1 (the Edge itself)", allocs)
 	}
-	for _, s := range []*hashSet{&e.aKnownBlocks, &e.bKnownBlocks, &e.aKnownTxs, &e.bKnownTxs} {
+	for _, s := range []*hashSet{&e.aKnownBlocks, &e.bKnownBlocks} {
 		if cap(s.ring) != 0 || s.Len() != 0 || s.set.Len() != 0 {
 			t.Fatalf("fresh edge cache holds storage: ring cap %d, %d members", cap(s.ring), s.set.Len())
 		}
 	}
-	if e.aKnownTxs.capacity != cfg.KnownTxsPerPeer || e.bKnownBlocks.capacity != cfg.KnownBlocksPerPeer {
+	if e.aKnownBlocks.capacity != cfg.KnownBlocksPerPeer || e.bKnownBlocks.capacity != cfg.KnownBlocksPerPeer {
 		t.Fatal("fresh edge caches not sized from the config")
 	}
 }

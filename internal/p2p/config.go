@@ -38,10 +38,9 @@ type Config struct {
 	// ImportJitter is the max fractional jitter on processing times.
 	ImportJitter float64
 
-	// KnownBlocksPerPeer / KnownTxsPerPeer bound the per-link "peer
-	// already has this hash" caches (Geth: 1024 / 32768).
+	// KnownBlocksPerPeer bounds the per-link "peer already has this
+	// block" caches (Geth: 1024).
 	KnownBlocksPerPeer int
-	KnownTxsPerPeer    int
 
 	// KnownTxCache bounds each node's own seen-transaction cache.
 	KnownTxCache int
@@ -59,7 +58,6 @@ func DefaultConfig() Config {
 		ImportPerTx:         1 * time.Millisecond,
 		ImportJitter:        0.5,
 		KnownBlocksPerPeer:  256,
-		KnownTxsPerPeer:     4096,
 		KnownTxCache:        1 << 17,
 	}
 }

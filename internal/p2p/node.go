@@ -7,9 +7,17 @@
 //     that is not known to have it;
 //   - a node that only heard an announcement waits ~arriveTimeout for
 //     the direct push to arrive before fetching the block explicitly;
-//   - per-link caches track which hashes a peer already has so nothing
+//   - per-link caches track which blocks a peer already has so nothing
 //     is re-sent (the source of the bounded redundancy in Table II);
-//   - transactions are relayed to every peer not known to have them.
+//   - a first-seen transaction is relayed to every peer but the one it
+//     came from.
+//
+// Transaction relay carries nearly all of a campaign's messages, and
+// most of them reach a peer that already has the transaction or will
+// get it sooner through another link. Every relayed message is still transmitted —
+// its delay drawn and the message counted — but its delivery is only
+// scheduled when it can be the receiver's first sighting (see
+// claimTxArrival), so dead duplicates never become events.
 package p2p
 
 import (
@@ -77,11 +85,15 @@ type Observer interface {
 	ObserveBlock(at sim.Time, b *types.Block, from types.NodeID, kind MsgKind)
 	// ObserveAnnounce fires for every block-hash announcement entry.
 	ObserveAnnounce(at sim.Time, h types.Hash, number uint64, from types.NodeID)
-	// ObserveTx fires for every transaction delivery, duplicate or not.
+	// ObserveTx fires for transaction deliveries. The delivery that
+	// first brings a transaction to the node is always simulated and
+	// observed; later duplicates that arrive after the node already
+	// holds the transaction are dead and are not delivered at all, so
+	// an observer may see some of them or none.
 	ObserveTx(at sim.Time, tx *types.Transaction, from types.NodeID)
 }
 
-// Edge is a bidirectional peer link with per-endpoint known-hash
+// Edge is a bidirectional peer link with per-endpoint known-block
 // caches. Geth marks a hash as known by a peer both when sending it to
 // and when receiving it from that peer; each endpoint keeps its own
 // view of that knowledge and updates it on both its sends and its
@@ -90,12 +102,14 @@ type Observer interface {
 // live on different shards of the sharded engine; the only behavioural
 // difference is the in-flight window where the sender has marked a
 // hash the receiver has not yet seen.
+//
+// Transactions need no per-link cache: a node relays a transaction
+// once, at its first sighting, and at that moment the only link whose
+// view could hold the hash is the one it arrived on.
 type Edge struct {
 	a, b         *Node
 	aKnownBlocks hashSet
 	bKnownBlocks hashSet
-	aKnownTxs    hashSet
-	bKnownTxs    hashSet
 }
 
 // Other returns the endpoint of the edge that is not n.
@@ -115,15 +129,6 @@ func (e *Edge) knownBlocksFor(n *Node) *hashSet {
 	return &e.bKnownBlocks
 }
 
-// knownTxsFor returns n's own view of which transactions the peer
-// across this edge already has.
-func (e *Edge) knownTxsFor(n *Node) *hashSet {
-	if e.a == n {
-		return &e.aKnownTxs
-	}
-	return &e.bKnownTxs
-}
-
 // Node is one protocol participant.
 type Node struct {
 	cfg     *Config
@@ -140,6 +145,11 @@ type Node struct {
 	seenBlocks hashset.U64 // received at least once (pre-import)
 	fetching   hashset.U64 // announced, awaiting push or fetch
 	knownTxs   hashSet
+	// txArrivals holds, for each transaction not yet seen that has a
+	// delivery scheduled here, the earliest scheduled arrival. It only
+	// lives for the hop between a neighbour's sighting and this node's
+	// own, so it stays a handful of entries and a linear scan wins.
+	txArrivals []txArrival
 
 	// procSpeed scales this node's processing delays: 1.0 = baseline
 	// hardware, <1 = faster. The paper's measurement machines are well
@@ -444,42 +454,107 @@ func (n *Node) handleGetBlock(h types.Hash, from *Edge) {
 	n.sendBlock(b, from, MsgFetchedBlock)
 }
 
+// txArrival is one pending entry of Node.txArrivals.
+type txArrival struct {
+	hash types.Hash
+	at   sim.Time
+}
+
 // SubmitTx injects a locally created transaction (the node is the
 // origin chosen by the workload generator) and relays it.
+//
+// Observed nodes cannot originate transactions: an observer must first
+// sight every transaction through a delivery, because deliveries to a
+// node that already holds the transaction are never simulated.
 func (n *Node) SubmitTx(tx *types.Transaction) {
-	if !n.knownTxs.Add(tx.Hash) {
-		return
+	if n.Observer != nil {
+		panic("p2p: SubmitTx on an observed node")
 	}
-	if n.TxSink != nil {
-		n.TxSink(tx)
+	if n.sightTx(tx) {
+		n.relayTx(tx, nil)
 	}
-	n.relayTx(tx)
 }
 
 // handleTx processes an inbound transaction.
 func (n *Node) handleTx(tx *types.Transaction, from *Edge) {
-	from.knownTxsFor(n).Add(tx.Hash)
 	if n.Observer != nil {
 		n.Observer.ObserveTx(n.sched.Now(), tx, from.Other(n).ID())
 	}
+	if n.sightTx(tx) {
+		n.relayTx(tx, from)
+	}
+}
+
+// sightTx records that the node now holds tx and reports whether this
+// is its first sighting. A first sighting feeds TxSink and retires the
+// transaction's pending-arrival entry.
+func (n *Node) sightTx(tx *types.Transaction) bool {
 	if !n.knownTxs.Add(tx.Hash) {
-		return
+		return false
+	}
+	for i, p := range n.txArrivals {
+		if p.hash == tx.Hash {
+			last := len(n.txArrivals) - 1
+			n.txArrivals[i] = n.txArrivals[last]
+			n.txArrivals = n.txArrivals[:last]
+			break
+		}
 	}
 	if n.TxSink != nil {
 		n.TxSink(tx)
 	}
-	n.relayTx(tx)
+	return true
 }
 
-// relayTx sends the transaction to every peer not known to have it
-// (Geth 1.8 broadcasts transactions to all unknowing peers).
-func (n *Node) relayTx(tx *types.Transaction) {
+// claimTxArrival reports whether a delivery of h reaching the node at
+// `at` can be its first sighting, and if so records `at` as the
+// earliest scheduled arrival. A delivery is dead when the node already
+// holds h, or when an earlier-or-equal arrival is already scheduled:
+// on a tie the earlier-scheduled event has the lower sequence number,
+// so it runs first.
+func (n *Node) claimTxArrival(h types.Hash, at sim.Time) bool {
+	if n.knownTxs.Has(h) {
+		return false
+	}
+	for i := range n.txArrivals {
+		if p := &n.txArrivals[i]; p.hash == h {
+			if p.at <= at {
+				return false
+			}
+			p.at = at
+			return true
+		}
+	}
+	n.txArrivals = append(n.txArrivals, txArrival{hash: h, at: at})
+	return true
+}
+
+// relayTx sends the transaction to every peer but the one it came from
+// (Geth 1.8 broadcasts transactions to every peer not known to have
+// them, and at a node's first sighting that is everyone but the
+// sender). Each message is transmitted — its delay drawn from the
+// sender's stream in edge order, exactly as if all were delivered —
+// but a delivery is scheduled only when it can be the receiver's first
+// sighting. A dead delivery would change nothing but counters: vantage
+// observers log only first sightings, and nothing else reads a
+// duplicate. This needs the receiver's known-tx cache not to evict a
+// transaction while deliveries of it are in flight; the default cache
+// holds hours of traffic against a flood's seconds. Receivers on
+// another shard are not checked, because their state belongs to
+// another goroutine; those deliveries are always scheduled.
+func (n *Node) relayTx(tx *types.Transaction, from *Edge) {
+	now := n.sched.Now()
+	shard := n.net.ShardOf(n.netNode)
 	for _, e := range n.edges {
-		if !e.knownTxsFor(n).Add(tx.Hash) {
+		if e == from {
 			continue
 		}
 		peer := e.Other(n)
-		n.net.Send(n.netNode, peer.netNode, tx.Size,
+		d := n.net.Transmit(n.netNode, peer.netNode, tx.Size)
+		if n.net.ShardOf(peer.netNode) == shard && !peer.claimTxArrival(tx.Hash, now+d) {
+			continue
+		}
+		n.net.ScheduleDelivery(n.netNode, peer.netNode, d,
 			peer, simnet.Envelope{Kind: evTx, Data: tx, Aux: e})
 	}
 }

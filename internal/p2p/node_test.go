@@ -199,7 +199,7 @@ func TestKnownPeerSuppressionBoundsTraffic(t *testing.T) {
 	b := h.mineBlock(h.reg.Genesis(), 1)
 	h.nodes[0].PublishBlock(b)
 	h.run(time.Minute)
-	delivered := h.net.Delivered()
+	delivered := h.net.Sent()
 	// Upper bound: every edge carries at most ~2 block messages plus
 	// fetches; 45 edges → allow generous slack but catch explosions.
 	if delivered > 200 {
@@ -240,12 +240,55 @@ func TestTxFloodsAndDeduplicates(t *testing.T) {
 		t.Errorf("TxSink fired %d times, want exactly 1", sink)
 	}
 	// Re-submitting the same tx must not re-flood.
-	before := h.net.Delivered()
+	before := h.net.Sent()
 	h.nodes[0].SubmitTx(tx)
 	h.run(2 * time.Minute)
-	if h.net.Delivered() != before {
+	if h.net.Sent() != before {
 		t.Error("duplicate submit generated traffic")
 	}
+}
+
+// TestRelayElidesDeadDeliveries: on a 3-clique with equal link delays
+// d, node 0's submission reaches nodes 1 and 2 at d. Node 1 relays to
+// node 2 (arriving 2d, after node 2's pending delivery at d) and node
+// 2 relays to node 1 (which already holds the tx): both relays are
+// dead, so only the two first deliveries become events, while all four
+// wire messages are still counted.
+func TestRelayElidesDeadDeliveries(t *testing.T) {
+	h := newHarness(t, 3, DefaultConfig())
+	h.full()
+	obs := &countingObserver{}
+	h.nodes[2].Observer = obs
+	h.nodes[0].SubmitTx(&types.Transaction{Hash: 0x1234, Sender: 1, Size: types.TxSize})
+	h.run(time.Minute)
+	if got := h.engine.EventsRun(); got != 2 {
+		t.Errorf("ran %d delivery events, want 2", got)
+	}
+	if got := h.net.Sent(); got != 4 {
+		t.Errorf("sent %d wire messages, want 4", got)
+	}
+	if obs.txs != 1 || obs.lastFrom != h.nodes[0].ID() {
+		t.Errorf("node 2 observed %d deliveries (last from %v), want 1 from node 0", obs.txs, obs.lastFrom)
+	}
+	for i, n := range h.nodes {
+		if len(n.txArrivals) != 0 {
+			t.Errorf("node %d keeps %d pending arrivals after the flood", i, len(n.txArrivals))
+		}
+	}
+}
+
+// TestSubmitTxRejectsObservedNode: an observer must first sight every
+// transaction through a delivery, so observed nodes cannot originate.
+func TestSubmitTxRejectsObservedNode(t *testing.T) {
+	h := newHarness(t, 2, DefaultConfig())
+	h.ring()
+	h.nodes[0].Observer = &countingObserver{}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SubmitTx on an observed node did not panic")
+		}
+	}()
+	h.nodes[0].SubmitTx(&types.Transaction{Hash: 0x1234, Size: types.TxSize})
 }
 
 func TestOnNewHeadFiresOncePerReorg(t *testing.T) {

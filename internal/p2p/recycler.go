@@ -8,7 +8,7 @@ import (
 
 // Recycler pools Node and Edge allocations across sequential runs on
 // one worker. The peer graph is the dominant construction cost of a
-// campaign — NumNodes×OutDegree edges, each carrying four known-hash
+// campaign — NumNodes×OutDegree edges, each carrying two known-block
 // caches — so a warm rebuild that reuses those structs turns topology
 // construction from an allocation storm into field reassignment.
 //
@@ -69,9 +69,9 @@ func (r *Recycler) NewNode(cfg *Config, net *simnet.Network, endpoint *simnet.No
 	n.reg = reg
 	n.view = chain.NewView(reg)
 	n.edges = n.edges[:0]
-	// peerBits, seenBlocks, fetching and the knownTxs bitmap were swept
-	// by Reclaim; reset here only applies the new config's capacity
-	// (free on a scrubbed set).
+	// peerBits, seenBlocks, fetching, txArrivals and the knownTxs
+	// bitmap were swept by Reclaim; reset here only applies the new
+	// config's capacity (free on a scrubbed set).
 	n.knownTxs.reset(cfg.KnownTxCache)
 	n.procSpeed = 1
 	n.Observer = nil
@@ -99,8 +99,6 @@ func (r *Recycler) Reclaim(lists ...[]*Node) {
 				if e.a == n {
 					e.aKnownBlocks.scrub()
 					e.bKnownBlocks.scrub()
-					e.aKnownTxs.scrub()
-					e.bKnownTxs.scrub()
 					r.edges = append(r.edges, e)
 				}
 			}
@@ -109,6 +107,7 @@ func (r *Recycler) Reclaim(lists ...[]*Node) {
 			n.seenBlocks.Clear()
 			n.fetching.Clear()
 			n.knownTxs.scrub()
+			n.txArrivals = n.txArrivals[:0]
 			pt := n.pushTmp[:cap(n.pushTmp)]
 			clear(pt)
 			n.pushTmp = pt[:0]
@@ -121,7 +120,7 @@ func (r *Recycler) Reclaim(lists ...[]*Node) {
 }
 
 // newEdge builds the edge for Connect, drawing on a's recycler when the
-// node is pooled. Its four known-hash caches are reset to the endpoint
+// node is pooled. Its two known-block caches are reset to the endpoint
 // configs' capacities, so a recycled edge matches a cold one exactly; a
 // cold edge is a single allocation, its caches holding no storage until
 // the first hash crosses the link.
@@ -138,7 +137,5 @@ func newEdge(a, b *Node) *Edge {
 	e.a, e.b = a, b
 	e.aKnownBlocks.reset(a.cfg.KnownBlocksPerPeer)
 	e.bKnownBlocks.reset(b.cfg.KnownBlocksPerPeer)
-	e.aKnownTxs.reset(a.cfg.KnownTxsPerPeer)
-	e.bKnownTxs.reset(b.cfg.KnownTxsPerPeer)
 	return e
 }

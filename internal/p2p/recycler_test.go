@@ -51,6 +51,13 @@ func TestRecyclerResetsNodeState(t *testing.T) {
 		}
 	}
 
+	// A flood left in flight leaves pending arrivals at every peer of
+	// the origin.
+	h.nodes[1].SubmitTx(&types.Transaction{Hash: 0x1234, Size: types.TxSize})
+	if len(h.nodes[2].txArrivals) == 0 {
+		t.Fatal("test premise broken: in-flight tx left no pending arrival")
+	}
+
 	rec.Reclaim(h.nodes)
 	st := rec.Stats()
 	if st.NodesFree != 4 {
@@ -81,8 +88,8 @@ func TestRecyclerResetsNodeState(t *testing.T) {
 		if n.Observer != nil || n.OnNewHead != nil || n.TxSink != nil {
 			t.Errorf("node %d: callbacks leaked through recycle", i)
 		}
-		if n.knownTxs.Len() != 0 {
-			t.Errorf("node %d: known-tx cache not emptied", i)
+		if n.knownTxs.Len() != 0 || len(n.txArrivals) != 0 {
+			t.Errorf("node %d: known-tx cache or pending arrivals not emptied", i)
 		}
 		if n.seenBlocks.Len() != 0 || n.fetching.Len() != 0 {
 			t.Errorf("node %d: block tracking sets not emptied", i)
@@ -105,7 +112,7 @@ func TestRecyclerResetsNodeState(t *testing.T) {
 }
 
 // TestRecyclerEdgeCachesReset checks a recycled edge's per-link
-// known-hash caches come back empty and sized for the new config.
+// known-block caches come back empty and sized for the new config.
 func TestRecyclerEdgeCachesReset(t *testing.T) {
 	rec := NewRecycler()
 	cfg := DefaultConfig()
@@ -130,8 +137,7 @@ func TestRecyclerEdgeCachesReset(t *testing.T) {
 	if rec.Stats().EdgesReused != 1 {
 		t.Fatal("edge was not recycled")
 	}
-	if e2.aKnownBlocks.Len() != 0 || e2.bKnownBlocks.Len() != 0 ||
-		e2.aKnownTxs.Len() != 0 || e2.bKnownTxs.Len() != 0 {
+	if e2.aKnownBlocks.Len() != 0 || e2.bKnownBlocks.Len() != 0 {
 		t.Error("recycled edge caches not emptied")
 	}
 	// The ring cap follows the new config: pushing 9 hashes through an

@@ -82,8 +82,8 @@ func TestSendEnvelopeRoundTrip(t *testing.T) {
 	if got.Kind != 7 || got.Data != data || got.Aux != aux || got.Num != 99 {
 		t.Fatalf("envelope mangled in flight: %+v", got)
 	}
-	if net.Delivered() != 1 {
-		t.Fatalf("delivered = %d, want 1", net.Delivered())
+	if net.Sent() != 1 {
+		t.Fatalf("sent = %d, want 1", net.Sent())
 	}
 }
 

@@ -56,7 +56,7 @@ type Network struct {
 	// delivery (kernel + serialization floor).
 	MinOverhead time.Duration
 
-	delivered atomic.Uint64
+	sent atomic.Uint64
 
 	// Warm-run spares: node structs and jitter streams harvested by
 	// Reset, drawn again by AddNode so recycled networks rebuild their
@@ -91,7 +91,7 @@ func (n *Network) Reset(engine *sim.Engine, latency *geo.LatencyModel) {
 	n.pick = nil
 	n.shardOf = n.shardOf[:0]
 	n.MinOverhead = 200 * time.Microsecond
-	n.delivered.Store(0)
+	n.sent.Store(0)
 }
 
 // EnableSharding routes all traffic through the sharded coordinator:
@@ -160,8 +160,9 @@ func (n *Network) Nodes() []*Node { return n.nodes }
 // NumNodes returns the number of registered nodes.
 func (n *Network) NumNodes() int { return len(n.nodes) }
 
-// Delivered returns the number of messages delivered so far.
-func (n *Network) Delivered() uint64 { return n.delivered.Load() }
+// Sent returns the number of messages transmitted so far, whether
+// their deliveries were scheduled or dropped as dead.
+func (n *Network) Sent() uint64 { return n.sent.Load() }
 
 // SchedulerFor returns the scheduler that runs the given node's
 // events: its shard in sharded mode, the serial engine otherwise.
@@ -183,11 +184,16 @@ func (n *Network) ShardOf(node *Node) int {
 	return int(n.shardOf[node.ID])
 }
 
-// TransferDelay computes the one-way delay for a message of the given
-// size between two nodes: propagation latency (region pair, jittered,
-// drawn from the sender's stream) + transmission time at the slower
-// endpoint + fixed overhead.
-func (n *Network) TransferDelay(from, to *Node, size int) time.Duration {
+// Transmit puts one message of the given wire size on the wire from
+// one node to another: it counts the message and draws its one-way
+// delay, which is propagation latency (region pair, jittered, drawn
+// from the sender's stream) + transmission time at the slower endpoint
+// + fixed overhead. Every wire message is transmitted exactly once;
+// the caller then schedules its delivery with ScheduleDelivery, unless
+// the protocol layer can prove the delivery dead (it would reach a
+// receiver that already has the payload) and drops it.
+func (n *Network) Transmit(from, to *Node, size int) time.Duration {
+	n.sent.Add(1)
 	lat := n.latency.Sample(n.senderRNG[from.ID], from.Region, to.Region)
 	bw := from.Bandwidth
 	if to.Bandwidth < bw {
@@ -214,11 +220,18 @@ type Sink interface {
 	DeliverEnvelope(env Envelope)
 }
 
-// Send schedules the delivery of an envelope of the given wire size
-// from one node to another; sink.DeliverEnvelope(env) runs at the
-// receive time. The steady-state path performs zero allocations.
+// Send transmits an envelope of the given wire size from one node to
+// another and schedules its delivery: sink.DeliverEnvelope(env) runs
+// at the receive time. The steady-state path performs zero
+// allocations.
 func (n *Network) Send(from, to *Node, size int, sink Sink, env Envelope) {
-	d := n.TransferDelay(from, to, size)
+	n.ScheduleDelivery(from, to, n.Transmit(from, to, size), sink, env)
+}
+
+// ScheduleDelivery schedules sink.DeliverEnvelope(env) after delay d
+// (a Transmit result) on the receiver's scheduler; in sharded mode a
+// cross-shard delivery waits for the window barrier.
+func (n *Network) ScheduleDelivery(from, to *Node, d time.Duration, sink Sink, env Envelope) {
 	arg := sim.Arg{A: sink, B: env.Data, C: env.Aux, U: env.Num, K: env.Kind}
 	if n.sharded == nil {
 		n.engine.AfterArg(d, n, arg)
@@ -227,11 +240,9 @@ func (n *Network) Send(from, to *Node, size int, sink Sink, env Envelope) {
 	n.sharded.Route(int(n.shardOf[from.ID]), int(n.shardOf[to.ID]), d, n, arg)
 }
 
-// HandleSimEvent is the engine-facing delivery trampoline: it counts
-// the message and hands the reassembled envelope to the sink. Not for
-// direct use.
+// HandleSimEvent is the engine-facing delivery trampoline: it hands
+// the reassembled envelope to the sink. Not for direct use.
 func (n *Network) HandleSimEvent(arg sim.Arg) {
-	n.delivered.Add(1)
 	arg.A.(Sink).DeliverEnvelope(Envelope{Kind: arg.K, Data: arg.B, Aux: arg.C, Num: arg.U})
 }
 

@@ -44,18 +44,18 @@ func TestTransferDelayComponents(t *testing.T) {
 	slow, _ := net.AddNode(geo.NorthAmerica, 1e3) // 1 kB/s
 
 	// 1000 bytes at the slower endpoint's 1 kB/s = 1 s transmission.
-	d := net.TransferDelay(fast, slow, 1000)
+	d := net.Transmit(fast, slow, 1000)
 	want := 10*time.Millisecond + time.Second + time.Millisecond
 	if d != want {
 		t.Errorf("delay = %v, want %v", d, want)
 	}
 	// Size scales transmission.
-	if d2 := net.TransferDelay(fast, slow, 2000); d2 <= d {
+	if d2 := net.Transmit(fast, slow, 2000); d2 <= d {
 		t.Error("larger message should take longer")
 	}
 	// Between two fast nodes transmission is negligible.
 	fast2, _ := net.AddNode(geo.NorthAmerica, 1e6)
-	if d3 := net.TransferDelay(fast, fast2, 100); d3 > 12*time.Millisecond {
+	if d3 := net.Transmit(fast, fast2, 100); d3 > 12*time.Millisecond {
 		t.Errorf("fast-fast delay = %v", d3)
 	}
 }
@@ -75,8 +75,8 @@ func TestSendDeliversAtComputedTime(t *testing.T) {
 	if deliveredAt < 10*time.Millisecond {
 		t.Errorf("delivered before latency elapsed: %v", deliveredAt)
 	}
-	if net.Delivered() != 1 {
-		t.Errorf("delivered count = %d", net.Delivered())
+	if net.Sent() != 1 {
+		t.Errorf("sent count = %d", net.Sent())
 	}
 }
 
