@@ -969,7 +969,7 @@ func run(args []string, w io.Writer) error {
 	retain := fs.Bool("retain", false, "run campaigns with raw-record retention (batch-compatible mode) instead of the bounded-memory default")
 	bothModes := fs.Bool("both-modes", false, "run every scale in bounded AND retained modes (before/after memory comparison)")
 	vantagePeers := fs.Int("vantage-peers", 0, "re-peer primary vantages with this many nodes (0 = default 50 cap); raises record volume for analysis-phase benchmarks")
-	shards := fs.Int("shards", 1, "event-engine shards (1 = serial, the baseline-comparable default; 0 = one per geo region up to GOMAXPROCS; non-serial entries are name-suffixed)")
+	shards := fs.Int("shards", 1, "event-engine shards (0 or 1 = serial, the baseline-comparable default; non-serial entries are name-suffixed)")
 	skipDispatch := fs.Bool("skip-dispatch", false, "skip the chain protocol-dispatch microbenchmarks")
 	skipLogs := fs.Bool("skip-logs", false, "skip the record-pipeline microbenchmarks (logs/* and analysis/stream entries)")
 	skipReuse := fs.Bool("skip-reuse", false, "skip the warm-run pooling benchmark (reuse/* entries)")

@@ -76,7 +76,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&o.overrides.Nodes, "nodes", 0, "override regular node count")
 	fs.Float64Var(&o.overrides.TxRate, "txrate", 0, "override transaction rate (tx/s)")
 	fs.BoolVar(&o.overrides.NoTx, "no-tx", false, "disable the transaction workload")
-	fs.IntVar(&o.overrides.Shards, "shards", 0, "event-engine shards (0 = one per geo region up to GOMAXPROCS, 1 = serial)")
+	fs.IntVar(&o.overrides.Shards, "shards", 0, "event-engine shards (0 or 1 = serial; results are identical at any count)")
 	fs.BoolVar(&o.progress, "progress", false, "print live progress lines during the run")
 	fs.BoolVar(&o.printInfra, "print-infra", false, "print Table I (infrastructure) and exit")
 	fs.BoolVar(&o.listScens, "list-scenarios", false, "print the scenario catalog and exit")

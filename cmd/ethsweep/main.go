@@ -93,7 +93,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.BoolVar(&o.quiet, "quiet", false, "suppress per-run progress on stderr")
 	fs.StringVar(&o.scens, "scenarios", "", "scenario axis: semicolon-separated specs (name[:key=val,...]; 'none' = base)")
 	fs.StringVar(&o.protos, "protocols", "", "consensus-protocol axis: semicolon-separated specs (ethereum;bitcoin;...)")
-	fs.IntVar(&o.overrides.Shards, "shards", 0, "event-engine shards per campaign (0 = one per geo region up to GOMAXPROCS, 1 = serial)")
+	fs.IntVar(&o.overrides.Shards, "shards", 0, "event-engine shards per campaign (0 or 1 = serial; results are identical at any count)")
 	fs.BoolVar(&o.version, "version", false, "print build version and exit")
 	fs.Var(&o.vary, "vary", "axis=v1,v2,... (repeatable; axes: nodes, discovery, pools, churn, txrate, duration)")
 	if err := fs.Parse(args); err != nil {

@@ -9,7 +9,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"ethmeasure/internal/analysis"
@@ -59,9 +58,9 @@ type Config struct {
 	// Shards is the number of event-engine shards the campaign runs on
 	// (conservative PDES: nodes are partitioned by geo region, shards
 	// advance in lookahead windows bounded by the minimum inter-region
-	// latency). 0 picks min(regions, GOMAXPROCS); 1 runs the serial
-	// engine, preserving the single-threaded path exactly. Any shard
-	// count produces bit-identical records and chains for a given seed.
+	// latency). 0 and 1 run the serial engine, which is the faster one
+	// on every preset measured; sharding is opt-in. Any shard count
+	// produces bit-identical records and chains for a given seed.
 	Shards int
 
 	// UseDiscovery selects the Kademlia-style discovery overlay for
@@ -447,21 +446,11 @@ func (c *Config) Validate() error {
 }
 
 // ResolveShards returns the effective shard count: Shards when set
-// explicitly, otherwise min(geo.NumRegions, GOMAXPROCS) — more shards
-// than regions adds synchronization without adding usable lookahead,
-// and more shards than cores adds scheduling without adding CPU.
+// explicitly, otherwise 1, the serial engine. Results are identical at
+// every shard count, so only wall time depends on it, and the serial
+// engine is faster than two shards on the default and paper presets.
 func (c *Config) ResolveShards() int {
-	if c.Shards > 0 {
-		return c.Shards
-	}
-	n := runtime.GOMAXPROCS(0)
-	if n > geo.NumRegions {
-		n = geo.NumRegions
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(c.Shards, 1)
 }
 
 // ProtocolTag returns the canonical textual form of the configured

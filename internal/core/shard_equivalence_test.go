@@ -125,12 +125,17 @@ func TestShardedCancellation(t *testing.T) {
 	}
 }
 
-// TestShardedAutoResolve checks the Shards=0 default resolves to a
-// sane count and that negative counts are rejected up front.
+// TestShardedAutoResolve checks the Shards=0 default resolves to the
+// serial engine on any host and that negative counts are rejected up
+// front.
 func TestShardedAutoResolve(t *testing.T) {
 	cfg := QuickConfig()
-	if got := cfg.ResolveShards(); got < 1 || got > geo.NumRegions {
-		t.Fatalf("ResolveShards() = %d, want 1..%d", got, geo.NumRegions)
+	if got := cfg.ResolveShards(); got != 1 {
+		t.Fatalf("ResolveShards() = %d, want 1", got)
+	}
+	cfg.Shards = 3
+	if got := cfg.ResolveShards(); got != 3 {
+		t.Fatalf("ResolveShards() with Shards=3 = %d, want 3", got)
 	}
 	cfg.Shards = -1
 	if err := cfg.Validate(); err == nil {

@@ -1,10 +1,11 @@
 package geo
 
 import (
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
+
+	"ethmeasure/internal/sim"
 )
 
 func TestSharedModelIdentity(t *testing.T) {
@@ -29,8 +30,8 @@ func TestSharedModelIdentity(t *testing.T) {
 func TestSharedModelMatchesCold(t *testing.T) {
 	shared := SharedDefaultLatencyModel()
 	cold := DefaultLatencyModel()
-	rngA := rand.New(rand.NewSource(42))
-	rngB := rand.New(rand.NewSource(42))
+	rngA := sim.NewSplitmix(42, "geo-test", 0)
+	rngB := sim.NewSplitmix(42, "geo-test", 0)
 	for _, from := range AllRegions() {
 		for _, to := range AllRegions() {
 			if shared.Base(from, to) != cold.Base(from, to) {
@@ -54,7 +55,7 @@ func TestSharedModelConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
+			rng := sim.NewSplitmix(int64(g), "geo-test", 0)
 			for i := 0; i < 200; i++ {
 				m := SharedDefaultLatencyModel()
 				u := SharedUniformLatencyModel(time.Duration(1+i%4)*time.Millisecond, 0.2)

@@ -4,14 +4,14 @@ import (
 	"testing"
 	"time"
 
-	"math/rand"
+	"ethmeasure/internal/sim"
 )
 
 // TestSampleFloorIsALowerBound: no draw from Sample may undercut
 // SampleFloor — the sharded scheduler's lookahead depends on it.
 func TestSampleFloorIsALowerBound(t *testing.T) {
 	m := DefaultLatencyModel()
-	rng := rand.New(rand.NewSource(11))
+	rng := sim.NewSplitmix(11, "geo-test", 0)
 	for _, from := range AllRegions() {
 		for _, to := range AllRegions() {
 			floor := m.SampleFloor(from, to)

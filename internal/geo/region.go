@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
+
+	"ethmeasure/internal/sim"
 )
 
 // Region identifies a coarse geographic area in which nodes, miners and
@@ -367,7 +369,7 @@ func (m *LatencyModel) MinSampleFloor() time.Duration {
 // matching the long-tailed nature of Internet latency. A model with
 // zero jitter samples the base delay exactly (deterministic transport,
 // used by ablations and tests).
-func (m *LatencyModel) Sample(rng *rand.Rand, from, to Region) time.Duration {
+func (m *LatencyModel) Sample(rng *sim.Splitmix, from, to Region) time.Duration {
 	if m.jitter == 0 {
 		d := m.baseD[from][to]
 		if d == 0 { // zero-constructed model without finalize

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"ethmeasure/internal/sim"
 )
 
 // TestParseRegionEdgeCases pins the exact-match contract: empty
@@ -55,7 +57,7 @@ func TestParseRegionRoundTripsEveryRegion(t *testing.T) {
 // self-pair honours it with and without jitter.
 func TestSelfLatency(t *testing.T) {
 	m := DefaultLatencyModel()
-	rng := rand.New(rand.NewSource(7))
+	rng := sim.NewSplitmix(7, "geo-test", 0)
 	for _, r := range AllRegions() {
 		self := m.Base(r, r)
 		if self <= 0 {
@@ -107,7 +109,7 @@ func TestLatencyMatrixSymmetry(t *testing.T) {
 	// every pair (including out-of-matrix use through Sample) gets the
 	// same constant.
 	var zero LatencyModel
-	rng := rand.New(rand.NewSource(3))
+	rng := sim.NewSplitmix(3, "geo-test", 0)
 	for _, a := range AllRegions() {
 		for _, b := range AllRegions() {
 			ab := zero.Sample(rng, a, b)

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"ethmeasure/internal/sim"
 )
 
 func TestRegionStringAndCode(t *testing.T) {
@@ -178,7 +180,7 @@ func TestDefaultLatencyModelSymmetricAndLocalFaster(t *testing.T) {
 
 func TestLatencySampleBounds(t *testing.T) {
 	m := DefaultLatencyModel()
-	rng := rand.New(rand.NewSource(1))
+	rng := sim.NewSplitmix(1, "geo-test", 0)
 	base := m.Base(NorthAmerica, EasternAsia)
 	spikes := 0
 	for i := 0; i < 5000; i++ {
@@ -201,7 +203,7 @@ func TestLatencySampleBounds(t *testing.T) {
 
 func TestLatencySampleUnknownPairUsesFallback(t *testing.T) {
 	var m LatencyModel // zero model: all bases zero
-	rng := rand.New(rand.NewSource(1))
+	rng := sim.NewSplitmix(1, "geo-test", 0)
 	if d := m.Sample(rng, NorthAmerica, Oceania); d <= 0 {
 		t.Error("zero-base pair should fall back to a positive delay")
 	}
@@ -222,7 +224,7 @@ func TestUniformLatencyModel(t *testing.T) {
 // multiple of the base (jitter + max spike).
 func TestLatencySampleProperty(t *testing.T) {
 	m := DefaultLatencyModel()
-	rng := rand.New(rand.NewSource(42))
+	rng := sim.NewSplitmix(42, "geo-test", 0)
 	regions := AllRegions()
 	f := func(ai, bi uint8) bool {
 		a := regions[int(ai)%len(regions)]

@@ -13,8 +13,8 @@ import (
 
 // TestTxRelayZeroAllocsSteadyState pins the protocol's volume path:
 // once caches are warm, submitting and relaying transactions through
-// the full stack (p2p relay -> simnet envelope -> engine slab ->
-// delivery -> known-set and pending-arrival updates) performs zero
+// the full stack (p2p flood -> simnet transmit -> engine slab -> first
+// sighting -> known-set update -> flood recycling) performs zero
 // allocations. The
 // transaction workload dominates event counts in every campaign, so
 // this is the budget that keeps 5,000-node runs off the GC.

@@ -14,10 +14,11 @@
 //
 // Transaction relay carries nearly all of a campaign's messages, and
 // most of them reach a peer that already has the transaction or will
-// get it sooner through another link. Every relayed message is still transmitted —
-// its delay drawn and the message counted — but its delivery is only
-// scheduled when it can be the receiver's first sighting (see
-// claimTxArrival), so dead duplicates never become events.
+// get it sooner through another link. Each transaction therefore runs
+// as one flood (see txFlood): every relayed message is still
+// transmitted — its delay drawn and the message counted — but only a
+// node's first arrival in the flood becomes an engine event, so
+// duplicates within a flood never become events or reach an observer.
 package p2p
 
 import (
@@ -70,7 +71,7 @@ const (
 	evBlockPush    int32 = iota + 1 // Data=*types.Block, Aux=*Edge
 	evBlockFetched                  // Data=*types.Block, Aux=*Edge
 	evAnnounce                      // Data=*types.Block, Aux=*Edge
-	evTx                            // Data=*types.Transaction, Aux=*Edge
+	evTx                            // Data=*types.Transaction, Aux=*Edge; cross-shard only
 	evGetBlock                      // Num=hash, Aux=*Edge (request)
 
 	tmPushBlock    // A=*types.Block: post-header-check relay
@@ -87,9 +88,10 @@ type Observer interface {
 	ObserveAnnounce(at sim.Time, h types.Hash, number uint64, from types.NodeID)
 	// ObserveTx fires for transaction deliveries. The delivery that
 	// first brings a transaction to the node is always simulated and
-	// observed; later duplicates that arrive after the node already
-	// holds the transaction are dead and are not delivered at all, so
-	// an observer may see some of them or none.
+	// observed. Duplicates in the same flood are never delivered, so
+	// on the serial engine an observer sees each transaction once; on
+	// the sharded engine, where a transaction may reach a shard as
+	// several floods, it may also see some later duplicates.
 	ObserveTx(at sim.Time, tx *types.Transaction, from types.NodeID)
 }
 
@@ -145,11 +147,6 @@ type Node struct {
 	seenBlocks hashset.U64 // received at least once (pre-import)
 	fetching   hashset.U64 // announced, awaiting push or fetch
 	knownTxs   hashSet
-	// txArrivals holds, for each transaction not yet seen that has a
-	// delivery scheduled here, the earliest scheduled arrival. It only
-	// lives for the hop between a neighbour's sighting and this node's
-	// own, so it stays a handful of entries and a linear scan wins.
-	txArrivals []txArrival
 
 	// procSpeed scales this node's processing delays: 1.0 = baseline
 	// hardware, <1 = faster. The paper's measurement machines are well
@@ -454,14 +451,8 @@ func (n *Node) handleGetBlock(h types.Hash, from *Edge) {
 	n.sendBlock(b, from, MsgFetchedBlock)
 }
 
-// txArrival is one pending entry of Node.txArrivals.
-type txArrival struct {
-	hash types.Hash
-	at   sim.Time
-}
-
 // SubmitTx injects a locally created transaction (the node is the
-// origin chosen by the workload generator) and relays it.
+// origin chosen by the workload generator) and floods it.
 //
 // Observed nodes cannot originate transactions: an observer must first
 // sight every transaction through a delivery, because deliveries to a
@@ -471,90 +462,37 @@ func (n *Node) SubmitTx(tx *types.Transaction) {
 		panic("p2p: SubmitTx on an observed node")
 	}
 	if n.sightTx(tx) {
-		n.relayTx(tx, nil)
+		n.flood(tx, nil)
 	}
 }
 
-// handleTx processes an inbound transaction.
+// handleTx processes a transaction delivered from another shard: a
+// first sighting opens a flood here.
 func (n *Node) handleTx(tx *types.Transaction, from *Edge) {
+	if n.receiveTx(tx, from) {
+		n.flood(tx, from)
+	}
+}
+
+// receiveTx shows an inbound transaction to the observer and reports
+// whether it is the node's first sighting.
+func (n *Node) receiveTx(tx *types.Transaction, from *Edge) bool {
 	if n.Observer != nil {
 		n.Observer.ObserveTx(n.sched.Now(), tx, from.Other(n).ID())
 	}
-	if n.sightTx(tx) {
-		n.relayTx(tx, from)
-	}
+	return n.sightTx(tx)
 }
 
 // sightTx records that the node now holds tx and reports whether this
-// is its first sighting. A first sighting feeds TxSink and retires the
-// transaction's pending-arrival entry.
+// is its first sighting, which feeds TxSink. The known-tx cache must
+// not evict a transaction while a flood of it is running; the default
+// cache holds hours of traffic against a flood's seconds.
 func (n *Node) sightTx(tx *types.Transaction) bool {
 	if !n.knownTxs.Add(tx.Hash) {
 		return false
-	}
-	for i, p := range n.txArrivals {
-		if p.hash == tx.Hash {
-			last := len(n.txArrivals) - 1
-			n.txArrivals[i] = n.txArrivals[last]
-			n.txArrivals = n.txArrivals[:last]
-			break
-		}
 	}
 	if n.TxSink != nil {
 		n.TxSink(tx)
 	}
 	return true
-}
-
-// claimTxArrival reports whether a delivery of h reaching the node at
-// `at` can be its first sighting, and if so records `at` as the
-// earliest scheduled arrival. A delivery is dead when the node already
-// holds h, or when an earlier-or-equal arrival is already scheduled:
-// on a tie the earlier-scheduled event has the lower sequence number,
-// so it runs first.
-func (n *Node) claimTxArrival(h types.Hash, at sim.Time) bool {
-	if n.knownTxs.Has(h) {
-		return false
-	}
-	for i := range n.txArrivals {
-		if p := &n.txArrivals[i]; p.hash == h {
-			if p.at <= at {
-				return false
-			}
-			p.at = at
-			return true
-		}
-	}
-	n.txArrivals = append(n.txArrivals, txArrival{hash: h, at: at})
-	return true
-}
-
-// relayTx sends the transaction to every peer but the one it came from
-// (Geth 1.8 broadcasts transactions to every peer not known to have
-// them, and at a node's first sighting that is everyone but the
-// sender). Each message is transmitted — its delay drawn from the
-// sender's stream in edge order, exactly as if all were delivered —
-// but a delivery is scheduled only when it can be the receiver's first
-// sighting. A dead delivery would change nothing but counters: vantage
-// observers log only first sightings, and nothing else reads a
-// duplicate. This needs the receiver's known-tx cache not to evict a
-// transaction while deliveries of it are in flight; the default cache
-// holds hours of traffic against a flood's seconds. Receivers on
-// another shard are not checked, because their state belongs to
-// another goroutine; those deliveries are always scheduled.
-func (n *Node) relayTx(tx *types.Transaction, from *Edge) {
-	now := n.sched.Now()
-	shard := n.net.ShardOf(n.netNode)
-	for _, e := range n.edges {
-		if e == from {
-			continue
-		}
-		peer := e.Other(n)
-		d := n.net.Transmit(n.netNode, peer.netNode, tx.Size)
-		if n.net.ShardOf(peer.netNode) == shard && !peer.claimTxArrival(tx.Hash, now+d) {
-			continue
-		}
-		n.net.ScheduleDelivery(n.netNode, peer.netNode, d,
-			peer, simnet.Envelope{Kind: evTx, Data: tx, Aux: e})
-	}
 }

@@ -250,9 +250,9 @@ func TestTxFloodsAndDeduplicates(t *testing.T) {
 
 // TestRelayElidesDeadDeliveries: on a 3-clique with equal link delays
 // d, node 0's submission reaches nodes 1 and 2 at d. Node 1 relays to
-// node 2 (arriving 2d, after node 2's pending delivery at d) and node
+// node 2 (arriving 2d, after node 2's pending arrival at d) and node
 // 2 relays to node 1 (which already holds the tx): both relays are
-// dead, so only the two first deliveries become events, while all four
+// dead, so only the two first arrivals become events, while all four
 // wire messages are still counted.
 func TestRelayElidesDeadDeliveries(t *testing.T) {
 	h := newHarness(t, 3, DefaultConfig())
@@ -270,10 +270,8 @@ func TestRelayElidesDeadDeliveries(t *testing.T) {
 	if obs.txs != 1 || obs.lastFrom != h.nodes[0].ID() {
 		t.Errorf("node 2 observed %d deliveries (last from %v), want 1 from node 0", obs.txs, obs.lastFrom)
 	}
-	for i, n := range h.nodes {
-		if len(n.txArrivals) != 0 {
-			t.Errorf("node %d keeps %d pending arrivals after the flood", i, len(n.txArrivals))
-		}
+	if got := h.engine.Pending(); got != 0 {
+		t.Errorf("%d events still pending after the flood", got)
 	}
 }
 

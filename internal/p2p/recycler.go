@@ -69,8 +69,8 @@ func (r *Recycler) NewNode(cfg *Config, net *simnet.Network, endpoint *simnet.No
 	n.reg = reg
 	n.view = chain.NewView(reg)
 	n.edges = n.edges[:0]
-	// peerBits, seenBlocks, fetching, txArrivals and the knownTxs
-	// bitmap were swept by Reclaim; reset here only applies the new
+	// peerBits, seenBlocks, fetching and the knownTxs bitmap were
+	// swept by Reclaim; reset here only applies the new
 	// config's capacity (free on a scrubbed set).
 	n.knownTxs.reset(cfg.KnownTxCache)
 	n.procSpeed = 1
@@ -107,7 +107,6 @@ func (r *Recycler) Reclaim(lists ...[]*Node) {
 			n.seenBlocks.Clear()
 			n.fetching.Clear()
 			n.knownTxs.scrub()
-			n.txArrivals = n.txArrivals[:0]
 			pt := n.pushTmp[:cap(n.pushTmp)]
 			clear(pt)
 			n.pushTmp = pt[:0]

@@ -1,6 +1,8 @@
 package p2p
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -30,9 +32,33 @@ func newRecyclerHarness(t *testing.T, rec *Recycler, n int, cfg Config) *harness
 	return h
 }
 
+// floodTrace floods one transaction from node 0 of a full mesh and
+// returns every other node's first observation, the wire messages sent
+// and the events run: the observable outcome a warm rerun must
+// reproduce exactly.
+func floodTrace(h *harness) (first []sighting, sent, events uint64) {
+	h.t.Helper()
+	h.full()
+	obs := make([]*firstObserver, len(h.nodes)-1)
+	for i, n := range h.nodes[1:] {
+		obs[i] = &firstObserver{first: make(map[types.Hash]sighting)}
+		n.Observer = obs[i]
+	}
+	tx := &types.Transaction{Hash: 0x5678, Size: types.TxSize}
+	h.nodes[0].SubmitTx(tx)
+	h.run(time.Minute)
+	for _, o := range obs {
+		first = append(first, o.first[tx.Hash])
+	}
+	return first, h.net.Sent(), h.engine.EventsRun()
+}
+
 // TestRecyclerResetsNodeState dirties a network (gossip run, custom
-// proc speed, observer callbacks), reclaims it, and checks a rebuilt
-// node carries none of the previous run's observable state.
+// proc speed, observer callbacks, a transaction flood left in flight),
+// reclaims it and resets its engine, and checks that a rebuilt node
+// carries none of the previous run's observable state, that no flood
+// outlives the engine reset, and that a flood on the recycled network
+// is bit-identical to one on a cold network.
 func TestRecyclerResetsNodeState(t *testing.T) {
 	rec := NewRecycler()
 	cfg := DefaultConfig()
@@ -51,14 +77,19 @@ func TestRecyclerResetsNodeState(t *testing.T) {
 		}
 	}
 
-	// A flood left in flight leaves pending arrivals at every peer of
-	// the origin.
-	h.nodes[1].SubmitTx(&types.Transaction{Hash: 0x1234, Size: types.TxSize})
-	if len(h.nodes[2].txArrivals) == 0 {
-		t.Fatal("test premise broken: in-flight tx left no pending arrival")
+	// A flood left in flight: its event is pending and the origin's
+	// peers have not sighted the transaction yet.
+	tx := &types.Transaction{Hash: 0x1234, Size: types.TxSize}
+	h.nodes[1].SubmitTx(tx)
+	if h.engine.Pending() != 1 || h.nodes[2].knownTxs.Has(tx.Hash) {
+		t.Fatalf("test premise broken: %d events pending, want the flood's one", h.engine.Pending())
 	}
 
 	rec.Reclaim(h.nodes)
+	h.engine.Reset(1)
+	if h.engine.Pending() != 0 {
+		t.Fatalf("engine reset left %d events: the flood survived", h.engine.Pending())
+	}
 	st := rec.Stats()
 	if st.NodesFree != 4 {
 		t.Fatalf("reclaimed %d nodes, want 4", st.NodesFree)
@@ -88,8 +119,8 @@ func TestRecyclerResetsNodeState(t *testing.T) {
 		if n.Observer != nil || n.OnNewHead != nil || n.TxSink != nil {
 			t.Errorf("node %d: callbacks leaked through recycle", i)
 		}
-		if n.knownTxs.Len() != 0 || len(n.txArrivals) != 0 {
-			t.Errorf("node %d: known-tx cache or pending arrivals not emptied", i)
+		if n.knownTxs.Len() != 0 {
+			t.Errorf("node %d: known-tx cache not emptied", i)
 		}
 		if n.seenBlocks.Len() != 0 || n.fetching.Len() != 0 {
 			t.Errorf("node %d: block tracking sets not emptied", i)
@@ -108,6 +139,31 @@ func TestRecyclerResetsNodeState(t *testing.T) {
 		if n.View().Head() != b2 {
 			t.Errorf("node %d: recycled network failed to gossip", i)
 		}
+	}
+
+	// And a transaction flood on a recycled network (equal link delays,
+	// so tie order decides every sender) matches a cold one exactly.
+	rec.Reclaim(h2.nodes)
+	coldFirst, coldSent, coldEvents := floodTrace(newHarness(t, 4, cfg))
+	warm := newRecyclerHarness(t, rec, 4, cfg)
+	warmFirst, warmSent, warmEvents := floodTrace(warm)
+	if rec.Stats().NodesReused != 8 {
+		t.Fatalf("reused %d nodes, want 8", rec.Stats().NodesReused)
+	}
+	if fmt.Sprint(warmFirst) != fmt.Sprint(coldFirst) || warmSent != coldSent || warmEvents != coldEvents {
+		t.Errorf("warm flood: sightings %v, %d sent, %d events; cold: %v, %d sent, %d events",
+			warmFirst, warmSent, warmEvents, coldFirst, coldSent, coldEvents)
+	}
+	// The finished flood went back to the network's free list holding
+	// capacity only.
+	pool, _ := (*warm.net.ShardLocal(warm.nodes[0].netNode)).(*floodPool)
+	if pool == nil || len(pool.free) != 1 {
+		t.Fatalf("free list %+v, want the one released flood", pool)
+	}
+	if f := pool.free[0]; f.tx != nil || f.sched != nil || f.used != 0 || len(f.heap) != 0 ||
+		slices.ContainsFunc(f.slots, func(s floodSlot) bool { return s != floodSlot{} }) ||
+		slices.ContainsFunc(f.peers, func(p floodPeer) bool { return p != floodPeer{} }) {
+		t.Errorf("released flood keeps state: tx %v, %d used, %d pending", f.tx, f.used, len(f.heap))
 	}
 }
 

@@ -2,6 +2,7 @@ package p2p
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,6 +22,8 @@ type floodCase struct {
 	nodes      int
 	outDegree  int
 	zeroJitter bool // uniform 10 ms links and equal bandwidth: equal-time ties everywhere
+	slowHalf   bool // every other node on a 2 kB/s link: early relays are often overtaken
+	sharded    bool // two-shard sim.Sharded, one shard per half of the regions
 	txs        int
 	spacing    time.Duration
 	cutAt      time.Duration
@@ -32,6 +35,15 @@ var floodCases = []floodCase{
 	{seed: 3, nodes: 220, outDegree: 3, txs: 6, spacing: 40 * time.Millisecond, cutAt: 200 * time.Millisecond},
 	{seed: 4, nodes: 200, outDegree: 6, zeroJitter: true, txs: 8, spacing: 20 * time.Millisecond, cutAt: 30 * time.Millisecond},
 	{seed: 5, nodes: 256, outDegree: 10, zeroJitter: true, txs: 10, spacing: 0, cutAt: 20 * time.Millisecond},
+	// Superseded arrivals: a message relayed through a slow node is
+	// overtaken by one relayed later through a fast node.
+	{seed: 6, nodes: 220, outDegree: 6, slowHalf: true, txs: 6, spacing: 100 * time.Millisecond, cutAt: 150 * time.Millisecond},
+	// Overlapping concurrent floods: 16 txs from three origins, 3 ms
+	// apart, all in flight at once.
+	{seed: 7, nodes: 230, outDegree: 7, txs: 16, spacing: 3 * time.Millisecond, cutAt: 40 * time.Millisecond},
+	// Cross-shard floods: a tx reaches each shard as several floods.
+	{seed: 8, nodes: 240, outDegree: 6, sharded: true, txs: 10, spacing: 10 * time.Millisecond, cutAt: 50 * time.Millisecond},
+	{seed: 9, nodes: 200, outDegree: 8, sharded: true, zeroJitter: true, txs: 8, spacing: 0, cutAt: 25 * time.Millisecond},
 }
 
 // sighting is a node's first sighting of a transaction: when, and from
@@ -46,6 +58,7 @@ type sighting struct {
 // the production relay and the other the reference relay.
 type floodNet struct {
 	engine  *sim.Engine
+	sharded *sim.Sharded // nil on the serial engine
 	net     *simnet.Network
 	cfg     Config
 	nodes   []*Node
@@ -63,6 +76,10 @@ func newFloodNet(tb testing.TB, c floodCase) *floodNet {
 		lat = geo.UniformLatencyModel(10*time.Millisecond, 0)
 	}
 	f.net = simnet.New(f.engine, lat)
+	if c.sharded {
+		f.sharded = sim.NewSharded(f.engine, 2, lat.MinSampleFloor()+f.net.MinOverhead)
+		f.net.EnableSharding(f.sharded, func(r geo.Region) int { return int(r) % 2 })
+	}
 	reg := chain.NewRegistry(0, types.NewHashIssuer(1))
 	rng := rand.New(rand.NewSource(c.seed))
 	regions := geo.AllRegions()
@@ -70,6 +87,9 @@ func newFloodNet(tb testing.TB, c floodCase) *floodNet {
 		bw := 1e8
 		if !c.zeroJitter {
 			bw = 1e6 + rng.Float64()*1e8
+		}
+		if c.slowHalf && i%2 == 1 {
+			bw = 2e3
 		}
 		ep, err := f.net.AddNode(regions[rng.Intn(len(regions))], bw)
 		if err != nil {
@@ -108,17 +128,33 @@ func (f *floodNet) schedule(c floodCase, submit func(origin *Node, tx *types.Tra
 
 func (f *floodNet) run(tb testing.TB) {
 	tb.Helper()
-	if _, err := f.engine.Run(time.Hour); err != nil {
+	run := f.engine.Run
+	if f.sharded != nil {
+		run = f.sharded.Run
+	}
+	if _, err := run(time.Hour); err != nil {
 		tb.Fatal(err)
 	}
 }
 
+// eventsRun counts the events run on every engine of the net.
+func (f *floodNet) eventsRun() uint64 {
+	if f.sharded != nil {
+		return f.sharded.EventsRun()
+	}
+	return f.engine.EventsRun()
+}
+
 // refRelay is the un-elided reference flood: every first sighting
 // relays to every edge but `from`, and every delivery is scheduled and
-// run.
+// run. It counts superseded arrivals: deliveries scheduled to a node
+// that has not sighted the tx yet and that arrive before every
+// delivery of it already scheduled there.
 type refRelay struct {
-	first []map[types.Hash]sighting
-	sinks []refSink
+	first      []map[types.Hash]sighting
+	earliest   []map[types.Hash]sim.Time // earliest scheduled arrival of unsighted txs
+	sinks      []refSink
+	superseded atomic.Int64
 }
 
 type refSink struct {
@@ -131,9 +167,14 @@ func (s *refSink) DeliverEnvelope(env simnet.Envelope) {
 }
 
 func newRefRelay(f *floodNet) *refRelay {
-	r := &refRelay{first: make([]map[types.Hash]sighting, len(f.nodes)), sinks: make([]refSink, len(f.nodes))}
+	r := &refRelay{
+		first:    make([]map[types.Hash]sighting, len(f.nodes)),
+		earliest: make([]map[types.Hash]sim.Time, len(f.nodes)),
+		sinks:    make([]refSink, len(f.nodes)),
+	}
 	for i, n := range f.nodes {
 		r.first[i] = make(map[types.Hash]sighting)
+		r.earliest[i] = make(map[types.Hash]sim.Time)
 		r.sinks[i] = refSink{r: r, n: n}
 	}
 	return r
@@ -155,8 +196,26 @@ func (r *refRelay) sight(n *Node, tx *types.Transaction, from *Edge) {
 		}
 		peer := e.Other(n)
 		d := n.net.Transmit(n.netNode, peer.netNode, tx.Size)
+		if n.net.ShardOf(peer.netNode) == n.net.ShardOf(n.netNode) {
+			r.countSupersession(peer, tx.Hash, n.sched.Now()+d)
+		}
 		n.net.ScheduleDelivery(n.netNode, peer.netNode, d, &r.sinks[peer.ID()], simnet.Envelope{Kind: evTx, Data: tx, Aux: e})
 	}
+}
+
+// countSupersession records a same-shard delivery of h reaching peer
+// at `at`.
+func (r *refRelay) countSupersession(peer *Node, h types.Hash, at sim.Time) {
+	if _, ok := r.first[peer.ID()][h]; ok {
+		return
+	}
+	earliest := r.earliest[peer.ID()]
+	if prev, ok := earliest[h]; ok && prev <= at {
+		return
+	} else if ok {
+		r.superseded.Add(1)
+	}
+	earliest[h] = at
 }
 
 // firstObserver records the first observed delivery of each tx.
@@ -174,8 +233,9 @@ func (o *firstObserver) ObserveTx(at sim.Time, tx *types.Transaction, from types
 
 // runFloodDiff runs c through the production relay and the reference
 // relay and fails on any difference in first sightings, wire-message
-// counts or RNG stream positions. It returns the event counts.
-func runFloodDiff(t *testing.T, c floodCase) (prodEvents, refEvents uint64) {
+// counts or RNG stream positions. It returns the event counts and the
+// reference's superseded-arrival count.
+func runFloodDiff(t *testing.T, c floodCase) (prodEvents, refEvents uint64, superseded int64) {
 	t.Helper()
 	prod := newFloodNet(t, c)
 	ref := newFloodNet(t, c)
@@ -235,36 +295,69 @@ func runFloodDiff(t *testing.T, c floodCase) (prodEvents, refEvents uint64) {
 			t.Fatalf("node %d: next delay draw %v, reference %v", i, a, b)
 		}
 	}
-	return prod.engine.EventsRun(), ref.engine.EventsRun()
+	return prod.eventsRun(), ref.eventsRun(), rr.superseded.Load()
 }
 
-// TestRelayMatchesReference: the eliding production relay gives every
+// TestRelayMatchesReference: the flooding production relay gives every
 // node the same first sighting (time and sender) as the un-elided
 // reference flood, sends the same wire messages and leaves every
 // sender stream at the same position, under jittered geo latencies,
-// forced equal-time ties, concurrent floods and mid-flood disconnects.
+// forced equal-time ties, superseded arrivals, overlapping concurrent
+// floods, mid-flood disconnects and cross-shard floods on a two-shard
+// engine.
 func TestRelayMatchesReference(t *testing.T) {
 	for _, c := range floodCases {
-		prodEvents, refEvents := runFloodDiff(t, c)
+		prodEvents, refEvents, superseded := runFloodDiff(t, c)
 		if prodEvents >= refEvents {
 			t.Errorf("seed %d: production ran %d events, reference %d: nothing elided", c.seed, prodEvents, refEvents)
+		}
+		if c.slowHalf && superseded < 100 {
+			t.Errorf("seed %d: only %d superseded arrivals; the case no longer forces them", c.seed, superseded)
+		}
+	}
+}
+
+// TestFloodOneEventPerNode: on the serial engine a flood runs exactly
+// one engine event per node it reaches after the origin — superseded
+// and dead arrivals never become events.
+func TestFloodOneEventPerNode(t *testing.T) {
+	for _, c := range []floodCase{floodCases[0], floodCases[3], floodCases[5]} {
+		f := newFloodNet(t, c)
+		tx := f.txs[0]
+		f.engine.Schedule(0, func() { f.origins[0].SubmitTx(tx) })
+		f.run(t)
+		reached := 0
+		for _, n := range f.nodes {
+			if n.knownTxs.Has(tx.Hash) {
+				reached++
+			}
+		}
+		if reached != len(f.nodes) {
+			t.Fatalf("seed %d: flood reached %d of %d nodes", c.seed, reached, len(f.nodes))
+		}
+		// One event submits; the flood runs the rest.
+		if got, want := f.engine.EventsRun(), uint64(1+reached-1); got != want {
+			t.Errorf("seed %d: %d events for a flood reaching %d nodes, want %d", c.seed, got, reached, want)
 		}
 	}
 }
 
 // FuzzTxFlood drives the differential flood over random graphs,
-// latency models, submission spacings and cut times.
+// latency models, bandwidth mixes, engines, submission spacings and cut
+// times.
 func FuzzTxFlood(f *testing.F) {
 	for _, c := range floodCases {
-		f.Add(c.seed, uint8(c.nodes-200), uint8(c.outDegree), c.zeroJitter, uint8(c.txs),
+		f.Add(c.seed, uint8(c.nodes-200), uint8(c.outDegree), c.zeroJitter, c.slowHalf, c.sharded, uint8(c.txs),
 			uint16(c.spacing/time.Millisecond), uint16(c.cutAt/time.Millisecond))
 	}
-	f.Fuzz(func(t *testing.T, seed int64, extraNodes, outDegree uint8, zeroJitter bool, txs uint8, spacingMs, cutMs uint16) {
+	f.Fuzz(func(t *testing.T, seed int64, extraNodes, outDegree uint8, zeroJitter, slowHalf, sharded bool, txs uint8, spacingMs, cutMs uint16) {
 		runFloodDiff(t, floodCase{
 			seed:       seed,
 			nodes:      200 + int(extraNodes%64),
 			outDegree:  2 + int(outDegree%10),
 			zeroJitter: zeroJitter,
+			slowHalf:   slowHalf,
+			sharded:    sharded,
 			txs:        1 + int(txs%16),
 			spacing:    time.Duration(spacingMs%500) * time.Millisecond,
 			cutAt:      time.Duration(cutMs%1000) * time.Millisecond,

@@ -61,8 +61,8 @@ type JobSpec struct {
 	Nodes int `json:"nodes,omitempty"`
 	// NoTx disables the transaction workload.
 	NoTx bool `json:"no_tx,omitempty"`
-	// Shards is the event-engine shard count. Zero lets the server pin
-	// the machine's resolved default at submit time.
+	// Shards is the event-engine shard count. Zero runs the serial
+	// engine; the server pins the resolved count at submit time.
 	Shards int `json:"shards,omitempty"`
 	// Protocol is a consensus spec ("ethereum", "bitcoin",
 	// "ghost-inclusive:depth=10"). Empty means the default protocol.
@@ -206,8 +206,9 @@ func (s *JobSpec) Normalize() error {
 	if err != nil {
 		return err
 	}
-	// Pin the shard count: auto-resolution depends on GOMAXPROCS, and
-	// a resumed replay must shard identically to the original run.
+	// Pin the shard count, so a stored job names the engine it ran on
+	// (older servers resolved zero from GOMAXPROCS). Results do not
+	// depend on it, so a job pinned elsewhere still resumes here.
 	if s.Shards == 0 {
 		s.Shards = cfg.ResolveShards()
 	}

@@ -239,6 +239,31 @@ func (e *Engine) ScheduleArg(at Time, h Handler, arg Arg) {
 	e.qPush(at, e.seq, idx)
 }
 
+// ReserveSeq claims the tie-break sequence number the next scheduling
+// call would take, without scheduling anything. A component that keeps
+// its own pending work (a transaction flood's arrivals) reserves a seq
+// where it would have scheduled an event, and later hands the
+// (at, seq) pair to ScheduleReserved, so the work runs exactly where
+// the event would have.
+func (e *Engine) ReserveSeq() uint64 {
+	e.seq++
+	return e.seq
+}
+
+// ScheduleReserved runs h.HandleSimEvent(arg) at the given absolute
+// virtual time, ordered among same-time events by seq, a number from
+// ReserveSeq, instead of by when this call is made. Each reserved seq
+// must be scheduled at most once; at must not precede Now.
+func (e *Engine) ScheduleReserved(at Time, seq uint64, h Handler, arg Arg) {
+	if at < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
+	}
+	idx := e.alloc()
+	ev := &e.slab[idx]
+	ev.at, ev.seq, ev.h, ev.arg = at, seq, h, arg
+	e.qPush(at, seq, idx)
+}
+
 // After runs fn after the given delay from the current time. Negative
 // delays are clamped to zero.
 func (e *Engine) After(d time.Duration, fn func()) {
@@ -361,6 +386,8 @@ type Scheduler interface {
 	ScheduleArg(at Time, h Handler, arg Arg)
 	After(d time.Duration, fn func())
 	AfterArg(d time.Duration, h Handler, arg Arg)
+	ReserveSeq() uint64
+	ScheduleReserved(at Time, seq uint64, h Handler, arg Arg)
 }
 
 // Deferrer is implemented by schedulers that may run callbacks off the
@@ -374,14 +401,43 @@ type Deferrer interface {
 	Defer(fn func())
 }
 
-// splitmixSource is a splitmix64 rand.Source64: one uint64 of state,
-// no allocation beyond the source itself. Each (seed, domain, id)
-// triple yields an independent stream, which is what lets per-node and
+// Splitmix is a splitmix64 rand.Source64: one uint64 of state, no
+// allocation beyond the source itself. Each (seed, domain, id) triple
+// yields an independent stream, which is what lets per-node and
 // per-sender RNGs exist by the tens of thousands without the map and
-// hashing costs of Engine.RNG.
-type splitmixSource struct{ state uint64 }
+// hashing costs of Engine.RNG. NewStream wraps one in a *rand.Rand; a
+// hot loop that only needs uniform floats holds the *Splitmix itself
+// (NewSplitmix) and calls its Float64 directly, without a Source
+// interface call per draw.
+type Splitmix struct{ state uint64 }
 
-func (s *splitmixSource) Uint64() uint64 {
+// NewSplitmix returns the (domain, id) stream of the master seed: the
+// source NewStream(seed, domain, id) draws from.
+func NewSplitmix(seed int64, domain string, id uint64) *Splitmix {
+	return &Splitmix{state: streamState(seed, domain, id)}
+}
+
+// Reseed puts s in the state NewSplitmix(seed, domain, id) returns.
+func (s *Splitmix) Reseed(seed int64, domain string, id uint64) {
+	s.state = streamState(seed, domain, id)
+}
+
+func streamState(seed int64, domain string, id uint64) uint64 {
+	return uint64(seed) ^ fnv64(domain) ^ (id * 0x9E3779B97F4A7C15)
+}
+
+// Float64 returns a uniform float in [0, 1): exactly the value
+// (*rand.Rand).Float64 returns from a Rand over this source.
+func (s *Splitmix) Float64() float64 {
+again:
+	f := float64(s.Int63()) / (1 << 63)
+	if f == 1 {
+		goto again // as math/rand: resample the one value that rounds to 1
+	}
+	return f
+}
+
+func (s *Splitmix) Uint64() uint64 {
 	s.state += 0x9E3779B97F4A7C15
 	z := s.state
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
@@ -389,9 +445,9 @@ func (s *splitmixSource) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-func (s *splitmixSource) Int63() int64 { return int64(s.Uint64() >> 1) }
+func (s *Splitmix) Int63() int64 { return int64(s.Uint64() >> 1) }
 
-func (s *splitmixSource) Seed(seed int64) { s.state = uint64(seed) }
+func (s *Splitmix) Seed(seed int64) { s.state = uint64(seed) }
 
 // NewStream returns a deterministic RNG for the (domain, id) pair
 // derived from the master seed. Unlike Engine.RNG streams, these are
@@ -399,8 +455,7 @@ func (s *splitmixSource) Seed(seed int64) { s.state = uint64(seed) }
 // component's randomness stays bit-identical whether its events run on
 // the serial engine or on any shard.
 func NewStream(seed int64, domain string, id uint64) *rand.Rand {
-	state := uint64(seed) ^ fnv64(domain) ^ (id * 0x9E3779B97F4A7C15)
-	return rand.New(&splitmixSource{state: state})
+	return rand.New(NewSplitmix(seed, domain, id))
 }
 
 // ReseedStream re-seeds a stream previously returned by NewStream to
@@ -410,8 +465,7 @@ func NewStream(seed int64, domain string, id uint64) *rand.Rand {
 // *rand.Rand read buffer, so the recycled stream's draw sequence is
 // bit-identical to a cold one.
 func ReseedStream(r *rand.Rand, seed int64, domain string, id uint64) {
-	state := uint64(seed) ^ fnv64(domain) ^ (id * 0x9E3779B97F4A7C15)
-	r.Seed(int64(state))
+	r.Seed(int64(streamState(seed, domain, id)))
 }
 
 // ExpDuration samples an exponentially distributed duration with the

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -292,5 +293,61 @@ func TestEngineTimestampsNondecreasing(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScheduleReservedOrdersBySeq: an event scheduled with a reserved
+// seq runs in (at, seq) order among the events scheduled between the
+// reservation and its scheduling — ahead of same-time events with
+// later seqs, behind earlier ones — on the serial engine and on a
+// shard (from a global event and from inside a shard window), under
+// both queue implementations.
+func TestScheduleReservedOrdersBySeq(t *testing.T) {
+	const at = 10 * time.Millisecond
+	// workload reserves a seq between two same-time events, schedules
+	// two more same-time events and a later one, then schedules the
+	// reserved event — and a second reserved event at a later time.
+	workload := func(s Scheduler, got *[]string) {
+		h := func(name string) Handler {
+			return handlerFunc(func(Arg) { *got = append(*got, name) })
+		}
+		base := s.Now()
+		s.ScheduleArg(base+at, h("a"), Arg{})
+		r1 := s.ReserveSeq()
+		r2 := s.ReserveSeq()
+		s.ScheduleArg(base+at, h("b"), Arg{})
+		s.ScheduleArg(base+at+time.Millisecond, h("d"), Arg{})
+		s.ScheduleArg(base+at, h("c"), Arg{})
+		s.ScheduleReserved(base+at+time.Millisecond, r2, h("r2"), Arg{})
+		s.ScheduleReserved(base+at, r1, h("r1"), Arg{})
+	}
+	want := "[a r1 b c r2 d]"
+	for _, impl := range []QueueImpl{QueueLadder, QueueRefHeap} {
+		old := CurrentQueueImpl()
+		SetQueueImpl(impl)
+
+		e := NewEngine(1)
+		var got []string
+		workload(e, &got)
+		if _, err := e.Run(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != want {
+			t.Errorf("queue %d, engine: ran %v, want %v", impl, got, want)
+		}
+
+		global := NewEngine(1)
+		sh := NewSharded(global, 2, time.Millisecond)
+		var fromGlobal, inWindow []string
+		global.Schedule(0, func() { workload(sh.Shard(1), &fromGlobal) })
+		sh.Shard(0).Schedule(time.Second, func() { workload(sh.Shard(0), &inWindow) })
+		if _, err := sh.Run(2 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(fromGlobal) != want || fmt.Sprint(inWindow) != want {
+			t.Errorf("queue %d, shards: ran %v from the global engine and %v in a window, want %v",
+				impl, fromGlobal, inWindow, want)
+		}
+		SetQueueImpl(old)
 	}
 }

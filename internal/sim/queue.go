@@ -4,7 +4,9 @@
 // differential testing: both order events by the same unique (at, seq)
 // key, so any correct implementation pops the exact same sequence and
 // every downstream fingerprint (records, chains, analysis) is
-// bit-identical regardless of which queue an engine runs on.
+// bit-identical regardless of which queue an engine runs on. A push's
+// seq need not exceed the pending ones: events scheduled with a
+// reserved seq (Engine.ScheduleReserved) arrive late with a small one.
 package sim
 
 import "math/bits"
@@ -90,7 +92,8 @@ const spillLimit = 256
 // ladder is a multi-rung ladder queue (Tang, Goh & Thng, "Ladder Queue:
 // An O(1) priority queue structure for large-scale discrete event
 // simulation", ACM TOMACS 2005). Pending entries live in three kinds of
-// tier, each holding a time range strictly after the one below it:
+// tier, each holding a half-open time range strictly after the one
+// below it:
 //
 //   - bot, a binary heap of every entry below the finest rung's
 //     frontier, so its root is the global minimum;
@@ -110,10 +113,17 @@ const spillLimit = 256
 // a bounded number of times (once per rung it passes through) and the
 // bottom heap stays small without any density heuristic.
 //
-// A tier may hold entries at exactly its upper bound (a rung built from
-// entries keeps its maximum, a bucket's end is clamped to its rung's),
-// while a push at a bound goes to the tier above. That keeps the
-// (at, seq) order because a push's seq exceeds every pending seq.
+// Every timestamp thus has exactly one home tier, and every tier keeps
+// its entries strictly below its upper bound: a rung built from entries
+// ends one nanosecond past their maximum, a bucket's end is clamped to
+// its rung's, and the lone entry of an empty queue sets topStart just
+// past itself. Entries of one timestamp therefore always meet in one
+// tier — the bottom heap, or a bucket that reaches it whole — so the
+// (at, seq) order holds for any seq, including a reserved one pushed
+// after larger seqs at the same time. (A tier that kept an entry at its
+// bound would pop it ahead of a later push at that bound with a smaller
+// seq, which went to the tier above.) Timestamps must stay below
+// math.MaxInt64, whose successor is not representable.
 //
 // Buckets are linked lists of fixed-size chunks from one shared pool,
 // not slices: rungs are rebuilt over ever-new intervals, and per-bucket
@@ -134,7 +144,7 @@ type ladder struct {
 
 	top      []qent
 	topStart Time
-	topMax   Time // max(topStart, every top entry)
+	topMax   Time // max(topStart-1, every top entry)
 
 	chunks []chunk
 	free   int32 // free chunk list: index+1 of its head, 0 when empty
@@ -243,7 +253,7 @@ func (l *ladder) push(at Time, seq uint64, idx int32) {
 		// later goes to the top. The dominant self-scheduling pattern
 		// (pop one event, schedule its successor) never leaves this path.
 		l.nr = 0
-		l.topStart, l.topMax = at, at
+		l.topStart, l.topMax = at+1, at
 		l.bot.h = append(l.bot.h[:0], e)
 		return
 	}
@@ -265,8 +275,8 @@ func (l *ladder) push(at Time, seq uint64, idx int32) {
 }
 
 // spill moves the bottom tier into a new finest rung over [minimum,
-// bound), unless its entries all sit within one nanosecond of the bound
-// (a tie group no rung can split; its heap pushes stay cheap).
+// bound), unless its entries all sit one nanosecond below the bound (a
+// tie group no rung can split; its heap pushes stay cheap).
 func (l *ladder) spill() {
 	h := l.bot.h
 	end := l.bound(l.nr)
@@ -277,9 +287,9 @@ func (l *ladder) spill() {
 	l.bot.h = h[:0]
 }
 
-// spawn adds es as the new finest rung, covering [min(es), end) — and
-// any of es at exactly end — with the finest bucket width that fits
-// that interval in 256 buckets.
+// spawn adds es, all below end, as the new finest rung covering
+// [min(es), end) with the finest bucket width that fits that interval
+// in 256 buckets.
 func (l *ladder) spawn(es []qent, end Time) {
 	lo, hi := es[0].at, es[0].at
 	for _, e := range es[1:] {
@@ -333,8 +343,8 @@ func (l *ladder) refill() bool {
 	}
 	for {
 		if l.nr == 0 {
-			l.topStart = l.topMax
-			l.spawn(l.top, l.topMax)
+			l.topStart = l.topMax + 1
+			l.spawn(l.top, l.topStart)
 			l.top = l.top[:0]
 		}
 		k := l.nr - 1

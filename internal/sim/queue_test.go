@@ -77,13 +77,17 @@ func farFirstStep() diffStep {
 // peek result or size. Because (at, seq) keys are unique, any two
 // correct priority queues must agree exactly. "Cancel" in the workload
 // sense is realized as pop-and-discard — the engine has no cancel API,
-// so removal always happens at the minimum.
-func runDifferential(t testing.TB, ops int, step diffStep, r *rand.Rand) {
+// so removal always happens at the minimum. With late set, pushes also
+// reserve seqs and later push with one of them, as a transaction flood
+// schedules its next arrival with the seq reserved when the arrival was
+// relayed: a push's seq is then often below pending ones.
+func runDifferential(t testing.TB, ops int, step diffStep, late bool, r *rand.Rand) {
 	t.Helper()
 	var lad ladder
 	var ref refHeap
 	var now Time
 	var seq uint64
+	var reserved []uint64
 	for i := 0; i < ops; i++ {
 		if pop, delta := step(r, ref.size()); pop {
 			li, lok := lad.pop()
@@ -92,11 +96,23 @@ func runDifferential(t testing.TB, ops int, step diffStep, r *rand.Rand) {
 				t.Fatalf("op %d: ladder popped (%d,%v), heap popped (%d,%v)", i, li, lok, ri, rok)
 			}
 		} else {
-			seq++
+			if late && r.Intn(4) == 0 {
+				seq++
+				reserved = append(reserved, seq)
+			}
+			s := seq + 1
+			if k := len(reserved); late && k > 0 && r.Intn(2) == 0 {
+				j := r.Intn(k)
+				s = reserved[j]
+				reserved[j] = reserved[k-1]
+				reserved = reserved[:k-1]
+			} else {
+				seq++
+			}
 			at := now + delta
-			idx := int32(seq)
-			lad.push(at, seq, idx)
-			ref.push(at, seq, idx)
+			idx := int32(s)
+			lad.push(at, s, idx)
+			ref.push(at, s, idx)
 		}
 		lp, lok := lad.peek()
 		rp, rok := ref.peek()
@@ -127,14 +143,22 @@ func runDifferential(t testing.TB, ops int, step diffStep, r *rand.Rand) {
 // and spills (zero and tiny deltas, ties at one instant), rung buckets
 // and child rungs (mid-range deltas), the top (heavy-tailed and huge
 // deltas), a far first event ahead of dense near-term traffic, and a
-// relay-scale flood of 50 000 pending deliveries.
+// relay-scale flood of 50 000 pending deliveries — and the late-*
+// regimes repeat the tie-heavy and delivery shapes with pushes that
+// carry earlier-reserved seqs.
 func TestLadderMatchesRefHeap(t *testing.T) {
 	type regime struct {
 		ops, seeds int
 		step       func() diffStep
+		late       bool
 	}
 	deltas := func(next func(r *rand.Rand) Time) regime {
-		return regime{8_000, 8, func() diffStep { return deltaStep(next) }}
+		return regime{8_000, 8, func() diffStep { return deltaStep(next) }, false}
+	}
+	lateDeltas := func(next func(r *rand.Rand) Time) regime {
+		rg := deltas(next)
+		rg.late = true
+		return rg
 	}
 	regimes := map[string]regime{
 		"ties": deltas(func(r *rand.Rand) Time {
@@ -159,14 +183,125 @@ func TestLadderMatchesRefHeap(t *testing.T) {
 		"horizon": deltas(func(r *rand.Rand) Time {
 			return ExpDuration(r, 30*24*time.Hour)
 		}),
-		"far-first": {8_000, 8, farFirstStep},
-		"flood":     {200_000, 2, floodStep},
+		"far-first": {8_000, 8, farFirstStep, false},
+		"flood":     {200_000, 2, floodStep, false},
+		"late-ties": lateDeltas(func(r *rand.Rand) Time {
+			return Time(r.Intn(3)) * time.Millisecond
+		}),
+		"late-nanos": lateDeltas(func(r *rand.Rand) Time {
+			return Time(r.Intn(4)) * time.Nanosecond
+		}),
+		"late-delivery": lateDeltas(func(r *rand.Rand) Time {
+			if r.Intn(2) == 0 {
+				return Time(r.Intn(3)) * time.Millisecond
+			}
+			return 8*time.Millisecond + Time(r.Intn(40))*time.Millisecond
+		}),
+		"late-flood": {100_000, 2, floodStep, true},
 	}
 	for name, rg := range regimes {
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(1); seed <= int64(rg.seeds); seed++ {
-				runDifferential(t, rg.ops, rg.step(), NewStream(seed, "queue-diff", uint64(seed)))
+				runDifferential(t, rg.ops, rg.step(), rg.late, NewStream(seed, "queue-diff", uint64(seed)))
 			}
+		})
+	}
+}
+
+// queuePair drives a ladder and the reference heap in lockstep, for
+// hand-built operation sequences.
+type queuePair struct {
+	t   *testing.T
+	lad ladder
+	ref refHeap
+}
+
+func (p *queuePair) push(at Time, seq uint64) {
+	p.lad.push(at, seq, int32(seq))
+	p.ref.push(at, seq, int32(seq))
+}
+
+func (p *queuePair) pop() {
+	p.t.Helper()
+	li, lok := p.lad.pop()
+	ri, rok := p.ref.pop()
+	if li != ri || lok != rok {
+		p.t.Fatalf("ladder popped (%d,%v), heap popped (%d,%v)", li, lok, ri, rok)
+	}
+}
+
+func (p *queuePair) drain() {
+	p.t.Helper()
+	for p.ref.size() > 0 {
+		p.pop()
+	}
+	p.pop() // both empty
+}
+
+// TestLadderLateSeqAtTierBounds pins the half-open tier ranges. Each
+// case leaves an entry at exactly a tier bound — the start of the top,
+// a bucket front clamped to its rung's bound, the bound of a spilled
+// bottom tier — and then pushes the same timestamp with a smaller,
+// earlier-reserved seq, which must pop first. A ladder whose tiers keep
+// entries at their own upper bound sends that push to the tier above
+// and pops the two out of (at, seq) order.
+func TestLadderLateSeqAtTierBounds(t *testing.T) {
+	cases := map[string]func(p *queuePair){
+		// The lone entry of an empty queue is the bottom tier; the late
+		// push ties with it.
+		"top start": func(p *queuePair) {
+			p.push(1000, 2)
+			p.push(1000, 1)
+		},
+		// The top becomes a rung over [100, 1000]; its last bucket's
+		// front is clamped to the rung's bound, and refilling it leaves
+		// the entry at 1000 in the bottom tier.
+		"clamped bucket front": func(p *queuePair) {
+			p.push(0, 2)
+			p.push(100, 3)
+			p.push(1000, 4)
+			p.pop()
+			p.pop()
+			_, _ = p.lad.peek()
+			p.push(1000, 1)
+		},
+		// The bottom tier holding the entry at the bound grows past
+		// spillLimit and spills into a rung that ends at that bound.
+		"spill": func(p *queuePair) {
+			p.push(0, 2)
+			p.push(100, 3)
+			p.push(1000, 4)
+			p.pop()
+			p.pop()
+			_, _ = p.lad.peek()
+			seq := uint64(10)
+			for i := 0; i <= spillLimit; i++ {
+				seq++
+				p.push(Time(200+i), seq)
+			}
+			p.push(1000, 1)
+		},
+		// A child rung split from a full bucket, then a tie group at
+		// its front with interleaved late seqs.
+		"child rung": func(p *queuePair) {
+			seq := uint64(1000)
+			for i := 0; i < 4*splitLimit; i++ {
+				seq++
+				p.push(Time(i%7)*10, seq)
+			}
+			p.push(5000, seq+1)
+			p.pop()
+			for i := uint64(1); i <= 40; i++ {
+				p.push(Time(i%7)*10, i)
+				p.push(60, 500+i)
+			}
+		},
+	}
+	for name, run := range cases {
+		t.Run(name, func(t *testing.T) {
+			p := &queuePair{t: t}
+			run(p)
+			p.drain()
 		})
 	}
 }
@@ -277,26 +412,54 @@ func floodFuzzSeed() []byte {
 	return b
 }
 
+// lateSeqFuzzSeed is the tier-bound late-seq case in FuzzQueueOrder's
+// encoding: reserve a seq, push at 10 ns, then push the reserved seq
+// at that same time; then a spread of pushes, a pop, and repeated
+// reserve/late-push pairs tying with the latest push at several bounds.
+func lateSeqFuzzSeed() []byte {
+	b := []byte{fuzzReserve, 1 | 10<<2, fuzzLatePush(0)}
+	for i := 0; i < 40; i++ {
+		b = append(b, fuzzReserve, fuzzPush(1+i*11%63), 1|byte(i%5)<<2, fuzzLatePush(0))
+		if i%3 == 0 {
+			b = append(b, 0, fuzzLatePush(1+i%4))
+		}
+	}
+	return b
+}
+
+// fuzzReserve encodes a FuzzQueueOrder seq reservation.
+const fuzzReserve = 1 << 2
+
+// fuzzLatePush encodes a FuzzQueueOrder push with the latest reserved
+// seq, off ns after the later of the clock and the previous push.
+func fuzzLatePush(off int) byte { return byte(off+1) << 3 }
+
 // FuzzQueueOrder drives both queue implementations from raw bytes:
-// two bits select the operation (pop-and-discard, or a push whose
-// delta magnitude ranges from exact ties through bucket-scale to
-// far-future), and the remaining bits scale the delta. The ladder
-// must match the reference heap's pop order on every input.
+// two bits select the operation and the remaining six its magnitude.
+// Operations 1–3 push with the next seq, at a delta ranging from exact
+// ties through bucket-scale to far-future. Operation 0 pops at
+// magnitude 0, reserves a seq at odd magnitudes, and at even ones
+// pushes with the latest reserved seq — below pending seqs, as a
+// transaction flood schedules — at a time tied to (or a few ns past)
+// the previous push. The ladder must match the reference heap's pop
+// order on every input.
 func FuzzQueueOrder(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 255, 254, 17, 0, 0, 129})
 	f.Add([]byte{255, 255, 255, 0, 0, 0, 1, 1})
 	f.Add([]byte{7})
 	f.Add(farFirstFuzzSeed())
 	f.Add(floodFuzzSeed())
+	f.Add(lateSeqFuzzSeed())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var lad ladder
 		var ref refHeap
-		var now Time
+		var now, last Time
 		var seq uint64
+		var reserved []uint64
 		for i, b := range data {
 			op := b & 3
 			mag := Time(b >> 2)
-			if op == 0 && ref.size() > 0 {
+			if op == 0 && mag == 0 && ref.size() > 0 {
 				li, lok := lad.pop()
 				ri, rok := ref.pop()
 				if li != ri || lok != rok {
@@ -304,18 +467,39 @@ func FuzzQueueOrder(f *testing.F) {
 				}
 				continue
 			}
-			var delta Time
-			switch op {
-			case 1:
-				delta = mag * time.Nanosecond
-			case 2:
-				delta = mag * 40 * time.Microsecond
-			default:
-				delta = mag * 3 * time.Hour
+			if op == 0 && mag%2 == 1 {
+				seq++
+				reserved = append(reserved, seq)
+				continue
 			}
-			seq++
-			lad.push(now+delta, seq, int32(seq))
-			ref.push(now+delta, seq, int32(seq))
+			at := now
+			s := seq + 1
+			switch op {
+			case 0:
+				if mag == 0 { // a pop on an empty queue pushes at now
+					seq++
+					break
+				}
+				at = max(now, last) + (mag/2-1)*time.Nanosecond
+				if k := len(reserved); k > 0 {
+					s = reserved[k-1]
+					reserved = reserved[:k-1]
+				} else {
+					seq++
+				}
+			case 1:
+				at += mag * time.Nanosecond
+				seq++
+			case 2:
+				at += mag * 40 * time.Microsecond
+				seq++
+			default:
+				at += mag * 3 * time.Hour
+				seq++
+			}
+			last = at
+			lad.push(at, s, int32(s))
+			ref.push(at, s, int32(s))
 			lp, lok := lad.peek()
 			rp, rok := ref.peek()
 			if lp != rp || lok != rok {

@@ -281,6 +281,17 @@ func (s *Shard) Schedule(at Time, fn func()) { s.eng.Schedule(at, fn) }
 // time on this shard without allocating.
 func (s *Shard) ScheduleArg(at Time, h Handler, arg Arg) { s.eng.ScheduleArg(at, h, arg) }
 
+// ReserveSeq claims the next tie-break sequence number of this shard's
+// engine (see Engine.ReserveSeq).
+func (s *Shard) ReserveSeq() uint64 { return s.eng.ReserveSeq() }
+
+// ScheduleReserved runs h.HandleSimEvent(arg) at the given absolute
+// virtual time on this shard, ordered by a seq from this shard's
+// ReserveSeq (see Engine.ScheduleReserved).
+func (s *Shard) ScheduleReserved(at Time, seq uint64, h Handler, arg Arg) {
+	s.eng.ScheduleReserved(at, seq, h, arg)
+}
+
 // After runs fn after the given delay on this shard.
 func (s *Shard) After(d time.Duration, fn func()) {
 	if d < 0 {

@@ -19,7 +19,6 @@ package simnet
 
 import (
 	"fmt"
-	"math/rand"
 	"sync/atomic"
 	"time"
 
@@ -44,13 +43,16 @@ type Network struct {
 	nodes   []*Node
 
 	// Per-sender jitter streams, parallel to nodes.
-	senderRNG []*rand.Rand
+	senderRNG []*sim.Splitmix
 
 	// Sharded-mode routing state: the coordinator, each node's shard
 	// (parallel to nodes), and the caller's region→shard assignment.
 	sharded *sim.Sharded
 	pick    func(geo.Region) int
 	shardOf []int32
+
+	// local holds one protocol-layer value per shard (ShardLocal).
+	local []any
 
 	// MinOverhead is a fixed per-message processing cost added to every
 	// delivery (kernel + serialization floor).
@@ -62,7 +64,7 @@ type Network struct {
 	// Reset, drawn again by AddNode so recycled networks rebuild their
 	// endpoint tables without allocating.
 	spareNodes []*Node
-	spareRNG   []*rand.Rand
+	spareRNG   []*sim.Splitmix
 }
 
 // New creates a network on the given engine with the given latency model.
@@ -71,6 +73,7 @@ func New(engine *sim.Engine, latency *geo.LatencyModel) *Network {
 		engine:      engine,
 		latency:     latency,
 		MinOverhead: 200 * time.Microsecond,
+		local:       make([]any, 1),
 	}
 }
 
@@ -105,6 +108,9 @@ func (n *Network) EnableSharding(sharded *sim.Sharded, pick func(geo.Region) int
 	}
 	n.sharded = sharded
 	n.pick = pick
+	if k := sharded.NumShards(); len(n.local) < k {
+		n.local = append(n.local, make([]any, k-len(n.local))...)
+	}
 }
 
 // Sharded returns the sharded coordinator, or nil in serial mode.
@@ -129,13 +135,13 @@ func (n *Network) AddNode(region geo.Region, bandwidth float64) (*Node, error) {
 		node = &Node{ID: id, Region: region, Bandwidth: bandwidth}
 	}
 	n.nodes = append(n.nodes, node)
-	var rng *rand.Rand
+	var rng *sim.Splitmix
 	if k := len(n.spareRNG); k > 0 {
 		rng = n.spareRNG[k-1]
 		n.spareRNG = n.spareRNG[:k-1]
-		sim.ReseedStream(rng, n.engine.Seed(), "simnet", uint64(id))
+		rng.Reseed(n.engine.Seed(), "simnet", uint64(id))
 	} else {
-		rng = sim.NewStream(n.engine.Seed(), "simnet", uint64(id))
+		rng = sim.NewSplitmix(n.engine.Seed(), "simnet", uint64(id))
 	}
 	n.senderRNG = append(n.senderRNG, rng)
 	if n.sharded != nil {
@@ -175,6 +181,16 @@ func (n *Network) SchedulerFor(node *Node) sim.Scheduler {
 	return n.sharded.Shard(int(n.shardOf[node.ID]))
 }
 
+// ShardLocal returns a value slot private to the node's shard (one
+// slot in serial mode), where the protocol layer keeps per-shard state
+// such as free lists. Only code running on that shard's scheduler, or
+// on the coordinator between windows, may use it, so it needs no lock.
+// Slots survive Reset: a warm network keeps whatever its protocol layer
+// left there, which must therefore hold no run state.
+func (n *Network) ShardLocal(node *Node) *any {
+	return &n.local[n.ShardOf(node)]
+}
+
 // ShardOf returns the shard index the node is assigned to (0 in
 // serial mode).
 func (n *Network) ShardOf(node *Node) int {
@@ -191,16 +207,55 @@ func (n *Network) ShardOf(node *Node) int {
 // + fixed overhead. Every wire message is transmitted exactly once;
 // the caller then schedules its delivery with ScheduleDelivery, unless
 // the protocol layer can prove the delivery dead (it would reach a
-// receiver that already has the payload) and drops it.
+// receiver that already has the payload) and drops it. Transmit is the
+// one-message case of a Burst.
 func (n *Network) Transmit(from, to *Node, size int) time.Duration {
 	n.sent.Add(1)
-	lat := n.latency.Sample(n.senderRNG[from.ID], from.Region, to.Region)
+	return n.delay(n.senderRNG[from.ID], from, float64(size), to)
+}
+
+// delay draws the one-way delay of a message of the given size from a
+// sender, with its jitter stream, to a receiver.
+func (n *Network) delay(rng *sim.Splitmix, from *Node, size float64, to *Node) time.Duration {
+	lat := n.latency.Sample(rng, from.Region, to.Region)
 	bw := from.Bandwidth
 	if to.Bandwidth < bw {
 		bw = to.Bandwidth
 	}
-	transmit := time.Duration(float64(size) / bw * float64(time.Second))
+	transmit := time.Duration(size / bw * float64(time.Second))
 	return lat + transmit + n.MinOverhead
+}
+
+// Burst is a transmit cursor for one sender putting a run of equal-size
+// messages on the wire, such as a relay to every peer: the sender's
+// jitter stream is looked up once, and the messages are counted once,
+// by Done. Its delays are exactly those of the same sequence of
+// Transmit calls. A Burst is a value; it allocates nothing.
+type Burst struct {
+	net  *Network
+	rng  *sim.Splitmix
+	from *Node
+	size float64
+	sent uint64
+}
+
+// Burst opens a transmit cursor for messages of the given wire size
+// from one node.
+func (n *Network) Burst(from *Node, size int) Burst {
+	return Burst{net: n, rng: n.senderRNG[from.ID], from: from, size: float64(size)}
+}
+
+// Transmit puts the burst's next message on the wire to the given node
+// and returns its one-way delay (see Network.Transmit).
+func (b *Burst) Transmit(to *Node) time.Duration {
+	b.sent++
+	return b.net.delay(b.rng, b.from, b.size, to)
+}
+
+// Done adds the burst's messages to the network's sent count.
+func (b *Burst) Done() {
+	b.net.sent.Add(b.sent)
+	b.sent = 0
 }
 
 // Envelope is the payload of one in-flight message. Kind discriminates
