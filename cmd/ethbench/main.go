@@ -104,11 +104,6 @@ type Entry struct {
 	// (-vantage-peers), which drives record volume.
 	VantagePeers int `json:"vantage_peers,omitempty"`
 
-	// Shards records a non-serial engine configuration (-shards). Such
-	// entries are name-suffixed so they never gate against the serial
-	// baseline.
-	Shards int `json:"shards,omitempty"`
-
 	// Warm-run reuse profile (reuse/* entries): repeated identical
 	// campaigns, cold-built versus recycled through one core.Pool. For
 	// these entries NsPerOp is wall per run and AllocsPerOp is allocs
@@ -232,12 +227,11 @@ func (hs *heapSampler) Stop() uint64 {
 	return hs.peak.Load()
 }
 
-func runCampaignEntry(s scale, retain bool, vantagePeers, shards int, proto consensus.Spec, scens []scenario.Spec, w io.Writer) (Entry, error) {
+func runCampaignEntry(s scale, retain bool, vantagePeers int, proto consensus.Spec, scens []scenario.Spec, w io.Writer) (Entry, error) {
 	cfg := campaignConfig(s, 1, vantagePeers)
 	cfg.RetainRecords = retain
 	cfg.Protocol = proto
 	cfg.Scenarios = scens
-	cfg.Shards = shards
 	campaign, err := core.NewCampaign(cfg)
 	if err != nil {
 		return Entry{}, fmt.Errorf("build %d-node campaign: %w", s.nodes, err)
@@ -245,12 +239,6 @@ func runCampaignEntry(s scale, retain bool, vantagePeers, shards int, proto cons
 	name := fmt.Sprintf("campaign/%d", s.nodes)
 	if retain {
 		name += "/retain"
-	}
-	if shards != 1 {
-		// Sharded entries gate separately: a parallel run trades
-		// allocs/event for wall time, so comparing it against the
-		// serial baseline would flag the wrong thing.
-		name += fmt.Sprintf("/shards=%d", cfg.ResolveShards())
 	}
 	if tag := cfg.ProtocolTag(); tag != consensus.DefaultName {
 		// Non-default-protocol entries are named apart so they never
@@ -332,9 +320,6 @@ func runCampaignEntry(s scale, retain bool, vantagePeers, shards int, proto cons
 		AnalysisPeakHeapBytes: analysisPeak,
 		RetainRecords:         retain,
 		VantagePeers:          vantagePeers,
-	}
-	if shards != 1 {
-		e.Shards = cfg.ResolveShards()
 	}
 	fmt.Fprintf(w, "%-22s %9.1f ms/run %10.0f allocs/run %9.1f ns/event %8.3f allocs/event %12.0f events/s  peak heap %6.1f MB  (%d events)\n",
 		e.Name, e.WallMs, e.AllocsPerOp, e.NsPerEvent, e.AllocsPerEvent, e.EventsPerSec, float64(peak)/(1<<20), events)
@@ -969,7 +954,6 @@ func run(args []string, w io.Writer) error {
 	retain := fs.Bool("retain", false, "run campaigns with raw-record retention (batch-compatible mode) instead of the bounded-memory default")
 	bothModes := fs.Bool("both-modes", false, "run every scale in bounded AND retained modes (before/after memory comparison)")
 	vantagePeers := fs.Int("vantage-peers", 0, "re-peer primary vantages with this many nodes (0 = default 50 cap); raises record volume for analysis-phase benchmarks")
-	shards := fs.Int("shards", 1, "event-engine shards (0 or 1 = serial, the baseline-comparable default; non-serial entries are name-suffixed)")
 	skipDispatch := fs.Bool("skip-dispatch", false, "skip the chain protocol-dispatch microbenchmarks")
 	skipLogs := fs.Bool("skip-logs", false, "skip the record-pipeline microbenchmarks (logs/* and analysis/stream entries)")
 	skipReuse := fs.Bool("skip-reuse", false, "skip the warm-run pooling benchmark (reuse/* entries)")
@@ -1051,7 +1035,7 @@ func run(args []string, w io.Writer) error {
 			modes = []bool{false, true}
 		}
 		for _, mode := range modes {
-			entry, err := runCampaignEntry(s, mode, *vantagePeers, *shards, proto, scens, w)
+			entry, err := runCampaignEntry(s, mode, *vantagePeers, proto, scens, w)
 			if err != nil {
 				return err
 			}

@@ -97,7 +97,6 @@ func TestRunRejectsNegativeOverrides(t *testing.T) {
 		{"-duration", "-5m"},
 		{"-nodes", "-3"},
 		{"-txrate", "-0.5"},
-		{"-shards", "-1"},
 	} {
 		rejects(t, append([]string{"-preset", "quick"}, args...)...)
 	}
@@ -110,7 +109,6 @@ func TestRunRejectsNegativeOverridesEveryPreset(t *testing.T) {
 		for _, args := range [][]string{
 			{"-duration", "-5m"},
 			{"-nodes", "-3"},
-			{"-shards", "-1"},
 		} {
 			rejects(t, append(append([]string{}, preset...), args...)...)
 		}
@@ -260,13 +258,13 @@ func TestFlagsMatchJobSpec(t *testing.T) {
 	}{
 		{[]string{"-preset", "quick"}, serve.JobSpec{Kind: "campaign"}},
 		{
-			[]string{"-preset", "quick", "-duration", "7m", "-nodes", "60", "-no-tx", "-shards", "1"},
-			serve.JobSpec{Kind: "campaign", Duration: "7m", Nodes: 60, NoTx: true, Shards: 1},
+			[]string{"-preset", "quick", "-duration", "7m", "-nodes", "60", "-no-tx"},
+			serve.JobSpec{Kind: "campaign", Duration: "7m", Nodes: 60, NoTx: true},
 		},
 		{
-			[]string{"-seed", "9", "-shards", "2", "-protocol", "ghost-inclusive:depth=10",
+			[]string{"-seed", "9", "-protocol", "ghost-inclusive:depth=10",
 				"-scenario", "relayoverlay", "-scenario", "churn:interval=90s"},
-			serve.JobSpec{Kind: "campaign", Preset: "default", Seed: 9, Shards: 2,
+			serve.JobSpec{Kind: "campaign", Preset: "default", Seed: 9,
 				Protocol: "ghost-inclusive:depth=10", Scenarios: []string{"relayoverlay", "churn:interval=90s"}},
 		},
 	}

@@ -11,7 +11,7 @@
 //	         [-vary axis=v1,v2,...]... [-scenarios spec;spec;...]
 //	         [-protocols spec;spec;...]
 //	         [-workers N] [-json PATH]
-//	         [-duration D] [-nodes N] [-no-tx] [-shards N] [-quiet]
+//	         [-duration D] [-nodes N] [-no-tx] [-quiet]
 //
 // Axes accepted by -vary (repeatable, one axis each):
 //
@@ -93,7 +93,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.BoolVar(&o.quiet, "quiet", false, "suppress per-run progress on stderr")
 	fs.StringVar(&o.scens, "scenarios", "", "scenario axis: semicolon-separated specs (name[:key=val,...]; 'none' = base)")
 	fs.StringVar(&o.protos, "protocols", "", "consensus-protocol axis: semicolon-separated specs (ethereum;bitcoin;...)")
-	fs.IntVar(&o.overrides.Shards, "shards", 0, "event-engine shards per campaign (0 or 1 = serial; results are identical at any count)")
 	fs.BoolVar(&o.version, "version", false, "print build version and exit")
 	fs.Var(&o.vary, "vary", "axis=v1,v2,... (repeatable; axes: nodes, discovery, pools, churn, txrate, duration)")
 	if err := fs.Parse(args); err != nil {

@@ -164,10 +164,15 @@ func TestRunAcceptsPaddedSpecLists(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadShards: -shards is no longer a flag, so a command
+// line that names it fails instead of running on the one engine as if
+// the shard count had been honoured.
 func TestRunRejectsBadShards(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-shards", "-1"}, &buf); err == nil {
-		t.Error("-shards -1 accepted")
+	for _, n := range []string{"-1", "1", "2"} {
+		var buf bytes.Buffer
+		if err := run([]string{"-shards", n}, &buf); err == nil {
+			t.Errorf("-shards %s accepted", n)
+		}
 	}
 }
 
@@ -312,12 +317,12 @@ func TestFlagsMatchJobSpec(t *testing.T) {
 	}{
 		{nil, serve.JobSpec{Kind: "sweep"}},
 		{
-			[]string{"-duration", "7m", "-nodes", "60", "-no-tx", "-shards", "1"},
-			serve.JobSpec{Kind: "sweep", Duration: "7m", Nodes: 60, NoTx: true, Shards: 1},
+			[]string{"-duration", "7m", "-nodes", "60", "-no-tx"},
+			serve.JobSpec{Kind: "sweep", Duration: "7m", Nodes: 60, NoTx: true},
 		},
 		{
-			[]string{"-preset", "default", "-shards", "2"},
-			serve.JobSpec{Kind: "sweep", Preset: "default", Shards: 2},
+			[]string{"-preset", "default"},
+			serve.JobSpec{Kind: "sweep", Preset: "default"},
 		},
 	}
 	for _, tc := range cases {

@@ -90,7 +90,6 @@ type Campaign struct {
 	proto consensus.Protocol
 
 	engine    *sim.Engine
-	sharded   *sim.Sharded // nil when the campaign runs the serial engine
 	network   *simnet.Network
 	registry  *chain.Registry
 	store     *txgen.Store
@@ -171,20 +170,6 @@ func (c *Campaign) build() error {
 	} else {
 		c.engine = sim.NewEngine(cfg.Seed)
 		c.network = simnet.New(c.engine, cfg.Latency)
-	}
-	if shards := cfg.ResolveShards(); shards > 1 {
-		// Conservative PDES: the lookahead is the smallest delay any
-		// message can take — the latency model's floor over every region
-		// pair (diagonals included, since shards may split a region)
-		// plus the fixed per-message overhead. Sharding must be enabled
-		// before any node exists so every node gets a shard.
-		lookahead := cfg.Latency.MinSampleFloor() + c.network.MinOverhead
-		if c.pool != nil {
-			c.sharded = c.pool.takeSharded(c.engine, shards, lookahead)
-		} else {
-			c.sharded = sim.NewSharded(c.engine, shards, lookahead)
-		}
-		c.network.EnableSharding(c.sharded, shardPicker(cfg.NodeDistribution, shards))
 	}
 	blockIssuer := types.NewHashIssuer(1)
 	c.registry = chain.NewRegistry(cfg.GenesisNumber, blockIssuer)
@@ -280,15 +265,7 @@ func (c *Campaign) build() error {
 			k := int(cfg.VantageGatewayFraction*float64(len(allGateways)) + 0.5)
 			p2p.ConnectToRandom(topoRNG, node, allGateways, k)
 		}
-		var sink measure.Recorder = c.bus
-		if d, ok := node.Scheduler().(sim.Deferrer); ok {
-			// Sharded mode: the vantage observes (and draws its clock
-			// offsets) on its node's shard, but the bus consumers —
-			// collector, memory recorder, spill writer — are serial
-			// state, so each finished record is deferred to the barrier.
-			sink = &deferRecorder{d: d, bus: c.bus}
-		}
-		vantage := measure.NewVantage(vs.Name, cfg.Clock, clockRNG.Int63(), sink)
+		vantage := measure.NewVantage(vs.Name, cfg.Clock, clockRNG.Int63(), c.bus)
 		node.Observer = vantage
 		c.vantages = append(c.vantages, vantage)
 		c.vantNodes = append(c.vantNodes, node)
@@ -388,24 +365,17 @@ func (c *Campaign) newP2PNode(endpoint *simnet.Node) *p2p.Node {
 	return p2p.NewNode(&c.cfg.P2P, c.network, endpoint, c.registry)
 }
 
-// Engine exposes the serial simulation engine (tests and diagnostics).
-// In sharded mode this is the coordinator's global engine: the serial
-// timeline mining, workloads and interventions run on.
+// Engine exposes the simulation engine (tests and diagnostics).
 func (c *Campaign) Engine() *sim.Engine { return c.engine }
 
-// Sharded exposes the sharded coordinator, or nil when the campaign
-// runs the serial engine (Config.Shards resolved to 1).
-func (c *Campaign) Sharded() *sim.Sharded { return c.sharded }
+// Sharded always returns nil: campaigns run on one engine. It is kept
+// only for perfbench, which checks it; delete it with Config.Shards.
+func (c *Campaign) Sharded() any { return nil }
 
-// StopSimulation halts a running Simulate at the next safe point: the
-// current serial event, or — mid-window — within a bounded number of
-// shard events. Simulate then returns an error wrapping sim.ErrStopped.
-// Safe to call from an engine callback or from another goroutine.
+// StopSimulation halts a running Simulate after the current event.
+// Simulate then returns an error wrapping sim.ErrStopped. Safe to call
+// from an engine callback or from another goroutine.
 func (c *Campaign) StopSimulation() {
-	if c.sharded != nil {
-		c.sharded.Stop()
-		return
-	}
 	if c.engine != nil {
 		c.engine.Stop()
 	}
@@ -506,7 +476,6 @@ func (c *Campaign) ReleaseNetwork() {
 		return // the simulation still needs all of it
 	}
 	c.engine = nil
-	c.sharded = nil
 	c.network = nil
 	c.miner = nil
 	c.gen = nil

@@ -9,13 +9,9 @@ import (
 )
 
 // tinyConfig returns the smallest campaign that exercises every
-// subsystem, for fast integration tests. It pins Shards to 1 so these
-// tests (and the equivalence variants built on them) stay anchored to
-// the serial engine; shardedTinyConfig and the shard-equivalence suite
-// cover the parallel path against this anchor.
+// subsystem, for fast integration tests.
 func tinyConfig() Config {
 	cfg := QuickConfig()
-	cfg.Shards = 1
 	cfg.Duration = 10 * time.Minute
 	cfg.NumNodes = 60
 	cfg.OutDegree = 5

@@ -55,12 +55,10 @@ type Config struct {
 	// OutDegree is each regular node's dial count (mean degree ≈ 2x).
 	OutDegree int
 
-	// Shards is the number of event-engine shards the campaign runs on
-	// (conservative PDES: nodes are partitioned by geo region, shards
-	// advance in lookahead windows bounded by the minimum inter-region
-	// latency). 0 and 1 run the serial engine, which is the faster one
-	// on every preset measured; sharding is opt-in. Any shard count
-	// produces bit-identical records and chains for a given seed.
+	// Shards is kept only for perfbench, which sets it to 1: 0 and 1
+	// are accepted and anything else fails Validate, because the
+	// sharded engine was removed. Delete it, with ResolveShards and
+	// Campaign.Sharded, in the next change to the benchmark.
 	Shards int
 
 	// UseDiscovery selects the Kademlia-style discovery overlay for
@@ -288,8 +286,6 @@ type Overrides struct {
 	TxRate float64
 	// NoTx disables the transaction workload.
 	NoTx bool
-	// Shards sets the event-engine shard count.
-	Shards int
 	// Protocol is a consensus spec, "name[:key=val,...]".
 	Protocol string
 	// Scenarios are scenario specs composed in order.
@@ -306,8 +302,6 @@ func Configure(preset string, o Overrides) (Config, error) {
 		return Config{}, fmt.Errorf("nodes must be non-negative, got %d", o.Nodes)
 	case o.TxRate < 0:
 		return Config{}, fmt.Errorf("txrate must be non-negative, got %g", o.TxRate)
-	case o.Shards < 0:
-		return Config{}, fmt.Errorf("shards must be non-negative, got %d", o.Shards)
 	}
 	cfg, err := Preset(preset)
 	if err != nil {
@@ -325,9 +319,6 @@ func Configure(preset string, o Overrides) (Config, error) {
 	}
 	if o.NoTx {
 		cfg.EnableTxWorkload = false
-	}
-	if o.Shards > 0 {
-		cfg.Shards = o.Shards
 	}
 	if o.Protocol != "" {
 		spec, err := consensus.Parse(o.Protocol)
@@ -375,8 +366,8 @@ func (c *Config) Validate() error {
 	if c.OutDegree < 1 || c.OutDegree >= c.NumNodes {
 		return fmt.Errorf("core: out-degree %d out of range", c.OutDegree)
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("core: shard count must be non-negative, got %d", c.Shards)
+	if c.Shards < 0 || c.Shards > 1 {
+		return fmt.Errorf("core: shards = %d: the sharded engine was removed; campaigns run on one engine", c.Shards)
 	}
 	if c.NodeBandwidth <= 0 || c.GatewayBandwidth <= 0 || c.VantageBandwidth <= 0 {
 		return fmt.Errorf("core: bandwidths must be positive")
@@ -445,13 +436,9 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// ResolveShards returns the effective shard count: Shards when set
-// explicitly, otherwise 1, the serial engine. Results are identical at
-// every shard count, so only wall time depends on it, and the serial
-// engine is faster than two shards on the default and paper presets.
-func (c *Config) ResolveShards() int {
-	return max(c.Shards, 1)
-}
+// ResolveShards returns 1: campaigns run on one engine. It is kept only
+// for perfbench; delete it with Shards.
+func (c *Config) ResolveShards() int { return 1 }
 
 // ProtocolTag returns the canonical textual form of the configured
 // consensus protocol ("ethereum" for the zero value) — the annotation

@@ -115,7 +115,6 @@ func TestConfigure(t *testing.T) {
 		{"nodes", Overrides{Nodes: 60}, func(c *Config) { c.NumNodes = 60 }},
 		{"txrate", Overrides{TxRate: 2}, func(c *Config) { c.TxGen.Rate = 2; ApplyCapacity(c) }},
 		{"no-tx", Overrides{NoTx: true}, func(c *Config) { c.EnableTxWorkload = false }},
-		{"shards", Overrides{Shards: 3}, func(c *Config) { c.Shards = 3 }},
 		{"protocol", Overrides{Protocol: "bitcoin"}, func(c *Config) { c.Protocol = consensus.Spec{Name: "bitcoin"} }},
 		{"scenarios", Overrides{Scenarios: []string{"relayoverlay", "churn:interval=90s"}}, func(c *Config) {
 			c.Scenarios = []scenario.Spec{
@@ -148,7 +147,6 @@ func TestConfigure(t *testing.T) {
 		{"negative duration", "quick", Overrides{Duration: -time.Minute}, "duration"},
 		{"negative nodes", "quick", Overrides{Nodes: -5}, "nodes"},
 		{"negative txrate", "quick", Overrides{TxRate: -0.5}, "txrate"},
-		{"negative shards", "quick", Overrides{Shards: -1}, "shards"},
 		{"bad protocol name", "quick", Overrides{Protocol: "pow2"}, "unknown protocol"},
 		{"bad protocol param", "quick", Overrides{Protocol: "ethereum:gravity=9"}, "unknown parameter"},
 		{"bad protocol syntax", "quick", Overrides{Protocol: "bitcoin:reward"}, "want key=val"},
@@ -264,5 +262,32 @@ func TestLogMetaReflectsConfig(t *testing.T) {
 	}
 	if meta.Seed != cfg.Seed || meta.DurationNs != int64(cfg.Duration) {
 		t.Error("meta timing fields wrong")
+	}
+}
+
+// TestShardedAutoResolve pins the shards shim that perfbench still
+// uses: Shards 0 and 1 validate and resolve to the one engine, the
+// campaign reports no sharded coordinator, and any other count is
+// rejected with the reason.
+func TestShardedAutoResolve(t *testing.T) {
+	cfg := tinyConfig()
+	for _, shards := range []int{0, 1} {
+		cfg.Shards = shards
+		if got := cfg.ResolveShards(); got != 1 {
+			t.Errorf("Shards=%d: ResolveShards() = %d, want 1", shards, got)
+		}
+		c, err := NewCampaign(cfg)
+		if err != nil {
+			t.Fatalf("Shards=%d: %v", shards, err)
+		}
+		if c.Sharded() != nil {
+			t.Errorf("Shards=%d: Sharded() = %v, want nil", shards, c.Sharded())
+		}
+	}
+	for _, shards := range []int{-1, 2, 8} {
+		cfg.Shards = shards
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "sharded engine was removed") {
+			t.Errorf("Shards=%d: Validate() = %v, want the sharded engine named as removed", shards, err)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -67,24 +66,6 @@ func TestLadderHeapEquivalenceVariants(t *testing.T) {
 		variant := variant
 		t.Run(variant.name, func(t *testing.T) {
 			diffQueueImpls(t, variant.cfg)
-		})
-	}
-}
-
-// TestLadderHeapEquivalenceShards extends the differential suite
-// across shard counts: every shard engine runs its own queue, and the
-// barrier loop reads window edges through NextAt, so each shard count
-// must be bit-identical across implementations too.
-func TestLadderHeapEquivalenceShards(t *testing.T) {
-	counts := []int{1, 2, 4, 8}
-	if testing.Short() {
-		counts = []int{1, 2}
-	}
-	for _, shards := range counts {
-		cfg := tinyConfig()
-		cfg.Shards = shards
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			diffQueueImpls(t, cfg)
 		})
 	}
 }

@@ -10,15 +10,14 @@ import (
 
 // Pool recycles the expensive run-scoped state of finished campaigns
 // across sequential runs on one worker: the engine's event slab, the
-// sharded coordinator's exchange queues, the simulated network's
-// endpoint table, the p2p node/edge graph with its known-hash caches,
-// and the streaming collector's arrival index. A warm build re-seeds
+// simulated network's endpoint table and transaction floods, the p2p
+// node/edge graph with its known-hash caches, and the streaming
+// collector's arrival index. A warm build re-seeds
 // every RNG stream and re-derives topology and placement from the new
 // config, so a pooled campaign is bit-identical to a cold one — only
 // allocation capacity is carried over, and capacity is never visible
 // to the simulation (the equivalence suite proves this, including
-// across consecutive runs with differing node counts, protocols and
-// shard modes).
+// across consecutive runs with differing node counts and protocols).
 //
 // A Pool serves one goroutine at a time; pooled state is never shared
 // between concurrent runs. Sweep workers and the campaign server give
@@ -34,7 +33,6 @@ import (
 // nothing beyond what cold construction already cost.
 type Pool struct {
 	engine    *sim.Engine
-	sharded   *sim.Sharded
 	network   *simnet.Network
 	rec       *p2p.Recycler
 	collector *analysis.Collector
@@ -101,15 +99,6 @@ func (p *Pool) takeNetwork(engine *sim.Engine, latency *geo.LatencyModel) *simne
 	return simnet.New(engine, latency)
 }
 
-// takeSharded detaches the pooled coordinator and reuses it when the
-// shard count matches (NewShardedReusing falls back to fresh
-// construction otherwise).
-func (p *Pool) takeSharded(global *sim.Engine, numShards int, lookahead sim.Time) *sim.Sharded {
-	old := p.sharded
-	p.sharded = nil
-	return sim.NewShardedReusing(old, global, numShards, lookahead)
-}
-
 // takeCollector detaches and resets the pooled collector, or builds
 // fresh.
 func (p *Pool) takeCollector(ds *analysis.Dataset, redundancyVantage string) *analysis.Collector {
@@ -133,23 +122,19 @@ func (p *Pool) Recycle(c *Campaign) {
 		return
 	}
 	p.engine = c.engine
-	p.sharded = c.sharded
 	p.network = c.network
 	p.collector = c.collector
 	p.rec.Reclaim(c.regular, c.vantNodes)
 	for _, gws := range c.gateways {
 		p.rec.Reclaim(gws)
 	}
-	// Sweep the event slabs and shard queues now, at recycle time, so
-	// the next warm build is pure reassignment (Reset on an already
-	// swept engine skips the slab clear). The seed passed here is
-	// irrelevant — takeEngine re-seeds for the next run.
+	// Sweep the event slab now, at recycle time, so the next warm
+	// build is pure reassignment (Reset on an already swept engine
+	// skips the slab clear). The seed passed here is irrelevant —
+	// takeEngine re-seeds for the next run.
 	p.engine.Reset(p.engine.Seed())
-	if p.sharded != nil {
-		p.sharded.Scrub()
-	}
 	p.recycled++
-	c.engine, c.sharded, c.network = nil, nil, nil
+	c.engine, c.network = nil, nil
 	c.collector, c.bus, c.recorder = nil, nil, nil
 	c.miner, c.gen = nil, nil
 	c.vantages, c.regular, c.gateways, c.vantNodes = nil, nil, nil, nil

@@ -12,8 +12,7 @@ import (
 // poolVariants is the warm-run extension of the equivalence suite: a
 // sequence of deliberately differing configs fed through ONE pool, so
 // every recycled structure is exercised across node-count shrink and
-// grow, a protocol switch, and shards toggling on and off between
-// consecutive runs.
+// grow and a protocol switch between consecutive runs.
 func poolVariants() []struct {
 	name string
 	cfg  Config
@@ -33,10 +32,6 @@ func poolVariants() []struct {
 	bitcoin.EnableTxWorkload = false
 	bitcoin.Protocol = consensus.Spec{Name: consensus.BitcoinName}
 
-	sharded := tinyConfig()
-	sharded.Shards = 2
-	sharded.Seed = 3
-
 	serialAgain := tinyConfig()
 	serialAgain.Seed = 5
 
@@ -48,7 +43,6 @@ func poolVariants() []struct {
 		{"grow", grow},
 		{"shrink", shrink},
 		{"bitcoin", bitcoin},
-		{"sharded", sharded},
 		{"serial-again", serialAgain},
 	}
 }
@@ -57,8 +51,8 @@ func poolVariants() []struct {
 // variant runs cold (fresh NewCampaign) and warm (through one shared
 // Pool, which recycles the previous variant's state), and the record
 // stream, chain, every analysis result and the key metrics must match
-// bit for bit. The variant sequence changes node count, protocol and
-// shard mode between consecutive runs, so the pool's reset paths are
+// bit for bit. The variant sequence changes node count and protocol
+// between consecutive runs, so the pool's reset paths are
 // exercised under shape changes, not just same-config repeats.
 func TestPoolWarmEquivalence(t *testing.T) {
 	pool := NewPool()

@@ -29,7 +29,7 @@ type Progress struct {
 	// horizon, so SimTime/Duration is the fraction complete.
 	SimTime  time.Duration `json:"sim_time"`
 	Duration time.Duration `json:"duration"`
-	// Events counts engine events executed so far (all shards).
+	// Events counts engine events executed so far.
 	Events uint64 `json:"events"`
 	// BlockRecords and TxRecords count measurement records emitted so
 	// far; Blocks is the current block-registry size.
@@ -112,7 +112,7 @@ func (ri *runInstr) RecordTx(rec measure.TxRecord) {
 // progress builds the live snapshot at the current virtual time.
 func (ri *runInstr) progress() Progress {
 	c := ri.c
-	p := Progress{
+	return Progress{
 		SimTime:      c.engine.Now(),
 		Duration:     c.cfg.Duration,
 		Events:       c.engine.EventsRun(),
@@ -120,10 +120,6 @@ func (ri *runInstr) progress() Progress {
 		TxRecords:    ri.ntxs,
 		Blocks:       c.registry.Len(),
 	}
-	if c.sharded != nil {
-		p.Events = c.sharded.EventsRun()
-	}
-	return p
 }
 
 // checkpoint builds the verifiable barrier marker at the current
@@ -189,9 +185,8 @@ func (o *RunOptions) validate(duration time.Duration) error {
 }
 
 // SimulateContext executes the simulation phase with cancellation and
-// instrumentation. Cancelling ctx stops the run at the next safe point
-// (the current serial event, or a bounded number of shard events) and
-// returns an error wrapping ctx.Err(). See RunOptions for the
+// instrumentation. Cancelling ctx stops the run after the current
+// event and returns an error wrapping ctx.Err(). See RunOptions for the
 // progress, checkpoint and resume hooks; with zero options and a
 // background context this is exactly Simulate.
 func (c *Campaign) SimulateContext(ctx context.Context, opts RunOptions) error {
@@ -280,13 +275,7 @@ func (c *Campaign) SimulateContext(ctx context.Context, opts RunOptions) error {
 		defer func() { close(unwatch); <-watched }()
 	}
 
-	var runErr error
-	if c.sharded != nil {
-		_, runErr = c.sharded.Run(c.cfg.Duration)
-	} else {
-		_, runErr = c.engine.Run(c.cfg.Duration)
-	}
-	if runErr != nil {
+	if _, runErr := c.engine.Run(c.cfg.Duration); runErr != nil {
 		if c.spill != nil {
 			// Best effort: flush what was recorded and release the
 			// descriptor; the simulation error takes precedence.
@@ -302,9 +291,6 @@ func (c *Campaign) SimulateContext(ctx context.Context, opts RunOptions) error {
 		return fmt.Errorf("core: simulation: %w", runErr)
 	}
 	c.events = c.engine.EventsRun()
-	if c.sharded != nil {
-		c.events = c.sharded.EventsRun()
-	}
 	c.messages = c.network.Sent()
 	if c.recorder != nil {
 		c.dataset.Blocks = c.recorder.Blocks

@@ -334,8 +334,8 @@ func (m *LatencyModel) Base(from, to Region) time.Duration {
 }
 
 // SampleFloor returns the smallest delay Sample can return for the
-// pair: the base delay scaled by the minimum jitter factor. This is
-// the per-link lookahead bound used by the sharded scheduler.
+// pair: the base delay scaled by the minimum jitter factor, a lower
+// bound on every delivery between the two regions.
 func (m *LatencyModel) SampleFloor(from, to Region) time.Duration {
 	d := m.baseD[from][to]
 	if d == 0 { // zero-constructed model without finalize
@@ -345,23 +345,6 @@ func (m *LatencyModel) SampleFloor(from, to Region) time.Duration {
 		return d
 	}
 	return time.Duration(float64(d) * m.oneMinusHalf)
-}
-
-// MinSampleFloor returns the smallest delay Sample can return across
-// every pair of valid regions, diagonals included. Any two nodes —
-// even two in the same region — are at least this far apart, which
-// makes it the conservative-PDES lookahead for any partition of the
-// network.
-func (m *LatencyModel) MinSampleFloor() time.Duration {
-	min := time.Duration(0)
-	for _, a := range AllRegions() {
-		for _, b := range AllRegions() {
-			if f := m.SampleFloor(a, b); min == 0 || f < min {
-				min = f
-			}
-		}
-	}
-	return min
 }
 
 // Sample draws a one-way delay between two regions, applying jitter.

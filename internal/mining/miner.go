@@ -166,27 +166,17 @@ func NewMiner(
 }
 
 // hookGateway wires the pool's primary gateway events into job and
-// txpool management. Miner state (jitter stream, job heads, txpools)
-// lives on the serial timeline, so when the gateway node runs on a
-// shard the hook bodies are deferred to the next window barrier; on
-// the serial engine they run inline exactly as before.
+// txpool management.
 func (m *Miner) hookGateway(pool *Pool) {
-	onNewHead := func(b *types.Block) {
+	pool.primary.OnNewHead = func(b *types.Block) {
 		// Pool-internal job switch latency before workers move to the
 		// new head. The pool's own blocks bypass this via mineBlock.
 		delay := jitteredDuration(m.rng, m.cfg.HeadSwitchMean, 0.8)
 		m.engine.After(delay, func() { m.switchJob(pool, b) })
 	}
-	txSink := func(tx *types.Transaction) {
+	pool.primary.TxSink = func(tx *types.Transaction) {
 		pool.txs.Add(tx)
 	}
-	if d, ok := pool.primary.Scheduler().(sim.Deferrer); ok {
-		pool.primary.OnNewHead = func(b *types.Block) { d.Defer(func() { onNewHead(b) }) }
-		pool.primary.TxSink = func(tx *types.Transaction) { d.Defer(func() { txSink(tx) }) }
-		return
-	}
-	pool.primary.OnNewHead = onNewHead
-	pool.primary.TxSink = txSink
 }
 
 // switchJob moves the pool's mining job to newHead if the protocol's

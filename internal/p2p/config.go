@@ -41,9 +41,6 @@ type Config struct {
 	// KnownBlocksPerPeer bounds the per-link "peer already has this
 	// block" caches (Geth: 1024).
 	KnownBlocksPerPeer int
-
-	// KnownTxCache bounds each node's own seen-transaction cache.
-	KnownTxCache int
 }
 
 // DefaultConfig returns the Geth-1.8-calibrated protocol parameters.
@@ -58,7 +55,6 @@ func DefaultConfig() Config {
 		ImportPerTx:         1 * time.Millisecond,
 		ImportJitter:        0.5,
 		KnownBlocksPerPeer:  256,
-		KnownTxCache:        1 << 17,
 	}
 }
 

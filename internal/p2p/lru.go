@@ -6,9 +6,8 @@ import (
 )
 
 // hashSet is a bounded set of hashes with FIFO eviction, mirroring the
-// LRU caches Geth keeps: per peer for known blocks, so a block is not
-// re-sent to a peer that already has it, and per node for the
-// transactions it has seen.
+// LRU caches Geth keeps per peer for known blocks, so a block is not
+// re-sent to a peer that already has it.
 //
 // Storage is the window bitmap of internal/hashset: issued hashes are
 // sequential, so a cache's members span a short id range and cost about

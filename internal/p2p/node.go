@@ -17,8 +17,9 @@
 // get it sooner through another link. Each transaction therefore runs
 // as one flood (see txFlood): every relayed message is still
 // transmitted — its delay drawn and the message counted — but only a
-// node's first arrival in the flood becomes an engine event, so
-// duplicates within a flood never become events or reach an observer.
+// node's first arrival becomes an engine event, so duplicates never
+// become events or reach an observer, and the flood alone records
+// which nodes hold the transaction.
 package p2p
 
 import (
@@ -71,7 +72,6 @@ const (
 	evBlockPush    int32 = iota + 1 // Data=*types.Block, Aux=*Edge
 	evBlockFetched                  // Data=*types.Block, Aux=*Edge
 	evAnnounce                      // Data=*types.Block, Aux=*Edge
-	evTx                            // Data=*types.Transaction, Aux=*Edge; cross-shard only
 	evGetBlock                      // Num=hash, Aux=*Edge (request)
 
 	tmPushBlock    // A=*types.Block: post-header-check relay
@@ -86,24 +86,19 @@ type Observer interface {
 	ObserveBlock(at sim.Time, b *types.Block, from types.NodeID, kind MsgKind)
 	// ObserveAnnounce fires for every block-hash announcement entry.
 	ObserveAnnounce(at sim.Time, h types.Hash, number uint64, from types.NodeID)
-	// ObserveTx fires for transaction deliveries. The delivery that
-	// first brings a transaction to the node is always simulated and
-	// observed. Duplicates in the same flood are never delivered, so
-	// on the serial engine an observer sees each transaction once; on
-	// the sharded engine, where a transaction may reach a shard as
-	// several floods, it may also see some later duplicates.
+	// ObserveTx fires for the delivery that first brings a
+	// transaction to the node. Duplicates are never delivered, so an
+	// observer sees each transaction once.
 	ObserveTx(at sim.Time, tx *types.Transaction, from types.NodeID)
 }
 
 // Edge is a bidirectional peer link with per-endpoint known-block
 // caches. Geth marks a hash as known by a peer both when sending it to
 // and when receiving it from that peer; each endpoint keeps its own
-// view of that knowledge and updates it on both its sends and its
-// receives. Splitting the caches per endpoint (rather than one shared
-// set per link) keeps every cache single-writer when the two endpoints
-// live on different shards of the sharded engine; the only behavioural
-// difference is the in-flight window where the sender has marked a
-// hash the receiver has not yet seen.
+// view of that knowledge, as each Geth node keeps its own peer set,
+// and updates it on both its sends and its receives. While a block is
+// in flight the sender has marked it on its side of the link and the
+// receiver has not yet seen it.
 //
 // Transactions need no per-link cache: a node relays a transaction
 // once, at its first sighting, and at that moment the only link whose
@@ -136,7 +131,7 @@ type Node struct {
 	cfg     *Config
 	net     *simnet.Network
 	netNode *simnet.Node
-	sched   sim.Scheduler
+	sched   *sim.Engine
 	rng     *rand.Rand
 	reg     *chain.Registry
 	view    *chain.View
@@ -146,7 +141,6 @@ type Node struct {
 	pushTmp    []*Edge     // reusable scratch for pushBlock targets
 	seenBlocks hashset.U64 // received at least once (pre-import)
 	fetching   hashset.U64 // announced, awaiting push or fetch
-	knownTxs   hashSet
 
 	// procSpeed scales this node's processing delays: 1.0 = baseline
 	// hardware, <1 = faster. The paper's measurement machines are well
@@ -171,21 +165,19 @@ type Node struct {
 
 // NewNode creates a protocol node bound to a network endpoint. Each
 // node gets its own chain view over the shared registry, schedules its
-// timers on the endpoint's shard, and draws jitter from a per-node RNG
+// timers on the network's engine, and draws jitter from a per-node RNG
 // stream so its randomness is independent of event interleaving.
 func NewNode(cfg *Config, net *simnet.Network, endpoint *simnet.Node, reg *chain.Registry) *Node {
-	n := &Node{
+	return &Node{
 		cfg:       cfg,
 		net:       net,
 		netNode:   endpoint,
-		sched:     net.SchedulerFor(endpoint),
+		sched:     net.Engine(),
 		rng:       sim.NewStream(net.Engine().Seed(), "p2p", uint64(endpoint.ID)),
 		reg:       reg,
 		view:      chain.NewView(reg),
 		procSpeed: 1,
 	}
-	n.knownTxs.reset(cfg.KnownTxCache)
-	return n
 }
 
 // SetProcSpeed scales the node's processing delays (1.0 = baseline,
@@ -205,10 +197,6 @@ func (n *Node) scale(d time.Duration) time.Duration {
 
 // ID returns the node's network ID.
 func (n *Node) ID() types.NodeID { return n.netNode.ID }
-
-// Scheduler returns the scheduler the node's events run on (its shard
-// in sharded mode, the serial engine otherwise).
-func (n *Node) Scheduler() sim.Scheduler { return n.sched }
 
 // Endpoint returns the underlying network endpoint.
 func (n *Node) Endpoint() *simnet.Node { return n.netNode }
@@ -292,8 +280,6 @@ func (n *Node) DeliverEnvelope(env simnet.Envelope) {
 		n.handleBlock(env.Data.(*types.Block), env.Aux.(*Edge), MsgFetchedBlock)
 	case evAnnounce:
 		n.handleAnnounce(env.Data.(*types.Block), env.Aux.(*Edge))
-	case evTx:
-		n.handleTx(env.Data.(*types.Transaction), env.Aux.(*Edge))
 	case evGetBlock:
 		n.handleGetBlock(types.Hash(env.Num), env.Aux.(*Edge))
 	default:
@@ -452,7 +438,9 @@ func (n *Node) handleGetBlock(h types.Hash, from *Edge) {
 }
 
 // SubmitTx injects a locally created transaction (the node is the
-// origin chosen by the workload generator) and floods it.
+// origin chosen by the workload generator) and floods it. A
+// transaction floods once: submitting it again, at this node or any
+// other, does nothing.
 //
 // Observed nodes cannot originate transactions: an observer must first
 // sight every transaction through a delivery, because deliveries to a
@@ -461,38 +449,12 @@ func (n *Node) SubmitTx(tx *types.Transaction) {
 	if n.Observer != nil {
 		panic("p2p: SubmitTx on an observed node")
 	}
-	if n.sightTx(tx) {
-		n.flood(tx, nil)
+	if tx.Submitted {
+		return
 	}
-}
-
-// handleTx processes a transaction delivered from another shard: a
-// first sighting opens a flood here.
-func (n *Node) handleTx(tx *types.Transaction, from *Edge) {
-	if n.receiveTx(tx, from) {
-		n.flood(tx, from)
-	}
-}
-
-// receiveTx shows an inbound transaction to the observer and reports
-// whether it is the node's first sighting.
-func (n *Node) receiveTx(tx *types.Transaction, from *Edge) bool {
-	if n.Observer != nil {
-		n.Observer.ObserveTx(n.sched.Now(), tx, from.Other(n).ID())
-	}
-	return n.sightTx(tx)
-}
-
-// sightTx records that the node now holds tx and reports whether this
-// is its first sighting, which feeds TxSink. The known-tx cache must
-// not evict a transaction while a flood of it is running; the default
-// cache holds hours of traffic against a flood's seconds.
-func (n *Node) sightTx(tx *types.Transaction) bool {
-	if !n.knownTxs.Add(tx.Hash) {
-		return false
-	}
+	tx.Submitted = true
 	if n.TxSink != nil {
 		n.TxSink(tx)
 	}
-	return true
+	n.flood(tx)
 }

@@ -64,15 +64,12 @@ func (r *Recycler) NewNode(cfg *Config, net *simnet.Network, endpoint *simnet.No
 	n.cfg = cfg
 	n.net = net
 	n.netNode = endpoint
-	n.sched = net.SchedulerFor(endpoint)
+	n.sched = net.Engine()
 	sim.ReseedStream(n.rng, net.Engine().Seed(), "p2p", uint64(endpoint.ID))
 	n.reg = reg
 	n.view = chain.NewView(reg)
 	n.edges = n.edges[:0]
-	// peerBits, seenBlocks, fetching and the knownTxs bitmap were
-	// swept by Reclaim; reset here only applies the new
-	// config's capacity (free on a scrubbed set).
-	n.knownTxs.reset(cfg.KnownTxCache)
+	// peerBits, seenBlocks and fetching were swept by Reclaim.
 	n.procSpeed = 1
 	n.Observer = nil
 	n.OnNewHead = nil
@@ -106,7 +103,6 @@ func (r *Recycler) Reclaim(lists ...[]*Node) {
 			n.peerBits.reset()
 			n.seenBlocks.Clear()
 			n.fetching.Clear()
-			n.knownTxs.scrub()
 			pt := n.pushTmp[:cap(n.pushTmp)]
 			clear(pt)
 			n.pushTmp = pt[:0]

@@ -81,7 +81,7 @@ func TestRecyclerResetsNodeState(t *testing.T) {
 	// peers have not sighted the transaction yet.
 	tx := &types.Transaction{Hash: 0x1234, Size: types.TxSize}
 	h.nodes[1].SubmitTx(tx)
-	if h.engine.Pending() != 1 || h.nodes[2].knownTxs.Has(tx.Hash) {
+	if h.engine.Pending() != 1 {
 		t.Fatalf("test premise broken: %d events pending, want the flood's one", h.engine.Pending())
 	}
 
@@ -119,9 +119,6 @@ func TestRecyclerResetsNodeState(t *testing.T) {
 		if n.Observer != nil || n.OnNewHead != nil || n.TxSink != nil {
 			t.Errorf("node %d: callbacks leaked through recycle", i)
 		}
-		if n.knownTxs.Len() != 0 {
-			t.Errorf("node %d: known-tx cache not emptied", i)
-		}
 		if n.seenBlocks.Len() != 0 || n.fetching.Len() != 0 {
 			t.Errorf("node %d: block tracking sets not emptied", i)
 		}
@@ -156,14 +153,54 @@ func TestRecyclerResetsNodeState(t *testing.T) {
 	}
 	// The finished flood went back to the network's free list holding
 	// capacity only.
-	pool, _ := (*warm.net.ShardLocal(warm.nodes[0].netNode)).(*floodPool)
+	pool, _ := (*warm.net.Local()).(*floodPool)
 	if pool == nil || len(pool.free) != 1 {
 		t.Fatalf("free list %+v, want the one released flood", pool)
 	}
-	if f := pool.free[0]; f.tx != nil || f.sched != nil || f.used != 0 || len(f.heap) != 0 ||
-		slices.ContainsFunc(f.slots, func(s floodSlot) bool { return s != floodSlot{} }) ||
+	if f := pool.free[0]; f.tx != nil || f.sched != nil || len(f.heap) != 1 ||
+		slices.ContainsFunc(f.pos, func(p int32) bool { return p != unreached }) ||
 		slices.ContainsFunc(f.peers, func(p floodPeer) bool { return p != floodPeer{} }) {
-		t.Errorf("released flood keeps state: tx %v, %d used, %d pending", f.tx, f.used, len(f.heap))
+		t.Errorf("released flood keeps state: tx %v, %d pending", f.tx, len(f.heap)-1)
+	}
+}
+
+// TestWarmFloodGrowsOnBiggerNetwork: a network recycled through Reset,
+// with its nodes drawn from a Recycler, keeps the floods its previous
+// run released. A flood on the warm network, now bigger, reuses the
+// smaller pooled flood, grows it to the new node count, and matches a
+// cold run exactly.
+func TestWarmFloodGrowsOnBiggerNetwork(t *testing.T) {
+	rec := NewRecycler()
+	cfg := DefaultConfig()
+	small := newRecyclerHarness(t, rec, 4, cfg)
+	floodTrace(small)
+	pool, _ := (*small.net.Local()).(*floodPool)
+	if pool == nil || len(pool.free) != 1 || len(pool.free[0].pos) != 4 {
+		t.Fatalf("test premise broken: free list %+v, want one 4-node flood", pool)
+	}
+	pooled := pool.free[0]
+
+	rec.Reclaim(small.nodes)
+	small.engine.Reset(1)
+	small.net.Reset(small.engine, small.net.Latency())
+	issuer := types.NewHashIssuer(1)
+	warm := &harness{t: t, engine: small.engine, net: small.net, issuer: issuer, cfg: cfg,
+		reg: chain.NewRegistry(0, issuer)}
+	for i := 0; i < 6; i++ {
+		endpoint, err := warm.net.AddNode(geo.NorthAmerica, 1e9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm.nodes = append(warm.nodes, rec.NewNode(&warm.cfg, warm.net, endpoint, warm.reg))
+	}
+	warmFirst, warmSent, warmEvents := floodTrace(warm)
+	if len(pool.free) != 1 || pool.free[0] != pooled || len(pooled.pos) != 6 || len(pooled.peers) != 6 {
+		t.Errorf("warm flood did not reuse and grow the pooled flood: free list %v, %d slots", pool.free, len(pooled.pos))
+	}
+	coldFirst, coldSent, coldEvents := floodTrace(newHarness(t, 6, cfg))
+	if fmt.Sprint(warmFirst) != fmt.Sprint(coldFirst) || warmSent != coldSent || warmEvents != coldEvents {
+		t.Errorf("warm flood: sightings %v, %d sent, %d events; cold: %v, %d sent, %d events",
+			warmFirst, warmSent, warmEvents, coldFirst, coldSent, coldEvents)
 	}
 }
 

@@ -2,7 +2,6 @@ package p2p
 
 import (
 	"math/rand"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,7 +22,6 @@ type floodCase struct {
 	outDegree  int
 	zeroJitter bool // uniform 10 ms links and equal bandwidth: equal-time ties everywhere
 	slowHalf   bool // every other node on a 2 kB/s link: early relays are often overtaken
-	sharded    bool // two-shard sim.Sharded, one shard per half of the regions
 	txs        int
 	spacing    time.Duration
 	cutAt      time.Duration
@@ -41,9 +39,10 @@ var floodCases = []floodCase{
 	// Overlapping concurrent floods: 16 txs from three origins, 3 ms
 	// apart, all in flight at once.
 	{seed: 7, nodes: 230, outDegree: 7, txs: 16, spacing: 3 * time.Millisecond, cutAt: 40 * time.Millisecond},
-	// Cross-shard floods: a tx reaches each shard as several floods.
-	{seed: 8, nodes: 240, outDegree: 6, sharded: true, txs: 10, spacing: 10 * time.Millisecond, cutAt: 50 * time.Millisecond},
-	{seed: 9, nodes: 200, outDegree: 8, sharded: true, zeroJitter: true, txs: 8, spacing: 0, cutAt: 25 * time.Millisecond},
+	// Superseded arrivals in overlapping floods.
+	{seed: 8, nodes: 240, outDegree: 6, slowHalf: true, txs: 10, spacing: 10 * time.Millisecond, cutAt: 50 * time.Millisecond},
+	// The fuzzer's largest and densest graph, every tx at once.
+	{seed: 9, nodes: 263, outDegree: 11, txs: 16, spacing: 0, cutAt: 25 * time.Millisecond},
 }
 
 // sighting is a node's first sighting of a transaction: when, and from
@@ -58,7 +57,6 @@ type sighting struct {
 // the production relay and the other the reference relay.
 type floodNet struct {
 	engine  *sim.Engine
-	sharded *sim.Sharded // nil on the serial engine
 	net     *simnet.Network
 	cfg     Config
 	nodes   []*Node
@@ -76,10 +74,6 @@ func newFloodNet(tb testing.TB, c floodCase) *floodNet {
 		lat = geo.UniformLatencyModel(10*time.Millisecond, 0)
 	}
 	f.net = simnet.New(f.engine, lat)
-	if c.sharded {
-		f.sharded = sim.NewSharded(f.engine, 2, lat.MinSampleFloor()+f.net.MinOverhead)
-		f.net.EnableSharding(f.sharded, func(r geo.Region) int { return int(r) % 2 })
-	}
 	reg := chain.NewRegistry(0, types.NewHashIssuer(1))
 	rng := rand.New(rand.NewSource(c.seed))
 	regions := geo.AllRegions()
@@ -128,21 +122,9 @@ func (f *floodNet) schedule(c floodCase, submit func(origin *Node, tx *types.Tra
 
 func (f *floodNet) run(tb testing.TB) {
 	tb.Helper()
-	run := f.engine.Run
-	if f.sharded != nil {
-		run = f.sharded.Run
-	}
-	if _, err := run(time.Hour); err != nil {
+	if _, err := f.engine.Run(time.Hour); err != nil {
 		tb.Fatal(err)
 	}
-}
-
-// eventsRun counts the events run on every engine of the net.
-func (f *floodNet) eventsRun() uint64 {
-	if f.sharded != nil {
-		return f.sharded.EventsRun()
-	}
-	return f.engine.EventsRun()
 }
 
 // refRelay is the un-elided reference flood: every first sighting
@@ -154,7 +136,7 @@ type refRelay struct {
 	first      []map[types.Hash]sighting
 	earliest   []map[types.Hash]sim.Time // earliest scheduled arrival of unsighted txs
 	sinks      []refSink
-	superseded atomic.Int64
+	superseded int64
 }
 
 type refSink struct {
@@ -196,15 +178,12 @@ func (r *refRelay) sight(n *Node, tx *types.Transaction, from *Edge) {
 		}
 		peer := e.Other(n)
 		d := n.net.Transmit(n.netNode, peer.netNode, tx.Size)
-		if n.net.ShardOf(peer.netNode) == n.net.ShardOf(n.netNode) {
-			r.countSupersession(peer, tx.Hash, n.sched.Now()+d)
-		}
-		n.net.ScheduleDelivery(n.netNode, peer.netNode, d, &r.sinks[peer.ID()], simnet.Envelope{Kind: evTx, Data: tx, Aux: e})
+		r.countSupersession(peer, tx.Hash, n.sched.Now()+d)
+		n.net.ScheduleDelivery(d, &r.sinks[peer.ID()], simnet.Envelope{Data: tx, Aux: e})
 	}
 }
 
-// countSupersession records a same-shard delivery of h reaching peer
-// at `at`.
+// countSupersession records a delivery of h reaching peer at `at`.
 func (r *refRelay) countSupersession(peer *Node, h types.Hash, at sim.Time) {
 	if _, ok := r.first[peer.ID()][h]; ok {
 		return
@@ -213,7 +192,7 @@ func (r *refRelay) countSupersession(peer *Node, h types.Hash, at sim.Time) {
 	if prev, ok := earliest[h]; ok && prev <= at {
 		return
 	} else if ok {
-		r.superseded.Add(1)
+		r.superseded++
 	}
 	earliest[h] = at
 }
@@ -295,7 +274,7 @@ func runFloodDiff(t *testing.T, c floodCase) (prodEvents, refEvents uint64, supe
 			t.Fatalf("node %d: next delay draw %v, reference %v", i, a, b)
 		}
 	}
-	return prod.eventsRun(), ref.eventsRun(), rr.superseded.Load()
+	return prod.engine.EventsRun(), ref.engine.EventsRun(), rr.superseded
 }
 
 // TestRelayMatchesReference: the flooding production relay gives every
@@ -303,8 +282,7 @@ func runFloodDiff(t *testing.T, c floodCase) (prodEvents, refEvents uint64, supe
 // reference flood, sends the same wire messages and leaves every
 // sender stream at the same position, under jittered geo latencies,
 // forced equal-time ties, superseded arrivals, overlapping concurrent
-// floods, mid-flood disconnects and cross-shard floods on a two-shard
-// engine.
+// floods and mid-flood disconnects.
 func TestRelayMatchesReference(t *testing.T) {
 	for _, c := range floodCases {
 		prodEvents, refEvents, superseded := runFloodDiff(t, c)
@@ -317,20 +295,26 @@ func TestRelayMatchesReference(t *testing.T) {
 	}
 }
 
-// TestFloodOneEventPerNode: on the serial engine a flood runs exactly
-// one engine event per node it reaches after the origin — superseded
-// and dead arrivals never become events.
+// TestFloodOneEventPerNode: a flood sights the transaction exactly
+// once at every node and runs exactly one engine event per node it
+// reaches after the origin — superseded and dead arrivals never become
+// events.
 func TestFloodOneEventPerNode(t *testing.T) {
 	for _, c := range []floodCase{floodCases[0], floodCases[3], floodCases[5]} {
 		f := newFloodNet(t, c)
 		tx := f.txs[0]
+		sightings := make([]int, len(f.nodes))
+		for i, n := range f.nodes {
+			n.TxSink = func(*types.Transaction) { sightings[i]++ }
+		}
 		f.engine.Schedule(0, func() { f.origins[0].SubmitTx(tx) })
 		f.run(t)
 		reached := 0
-		for _, n := range f.nodes {
-			if n.knownTxs.Has(tx.Hash) {
-				reached++
+		for i, k := range sightings {
+			if k > 1 {
+				t.Fatalf("seed %d: node %d sighted the tx %d times", c.seed, i, k)
 			}
+			reached += k
 		}
 		if reached != len(f.nodes) {
 			t.Fatalf("seed %d: flood reached %d of %d nodes", c.seed, reached, len(f.nodes))
@@ -343,21 +327,19 @@ func TestFloodOneEventPerNode(t *testing.T) {
 }
 
 // FuzzTxFlood drives the differential flood over random graphs,
-// latency models, bandwidth mixes, engines, submission spacings and cut
-// times.
+// latency models, bandwidth mixes, submission spacings and cut times.
 func FuzzTxFlood(f *testing.F) {
 	for _, c := range floodCases {
-		f.Add(c.seed, uint8(c.nodes-200), uint8(c.outDegree), c.zeroJitter, c.slowHalf, c.sharded, uint8(c.txs),
+		f.Add(c.seed, uint8(c.nodes-200), uint8(c.outDegree-2), c.zeroJitter, c.slowHalf, uint8(c.txs-1),
 			uint16(c.spacing/time.Millisecond), uint16(c.cutAt/time.Millisecond))
 	}
-	f.Fuzz(func(t *testing.T, seed int64, extraNodes, outDegree uint8, zeroJitter, slowHalf, sharded bool, txs uint8, spacingMs, cutMs uint16) {
+	f.Fuzz(func(t *testing.T, seed int64, extraNodes, outDegree uint8, zeroJitter, slowHalf bool, txs uint8, spacingMs, cutMs uint16) {
 		runFloodDiff(t, floodCase{
 			seed:       seed,
 			nodes:      200 + int(extraNodes%64),
 			outDegree:  2 + int(outDegree%10),
 			zeroJitter: zeroJitter,
 			slowHalf:   slowHalf,
-			sharded:    sharded,
 			txs:        1 + int(txs%16),
 			spacing:    time.Duration(spacingMs%500) * time.Millisecond,
 			cutAt:      time.Duration(cutMs%1000) * time.Millisecond,

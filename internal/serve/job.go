@@ -43,9 +43,9 @@ func terminal(state string) bool {
 
 // JobSpec is the client-submitted description of one job — the body of
 // POST /v1/jobs. All fields beyond Kind are optional; durations use Go
-// syntax ("30m", "2h"). Normalize pins the machine-dependent knobs
-// (shard count, checkpoint interval) into the spec at submit time, so
-// a job resumed on restart replays under identical parameters.
+// syntax ("30m", "2h"). Normalize pins the checkpoint interval into
+// the spec at submit time, so a job resumed on restart replays under
+// identical parameters.
 type JobSpec struct {
 	// Kind selects the job type: "campaign" (one run) or "sweep" (a
 	// run matrix with aggregation).
@@ -61,8 +61,10 @@ type JobSpec struct {
 	Nodes int `json:"nodes,omitempty"`
 	// NoTx disables the transaction workload.
 	NoTx bool `json:"no_tx,omitempty"`
-	// Shards is the event-engine shard count. Zero runs the serial
-	// engine; the server pins the resolved count at submit time.
+	// Shards is read only to reject it: older servers pinned the
+	// event-engine shard count here, and the sharded engine is gone.
+	// 0 and 1 (the one engine) are accepted; a spec naming more shards
+	// fails, whether submitted or restored from the store.
 	Shards int `json:"shards,omitempty"`
 	// Protocol is a consensus spec ("ethereum", "bitcoin",
 	// "ghost-inclusive:depth=10"). Empty means the default protocol.
@@ -206,14 +208,8 @@ func (s *JobSpec) Normalize() error {
 	if err != nil {
 		return err
 	}
-	// Pin the shard count, so a stored job names the engine it ran on
-	// (older servers resolved zero from GOMAXPROCS). Results do not
-	// depend on it, so a job pinned elsewhere still resumes here.
-	if s.Shards == 0 {
-		s.Shards = cfg.ResolveShards()
-	}
-	// Pin the checkpoint interval the same way: it determines where
-	// the verification barriers sit on the timeline.
+	// Pin the checkpoint interval: it determines where the
+	// verification barriers sit on the timeline.
 	if s.Kind == "campaign" && s.CheckpointInterval == "" {
 		s.CheckpointInterval = defaultCheckpointInterval(cfg.Duration).String()
 	}
@@ -255,6 +251,9 @@ func (s *JobSpec) checkpointInterval() time.Duration {
 // through core.Configure, the override path the CLIs share. An omitted
 // preset is "quick" and an omitted seed keeps the preset's.
 func (s *JobSpec) Config() (core.Config, error) {
+	if s.Shards < 0 || s.Shards > 1 {
+		return core.Config{}, fmt.Errorf("serve: shards = %d: the sharded engine was removed; jobs run on one engine (omit shards)", s.Shards)
+	}
 	preset := s.Preset
 	if preset == "" {
 		preset = "quick"
@@ -274,7 +273,6 @@ func (s *JobSpec) Config() (core.Config, error) {
 		Duration:  duration,
 		Nodes:     s.Nodes,
 		NoTx:      s.NoTx,
-		Shards:    s.Shards,
 		Protocol:  s.Protocol,
 		Scenarios: s.Scenarios,
 	})

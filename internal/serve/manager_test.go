@@ -17,7 +17,6 @@ func quickSpec() JobSpec {
 		Duration:           "8m",
 		Nodes:              40,
 		NoTx:               true,
-		Shards:             1,
 		CheckpointInterval: "1m",
 	}
 }
@@ -32,7 +31,6 @@ func slowSpec() JobSpec {
 		Duration:           "2h",
 		Nodes:              60,
 		NoTx:               true,
-		Shards:             1,
 		CheckpointInterval: "5m",
 	}
 }
@@ -94,8 +92,8 @@ func TestCampaignJobLifecycle(t *testing.T) {
 	if job.State != StateQueued {
 		t.Errorf("initial state = %s", job.State)
 	}
-	// Normalize pinned the machine-dependent knobs into the spec.
-	if job.Spec.Shards != 1 || job.Spec.CheckpointInterval != "1m" {
+	// Normalize kept the pinned checkpoint interval.
+	if job.Spec.CheckpointInterval != "1m" {
 		t.Errorf("pinned spec = %+v", job.Spec)
 	}
 
@@ -259,7 +257,6 @@ func TestKillAndRestoreSweep(t *testing.T) {
 		Duration: "30m",
 		Nodes:    50,
 		NoTx:     true,
-		Shards:   1,
 		Sweep:    &SweepSpec{Seeds: 6},
 	}
 

@@ -89,7 +89,7 @@ func NewEngine(seed int64) *Engine {
 }
 
 // initQueue installs the queue implementation selected by SetQueueImpl.
-// Called once per engine at construction (NewEngine, NewSharded);
+// Called once per engine at construction (NewEngine);
 // Reset keeps the engine's implementation.
 func (e *Engine) initQueue() {
 	if defaultQueueImpl == QueueRefHeap {
@@ -291,8 +291,7 @@ func (e *Engine) Stop() { e.stopped.Store(true) }
 // NextAt returns the timestamp of the earliest pending event, or false
 // when the queue is empty. Peeking may refill the ladder's bottom tier
 // from its next bucket (amortized O(1), and work the following pop
-// would have done anyway); it never changes the pop order, so the
-// sharded barrier loop sees window edges identical to the heap's.
+// would have done anyway); it never changes the pop order.
 func (e *Engine) NextAt() (Time, bool) {
 	return e.qPeek()
 }
@@ -300,8 +299,8 @@ func (e *Engine) NextAt() (Time, bool) {
 // AdvanceTo moves the clock forward to t without executing anything.
 // It is a no-op when t is not ahead of the current time, and panics if
 // an event earlier than t is still pending (advancing past it would
-// silently reorder the run). The sharded coordinator uses this to keep
-// the serial engine's clock aligned with window barriers.
+// silently reorder the run). A driver that steps the engine with Step
+// uses the pair to jump idle gaps to an external time edge.
 func (e *Engine) AdvanceTo(t Time) {
 	if t <= e.now {
 		return
@@ -375,32 +374,6 @@ func (e *Engine) Step() bool {
 // total event count).
 func (e *Engine) slabSize() int { return len(e.slab) }
 
-// Scheduler is the event-scheduling surface shared by the serial
-// *Engine and a *Shard of the sharded engine. Components that only
-// need to read the clock and enqueue future work (protocol nodes,
-// network delivery) take a Scheduler so the same code runs unchanged
-// on either engine.
-type Scheduler interface {
-	Now() Time
-	Schedule(at Time, fn func())
-	ScheduleArg(at Time, h Handler, arg Arg)
-	After(d time.Duration, fn func())
-	AfterArg(d time.Duration, h Handler, arg Arg)
-	ReserveSeq() uint64
-	ScheduleReserved(at Time, seq uint64, h Handler, arg Arg)
-}
-
-// Deferrer is implemented by schedulers that may run callbacks off the
-// serial coordinator thread (a *Shard during a parallel window). Defer
-// hands fn back to the coordinator: it runs at the next window barrier,
-// in deterministic (time, shard) order, with exclusive access to all
-// serial state. The plain *Engine intentionally does not implement
-// Deferrer — a type assertion distinguishes the two modes at setup
-// time.
-type Deferrer interface {
-	Defer(fn func())
-}
-
 // Splitmix is a splitmix64 rand.Source64: one uint64 of state, no
 // allocation beyond the source itself. Each (seed, domain, id) triple
 // yields an independent stream, which is what lets per-node and
@@ -452,8 +425,8 @@ func (s *Splitmix) Seed(seed int64) { s.state = uint64(seed) }
 // NewStream returns a deterministic RNG for the (domain, id) pair
 // derived from the master seed. Unlike Engine.RNG streams, these are
 // independent of engine identity and draw order elsewhere, so a
-// component's randomness stays bit-identical whether its events run on
-// the serial engine or on any shard.
+// component's randomness does not depend on how its events interleave
+// with anyone else's.
 func NewStream(seed int64, domain string, id uint64) *rand.Rand {
 	return rand.New(NewSplitmix(seed, domain, id))
 }

@@ -9,6 +9,11 @@ import (
 	"time"
 )
 
+// handlerFunc adapts a function to the Handler interface.
+type handlerFunc func(Arg)
+
+func (f handlerFunc) HandleSimEvent(arg Arg) { f(arg) }
+
 func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 	e := NewEngine(1)
 	var got []Time
@@ -299,27 +304,25 @@ func TestEngineTimestampsNondecreasing(t *testing.T) {
 // TestScheduleReservedOrdersBySeq: an event scheduled with a reserved
 // seq runs in (at, seq) order among the events scheduled between the
 // reservation and its scheduling — ahead of same-time events with
-// later seqs, behind earlier ones — on the serial engine and on a
-// shard (from a global event and from inside a shard window), under
-// both queue implementations.
+// later seqs, behind earlier ones — under both queue implementations.
 func TestScheduleReservedOrdersBySeq(t *testing.T) {
 	const at = 10 * time.Millisecond
 	// workload reserves a seq between two same-time events, schedules
 	// two more same-time events and a later one, then schedules the
 	// reserved event — and a second reserved event at a later time.
-	workload := func(s Scheduler, got *[]string) {
+	workload := func(e *Engine, got *[]string) {
 		h := func(name string) Handler {
 			return handlerFunc(func(Arg) { *got = append(*got, name) })
 		}
-		base := s.Now()
-		s.ScheduleArg(base+at, h("a"), Arg{})
-		r1 := s.ReserveSeq()
-		r2 := s.ReserveSeq()
-		s.ScheduleArg(base+at, h("b"), Arg{})
-		s.ScheduleArg(base+at+time.Millisecond, h("d"), Arg{})
-		s.ScheduleArg(base+at, h("c"), Arg{})
-		s.ScheduleReserved(base+at+time.Millisecond, r2, h("r2"), Arg{})
-		s.ScheduleReserved(base+at, r1, h("r1"), Arg{})
+		base := e.Now()
+		e.ScheduleArg(base+at, h("a"), Arg{})
+		r1 := e.ReserveSeq()
+		r2 := e.ReserveSeq()
+		e.ScheduleArg(base+at, h("b"), Arg{})
+		e.ScheduleArg(base+at+time.Millisecond, h("d"), Arg{})
+		e.ScheduleArg(base+at, h("c"), Arg{})
+		e.ScheduleReserved(base+at+time.Millisecond, r2, h("r2"), Arg{})
+		e.ScheduleReserved(base+at, r1, h("r1"), Arg{})
 	}
 	want := "[a r1 b c r2 d]"
 	for _, impl := range []QueueImpl{QueueLadder, QueueRefHeap} {
@@ -333,21 +336,55 @@ func TestScheduleReservedOrdersBySeq(t *testing.T) {
 			t.Fatal(err)
 		}
 		if fmt.Sprint(got) != want {
-			t.Errorf("queue %d, engine: ran %v, want %v", impl, got, want)
-		}
-
-		global := NewEngine(1)
-		sh := NewSharded(global, 2, time.Millisecond)
-		var fromGlobal, inWindow []string
-		global.Schedule(0, func() { workload(sh.Shard(1), &fromGlobal) })
-		sh.Shard(0).Schedule(time.Second, func() { workload(sh.Shard(0), &inWindow) })
-		if _, err := sh.Run(2 * time.Second); err != nil {
-			t.Fatal(err)
-		}
-		if fmt.Sprint(fromGlobal) != want || fmt.Sprint(inWindow) != want {
-			t.Errorf("queue %d, shards: ran %v from the global engine and %v in a window, want %v",
-				impl, fromGlobal, inWindow, want)
+			t.Errorf("queue %d: ran %v, want %v", impl, got, want)
 		}
 		SetQueueImpl(old)
 	}
+}
+
+// TestNewStreamIndependence: streams are deterministic per
+// (seed, domain, id) and distinct across ids and domains.
+func TestNewStreamIndependence(t *testing.T) {
+	a1 := NewStream(1, "p2p", 7).Uint64()
+	a2 := NewStream(1, "p2p", 7).Uint64()
+	if a1 != a2 {
+		t.Error("same (seed,domain,id) diverged")
+	}
+	if b := NewStream(1, "p2p", 8).Uint64(); b == a1 {
+		t.Error("adjacent ids collided on first draw")
+	}
+	if c := NewStream(1, "simnet", 7).Uint64(); c == a1 {
+		t.Error("domains collided on first draw")
+	}
+	if d := NewStream(2, "p2p", 7).Uint64(); d == a1 {
+		t.Error("seeds collided on first draw")
+	}
+}
+
+// TestEngineNextAtAdvanceTo: NextAt peeks the earliest pending event
+// and AdvanceTo moves the clock forward only, refusing to skip past a
+// pending event.
+func TestEngineNextAtAdvanceTo(t *testing.T) {
+	e := NewEngine(1)
+	if _, ok := e.NextAt(); ok {
+		t.Error("NextAt on empty engine reported an event")
+	}
+	e.Schedule(10, func() {})
+	if at, ok := e.NextAt(); !ok || at != 10 {
+		t.Errorf("NextAt = %v,%v, want 10,true", at, ok)
+	}
+	e.AdvanceTo(5)
+	if e.Now() != 5 {
+		t.Errorf("Now = %v after AdvanceTo(5)", e.Now())
+	}
+	e.AdvanceTo(3) // behind now: no-op
+	if e.Now() != 5 {
+		t.Errorf("AdvanceTo moved the clock backwards to %v", e.Now())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("AdvanceTo past a pending event did not panic")
+		}
+	}()
+	e.AdvanceTo(11)
 }

@@ -46,7 +46,7 @@ var (
 )
 
 // QueueImpl selects which pending-queue implementation newly
-// constructed engines (and shard engines) use.
+// constructed engines use.
 type QueueImpl int
 
 const (
@@ -60,7 +60,7 @@ const (
 var defaultQueueImpl = QueueLadder
 
 // SetQueueImpl switches the queue implementation used by engines
-// constructed afterwards (NewEngine, NewSharded). It exists for the
+// constructed afterwards (NewEngine). It exists for the
 // differential test suites that prove the ladder queue pops the exact
 // (at, seq) order of the reference heap; production code never calls
 // it. Not safe to call concurrently with engine construction, and it

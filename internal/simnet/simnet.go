@@ -12,14 +12,12 @@
 //
 // Delay jitter draws from a per-sender RNG stream (derived from the
 // master seed and the sender's node ID), never from a shared stream:
-// a node's delays are bit-identical no matter how concurrent sends
-// interleave, which is what lets the sharded engine reproduce the
-// serial engine's runs exactly.
+// a node's delays depend only on its own sends, not on how they
+// interleave with other nodes'.
 package simnet
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"ethmeasure/internal/geo"
@@ -35,8 +33,7 @@ type Node struct {
 }
 
 // Network owns all nodes and delivers messages between them on the
-// simulation engine (serial, or sharded when EnableSharding was
-// called).
+// simulation engine.
 type Network struct {
 	engine  *sim.Engine
 	latency *geo.LatencyModel
@@ -45,20 +42,14 @@ type Network struct {
 	// Per-sender jitter streams, parallel to nodes.
 	senderRNG []*sim.Splitmix
 
-	// Sharded-mode routing state: the coordinator, each node's shard
-	// (parallel to nodes), and the caller's region→shard assignment.
-	sharded *sim.Sharded
-	pick    func(geo.Region) int
-	shardOf []int32
-
-	// local holds one protocol-layer value per shard (ShardLocal).
-	local []any
+	// local holds one protocol-layer value (Local).
+	local any
 
 	// MinOverhead is a fixed per-message processing cost added to every
 	// delivery (kernel + serialization floor).
 	MinOverhead time.Duration
 
-	sent atomic.Uint64
+	sent uint64
 
 	// Warm-run spares: node structs and jitter streams harvested by
 	// Reset, drawn again by AddNode so recycled networks rebuild their
@@ -73,7 +64,6 @@ func New(engine *sim.Engine, latency *geo.LatencyModel) *Network {
 		engine:      engine,
 		latency:     latency,
 		MinOverhead: 200 * time.Microsecond,
-		local:       make([]any, 1),
 	}
 }
 
@@ -90,31 +80,9 @@ func (n *Network) Reset(engine *sim.Engine, latency *geo.LatencyModel) {
 	n.nodes = n.nodes[:0]
 	n.spareRNG = append(n.spareRNG, n.senderRNG...)
 	n.senderRNG = n.senderRNG[:0]
-	n.sharded = nil
-	n.pick = nil
-	n.shardOf = n.shardOf[:0]
 	n.MinOverhead = 200 * time.Microsecond
-	n.sent.Store(0)
+	n.sent = 0
 }
-
-// EnableSharding routes all traffic through the sharded coordinator:
-// every node added afterwards is assigned to pick(region), same-shard
-// deliveries stay on the shard's local heap, and cross-shard
-// deliveries are exchanged at window barriers. Must be called before
-// any node is added.
-func (n *Network) EnableSharding(sharded *sim.Sharded, pick func(geo.Region) int) {
-	if len(n.nodes) > 0 {
-		panic("simnet: EnableSharding must be called before any AddNode")
-	}
-	n.sharded = sharded
-	n.pick = pick
-	if k := sharded.NumShards(); len(n.local) < k {
-		n.local = append(n.local, make([]any, k-len(n.local))...)
-	}
-}
-
-// Sharded returns the sharded coordinator, or nil in serial mode.
-func (n *Network) Sharded() *sim.Sharded { return n.sharded }
 
 // AddNode registers a node in the given region with the given bandwidth
 // (bytes/second). Bandwidth must be positive.
@@ -144,13 +112,6 @@ func (n *Network) AddNode(region geo.Region, bandwidth float64) (*Node, error) {
 		rng = sim.NewSplitmix(n.engine.Seed(), "simnet", uint64(id))
 	}
 	n.senderRNG = append(n.senderRNG, rng)
-	if n.sharded != nil {
-		shard := n.pick(region)
-		if shard < 0 || shard >= n.sharded.NumShards() {
-			return nil, fmt.Errorf("simnet: shard %d for region %s out of range", shard, region)
-		}
-		n.shardOf = append(n.shardOf, int32(shard))
-	}
 	return node, nil
 }
 
@@ -168,37 +129,13 @@ func (n *Network) NumNodes() int { return len(n.nodes) }
 
 // Sent returns the number of messages transmitted so far, whether
 // their deliveries were scheduled or dropped as dead.
-func (n *Network) Sent() uint64 { return n.sent.Load() }
+func (n *Network) Sent() uint64 { return n.sent }
 
-// SchedulerFor returns the scheduler that runs the given node's
-// events: its shard in sharded mode, the serial engine otherwise.
-// Protocol nodes schedule their timers here so local work stays on
-// the local heap.
-func (n *Network) SchedulerFor(node *Node) sim.Scheduler {
-	if n.sharded == nil {
-		return n.engine
-	}
-	return n.sharded.Shard(int(n.shardOf[node.ID]))
-}
-
-// ShardLocal returns a value slot private to the node's shard (one
-// slot in serial mode), where the protocol layer keeps per-shard state
-// such as free lists. Only code running on that shard's scheduler, or
-// on the coordinator between windows, may use it, so it needs no lock.
-// Slots survive Reset: a warm network keeps whatever its protocol layer
-// left there, which must therefore hold no run state.
-func (n *Network) ShardLocal(node *Node) *any {
-	return &n.local[n.ShardOf(node)]
-}
-
-// ShardOf returns the shard index the node is assigned to (0 in
-// serial mode).
-func (n *Network) ShardOf(node *Node) int {
-	if n.sharded == nil {
-		return 0
-	}
-	return int(n.shardOf[node.ID])
-}
+// Local returns the network's protocol-layer value slot, where the
+// protocol layer keeps state shared by all its nodes, such as free
+// lists. The slot survives Reset: a warm network keeps whatever its
+// protocol layer left there, which must therefore hold no run state.
+func (n *Network) Local() *any { return &n.local }
 
 // Transmit puts one message of the given wire size on the wire from
 // one node to another: it counts the message and draws its one-way
@@ -210,7 +147,7 @@ func (n *Network) ShardOf(node *Node) int {
 // receiver that already has the payload) and drops it. Transmit is the
 // one-message case of a Burst.
 func (n *Network) Transmit(from, to *Node, size int) time.Duration {
-	n.sent.Add(1)
+	n.sent++
 	return n.delay(n.senderRNG[from.ID], from, float64(size), to)
 }
 
@@ -254,7 +191,7 @@ func (b *Burst) Transmit(to *Node) time.Duration {
 
 // Done adds the burst's messages to the network's sent count.
 func (b *Burst) Done() {
-	b.net.sent.Add(b.sent)
+	b.net.sent += b.sent
 	b.sent = 0
 }
 
@@ -280,19 +217,13 @@ type Sink interface {
 // at the receive time. The steady-state path performs zero
 // allocations.
 func (n *Network) Send(from, to *Node, size int, sink Sink, env Envelope) {
-	n.ScheduleDelivery(from, to, n.Transmit(from, to, size), sink, env)
+	n.ScheduleDelivery(n.Transmit(from, to, size), sink, env)
 }
 
 // ScheduleDelivery schedules sink.DeliverEnvelope(env) after delay d
-// (a Transmit result) on the receiver's scheduler; in sharded mode a
-// cross-shard delivery waits for the window barrier.
-func (n *Network) ScheduleDelivery(from, to *Node, d time.Duration, sink Sink, env Envelope) {
-	arg := sim.Arg{A: sink, B: env.Data, C: env.Aux, U: env.Num, K: env.Kind}
-	if n.sharded == nil {
-		n.engine.AfterArg(d, n, arg)
-		return
-	}
-	n.sharded.Route(int(n.shardOf[from.ID]), int(n.shardOf[to.ID]), d, n, arg)
+// (a Transmit result).
+func (n *Network) ScheduleDelivery(d time.Duration, sink Sink, env Envelope) {
+	n.engine.AfterArg(d, n, sim.Arg{A: sink, B: env.Data, C: env.Aux, U: env.Num, K: env.Kind})
 }
 
 // HandleSimEvent is the engine-facing delivery trampoline: it hands

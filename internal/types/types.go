@@ -44,12 +44,16 @@ func (id AccountID) String() string { return fmt.Sprintf("acct-%d", uint32(id)) 
 // carries a monotonically increasing nonce; miners may only include a
 // transaction once all its predecessors are included (paper §III-C2).
 type Transaction struct {
-	Hash     Hash
-	Sender   AccountID
-	Nonce    uint64
-	GasPrice uint64        // relative priority fee, arbitrary units
-	Size     int           // wire size in bytes
-	Created  time.Duration // virtual time the sender created it
+	Hash   Hash
+	Sender AccountID
+	// Submitted is set when the transaction is handed to the network
+	// (p2p.Node.SubmitTx). A transaction floods the network once, so a
+	// repeated submission is ignored.
+	Submitted bool
+	Nonce     uint64
+	GasPrice  uint64        // relative priority fee, arbitrary units
+	Size      int           // wire size in bytes
+	Created   time.Duration // virtual time the sender created it
 }
 
 // Block is a mined block. Transactions are referenced by hash; bodies
