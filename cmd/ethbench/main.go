@@ -24,10 +24,7 @@
 // via testing.Benchmark.
 // Campaigns run in bounded-memory mode by default (-retain restores
 // record retention, for before/after comparisons of the two modes).
-// A warm-run pooling benchmark (reuse/<nodes>/cold vs /warm) measures
-// campaign state recycling through core.Pool — per-run wall and
-// allocs/run, gated like every other entry — and -cpuprofile /
-// -memprofile capture pprof profiles of the whole run.
+// -cpuprofile / -memprofile capture pprof profiles of the whole run.
 // Regression checks compare ns_per_op, allocs_per_op and analysis
 // ns/record within a fractional threshold, and analysis peak heap
 // within the threshold plus a 32 MB epsilon. For campaign entries the
@@ -103,14 +100,6 @@ type Entry struct {
 	// VantagePeers records a non-default vantage adjacency
 	// (-vantage-peers), which drives record volume.
 	VantagePeers int `json:"vantage_peers,omitempty"`
-
-	// Warm-run reuse profile (reuse/* entries): repeated identical
-	// campaigns, cold-built versus recycled through one core.Pool. For
-	// these entries NsPerOp is wall per run and AllocsPerOp is allocs
-	// per run, so the standard regression gate covers pooling.
-	Runs       int     `json:"runs,omitempty"`
-	BuildMs    float64 `json:"build_ms,omitempty"`
-	RunsPerSec float64 `json:"runs_per_sec,omitempty"`
 }
 
 // Report is the BENCH_*.json document.
@@ -327,123 +316,6 @@ func runCampaignEntry(s scale, retain bool, vantagePeers int, proto consensus.Sp
 		"  analysis", e.AnalysisNsPerRecord, 21, "", e.AnalysisRecordsPerSec,
 		float64(analysisPeak)/(1<<20), records, analysisWall.Round(time.Millisecond))
 	return e, nil
-}
-
-// reuseEntries measures warm-run campaign pooling: the same campaign
-// executed `runs` times cold (fresh construction every time) and
-// `runs` times through one core.Pool (state recycled run to run, the
-// way a sweep worker executes). Per-run wall lands in NsPerOp and
-// allocs/run in AllocsPerOp, so compare() gates pooling regressions
-// with the same threshold as every other entry; build wall and
-// runs/sec ride along informationally. The first warm run is excluded
-// from the warm averages — it populates the pool and is really a cold
-// run. Every run's key metrics are checked against the first cold
-// run's: the benchmark doubles as an end-to-end cold≡warm check.
-func reuseEntries(s scale, runs int, w io.Writer) ([]Entry, error) {
-	cfg := campaignConfig(s, 1, 0)
-
-	mallocs := func() uint64 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.Mallocs
-	}
-
-	type sample struct {
-		build time.Duration
-		total time.Duration
-		alloc uint64
-	}
-	var reference analysis.KeyMetrics
-	oneRun := func(pool *core.Pool) (sample, error) {
-		var sm sample
-		start := time.Now()
-		before := mallocs()
-		var campaign *core.Campaign
-		var err error
-		if pool != nil {
-			campaign, err = pool.NewCampaign(cfg)
-		} else {
-			campaign, err = core.NewCampaign(cfg)
-		}
-		if err != nil {
-			return sm, fmt.Errorf("build %d-node reuse campaign: %w", s.nodes, err)
-		}
-		sm.build = time.Since(start)
-		res, err := campaign.Run()
-		if err != nil {
-			return sm, fmt.Errorf("run %d-node reuse campaign: %w", s.nodes, err)
-		}
-		sm.total = time.Since(start)
-		sm.alloc = mallocs() - before
-		km := res.KeyMetrics()
-		if pool != nil {
-			pool.Recycle(campaign)
-		}
-		if reference == nil {
-			reference = km
-		} else if len(km) != len(reference) {
-			return sm, fmt.Errorf("reuse: run diverged from cold reference (%d vs %d metrics)", len(km), len(reference))
-		} else {
-			for k, v := range reference {
-				if km[k] != v {
-					return sm, fmt.Errorf("reuse: warm/cold divergence on %s: %v vs %v", k, km[k], v)
-				}
-			}
-		}
-		return sm, nil
-	}
-
-	entry := func(kind string, samples []sample) Entry {
-		var build, total time.Duration
-		var alloc uint64
-		for _, sm := range samples {
-			build += sm.build
-			total += sm.total
-			alloc += sm.alloc
-		}
-		n := len(samples)
-		e := Entry{
-			Name:           fmt.Sprintf("reuse/%d/%s", s.nodes, kind),
-			Nodes:          s.nodes,
-			VirtualMinutes: s.virtual.Minutes(),
-			Runs:           n,
-			NsPerOp:        float64(total.Nanoseconds()) / float64(n),
-			AllocsPerOp:    float64(alloc) / float64(n),
-			BuildMs:        float64(build.Nanoseconds()) / 1e6 / float64(n),
-			RunsPerSec:     float64(n) / total.Seconds(),
-		}
-		fmt.Fprintf(w, "%-22s %9.1f ms/run  %12.0f allocs/run  build %6.1f ms  %6.2f runs/s  (%d runs)\n",
-			e.Name, e.NsPerOp/1e6, e.AllocsPerOp, e.BuildMs, e.RunsPerSec, n)
-		return e
-	}
-
-	runtime.GC()
-	cold := make([]sample, 0, runs)
-	for i := 0; i < runs; i++ {
-		sm, err := oneRun(nil)
-		if err != nil {
-			return nil, err
-		}
-		cold = append(cold, sm)
-	}
-
-	pool := core.NewPool()
-	runtime.GC()
-	warm := make([]sample, 0, runs)
-	for i := 0; i < runs+1; i++ {
-		sm, err := oneRun(pool)
-		if err != nil {
-			return nil, err
-		}
-		if i > 0 { // run 0 builds cold and only populates the pool
-			warm = append(warm, sm)
-		}
-	}
-	if st := pool.Stats(); st.NodesReused == 0 {
-		return nil, fmt.Errorf("reuse: pool never engaged (%+v)", st)
-	}
-
-	return []Entry{entry("cold", cold), entry("warm", warm)}, nil
 }
 
 // engineEntry microbenchmarks the scheduler's dominant pattern: events
@@ -956,8 +828,6 @@ func run(args []string, w io.Writer) error {
 	vantagePeers := fs.Int("vantage-peers", 0, "re-peer primary vantages with this many nodes (0 = default 50 cap); raises record volume for analysis-phase benchmarks")
 	skipDispatch := fs.Bool("skip-dispatch", false, "skip the chain protocol-dispatch microbenchmarks")
 	skipLogs := fs.Bool("skip-logs", false, "skip the record-pipeline microbenchmarks (logs/* and analysis/stream entries)")
-	skipReuse := fs.Bool("skip-reuse", false, "skip the warm-run pooling benchmark (reuse/* entries)")
-	reuseRuns := fs.Int("reuse-runs", 4, "averaged runs per mode in the warm-run pooling benchmark")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the whole benchmark run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile (post-GC, end of run) to this file")
 	protocol := fs.String("protocol", "", "consensus protocol for the benchmark campaigns: name[:key=val,...] (default ethereum; non-default entries are name-suffixed)")
@@ -1041,17 +911,6 @@ func run(args []string, w io.Writer) error {
 			}
 			report.Entries = append(report.Entries, entry)
 		}
-	}
-	// Warm-run pooling profile: runs at its own fixed scale, so only
-	// with the named profiles (a -scales override is a targeted
-	// experiment) and only in the vanilla configuration, so reuse
-	// entries always gate against the vanilla baseline.
-	if !*skipReuse && *scalesSpec == "" && *protocol == "" && len(scens) == 0 && !*retain && !*bothModes {
-		entries, err := reuseEntries(scale{150, 2 * time.Minute}, *reuseRuns, w)
-		if err != nil {
-			return err
-		}
-		report.Entries = append(report.Entries, entries...)
 	}
 
 	if *out != "" {

@@ -86,13 +86,6 @@ type Collector struct {
 
 	blockRecords, txRecords int
 	mainIdx                 *mainChainIndex
-
-	// Warm-run freelists: arrival entries harvested by Reset, reused by
-	// RecordBlock/RecordTx so a recycled collector's per-hash index
-	// rebuilds without allocating.
-	freeBlocks []*blockArrivals
-	freeTxs    []*txArrival
-	freeRed    []*redCount
 }
 
 var _ measure.Recorder = (*Collector)(nil)
@@ -122,107 +115,6 @@ func NewCollector(ds *Dataset, redundancyVantage string) *Collector {
 	return c
 }
 
-// Reset returns the collector to the state NewCollector(ds,
-// redundancyVantage) would produce, harvesting the arrival entries of
-// the finished run into freelists for reuse. A reused entry has every
-// field reassigned and its arrival slots zeroed, so warm analysis
-// results are bit-identical to cold ones. The caller owns the
-// determinism of this: Reset must only run once the previous run's
-// Results are no longer in use (the warm-run pool's recycle contract).
-func (c *Collector) Reset(ds *Dataset, redundancyVantage string) {
-	if len(ds.Vantages) > MaxVantages {
-		panic("analysis: more than 64 primary vantages")
-	}
-	c.ds = ds
-	c.redVantage = redundancyVantage
-	clear(c.vidx)
-	for i, v := range ds.Vantages {
-		c.vidx[v] = i
-	}
-	clear(c.byBlock)
-	c.freeBlocks = append(c.freeBlocks, c.blockList...)
-	c.blockList = c.blockList[:0]
-	c.blocksSorted = false
-	clear(c.byTx)
-	c.freeTxs = append(c.freeTxs, c.txList...)
-	c.txList = c.txList[:0]
-	if redundancyVantage != "" {
-		if c.red == nil {
-			c.red = make(map[types.Hash]*redCount, 1024)
-		} else {
-			clear(c.red)
-		}
-	} else {
-		c.red = nil
-	}
-	c.freeRed = append(c.freeRed, c.redList...)
-	c.redList = c.redList[:0]
-	c.redSeen = false
-	c.blockRecords, c.txRecords = 0, 0
-	c.mainIdx = nil
-}
-
-// newBlockEntry returns a blockArrivals in the exact state the cold
-// literal in RecordBlock would construct, drawing on the freelist.
-func (c *Collector) newBlockEntry(h types.Hash, at time.Duration, vi int) *blockArrivals {
-	nv := len(c.ds.Vantages)
-	if k := len(c.freeBlocks); k > 0 {
-		a := c.freeBlocks[k-1]
-		c.freeBlocks = c.freeBlocks[:k-1]
-		if cap(a.at) >= nv {
-			a.at = a.at[:nv]
-			clear(a.at)
-		} else {
-			a.at = make([]time.Duration, nv)
-		}
-		a.hash, a.seen, a.vantages, a.minTime, a.minVant = h, 0, 0, at, vi
-		return a
-	}
-	return &blockArrivals{
-		hash:    h,
-		at:      make([]time.Duration, nv),
-		minTime: at,
-		minVant: vi,
-	}
-}
-
-// newTxEntry is the transaction analogue of newBlockEntry.
-func (c *Collector) newTxEntry(r *measure.TxRecord, vi int) *txArrival {
-	nv := len(c.ds.Vantages)
-	if k := len(c.freeTxs); k > 0 {
-		a := c.freeTxs[k-1]
-		c.freeTxs = c.freeTxs[:k-1]
-		if cap(a.at) >= nv {
-			a.at = a.at[:nv]
-			clear(a.at)
-		} else {
-			a.at = make([]time.Duration, nv)
-		}
-		a.hash, a.sender, a.nonce = r.Hash, r.Sender, r.Nonce
-		a.seen, a.vantages, a.minTime, a.minVant = 0, 0, r.At, vi
-		return a
-	}
-	return &txArrival{
-		hash:    r.Hash,
-		sender:  r.Sender,
-		nonce:   r.Nonce,
-		at:      make([]time.Duration, nv),
-		minTime: r.At,
-		minVant: vi,
-	}
-}
-
-// newRedCount returns a zeroed redundancy counter from the freelist.
-func (c *Collector) newRedCount() *redCount {
-	if k := len(c.freeRed); k > 0 {
-		cnt := c.freeRed[k-1]
-		c.freeRed = c.freeRed[:k-1]
-		cnt.ann, cnt.full = 0, 0
-		return cnt
-	}
-	return &redCount{}
-}
-
 // Collect replays a fully materialized dataset through a new
 // collector: the batch entry points (BlockPropagation, CommitTimes,
 // ...) are thin wrappers over this. Live pipelines attach the
@@ -250,7 +142,7 @@ func (c *Collector) RecordBlock(r measure.BlockRecord) {
 		c.redSeen = true
 		cnt, ok := c.red[r.Hash]
 		if !ok {
-			cnt = c.newRedCount()
+			cnt = &redCount{}
 			c.red[r.Hash] = cnt
 			c.redList = append(c.redList, cnt)
 		}
@@ -269,7 +161,12 @@ func (c *Collector) RecordBlock(r measure.BlockRecord) {
 	}
 	a, ok := c.byBlock[r.Hash]
 	if !ok {
-		a = c.newBlockEntry(r.Hash, r.At, vi)
+		a = &blockArrivals{
+			hash:    r.Hash,
+			at:      make([]time.Duration, len(c.ds.Vantages)),
+			minTime: r.At,
+			minVant: vi,
+		}
 		c.byBlock[r.Hash] = a
 		c.blockList = append(c.blockList, a)
 		c.blocksSorted = false
@@ -297,7 +194,14 @@ func (c *Collector) RecordTx(r measure.TxRecord) {
 	}
 	a, ok := c.byTx[r.Hash]
 	if !ok {
-		a = c.newTxEntry(&r, vi)
+		a = &txArrival{
+			hash:    r.Hash,
+			sender:  r.Sender,
+			nonce:   r.Nonce,
+			at:      make([]time.Duration, len(c.ds.Vantages)),
+			minTime: r.At,
+			minVant: vi,
+		}
 		c.byTx[r.Hash] = a
 		c.txList = append(c.txList, a)
 	}

@@ -34,18 +34,33 @@ func testCatalog(t *testing.T) *Catalog[*widget] {
 	return c
 }
 
+// parseCases are well-formed spec texts and what Parse reads from them.
+var parseCases = []struct {
+	in   string
+	want Spec
+}{
+	{"plain", Spec{Name: "plain"}},
+	{"timed:wait=5m", Spec{Name: "timed", Params: map[string]string{"wait": "5m"}}},
+	{" plain : size = 3 ", Spec{Name: "plain", Params: map[string]string{"size": "3"}}},
+	{"plain:b=2,a=1", Spec{Name: "plain", Params: map[string]string{"a": "1", "b": "2"}}},
+}
+
+// parseErrorCases are malformed spec texts and a fragment of the error
+// Parse must return for each.
+var parseErrorCases = []struct {
+	in   string
+	frag string
+}{
+	{"", "empty widget name"},
+	{":size=3", "empty widget name"},
+	{"plain:size", "want key=val"},
+	{"plain:=3", "want key=val"},
+	{"plain:size=1,size=2", "duplicate parameter"},
+}
+
 func TestParseAndCanonical(t *testing.T) {
 	c := testCatalog(t)
-	cases := []struct {
-		in   string
-		want Spec
-	}{
-		{"plain", Spec{Name: "plain"}},
-		{"timed:wait=5m", Spec{Name: "timed", Params: map[string]string{"wait": "5m"}}},
-		{" plain : size = 3 ", Spec{Name: "plain", Params: map[string]string{"size": "3"}}},
-		{"plain:b=2,a=1", Spec{Name: "plain", Params: map[string]string{"a": "1", "b": "2"}}},
-	}
-	for _, tc := range cases {
+	for _, tc := range parseCases {
 		got, err := c.Parse(tc.in)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", tc.in, err)
@@ -67,17 +82,7 @@ func TestParseAndCanonical(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	c := testCatalog(t)
-	cases := []struct {
-		in   string
-		frag string
-	}{
-		{"", "empty widget name"},
-		{":size=3", "empty widget name"},
-		{"plain:size", "want key=val"},
-		{"plain:=3", "want key=val"},
-		{"plain:size=1,size=2", "duplicate parameter"},
-	}
-	for _, tc := range cases {
+	for _, tc := range parseErrorCases {
 		_, err := c.Parse(tc.in)
 		if err == nil || !strings.Contains(err.Error(), tc.frag) {
 			t.Errorf("Parse(%q) err = %v, want fragment %q", tc.in, err, tc.frag)
@@ -86,6 +91,36 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("Parse(%q) err %q not prefixed by catalog name", tc.in, err)
 		}
 	}
+}
+
+// FuzzCatalogParse checks that Parse never panics and that every spec
+// it accepts renders, through Spec.String, to text that parses back to
+// an equal spec (so the canonical form is also a fixed point).
+func FuzzCatalogParse(f *testing.F) {
+	for _, tc := range parseCases {
+		f.Add(tc.in)
+	}
+	for _, tc := range parseErrorCases {
+		f.Add(tc.in)
+	}
+	c := New[*widget]("widgets", "widget", "plain")
+	f.Fuzz(func(t *testing.T, in string) {
+		spec, err := c.Parse(in)
+		if err != nil {
+			return
+		}
+		text := spec.String()
+		back, err := c.Parse(text)
+		if err != nil {
+			t.Fatalf("Parse(%q) = %+v, but its String %q does not parse: %v", in, spec, text, err)
+		}
+		if !reflect.DeepEqual(back, spec) {
+			t.Fatalf("Parse(%q) = %+v, but its String %q parses to %+v", in, spec, text, back)
+		}
+		if again := back.String(); again != text {
+			t.Fatalf("String is not a fixed point: %q -> %q", text, again)
+		}
+	})
 }
 
 func TestDefaultNameSubstitution(t *testing.T) {

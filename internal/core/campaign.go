@@ -81,10 +81,6 @@ type Results struct {
 type Campaign struct {
 	cfg Config
 
-	// pool, when non-nil, is the warm-run pool this campaign draws its
-	// recyclable state from (see Pool).
-	pool *Pool
-
 	// proto is the consensus rule set built from cfg.Protocol; the
 	// registry, miner and analyses all dispatch through it.
 	proto consensus.Protocol
@@ -164,13 +160,8 @@ func (c *Campaign) build() error {
 			ApplyCapacity(cfg)
 		}
 	}
-	if c.pool != nil {
-		c.engine = c.pool.takeEngine(cfg.Seed)
-		c.network = c.pool.takeNetwork(c.engine, cfg.Latency)
-	} else {
-		c.engine = sim.NewEngine(cfg.Seed)
-		c.network = simnet.New(c.engine, cfg.Latency)
-	}
+	c.engine = sim.NewEngine(cfg.Seed)
+	c.network = simnet.New(c.engine, cfg.Latency)
 	blockIssuer := types.NewHashIssuer(1)
 	c.registry = chain.NewRegistry(cfg.GenesisNumber, blockIssuer)
 	c.registry.SetProtocol(proto)
@@ -186,11 +177,7 @@ func (c *Campaign) build() error {
 		InterBlock: cfg.Mining.InterBlockTime,
 		Duration:   cfg.Duration,
 	}
-	if c.pool != nil {
-		c.collector = c.pool.takeCollector(c.dataset, cfg.RedundancyVantage)
-	} else {
-		c.collector = analysis.NewCollector(c.dataset, cfg.RedundancyVantage)
-	}
+	c.collector = analysis.NewCollector(c.dataset, cfg.RedundancyVantage)
 	c.bus = measure.NewBus(c.collector)
 	if cfg.RetainRecords {
 		c.recorder = measure.NewMemoryRecorder()
@@ -207,7 +194,7 @@ func (c *Campaign) build() error {
 		if err != nil {
 			return err
 		}
-		node := c.newP2PNode(endpoint)
+		node := p2p.NewNode(&cfg.P2P, c.network, endpoint, c.registry)
 		lo, hi := cfg.NodeProcSpeedMin, cfg.NodeProcSpeedMax
 		if hi > lo {
 			node.SetProcSpeed(lo + speedRNG.Float64()*(hi-lo))
@@ -235,7 +222,7 @@ func (c *Campaign) build() error {
 			if err != nil {
 				return err
 			}
-			gw := c.newP2PNode(endpoint)
+			gw := p2p.NewNode(&cfg.P2P, c.network, endpoint, c.registry)
 			gw.SetProcSpeed(cfg.GatewayProcSpeed)
 			p2p.ConnectToRandom(c.engine.RNG("topology"), gw, c.regular, cfg.GatewayPeers)
 			gws = append(gws, gw)
@@ -254,7 +241,7 @@ func (c *Campaign) build() error {
 		if err != nil {
 			return err
 		}
-		node := c.newP2PNode(endpoint)
+		node := p2p.NewNode(&cfg.P2P, c.network, endpoint, c.registry)
 		node.SetProcSpeed(cfg.VantageProcSpeed)
 		peers := vs.Peers
 		if peers > len(c.regular) {
@@ -354,15 +341,6 @@ func (c *Campaign) build() error {
 		c.bus.Attach(spill)
 	}
 	return nil
-}
-
-// newP2PNode builds one protocol node, drawing on the pool's recycler
-// when the campaign is pooled.
-func (c *Campaign) newP2PNode(endpoint *simnet.Node) *p2p.Node {
-	if c.pool != nil {
-		return c.pool.rec.NewNode(&c.cfg.P2P, c.network, endpoint, c.registry)
-	}
-	return p2p.NewNode(&c.cfg.P2P, c.network, endpoint, c.registry)
 }
 
 // Engine exposes the simulation engine (tests and diagnostics).

@@ -151,17 +151,5 @@ func (s *U64) rebase(k uint64) bool {
 	return true
 }
 
-// Clear removes every member while keeping the allocated window, so a
-// recycled set refills without reallocating. Window placement never
-// affects membership answers, so a cleared set is observationally
-// identical to a fresh one.
-func (s *U64) Clear() {
-	if s.n > 0 {
-		clear(s.words)
-		s.n = 0
-	}
-	s.far = nil
-}
-
 // Len returns the number of members.
 func (s *U64) Len() int { return s.n + len(s.far) }

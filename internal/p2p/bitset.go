@@ -28,7 +28,3 @@ func (b *bitset) has(i int) bool {
 	w := i >> 6
 	return w < len(b.words) && b.words[w]&(1<<(uint(i)&63)) != 0
 }
-
-// reset clears every bit, keeping the allocated words so a recycled
-// bitset costs nothing to reuse.
-func (b *bitset) reset() { clear(b.words) }

@@ -64,8 +64,7 @@ type floodArrival struct {
 
 // floodPool is a network's free list of released floods, whose arrays
 // keep their capacity. It lives in the network's protocol-layer slot
-// (simnet.Network.Local), so a warm network reuses the floods of the
-// previous run.
+// (simnet.Network.Local), so the run's floods share it.
 type floodPool struct {
 	free []*txFlood
 }

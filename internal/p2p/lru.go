@@ -14,7 +14,7 @@ import (
 // one bit each, and nothing is allocated until the first Add. This type
 // adds the insertion ring that turns the unbounded set into a
 // fixed-capacity FIFO cache. The zero value is not ready to use; call
-// reset with a capacity first.
+// setCapacity first.
 type hashSet struct {
 	capacity int
 	ring     []types.Hash // members in insertion order
@@ -22,22 +22,8 @@ type hashSet struct {
 	set      hashset.U64
 }
 
-// reset empties the set and sets its capacity (at least 1), keeping the
-// ring's backing array and the bitmap, so recycled caches refill
-// without reallocating.
-func (s *hashSet) reset(capacity int) {
-	s.capacity = max(capacity, 1)
-	s.scrub()
-}
-
-// scrub is reset without the capacity change: it empties the set in
-// place so the bitmap sweep runs at reclaim time instead of on the next
-// run's build path (a later reset on a scrubbed set is free).
-func (s *hashSet) scrub() {
-	s.ring = s.ring[:0]
-	s.pos = 0
-	s.set.Clear()
-}
+// setCapacity sets the capacity (at least 1) of an empty set.
+func (s *hashSet) setCapacity(capacity int) { s.capacity = max(capacity, 1) }
 
 // Add inserts h, evicting the oldest entry when full. It reports
 // whether h was newly added; the membership test and the insert are

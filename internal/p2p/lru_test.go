@@ -9,7 +9,7 @@ import (
 
 func newHashSet(capacity int) *hashSet {
 	s := &hashSet{}
-	s.reset(capacity)
+	s.setCapacity(capacity)
 	return s
 }
 

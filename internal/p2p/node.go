@@ -157,10 +157,6 @@ type Node struct {
 	// TxSink, when non-nil, receives every first-seen transaction
 	// (mining-pool gateways feed their txpool from it).
 	TxSink func(tx *types.Transaction)
-
-	// rec, when non-nil, is the warm-run pool this node belongs to;
-	// Connect draws recycled edges from it.
-	rec *Recycler
 }
 
 // NewNode creates a protocol node bound to a network endpoint. Each
@@ -234,6 +230,16 @@ func Connect(a, b *Node) *Edge {
 	b.edges = append(b.edges, e)
 	a.peerBits.set(int(b.ID()))
 	b.peerBits.set(int(a.ID()))
+	return e
+}
+
+// newEdge builds the edge for Connect, its two known-block caches sized
+// from the endpoint configs. An edge is a single allocation: its caches
+// hold no storage until the first hash crosses the link.
+func newEdge(a, b *Node) *Edge {
+	e := &Edge{a: a, b: b}
+	e.aKnownBlocks.setCapacity(a.cfg.KnownBlocksPerPeer)
+	e.bKnownBlocks.setCapacity(b.cfg.KnownBlocksPerPeer)
 	return e
 }
 

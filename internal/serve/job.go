@@ -18,10 +18,8 @@ import (
 	"time"
 
 	"ethmeasure/internal/analysis"
-	"ethmeasure/internal/consensus"
 	"ethmeasure/internal/core"
 	"ethmeasure/internal/logs"
-	"ethmeasure/internal/scenario"
 	"ethmeasure/internal/sweep"
 )
 
@@ -180,33 +178,21 @@ func (s *JobSpec) Normalize() error {
 		return fmt.Errorf("serve: unknown job kind %q (campaign or sweep)", s.Kind)
 	}
 
-	// Validate the sweep axes against the shared catalogs up front, so
-	// a bad submission is a 400 at the API instead of a failed job (the
-	// base specs are checked by Config).
-	if s.Sweep != nil {
-		for _, raw := range s.Sweep.Protocols {
-			spec, err := consensus.Parse(raw)
-			if err != nil {
-				return err
-			}
-			if err := consensus.Validate(spec); err != nil {
-				return err
-			}
-		}
-		for _, raw := range s.Sweep.Scenarios {
-			spec, err := scenario.Parse(raw)
-			if err != nil {
-				return err
-			}
-			if err := scenario.Validate(spec); err != nil {
-				return err
-			}
-		}
-	}
-
 	cfg, err := s.Config()
 	if err != nil {
 		return err
+	}
+	// Expand the sweep matrix up front, so a bad axis value (an unknown
+	// protocol or scenario, nodes -1, nodes 20 twice) is a 400 at the
+	// API instead of a failed job.
+	if s.Kind == "sweep" {
+		m, err := s.matrix()
+		if err != nil {
+			return err
+		}
+		if _, err := m.Runs(); err != nil {
+			return err
+		}
 	}
 	// Pin the checkpoint interval: it determines where the
 	// verification barriers sit on the timeline.
@@ -285,8 +271,26 @@ func (s *JobSpec) Config() (core.Config, error) {
 	return cfg, nil
 }
 
+// maxSweepRuns caps the runs one sweep job expands to (seeds times the
+// variants of every axis). The check runs before anything is sized by
+// the request, so a huge seed count fails instead of allocating.
+const maxSweepRuns = 10_000
+
 // matrix expands a sweep job's spec into the run matrix.
 func (s *JobSpec) matrix() (*sweep.Matrix, error) {
+	tooBig := fmt.Errorf("serve: sweep must expand to at most %d runs (seeds × nodes × protocols × scenarios)", maxSweepRuns)
+	runs := s.Sweep.Seeds
+	if runs < 0 || runs > maxSweepRuns {
+		return nil, tooBig
+	}
+	for _, n := range []int{len(s.Sweep.Nodes), len(s.Sweep.Protocols), len(s.Sweep.Scenarios)} {
+		if n > 0 {
+			if runs > maxSweepRuns/n {
+				return nil, tooBig
+			}
+			runs *= n
+		}
+	}
 	cfg, err := s.Config()
 	if err != nil {
 		return nil, err

@@ -106,11 +106,12 @@ func Open(opts Options) (*Manager, error) {
 		}
 	}
 
+	// Log before the workers start: they take jobs off m.queue.
+	m.logf("serve: opened %s: %d jobs loaded, %d queued", opts.Dir, len(jobs), len(m.queue))
 	for i := 0; i < opts.MaxJobs; i++ {
 		m.wg.Add(1)
 		go m.worker()
 	}
-	m.logf("serve: opened %s: %d jobs loaded, %d queued", opts.Dir, len(jobs), len(m.queue))
 	return m, nil
 }
 
@@ -306,12 +307,8 @@ func (m *Manager) notifyLocked(js *jobState) {
 
 // worker is one slot of the job pool: claim the next queued job, run
 // it to a final (or requeued) state, repeat until the manager closes.
-// Each worker owns a warm-run pool that recycles campaign state across
-// the sequential jobs it serves; pools are never shared between
-// workers, so concurrent jobs stay fully isolated.
 func (m *Manager) worker() {
 	defer m.wg.Done()
-	pool := core.NewPool()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
@@ -344,7 +341,7 @@ func (m *Manager) worker() {
 		m.notifyLocked(js)
 		m.mu.Unlock()
 
-		err := m.runJob(ctx, js, pool)
+		err := m.runJob(ctx, js)
 
 		m.mu.Lock()
 		cancel()
@@ -383,10 +380,8 @@ func (m *Manager) finishLocked(js *jobState, err error) {
 	m.notifyLocked(js)
 }
 
-// runJob executes one job outside the manager lock. Campaign jobs draw
-// on the worker's warm-run pool; sweep jobs spin up their own
-// worker-local pools inside the sweep runner.
-func (m *Manager) runJob(ctx context.Context, js *jobState, pool *core.Pool) error {
+// runJob executes one job outside the manager lock.
+func (m *Manager) runJob(ctx context.Context, js *jobState) error {
 	m.mu.Lock()
 	spec := js.job.Spec
 	id := js.job.ID
@@ -394,7 +389,7 @@ func (m *Manager) runJob(ctx context.Context, js *jobState, pool *core.Pool) err
 	if spec.Kind == "sweep" {
 		return m.runSweep(ctx, js, id, spec)
 	}
-	return m.runCampaign(ctx, js, id, spec, pool)
+	return m.runCampaign(ctx, js, id, spec)
 }
 
 // progressInterval spaces ~100 progress ticks across the run, clamped
@@ -407,12 +402,12 @@ func progressInterval(duration time.Duration) time.Duration {
 	return iv
 }
 
-func (m *Manager) runCampaign(ctx context.Context, js *jobState, id string, spec JobSpec, pool *core.Pool) error {
+func (m *Manager) runCampaign(ctx context.Context, js *jobState, id string, spec JobSpec) error {
 	cfg, err := spec.Config()
 	if err != nil {
 		return err
 	}
-	campaign, err := pool.NewCampaign(cfg)
+	campaign, err := core.NewCampaign(cfg)
 	if err != nil {
 		return err
 	}
@@ -456,13 +451,6 @@ func (m *Manager) runCampaign(ctx context.Context, js *jobState, id string, spec
 	js.job.Metrics = res.KeyMetrics()
 	js.job.Fingerprints = &Fingerprints{Record: record, Chain: chain}
 	m.mu.Unlock()
-	// Everything the job publishes (metrics map, fingerprint strings)
-	// has been extracted; the results bundle dies here, so the
-	// campaign's state can feed the worker's next job. Cancelled and
-	// failed runs return above without recycling — their state was
-	// detached from the pool at build, so the next job simply builds
-	// cold.
-	pool.Recycle(campaign)
 	return nil
 }
 

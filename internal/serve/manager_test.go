@@ -360,6 +360,10 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad protocol param", JobSpec{Kind: "campaign", Protocol: "ethereum:gravity=9"}, "unknown parameter"},
 		{"bad scenario", JobSpec{Kind: "campaign", Scenarios: []string{"mayhem"}}, "unknown scenario"},
 		{"bad sweep protocol", JobSpec{Kind: "sweep", Sweep: &SweepSpec{Protocols: []string{"pow2"}}}, "unknown protocol"},
+		{"negative sweep nodes", JobSpec{Kind: "sweep", Sweep: &SweepSpec{Nodes: []int{-1}}}, "nodes"},
+		{"repeated sweep nodes", JobSpec{Kind: "sweep", Sweep: &SweepSpec{Nodes: []int{20, 20}}}, "repeats variant"},
+		{"huge seed count", JobSpec{Kind: "sweep", Sweep: &SweepSpec{Seeds: 1 << 62}}, "at most"},
+		{"seeds times variants over the cap", JobSpec{Kind: "sweep", Sweep: &SweepSpec{Seeds: maxSweepRuns/2 + 1, Nodes: []int{20, 30}}}, "at most"},
 		{"bad checkpoint interval", JobSpec{Kind: "campaign", CheckpointInterval: "-5m"}, "checkpoint_interval"},
 	}
 	for _, tc := range cases {

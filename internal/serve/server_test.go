@@ -166,6 +166,9 @@ func TestHTTPValidationAndNotFound(t *testing.T) {
 		`{"kind":"campaign","scenarios":["mayhem"]}`,
 		`{"kind":"campaign","duration":"fast"}`,
 		`{"kind":"campaign","nodes":-5}`,
+		`{"kind":"sweep","sweep":{"nodes":[-1]}}`,
+		`{"kind":"sweep","sweep":{"nodes":[20,20]}}`,
+		`{"kind":"sweep","sweep":{"seeds":4611686018427387904}}`,
 		`{"kind":"campaign","bogus_field":1}`, // unknown fields rejected
 		`{invalid json`,
 	}

@@ -89,8 +89,7 @@ func NewEngine(seed int64) *Engine {
 }
 
 // initQueue installs the queue implementation selected by SetQueueImpl.
-// Called once per engine at construction (NewEngine);
-// Reset keeps the engine's implementation.
+// Called once per engine at construction (NewEngine).
 func (e *Engine) initQueue() {
 	if defaultQueueImpl == QueueRefHeap {
 		e.ref = &refHeap{}
@@ -124,37 +123,6 @@ func (e *Engine) qSize() int {
 		return e.lq.size()
 	}
 	return e.ref.size()
-}
-
-// Reset returns the engine to the state NewEngine(seed) would produce
-// while keeping the slab, queue (bottom tier, rungs, top, chunk pool)
-// and free-list backing arrays, so a recycled engine schedules its
-// first events without growing anything.
-// The slab's written prefix is zeroed, so the previous run's handler,
-// closure and payload references do not stay reachable through the
-// backing array. Named RNG streams are dropped and lazily recreated by
-// RNG, which reproduces them bit-identically from the new seed.
-func (e *Engine) Reset(seed int64) {
-	// Slots past len need no zeroing: they are either fresh from the
-	// allocator — events hold pointers, so slice growth always hands
-	// back zeroed memory — or were zeroed by a previous Reset, and
-	// truncating after the clear restores that invariant.
-	clear(e.slab)
-	e.slab = e.slab[:0]
-	if e.ref == nil {
-		e.lq.reset()
-	} else {
-		e.ref.reset()
-	}
-	e.free = e.free[:0]
-	e.seq = 0
-	e.now = 0
-	e.ran = 0
-	e.seed = seed
-	e.stopped.Store(false)
-	if e.streams != nil {
-		clear(e.streams)
-	}
 }
 
 // Now returns the current virtual time.
@@ -390,11 +358,6 @@ func NewSplitmix(seed int64, domain string, id uint64) *Splitmix {
 	return &Splitmix{state: streamState(seed, domain, id)}
 }
 
-// Reseed puts s in the state NewSplitmix(seed, domain, id) returns.
-func (s *Splitmix) Reseed(seed int64, domain string, id uint64) {
-	s.state = streamState(seed, domain, id)
-}
-
 func streamState(seed int64, domain string, id uint64) uint64 {
 	return uint64(seed) ^ fnv64(domain) ^ (id * 0x9E3779B97F4A7C15)
 }
@@ -429,16 +392,6 @@ func (s *Splitmix) Seed(seed int64) { s.state = uint64(seed) }
 // with anyone else's.
 func NewStream(seed int64, domain string, id uint64) *rand.Rand {
 	return rand.New(NewSplitmix(seed, domain, id))
-}
-
-// ReseedStream re-seeds a stream previously returned by NewStream to
-// the exact state a fresh NewStream(seed, domain, id) call would have.
-// Warm-run pools use this to recycle per-node RNGs: the splitmix source
-// is one word of state, and Seed both installs it and resets the
-// *rand.Rand read buffer, so the recycled stream's draw sequence is
-// bit-identical to a cold one.
-func ReseedStream(r *rand.Rand, seed int64, domain string, id uint64) {
-	r.Seed(int64(streamState(seed, domain, id)))
 }
 
 // ExpDuration samples an exponentially distributed duration with the

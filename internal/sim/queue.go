@@ -37,7 +37,6 @@ type queue interface {
 	pop() (idx int32, ok bool)
 	peek() (at Time, ok bool)
 	size() int
-	reset()
 }
 
 var (
@@ -132,8 +131,7 @@ const spillLimit = 256
 // flood spans, and which buckets those are moves with every rebuild.
 // The pool instead holds about the peak pending count.
 //
-// The zero value is an empty, usable queue. reset keeps every backing
-// array, so warm-pool engines re-enqueue without growing anything.
+// The zero value is an empty, usable queue.
 type ladder struct {
 	n   int // total pending entries
 	bot entHeap
@@ -371,23 +369,6 @@ func (l *ladder) refill() bool {
 	}
 }
 
-// reset empties the queue keeping every backing array (bottom, top,
-// rungs, chunk pool), so a recycled engine's first events re-enqueue
-// without allocating. Entries hold no pointers, so stale capacity needs
-// no zeroing.
-func (l *ladder) reset() {
-	for k := range l.rungs[:l.nr] {
-		r := &l.rungs[k]
-		for r.n > 0 {
-			l.drop(r, r.first())
-		}
-	}
-	l.nr, l.n = 0, 0
-	l.bot.h = l.bot.h[:0]
-	l.top = l.top[:0]
-	l.topStart, l.topMax = 0, 0
-}
-
 // entHeap is a binary min-heap of qent ordered by (at, seq). It backs
 // the ladder's bottom tier and the reference queue implementation.
 type entHeap struct {
@@ -478,5 +459,3 @@ func (q *refHeap) pop() (int32, bool) {
 	}
 	return q.q.popMin().idx, true
 }
-
-func (q *refHeap) reset() { q.q.h = q.q.h[:0] }

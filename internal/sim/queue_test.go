@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"time"
 )
@@ -562,84 +561,8 @@ func TestLadderOverflowSpill(t *testing.T) {
 	}
 }
 
-// arrayPtr returns the backing-array pointer of a slice (valid for
-// zero-length slices too), for reuse identity checks.
-func arrayPtr[T any](s []T) uintptr { return reflect.ValueOf(s).Pointer() }
-
 // tiers reports the bottom tier's size and the active rung count.
 func (l *ladder) tiers() (bottom, rungs int) { return len(l.bot.h), l.nr }
-
-// TestEngineResetKeepsQueueArrays is the warm-pool regression test for
-// the ladder queue: after a run that exercised the bottom tier, a
-// ladder of rungs and the top, with events still pending in all of
-// them, Reset must keep the slab and every queue backing array (pointer
-// identity), so a recycled engine's first events allocate nothing.
-func TestEngineResetKeepsQueueArrays(t *testing.T) {
-	e := NewEngine(1)
-	if e.ref != nil {
-		t.Skip("reference heap selected; ladder reuse does not apply")
-	}
-	sink := func() {}
-	for i := 0; i < 2000; i++ {
-		e.Schedule(Time(i)*time.Millisecond, sink)
-	}
-	e.Schedule(30*24*time.Hour, sink) // far past every rung: the top
-	if _, err := e.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	e.Schedule(60*24*time.Hour, sink)
-
-	lq := &e.lq
-	if len(lq.top) == 0 || lq.nr < 2 || len(lq.bot.h) == 0 {
-		t.Fatalf("workload left top %d, rungs %d, bottom %d; test is vacuous", len(lq.top), lq.nr, len(lq.bot.h))
-	}
-	ptrs := func() [5]uintptr {
-		return [5]uintptr{arrayPtr(e.slab), arrayPtr(lq.bot.h), arrayPtr(lq.top), arrayPtr(lq.rungs), arrayPtr(lq.chunks)}
-	}
-	before := ptrs()
-	chunks := len(lq.chunks)
-
-	e.Reset(2)
-	if e.Pending() != 0 || e.Now() != 0 {
-		t.Fatalf("reset engine not empty: pending=%d now=%v", e.Pending(), e.Now())
-	}
-	names := [5]string{"slab", "bottom tier", "top", "rung", "chunk pool"}
-	for i, p := range ptrs() {
-		if p != before[i] {
-			t.Errorf("Reset replaced the %s backing array", names[i])
-		}
-	}
-	for k := range lq.rungs {
-		if r := &lq.rungs[k]; r.n != 0 || r.occ != [rungBuckets / 64]uint64{} || r.b != [rungBuckets]bucket{} {
-			t.Errorf("Reset left rung %d non-empty: n=%d occ=%x", k, r.n, r.occ)
-		}
-	}
-	free := 0
-	for c := lq.free; c != 0; c = lq.chunks[c-1].next {
-		free++
-	}
-	if free != chunks {
-		t.Errorf("Reset freed %d of %d chunks", free, chunks)
-	}
-
-	// And the recycled queue must order a fresh workload correctly.
-	var got []Time
-	for i := 1999; i >= 0; i-- {
-		at := Time(i) * 500 * time.Microsecond
-		e.Schedule(at, func() { got = append(got, e.Now()) })
-	}
-	if _, err := e.Run(time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i-1] > got[i] {
-			t.Fatalf("recycled queue popped out of order at %d: %v > %v", i, got[i-1], got[i])
-		}
-	}
-	if len(got) != 2000 {
-		t.Fatalf("recycled queue ran %d events, want 2000", len(got))
-	}
-}
 
 // TestSetQueueImpl covers the differential-suite hook: engines built
 // under QueueRefHeap run on the reference heap and produce the same

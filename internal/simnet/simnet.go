@@ -50,12 +50,6 @@ type Network struct {
 	MinOverhead time.Duration
 
 	sent uint64
-
-	// Warm-run spares: node structs and jitter streams harvested by
-	// Reset, drawn again by AddNode so recycled networks rebuild their
-	// endpoint tables without allocating.
-	spareNodes []*Node
-	spareRNG   []*sim.Splitmix
 }
 
 // New creates a network on the given engine with the given latency model.
@@ -65,23 +59,6 @@ func New(engine *sim.Engine, latency *geo.LatencyModel) *Network {
 		latency:     latency,
 		MinOverhead: 200 * time.Microsecond,
 	}
-}
-
-// Reset returns the network to the state New(engine, latency) would
-// produce, harvesting the node structs and per-sender RNG streams of
-// the finished run for reuse by subsequent AddNode calls. Every Node
-// field is reassigned and every recycled stream re-seeded on reuse, so
-// a warm network is bit-identical to a cold one. The caller must not
-// touch the previous run's nodes after Reset.
-func (n *Network) Reset(engine *sim.Engine, latency *geo.LatencyModel) {
-	n.engine = engine
-	n.latency = latency
-	n.spareNodes = append(n.spareNodes, n.nodes...)
-	n.nodes = n.nodes[:0]
-	n.spareRNG = append(n.spareRNG, n.senderRNG...)
-	n.senderRNG = n.senderRNG[:0]
-	n.MinOverhead = 200 * time.Microsecond
-	n.sent = 0
 }
 
 // AddNode registers a node in the given region with the given bandwidth
@@ -94,24 +71,9 @@ func (n *Network) AddNode(region geo.Region, bandwidth float64) (*Node, error) {
 		return nil, fmt.Errorf("simnet: invalid region %d", int(region))
 	}
 	id := types.NodeID(len(n.nodes))
-	var node *Node
-	if k := len(n.spareNodes); k > 0 {
-		node = n.spareNodes[k-1]
-		n.spareNodes = n.spareNodes[:k-1]
-		node.ID, node.Region, node.Bandwidth = id, region, bandwidth
-	} else {
-		node = &Node{ID: id, Region: region, Bandwidth: bandwidth}
-	}
+	node := &Node{ID: id, Region: region, Bandwidth: bandwidth}
 	n.nodes = append(n.nodes, node)
-	var rng *sim.Splitmix
-	if k := len(n.spareRNG); k > 0 {
-		rng = n.spareRNG[k-1]
-		n.spareRNG = n.spareRNG[:k-1]
-		rng.Reseed(n.engine.Seed(), "simnet", uint64(id))
-	} else {
-		rng = sim.NewSplitmix(n.engine.Seed(), "simnet", uint64(id))
-	}
-	n.senderRNG = append(n.senderRNG, rng)
+	n.senderRNG = append(n.senderRNG, sim.NewSplitmix(n.engine.Seed(), "simnet", uint64(id)))
 	return node, nil
 }
 
@@ -133,8 +95,7 @@ func (n *Network) Sent() uint64 { return n.sent }
 
 // Local returns the network's protocol-layer value slot, where the
 // protocol layer keeps state shared by all its nodes, such as free
-// lists. The slot survives Reset: a warm network keeps whatever its
-// protocol layer left there, which must therefore hold no run state.
+// lists.
 func (n *Network) Local() *any { return &n.local }
 
 // Transmit puts one message of the given wire size on the wire from

@@ -46,8 +46,8 @@ func (r *RunResult) Ok() bool { return r.Err == nil && r.Metrics != nil }
 // oversubscription buys no throughput for these CPU-bound campaigns,
 // but long sweeps need not trim concurrency to fit record retention
 // in memory. A base with RetainRecords set (with KeepResults, to read
-// Results.Dataset.Blocks/Txs of every run) runs cold; results are
-// bit-identical either way.
+// Results.Dataset.Blocks/Txs of every run) keeps every run's records
+// alive until the sweep returns.
 type Runner struct {
 	// Workers is the concurrency level; <= 0 means GOMAXPROCS.
 	Workers int
@@ -75,16 +75,6 @@ type Runner struct {
 	// runFn executes one campaign; tests stub it to inject failures
 	// and panics. Nil means the real build-and-run path.
 	runFn func(core.Config) (*core.Results, error)
-}
-
-// pooled reports whether workers may recycle campaign state run to
-// run for a matrix over base. Pooling requires that nothing derived
-// from a finished run stays alive: KeepResults keeps the analysis
-// bundle (backed by the pooled collector) and base.RetainRecords keeps
-// raw records, so either one forces cold builds. A stubbed runFn
-// builds no real campaigns at all.
-func (rn *Runner) pooled(base core.Config) bool {
-	return rn.runFn == nil && !rn.KeepResults && !base.RetainRecords
 }
 
 // runCampaign is the production runFn: build the full system, run it,
@@ -149,20 +139,8 @@ func (rn *Runner) Run(ctx context.Context, m *Matrix) ([]RunResult, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Worker-local warm-run pool: state recycles across this
-			// worker's sequential runs and is never shared with another
-			// worker. A failed or panicked run discards the pool — its
-			// campaign was detached from it anyway, so the safe move
-			// after any irregular exit is to start the next run cold.
-			var pool *core.Pool
-			if rn.pooled(m.Base) {
-				pool = core.NewPool()
-			}
 			for i := range jobs {
-				results[i] = rn.execute(ctx, runs[i], pool)
-				if results[i].Err != nil && pool != nil {
-					pool = core.NewPool()
-				}
+				results[i] = rn.execute(ctx, runs[i])
 				executed[i] = true
 				mu.Lock()
 				done++
@@ -203,11 +181,8 @@ feed:
 }
 
 // execute runs one campaign, converting panics into errors so a bad
-// scenario cannot take down the whole sweep. A non-nil pool supplies
-// recycled state to the build and harvests it back after the metrics
-// are extracted (the Results never escape on this path, satisfying the
-// pool's recycle contract).
-func (rn *Runner) execute(ctx context.Context, run Run, pool *core.Pool) (rr RunResult) {
+// scenario cannot take down the whole sweep.
+func (rn *Runner) execute(ctx context.Context, run Run) (rr RunResult) {
 	rr.Run = run
 	if err := ctx.Err(); err != nil {
 		rr.Err = err
@@ -233,22 +208,6 @@ func (rn *Runner) execute(ctx context.Context, run Run, pool *core.Pool) (rr Run
 	// SpillPath would point all concurrent campaigns at one file;
 	// sweeps never spill.
 	cfg.SpillPath = ""
-	if pool != nil {
-		campaign, err := pool.NewCampaign(cfg)
-		if err != nil {
-			rr.Err = fmt.Errorf("sweep: run %d (%s, seed %d): %w", run.Index, run.Scenario, run.Seed, err)
-			return
-		}
-		res, err := campaign.Run()
-		if err != nil {
-			rr.Err = fmt.Errorf("sweep: run %d (%s, seed %d): %w", run.Index, run.Scenario, run.Seed, err)
-			return
-		}
-		rr.Metrics = res.KeyMetrics()
-		rr.Stats = res.Stats
-		pool.Recycle(campaign)
-		return
-	}
 	res, err := runFn(cfg)
 	if err != nil {
 		rr.Err = fmt.Errorf("sweep: run %d (%s, seed %d): %w", run.Index, run.Scenario, run.Seed, err)

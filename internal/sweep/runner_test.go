@@ -55,7 +55,9 @@ func metricsEqual(a, b analysis.KeyMetrics) bool {
 
 // TestParallelMatchesSerialAggregate is the determinism contract at
 // sweep level: executing the same matrix with one worker and with many
-// must produce byte-identical aggregates.
+// must produce byte-identical aggregates. The nodes axis makes the
+// single worker run campaigns of differing sizes back to back (growing
+// and shrinking), and each must equal its run on a worker of its own.
 func TestParallelMatchesSerialAggregate(t *testing.T) {
 	seeds := 3
 	if testing.Short() || raceEnabled {
@@ -65,7 +67,7 @@ func TestParallelMatchesSerialAggregate(t *testing.T) {
 		return &Matrix{
 			Base:  testConfig(),
 			Seeds: Seeds(1, seeds),
-			Axes:  []Axis{Discovery(false, true)},
+			Axes:  []Axis{Discovery(false, true), Nodes(20, 30)},
 		}
 	}
 
@@ -73,7 +75,7 @@ func TestParallelMatchesSerialAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := (&Runner{Workers: 8}).Run(context.Background(), matrix())
+	parallel, err := (&Runner{Workers: matrix().NumRuns()}).Run(context.Background(), matrix())
 	if err != nil {
 		t.Fatal(err)
 	}
