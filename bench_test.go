@@ -11,6 +11,7 @@
 package ethmeasure
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -62,7 +63,7 @@ func runCampaign(b *testing.B, cfg Config) *Results {
 	if err != nil {
 		b.Fatal(err)
 	}
-	results, err := campaign.Run()
+	results, err := campaign.RunContext(context.Background(), RunOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,14 +8,14 @@
 // bounded by distinct blocks and transactions, never by file size.
 // The log must open with the campaign metadata entry (vantage roster,
 // pool names, timing); a log without one is rejected. Campaigns write
-// binary ethlog; -convert exports it as JSON Lines (and back), and
-// both encodings are auto-detected on input. -format pins the decoder
-// when auto-detection must be bypassed.
+// binary ethlog; -convert exports it as JSON Lines (and back). The
+// input decides the decoder: the binary magic header and a JSONL line
+// cannot be confused, so both encodings are detected on input.
 //
 // Usage:
 //
-//	ethanalyze -logs logs.ethlog [-top 15] [-format binary|jsonl]
-//	ethanalyze -logs logs.jsonl -convert logs.ethlog [-to binary|jsonl]
+//	ethanalyze -logs logs.ethlog [-top 15]
+//	ethanalyze -logs logs.jsonl -convert logs.ethlog
 package main
 
 import (
@@ -45,9 +45,7 @@ func run(args []string) error {
 	var (
 		logPath     = fs.String("logs", "", "campaign log file, binary or JSONL (required)")
 		topN        = fs.Int("top", 15, "pools to list individually in per-pool breakdowns")
-		format      = fs.String("format", "", "input encoding: binary | jsonl (default: auto-detect)")
-		convertPath = fs.String("convert", "", "transcode the log to this path instead of analyzing")
-		convertTo   = fs.String("to", "", "target encoding for -convert: binary | jsonl (default: the opposite of the input)")
+		convertPath = fs.String("convert", "", "transcode the log to this path, in the other encoding, instead of analyzing")
 		version     = fs.Bool("version", false, "print build version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -60,19 +58,8 @@ func run(args []string) error {
 	if *logPath == "" {
 		return fmt.Errorf("-logs is required")
 	}
-	inFormat, err := logs.ParseFormat(*format)
-	if err != nil {
-		return err
-	}
 	if *convertPath != "" {
-		outFormat, err := logs.ParseFormat(*convertTo)
-		if err != nil {
-			return err
-		}
-		return convert(*logPath, *convertPath, inFormat, outFormat)
-	}
-	if *convertTo != "" {
-		return fmt.Errorf("-to only makes sense with -convert")
+		return convert(*logPath, *convertPath)
 	}
 
 	f, err := os.Open(*logPath)
@@ -80,7 +67,7 @@ func run(args []string) error {
 		return fmt.Errorf("logs: open: %w", err)
 	}
 	defer f.Close()
-	reader := logs.NewReaderFormat(f, inFormat)
+	reader := logs.NewReader(f)
 
 	first, err := reader.Next()
 	if err == io.EOF {
@@ -205,29 +192,26 @@ func run(args []string) error {
 	return nil
 }
 
-// convert transcodes a campaign log between encodings. The default
-// target is the opposite of the (detected) input encoding, so plain
-// `-convert out` migrates a JSONL spill to binary and extracts a
-// binary spill back to JSONL for external tooling.
-func convert(src, dst string, inFormat, outFormat logs.Format) (err error) {
+// convert transcodes a campaign log into the encoding the input is
+// not: `-convert out` migrates a JSONL log to binary and extracts a
+// binary log back to JSONL for external tooling.
+func convert(src, dst string) (err error) {
 	f, err := os.Open(src)
 	if err != nil {
 		return fmt.Errorf("logs: open: %w", err)
 	}
 	defer f.Close()
-	reader := logs.NewReaderFormat(f, inFormat)
+	reader := logs.NewReader(f)
 
-	// Sniff before creating the output so the default target can be
-	// "whatever the input is not".
+	// Sniff before creating the output so the target can be "whatever
+	// the input is not".
 	first, ferr := reader.Next()
 	if ferr != nil && ferr != io.EOF {
 		return ferr
 	}
-	if outFormat == "" {
-		outFormat = logs.FormatBinary
-		if reader.Format() == logs.FormatBinary {
-			outFormat = logs.FormatJSONL
-		}
+	outFormat := logs.FormatBinary
+	if reader.Format() == logs.FormatBinary {
+		outFormat = logs.FormatJSONL
 	}
 	w, err := logs.CreateFileFormat(dst, outFormat)
 	if err != nil {

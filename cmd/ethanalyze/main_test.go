@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"os"
 	"path/filepath"
@@ -50,7 +51,7 @@ func spillCampaign(t *testing.T, path string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := campaign.Run(); err != nil {
+	if _, err := campaign.RunContext(context.Background(), ethmeasure.RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -228,18 +229,5 @@ func TestGoldenCrossFormatAnalysis(t *testing.T) {
 	}
 	if outBin != outBack {
 		t.Error("round-tripped binary analysis diverges from the original")
-	}
-
-	// -format pins the decoder: the right pin works, the wrong pin is
-	// an explicit error rather than garbage output.
-	_ = captureRun(t, []string{"-logs", jsonlPath, "-format", "jsonl"}, jsonlPath)
-	if err := run([]string{"-logs", jsonlPath, "-format", "binary"}); err == nil {
-		t.Error("-format binary accepted a JSONL file")
-	}
-	if err := run([]string{"-logs", binPath, "-format", "bogus"}); err == nil {
-		t.Error("bogus -format accepted")
-	}
-	if err := run([]string{"-logs", binPath, "-to", "jsonl"}); err == nil {
-		t.Error("-to without -convert accepted")
 	}
 }

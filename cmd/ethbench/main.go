@@ -36,6 +36,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -247,7 +248,7 @@ func runCampaignEntry(s scale, retain bool, vantagePeers int, proto consensus.Sp
 	sampler := startHeapSampler()
 
 	start := time.Now()
-	simErr := campaign.Simulate()
+	simErr := campaign.SimulateContext(context.Background(), core.RunOptions{})
 	wall := time.Since(start)
 
 	peak := sampler.Stop()

@@ -17,12 +17,13 @@
 //	cfg := ethmeasure.QuickConfig()
 //	campaign, err := ethmeasure.NewCampaign(cfg)
 //	if err != nil { ... }
-//	results, err := campaign.Run()
+//	results, err := campaign.RunContext(context.Background(), ethmeasure.RunOptions{})
 //	if err != nil { ... }
 //	ethmeasure.WriteReport(os.Stdout, results)
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for
-// paper-vs-measured results.
+// RunContext is the one way to run a campaign in full. Cancelling ctx
+// stops the simulation after the current event; RunOptions adds live
+// progress and checkpoint/resume.
 package ethmeasure
 
 import (
@@ -61,19 +62,10 @@ type (
 	Region = geo.Region
 	// MachineSpec is one measurement machine (paper Table I).
 	MachineSpec = measure.MachineSpec
-	// Recorder consumes measurement records — implement it to tap the
-	// campaign's record bus (Campaign.AttachRecorder).
-	Recorder = measure.Recorder
-	// RecordBus fans records out to registered consumers.
-	RecordBus = measure.Bus
 	// BlockRecord is one logged block-related message reception.
 	BlockRecord = measure.BlockRecord
 	// TxRecord is one transaction first-observation record.
 	TxRecord = measure.TxRecord
-	// Collector is the streaming analysis pipeline: the bus consumer
-	// that folds records into the shared arrival index and finalizes
-	// every record-driven figure without retaining the records.
-	Collector = analysis.Collector
 	// PoolID identifies a mining pool in winner sequences.
 	PoolID = types.PoolID
 	// HistoricalEpoch is one period of chain history with its own

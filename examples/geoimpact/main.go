@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"time"
@@ -62,7 +63,7 @@ func firstObservationShares(cfg ethmeasure.Config) (map[string]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	results, err := campaign.Run()
+	results, err := campaign.RunContext(context.Background(), ethmeasure.RunOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"time"
@@ -51,7 +52,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		res, err := campaign.Run()
+		res, err := campaign.RunContext(context.Background(), ethmeasure.RunOptions{})
 		if err != nil {
 			return err
 		}

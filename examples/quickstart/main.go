@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"time"
@@ -34,7 +35,7 @@ func run() error {
 	fmt.Printf("simulating %v of Ethereum (%d nodes, %d pools)...\n\n",
 		cfg.Duration, cfg.NumNodes, len(cfg.Pools))
 
-	results, err := campaign.Run()
+	results, err := campaign.RunContext(context.Background(), ethmeasure.RunOptions{})
 	if err != nil {
 		return err
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strings"
@@ -55,7 +56,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		res, err := campaign.Run()
+		res, err := campaign.RunContext(context.Background(), ethmeasure.RunOptions{})
 		if err != nil {
 			return err
 		}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"time"
@@ -74,7 +75,7 @@ func measure(cfg ethmeasure.Config) (outcome, error) {
 	if err != nil {
 		return outcome{}, err
 	}
-	results, err := campaign.Run()
+	results, err := campaign.RunContext(context.Background(), ethmeasure.RunOptions{})
 	if err != nil {
 		return outcome{}, err
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"time"
@@ -48,7 +49,7 @@ func runForensic(cfg ethmeasure.Config) error {
 	if err != nil {
 		return err
 	}
-	results, err := campaign.Run()
+	results, err := campaign.RunContext(context.Background(), ethmeasure.RunOptions{})
 	if err != nil {
 		return err
 	}

@@ -67,6 +67,19 @@ func (f *fixture) observeTx(vantage string, at time.Duration, hash types.Hash, s
 	})
 }
 
+// collect feeds d's retained records (d.Blocks, then d.Txs) into a
+// new collector, the way a log reader streams them.
+func collect(d *Dataset, redundancyVantage string) *Collector {
+	c := NewCollector(d, redundancyVantage)
+	for _, r := range d.Blocks {
+		c.RecordBlock(r)
+	}
+	for _, r := range d.Txs {
+		c.RecordTx(r)
+	}
+	return c
+}
+
 func TestBlockPropagationKnownDelays(t *testing.T) {
 	f := newFixture(t)
 	b1 := f.block(f.reg.Genesis(), 1, nil)
@@ -80,7 +93,7 @@ func TestBlockPropagationKnownDelays(t *testing.T) {
 	// b2: only one vantage → excluded.
 	f.observe("EA", 2000*time.Millisecond, b2, "block")
 
-	res, err := BlockPropagation(f.d)
+	res, err := collect(f.d, "").Propagation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +114,7 @@ func TestBlockPropagationKnownDelays(t *testing.T) {
 	}
 	// Duplicate later receptions must not affect first-arrival times.
 	f.observe("NA", 3000*time.Millisecond, b1, "announce")
-	res2, err := BlockPropagation(f.d)
+	res2, err := collect(f.d, "").Propagation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +130,7 @@ func TestBlockPropagationClampsClockSkew(t *testing.T) {
 	// clamped at zero rather than going negative.
 	f.observe("EA", 1000*time.Millisecond, b, "block")
 	f.observe("NA", 990*time.Millisecond, b, "block")
-	res, err := BlockPropagation(f.d)
+	res, err := collect(f.d, "").Propagation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +161,7 @@ func TestRedundancyCounts(t *testing.T) {
 	// Noise from a primary vantage must be ignored.
 	f.observe("NA", time.Second, b1, "block")
 
-	res, err := Redundancy(f.d, aux, 150)
+	res, err := collect(f.d, aux).Redundancy(150)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +184,7 @@ func TestRedundancyCounts(t *testing.T) {
 
 func TestRedundancyUnknownVantage(t *testing.T) {
 	f := newFixture(t)
-	if _, err := Redundancy(f.d, "nope", 10); err == nil {
+	if _, err := collect(f.d, "nope").Redundancy(10); err == nil {
 		t.Fatal("unknown vantage must error")
 	}
 }
@@ -198,7 +211,7 @@ func TestFirstObservationSharesAndTies(t *testing.T) {
 			f.observe("EA", base+30*time.Millisecond, b, "block")
 		}
 	}
-	res := FirstObservation(f.d)
+	res := collect(f.d, "").FirstObservation()
 	if res.Blocks != 5 {
 		t.Fatalf("blocks = %d", res.Blocks)
 	}
@@ -219,7 +232,7 @@ func TestFirstObservationIgnoresAuxiliaryVantages(t *testing.T) {
 	f.observe("WE-default", time.Second, b, "block") // auxiliary: earliest but excluded
 	f.observe("EA", 2*time.Second, b, "block")
 	f.observe("NA", 3*time.Second, b, "block")
-	res := FirstObservation(f.d)
+	res := collect(f.d, "").FirstObservation()
 	if res.Shares["EA"] != 1 {
 		t.Errorf("EA share = %f; auxiliary vantage leaked into analysis", res.Shares["EA"])
 	}
@@ -244,7 +257,7 @@ func TestPoolGeographyAttribution(t *testing.T) {
 		f.observe("WE", at, b, "block")
 		f.observe("EA", at+time.Second, b, "block")
 	}
-	res := PoolGeography(f.d, 10)
+	res := collect(f.d, "").PoolGeography(10)
 	if res.Blocks != 5 {
 		t.Fatalf("blocks = %d", res.Blocks)
 	}
@@ -276,7 +289,7 @@ func TestPoolGeographyAggregatesTail(t *testing.T) {
 		f.observe("EA", at, b, "block")
 		f.observe("NA", at+time.Second, b, "block")
 	}
-	res := PoolGeography(f.d, 2)
+	res := collect(f.d, "").PoolGeography(2)
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d (2 named + aggregate)", len(res.Rows))
 	}

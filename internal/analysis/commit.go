@@ -84,11 +84,6 @@ func (c *Collector) Commit() *CommitTimeResult {
 	return res
 }
 
-// CommitTimes computes Figure 4 from a materialized dataset.
-func CommitTimes(d *Dataset) *CommitTimeResult {
-	return Collect(d, "").Commit()
-}
-
 func secondsSince(from, to time.Duration) float64 {
 	delta := to - from
 	if delta < 0 {
@@ -194,9 +189,4 @@ func (c *Collector) Ordering() *OrderingResult {
 	res.OutOfOrderP50 = res.OutOfOrderSec.MustQuantile(0.5)
 	res.OutOfOrderP90 = res.OutOfOrderSec.MustQuantile(0.9)
 	return res
-}
-
-// TransactionOrdering computes Figure 5 from a materialized dataset.
-func TransactionOrdering(d *Dataset) *OrderingResult {
-	return Collect(d, "").Ordering()
 }

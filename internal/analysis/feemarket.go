@@ -88,9 +88,3 @@ func (c *Collector) FeeMarket(priceOf func(types.Hash) (uint64, bool)) *FeeMarke
 	res.MedianTrendDecreasing = len(medians) >= 2 && medians[0] >= medians[len(medians)-1]
 	return res
 }
-
-// FeeMarket computes inclusion delay per gas-price band from a
-// materialized dataset.
-func FeeMarket(d *Dataset, priceOf func(types.Hash) (uint64, bool)) *FeeMarketResult {
-	return Collect(d, "").FeeMarket(priceOf)
-}

@@ -61,11 +61,6 @@ func (c *Collector) FirstObservation() *FirstObservationResult {
 	return res
 }
 
-// FirstObservation computes Figure 2 from a materialized dataset.
-func FirstObservation(d *Dataset) *FirstObservationResult {
-	return Collect(d, "").FirstObservation()
-}
-
 // PoolGeographyRow is one bar group of Figure 3: which vantage sees a
 // given pool's blocks first, and how often.
 type PoolGeographyRow struct {
@@ -157,9 +152,4 @@ func (c *Collector) PoolGeography(topN int) *PoolGeographyResult {
 		res.Rows = append(res.Rows, makeRow("Remaining miners", rest))
 	}
 	return res
-}
-
-// PoolGeography computes Figure 3 from a materialized dataset.
-func PoolGeography(d *Dataset, topN int) *PoolGeographyResult {
-	return Collect(d, "").PoolGeography(topN)
 }

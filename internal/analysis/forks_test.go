@@ -214,7 +214,7 @@ func TestTxPropagationGeoNeutral(t *testing.T) {
 			}
 		}
 	}
-	res := TxPropagation(f.d)
+	res := collect(f.d, "").TxPropagation()
 	if res.Txs != 8 {
 		t.Fatalf("txs = %d", res.Txs)
 	}
@@ -233,7 +233,7 @@ func TestTxPropagationGeoNeutral(t *testing.T) {
 
 func TestTxPropagationEmpty(t *testing.T) {
 	f := newFixture(t)
-	res := TxPropagation(f.d)
+	res := collect(f.d, "").TxPropagation()
 	if res.Txs != 0 {
 		t.Errorf("txs = %d", res.Txs)
 	}

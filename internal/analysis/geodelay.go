@@ -66,9 +66,3 @@ func (c *Collector) GeoDelay() *GeoDelayResult {
 	}
 	return res
 }
-
-// GeoDelay computes per-vantage lag distributions from a materialized
-// dataset.
-func GeoDelay(d *Dataset) *GeoDelayResult {
-	return Collect(d, "").GeoDelay()
-}

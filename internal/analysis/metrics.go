@@ -113,9 +113,11 @@ func (r *OneMinerForksResult) KeyMetrics() KeyMetrics {
 	return KeyMetrics{MetricOneMinerForkShare: r.ShareOfAllForks}
 }
 
-// KeyMetrics extracts the Figure 6 empty-block share.
+// KeyMetrics extracts the Figure 6 empty-block share. A run in which
+// no main-chain block carried a transaction (no tx workload) has a
+// share of 1 by construction and contributes no entry.
 func (r *EmptyBlocksResult) KeyMetrics() KeyMetrics {
-	if r == nil || r.MainBlocks == 0 {
+	if r == nil || r.MainBlocks == 0 || r.EmptyBlocks == r.MainBlocks {
 		return nil
 	}
 	return KeyMetrics{MetricEmptyShare: r.EmptyShare}

@@ -97,3 +97,17 @@ func TestKeyMetricsMergeAndNames(t *testing.T) {
 		t.Errorf("names = %v", names)
 	}
 }
+
+// TestEmptyBlocksKeyMetricsNeedsTxs: a run whose main-chain blocks are
+// all empty (no tx workload) has a trivial share of 1 and emits no
+// entry; a run with some non-empty blocks emits its share.
+func TestEmptyBlocksKeyMetricsNeedsTxs(t *testing.T) {
+	allEmpty := &EmptyBlocksResult{MainBlocks: 40, EmptyBlocks: 40, EmptyShare: 1}
+	if m := allEmpty.KeyMetrics(); m != nil {
+		t.Errorf("all-empty run produced %v", m)
+	}
+	mixed := &EmptyBlocksResult{MainBlocks: 40, EmptyBlocks: 2, EmptyShare: 0.05}
+	if m := mixed.KeyMetrics(); !reflect.DeepEqual(m, KeyMetrics{MetricEmptyShare: 0.05}) {
+		t.Errorf("mixed run metrics = %v", m)
+	}
+}

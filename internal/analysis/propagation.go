@@ -78,9 +78,3 @@ func (c *Collector) Propagation() (*PropagationResult, error) {
 	}
 	return res, nil
 }
-
-// BlockPropagation computes the Figure 1 analysis from a materialized
-// dataset (batch path: replays the records through a Collector).
-func BlockPropagation(d *Dataset) (*PropagationResult, error) {
-	return Collect(d, "").Propagation()
-}

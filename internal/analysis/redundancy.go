@@ -69,9 +69,3 @@ func (c *Collector) Redundancy(networkSize int) (*RedundancyResult, error) {
 	}
 	return res, nil
 }
-
-// Redundancy computes Table II from the records of the named vantage
-// in a materialized dataset.
-func Redundancy(d *Dataset, vantage string, networkSize int) (*RedundancyResult, error) {
-	return Collect(d, vantage).Redundancy(networkSize)
-}

@@ -64,10 +64,10 @@ type redCount struct {
 //
 // The wrapped Dataset provides the vantage roster up front and the
 // campaign context (chain registry, pool names, timing) at finalize
-// time; its record slices may stay nil. Feed records either live (as
-// a bus consumer) or via Replay — both produce bit-identical results
-// because all state transitions depend only on per-kind record order,
-// which the bus preserves.
+// time; its record slices may stay nil. Feed records live (as a bus
+// consumer) or from a log reader (cmd/ethanalyze) — both produce
+// bit-identical results because all state transitions depend only on
+// per-kind record order, which the bus and the log preserve.
 type Collector struct {
 	ds         *Dataset
 	vidx       map[string]int // primary vantage name -> slot
@@ -113,26 +113,6 @@ func NewCollector(ds *Dataset, redundancyVantage string) *Collector {
 		c.red = make(map[types.Hash]*redCount, 1024)
 	}
 	return c
-}
-
-// Collect replays a fully materialized dataset through a new
-// collector: the batch entry points (BlockPropagation, CommitTimes,
-// ...) are thin wrappers over this. Live pipelines attach the
-// collector to the record bus instead and skip materialization.
-func Collect(d *Dataset, redundancyVantage string) *Collector {
-	c := NewCollector(d, redundancyVantage)
-	c.Replay(d.Blocks, d.Txs)
-	return c
-}
-
-// Replay feeds retained record slices through the collector in order.
-func (c *Collector) Replay(blocks []measure.BlockRecord, txs []measure.TxRecord) {
-	for i := range blocks {
-		c.RecordBlock(blocks[i])
-	}
-	for i := range txs {
-		c.RecordTx(txs[i])
-	}
 }
 
 // RecordBlock implements measure.Recorder: O(1) amortized per record.

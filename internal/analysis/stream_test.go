@@ -10,7 +10,7 @@ import (
 )
 
 // TestCollectorLiveEqualsReplay feeds the same records once live
-// (interleaved, as a bus would deliver them) and once via Replay of a
+// (interleaved, as a bus would deliver them) and once per kind from a
 // materialized dataset, and requires identical finalizer output.
 func TestCollectorLiveEqualsReplay(t *testing.T) {
 	f := newFixture(t)
@@ -49,7 +49,7 @@ func TestCollectorLiveEqualsReplay(t *testing.T) {
 	live.RecordBlock(blocks[6])
 
 	f.d.Blocks, f.d.Txs = blocks, txs
-	replay := Collect(f.d, "")
+	replay := collect(f.d, "")
 
 	if live.BlockRecords() != 7 || live.TxRecords() != 3 {
 		t.Fatalf("record counts = %d/%d", live.BlockRecords(), live.TxRecords())

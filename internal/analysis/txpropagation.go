@@ -87,9 +87,3 @@ func (c *Collector) TxPropagation() *TxPropagationResult {
 	res.FirstShareSpread = maxShare - minShare
 	return res
 }
-
-// TxPropagation computes the §III-A1 analysis from a materialized
-// dataset.
-func TxPropagation(d *Dataset) *TxPropagationResult {
-	return Collect(d, "").TxPropagation()
-}

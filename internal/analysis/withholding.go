@@ -120,8 +120,3 @@ func (c *Collector) Withholding() *WithholdingResult {
 	}
 	return res
 }
-
-// Withholding computes the §III-D forensic from a materialized dataset.
-func Withholding(d *Dataset) *WithholdingResult {
-	return Collect(d, "").Withholding()
-}

@@ -1,14 +1,12 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"ethmeasure/internal/analysis"
 	"ethmeasure/internal/chain"
 	"ethmeasure/internal/consensus"
-	"ethmeasure/internal/geo"
 	"ethmeasure/internal/logs"
 	"ethmeasure/internal/measure"
 	"ethmeasure/internal/mining"
@@ -96,9 +94,8 @@ type Campaign struct {
 	gateways  [][]*p2p.Node
 	vantNodes []*p2p.Node
 
-	// Composed scenario plugins (legacy churn/withholding fields
-	// included), their shared environment, and the result annotation
-	// snapshotted at the end of Simulate.
+	// Composed scenario plugins, their shared environment, and the
+	// result annotation snapshotted at the end of SimulateContext.
 	scenarios    []scenario.Scenario
 	scenarioEnv  *scenario.Env
 	scenarioTags []string
@@ -121,7 +118,7 @@ type Campaign struct {
 	instrFP *logs.RecordFingerprinter
 
 	// Snapshots taken while the simulation state is still alive, so
-	// Analyze and LogMeta keep working after ReleaseNetwork.
+	// Analyze and logMeta keep working after ReleaseNetwork.
 	numNodes int
 	events   uint64
 	messages uint64
@@ -285,7 +282,7 @@ func (c *Campaign) build() error {
 	// Scenario composition: Build instantiates every configured spec,
 	// then topology mutators rewire the assembled graph and miner
 	// strategies attach to their pools; interventions wait for
-	// Simulate.
+	// SimulateContext.
 	scenarios, err := scenario.Build(cfg.Scenarios)
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
@@ -329,7 +326,7 @@ func (c *Campaign) build() error {
 		if err != nil {
 			return err
 		}
-		spill.Write(&logs.Entry{Kind: logs.KindMeta, Meta: c.LogMeta()})
+		spill.Write(&logs.Entry{Kind: logs.KindMeta, Meta: c.logMeta()})
 		// Force the metadata entry through to the OS now: a full disk
 		// (or any unwritable spill target) must fail the run at start,
 		// not after the campaign has burned hours and hits finalize.
@@ -350,63 +347,17 @@ func (c *Campaign) Engine() *sim.Engine { return c.engine }
 // only for perfbench, which checks it; delete it with Config.Shards.
 func (c *Campaign) Sharded() any { return nil }
 
-// StopSimulation halts a running Simulate after the current event.
-// Simulate then returns an error wrapping sim.ErrStopped. Safe to call
-// from an engine callback or from another goroutine.
-func (c *Campaign) StopSimulation() {
-	if c.engine != nil {
-		c.engine.Stop()
-	}
-}
-
-// Registry exposes the global block registry.
-func (c *Campaign) Registry() *chain.Registry { return c.registry }
-
-// Protocol exposes the consensus rule set the campaign runs under.
-func (c *Campaign) Protocol() consensus.Protocol { return c.proto }
-
-// Store exposes the transaction store.
-func (c *Campaign) Store() *txgen.Store { return c.store }
-
-// Collector exposes the streaming analysis pipeline.
-func (c *Campaign) Collector() *analysis.Collector { return c.collector }
-
-// AttachRecorder subscribes an additional consumer to the campaign's
-// record bus (e.g. a custom spill writer or a record hasher). Attach
-// before Run/Simulate: the bus offers no replay.
-func (c *Campaign) AttachRecorder(r measure.Recorder) { c.bus.Attach(r) }
-
 // Miner exposes the mining subsystem.
 func (c *Campaign) Miner() *mining.Miner { return c.miner }
 
-// Scenarios exposes the composed scenario plugins in composition order
-// (legacy churn/withholding fields first). Nil after ReleaseNetwork.
-func (c *Campaign) Scenarios() []scenario.Scenario { return c.scenarios }
-
 // ScenarioTags returns the canonical tags of the composed scenarios.
-// Unlike Scenarios it survives ReleaseNetwork.
+// It survives ReleaseNetwork.
 func (c *Campaign) ScenarioTags() []string { return c.scenarioTags }
-
-// Run executes the campaign and returns the analyzed results. It is
-// Simulate followed by Analyze; callers that want to profile the two
-// phases separately (cmd/ethbench) invoke them directly, and callers
-// needing cancellation or live progress use RunContext.
-func (c *Campaign) Run() (*Results, error) {
-	return c.RunContext(context.Background(), RunOptions{})
-}
-
-// Simulate executes the simulation phase: the full virtual campaign,
-// with every measurement record streaming through the bus. It also
-// completes the spill file (chain dump) when one is configured. It is
-// SimulateContext with a background context and no instrumentation.
-func (c *Campaign) Simulate() error {
-	return c.SimulateContext(context.Background(), RunOptions{})
-}
 
 // snapshotScenarios folds the composed scenarios into the result
 // annotation: the canonical tags plus every reporter's metrics under
-// "scenario_<name>_<metric>". Taken at the end of Simulate, while the
-// plugin state is still alive (ReleaseNetwork drops it).
+// "scenario_<name>_<metric>". Taken at the end of SimulateContext,
+// while the plugin state is still alive (ReleaseNetwork drops it).
 func (c *Campaign) snapshotScenarios() *analysis.ScenarioResult {
 	if len(c.scenarios) == 0 {
 		return nil
@@ -443,11 +394,11 @@ func (c *Campaign) snapshotScenarios() *analysis.ScenarioResult {
 // ReleaseNetwork drops the simulated network — nodes, links, per-peer
 // caches, the event engine's slab, the workload drivers — so the
 // analysis phase's working set is the record pipeline and the block
-// registry, not the dead simulation graph. Call it between Simulate
-// and Analyze on memory-constrained long campaigns; afterwards
-// Engine() and Miner() return nil while Analyze, Dataset, Registry
-// and Store keep working. The spill log (Config.SpillPath) is already
-// complete when Simulate returns, so releasing loses none of it. Run
+// registry, not the dead simulation graph. Call it between
+// SimulateContext and Analyze on memory-constrained long campaigns;
+// afterwards Engine() and Miner() return nil while Analyze keeps
+// working. The spill log (Config.SpillPath) is already complete when
+// SimulateContext returns, so releasing loses none of it. RunContext
 // does not call it, so the accessors stay valid on the default path.
 func (c *Campaign) ReleaseNetwork() {
 	if !c.simulated {
@@ -467,10 +418,10 @@ func (c *Campaign) ReleaseNetwork() {
 
 // Analyze finalizes every analyzer from the streamed state and the
 // block registry — the analysis phase. One pass over the records
-// already happened during Simulate; no analyzer re-reads them.
+// already happened during SimulateContext; no analyzer re-reads them.
 func (c *Campaign) Analyze() (*Results, error) {
 	if !c.simulated {
-		return nil, fmt.Errorf("core: Analyze before Simulate")
+		return nil, fmt.Errorf("core: Analyze before SimulateContext")
 	}
 	res := &Results{
 		Dataset: c.dataset,
@@ -494,15 +445,9 @@ func (c *Campaign) Analyze() (*Results, error) {
 	return res, nil
 }
 
-// Dataset returns the campaign's analysis dataset: the campaign
-// context always, plus the raw record slices when RetainRecords is
-// set. Only primary (non-auxiliary) vantages participate in
-// first-observation and delay analyses.
-func (c *Campaign) Dataset() *analysis.Dataset { return c.dataset }
-
-// LogMeta builds the metadata entry for campaign log files, letting
+// logMeta builds the metadata entry for campaign log files, letting
 // cmd/ethanalyze reconstruct the analysis context from a log alone.
-func (c *Campaign) LogMeta() *logs.Meta {
+func (c *Campaign) logMeta() *logs.Meta {
 	meta := &logs.Meta{
 		PoolNames:         c.cfg.PoolNames(),
 		RedundancyVantage: c.cfg.RedundancyVantage,
@@ -559,7 +504,3 @@ func (c *Campaign) analyze(res *Results) error {
 	}
 	return nil
 }
-
-// VantageRegionName returns the display name used for a vantage region
-// in the paper's figures ("Eastern Asia", ...).
-func VantageRegionName(r geo.Region) string { return r.String() }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -31,7 +32,7 @@ func TestCampaignEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := campaign.Run()
+	res, err := campaign.RunContext(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,12 +104,12 @@ func TestCampaignDeterministicAcrossRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := campaign.Run()
+		res, err := campaign.RunContext(context.Background(), RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var hashes []types.Hash
-		campaign.Registry().Blocks(func(b *types.Block) bool {
+		campaign.registry.Blocks(func(b *types.Block) bool {
 			hashes = append(hashes, b.Hash)
 			return true
 		})
@@ -141,7 +142,7 @@ func TestCampaignSeedChangesOutcome(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := campaign.Run()
+		res, err := campaign.RunContext(context.Background(), RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +160,7 @@ func TestCampaignWithoutTxWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := campaign.Run()
+	res, err := campaign.RunContext(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestCampaignAuxiliaryVantageExcluded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := campaign.Run()
+	res, err := campaign.RunContext(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestCampaignForkRateInPaperRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := campaign.Run()
+	res, err := campaign.RunContext(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestCampaignWithChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := campaign.Run()
+	res, err := campaign.RunContext(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +274,7 @@ func TestChurnDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := campaign.Run()
+		res, err := campaign.RunContext(context.Background(), RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +293,7 @@ func TestCampaignWithDiscoveryTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := campaign.Run()
+	res, err := campaign.RunContext(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +321,7 @@ func TestCampaignWithholdingDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := campaign.Run()
+	res, err := campaign.RunContext(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +362,7 @@ func TestCampaignHonestPoolsNotFlagged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := campaign.Run()
+	res, err := campaign.RunContext(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

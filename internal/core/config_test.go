@@ -247,7 +247,7 @@ func TestLogMetaReflectsConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := campaign.LogMeta()
+	meta := campaign.logMeta()
 	if len(meta.Vantages) != 4 {
 		t.Errorf("meta vantages = %v (auxiliary must be excluded)", meta.Vantages)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -65,8 +66,8 @@ func TestCampaignFingerprintDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		hasher := newRecordHasher()
-		campaign.AttachRecorder(hasher)
-		res, err := campaign.Run()
+		campaign.bus.Attach(hasher)
+		res, err := campaign.RunContext(context.Background(), RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

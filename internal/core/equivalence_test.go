@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -156,7 +157,7 @@ func TestProtocolVariantsExerciseTheirRules(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := campaign.Run()
+		res, err := campaign.RunContext(context.Background(), RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,8 +212,8 @@ func TestStreamingEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				hasher := newRecordHasher()
-				campaign.AttachRecorder(hasher)
-				res, err := campaign.Run()
+				campaign.bus.Attach(hasher)
+				res, err := campaign.RunContext(context.Background(), RunOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -263,8 +264,8 @@ func TestStreamingEquivalence(t *testing.T) {
 }
 
 // TestReleaseNetworkKeepsAnalysis verifies the phase split: dropping
-// the simulation graph between Simulate and Analyze changes nothing
-// about the results, and the post-release accessors behave as
+// the simulation graph between SimulateContext and Analyze changes
+// nothing about the results, and the post-release accessors behave as
 // documented.
 func TestReleaseNetworkKeepsAnalysis(t *testing.T) {
 	cfg := tinyConfig()
@@ -273,7 +274,7 @@ func TestReleaseNetworkKeepsAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resFull, err := full.Run()
+	resFull, err := full.RunContext(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,11 +283,11 @@ func TestReleaseNetworkKeepsAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	released.ReleaseNetwork() // before Simulate: must be a no-op
+	released.ReleaseNetwork() // before SimulateContext: must be a no-op
 	if released.Engine() == nil {
 		t.Fatal("pre-simulation ReleaseNetwork dropped the engine")
 	}
-	if err := released.Simulate(); err != nil {
+	if err := released.SimulateContext(context.Background(), RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	released.ReleaseNetwork()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -25,14 +26,14 @@ func TestFastChainMatchesFullSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := campaign.Run(); err != nil {
+	if _, err := campaign.RunContext(context.Background(), RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Full-sim winner shares.
 	counts := make(map[types.PoolID]int)
 	total := 0
-	for _, b := range campaign.Registry().MainChain() {
+	for _, b := range campaign.registry.MainChain() {
 		if b.Miner == 0 {
 			continue
 		}
@@ -61,7 +62,7 @@ func TestFastChainMatchesFullSim(t *testing.T) {
 	// the same length — compare the count of length-≥2 runs for the
 	// top pool against the fast-chain expectation n·p²·(1−p).
 	winners := make([]types.PoolID, 0, total)
-	for _, b := range campaign.Registry().MainChain() {
+	for _, b := range campaign.registry.MainChain() {
 		if b.Miner != 0 {
 			winners = append(winners, b.Miner)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"testing"
@@ -20,8 +21,8 @@ func TestFingerprintDump(t *testing.T) {
 			t.Fatal(err)
 		}
 		hasher := newRecordHasher()
-		campaign.AttachRecorder(hasher)
-		if _, err := campaign.Run(); err != nil {
+		campaign.bus.Attach(hasher)
+		if _, err := campaign.RunContext(context.Background(), RunOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		fmt.Printf("FP %-16s rec=%s chain=%s\n", variant.name, hasher.Sum(), chainFingerprint(campaign))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"io"
 	"os"
 	"path/filepath"
@@ -84,8 +85,8 @@ func TestCrossFormatSpillEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	hasher := newRecordHasher()
-	campaign.AttachRecorder(hasher)
-	if _, err := campaign.Run(); err != nil {
+	campaign.bus.Attach(hasher)
+	if _, err := campaign.RunContext(context.Background(), RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	binaryPath := cfg.SpillPath
@@ -148,8 +149,8 @@ func TestCrossFormatSpillEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(a.meta, b.meta) {
 		t.Errorf("meta diverges: %+v vs %+v", a.meta, b.meta)
 	}
-	if !reflect.DeepEqual(b.meta, campaign.LogMeta()) {
-		t.Errorf("spilled meta %+v, want %+v", b.meta, campaign.LogMeta())
+	if !reflect.DeepEqual(b.meta, campaign.logMeta()) {
+		t.Errorf("spilled meta %+v, want %+v", b.meta, campaign.logMeta())
 	}
 	if logs.ChainFingerprint(a.chain) != logs.ChainFingerprint(b.chain) {
 		t.Error("chain dumps diverge across formats")

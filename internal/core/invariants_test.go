@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -20,11 +21,11 @@ func TestCampaignInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := campaign.Run()
+	res, err := campaign.RunContext(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := campaign.Registry()
+	reg := campaign.registry
 
 	t.Run("chain structure", func(t *testing.T) {
 		// Every block's parent exists and TotalDiff accumulates.
@@ -83,7 +84,7 @@ func TestCampaignInvariants(t *testing.T) {
 		next := make(map[types.AccountID]uint64)
 		for _, b := range reg.MainChain() {
 			for _, h := range b.TxHashes {
-				tx := campaign.Store().Get(h)
+				tx := campaign.store.Get(h)
 				if tx == nil {
 					t.Fatalf("main-chain tx %s missing from store", h)
 				}

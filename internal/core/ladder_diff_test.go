@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -18,8 +19,8 @@ func ladderFingerprint(t *testing.T, cfg Config) (rec, chain string, analysis ma
 		t.Fatal(err)
 	}
 	hasher := newRecordHasher()
-	campaign.AttachRecorder(hasher)
-	res, err := campaign.Run()
+	campaign.bus.Attach(hasher)
+	res, err := campaign.RunContext(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -29,7 +30,7 @@ func TestBitcoinCampaignHasNoUncles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := campaign.Run()
+	res, err := campaign.RunContext(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestBitcoinCampaignHasNoUncles(t *testing.T) {
 		t.Fatalf("results tagged %q", res.Protocol)
 	}
 
-	reg := campaign.Registry()
+	reg := campaign.registry
 	if reg.Protocol().Name() != consensus.BitcoinName {
 		t.Fatalf("registry protocol = %q", reg.Protocol().Name())
 	}
@@ -100,7 +101,7 @@ func TestEthereumCampaignKeepsUncleMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := campaign.Run()
+	res, err := campaign.RunContext(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestGhostInclusiveRecognizesDeeperUncles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := campaign.Run()
+	res, err := campaign.RunContext(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +163,8 @@ func TestProtocolDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		hasher := newRecordHasher()
-		campaign.AttachRecorder(hasher)
-		if _, err := campaign.Run(); err != nil {
+		campaign.bus.Attach(hasher)
+		if _, err := campaign.RunContext(context.Background(), RunOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		return hasher.Sum(), chainFingerprint(campaign)
@@ -188,7 +189,7 @@ func TestProtocolNativeIntervalDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := campaign.Dataset().InterBlock; got != consensus.BitcoinTargetInterval {
+	if got := campaign.dataset.InterBlock; got != consensus.BitcoinTargetInterval {
 		t.Fatalf("inter-block time = %v, want the protocol's native %v", got, consensus.BitcoinTargetInterval)
 	}
 	if got := campaign.cfg.Mining.BlockCapacity; got <= 1 {

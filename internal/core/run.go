@@ -38,9 +38,8 @@ type Progress struct {
 	Blocks       int    `json:"blocks"`
 }
 
-// RunOptions configures the context-aware run path (RunContext /
-// SimulateContext). The zero value runs exactly like Run: no
-// instrumentation, no checkpoints.
+// RunOptions configures RunContext and SimulateContext. The zero
+// value runs the campaign bare: no instrumentation, no checkpoints.
 //
 // Determinism contract: instrumentation ticks execute on the
 // simulation timeline but only read state, so enabling or disabling
@@ -73,10 +72,11 @@ type RunOptions struct {
 	Resume *logs.Checkpoint
 }
 
-// RunContext is Run with cancellation and instrumentation: it executes
-// the campaign, honouring ctx and the options' progress/checkpoint
-// hooks, then analyzes. Cancelling ctx stops the simulation at the
-// next safe point and returns ctx's error.
+// RunContext is the full run of a campaign: SimulateContext, honouring
+// ctx and the options' progress/checkpoint hooks, then Analyze.
+// Cancelling ctx stops the simulation after the current event and
+// returns an error wrapping ctx.Err(). Callers that time the two phases
+// separately (perfbench, cmd/ethbench) call them directly.
 func (c *Campaign) RunContext(ctx context.Context, opts RunOptions) (*Results, error) {
 	if err := c.SimulateContext(ctx, opts); err != nil {
 		return nil, err
@@ -187,8 +187,8 @@ func (o *RunOptions) validate(duration time.Duration) error {
 // SimulateContext executes the simulation phase with cancellation and
 // instrumentation. Cancelling ctx stops the run after the current
 // event and returns an error wrapping ctx.Err(). See RunOptions for the
-// progress, checkpoint and resume hooks; with zero options and a
-// background context this is exactly Simulate.
+// progress, checkpoint and resume hooks. It also completes the spill
+// file (chain dump) when one is configured.
 func (c *Campaign) SimulateContext(ctx context.Context, opts RunOptions) error {
 	if c.simulated {
 		return fmt.Errorf("core: campaign already simulated")
@@ -235,7 +235,7 @@ func (c *Campaign) SimulateContext(ctx context.Context, opts RunOptions) error {
 			case at == resumeAt:
 				if err := instr.verify(opts.Resume); err != nil {
 					instr.failure = err
-					c.StopSimulation()
+					c.engine.Stop()
 				}
 			default:
 				if opts.Checkpoint != nil {
@@ -268,7 +268,7 @@ func (c *Campaign) SimulateContext(ctx context.Context, opts RunOptions) error {
 			defer close(watched)
 			select {
 			case <-ctx.Done():
-				c.StopSimulation()
+				c.engine.Stop()
 			case <-unwatch:
 			}
 		}()

@@ -113,9 +113,9 @@ func TestInstrumentationDoesNotPerturbRun(t *testing.T) {
 		t.Fatalf("NewCampaign: %v", err)
 	}
 	ref := logs.NewRecordFingerprinter()
-	bare.AttachRecorder(ref)
-	if err := bare.Simulate(); err != nil {
-		t.Fatalf("Simulate: %v", err)
+	bare.bus.Attach(ref)
+	if err := bare.SimulateContext(context.Background(), RunOptions{}); err != nil {
+		t.Fatalf("SimulateContext: %v", err)
 	}
 
 	record, chain, cks := runInstrumented(t, cfg, RunOptions{
@@ -125,7 +125,7 @@ func TestInstrumentationDoesNotPerturbRun(t *testing.T) {
 	if record != ref.Sum() {
 		t.Errorf("instrumented record fingerprint %s != bare %s", record, ref.Sum())
 	}
-	if want := logs.ChainFingerprint(bare.Registry()); chain != want {
+	if want := logs.ChainFingerprint(bare.registry); chain != want {
 		t.Errorf("instrumented chain fingerprint %s != bare %s", chain, want)
 	}
 	// 10m / 2m interval = 5 checkpoints, monotone in time and counts.

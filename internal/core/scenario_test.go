@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -19,8 +20,8 @@ func runFingerprinted(t *testing.T, cfg Config) (string, string, *Results) {
 		t.Fatal(err)
 	}
 	hasher := newRecordHasher()
-	campaign.AttachRecorder(hasher)
-	res, err := campaign.Run()
+	campaign.bus.Attach(hasher)
+	res, err := campaign.RunContext(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestPartitionEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := campaign.Run()
+	res, err := campaign.RunContext(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestRelayOverlayEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resBase, err := campaignBase.Run()
+	resBase, err := campaignBase.RunContext(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestRelayOverlayEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := campaign.Run()
+	res, err := campaign.RunContext(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestEclipseEndToEnd(t *testing.T) {
 	}
 	// The victim's peer set is exactly its attackers before the run.
 	var eclipse *scenario.Eclipse
-	for _, s := range campaign.Scenarios() {
+	for _, s := range campaign.scenarios {
 		if e, ok := s.(*scenario.Eclipse); ok {
 			eclipse = e
 		}
@@ -154,7 +155,7 @@ func TestEclipseEndToEnd(t *testing.T) {
 	if eclipse.Victim() != 7 {
 		t.Errorf("victim = %d, want 7", eclipse.Victim())
 	}
-	res, err := campaign.Run()
+	res, err := campaign.RunContext(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestBandwidthAndChurnBurstEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := campaign.Run()
+	res, err := campaign.RunContext(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestScenarioTagsInLogMeta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := campaign.Run(); err != nil {
+	if _, err := campaign.RunContext(context.Background(), RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	meta := readLog(t, cfg.SpillPath).meta
@@ -292,7 +293,7 @@ func TestPartitionSeversMutatorAddedLinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := campaign.Run(); err != nil {
+	if _, err := campaign.RunContext(context.Background(), RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(campaign.scenarioEnv.Added) != 1 {
@@ -325,7 +326,7 @@ func TestDuplicateScenarioMetricsKeepOrdinals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := campaign.Run()
+	res, err := campaign.RunContext(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +358,7 @@ func TestOverlappingBandwidthWindowsRestore(t *testing.T) {
 			before = append(before, n.Bandwidth)
 		}
 	}
-	if _, err := campaign.Run(); err != nil {
+	if _, err := campaign.RunContext(context.Background(), RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	i := 0

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -21,7 +22,7 @@ func TestNoStarvedEmptyBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := campaign.Run(); err != nil {
+	if _, err := campaign.RunContext(context.Background(), RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	m := campaign.Miner()

@@ -28,25 +28,6 @@ const (
 	FormatJSONL Format = "jsonl"
 )
 
-// Valid reports whether f names a known encoding ("" counts: it
-// resolves to the default).
-func (f Format) Valid() bool {
-	switch f {
-	case "", FormatBinary, FormatJSONL:
-		return true
-	}
-	return false
-}
-
-// ParseFormat converts a CLI flag value into a Format.
-func ParseFormat(s string) (Format, error) {
-	f := Format(s)
-	if !f.Valid() {
-		return "", fmt.Errorf("logs: unknown format %q (want binary or jsonl)", s)
-	}
-	return f, nil
-}
-
 // binaryMagic opens every ethlog file: a non-ASCII lead byte (so a
 // JSONL stream, which starts with '{', can never collide), the format
 // name, the version byte, and a newline that corrupting FTP-style

@@ -256,29 +256,6 @@ func (e *Engine) AfterArg(d time.Duration, h Handler, arg Arg) {
 // campaign server cancels in-flight jobs this way.
 func (e *Engine) Stop() { e.stopped.Store(true) }
 
-// NextAt returns the timestamp of the earliest pending event, or false
-// when the queue is empty. Peeking may refill the ladder's bottom tier
-// from its next bucket (amortized O(1), and work the following pop
-// would have done anyway); it never changes the pop order.
-func (e *Engine) NextAt() (Time, bool) {
-	return e.qPeek()
-}
-
-// AdvanceTo moves the clock forward to t without executing anything.
-// It is a no-op when t is not ahead of the current time, and panics if
-// an event earlier than t is still pending (advancing past it would
-// silently reorder the run). A driver that steps the engine with Step
-// uses the pair to jump idle gaps to an external time edge.
-func (e *Engine) AdvanceTo(t Time) {
-	if t <= e.now {
-		return
-	}
-	if at, ok := e.qPeek(); ok && at < t {
-		panic(fmt.Sprintf("sim: advancing to %v past pending event at %v", t, at))
-	}
-	e.now = t
-}
-
 // execTop pops the earliest event, releases its slot for reuse and
 // executes it. The slot is cleared and freed before the callback runs
 // so that callbacks scheduling new events (the dominant pattern)

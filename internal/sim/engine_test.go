@@ -360,31 +360,3 @@ func TestNewStreamIndependence(t *testing.T) {
 		t.Error("seeds collided on first draw")
 	}
 }
-
-// TestEngineNextAtAdvanceTo: NextAt peeks the earliest pending event
-// and AdvanceTo moves the clock forward only, refusing to skip past a
-// pending event.
-func TestEngineNextAtAdvanceTo(t *testing.T) {
-	e := NewEngine(1)
-	if _, ok := e.NextAt(); ok {
-		t.Error("NextAt on empty engine reported an event")
-	}
-	e.Schedule(10, func() {})
-	if at, ok := e.NextAt(); !ok || at != 10 {
-		t.Errorf("NextAt = %v,%v, want 10,true", at, ok)
-	}
-	e.AdvanceTo(5)
-	if e.Now() != 5 {
-		t.Errorf("Now = %v after AdvanceTo(5)", e.Now())
-	}
-	e.AdvanceTo(3) // behind now: no-op
-	if e.Now() != 5 {
-		t.Errorf("AdvanceTo moved the clock backwards to %v", e.Now())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("AdvanceTo past a pending event did not panic")
-		}
-	}()
-	e.AdvanceTo(11)
-}

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -61,7 +62,8 @@ type Runner struct {
 	// done counts; execution order across workers is nondeterministic,
 	// but the result slice's order never is. Runs restored from
 	// Completed are reported through the same hook, before any live
-	// run, in index order.
+	// run, in index order. Runs that cancellation skipped or cut short
+	// are never reported.
 	OnResult func(done, total int, r *RunResult)
 
 	// Completed seeds result slots from a previous, interrupted sweep,
@@ -72,26 +74,30 @@ type Runner struct {
 	// Failed or skipped seeds are ignored and their runs re-execute.
 	Completed map[int]RunResult
 
-	// runFn executes one campaign; tests stub it to inject failures
-	// and panics. Nil means the real build-and-run path.
-	runFn func(core.Config) (*core.Results, error)
+	// runFn executes one campaign under the sweep's context; tests
+	// stub it to inject failures and panics. Nil means the real
+	// build-and-run path.
+	runFn func(context.Context, core.Config) (*core.Results, error)
 }
 
-// runCampaign is the production runFn: build the full system, run it,
-// analyze.
-func runCampaign(cfg core.Config) (*core.Results, error) {
+// runCampaign is the production runFn: build the full system, run it
+// under ctx, analyze.
+func runCampaign(ctx context.Context, cfg core.Config) (*core.Results, error) {
 	campaign, err := core.NewCampaign(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return campaign.Run()
+	return campaign.RunContext(ctx, core.RunOptions{})
 }
 
 // Run expands the matrix and executes every run, returning results in
-// matrix expansion order regardless of scheduling. On cancellation it
-// returns the partial results (pending runs carry ctx.Err()) together
-// with the context's error. A run that panics is isolated: its slot
-// records the panic as an error and the remaining runs continue.
+// matrix expansion order regardless of scheduling. On cancellation
+// in-flight campaigns stop at their next event, and Run returns the
+// partial results together with the context's error. A run cut short
+// by cancellation is reported like one never dispatched: its slot
+// carries ctx.Err() and no metrics, and OnResult never sees it. A run
+// that panics is isolated: its slot records the panic as an error and
+// the remaining runs continue.
 func (rn *Runner) Run(ctx context.Context, m *Matrix) ([]RunResult, error) {
 	runs, err := m.Runs()
 	if err != nil {
@@ -140,7 +146,11 @@ func (rn *Runner) Run(ctx context.Context, m *Matrix) ([]RunResult, error) {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				results[i] = rn.execute(ctx, runs[i])
+				rr, canceled := rn.execute(ctx, runs[i])
+				if canceled {
+					continue // reported below with the undispatched runs
+				}
+				results[i] = rr
 				executed[i] = true
 				mu.Lock()
 				done++
@@ -167,8 +177,8 @@ feed:
 	wg.Wait()
 
 	if err := ctx.Err(); err != nil {
-		// Fill in runs that never reached a worker so callers can tell
-		// a skipped slot from a failed one.
+		// Fill in runs that never reached a worker or were cut short
+		// so callers can tell a skipped slot from a failed one.
 		for i := range results {
 			if !executed[i] {
 				results[i].Run = runs[i]
@@ -181,12 +191,12 @@ feed:
 }
 
 // execute runs one campaign, converting panics into errors so a bad
-// scenario cannot take down the whole sweep.
-func (rn *Runner) execute(ctx context.Context, run Run) (rr RunResult) {
+// scenario cannot take down the whole sweep. canceled reports a run
+// that ctx stopped before it finished (or before it started).
+func (rn *Runner) execute(ctx context.Context, run Run) (rr RunResult, canceled bool) {
 	rr.Run = run
-	if err := ctx.Err(); err != nil {
-		rr.Err = err
-		return
+	if ctx.Err() != nil {
+		return rr, true
 	}
 	start := time.Now()
 	defer func() {
@@ -208,8 +218,11 @@ func (rn *Runner) execute(ctx context.Context, run Run) (rr RunResult) {
 	// SpillPath would point all concurrent campaigns at one file;
 	// sweeps never spill.
 	cfg.SpillPath = ""
-	res, err := runFn(cfg)
+	res, err := runFn(ctx, cfg)
 	if err != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
+			return rr, true
+		}
 		rr.Err = fmt.Errorf("sweep: run %d (%s, seed %d): %w", run.Index, run.Scenario, run.Seed, err)
 		return
 	}

@@ -225,7 +225,7 @@ func TestRunnerConcurrentCampaignsNoLeakage(t *testing.T) {
 
 	// Spot-check two runs against fully serial references.
 	for _, i := range []int{0, len(first) - 1} {
-		ref, err := runCampaign(first[i].Run.Config)
+		ref, err := runCampaign(context.Background(), first[i].Run.Config)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +311,7 @@ func TestRunnerPanicIsolation(t *testing.T) {
 	}
 	runner := &Runner{
 		Workers: 4,
-		runFn: func(cfg core.Config) (*core.Results, error) {
+		runFn: func(_ context.Context, cfg core.Config) (*core.Results, error) {
 			if cfg.Seed == 3 {
 				panic("kaboom")
 			}
@@ -364,7 +364,7 @@ func TestRunnerProgressReporting(t *testing.T) {
 	var calls []int
 	runner := &Runner{
 		Workers: 4,
-		runFn: func(cfg core.Config) (*core.Results, error) {
+		runFn: func(_ context.Context, cfg core.Config) (*core.Results, error) {
 			return &core.Results{
 				Propagation: &analysis.PropagationResult{Blocks: 1, MedianMs: 1},
 			}, nil
@@ -421,7 +421,7 @@ func TestSweepConvenience(t *testing.T) {
 // worker count and still completes.
 func TestRunnerDefaultsWorkers(t *testing.T) {
 	runner := &Runner{
-		runFn: func(cfg core.Config) (*core.Results, error) {
+		runFn: func(_ context.Context, cfg core.Config) (*core.Results, error) {
 			return &core.Results{
 				Propagation: &analysis.PropagationResult{Blocks: 1, MedianMs: 1},
 			}, nil
@@ -443,7 +443,7 @@ func TestRunnerDefaultsWorkers(t *testing.T) {
 }
 
 func TestRunnerResumesFromCompleted(t *testing.T) {
-	stub := func(cfg core.Config) (*core.Results, error) {
+	stub := func(_ context.Context, cfg core.Config) (*core.Results, error) {
 		return &core.Results{
 			Propagation: &analysis.PropagationResult{Blocks: 1, MedianMs: float64(cfg.Seed)},
 		}, nil
@@ -470,11 +470,11 @@ func TestRunnerResumesFromCompleted(t *testing.T) {
 	resumed := &Runner{
 		Workers:   2,
 		Completed: completed,
-		runFn: func(cfg core.Config) (*core.Results, error) {
+		runFn: func(ctx context.Context, cfg core.Config) (*core.Results, error) {
 			mu.Lock()
 			reran = append(reran, int(cfg.Seed))
 			mu.Unlock()
-			return stub(cfg)
+			return stub(ctx, cfg)
 		},
 		OnResult: func(done, total int, r *RunResult) {
 			if total != 6 {
@@ -517,5 +517,61 @@ func TestRunnerResumesFromCompleted(t *testing.T) {
 	}
 	if !bytes.Equal(bufW.Bytes(), bufG.Bytes()) {
 		t.Error("aggregate JSON differs between resumed and uninterrupted sweep")
+	}
+}
+
+// TestRunnerCancelStopsInFlightCampaign cancels a sweep while its one
+// campaign, far too long to finish during the test, is simulating: the
+// sweep must return promptly, with the slot reported like an
+// undispatched run (Err wraps context.Canceled, no metrics) and never
+// passed to OnResult.
+func TestRunnerCancelStopsInFlightCampaign(t *testing.T) {
+	cfg := testConfig()
+	cfg.Duration = 30 * 24 * time.Hour
+	m := &Matrix{Base: cfg, Seeds: Seeds(1, 1)}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	started := make(chan struct{})
+	runner := &Runner{
+		Workers: 1,
+		runFn: func(ctx context.Context, cfg core.Config) (*core.Results, error) {
+			close(started)
+			return runCampaign(ctx, cfg)
+		},
+		OnResult: func(done, total int, r *RunResult) {
+			t.Errorf("cancelled run reached OnResult: %+v", r.Err)
+		},
+	}
+	type outcome struct {
+		results []RunResult
+		err     error
+	}
+	out := make(chan outcome, 1)
+	go func() {
+		results, err := runner.Run(ctx, m)
+		out <- outcome{results, err}
+	}()
+	<-started
+	time.Sleep(200 * time.Millisecond) // let the engine get under way
+	cancel()
+
+	select {
+	case o := <-out:
+		if !errors.Is(o.err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", o.err)
+		}
+		if len(o.results) != 1 {
+			t.Fatalf("results = %d, want 1", len(o.results))
+		}
+		r := o.results[0]
+		if !errors.Is(r.Err, context.Canceled) {
+			t.Errorf("slot err = %v, want context.Canceled", r.Err)
+		}
+		if r.Metrics != nil || r.Run.Seed != 1 {
+			t.Errorf("cancelled slot = %+v, want seed 1 and no metrics", r)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("sweep still running 20s after cancel: the in-flight campaign was not stopped")
 	}
 }
