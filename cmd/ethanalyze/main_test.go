@@ -42,8 +42,8 @@ func TestRunMissingFile(t *testing.T) {
 }
 
 // spillCampaign runs the analyzer test campaign, streaming its log to
-// path.
-func spillCampaign(t *testing.T, path string) {
+// path, and returns the live campaign's results.
+func spillCampaign(t *testing.T, path string) *ethmeasure.Results {
 	t.Helper()
 	cfg := analyzerConfig()
 	cfg.SpillPath = path
@@ -51,8 +51,33 @@ func spillCampaign(t *testing.T, path string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := campaign.RunContext(context.Background(), ethmeasure.RunOptions{}); err != nil {
+	res, err := campaign.RunContext(context.Background(), ethmeasure.RunOptions{})
+	if err != nil {
 		t.Fatal(err)
+	}
+	return res
+}
+
+// TestReportMatchesLiveCampaign: below its header lines, the report
+// printed from a log is the live campaign's report without the fee
+// market, whose gas prices the log does not carry.
+func TestReportMatchesLiveCampaign(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "spill.ethlog")
+	live := spillCampaign(t, path)
+	if live.FeeMarket == nil {
+		t.Fatal("the test campaign computed no fee market")
+	}
+	live.FeeMarket = nil
+	var want bytes.Buffer
+	ethmeasure.WriteReport(&want, live)
+
+	out := captureRun(t, []string{"-logs", path}, path)
+	header, got, ok := strings.Cut(out, "\n\n")
+	if !ok || !strings.HasPrefix(header, "streamed ") {
+		t.Fatalf("report has no header block:\n%.400s", out)
+	}
+	if got != want.String() {
+		t.Errorf("log report differs from the live report:\n--- log ---\n%s\n--- live ---\n%s", got, want.String())
 	}
 }
 

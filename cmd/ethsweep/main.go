@@ -173,7 +173,7 @@ func run(args []string, stdout io.Writer) error {
 	wall := time.Since(start)
 
 	fmt.Fprintf(stdout, "\ncompleted %d/%d runs in %v wall time\n",
-		agg.Runs-agg.Failed, agg.Runs, wall.Round(time.Millisecond))
+		agg.Runs-agg.Failed-agg.Skipped, agg.Runs, wall.Round(time.Millisecond))
 	agg.WriteText(stdout)
 
 	if o.jsonPath != "" {

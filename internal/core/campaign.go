@@ -423,30 +423,28 @@ func (c *Campaign) Analyze() (*Results, error) {
 	if !c.simulated {
 		return nil, fmt.Errorf("core: Analyze before SimulateContext")
 	}
-	res := &Results{
-		Dataset: c.dataset,
-		Stats: RunStats{
-			VirtualDuration: c.cfg.Duration,
-			WallDuration:    c.simWall,
-			Events:          c.events,
-			Messages:        c.messages,
-			BlocksCreated:   c.registry.Len() - 1,
-			TxsCreated:      c.store.Len(),
-			Nodes:           c.numNodes,
-			BlockRecords:    c.collector.BlockRecords(),
-			TxRecords:       c.collector.TxRecords(),
-		},
-		Scenarios: c.scenarioRes,
-		Protocol:  c.cfg.ProtocolTag(),
-	}
-	if err := c.analyze(res); err != nil {
+	res, err := analyze(c.collector, c.dataset, c.cfg.RedundancyVantage, c.numNodes,
+		c.cfg.EnableTxWorkload, func(h types.Hash) (uint64, bool) {
+			tx := c.store.Get(h)
+			if tx == nil {
+				return 0, false
+			}
+			return tx.GasPrice, true
+		})
+	if err != nil {
 		return nil, err
 	}
+	res.Stats.WallDuration = c.simWall
+	res.Stats.Events = c.events
+	res.Stats.Messages = c.messages
+	res.Stats.TxsCreated = c.store.Len()
+	res.Scenarios = c.scenarioRes
+	res.Protocol = c.cfg.ProtocolTag()
 	return res, nil
 }
 
 // logMeta builds the metadata entry for campaign log files, letting
-// cmd/ethanalyze reconstruct the analysis context from a log alone.
+// AnalyzeLog reconstruct the analysis context from a log alone.
 func (c *Campaign) logMeta() *logs.Meta {
 	meta := &logs.Meta{
 		PoolNames:         c.cfg.PoolNames(),
@@ -460,47 +458,4 @@ func (c *Campaign) logMeta() *logs.Meta {
 	}
 	meta.Vantages = c.cfg.PrimaryVantages()
 	return meta
-}
-
-// analyze assembles every per-figure result: record-driven analyses
-// finalize from the collector's shared accumulators, chain-driven ones
-// read the registry through the dataset.
-func (c *Campaign) analyze(res *Results) error {
-	dataset := c.dataset
-	var err error
-	res.Propagation, err = c.collector.Propagation()
-	if err != nil {
-		return fmt.Errorf("core: propagation analysis: %w", err)
-	}
-	if c.cfg.RedundancyVantage != "" {
-		res.Redundancy, err = c.collector.Redundancy(c.numNodes)
-		if err != nil {
-			return fmt.Errorf("core: redundancy analysis: %w", err)
-		}
-	}
-	res.FirstObs = c.collector.FirstObservation()
-	res.PoolGeo = c.collector.PoolGeography(15)
-	res.Empty = analysis.EmptyBlocks(dataset, 15)
-	res.Forks = analysis.Forks(dataset)
-	res.OneMiner = analysis.OneMinerForks(dataset, res.Forks)
-	res.Sequences = analysis.Sequences(dataset, 6)
-	res.Rewards = analysis.Rewards(dataset)
-	res.Finality = analysis.Finality(dataset, 14)
-	res.Throughput = analysis.Throughput(dataset)
-	res.InterBlock = analysis.InterBlock(dataset)
-	res.Withholding = c.collector.Withholding()
-	res.GeoDelay = c.collector.GeoDelay()
-	if c.cfg.EnableTxWorkload {
-		res.Commit = c.collector.Commit()
-		res.Ordering = c.collector.Ordering()
-		res.TxProp = c.collector.TxPropagation()
-		res.FeeMarket = c.collector.FeeMarket(func(h types.Hash) (uint64, bool) {
-			tx := c.store.Get(h)
-			if tx == nil {
-				return 0, false
-			}
-			return tx.GasPrice, true
-		})
-	}
-	return nil
 }

@@ -3,7 +3,10 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -199,14 +202,20 @@ func analysisJSON(t *testing.T, res *Results) map[string]string {
 // TestStreamingEquivalence is the golden equivalence suite: for each
 // seed config variant, a bounded-memory (streaming) campaign must
 // produce bit-identical analysis results, KeyMetrics and record/chain
-// fingerprints to the record-retaining (batch) campaign.
+// fingerprints to the record-retaining (batch) campaign. The streaming
+// run also spills its log, and AnalyzeLog must re-analyse that log
+// into the same Results, less what the log does not carry.
 func TestStreamingEquivalence(t *testing.T) {
 	for _, variant := range equivalenceVariants() {
 		variant := variant
 		t.Run(variant.name, func(t *testing.T) {
+			spillPath := filepath.Join(t.TempDir(), "spill.ethlog")
 			run := func(retain bool) (*Results, string, string) {
 				cfg := variant.cfg
 				cfg.RetainRecords = retain
+				if !retain {
+					cfg.SpillPath = spillPath
+				}
 				campaign, err := NewCampaign(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -259,7 +268,68 @@ func TestStreamingEquivalence(t *testing.T) {
 			if resBatch.Dataset.Blocks == nil {
 				t.Error("batch run lost its records")
 			}
+
+			checkLogReanalysis(t, spillPath, resStream)
 		})
+	}
+}
+
+// checkLogReanalysis re-analyses the spill a live campaign wrote and
+// holds the result to the live Results: every analysis bit for bit,
+// except the fee market (gas prices are not logged) and the scenario
+// metrics (only the tags are); KeyMetrics likewise, less the
+// scenario_* keys; and the run bookkeeping the log determines.
+func checkLogReanalysis(t *testing.T, spillPath string, live *Results) {
+	t.Helper()
+	f, err := os.Open(spillPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	res, err := AnalyzeLog(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if res.FeeMarket != nil {
+		t.Error("log re-analysis priced transactions it has no gas prices for")
+	}
+	var liveTags, logTags []string
+	if live.Scenarios != nil {
+		liveTags = live.Scenarios.Tags
+	}
+	if res.Scenarios != nil {
+		logTags = res.Scenarios.Tags
+	}
+	if !reflect.DeepEqual(liveTags, logTags) {
+		t.Errorf("scenario tags: log %v, live %v", logTags, liveTags)
+	}
+	jsonLive := analysisJSON(t, live)
+	jsonLog := analysisJSON(t, res)
+	for name, want := range jsonLive {
+		if name == "FeeMarket" || name == "Scenarios" {
+			continue
+		}
+		if got := jsonLog[name]; got != want {
+			t.Errorf("log re-analysis: %s diverged:\nlive: %.200s\nlog:  %.200s", name, want, got)
+		}
+	}
+
+	wantMetrics := live.KeyMetrics()
+	for name := range wantMetrics {
+		if strings.HasPrefix(name, "scenario_") {
+			delete(wantMetrics, name)
+		}
+	}
+	if got := res.KeyMetrics(); !reflect.DeepEqual(got, wantMetrics) {
+		t.Errorf("log re-analysis: KeyMetrics diverged:\nlive: %v\nlog:  %v", wantMetrics, got)
+	}
+
+	// Engine counters and the tx store are not logged.
+	want := live.Stats
+	want.WallDuration, want.Events, want.Messages, want.TxsCreated = 0, 0, 0, 0
+	if res.Stats != want {
+		t.Errorf("log re-analysis: stats %+v, want %+v", res.Stats, want)
 	}
 }
 

@@ -1,7 +1,9 @@
 package sweep
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -34,6 +36,7 @@ type ScenarioSummary struct {
 	Seeds    []int64         `json:"seeds"`
 	Runs     int             `json:"runs"`
 	Failed   int             `json:"failed"`
+	Skipped  int             `json:"skipped"`
 	Metrics  []MetricSummary `json:"metrics"`
 }
 
@@ -46,6 +49,9 @@ type AggregateResult struct {
 	Scenarios []ScenarioSummary `json:"scenarios"`
 	Runs      int               `json:"runs"`
 	Failed    int               `json:"failed"`
+	// Skipped counts runs that cancellation skipped or cut short; they
+	// did not fail, so they add no Errors.
+	Skipped int `json:"skipped"`
 	// Errors lists failed runs' messages in run-index order.
 	Errors []string `json:"errors,omitempty"`
 }
@@ -53,17 +59,17 @@ type AggregateResult struct {
 // Aggregate folds per-run results into per-scenario cross-seed
 // summaries. Results are grouped by scenario in first-appearance
 // (matrix expansion) order; within a scenario, metrics are sorted by
-// name. Failed or skipped runs count toward Failed and contribute no
-// metric observations.
+// name. Failed and skipped runs contribute no metric observations;
+// a run is skipped when its Err is the sweep context's cancellation
+// (context.Canceled or DeadlineExceeded, as Runner.Run records it).
 func Aggregate(results []RunResult) *AggregateResult {
 	agg := &AggregateResult{Runs: len(results)}
 	type group struct {
-		seeds    []int64
-		runs     int
-		failed   int
-		summary  map[string]*stats.Summary
-		minByKey map[string]float64
-		maxByKey map[string]float64
+		seeds   []int64
+		runs    int
+		failed  int
+		skipped int
+		summary map[string]*stats.Summary
 	}
 	var order []string
 	groups := make(map[string]*group)
@@ -72,16 +78,17 @@ func Aggregate(results []RunResult) *AggregateResult {
 		r := &results[i]
 		g := groups[r.Run.Scenario]
 		if g == nil {
-			g = &group{
-				summary:  make(map[string]*stats.Summary),
-				minByKey: make(map[string]float64),
-				maxByKey: make(map[string]float64),
-			}
+			g = &group{summary: make(map[string]*stats.Summary)}
 			groups[r.Run.Scenario] = g
 			order = append(order, r.Run.Scenario)
 		}
 		g.runs++
 		g.seeds = append(g.seeds, r.Run.Seed)
+		if errors.Is(r.Err, context.Canceled) || errors.Is(r.Err, context.DeadlineExceeded) {
+			g.skipped++
+			agg.Skipped++
+			continue
+		}
 		if !r.Ok() {
 			g.failed++
 			agg.Failed++
@@ -107,6 +114,7 @@ func Aggregate(results []RunResult) *AggregateResult {
 			Seeds:    g.seeds,
 			Runs:     g.runs,
 			Failed:   g.failed,
+			Skipped:  g.skipped,
 		}
 		names := make([]string, 0, len(g.summary))
 		for name := range g.summary {
@@ -165,11 +173,11 @@ func (a *AggregateResult) WriteJSON(w io.Writer) error {
 
 // WriteText renders the aggregate as an aligned mean ± CI table.
 func (a *AggregateResult) WriteText(w io.Writer) {
-	fmt.Fprintf(w, "sweep aggregate: %d runs, %d failed, %d scenarios\n",
-		a.Runs, a.Failed, len(a.Scenarios))
+	fmt.Fprintf(w, "sweep aggregate: %d runs, %d failed, %d skipped, %d scenarios\n",
+		a.Runs, a.Failed, a.Skipped, len(a.Scenarios))
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	for _, s := range a.Scenarios {
-		fmt.Fprintf(tw, "\nscenario %s\t(%d seeds, %d failed)\t\t\n", s.Scenario, s.Runs, s.Failed)
+		fmt.Fprintf(tw, "\nscenario %s\t(%d seeds, %d failed, %d skipped)\t\t\n", s.Scenario, s.Runs, s.Failed, s.Skipped)
 		fmt.Fprintf(tw, "  metric\tmean ± 95%% CI\tstddev\t[min, max]\n")
 		for _, m := range s.Metrics {
 			fmt.Fprintf(tw, "  %s\t%.4g ± %.2g\t%.2g\t[%.4g, %.4g]\n",

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"math"
@@ -90,6 +91,37 @@ func TestAggregateCountsFailuresAndSkipsTheirMetrics(t *testing.T) {
 	m := agg.Scenario("base").Metric("m")
 	if m.N != 2 || m.Mean != 15 {
 		t.Errorf("failed run contaminated stats: %+v", m)
+	}
+}
+
+// TestAggregateSkippedRunsAreNotFailures: slots that cancellation
+// skipped (Err is the sweep context's error, as Runner.Run fills them)
+// count as Skipped, not Failed, and list no error lines.
+func TestAggregateSkippedRunsAreNotFailures(t *testing.T) {
+	results := []RunResult{
+		metricRun(0, "base", 1, analysis.KeyMetrics{"m": 10}),
+		metricRun(1, "base", 2, nil),
+		metricRun(2, "base", 3, nil),
+		metricRun(3, "base", 4, nil),
+	}
+	results[1].Err = context.Canceled
+	results[2].Err = context.Canceled
+	results[3].Err = context.DeadlineExceeded
+	agg := Aggregate(results)
+	if agg.Failed != 0 || agg.Skipped != 3 || len(agg.Errors) != 0 {
+		t.Fatalf("failed = %d, skipped = %d, errors = %v; want 0, 3, none", agg.Failed, agg.Skipped, agg.Errors)
+	}
+	s := agg.Scenario("base")
+	if s.Runs != 4 || s.Failed != 0 || s.Skipped != 3 {
+		t.Errorf("scenario summary = %+v", s)
+	}
+	if m := s.Metric("m"); m.N != 1 || m.Mean != 10 {
+		t.Errorf("skipped runs contaminated stats: %+v", m)
+	}
+	var buf bytes.Buffer
+	agg.WriteText(&buf)
+	if out := buf.String(); !strings.Contains(out, "0 failed, 3 skipped") || strings.Contains(out, "error:") {
+		t.Errorf("text output:\n%s", out)
 	}
 }
 
