@@ -91,6 +91,15 @@ func convert(src, dst string) (err error) {
 		return fmt.Errorf("logs: open: %w", err)
 	}
 	defer f.Close()
+	// Creating dst truncates it, so dst must not be the input under
+	// another name (the same path, a symlink or a hard link).
+	in, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("logs: stat: %w", err)
+	}
+	if out, err := os.Stat(dst); err == nil && os.SameFile(in, out) {
+		return fmt.Errorf("-convert %s is the input log %s; choose another output", dst, src)
+	}
 	reader := logs.NewReader(f)
 
 	// Sniff before creating the output so the target can be "whatever

@@ -180,6 +180,37 @@ func TestRunRejectsLogWithoutMeta(t *testing.T) {
 	}
 }
 
+// TestConvertRefusesItsInput: -convert onto the input log, by its own
+// path or through a symlink or hard link, fails before the output is
+// created, so the log is left as it was.
+func TestConvertRefusesItsInput(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.ethlog")
+	spillCampaign(t, path)
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	symlink := filepath.Join(dir, "symlink.ethlog")
+	if err := os.Symlink(path, symlink); err != nil {
+		t.Fatal(err)
+	}
+	hardlink := filepath.Join(dir, "hardlink.ethlog")
+	if err := os.Link(path, hardlink); err != nil {
+		t.Fatal(err)
+	}
+	for _, dst := range []string{path, symlink, hardlink} {
+		if err := run([]string{"-logs", path, "-convert", dst}); err == nil {
+			t.Errorf("-convert %s onto its own input succeeded", filepath.Base(dst))
+		}
+		if got, err := os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		} else if !bytes.Equal(got, want) {
+			t.Fatalf("-convert %s changed the input log (%d bytes, was %d)", filepath.Base(dst), len(got), len(want))
+		}
+	}
+}
+
 // captureRun executes run() with stdout captured, normalizing the log
 // path out of the output so reports over differently named files
 // compare byte-for-byte.

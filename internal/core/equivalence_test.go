@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -33,8 +34,10 @@ func chainFingerprint(c *Campaign) string {
 	return logs.ChainFingerprint(c.registry)
 }
 
-// equivalenceVariants are the five seed configurations the streaming
-// pipeline must reproduce bit for bit against the batch path.
+// equivalenceVariants are the configurations the streaming pipeline
+// must reproduce bit for bit against the batch path, and whose
+// fingerprints goldenPath pins: eleven in the full suite, seven under
+// -short.
 func equivalenceVariants() []struct {
 	name string
 	cfg  Config
@@ -202,11 +205,22 @@ func analysisJSON(t *testing.T, res *Results) map[string]string {
 // TestStreamingEquivalence is the golden equivalence suite: for each
 // seed config variant, a bounded-memory (streaming) campaign must
 // produce bit-identical analysis results, KeyMetrics and record/chain
-// fingerprints to the record-retaining (batch) campaign. The streaming
-// run also spills its log, and AnalyzeLog must re-analyse that log
-// into the same Results, less what the log does not carry.
+// fingerprints to the record-retaining (batch) campaign, and those
+// fingerprints must equal the variant's line in goldenPath. The
+// streaming run also spills its log, and AnalyzeLog must re-analyse
+// that log into the same Results, less what the log does not carry.
 func TestStreamingEquivalence(t *testing.T) {
-	for _, variant := range equivalenceVariants() {
+	var golden map[string]string
+	if goldenPlatform() {
+		golden = goldenFingerprints(t)
+	} else {
+		t.Logf("not comparing against %s: its fingerprints are linux/amd64's, this is %s/%s", goldenPath, runtime.GOOS, runtime.GOARCH)
+	}
+	variants := equivalenceVariants()
+	if golden != nil && !testing.Short() && len(golden) != len(variants) {
+		t.Errorf("%s holds %d variants, the suite runs %d; rewrite it with FINGERPRINT_DUMP=1", goldenPath, len(golden), len(variants))
+	}
+	for _, variant := range variants {
 		variant := variant
 		t.Run(variant.name, func(t *testing.T) {
 			spillPath := filepath.Join(t.TempDir(), "spill.ethlog")
@@ -238,6 +252,9 @@ func TestStreamingEquivalence(t *testing.T) {
 			}
 			if chainBatch != chainStream {
 				t.Fatalf("chains diverged")
+			}
+			if golden != nil {
+				checkGolden(t, golden, variant.name, recBatch, chainBatch)
 			}
 
 			// Every analysis result, bit for bit.

@@ -61,15 +61,9 @@ var ErrStopped = errors.New("sim: engine stopped")
 // for concurrent use: simulations are single-threaded by design so that
 // identical seeds yield identical runs.
 type Engine struct {
-	now  Time
-	slab []event // event storage; slots recycled via free
-	// Pending slot indices ordered by (at, seq) live in the ladder
-	// queue lq, or — when the differential suites select the reference
-	// heap via SetQueueImpl — in ref. Exactly one is active per engine;
-	// the qPush/qPop/qPeek/qSize wrappers branch on ref so the hot path
-	// calls the concrete ladder directly, with no interface dispatch.
-	lq      ladder
-	ref     *refHeap
+	now     Time
+	slab    []event // event storage; slots recycled via free
+	lq      ladder  // pending slot indices, popped in (at, seq) order
 	free    []int32 // recycled slot indices (LIFO for cache locality)
 	seq     uint64
 	stopped atomic.Bool // atomic: Stop may be called from another goroutine
@@ -80,49 +74,10 @@ type Engine struct {
 
 // NewEngine creates an engine whose named RNG streams derive from seed.
 func NewEngine(seed int64) *Engine {
-	e := &Engine{
+	return &Engine{
 		seed:    seed,
 		streams: make(map[string]*rand.Rand),
 	}
-	e.initQueue()
-	return e
-}
-
-// initQueue installs the queue implementation selected by SetQueueImpl.
-// Called once per engine at construction (NewEngine).
-func (e *Engine) initQueue() {
-	if defaultQueueImpl == QueueRefHeap {
-		e.ref = &refHeap{}
-	}
-}
-
-func (e *Engine) qPush(at Time, seq uint64, idx int32) {
-	if e.ref == nil {
-		e.lq.push(at, seq, idx)
-	} else {
-		e.ref.push(at, seq, idx)
-	}
-}
-
-func (e *Engine) qPop() (int32, bool) {
-	if e.ref == nil {
-		return e.lq.pop()
-	}
-	return e.ref.pop()
-}
-
-func (e *Engine) qPeek() (Time, bool) {
-	if e.ref == nil {
-		return e.lq.peek()
-	}
-	return e.ref.peek()
-}
-
-func (e *Engine) qSize() int {
-	if e.ref == nil {
-		return e.lq.size()
-	}
-	return e.ref.size()
 }
 
 // Now returns the current virtual time.
@@ -134,7 +89,7 @@ func (e *Engine) EventsRun() uint64 { return e.ran }
 // Pending returns the number of events waiting in the queue. The
 // ladder queue tracks its population in one counter, so this is O(1)
 // and never forces a bucket refill.
-func (e *Engine) Pending() int { return e.qSize() }
+func (e *Engine) Pending() int { return e.lq.size() }
 
 // Seed returns the master seed the engine was created with.
 func (e *Engine) Seed() int64 { return e.seed }
@@ -188,7 +143,7 @@ func (e *Engine) Schedule(at Time, fn func()) {
 	idx := e.alloc()
 	ev := &e.slab[idx]
 	ev.at, ev.seq, ev.fn = at, e.seq, fn
-	e.qPush(at, e.seq, idx)
+	e.lq.push(at, e.seq, idx)
 }
 
 // ScheduleArg runs h.HandleSimEvent(arg) at the given absolute virtual
@@ -204,7 +159,7 @@ func (e *Engine) ScheduleArg(at Time, h Handler, arg Arg) {
 	idx := e.alloc()
 	ev := &e.slab[idx]
 	ev.at, ev.seq, ev.h, ev.arg = at, e.seq, h, arg
-	e.qPush(at, e.seq, idx)
+	e.lq.push(at, e.seq, idx)
 }
 
 // ReserveSeq claims the tie-break sequence number the next scheduling
@@ -229,7 +184,7 @@ func (e *Engine) ScheduleReserved(at Time, seq uint64, h Handler, arg Arg) {
 	idx := e.alloc()
 	ev := &e.slab[idx]
 	ev.at, ev.seq, ev.h, ev.arg = at, seq, h, arg
-	e.qPush(at, seq, idx)
+	e.lq.push(at, seq, idx)
 }
 
 // After runs fn after the given delay from the current time. Negative
@@ -261,7 +216,7 @@ func (e *Engine) Stop() { e.stopped.Store(true) }
 // so that callbacks scheduling new events (the dominant pattern)
 // immediately reuse hot slots.
 func (e *Engine) execTop() {
-	idx, _ := e.qPop()
+	idx, _ := e.lq.pop()
 	ev := &e.slab[idx]
 	at, fn, h, arg := ev.at, ev.fn, ev.h, ev.arg
 	ev.fn, ev.h, ev.arg = nil, nil, Arg{} // release references for GC
@@ -288,7 +243,7 @@ func (e *Engine) Run(horizon Time) (Time, error) {
 			e.stopped.Store(false)
 			return e.now, ErrStopped
 		}
-		at, ok := e.qPeek()
+		at, ok := e.lq.peek()
 		if !ok {
 			break
 		}
@@ -307,7 +262,7 @@ func (e *Engine) Run(horizon Time) (Time, error) {
 // Step executes exactly one event, if any, and reports whether an
 // event ran. Useful in tests that need fine-grained control.
 func (e *Engine) Step() bool {
-	if e.qSize() == 0 {
+	if e.lq.size() == 0 {
 		return false
 	}
 	e.execTop()

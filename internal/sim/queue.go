@@ -1,12 +1,11 @@
-// The engine's pending-event queue. Production engines run the ladder
-// queue below — a multi-rung ladder queue with O(1) amortized push and
-// pop — while the reference binary heap is kept alongside it for
-// differential testing: both order events by the same unique (at, seq)
-// key, so any correct implementation pops the exact same sequence and
-// every downstream fingerprint (records, chains, analysis) is
-// bit-identical regardless of which queue an engine runs on. A push's
-// seq need not exceed the pending ones: events scheduled with a
-// reserved seq (Engine.ScheduleReserved) arrive late with a small one.
+// The engine's pending-event queue: a multi-rung ladder queue with O(1)
+// amortized push and pop that orders events by their unique (at, seq)
+// key. It is the only queue the engine runs on. A push's seq need not
+// exceed the pending ones: events scheduled with a reserved seq
+// (Engine.ScheduleReserved) arrive late with a small one. The test
+// files keep a plain binary heap as the reference order; the
+// differential tests and FuzzQueueOrder check that the ladder pops
+// exactly its sequence.
 package sim
 
 import "math/bits"
@@ -29,45 +28,6 @@ func entLess(a, b qent) bool {
 	}
 	return a.seq < b.seq
 }
-
-// queue is the minimal pending-event surface the engine needs. Both
-// implementations pop slot indices in ascending (at, seq) order.
-type queue interface {
-	push(at Time, seq uint64, idx int32)
-	pop() (idx int32, ok bool)
-	peek() (at Time, ok bool)
-	size() int
-}
-
-var (
-	_ queue = (*ladder)(nil)
-	_ queue = (*refHeap)(nil)
-)
-
-// QueueImpl selects which pending-queue implementation newly
-// constructed engines use.
-type QueueImpl int
-
-const (
-	// QueueLadder is the production ladder queue.
-	QueueLadder QueueImpl = iota
-	// QueueRefHeap is the reference binary heap, kept for the
-	// heap-vs-ladder differential suites.
-	QueueRefHeap
-)
-
-var defaultQueueImpl = QueueLadder
-
-// SetQueueImpl switches the queue implementation used by engines
-// constructed afterwards (NewEngine). It exists for the
-// differential test suites that prove the ladder queue pops the exact
-// (at, seq) order of the reference heap; production code never calls
-// it. Not safe to call concurrently with engine construction, and it
-// does not affect engines that already exist.
-func SetQueueImpl(impl QueueImpl) { defaultQueueImpl = impl }
-
-// CurrentQueueImpl reports the implementation new engines will use.
-func CurrentQueueImpl() QueueImpl { return defaultQueueImpl }
 
 // rungBuckets is the bucket count of every rung. Must be a multiple of
 // 64 (the occupancy bitmap word size); 256 makes a child rung's buckets
@@ -370,15 +330,10 @@ func (l *ladder) refill() bool {
 }
 
 // entHeap is a binary min-heap of qent ordered by (at, seq). It backs
-// the ladder's bottom tier and the reference queue implementation.
+// the ladder's bottom tier.
 type entHeap struct {
 	h []qent
 }
-
-func (q *entHeap) len() int { return len(q.h) }
-
-// minAt returns the minimum entry's timestamp. len() > 0 required.
-func (q *entHeap) minAt() Time { return q.h[0].at }
 
 func (q *entHeap) push(e qent) {
 	h := append(q.h, e)
@@ -431,31 +386,4 @@ func (q *entHeap) init() {
 	for i := len(q.h)/2 - 1; i >= 0; i-- {
 		q.siftDown(i)
 	}
-}
-
-// refHeap is the reference implementation: a plain binary min-heap
-// over (at, seq). It exists so the differential suites can prove the
-// ladder pops the identical total order.
-type refHeap struct {
-	q entHeap
-}
-
-func (q *refHeap) size() int { return q.q.len() }
-
-func (q *refHeap) push(at Time, seq uint64, idx int32) {
-	q.q.push(qent{at: at, seq: seq, idx: idx})
-}
-
-func (q *refHeap) peek() (Time, bool) {
-	if q.q.len() == 0 {
-		return 0, false
-	}
-	return q.q.minAt(), true
-}
-
-func (q *refHeap) pop() (int32, bool) {
-	if q.q.len() == 0 {
-		return 0, false
-	}
-	return q.q.popMin().idx, true
 }

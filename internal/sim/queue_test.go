@@ -6,6 +6,47 @@ import (
 	"time"
 )
 
+// queue is the pending-event surface the ladder and the reference heap
+// share. Both pop slot indices in ascending (at, seq) order.
+type queue interface {
+	push(at Time, seq uint64, idx int32)
+	pop() (idx int32, ok bool)
+	peek() (at Time, ok bool)
+	size() int
+}
+
+var (
+	_ queue = (*ladder)(nil)
+	_ queue = (*refHeap)(nil)
+)
+
+// refHeap is the reference queue: a plain binary min-heap over
+// (at, seq). The differential tests prove the ladder pops its
+// identical total order.
+type refHeap struct {
+	q entHeap
+}
+
+func (q *refHeap) size() int { return len(q.q.h) }
+
+func (q *refHeap) push(at Time, seq uint64, idx int32) {
+	q.q.push(qent{at: at, seq: seq, idx: idx})
+}
+
+func (q *refHeap) peek() (Time, bool) {
+	if len(q.q.h) == 0 {
+		return 0, false
+	}
+	return q.q.h[0].at, true
+}
+
+func (q *refHeap) pop() (int32, bool) {
+	if len(q.q.h) == 0 {
+		return 0, false
+	}
+	return q.q.popMin().idx, true
+}
+
 // popAll drains q and returns the popped slot indices in order.
 func popAll(q queue) []int32 {
 	var out []int32
@@ -563,38 +604,3 @@ func TestLadderOverflowSpill(t *testing.T) {
 
 // tiers reports the bottom tier's size and the active rung count.
 func (l *ladder) tiers() (bottom, rungs int) { return len(l.bot.h), l.nr }
-
-// TestSetQueueImpl covers the differential-suite hook: engines built
-// under QueueRefHeap run on the reference heap and produce the same
-// behaviour, and the setting is restored without affecting existing
-// engines.
-func TestSetQueueImpl(t *testing.T) {
-	old := CurrentQueueImpl()
-	defer SetQueueImpl(old)
-
-	SetQueueImpl(QueueRefHeap)
-	if CurrentQueueImpl() != QueueRefHeap {
-		t.Fatal("CurrentQueueImpl did not report the override")
-	}
-	e := NewEngine(1)
-	if e.ref == nil {
-		t.Fatal("engine built under QueueRefHeap is not using the reference heap")
-	}
-	SetQueueImpl(QueueLadder)
-	var got []int
-	for i := 4; i >= 0; i-- {
-		i := i
-		e.Schedule(Time(i)*time.Millisecond, func() { got = append(got, i) })
-	}
-	if _, err := e.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("heap engine ran out of order: %v", got)
-		}
-	}
-	if e2 := NewEngine(1); e2.ref != nil {
-		t.Fatal("engine built after restoring QueueLadder still uses the heap")
-	}
-}
