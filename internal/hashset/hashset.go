@@ -15,8 +15,8 @@
 // and never less than 4096 ids) goes to a small overflow map instead,
 // so membership stays exact for any uint64; campaigns never fill it.
 //
-// The per-peer known-hash caches in internal/p2p and the measurement
-// layer's first-observation filters share this set.
+// The seen-block and pending-fetch sets of internal/p2p's nodes and the
+// measurement layer's first-observation filters share this set.
 package hashset
 
 import "math/bits"

@@ -119,55 +119,78 @@ func TestFreshTxFloodsAllocateNothing(t *testing.T) {
 	}
 }
 
-// TestHashSetSlidesWithoutAllocating: a full FIFO cache fed sequential
-// ids (the issuer pattern) evicts and re-bases its bitmap in place, so
-// steady-state Adds allocate nothing.
-func TestHashSetSlidesWithoutAllocating(t *testing.T) {
-	s := newHashSet(4096)
-	h := types.Hash(uint64(2)<<48 + 1)
-	add := func() {
-		if !s.Add(h) {
-			t.Fatalf("fresh hash %v reported known", h)
+// TestKnownTableAllocatesOnce: one node relays 4 × KnownBlocksPerPeer
+// sequential blocks over its links, each block running the table steps
+// of a relay (handleBlock's mark on the arrival link, pushBlock's
+// lookup and tests, sendBlock's marks, announceBlock's claim with
+// test-and-set). The table is allocated at the first block and never
+// again, and it tracks exactly capacity blocks, never more.
+func TestKnownTableAllocatesOnce(t *testing.T) {
+	h := newHarness(t, 9, DefaultConfig())
+	n := h.nodes[0]
+	for _, p := range h.nodes[1:] {
+		Connect(n, p)
+	}
+	k := &n.known
+	if k.rows != nil {
+		t.Fatal("table allocated before the first block")
+	}
+	b := types.Hash(uint64(1)<<48 + 1)
+	relay := func() {
+		k.mark(b, *n.edges[int(b)%len(n.edges)].slot(n))
+		r := k.find(b)
+		for i, e := range n.edges {
+			if !k.has(r, *e.slot(n)) && i%3 == 0 {
+				k.mark(b, *e.slot(n))
+			}
 		}
-		h++
+		r = k.claim(b)
+		for _, e := range n.edges {
+			if !k.has(r, *e.slot(n)) {
+				k.set(r, *e.slot(n))
+			}
+		}
+		b++
 	}
-	for i := 0; i < 100_000; i++ {
-		add()
+	capacity := h.cfg.KnownBlocksPerPeer
+	relay()
+	if k.rows == nil {
+		t.Fatal("no table after the first block")
 	}
-	if allocs := testing.AllocsPerRun(100_000, add); allocs != 0 {
-		t.Fatalf("steady-state Add allocated %.4f times per call, want 0", allocs)
+	rows := &k.rows[0]
+	if allocs := testing.AllocsPerRun(4*capacity, relay); allocs != 0 {
+		t.Fatalf("relaying allocated %.4f times per block after the first, want 0", allocs)
 	}
-	if s.Len() != 4096 {
-		t.Fatalf("Len = %d, want 4096", s.Len())
+	if &k.rows[0] != rows || len(k.rows) != capacity*(1+k.stride) {
+		t.Fatalf("table re-laid: %d words for %d rows of %d", len(k.rows), capacity, 1+k.stride)
+	}
+	tracked := 0
+	for r := 0; r < len(k.rows); r += 1 + k.stride {
+		if k.rows[r] != 0 {
+			tracked++
+		}
+	}
+	if tracked != capacity {
+		t.Fatalf("table tracks %d blocks, want its capacity %d", tracked, capacity)
 	}
 }
 
-// TestNewEdgeHoldsNoSetStorage: the two known-block caches of a fresh
-// edge live inside the Edge and hold no storage until a hash crosses
-// the link, so building an edge is exactly one allocation.
+// TestNewEdgeHoldsNoSetStorage: an edge is one allocation holding a
+// slot per endpoint, and a fresh node holds no known-block table.
 func TestNewEdgeHoldsNoSetStorage(t *testing.T) {
-	engine := sim.NewEngine(1)
-	net := simnet.New(engine, geo.DefaultLatencyModel())
-	reg := chain.NewRegistry(0, types.NewHashIssuer(1))
-	cfg := DefaultConfig()
-	var nodes [2]*Node
-	for i := range nodes {
-		ep, err := net.AddNode(geo.WesternEurope, 1e9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = NewNode(&cfg, net, ep, reg)
-	}
+	h := newHarness(t, 2, DefaultConfig())
+	a, b := h.nodes[0], h.nodes[1]
 	var e *Edge
-	if allocs := testing.AllocsPerRun(10, func() { e = newEdge(nodes[0], nodes[1]) }); allocs != 1 {
+	if allocs := testing.AllocsPerRun(10, func() { e = newEdge(a, b) }); allocs != 1 {
 		t.Fatalf("newEdge made %.0f allocations, want 1 (the Edge itself)", allocs)
 	}
-	for _, s := range []*hashSet{&e.aKnownBlocks, &e.bKnownBlocks} {
-		if cap(s.ring) != 0 || s.Len() != 0 || s.set.Len() != 0 {
-			t.Fatalf("fresh edge cache holds storage: ring cap %d, %d members", cap(s.ring), s.set.Len())
-		}
+	if *e.slot(a) != 10 || *e.slot(b) != 10 {
+		t.Fatalf("eleventh edge holds slots %d/%d, want 10/10", *e.slot(a), *e.slot(b))
 	}
-	if e.aKnownBlocks.capacity != cfg.KnownBlocksPerPeer || e.bKnownBlocks.capacity != cfg.KnownBlocksPerPeer {
-		t.Fatal("fresh edge caches not sized from the config")
+	for _, n := range h.nodes {
+		if n.known.rows != nil || n.known.capacity != h.cfg.KnownBlocksPerPeer {
+			t.Fatalf("fresh node: table of %d words, capacity %d; want none, capacity %d",
+				len(n.known.rows), n.known.capacity, h.cfg.KnownBlocksPerPeer)
+		}
 	}
 }

@@ -38,8 +38,12 @@ type Config struct {
 	// ImportJitter is the max fractional jitter on processing times.
 	ImportJitter float64
 
-	// KnownBlocksPerPeer bounds the per-link "peer already has this
-	// block" caches (Geth: 1024).
+	// KnownBlocksPerPeer is how many recent blocks a node remembers
+	// per-peer knowledge for: which of its peers are known to have
+	// each of its last KnownBlocksPerPeer blocks, so none is re-sent to
+	// them. Geth keeps 1024 per peer; the model defaults to 256, ample
+	// since a node looks a block up only within seconds of first
+	// hearing of it. Values ≤ 0 behave as 1.
 	KnownBlocksPerPeer int
 }
 

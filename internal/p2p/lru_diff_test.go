@@ -7,8 +7,8 @@ import (
 	"ethmeasure/internal/types"
 )
 
-// refFIFOSet is the original map+ring implementation, kept as the
-// behavioural reference for the hashset-backed cache.
+// refFIFOSet is a map+ring FIFO set, the behavioural reference for the
+// bitmap-backed hashSet.
 type refFIFOSet struct {
 	capacity int
 	m        map[types.Hash]struct{}

@@ -4,8 +4,50 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ethmeasure/internal/hashset"
 	"ethmeasure/internal/types"
 )
+
+// hashSet is a bounded set of hashes with FIFO eviction: one per link
+// endpoint, it is the per-link model of Geth's known-block caches that
+// the node's knownBlocks table must answer like (see
+// TestKnownTableMatchesPerLinkFIFO). Storage is the window bitmap of
+// internal/hashset plus an insertion ring that turns the unbounded set
+// into a fixed-capacity FIFO. The zero value is not ready to use; call
+// setCapacity first.
+type hashSet struct {
+	capacity int
+	ring     []types.Hash // members in insertion order
+	pos      int          // next eviction slot once the ring is full
+	set      hashset.U64
+}
+
+// setCapacity sets the capacity (at least 1) of an empty set.
+func (s *hashSet) setCapacity(capacity int) { s.capacity = max(capacity, 1) }
+
+// Add inserts h, evicting the oldest entry when full. It reports
+// whether h was newly added.
+func (s *hashSet) Add(h types.Hash) bool {
+	if !s.set.Add(uint64(h)) {
+		return false
+	}
+	if len(s.ring) < s.capacity {
+		s.ring = append(s.ring, h)
+		return true
+	}
+	s.set.Remove(uint64(s.ring[s.pos]))
+	s.ring[s.pos] = h
+	if s.pos++; s.pos == s.capacity {
+		s.pos = 0
+	}
+	return true
+}
+
+// Has reports whether h is in the set.
+func (s *hashSet) Has(h types.Hash) bool { return s.set.Has(uint64(h)) }
+
+// Len returns the number of entries currently held.
+func (s *hashSet) Len() int { return len(s.ring) }
 
 func newHashSet(capacity int) *hashSet {
 	s := &hashSet{}

@@ -7,8 +7,9 @@
 //     that is not known to have it;
 //   - a node that only heard an announcement waits ~arriveTimeout for
 //     the direct push to arrive before fetching the block explicitly;
-//   - per-link caches track which blocks a peer already has so nothing
-//     is re-sent (the source of the bounded redundancy in Table II);
+//   - each node keeps one known-block table, a bitmask over its peers
+//     for each recent block, so nothing is re-sent to a peer known to
+//     have it (the source of the bounded redundancy in Table II);
 //   - a first-seen transaction is relayed to every peer but the one it
 //     came from.
 //
@@ -92,21 +93,21 @@ type Observer interface {
 	ObserveTx(at sim.Time, tx *types.Transaction, from types.NodeID)
 }
 
-// Edge is a bidirectional peer link with per-endpoint known-block
-// caches. Geth marks a hash as known by a peer both when sending it to
-// and when receiving it from that peer; each endpoint keeps its own
-// view of that knowledge, as each Geth node keeps its own peer set,
-// and updates it on both its sends and its receives. While a block is
-// in flight the sender has marked it on its side of the link and the
-// receiver has not yet seen it.
+// Edge is a bidirectional peer link. Each endpoint holds a slot in its
+// own node's known-block table (see knownBlocks): Geth marks a hash as
+// known by a peer both when sending it to and when receiving it from
+// that peer, and each endpoint keeps its own view of that knowledge, as
+// each Geth node keeps its own peer set. While a block is in flight the
+// sender has marked it in its table and the receiver has not yet seen
+// it. A torn-down link's slots are -1, so a message still in flight on
+// it marks nothing.
 //
-// Transactions need no per-link cache: a node relays a transaction
-// once, at its first sighting, and at that moment the only link whose
-// view could hold the hash is the one it arrived on.
+// Transactions need no per-peer knowledge: a node relays a transaction
+// once, at its first sighting, and at that moment the only peer known
+// to hold it is the one it arrived from.
 type Edge struct {
 	a, b         *Node
-	aKnownBlocks hashSet
-	bKnownBlocks hashSet
+	aSlot, bSlot int32
 }
 
 // Other returns the endpoint of the edge that is not n.
@@ -117,13 +118,13 @@ func (e *Edge) Other(n *Node) *Node {
 	return e.a
 }
 
-// knownBlocksFor returns n's own view of which blocks the peer across
-// this edge already has.
-func (e *Edge) knownBlocksFor(n *Node) *hashSet {
+// slot returns n's endpoint slot: the edge's slot in n's known-block
+// table.
+func (e *Edge) slot(n *Node) *int32 {
 	if e.a == n {
-		return &e.aKnownBlocks
+		return &e.aSlot
 	}
-	return &e.bKnownBlocks
+	return &e.bSlot
 }
 
 // Node is one protocol participant.
@@ -138,6 +139,7 @@ type Node struct {
 
 	edges      []*Edge
 	peerBits   bitset      // peer node IDs, for O(1) isPeer checks
+	known      knownBlocks // which peers are known to have which blocks
 	pushTmp    []*Edge     // reusable scratch for pushBlock targets
 	seenBlocks hashset.U64 // received at least once (pre-import)
 	fetching   hashset.U64 // announced, awaiting push or fetch
@@ -172,6 +174,7 @@ func NewNode(cfg *Config, net *simnet.Network, endpoint *simnet.Node, reg *chain
 		rng:       sim.NewStream(net.Engine().Seed(), "p2p", uint64(endpoint.ID)),
 		reg:       reg,
 		view:      chain.NewView(reg),
+		known:     knownBlocks{capacity: max(cfg.KnownBlocksPerPeer, 1)},
 		procSpeed: 1,
 	}
 }
@@ -233,14 +236,10 @@ func Connect(a, b *Node) *Edge {
 	return e
 }
 
-// newEdge builds the edge for Connect, its two known-block caches sized
-// from the endpoint configs. An edge is a single allocation: its caches
-// hold no storage until the first hash crosses the link.
+// newEdge builds the edge for Connect, taking a slot in each
+// endpoint's known-block table. An edge is a single allocation.
 func newEdge(a, b *Node) *Edge {
-	e := &Edge{a: a, b: b}
-	e.aKnownBlocks.setCapacity(a.cfg.KnownBlocksPerPeer)
-	e.bKnownBlocks.setCapacity(b.cfg.KnownBlocksPerPeer)
-	return e
+	return &Edge{a: a, b: b, aSlot: a.known.acquire(), bSlot: b.known.acquire()}
 }
 
 // Disconnect tears down the link between two nodes (peer drop). It is
@@ -264,7 +263,9 @@ func (n *Node) DisconnectAll() {
 		other := e.Other(n)
 		other.removeEdge(e)
 		n.peerBits.clear(int(other.ID()))
+		*e.slot(n) = -1
 	}
+	n.known.releaseAll()
 }
 
 func (n *Node) removeEdge(target *Edge) {
@@ -272,6 +273,9 @@ func (n *Node) removeEdge(target *Edge) {
 		if e == target {
 			n.edges = append(n.edges[:i], n.edges[i+1:]...)
 			n.peerBits.clear(int(target.Other(n).ID()))
+			s := target.slot(n)
+			n.known.release(*s)
+			*s = -1
 			return
 		}
 	}
@@ -325,7 +329,7 @@ func (n *Node) PublishBlock(b *types.Block) {
 
 // handleBlock processes an inbound full block (pushed or fetched).
 func (n *Node) handleBlock(b *types.Block, from *Edge, kind MsgKind) {
-	from.knownBlocksFor(n).Add(b.Hash)
+	n.known.mark(b.Hash, *from.slot(n))
 	if n.Observer != nil {
 		n.Observer.ObserveBlock(n.sched.Now(), b, from.Other(n).ID(), kind)
 	}
@@ -350,8 +354,9 @@ func (n *Node) pushBlock(b *types.Block) {
 		return
 	}
 	targets := n.pushTmp[:0]
+	r := n.known.find(b.Hash)
 	for _, e := range n.edges {
-		if !e.knownBlocksFor(n).Has(b.Hash) {
+		if !n.known.has(r, *e.slot(n)) {
 			targets = append(targets, e)
 		}
 	}
@@ -370,7 +375,7 @@ func (n *Node) pushBlock(b *types.Block) {
 }
 
 func (n *Node) sendBlock(b *types.Block, e *Edge, kind MsgKind) {
-	e.knownBlocksFor(n).Add(b.Hash)
+	n.known.mark(b.Hash, *e.slot(n))
 	peer := e.Other(n)
 	ev := evBlockPush
 	if kind == MsgFetchedBlock {
@@ -392,10 +397,13 @@ func (n *Node) announceBlock(b *types.Block) {
 	if !n.cfg.AnnounceAfterImport {
 		return
 	}
+	r := n.known.claim(b.Hash)
 	for _, e := range n.edges {
-		if !e.knownBlocksFor(n).Add(b.Hash) {
+		slot := *e.slot(n)
+		if n.known.has(r, slot) {
 			continue
 		}
+		n.known.set(r, slot)
 		peer := e.Other(n)
 		n.net.Send(n.netNode, peer.netNode, rlp.AnnouncementWireSize(b.Number),
 			peer, simnet.Envelope{Kind: evAnnounce, Data: b, Aux: e})
@@ -408,7 +416,7 @@ func (n *Node) announceBlock(b *types.Block) {
 // then request the block from the announcing peer if it never arrives.
 func (n *Node) handleAnnounce(b *types.Block, from *Edge) {
 	h := b.Hash
-	from.knownBlocksFor(n).Add(h)
+	n.known.mark(h, *from.slot(n))
 	if n.Observer != nil {
 		n.Observer.ObserveAnnounce(n.sched.Now(), h, b.Number, from.Other(n).ID())
 	}

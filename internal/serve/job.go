@@ -216,14 +216,11 @@ func (s *JobSpec) Normalize() error {
 	return nil
 }
 
-// defaultCheckpointInterval spaces ~8 checkpoints across the run,
-// clamped to at least a virtual second.
+// defaultCheckpointInterval spaces ~8 checkpoints across the run, at
+// least a virtual second apart, and never past the run's end: a
+// sub-second run gets one checkpoint, at its end.
 func defaultCheckpointInterval(duration time.Duration) time.Duration {
-	iv := duration / 8
-	if iv < time.Second {
-		iv = time.Second
-	}
-	return iv
+	return min(max(duration/8, time.Second), duration)
 }
 
 // checkpointInterval returns the pinned interval (Normalize guarantees
@@ -239,6 +236,9 @@ func (s *JobSpec) checkpointInterval() time.Duration {
 func (s *JobSpec) Config() (core.Config, error) {
 	if s.Shards < 0 || s.Shards > 1 {
 		return core.Config{}, fmt.Errorf("serve: shards = %d: the sharded engine was removed; jobs run on one engine (omit shards)", s.Shards)
+	}
+	if err := checkNodes(s.Nodes); err != nil {
+		return core.Config{}, err
 	}
 	preset := s.Preset
 	if preset == "" {
@@ -271,6 +271,20 @@ func (s *JobSpec) Config() (core.Config, error) {
 	return cfg, nil
 }
 
+// maxNodes caps a job's node count, the campaign's nodes and every
+// sweep nodes entry: 2.5× the largest scale point the benchmarks run
+// (20 000 nodes). Nothing else bounds the count, so without the cap a
+// request for 10⁸ nodes would pass validation and the worker would
+// exhaust the server's memory building the network.
+const maxNodes = 50_000
+
+func checkNodes(n int) error {
+	if n > maxNodes {
+		return fmt.Errorf("serve: nodes = %d exceeds the limit of %d", n, maxNodes)
+	}
+	return nil
+}
+
 // maxSweepRuns caps the runs one sweep job expands to (seeds times the
 // variants of every axis). The check runs before anything is sized by
 // the request, so a huge seed count fails instead of allocating.
@@ -297,6 +311,11 @@ func (s *JobSpec) matrix() (*sweep.Matrix, error) {
 	}
 	m := &sweep.Matrix{Base: cfg, Seeds: sweep.Seeds(cfg.Seed, s.Sweep.Seeds)}
 	if len(s.Sweep.Nodes) > 0 {
+		for _, n := range s.Sweep.Nodes {
+			if err := checkNodes(n); err != nil {
+				return nil, err
+			}
+		}
 		m.Axes = append(m.Axes, sweep.Nodes(s.Sweep.Nodes...))
 	}
 	if len(s.Sweep.Protocols) > 0 {

@@ -115,6 +115,36 @@ func TestCampaignJobLifecycle(t *testing.T) {
 	}
 }
 
+// TestSubCampaignSecondDefaultsCheckpoint: a campaign shorter than a
+// virtual second with no checkpoint_interval normalises, its default
+// interval pinned to the whole run instead of a second past its end,
+// and simulates to its end, checkpointing there. No block is mined that
+// soon, so the job then fails in the analysis, which needs blocks.
+func TestSubCampaignSecondDefaultsCheckpoint(t *testing.T) {
+	m := openManager(t, t.TempDir(), Options{MaxJobs: 1})
+	defer m.Close()
+
+	for _, d := range []string{"1ns", "500ms"} {
+		job, err := m.Submit(JobSpec{Kind: "campaign", Duration: d, Nodes: 40, NoTx: true})
+		if err != nil {
+			t.Fatalf("duration %s: Submit: %v", d, err)
+		}
+		if job.Spec.CheckpointInterval != d {
+			t.Errorf("duration %s: pinned checkpoint_interval %q, want the run's length", d, job.Spec.CheckpointInterval)
+		}
+		final := waitJob(t, m, job.ID, 2*time.Minute, func(j Job) bool { return j.Ended != nil })
+		if final.Progress == nil || final.Progress.SimTime != final.Progress.Duration {
+			t.Errorf("duration %s: final progress %+v, want the whole run", d, final.Progress)
+		}
+		if final.Checkpoint == nil {
+			t.Errorf("duration %s: no checkpoint at the run's end", d)
+		}
+		if strings.Contains(final.Error, "checkpoint") {
+			t.Errorf("duration %s: job failed on its checkpoint: %s", d, final.Error)
+		}
+	}
+}
+
 func TestOversubscribedPoolQueues(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs three multi-second campaigns; covered by the CI race job")
@@ -365,6 +395,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"huge seed count", JobSpec{Kind: "sweep", Sweep: &SweepSpec{Seeds: 1 << 62}}, "at most"},
 		{"seeds times variants over the cap", JobSpec{Kind: "sweep", Sweep: &SweepSpec{Seeds: maxSweepRuns/2 + 1, Nodes: []int{20, 30}}}, "at most"},
 		{"bad checkpoint interval", JobSpec{Kind: "campaign", CheckpointInterval: "-5m"}, "checkpoint_interval"},
+		{"nodes over the cap", JobSpec{Kind: "campaign", Nodes: maxNodes + 1}, "limit"},
+		{"sweep nodes over the cap", JobSpec{Kind: "sweep", Sweep: &SweepSpec{Nodes: []int{40, maxNodes + 1}}}, "limit"},
 	}
 	for _, tc := range cases {
 		if _, err := m.Submit(tc.spec); err == nil {

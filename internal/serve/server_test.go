@@ -169,6 +169,8 @@ func TestHTTPValidationAndNotFound(t *testing.T) {
 		`{"kind":"sweep","sweep":{"nodes":[-1]}}`,
 		`{"kind":"sweep","sweep":{"nodes":[20,20]}}`,
 		`{"kind":"sweep","sweep":{"seeds":4611686018427387904}}`,
+		`{"kind":"campaign","nodes":100000000}`,
+		`{"kind":"sweep","sweep":{"nodes":[40,100000000]}}`,
 		`{"kind":"campaign","bogus_field":1}`, // unknown fields rejected
 		`{invalid json`,
 	}
