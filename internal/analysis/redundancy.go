@@ -1,11 +1,17 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"ethmeasure/internal/stats"
 )
+
+// ErrNoVantageRecords is Redundancy's error when the redundancy
+// vantage recorded no block message, as in a campaign too short to
+// mine a block.
+var ErrNoVantageRecords = errors.New("analysis: no records for the redundancy vantage")
 
 // RedundancyRow is one row of Table II.
 type RedundancyRow struct {
@@ -37,7 +43,7 @@ type RedundancyResult struct {
 // networkSize feeds the ln(n) optimality comparison.
 func (c *Collector) Redundancy(networkSize int) (*RedundancyResult, error) {
 	if !c.redSeen {
-		return nil, fmt.Errorf("analysis: no records for vantage %q", c.redVantage)
+		return nil, fmt.Errorf("%w %q", ErrNoVantageRecords, c.redVantage)
 	}
 	ann := stats.NewSample(len(c.redList))
 	full := stats.NewSample(len(c.redList))

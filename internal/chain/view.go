@@ -1,7 +1,11 @@
 package chain
 
 import (
+	"slices"
+	"sort"
+
 	"ethmeasure/internal/consensus"
+	"ethmeasure/internal/hashset"
 	"ethmeasure/internal/types"
 )
 
@@ -12,19 +16,33 @@ import (
 // Views hold per-node state only; block bodies live once in the shared
 // Registry. Old entries are pruned beyond a height window to keep
 // memory proportional to network size rather than chain length.
+//
+// A view holds no maps: the imported hashes are a window bitmap over
+// the sequential block ids (hashset.U64), and the height index is one
+// slice ordered by height, of which a prune drops a prefix. NewView
+// allocates nothing but the View: the index starts in a one-entry
+// array inside the View holding genesis, and moves to the heap at the
+// first import.
 type View struct {
 	reg      *Registry
 	proto    consensus.Protocol // copied from reg: Import is the hot path
 	refDepth uint64             // cached proto.MaxReferenceDepth()
-	known    map[types.Hash]bool
-	byHeight map[uint64][]types.Hash
+	genesis  [1]tracked         // genesis; tracked's array until the first import
+	known    hashset.U64        // imported hashes but genesis
+	tracked  []tracked          // blocks at heights ≥ minKept, by height, then import order
 	head     *types.Block
-	minKept  uint64 // lowest height still tracked in byHeight/known
+	minKept  uint64 // lowest height still tracked in tracked/known
 
 	// pruneWindow controls how far behind the head block metadata is
 	// retained. It must exceed the protocol's reference window and the
 	// longest plausible reorg; gossip only concerns recent blocks.
 	pruneWindow uint64
+}
+
+// tracked is one entry of a view's height index.
+type tracked struct {
+	num  uint64
+	hash types.Hash
 }
 
 // NewView creates a view anchored at the registry's genesis, applying
@@ -45,14 +63,12 @@ func NewView(reg *Registry) *View {
 		reg:         reg,
 		proto:       reg.Protocol(),
 		refDepth:    refDepth,
-		known:       make(map[types.Hash]bool, 64),
-		byHeight:    make(map[uint64][]types.Hash, 64),
+		genesis:     [1]tracked{{num: g.Number, hash: g.Hash}},
 		head:        g,
 		minKept:     g.Number,
 		pruneWindow: pruneWindow,
 	}
-	v.known[g.Hash] = true
-	v.byHeight[g.Number] = append(v.byHeight[g.Number], g.Hash)
+	v.tracked = v.genesis[:]
 	return v
 }
 
@@ -62,7 +78,7 @@ func (v *View) Head() *types.Block { return v.head }
 // Knows reports whether the node has imported (or pruned, for very old
 // heights where knowledge is assumed) the given block.
 func (v *View) Knows(h types.Hash) bool {
-	if v.known[h] {
+	if h == v.genesis[0].hash || v.known.Has(uint64(h)) {
 		return true
 	}
 	// Blocks below the prune horizon were either imported and forgotten
@@ -77,14 +93,15 @@ func (v *View) Knows(h types.Hash) bool {
 // Import adds a block to the view and applies the protocol's
 // fork-choice rule: the head moves when the protocol prefers the new
 // block; on a tie the incumbent wins (first-seen rule, as in Geth). It
-// reports whether the head changed.
+// reports whether the head changed. Genesis is known from the start,
+// and no block is preferred to it over a head, so importing it does
+// nothing.
 func (v *View) Import(b *types.Block) bool {
-	if v.known[b.Hash] {
+	if b.Hash == v.genesis[0].hash || !v.known.Add(uint64(b.Hash)) {
 		return false
 	}
-	v.known[b.Hash] = true
 	if b.Number >= v.minKept {
-		v.byHeight[b.Number] = append(v.byHeight[b.Number], b.Hash)
+		v.track(b.Number, b.Hash)
 	}
 	reorg := v.proto.Prefer(b, v.head)
 	if reorg {
@@ -94,18 +111,36 @@ func (v *View) Import(b *types.Block) bool {
 	return reorg
 }
 
+// track inserts a block at a height at or above minKept after every
+// tracked block at its height or below. Blocks arrive in height order
+// nearly always, so this is an append. The index grows by appending
+// until it holds the heights up to the head between prunes
+// (2·pruneWindow+1, plus forks), and prunes then keep it in place.
+func (v *View) track(num uint64, h types.Hash) {
+	i := len(v.tracked)
+	if i > 0 && v.tracked[i-1].num > num {
+		i = sort.Search(i, func(j int) bool { return v.tracked[j].num > num })
+	}
+	v.tracked = slices.Insert(v.tracked, i, tracked{num: num, hash: h})
+}
+
 func (v *View) prune() {
 	if v.head.Number < v.minKept+v.pruneWindow*2 {
 		return
 	}
 	keepFrom := v.head.Number - v.pruneWindow
-	for h := v.minKept; h < keepFrom; h++ {
-		for _, bh := range v.byHeight[h] {
-			delete(v.known, bh)
-		}
-		delete(v.byHeight, h)
+	n := v.from(keepFrom)
+	for _, t := range v.tracked[:n] {
+		v.known.Remove(uint64(t.hash))
 	}
+	v.tracked = slices.Delete(v.tracked, 0, n)
 	v.minKept = keepFrom
+}
+
+// from returns the index of the first tracked block at height num or
+// above.
+func (v *View) from(num uint64) int {
+	return sort.Search(len(v.tracked), func(j int) bool { return v.tracked[j].num >= num })
 }
 
 // UncleCandidates returns up to max side-chain blocks that would be
@@ -130,19 +165,16 @@ func (v *View) UncleCandidatesFor(parent *types.Block, max int) []types.Hash {
 		lo = newNumber - window
 	}
 	var out []types.Hash
-	for height := lo; height < newNumber && len(out) < max; height++ {
-		hashes := v.byHeight[height]
-		for _, h := range hashes {
-			if len(out) >= max {
-				break
-			}
-			b, ok := v.reg.Get(h)
-			if !ok {
-				continue
-			}
-			if v.reg.ValidUncle(b, parent) {
-				out = append(out, h)
-			}
+	for _, t := range v.tracked[v.from(lo):] {
+		if t.num >= newNumber || len(out) >= max {
+			break
+		}
+		b, ok := v.reg.Get(t.hash)
+		if !ok {
+			continue
+		}
+		if v.reg.ValidUncle(b, parent) {
+			out = append(out, t.hash)
 		}
 	}
 	return out
@@ -151,7 +183,14 @@ func (v *View) UncleCandidatesFor(parent *types.Block, max int) []types.Hash {
 // KnownAtHeight returns the hashes the view tracks at a height
 // (diagnostics and tests).
 func (v *View) KnownAtHeight(n uint64) []types.Hash {
-	out := make([]types.Hash, len(v.byHeight[n]))
-	copy(out, v.byHeight[n])
+	at := v.tracked[v.from(n):]
+	k := 0
+	for k < len(at) && at[k].num == n {
+		k++
+	}
+	out := make([]types.Hash, k)
+	for i := range out {
+		out[i] = at[i].hash
+	}
 	return out
 }

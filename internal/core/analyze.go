@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -34,8 +35,10 @@ func analyze(collector *analysis.Collector, dataset *analysis.Dataset, redundanc
 		return nil, fmt.Errorf("core: propagation analysis: %w", err)
 	}
 	if redundancyVantage != "" {
+		// A vantage that saw no block leaves Table II out of the
+		// report instead of failing the run.
 		res.Redundancy, err = collector.Redundancy(networkSize)
-		if err != nil {
+		if err != nil && !errors.Is(err, analysis.ErrNoVantageRecords) {
 			return nil, fmt.Errorf("core: redundancy analysis: %w", err)
 		}
 	}

@@ -377,3 +377,27 @@ func TestCampaignWithholdingConfigValidation(t *testing.T) {
 		t.Fatal("unknown withholding pool accepted")
 	}
 }
+
+// TestCampaignWithoutBlocksAnalyzes: a campaign too short to mine a
+// block still analyses, with Table II left out because its vantage
+// saw nothing, instead of failing the run.
+func TestCampaignWithoutBlocksAnalyzes(t *testing.T) {
+	cfg, err := Configure("quick", Overrides{Duration: time.Second, NoTx: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	campaign, err := NewCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := campaign.RunContext(context.Background(), RunOptions{})
+	if err != nil {
+		t.Fatalf("campaign without blocks failed: %v", err)
+	}
+	if res.Stats.BlocksCreated != 0 {
+		t.Fatalf("%d blocks mined in one virtual second; the case no longer has none", res.Stats.BlocksCreated)
+	}
+	if res.Redundancy != nil {
+		t.Errorf("Table II built from no records: %+v", res.Redundancy)
+	}
+}

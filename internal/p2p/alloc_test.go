@@ -161,11 +161,11 @@ func TestKnownTableAllocatesOnce(t *testing.T) {
 	if allocs := testing.AllocsPerRun(4*capacity, relay); allocs != 0 {
 		t.Fatalf("relaying allocated %.4f times per block after the first, want 0", allocs)
 	}
-	if &k.rows[0] != rows || len(k.rows) != capacity*(1+k.stride) {
-		t.Fatalf("table re-laid: %d words for %d rows of %d", len(k.rows), capacity, 1+k.stride)
+	if &k.rows[0] != rows || len(k.rows) != capacity*k.rowLen() {
+		t.Fatalf("table re-laid: %d words for %d rows of %d", len(k.rows), capacity, k.rowLen())
 	}
 	tracked := 0
-	for r := 0; r < len(k.rows); r += 1 + k.stride {
+	for r := 0; r < len(k.rows); r += k.rowLen() {
 		if k.rows[r] != 0 {
 			tracked++
 		}

@@ -13,6 +13,20 @@
 //   - a first-seen transaction is relayed to every peer but the one it
 //     came from.
 //
+// A node receives each block about nine times, and only the first
+// reception starts its relay: a later one, at a node with no Observer,
+// only marks the sending peer in the node's known-block table for the
+// node's own push and announce of the block to read. Such a delivery
+// is settled when it is sent (see knownBlocks.settle). It is still
+// transmitted, its delay drawn and the message counted, and it takes
+// the engine seq its event would have taken, so every later event keeps
+// the seq it would have had. A delivery that lands after the
+// receiver's announce is dead and is dropped. One that lands before the
+// receiver's next read has its mark set at once. Only a delivery that
+// lands between the receiver's push and announce, or reaches an
+// observed node or one still without the block, becomes an event. Block
+// requests are never settled early.
+//
 // Transaction relay carries nearly all of a campaign's messages, and
 // most of them reach a peer that already has the transaction or will
 // get it sooner through another link. Each transaction therefore runs
@@ -98,9 +112,10 @@ type Observer interface {
 // known by a peer both when sending it to and when receiving it from
 // that peer, and each endpoint keeps its own view of that knowledge, as
 // each Geth node keeps its own peer set. While a block is in flight the
-// sender has marked it in its table and the receiver has not yet seen
-// it. A torn-down link's slots are -1, so a message still in flight on
-// it marks nothing.
+// sender has marked it in its table, and the receiver has not, unless
+// the delivery was settled at send time (see knownBlocks.settle). A
+// torn-down link's slots are -1, so a message still in flight on it
+// marks nothing; releasing a slot clears a mark set early the same way.
 //
 // Transactions need no per-peer knowledge: a node relays a transaction
 // once, at its first sighting, and at that moment the only peer known
@@ -325,6 +340,8 @@ func (n *Node) PublishBlock(b *types.Block) {
 	}
 	n.pushBlock(b)
 	n.announceBlock(b)
+	now := n.sched.Now()
+	n.known.schedule(b.Hash, now, now)
 }
 
 // handleBlock processes an inbound full block (pushed or fetched).
@@ -345,6 +362,8 @@ func (n *Node) handleBlock(b *types.Block, from *Edge, kind MsgKind) {
 	importDelay := n.scale(n.cfg.importDelay(n.rng, len(b.TxHashes)))
 	n.sched.AfterArg(headerDelay, n, sim.Arg{A: b, K: tmPushBlock})
 	n.sched.AfterArg(headerDelay+importDelay, n, sim.Arg{A: b, K: tmFinishImport})
+	now := n.sched.Now()
+	n.known.schedule(b.Hash, now+headerDelay, now+headerDelay+importDelay)
 }
 
 // pushBlock sends the full block to ceil(sqrt(peers)) randomly chosen
@@ -376,12 +395,25 @@ func (n *Node) pushBlock(b *types.Block) {
 
 func (n *Node) sendBlock(b *types.Block, e *Edge, kind MsgKind) {
 	n.known.mark(b.Hash, *e.slot(n))
-	peer := e.Other(n)
 	ev := evBlockPush
 	if kind == MsgFetchedBlock {
 		ev = evBlockFetched
 	}
-	n.net.Send(n.netNode, peer.netNode, b.Size, peer, simnet.Envelope{Kind: ev, Data: b, Aux: e})
+	n.send(e, b.Size, ev, b)
+}
+
+// send transmits a block message (a push, fetched block or
+// announcement of b) over e and schedules its delivery, unless the
+// receiver settles it at send time (see knownBlocks.settle): then the
+// seq its event would have taken is reserved and nothing is scheduled.
+func (n *Node) send(e *Edge, size int, ev int32, b *types.Block) {
+	peer := e.Other(n)
+	d := n.net.Transmit(n.netNode, peer.netNode, size)
+	if now := n.sched.Now(); peer.Observer == nil && peer.known.settle(b.Hash, *e.slot(peer), now, now+d) {
+		n.sched.ReserveSeq()
+		return
+	}
+	n.net.ScheduleDelivery(d, peer, simnet.Envelope{Kind: ev, Data: b, Aux: e})
 }
 
 // finishImport completes validation, applies fork choice and announces
@@ -398,15 +430,14 @@ func (n *Node) announceBlock(b *types.Block) {
 		return
 	}
 	r := n.known.claim(b.Hash)
+	size := rlp.AnnouncementWireSize(b.Number)
 	for _, e := range n.edges {
 		slot := *e.slot(n)
 		if n.known.has(r, slot) {
 			continue
 		}
 		n.known.set(r, slot)
-		peer := e.Other(n)
-		n.net.Send(n.netNode, peer.netNode, rlp.AnnouncementWireSize(b.Number),
-			peer, simnet.Envelope{Kind: evAnnounce, Data: b, Aux: e})
+		n.send(e, size, evAnnounce, b)
 	}
 }
 

@@ -119,7 +119,8 @@ func TestCampaignJobLifecycle(t *testing.T) {
 // virtual second with no checkpoint_interval normalises, its default
 // interval pinned to the whole run instead of a second past its end,
 // and simulates to its end, checkpointing there. No block is mined that
-// soon, so the job then fails in the analysis, which needs blocks.
+// soon, and the job still completes: the analysis leaves out what needs
+// blocks.
 func TestSubCampaignSecondDefaultsCheckpoint(t *testing.T) {
 	m := openManager(t, t.TempDir(), Options{MaxJobs: 1})
 	defer m.Close()
@@ -139,8 +140,8 @@ func TestSubCampaignSecondDefaultsCheckpoint(t *testing.T) {
 		if final.Checkpoint == nil {
 			t.Errorf("duration %s: no checkpoint at the run's end", d)
 		}
-		if strings.Contains(final.Error, "checkpoint") {
-			t.Errorf("duration %s: job failed on its checkpoint: %s", d, final.Error)
+		if final.State != StateDone {
+			t.Errorf("duration %s: job ended %s (%s), want %s", d, final.State, final.Error, StateDone)
 		}
 	}
 }

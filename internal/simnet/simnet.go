@@ -90,7 +90,7 @@ func (n *Network) Nodes() []*Node { return n.nodes }
 func (n *Network) NumNodes() int { return len(n.nodes) }
 
 // Sent returns the number of messages transmitted so far, whether
-// their deliveries were scheduled or dropped as dead.
+// their deliveries were scheduled or settled at send time.
 func (n *Network) Sent() uint64 { return n.sent }
 
 // Local returns the network's protocol-layer value slot, where the
@@ -104,9 +104,13 @@ func (n *Network) Local() *any { return &n.local }
 // from the sender's stream) + transmission time at the slower endpoint
 // + fixed overhead. Every wire message is transmitted exactly once;
 // the caller then schedules its delivery with ScheduleDelivery, unless
-// the protocol layer can prove the delivery dead (it would reach a
-// receiver that already has the payload) and drops it. Transmit is the
-// one-message case of a Burst.
+// the protocol layer settles the delivery at send time: the receiver
+// already has the payload and can no longer act on the message (a dead
+// delivery), or the message's only effect can be applied at once
+// because nothing reads it before it would land. A settled delivery is
+// still counted here, and the protocol layer reserves the engine seq
+// its event would have taken. Transmit is the one-message case of a
+// Burst.
 func (n *Network) Transmit(from, to *Node, size int) time.Duration {
 	n.sent++
 	return n.delay(n.senderRNG[from.ID], from, float64(size), to)
