@@ -79,17 +79,12 @@ type Results struct {
 type Campaign struct {
 	cfg Config
 
-	// proto is the consensus rule set built from cfg.Protocol; the
-	// registry, miner and analyses all dispatch through it.
-	proto consensus.Protocol
-
 	engine    *sim.Engine
 	network   *simnet.Network
 	registry  *chain.Registry
 	store     *txgen.Store
 	miner     *mining.Miner
 	gen       *txgen.Generator
-	vantages  []*measure.Vantage
 	regular   []*p2p.Node
 	gateways  [][]*p2p.Node
 	vantNodes []*p2p.Node
@@ -143,7 +138,6 @@ func (c *Campaign) build() error {
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	c.proto = proto
 	if cfg.Mining.InterBlockTime == 0 {
 		// An unset mining interval means "the protocol's native rate"
 		// (Bitcoin's 10 minutes, Ethereum's 13.3 s). The presets pin the
@@ -251,7 +245,6 @@ func (c *Campaign) build() error {
 		}
 		vantage := measure.NewVantage(vs.Name, cfg.Clock, clockRNG.Int63(), c.bus)
 		node.Observer = vantage
-		c.vantages = append(c.vantages, vantage)
 		c.vantNodes = append(c.vantNodes, node)
 	}
 
@@ -408,7 +401,6 @@ func (c *Campaign) ReleaseNetwork() {
 	c.network = nil
 	c.miner = nil
 	c.gen = nil
-	c.vantages = nil
 	c.regular = nil
 	c.gateways = nil
 	c.vantNodes = nil

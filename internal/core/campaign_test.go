@@ -378,6 +378,50 @@ func TestCampaignWithholdingConfigValidation(t *testing.T) {
 	}
 }
 
+// TestWithholdingPoolIncludesEachTxOnce: a withholding pool selects
+// transactions against its private tip, so consecutive private blocks
+// never pick the same transactions and the main chain includes each
+// transaction at most once. Both protocols run it, since they end a
+// beaten private chain differently: Ethereum's withholder publishes
+// it, Bitcoin's discards it.
+func TestWithholdingPoolIncludesEachTxOnce(t *testing.T) {
+	for _, proto := range []string{"ethereum", "bitcoin"} {
+		t.Run(proto, func(t *testing.T) {
+			cfg, err := Configure("quick", Overrides{
+				Duration:  time.Hour,
+				Protocol:  proto,
+				Scenarios: []string{"withhold:pool=Ethermine,depth=3"},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			campaign, err := NewCampaign(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := campaign.SimulateContext(context.Background(), RunOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			seen := make(map[types.Hash]bool)
+			twice := 0
+			for _, b := range campaign.registry.MainChain() {
+				for _, h := range b.TxHashes {
+					if seen[h] {
+						twice++
+					}
+					seen[h] = true
+				}
+			}
+			if len(seen) == 0 {
+				t.Fatal("no transaction reached the main chain")
+			}
+			if twice != 0 {
+				t.Errorf("%d of %d main-chain transactions included twice", twice, len(seen))
+			}
+		})
+	}
+}
+
 // TestCampaignWithoutBlocksAnalyzes: a campaign too short to mine a
 // block still analyses, with Table II left out because its vantage
 // saw nothing, instead of failing the run.

@@ -36,7 +36,7 @@ func chainFingerprint(c *Campaign) string {
 
 // equivalenceVariants are the configurations the streaming pipeline
 // must reproduce bit for bit against the batch path, and whose
-// fingerprints goldenPath pins: eleven in the full suite, seven under
+// fingerprints goldenPath pins: twelve in the full suite, seven under
 // -short.
 func equivalenceVariants() []struct {
 	name string
@@ -72,6 +72,10 @@ func equivalenceVariants() []struct {
 	withhold := tinyConfig()
 	withhold.EnableTxWorkload = false
 	withhold = addScenario(withhold, "withhold:pool=Ethermine,depth=3")
+	// With the tx workload on, the withholding pool's txpool follows
+	// its private tip: this variant pins which transactions its private
+	// blocks carry.
+	withholdTx := addScenario(tinyConfig(), "withhold:pool=Ethermine,depth=3")
 
 	partitionCfg := tinyConfig()
 	partitionCfg.EnableTxWorkload = false
@@ -129,6 +133,7 @@ func equivalenceVariants() []struct {
 			{"relayoverlay", relayCfg},
 			{"eclipse-bw-burst", eclipseCfg},
 			{"ghost-inclusive", ghostCfg},
+			{"withhold-tx", withholdTx},
 		}...)
 	}
 	return variants

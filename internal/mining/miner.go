@@ -65,12 +65,26 @@ type Pool struct {
 	gateways []*p2p.Node
 	primary  *p2p.Node
 	txs      *txpool.Pool
-	jobHead  *types.Block
-	rrGate   int // round-robin gateway cursor for publishing
+	strategy Strategy     // publication strategy, or nil (see AttachStrategy)
+	jobHead  *types.Block // the public head the pool's fork choice settled on
+	txHead   *types.Block // the block txs' inclusion state reflects
+	rrGate   int          // round-robin gateway cursor for publishing
 }
 
-// JobHead returns the block the pool is currently mining on.
+// JobHead returns the public head the pool's fork choice settled on.
 func (p *Pool) JobHead() *types.Block { return p.jobHead }
+
+// tip returns the block the pool mines on: its strategy's private tip
+// while it holds one (a withholding pool extends its private chain),
+// the job head otherwise.
+func (p *Pool) tip() *types.Block {
+	if p.strategy != nil {
+		if private := p.strategy.PreferredParent(); private != nil {
+			return private
+		}
+	}
+	return p.jobHead
+}
 
 // TxPool returns the pool's pending-transaction pool (diagnostics).
 func (p *Pool) TxPool() *txpool.Pool { return p.txs }
@@ -99,11 +113,6 @@ type Miner struct {
 	siblings      int
 	emptyByPolicy int
 	emptyStarved  int
-
-	// strategies binds publication strategies to individual pools
-	// (at most one per pool; see Strategy in withhold.go). The selfish
-	// block-withholding attack is the built-in one.
-	strategies []poolStrategy
 }
 
 // NewMiner creates the mining subsystem. Each spec must come with at
@@ -155,6 +164,7 @@ func NewMiner(
 			primary:  gateways[i][0],
 			txs:      txpool.New(),
 			jobHead:  reg.Genesis(),
+			txHead:   reg.Genesis(),
 		}
 		m.pools = append(m.pools, pool)
 		total += specs[i].Power
@@ -170,29 +180,44 @@ func NewMiner(
 func (m *Miner) hookGateway(pool *Pool) {
 	pool.primary.OnNewHead = func(b *types.Block) {
 		// Pool-internal job switch latency before workers move to the
-		// new head. The pool's own blocks bypass this via mineBlock.
-		delay := jitteredDuration(m.rng, m.cfg.HeadSwitchMean, 0.8)
-		m.engine.After(delay, func() { m.switchJob(pool, b) })
+		// new head. The pool's own blocks bypass this via publish.
+		delay := sim.Jittered(m.rng, m.cfg.HeadSwitchMean, 0.8)
+		m.engine.After(delay, func() {
+			m.adopt(pool, b)
+			m.syncTxs(pool)
+		})
 	}
 	pool.primary.TxSink = func(tx *types.Transaction) {
 		pool.txs.Add(tx)
 	}
 }
 
-// switchJob moves the pool's mining job to newHead if the protocol's
-// fork choice prefers it, reconciling the txpool across the reorg.
-func (m *Miner) switchJob(pool *Pool, newHead *types.Block) {
-	if !m.proto.Prefer(newHead, pool.jobHead) {
+// adopt moves the pool's job head to head if the protocol's fork
+// choice prefers it.
+func (m *Miner) adopt(pool *Pool, head *types.Block) {
+	if m.proto.Prefer(head, pool.jobHead) {
+		pool.jobHead = head
+	}
+}
+
+// syncTxs reconciles the pool's txpool from txHead to the tip the pool
+// mines on: transactions of blocks that left that chain return to the
+// pool, those of blocks that joined it are marked included, so the
+// next block selects against its own ancestry. It runs after every
+// move of the job head or of a strategy's private tip.
+func (m *Miner) syncTxs(pool *Pool) {
+	tip := pool.tip()
+	if tip.Hash == pool.txHead.Hash {
 		return
 	}
-	abandoned, adopted := chain.Reorg(m.reg, pool.jobHead, newHead, 64)
+	abandoned, adopted := chain.Reorg(m.reg, pool.txHead, tip, 64)
 	for _, b := range abandoned {
 		pool.txs.UnmarkIncluded(m.resolveAll(b.TxHashes))
 	}
 	for _, b := range adopted {
 		pool.txs.MarkIncluded(m.resolveAll(b.TxHashes))
 	}
-	pool.jobHead = newHead
+	pool.txHead = tip
 }
 
 func (m *Miner) resolveAll(hashes []types.Hash) []*types.Transaction {
@@ -271,13 +296,7 @@ func (m *Miner) samplePool() *Pool {
 // the same height (one-miner fork).
 func (m *Miner) mineOne() {
 	pool := m.samplePool()
-	parent := pool.jobHead
-	// A pool with an attached strategy may prefer a different parent
-	// (a withholding pool extends its private tip instead of the
-	// public head).
-	if private := m.strategyParent(pool); private != nil {
-		parent = private
-	}
+	parent := pool.tip()
 	empty := m.rng.Float64() < pool.Spec.EmptyRate
 	b := m.buildBlock(pool, parent, empty, nil)
 	if b.Empty() {
@@ -392,43 +411,41 @@ func (m *Miner) buildBlock(pool *Pool, parent *types.Block, empty bool, txHashes
 	return b
 }
 
-// publish registers the block globally and broadcasts it from one of
-// the pool's gateways (round-robin across gateways, matching pools'
-// practice of publishing through geographically spread gateways).
+// publish registers the block and broadcasts it. advanceJob moves the
+// pool's job head onto it: the pool learns of its own block instantly.
 func (m *Miner) publish(pool *Pool, b *types.Block, advanceJob bool) {
+	if !m.register(pool, b) {
+		return
+	}
+	if advanceJob {
+		m.adopt(pool, b)
+		m.syncTxs(pool)
+	}
+	m.broadcast(pool, b)
+}
+
+// register adds a freshly mined block to the global registry and
+// counts it. Every mined block is registered, withheld ones included
+// (they exist, they are just not broadcast yet).
+func (m *Miner) register(pool *Pool, b *types.Block) bool {
 	if err := m.reg.Add(b); err != nil {
 		// Only possible on internal inconsistency; drop the block.
-		return
+		return false
 	}
 	m.mined++
 	if m.OnBlockMined != nil {
 		m.OnBlockMined(b, pool)
 	}
-	if advanceJob && m.proto.Prefer(b, pool.jobHead) {
-		// The pool learns of its own block instantly.
-		abandoned, adopted := chain.Reorg(m.reg, pool.jobHead, b, 64)
-		for _, blk := range abandoned {
-			pool.txs.UnmarkIncluded(m.resolveAll(blk.TxHashes))
-		}
-		for _, blk := range adopted {
-			pool.txs.MarkIncluded(m.resolveAll(blk.TxHashes))
-		}
-		pool.jobHead = b
-	}
+	return true
+}
+
+// broadcast sends a registered block from one of the pool's gateways
+// (round-robin across gateways, matching pools' practice of publishing
+// through geographically spread gateways).
+func (m *Miner) broadcast(pool *Pool, b *types.Block) {
 	gw := pool.gateways[pool.rrGate%len(pool.gateways)]
 	pool.rrGate++
 	gw.PublishBlock(b)
 	// Public progress may trigger a competing strategy's override burst.
 	m.notifyPublicBlock(pool, b)
-}
-
-func jitteredDuration(rng *rand.Rand, d time.Duration, j float64) time.Duration {
-	if d <= 0 {
-		return 0
-	}
-	f := 1 - j/2 + rng.Float64()*1.5*j
-	if f < 0.05 {
-		f = 0.05
-	}
-	return time.Duration(float64(d) * f)
 }

@@ -3,7 +3,6 @@ package mining
 import (
 	"fmt"
 
-	"ethmeasure/internal/chain"
 	"ethmeasure/internal/consensus"
 	"ethmeasure/internal/types"
 )
@@ -20,7 +19,9 @@ import (
 type Strategy interface {
 	// PreferredParent returns the block the pool should mine on instead
 	// of its public job head, or nil to follow the public head. Selfish
-	// strategies return their private tip here.
+	// strategies return their private tip here. The pool's txpool
+	// follows this block, so the pool selects transactions against its
+	// private chain.
 	PreferredParent() *types.Block
 
 	// OnMined intercepts a freshly mined block before publication: the
@@ -42,12 +43,6 @@ type ProtocolAware interface {
 	BindProtocol(consensus.Protocol)
 }
 
-// poolStrategy binds a strategy to its pool.
-type poolStrategy struct {
-	pool  *Pool
-	strat Strategy
-}
-
 // AttachStrategy binds a publication strategy to the named pool. At
 // most one strategy per pool; unknown pools are rejected.
 // ProtocolAware strategies receive the miner's consensus protocol
@@ -57,28 +52,16 @@ func (m *Miner) AttachStrategy(poolName string, s Strategy) error {
 		if p.Spec.Name != poolName {
 			continue
 		}
-		for i := range m.strategies {
-			if m.strategies[i].pool == p {
-				return fmt.Errorf("mining: pool %q already has a strategy", poolName)
-			}
+		if p.strategy != nil {
+			return fmt.Errorf("mining: pool %q already has a strategy", poolName)
 		}
 		if pa, ok := s.(ProtocolAware); ok {
 			pa.BindProtocol(m.proto)
 		}
-		m.strategies = append(m.strategies, poolStrategy{pool: p, strat: s})
+		p.strategy = s
 		return nil
 	}
 	return fmt.Errorf("mining: unknown pool %q", poolName)
-}
-
-// strategyFor returns the strategy bound to pool, or nil.
-func (m *Miner) strategyFor(pool *Pool) Strategy {
-	for i := range m.strategies {
-		if m.strategies[i].pool == pool {
-			return m.strategies[i].strat
-		}
-	}
-	return nil
 }
 
 // Withholding implements the classic selfish-mining strategy (Eyal &
@@ -202,85 +185,51 @@ func (w *Withholding) flush() []*types.Block {
 // withholding strategies (diagnostics).
 func (m *Miner) Withheld() int {
 	n := 0
-	for i := range m.strategies {
-		if w, ok := m.strategies[i].strat.(*Withholding); ok {
+	for _, p := range m.pools {
+		if w, ok := p.strategy.(*Withholding); ok {
 			n += w.Lead()
 		}
 	}
 	return n
 }
 
-// strategyParent returns the parent the pool's strategy prefers, or
-// nil when the pool has no strategy or the strategy follows the public
-// head.
-func (m *Miner) strategyParent(pool *Pool) *types.Block {
-	s := m.strategyFor(pool)
-	if s == nil {
-		return nil
-	}
-	return s.PreferredParent()
-}
-
 // maybeIntercept hands a freshly mined block to the pool's strategy.
 // It reports whether the block was intercepted (registered but not
 // broadcast) and publishes any burst the strategy released.
 func (m *Miner) maybeIntercept(pool *Pool, b *types.Block) bool {
-	s := m.strategyFor(pool)
-	if s == nil {
+	if pool.strategy == nil {
 		return false
 	}
-	// Private blocks still enter the global registry (they exist), but
-	// are not broadcast until the strategy releases them.
-	if err := m.reg.Add(b); err != nil {
-		return true
+	if m.register(pool, b) {
+		m.publishBurst(pool, pool.strategy.OnMined(b))
 	}
-	m.mined++
-	if m.OnBlockMined != nil {
-		m.OnBlockMined(b, pool)
-	}
-	m.publishBurst(pool, s.OnMined(b))
 	return true
 }
 
 // notifyPublicBlock lets every competing pool's strategy react to
 // public progress.
 func (m *Miner) notifyPublicBlock(from *Pool, b *types.Block) {
-	for i := range m.strategies {
-		ps := &m.strategies[i]
-		if ps.pool == from {
-			continue
+	for _, p := range m.pools {
+		if p != from && p.strategy != nil {
+			m.publishBurst(p, p.strategy.OnPublicBlock(b))
 		}
-		m.publishBurst(ps.pool, ps.strat.OnPublicBlock(b))
 	}
 }
 
 // publishBurst broadcasts withheld blocks back-to-back — the
 // "announced all together" signature the paper looked for and did not
-// find in Sparkpool's behaviour.
+// find in Sparkpool's behaviour — and then reconciles the pool's
+// txpool with its new tip. A strategy hook that released nothing may
+// still have moved the tip (a block kept private, a private chain
+// discarded), so the txpool is reconciled after every hook.
 func (m *Miner) publishBurst(pool *Pool, burst []*types.Block) {
-	if len(burst) == 0 {
-		return
-	}
 	for _, b := range burst {
-		if m.proto.Prefer(b, pool.jobHead) {
-			abandoned, adopted := chain.Reorg(m.reg, pool.jobHead, b, 64)
-			for _, blk := range abandoned {
-				pool.txs.UnmarkIncluded(m.resolveAll(blk.TxHashes))
-			}
-			for _, blk := range adopted {
-				pool.txs.MarkIncluded(m.resolveAll(blk.TxHashes))
-			}
-			pool.jobHead = b
-		}
-		gw := pool.gateways[pool.rrGate%len(pool.gateways)]
-		pool.rrGate++
-		gw.PublishBlock(b)
+		m.adopt(pool, b)
 		// Burst releases are public progress too: competing strategies
-		// must see them (OnPublicBlock's contract). With a single
-		// strategy this is a no-op — the burst belongs to its own pool —
-		// so the legacy withholding path is unchanged. Recursion
-		// terminates because a strategy's flush empties its private
-		// chain before returning.
-		m.notifyPublicBlock(pool, b)
+		// see them through broadcast (OnPublicBlock's contract).
+		// Recursion terminates because a strategy's flush empties its
+		// private chain before returning.
+		m.broadcast(pool, b)
 	}
+	m.syncTxs(pool)
 }

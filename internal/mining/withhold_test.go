@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"ethmeasure/internal/consensus"
 	"ethmeasure/internal/geo"
 	"ethmeasure/internal/p2p"
 	"ethmeasure/internal/types"
@@ -126,5 +127,62 @@ func TestWithholdingOverridesPublicProgress(t *testing.T) {
 	// The attacker's chain wins on the observer.
 	if got := h.nodes[2].View().Head().Hash; got != b2.Hash {
 		t.Errorf("observer head = %s, want attacker tip %s", got, b2.Hash)
+	}
+}
+
+// TestWithholdingTxPoolFollowsPrivateTip: a withholding pool selects
+// transactions against its private chain, so its next private block
+// takes the next transaction instead of repeating one, and a private
+// chain it discards returns its transactions to the pool.
+func TestWithholdingTxPoolFollowsPrivateTip(t *testing.T) {
+	h := newMiningHarnessProto(t, 3, consensus.Bitcoin())
+	specs := []PoolSpec{
+		{Name: "Attacker", Power: 0.6, Gateways: []geo.Region{geo.NorthAmerica}},
+		{Name: "Honest", Power: 0.4, Gateways: []geo.Region{geo.NorthAmerica}},
+	}
+	cfg := DefaultConfig()
+	cfg.InterBlockTime = time.Hour // manual block injection below
+	cfg.BlockCapacity = 1
+	m := h.newMiner(cfg, specs, [][]*p2p.Node{{h.nodes[0]}, {h.nodes[1]}})
+	w, err := NewWithholding(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AttachStrategy("Attacker", w); err != nil {
+		t.Fatal(err)
+	}
+	attacker, honest := m.Pools()[0], m.Pools()[1]
+	tx0, tx1 := h.addTx(1, 0, 10), h.addTx(1, 1, 10)
+	attacker.TxPool().Add(tx0)
+	attacker.TxPool().Add(tx1)
+
+	g := h.reg.Genesis()
+	b1 := m.buildBlock(attacker, g, false, nil)
+	m.maybeIntercept(attacker, b1)
+	b2 := m.buildBlock(attacker, b1, false, nil)
+	m.maybeIntercept(attacker, b2)
+	if len(b1.TxHashes) != 1 || b1.TxHashes[0] != tx0.Hash || len(b2.TxHashes) != 1 || b2.TxHashes[0] != tx1.Hash {
+		t.Fatalf("private blocks carry %v and %v, want [%s] and [%s]", b1.TxHashes, b2.TxHashes, tx0.Hash, tx1.Hash)
+	}
+
+	// The honest chain reaches height 3 with only its last block
+	// announced to the miner: under bitcoin rules the overtaken private
+	// chain is discarded.
+	parent := g
+	for i := 0; i < 2; i++ {
+		b := m.buildBlock(honest, parent, true, nil)
+		if err := h.reg.Add(b); err != nil {
+			t.Fatal(err)
+		}
+		parent = b
+	}
+	m.publish(honest, m.buildBlock(honest, parent, true, nil), true)
+	if w.Discarded() != 2 || m.Withheld() != 0 {
+		t.Fatalf("discarded %d, withheld %d; want 2 and 0", w.Discarded(), m.Withheld())
+	}
+	for _, tx := range []*types.Transaction{tx0, tx1} {
+		if attacker.TxPool().WasIncluded(tx.Hash) || !attacker.TxPool().Has(tx.Hash) {
+			t.Errorf("tx %s of the discarded chain not back in pending", tx.Hash)
+		}
 	}
 }

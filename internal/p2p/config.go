@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
+
+	"ethmeasure/internal/sim"
 )
 
 // Config holds the protocol timing and relay parameters. Defaults
@@ -88,14 +90,14 @@ func (c *Config) Validate() error {
 
 // headerCheckDelay samples the pre-relay header check duration.
 func (c *Config) headerCheckDelay(rng *rand.Rand) time.Duration {
-	return jittered(rng, c.HeaderCheckMean, c.ImportJitter)
+	return sim.Jittered(rng, c.HeaderCheckMean, c.ImportJitter)
 }
 
 // importDelay samples the full import duration for a block with nTxs
 // transactions.
 func (c *Config) importDelay(rng *rand.Rand, nTxs int) time.Duration {
 	base := c.ImportBase + time.Duration(nTxs)*c.ImportPerTx
-	return jittered(rng, base, c.ImportJitter)
+	return sim.Jittered(rng, base, c.ImportJitter)
 }
 
 // fetchDelay samples the fetcher's wait between an announcement for an
@@ -107,16 +109,4 @@ func (c *Config) fetchDelay(rng *rand.Rand) time.Duration {
 	}
 	// Small spread so fetches from many nodes do not synchronize.
 	return d + time.Duration(rng.Int63n(int64(c.GatherSlack)+1))
-}
-
-// jittered applies multiplicative jitter in [1-j/2, 1+j] to d.
-func jittered(rng *rand.Rand, d time.Duration, j float64) time.Duration {
-	if d <= 0 {
-		return 0
-	}
-	f := 1 - j/2 + rng.Float64()*1.5*j
-	if f < 0.05 {
-		f = 0.05
-	}
-	return time.Duration(float64(d) * f)
 }

@@ -18,14 +18,14 @@
 // only marks the sending peer in the node's known-block table for the
 // node's own push and announce of the block to read. Such a delivery
 // is settled when it is sent (see knownBlocks.settle). It is still
-// transmitted, its delay drawn and the message counted, and it takes
-// the engine seq its event would have taken, so every later event keeps
-// the seq it would have had. A delivery that lands after the
-// receiver's announce is dead and is dropped. One that lands before the
-// receiver's next read has its mark set at once. Only a delivery that
-// lands between the receiver's push and announce, or reaches an
-// observed node or one still without the block, becomes an event. Block
-// requests are never settled early.
+// transmitted, its delay drawn and the message counted, but it takes no
+// engine seq, which keeps the relative (time, seq) order of every
+// scheduled event. A delivery that lands after the receiver's announce
+// is dead and is dropped. One that lands before the receiver's next
+// read has its mark set at once. Only a delivery that lands between the
+// receiver's push and announce, or reaches an observed node or one
+// still without the block, becomes an event. Block requests are never
+// settled early.
 //
 // Transaction relay carries nearly all of a campaign's messages, and
 // most of them reach a peer that already has the transaction or will
@@ -404,13 +404,12 @@ func (n *Node) sendBlock(b *types.Block, e *Edge, kind MsgKind) {
 
 // send transmits a block message (a push, fetched block or
 // announcement of b) over e and schedules its delivery, unless the
-// receiver settles it at send time (see knownBlocks.settle): then the
-// seq its event would have taken is reserved and nothing is scheduled.
+// receiver settles it at send time (see knownBlocks.settle): then
+// nothing is scheduled.
 func (n *Node) send(e *Edge, size int, ev int32, b *types.Block) {
 	peer := e.Other(n)
 	d := n.net.Transmit(n.netNode, peer.netNode, size)
 	if now := n.sched.Now(); peer.Observer == nil && peer.known.settle(b.Hash, *e.slot(peer), now, now+d) {
-		n.sched.ReserveSeq()
 		return
 	}
 	n.net.ScheduleDelivery(d, peer, simnet.Envelope{Kind: ev, Data: b, Aux: e})

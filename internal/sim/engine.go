@@ -335,3 +335,17 @@ func ExpDuration(rng *rand.Rand, mean time.Duration) time.Duration {
 	}
 	return time.Duration(rng.ExpFloat64() * float64(mean))
 }
+
+// Jittered applies multiplicative jitter in [1-j/2, 1+j] to d, never
+// shrinking it below 5 % of d. Used for processing delays (block
+// checks and imports, pool job switches).
+func Jittered(rng *rand.Rand, d time.Duration, j float64) time.Duration {
+	if d <= 0 {
+		return 0
+	}
+	f := 1 - j/2 + rng.Float64()*1.5*j
+	if f < 0.05 {
+		f = 0.05
+	}
+	return time.Duration(float64(d) * f)
+}

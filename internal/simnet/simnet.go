@@ -108,9 +108,8 @@ func (n *Network) Local() *any { return &n.local }
 // already has the payload and can no longer act on the message (a dead
 // delivery), or the message's only effect can be applied at once
 // because nothing reads it before it would land. A settled delivery is
-// still counted here, and the protocol layer reserves the engine seq
-// its event would have taken. Transmit is the one-message case of a
-// Burst.
+// still counted here but schedules nothing. Transmit is the one-message
+// case of a Burst.
 func (n *Network) Transmit(from, to *Node, size int) time.Duration {
 	n.sent++
 	return n.delay(n.senderRNG[from.ID], from, float64(size), to)
