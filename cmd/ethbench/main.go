@@ -17,8 +17,9 @@
 // streaming record pipeline's cost) for a fixed-seed run, plus
 // scheduler microbenchmarks (engine/selfschedule on a near-empty
 // queue, engine/schedule-churn under a 4096-event standing
-// population), the delivery path (simnet/deliver on a tie-heavy
-// fan-in) and two chain protocol-dispatch
+// population), the delivery path (simnet/deliver: Transmit plus an
+// AfterArg event on the receiver, on a tie-heavy fan-in) and two chain
+// protocol-dispatch
 // microbenchmarks (per-import fork choice, uncle-candidate sweep —
 // the hot paths that call through the consensus.Protocol interface)
 // via testing.Benchmark.
@@ -399,13 +400,14 @@ func churnEntry(w io.Writer) Entry {
 	return e
 }
 
-// benchSink is the do-nothing delivery sink for the simnet
-// microbenchmarks.
+// benchSink is the do-nothing receiver for the simnet
+// microbenchmarks: it counts the delivery events it handles.
 type benchSink struct{ delivered uint64 }
 
-func (s *benchSink) DeliverEnvelope(env simnet.Envelope) { s.delivered++ }
+func (s *benchSink) HandleSimEvent(sim.Arg) { s.delivered++ }
 
-// deliverEntries microbenchmarks the network delivery path on a
+// deliverEntries microbenchmarks the wire delivery path the protocol
+// layer uses, Transmit then an AfterArg event on the receiver, on a
 // tie-heavy fan-in (64 senders flooding one destination over a
 // zero-jitter link, so every burst lands at one instant).
 func deliverEntries(w io.Writer) []Entry {
@@ -429,7 +431,8 @@ func deliverEntries(w io.Writer) []Entry {
 		sink := &benchSink{}
 		round := func(n int) {
 			for i := 0; i < n; i++ {
-				net.Send(senders[i], dst, 600, sink, simnet.Envelope{Kind: 1, Num: uint64(i)})
+				d := net.Transmit(senders[i], dst, 600)
+				engine.AfterArg(d, sink, sim.Arg{K: 1, U: uint64(i)})
 			}
 			if _, err := engine.Run(engine.Now() + time.Second); err != nil {
 				b.Fatal(err)

@@ -141,6 +141,26 @@ func TestCampaignInvariants(t *testing.T) {
 		}
 	})
 
+	t.Run("each vantage records a transaction once", func(t *testing.T) {
+		// A transaction floods once and settles each node once, so a
+		// vantage sees it at most once with no filter of its own.
+		if len(res.Dataset.Txs) == 0 {
+			t.Fatal("campaign retained no transaction records")
+		}
+		type key struct {
+			vantage string
+			hash    types.Hash
+		}
+		seen := make(map[key]bool, len(res.Dataset.Txs))
+		for _, r := range res.Dataset.Txs {
+			k := key{r.Vantage, r.Hash}
+			if seen[k] {
+				t.Fatalf("vantage %s recorded tx %s twice", r.Vantage, r.Hash)
+			}
+			seen[k] = true
+		}
+	})
+
 	t.Run("vantage timestamps within clock bounds", func(t *testing.T) {
 		// Local timestamps may deviate from [0, Duration] by at most
 		// the NTP model's maximum offset.

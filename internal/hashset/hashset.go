@@ -15,8 +15,8 @@
 // and never less than 4096 ids) goes to a small overflow map instead,
 // so membership stays exact for any uint64; campaigns never fill it.
 //
-// The seen-block and pending-fetch sets of internal/p2p's nodes and the
-// measurement layer's first-observation filters share this set.
+// The seen-block and pending-fetch sets of internal/p2p's nodes use
+// this set.
 package hashset
 
 import "math/bits"
@@ -35,11 +35,6 @@ type U64 struct {
 	n     int      // members stored in words
 	far   map[uint64]struct{}
 }
-
-// New returns an empty set. The hint is the expected number of live
-// members; storage follows the live span, so no allocation happens
-// before the first Add however large the hint.
-func New(capacityHint int) *U64 { return &U64{} }
 
 // inWindow returns k's bit offset from base and whether the window
 // covers k.

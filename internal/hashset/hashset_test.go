@@ -6,7 +6,7 @@ import (
 )
 
 func TestAddHasRemove(t *testing.T) {
-	s := New(4)
+	s := &U64{}
 	for k := uint64(1); k <= 100; k++ {
 		if !s.Add(k) {
 			t.Fatalf("Add(%d) not new", k)
@@ -45,7 +45,7 @@ func TestAddHasRemove(t *testing.T) {
 }
 
 func TestZeroKey(t *testing.T) {
-	s := New(2)
+	s := &U64{}
 	if s.Has(0) {
 		t.Error("empty set claims zero")
 	}
@@ -67,7 +67,7 @@ func TestZeroKey(t *testing.T) {
 // re-bases slide the window over.
 func TestAgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	s := New(8)
+	s := &U64{}
 	ref := make(map[uint64]bool)
 	for i := 0; i < 20000; i++ {
 		var k uint64
@@ -97,7 +97,7 @@ func TestAgainstMap(t *testing.T) {
 	// sees) with extra out-of-order removals, plus far keys parked in
 	// the overflow map ahead of the window that the slide later passes
 	// over, and keys near both ends of uint64.
-	s, ref = New(256), make(map[uint64]bool)
+	s, ref = &U64{}, make(map[uint64]bool)
 	const base = uint64(2)<<48 + 1
 	add := func(k uint64) {
 		t.Helper()
@@ -164,12 +164,12 @@ func checkAgainst(t *testing.T, s *U64, ref map[uint64]bool) {
 	}
 }
 
-// TestLazyGrowth: a huge capacity hint allocates nothing before the
-// first Add, and the first Add sizes storage by the key, not the hint.
+// TestLazyGrowth: the zero set allocates nothing before the first Add,
+// not even for lookups, and the first Add sizes storage by the key.
 func TestLazyGrowth(t *testing.T) {
-	var s *U64
-	if allocs := testing.AllocsPerRun(10, func() { s = New(1 << 30) }); allocs > 1 {
-		t.Fatalf("New(1<<30) made %.0f allocations, want only the set header", allocs)
+	var s U64
+	if allocs := testing.AllocsPerRun(10, func() { s.Has(0); s.Has(1 << 30) }); allocs != 0 {
+		t.Fatalf("lookups on the zero set made %.0f allocations, want 0", allocs)
 	}
 	if cap(s.words) != 0 || s.Len() != 0 || s.Has(0) || s.Has(1<<30) {
 		t.Fatal("fresh set holds storage or members")
@@ -182,7 +182,7 @@ func TestLazyGrowth(t *testing.T) {
 
 func BenchmarkAddHas(b *testing.B) {
 	b.ReportAllocs()
-	s := New(1 << 16)
+	s := &U64{}
 	for i := 0; i < b.N; i++ {
 		k := uint64(i)%65536 + 1
 		s.Add(k)

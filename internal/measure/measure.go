@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"time"
 
-	"ethmeasure/internal/hashset"
 	"ethmeasure/internal/p2p"
 	"ethmeasure/internal/sim"
 	"ethmeasure/internal/types"
@@ -160,7 +159,6 @@ type Vantage struct {
 	clock   ClockModel
 	rng     *rand.Rand
 	offsets map[int64]time.Duration // window index -> sampled offset
-	seenTxs *hashset.U64            // first-observation filter for txs
 }
 
 var _ p2p.Observer = (*Vantage)(nil)
@@ -175,7 +173,6 @@ func NewVantage(name string, clock ClockModel, seed int64, recorder Recorder) *V
 		clock:    clock,
 		rng:      rand.New(rand.NewSource(seed)),
 		offsets:  make(map[int64]time.Duration, 16),
-		seenTxs:  hashset.New(4096),
 	}
 }
 
@@ -225,11 +222,9 @@ func (v *Vantage) ObserveAnnounce(at sim.Time, h types.Hash, number uint64, from
 	})
 }
 
-// ObserveTx logs the first observation of each transaction.
+// ObserveTx logs the first observation of each transaction. The node
+// delivers only that one (see p2p.Observer), so every call is logged.
 func (v *Vantage) ObserveTx(at sim.Time, tx *types.Transaction, from types.NodeID) {
-	if !v.seenTxs.Add(uint64(tx.Hash)) {
-		return
-	}
 	v.recorder.RecordTx(TxRecord{
 		Vantage: v.Name,
 		At:      v.local(at),

@@ -109,14 +109,17 @@ func TestVantageRecordsBlocks(t *testing.T) {
 	}
 }
 
-func TestVantageTxFirstObservationOnly(t *testing.T) {
+// TestVantageRecordsTxs: each observed transaction becomes one record.
+// The node reports only a transaction's first delivery, so the vantage
+// keeps no filter of its own (TestCampaignInvariants checks the whole
+// pipeline records each transaction once per vantage).
+func TestVantageRecordsTxs(t *testing.T) {
 	rec := NewMemoryRecorder()
 	v := NewVantage("WE", ClockModel{P10ms: 1, P100ms: 1, MaxOff: time.Millisecond}, 1, rec)
 	tx := &types.Transaction{Hash: 11, Sender: 3, Nonce: 4}
 	v.ObserveTx(time.Second, tx, 1)
-	v.ObserveTx(2*time.Second, tx, 2) // duplicate reception
 	if len(rec.Txs) != 1 {
-		t.Fatalf("tx records = %d, want first-only", len(rec.Txs))
+		t.Fatalf("tx records = %d, want 1", len(rec.Txs))
 	}
 	r := rec.Txs[0]
 	if r.Vantage != "WE" || r.Hash != 11 || r.Sender != 3 || r.Nonce != 4 || r.From != 1 {

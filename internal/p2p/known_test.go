@@ -95,7 +95,7 @@ func (d *knownDriver) step(op, arg byte) {
 		d.next++
 	case 2, 3, 4: // connect (a no-op for an existing peer)
 		p := d.peers[int(arg)%len(d.peers)]
-		if !n.peerBits.has(int(p.ID())) {
+		if n.edgeTo(p) == nil {
 			ref := &hashSet{}
 			ref.setCapacity(n.cfg.KnownBlocksPerPeer)
 			d.links = append(d.links, knownLink{Connect(n, p), ref})

@@ -103,26 +103,3 @@ func TestHashSetSequentialHashes(t *testing.T) {
 		t.Fatal("stale hash survived eviction")
 	}
 }
-
-func TestBitset(t *testing.T) {
-	var b bitset
-	if b.has(0) || b.has(1000) {
-		t.Fatal("empty bitset reported membership")
-	}
-	b.set(3)
-	b.set(64)
-	b.set(1000)
-	for _, i := range []int{3, 64, 1000} {
-		if !b.has(i) {
-			t.Errorf("bit %d lost", i)
-		}
-	}
-	if b.has(2) || b.has(65) || b.has(999) {
-		t.Error("phantom bits set")
-	}
-	b.clear(64)
-	if b.has(64) {
-		t.Error("cleared bit still set")
-	}
-	b.clear(100000) // out of range: no-op
-}

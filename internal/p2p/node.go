@@ -78,16 +78,15 @@ func (k MsgKind) String() string {
 	}
 }
 
-// Envelope kinds on the wire (simnet.Envelope.Kind) and local timer
-// kinds (sim.Arg.K). Wire deliveries arrive through DeliverEnvelope,
-// timers through HandleSimEvent; both paths are allocation-free, which
-// is what keeps multi-thousand-node campaigns off the garbage
-// collector.
+// Event kinds (sim.Arg.K) of a node's own engine events: wire
+// deliveries to the node and its local timers. Both arrive through
+// HandleSimEvent and are allocation-free, which is what keeps
+// multi-thousand-node campaigns off the garbage collector.
 const (
-	evBlockPush    int32 = iota + 1 // Data=*types.Block, Aux=*Edge
-	evBlockFetched                  // Data=*types.Block, Aux=*Edge
-	evAnnounce                      // Data=*types.Block, Aux=*Edge
-	evGetBlock                      // Num=hash, Aux=*Edge (request)
+	evBlockPush    int32 = iota + 1 // A=*types.Block, B=*Edge
+	evBlockFetched                  // A=*types.Block, B=*Edge
+	evAnnounce                      // A=*types.Block, B=*Edge
+	evGetBlock                      // U=hash, B=*Edge (request)
 
 	tmPushBlock    // A=*types.Block: post-header-check relay
 	tmFinishImport // A=*types.Block: post-import announce
@@ -153,7 +152,6 @@ type Node struct {
 	view    *chain.View
 
 	edges      []*Edge
-	peerBits   bitset      // peer node IDs, for O(1) isPeer checks
 	known      knownBlocks // which peers are known to have which blocks
 	pushTmp    []*Edge     // reusable scratch for pushBlock targets
 	seenBlocks hashset.U64 // received at least once (pre-import)
@@ -236,19 +234,29 @@ func Connect(a, b *Node) *Edge {
 	if a == b {
 		return nil
 	}
-	if a.peerBits.has(int(b.ID())) {
-		for _, e := range a.edges {
-			if e.Other(a) == b {
-				return e
-			}
-		}
+	if e := a.edgeTo(b); e != nil {
+		return e
 	}
 	e := newEdge(a, b)
 	a.edges = append(a.edges, e)
 	b.edges = append(b.edges, e)
-	a.peerBits.set(int(b.ID()))
-	b.peerBits.set(int(a.ID()))
 	return e
+}
+
+// edgeTo returns the edge between n and b, or nil if they are not
+// peers. It scans the shorter of the two edge lists, so a dial check
+// costs O(min degree) and a node keeps no per-peer index.
+func (n *Node) edgeTo(b *Node) *Edge {
+	from, to := n, b
+	if len(b.edges) < len(n.edges) {
+		from, to = b, n
+	}
+	for _, e := range from.edges {
+		if e.Other(from) == to {
+			return e
+		}
+	}
+	return nil
 }
 
 // newEdge builds the edge for Connect, taking a slot in each
@@ -260,12 +268,9 @@ func newEdge(a, b *Node) *Edge {
 // Disconnect tears down the link between two nodes (peer drop). It is
 // a no-op if they are not connected.
 func Disconnect(a, b *Node) {
-	for _, e := range a.edges {
-		if e.Other(a) == b {
-			a.removeEdge(e)
-			b.removeEdge(e)
-			return
-		}
+	if e := a.edgeTo(b); e != nil {
+		a.removeEdge(e)
+		b.removeEdge(e)
 	}
 }
 
@@ -275,9 +280,7 @@ func (n *Node) DisconnectAll() {
 	edges := n.edges
 	n.edges = nil
 	for _, e := range edges {
-		other := e.Other(n)
-		other.removeEdge(e)
-		n.peerBits.clear(int(other.ID()))
+		e.Other(n).removeEdge(e)
 		*e.slot(n) = -1
 	}
 	n.known.releaseAll()
@@ -287,7 +290,6 @@ func (n *Node) removeEdge(target *Edge) {
 	for i, e := range n.edges {
 		if e == target {
 			n.edges = append(n.edges[:i], n.edges[i+1:]...)
-			n.peerBits.clear(int(target.Other(n).ID()))
 			s := target.slot(n)
 			n.known.release(*s)
 			*s = -1
@@ -296,27 +298,18 @@ func (n *Node) removeEdge(target *Edge) {
 	}
 }
 
-// DeliverEnvelope dispatches an inbound wire message (simnet.Sink).
-func (n *Node) DeliverEnvelope(env simnet.Envelope) {
-	switch env.Kind {
-	case evBlockPush:
-		n.handleBlock(env.Data.(*types.Block), env.Aux.(*Edge), MsgFullBlock)
-	case evBlockFetched:
-		n.handleBlock(env.Data.(*types.Block), env.Aux.(*Edge), MsgFetchedBlock)
-	case evAnnounce:
-		n.handleAnnounce(env.Data.(*types.Block), env.Aux.(*Edge))
-	case evGetBlock:
-		n.handleGetBlock(types.Hash(env.Num), env.Aux.(*Edge))
-	default:
-		// A dropped message would skew propagation metrics silently;
-		// fail loudly like the engine does for past-time scheduling.
-		panic(fmt.Sprintf("p2p: unknown envelope kind %d", env.Kind))
-	}
-}
-
-// HandleSimEvent dispatches a local protocol timer (sim.Handler).
+// HandleSimEvent dispatches one of the node's own engine events, a
+// wire delivery or a local timer (sim.Handler).
 func (n *Node) HandleSimEvent(arg sim.Arg) {
 	switch arg.K {
+	case evBlockPush:
+		n.handleBlock(arg.A.(*types.Block), arg.B.(*Edge), MsgFullBlock)
+	case evBlockFetched:
+		n.handleBlock(arg.A.(*types.Block), arg.B.(*Edge), MsgFetchedBlock)
+	case evAnnounce:
+		n.handleAnnounce(arg.A.(*types.Block), arg.B.(*Edge))
+	case evGetBlock:
+		n.handleGetBlock(types.Hash(arg.U), arg.B.(*Edge))
 	case tmPushBlock:
 		n.pushBlock(arg.A.(*types.Block))
 	case tmFinishImport:
@@ -324,7 +317,9 @@ func (n *Node) HandleSimEvent(arg sim.Arg) {
 	case tmFetch:
 		n.fetchTimeout(arg.A.(*types.Block), arg.B.(*Edge))
 	default:
-		panic(fmt.Sprintf("p2p: unknown timer kind %d", arg.K))
+		// A dropped message would skew propagation metrics silently;
+		// fail loudly like the engine does for past-time scheduling.
+		panic(fmt.Sprintf("p2p: unknown event kind %d", arg.K))
 	}
 }
 
@@ -403,16 +398,16 @@ func (n *Node) sendBlock(b *types.Block, e *Edge, kind MsgKind) {
 }
 
 // send transmits a block message (a push, fetched block or
-// announcement of b) over e and schedules its delivery, unless the
-// receiver settles it at send time (see knownBlocks.settle): then
-// nothing is scheduled.
+// announcement of b) over e and schedules its delivery as an event on
+// the peer, unless the receiver settles it at send time (see
+// knownBlocks.settle): then nothing is scheduled.
 func (n *Node) send(e *Edge, size int, ev int32, b *types.Block) {
 	peer := e.Other(n)
 	d := n.net.Transmit(n.netNode, peer.netNode, size)
 	if now := n.sched.Now(); peer.Observer == nil && peer.known.settle(b.Hash, *e.slot(peer), now, now+d) {
 		return
 	}
-	n.net.ScheduleDelivery(d, peer, simnet.Envelope{Kind: ev, Data: b, Aux: e})
+	n.sched.AfterArg(d, peer, sim.Arg{A: b, B: e, K: ev})
 }
 
 // finishImport completes validation, applies fork choice and announces
@@ -464,8 +459,8 @@ func (n *Node) fetchTimeout(b *types.Block, announcer *Edge) {
 		return
 	}
 	peer := announcer.Other(n)
-	n.net.Send(n.netNode, peer.netNode, 64,
-		peer, simnet.Envelope{Kind: evGetBlock, Num: uint64(h), Aux: announcer})
+	d := n.net.Transmit(n.netNode, peer.netNode, 64)
+	n.sched.AfterArg(d, peer, sim.Arg{B: announcer, U: uint64(h), K: evGetBlock})
 }
 
 // handleGetBlock serves a block body to a peer that requested it after

@@ -422,3 +422,65 @@ func TestDisconnectAllAndRejoin(t *testing.T) {
 		t.Error("rejoined node head not updated (import must not require the missed parent)")
 	}
 }
+
+// TestConnectFindsEdgeFromEitherSide pins the dial check on a lopsided
+// pair, a 300-peer hub and a 3-peer leaf, where edgeTo scans the
+// leaf's list whichever side asks: reconnecting from either side
+// returns the existing edge, and a pair torn down by Disconnect or by
+// either side's DisconnectAll is no longer peered and connects afresh.
+func TestConnectFindsEdgeFromEitherSide(t *testing.T) {
+	h := newHarness(t, 302, DefaultConfig())
+	hub, leaf := h.nodes[0], h.nodes[1]
+	for _, p := range h.nodes[2:] {
+		Connect(hub, p)
+	}
+	Connect(leaf, h.nodes[2])
+	Connect(leaf, h.nodes[3])
+	edge := Connect(leaf, hub)
+	if hub.NumPeers() != 301 || leaf.NumPeers() != 3 {
+		t.Fatalf("peer counts %d/%d, want 301/3", hub.NumPeers(), leaf.NumPeers())
+	}
+	check := func(stage string, want *Edge) {
+		t.Helper()
+		if got := hub.edgeTo(leaf); got != want {
+			t.Errorf("%s: hub.edgeTo(leaf) = %p, want %p", stage, got, want)
+		}
+		if got := leaf.edgeTo(hub); got != want {
+			t.Errorf("%s: leaf.edgeTo(hub) = %p, want %p", stage, got, want)
+		}
+	}
+	check("connected", edge)
+	if Connect(hub, leaf) != edge || Connect(leaf, hub) != edge {
+		t.Fatal("reconnecting a connected pair must return the existing edge")
+	}
+	if hub.NumPeers() != 301 || leaf.NumPeers() != 3 {
+		t.Fatalf("reconnect changed peer counts to %d/%d", hub.NumPeers(), leaf.NumPeers())
+	}
+	if hub.edgeTo(h.nodes[300]) == nil || leaf.edgeTo(h.nodes[300]) != nil {
+		t.Fatal("edgeTo misreports a pair other than hub–leaf")
+	}
+
+	teardowns := []struct {
+		name string
+		drop func()
+	}{
+		{"Disconnect", func() { Disconnect(hub, leaf) }},
+		{"leaf DisconnectAll", leaf.DisconnectAll},
+		{"hub DisconnectAll", hub.DisconnectAll},
+	}
+	for _, td := range teardowns {
+		td.drop()
+		check(td.name, nil)
+		edge = Connect(hub, leaf)
+		if edge == nil {
+			t.Fatalf("%s: reconnect returned nil", td.name)
+		}
+		check(td.name+" then Connect", edge)
+		if Connect(leaf, hub) != edge {
+			t.Fatalf("%s: reconnect from the other side made a second edge", td.name)
+		}
+	}
+	if hub.NumPeers() != 1 || leaf.NumPeers() != 1 {
+		t.Fatalf("after hub DisconnectAll and reconnect: peer counts %d/%d, want 1/1", hub.NumPeers(), leaf.NumPeers())
+	}
+}

@@ -144,8 +144,8 @@ type refSink struct {
 	n *Node
 }
 
-func (s *refSink) DeliverEnvelope(env simnet.Envelope) {
-	s.r.sight(s.n, env.Data.(*types.Transaction), env.Aux.(*Edge))
+func (s *refSink) HandleSimEvent(arg sim.Arg) {
+	s.r.sight(s.n, arg.A.(*types.Transaction), arg.B.(*Edge))
 }
 
 func newRefRelay(f *floodNet) *refRelay {
@@ -177,9 +177,9 @@ func (r *refRelay) sight(n *Node, tx *types.Transaction, from *Edge) {
 			continue
 		}
 		peer := e.Other(n)
-		d := n.net.Transmit(n.netNode, peer.netNode, tx.Size)
-		r.countSupersession(peer, tx.Hash, n.sched.Now()+d)
-		n.net.ScheduleDelivery(d, &r.sinks[peer.ID()], simnet.Envelope{Data: tx, Aux: e})
+		at := n.sched.Now() + n.net.Transmit(n.netNode, peer.netNode, tx.Size)
+		r.countSupersession(peer, tx.Hash, at)
+		n.sched.ScheduleArg(at, &r.sinks[peer.ID()], sim.Arg{A: tx, B: e})
 	}
 }
 

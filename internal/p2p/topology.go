@@ -33,7 +33,7 @@ func BuildRandomTopology(rng *rand.Rand, nodes []*Node, outDegree int) error {
 				continue
 			}
 			target := nodes[j]
-			if isPeer(node, target) {
+			if node.edgeTo(target) != nil {
 				continue
 			}
 			Connect(node, target)
@@ -58,7 +58,7 @@ func ConnectToRandom(rng *rand.Rand, node *Node, candidates []*Node, k int) int 
 			break
 		}
 		target := candidates[i]
-		if target == node || isPeer(node, target) {
+		if target == node || node.edgeTo(target) != nil {
 			continue
 		}
 		Connect(node, target)
@@ -95,7 +95,7 @@ func BuildDiscoveryTopology(rng *rand.Rand, nodes []*Node, outDegree int) error 
 				break
 			}
 			peer := byID[int32(peerID)]
-			if peer == nil || peer == node || isPeer(node, peer) {
+			if peer == nil || peer == node || node.edgeTo(peer) != nil {
 				continue
 			}
 			Connect(node, peer)
@@ -106,11 +106,4 @@ func BuildDiscoveryTopology(rng *rand.Rand, nodes []*Node, outDegree int) error 
 		}
 	}
 	return nil
-}
-
-// isPeer is O(1) via the per-node neighbour bitset; topology builders
-// call it once per dial attempt, and churn rewiring keeps calling it
-// for the life of the campaign.
-func isPeer(a, b *Node) bool {
-	return a.peerBits.has(int(b.ID()))
 }

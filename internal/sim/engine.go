@@ -30,9 +30,9 @@ type Time = time.Duration
 // interface fields are intended for pointer-shaped payloads (struct
 // pointers, interfaces), which convert to `any` without allocating.
 type Arg struct {
-	A, B, C any
-	U       uint64
-	K       int32
+	A, B any
+	U    uint64
+	K    int32
 }
 
 // Handler executes allocation-free events scheduled with ScheduleArg.

@@ -8,24 +8,25 @@ import (
 	"ethmeasure/internal/sim"
 )
 
-// countingSink records envelope deliveries without allocating.
-type countingSink struct {
+// countingHandler is a receiver that records delivery events without
+// allocating.
+type countingHandler struct {
 	delivered int
 	lastKind  int32
 	lastNum   uint64
 }
 
-func (s *countingSink) DeliverEnvelope(env Envelope) {
-	s.delivered++
-	s.lastKind = env.Kind
-	s.lastNum = env.Num
+func (h *countingHandler) HandleSimEvent(arg sim.Arg) {
+	h.delivered++
+	h.lastKind = arg.K
+	h.lastNum = arg.U
 }
 
-// TestSendZeroAllocsPerDelivery pins the network's steady-state
-// contract: scheduling and delivering envelopes allocates nothing once
-// the engine slab is warm. This is the per-message budget that lets
-// 5,000-node campaigns stream tens of millions of deliveries without
-// GC pauses.
+// TestSendZeroAllocsPerDelivery pins the wire path's steady-state
+// contract: a Transmit plus an AfterArg delivery event on the receiver
+// allocates nothing once the engine slab is warm, and neither does a
+// bare Transmit. This is the per-message budget that lets 5,000-node
+// campaigns stream tens of millions of deliveries without GC pauses.
 func TestSendZeroAllocsPerDelivery(t *testing.T) {
 	engine := sim.NewEngine(1)
 	net := New(engine, geo.DefaultLatencyModel())
@@ -37,12 +38,13 @@ func TestSendZeroAllocsPerDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := &countingSink{}
+	recv := &countingHandler{}
 	payload := &struct{ x int }{42}
 
 	warm := func() {
 		for i := 0; i < 32; i++ {
-			net.Send(a, b, 100, sink, Envelope{Kind: 1, Data: payload, Num: uint64(i)})
+			d := net.Transmit(a, b, 100)
+			engine.AfterArg(d, recv, sim.Arg{A: payload, U: uint64(i), K: 1})
 		}
 		if _, err := engine.Run(engine.Now() + time.Minute); err != nil {
 			t.Fatal(err)
@@ -55,38 +57,13 @@ func TestSendZeroAllocsPerDelivery(t *testing.T) {
 		warm()
 	}
 
-	allocs := testing.AllocsPerRun(200, warm)
-	if allocs != 0 {
+	if allocs := testing.AllocsPerRun(200, warm); allocs != 0 {
 		t.Fatalf("steady-state delivery allocated %.1f times per 32-message batch, want 0", allocs)
 	}
-	if sink.delivered == 0 || sink.lastKind != 1 {
-		t.Fatalf("sink saw %d deliveries, last kind %d", sink.delivered, sink.lastKind)
+	if recv.delivered == 0 || recv.lastKind != 1 {
+		t.Fatalf("receiver saw %d deliveries, last kind %d", recv.delivered, recv.lastKind)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { net.Transmit(a, b, 100) }); allocs != 0 {
+		t.Fatalf("Transmit allocated %.1f times per message, want 0", allocs)
 	}
 }
-
-// TestSendEnvelopeRoundTrip checks the envelope survives the packed
-// event representation intact.
-func TestSendEnvelopeRoundTrip(t *testing.T) {
-	engine := sim.NewEngine(1)
-	net := New(engine, geo.UniformLatencyModel(10*time.Millisecond, 0))
-	a, _ := net.AddNode(geo.NorthAmerica, 1e9)
-	b, _ := net.AddNode(geo.NorthAmerica, 1e9)
-	type blob struct{ v int }
-	data, aux := &blob{1}, &blob{2}
-	var got Envelope
-	sink := sinkFunc(func(env Envelope) { got = env })
-	net.Send(a, b, 100, sink, Envelope{Kind: 7, Data: data, Aux: aux, Num: 99})
-	if _, err := engine.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if got.Kind != 7 || got.Data != data || got.Aux != aux || got.Num != 99 {
-		t.Fatalf("envelope mangled in flight: %+v", got)
-	}
-	if net.Sent() != 1 {
-		t.Fatalf("sent = %d, want 1", net.Sent())
-	}
-}
-
-type sinkFunc func(Envelope)
-
-func (f sinkFunc) DeliverEnvelope(env Envelope) { f(env) }

@@ -1,14 +1,13 @@
 // Package simnet provides the simulated network substrate: nodes with
-// a geographic region and bandwidth, links between them, and message
-// delivery with region-dependent latency, size-dependent transfer time
-// and jitter. Protocol behaviour lives one layer up in internal/p2p.
+// a geographic region and bandwidth, and the one-way delay of a message
+// between them, made of region-dependent latency, size-dependent
+// transfer time and jitter. Protocol behaviour lives one layer up in
+// internal/p2p.
 //
-// Delivery is allocation-free on the steady-state path: senders pass a
-// reusable Envelope (a value, not a pointer) plus a Sink, the network
-// packs both into the engine's closure-free event representation, and
-// the envelope is reconstructed at receive time. Campaigns deliver
-// tens of millions of messages, so this is the difference between a
-// GC-bound and a CPU-bound run at 5,000 nodes.
+// The network is only the wire model: Transmit counts a message and
+// draws its one-way delay, and the protocol layer schedules the
+// delivery as an event on the receiving node itself. Nothing here
+// allocates per message.
 //
 // Delay jitter draws from a per-sender RNG stream (derived from the
 // master seed and the sender's node ID), never from a shared stream:
@@ -32,8 +31,8 @@ type Node struct {
 	Bandwidth float64 // bytes per second
 }
 
-// Network owns all nodes and delivers messages between them on the
-// simulation engine.
+// Network owns all nodes and draws the delays of messages between
+// them.
 type Network struct {
 	engine  *sim.Engine
 	latency *geo.LatencyModel
@@ -103,7 +102,7 @@ func (n *Network) Local() *any { return &n.local }
 // delay, which is propagation latency (region pair, jittered, drawn
 // from the sender's stream) + transmission time at the slower endpoint
 // + fixed overhead. Every wire message is transmitted exactly once;
-// the caller then schedules its delivery with ScheduleDelivery, unless
+// the caller then schedules its delivery on the receiver, unless
 // the protocol layer settles the delivery at send time: the receiver
 // already has the payload and can no longer act on the message (a dead
 // delivery), or the message's only effect can be applied at once
@@ -157,43 +156,6 @@ func (b *Burst) Transmit(to *Node) time.Duration {
 func (b *Burst) Done() {
 	b.net.sent += b.sent
 	b.sent = 0
-}
-
-// Envelope is the payload of one in-flight message. Kind discriminates
-// the protocol message type (values are owned by the protocol layer);
-// Data and Aux carry pointer-shaped payloads (block, transaction,
-// link); Num carries a scalar (hash, height). Envelopes are passed by
-// value: sending one does not allocate.
-type Envelope struct {
-	Kind int32
-	Data any
-	Aux  any
-	Num  uint64
-}
-
-// Sink receives delivered envelopes. Protocol nodes implement it.
-type Sink interface {
-	DeliverEnvelope(env Envelope)
-}
-
-// Send transmits an envelope of the given wire size from one node to
-// another and schedules its delivery: sink.DeliverEnvelope(env) runs
-// at the receive time. The steady-state path performs zero
-// allocations.
-func (n *Network) Send(from, to *Node, size int, sink Sink, env Envelope) {
-	n.ScheduleDelivery(n.Transmit(from, to, size), sink, env)
-}
-
-// ScheduleDelivery schedules sink.DeliverEnvelope(env) after delay d
-// (a Transmit result).
-func (n *Network) ScheduleDelivery(d time.Duration, sink Sink, env Envelope) {
-	n.engine.AfterArg(d, n, sim.Arg{A: sink, B: env.Data, C: env.Aux, U: env.Num, K: env.Kind})
-}
-
-// HandleSimEvent is the engine-facing delivery trampoline: it hands
-// the reassembled envelope to the sink. Not for direct use.
-func (n *Network) HandleSimEvent(arg sim.Arg) {
-	arg.A.(Sink).DeliverEnvelope(Envelope{Kind: arg.K, Data: arg.B, Aux: arg.C, Num: arg.U})
 }
 
 // Engine returns the simulation engine the network runs on.

@@ -14,6 +14,11 @@ func newNet(t *testing.T) (*sim.Engine, *Network) {
 	return engine, New(engine, geo.UniformLatencyModel(10*time.Millisecond, 0))
 }
 
+// handlerFunc adapts a function to sim.Handler.
+type handlerFunc func(sim.Arg)
+
+func (f handlerFunc) HandleSimEvent(arg sim.Arg) { f(arg) }
+
 func TestAddNodeValidation(t *testing.T) {
 	_, net := newNet(t)
 	if _, err := net.AddNode(geo.NorthAmerica, 0); err == nil {
@@ -60,17 +65,77 @@ func TestTransferDelayComponents(t *testing.T) {
 	}
 }
 
+// TestTransmitDelayIsLatencyPlusTransferPlusOverhead checks every
+// delay on a jittered geographic model against its three parts: the
+// latency drawn from a replica of the sender's own stream, the transfer
+// time at the slower endpoint, and MinOverhead. Transmit and a Burst
+// draw identically, and Sent counts every message of both.
+func TestTransmitDelayIsLatencyPlusTransferPlusOverhead(t *testing.T) {
+	engine := sim.NewEngine(7)
+	lat := geo.DefaultLatencyModel()
+	net := New(engine, lat)
+	regions := []geo.Region{geo.NorthAmerica, geo.EasternAsia, geo.WesternEurope}
+	bws := []float64{1e6, 5e5, 2e7}
+	var nodes []*Node
+	for i, r := range regions {
+		n, err := net.AddNode(r, bws[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, n)
+	}
+	streams := make([]*sim.Splitmix, len(nodes))
+	for i, n := range nodes {
+		streams[i] = sim.NewSplitmix(engine.Seed(), "simnet", uint64(n.ID))
+	}
+	want := func(from, to *Node, size int) time.Duration {
+		bw := min(from.Bandwidth, to.Bandwidth)
+		transfer := time.Duration(float64(size) / bw * float64(time.Second))
+		return lat.Sample(streams[from.ID], from.Region, to.Region) + transfer + net.MinOverhead
+	}
+	sent := uint64(0)
+	for round := 0; round < 50; round++ {
+		size := 100 + 37*round
+		for _, from := range nodes {
+			for _, to := range nodes {
+				if from == to {
+					continue
+				}
+				if got, w := net.Transmit(from, to, size), want(from, to, size); got != w {
+					t.Fatalf("Transmit %d→%d size %d = %v, want %v", from.ID, to.ID, size, got, w)
+				}
+				sent++
+			}
+			b := net.Burst(from, size)
+			for _, to := range nodes {
+				if from == to {
+					continue
+				}
+				if got, w := b.Transmit(to), want(from, to, size); got != w {
+					t.Fatalf("Burst %d→%d size %d = %v, want %v", from.ID, to.ID, size, got, w)
+				}
+				sent++
+			}
+			b.Done()
+		}
+	}
+	if net.Sent() != sent {
+		t.Fatalf("Sent = %d, want %d", net.Sent(), sent)
+	}
+}
+
 func TestSendDeliversAtComputedTime(t *testing.T) {
 	engine, net := newNet(t)
 	a, _ := net.AddNode(geo.NorthAmerica, 1e9)
 	b, _ := net.AddNode(geo.NorthAmerica, 1e9)
 	var deliveredAt sim.Time
-	net.Send(a, b, 100, sinkFunc(func(Envelope) { deliveredAt = engine.Now() }), Envelope{})
+	d := net.Transmit(a, b, 100)
+	engine.AfterArg(d, handlerFunc(func(sim.Arg) { deliveredAt = engine.Now() }), sim.Arg{})
 	if _, err := engine.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if deliveredAt <= 0 {
-		t.Fatal("message not delivered")
+	if deliveredAt != d {
+		t.Fatalf("delivered at %v, want the transmit delay %v", deliveredAt, d)
 	}
 	if deliveredAt < 10*time.Millisecond {
 		t.Errorf("delivered before latency elapsed: %v", deliveredAt)
@@ -85,9 +150,9 @@ func TestSendOrderingPreserved(t *testing.T) {
 	a, _ := net.AddNode(geo.NorthAmerica, 1e9)
 	b, _ := net.AddNode(geo.NorthAmerica, 1e9)
 	var got []int
-	record := sinkFunc(func(env Envelope) { got = append(got, int(env.Num)) })
+	record := handlerFunc(func(arg sim.Arg) { got = append(got, int(arg.U)) })
 	for i := 0; i < 5; i++ {
-		net.Send(a, b, 10, record, Envelope{Num: uint64(i)})
+		engine.AfterArg(net.Transmit(a, b, 10), record, sim.Arg{U: uint64(i)})
 	}
 	if _, err := engine.Run(time.Second); err != nil {
 		t.Fatal(err)
