@@ -333,7 +333,7 @@ func TestMinerReorgReconcilesTxPool(t *testing.T) {
 	if _, err := h.engine.Run(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if !pool.TxPool().WasIncluded(tx.Hash) {
+	if pool.TxPool().NextNonce(tx.Sender) != tx.Nonce+1 || len(pool.TxPool().PendingOf(tx.Sender)) != 0 {
 		t.Fatal("adopted block's tx not marked included")
 	}
 	if pool.JobHead().Hash != b1.Hash {
@@ -358,10 +358,10 @@ func TestMinerReorgReconcilesTxPool(t *testing.T) {
 	if pool.JobHead().Hash != c2.Hash {
 		t.Fatalf("job head = %s after reorg, want %s", pool.JobHead().Hash, c2.Hash)
 	}
-	if pool.TxPool().WasIncluded(tx.Hash) {
+	if pool.TxPool().NextNonce(tx.Sender) != tx.Nonce {
 		t.Error("reverted tx still marked included")
 	}
-	if !pool.TxPool().Has(tx.Hash) {
+	if pending := pool.TxPool().PendingOf(tx.Sender); len(pending) != 1 || pending[0] != tx {
 		t.Error("reverted tx not back in pending")
 	}
 }

@@ -180,9 +180,10 @@ func TestWithholdingTxPoolFollowsPrivateTip(t *testing.T) {
 	if w.Discarded() != 2 || m.Withheld() != 0 {
 		t.Fatalf("discarded %d, withheld %d; want 2 and 0", w.Discarded(), m.Withheld())
 	}
-	for _, tx := range []*types.Transaction{tx0, tx1} {
-		if attacker.TxPool().WasIncluded(tx.Hash) || !attacker.TxPool().Has(tx.Hash) {
-			t.Errorf("tx %s of the discarded chain not back in pending", tx.Hash)
-		}
+	if next := attacker.TxPool().NextNonce(1); next != 0 {
+		t.Errorf("sender's next nonce = %d after the discard, want 0", next)
+	}
+	if pending := attacker.TxPool().PendingOf(1); len(pending) != 2 || pending[0] != tx0 || pending[1] != tx1 {
+		t.Errorf("pending after the discard = %v, want the discarded chain's %s and %s", pending, tx0.Hash, tx1.Hash)
 	}
 }

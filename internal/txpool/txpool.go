@@ -4,10 +4,18 @@
 // included in the chain or present in the pool ahead of it; otherwise
 // it stalls (a "nonce gap"). Out-of-order arrivals therefore delay
 // commits, the effect the paper quantifies in §III-C2 / Figure 5.
+//
+// The pool keeps per-sender state only: a nonce-sorted pending queue
+// and a watermark, the sender's next includable nonce. A transaction
+// counts as included exactly when its nonce is below its sender's
+// watermark; no per-transaction record of inclusion is kept. That rule
+// relies on each (sender, nonce) pair naming one transaction, which
+// the workload generator guarantees: it issues every nonce once.
 package txpool
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"ethmeasure/internal/types"
 )
@@ -15,60 +23,30 @@ import (
 // Pool holds pending transactions for one miner (pool gateway).
 type Pool struct {
 	pending  map[types.AccountID][]*types.Transaction // sorted by nonce
-	byHash   map[types.Hash]*types.Transaction
-	nextOnce map[types.AccountID]uint64 // next includable nonce per sender
-	included map[types.Hash]bool        // txs included in the miner's chain
+	nextOnce map[types.AccountID]uint64               // watermark: next includable nonce per sender
 }
 
 // New creates an empty pool.
 func New() *Pool {
 	return &Pool{
 		pending:  make(map[types.AccountID][]*types.Transaction),
-		byHash:   make(map[types.Hash]*types.Transaction),
 		nextOnce: make(map[types.AccountID]uint64),
-		included: make(map[types.Hash]bool),
 	}
 }
 
-// Len returns the number of pending (not yet included) transactions.
-func (p *Pool) Len() int { return len(p.byHash) }
-
-// Has reports whether the pool currently holds tx (pending).
-func (p *Pool) Has(h types.Hash) bool {
-	_, ok := p.byHash[h]
-	return ok
-}
-
-// Add inserts a transaction. Duplicates, already-included transactions
-// and stale nonces (below the sender's next includable nonce) are
+// Add inserts a transaction. A nonce below the sender's watermark
+// (already included) and a (sender, nonce) already pending are
 // rejected. It reports whether the transaction was accepted.
 func (p *Pool) Add(tx *types.Transaction) bool {
-	if _, dup := p.byHash[tx.Hash]; dup {
-		return false
-	}
-	if p.included[tx.Hash] {
-		return false
-	}
 	if tx.Nonce < p.nextOnce[tx.Sender] {
-		return false // stale: a tx with this nonce already committed
+		return false
 	}
 	list := p.pending[tx.Sender]
-	// Insert keeping the per-sender list sorted by nonce; replace an
-	// existing same-nonce tx only if the newcomer pays more.
-	i := sort.Search(len(list), func(i int) bool { return list[i].Nonce >= tx.Nonce })
-	if i < len(list) && list[i].Nonce == tx.Nonce {
-		if tx.GasPrice <= list[i].GasPrice {
-			return false
-		}
-		delete(p.byHash, list[i].Hash)
-		list[i] = tx
-	} else {
-		list = append(list, nil)
-		copy(list[i+1:], list[i:])
-		list[i] = tx
+	i, dup := slices.BinarySearchFunc(list, tx.Nonce, byNonce)
+	if dup {
+		return false
 	}
-	p.pending[tx.Sender] = list
-	p.byHash[tx.Hash] = tx
+	p.pending[tx.Sender] = slices.Insert(list, i, tx)
 	return true
 }
 
@@ -85,24 +63,20 @@ func (p *Pool) Executable(max int) []*types.Transaction {
 		txs []*types.Transaction // executable prefix, ascending nonce
 		idx int
 	}
-	var queues []*senderQueue
+	queues := make([]senderQueue, 0, len(p.pending))
 	for sender, list := range p.pending {
 		next := p.nextOnce[sender]
-		var prefix []*types.Transaction
-		for _, tx := range list {
-			if tx.Nonce != next {
-				break // gap: the rest of this sender's txs stall
-			}
-			prefix = append(prefix, tx)
-			next++
+		k := 0
+		for k < len(list) && list[k].Nonce == next+uint64(k) {
+			k++ // a gap stalls the rest of this sender's txs
 		}
-		if len(prefix) > 0 {
-			queues = append(queues, &senderQueue{txs: prefix})
+		if k > 0 {
+			queues = append(queues, senderQueue{txs: list[:k]})
 		}
 	}
 	// Deterministic order across map iteration.
-	sort.Slice(queues, func(i, j int) bool {
-		return queues[i].txs[0].Sender < queues[j].txs[0].Sender
+	slices.SortFunc(queues, func(a, b senderQueue) int {
+		return cmp.Compare(a.txs[0].Sender, b.txs[0].Sender)
 	})
 
 	out := make([]*types.Transaction, 0, max)
@@ -112,7 +86,8 @@ func (p *Pool) Executable(max int) []*types.Transaction {
 		// miner — without the time tie-break, same-price senders can
 		// starve arbitrarily long under sustained load).
 		best := -1
-		for i, q := range queues {
+		for i := range queues {
+			q := &queues[i]
 			if q.idx >= len(q.txs) {
 				continue
 			}
@@ -143,63 +118,51 @@ func txPriorityLess(a, b *types.Transaction) bool {
 }
 
 // MarkIncluded records that the given transactions were included in the
-// miner's chain, removing them from the pending set and advancing
-// per-sender nonces.
+// miner's chain: each raises its sender's watermark past its nonce and
+// leaves the pending set.
 func (p *Pool) MarkIncluded(txs []*types.Transaction) {
 	for _, tx := range txs {
-		p.included[tx.Hash] = true
 		if tx.Nonce+1 > p.nextOnce[tx.Sender] {
 			p.nextOnce[tx.Sender] = tx.Nonce + 1
 		}
-		p.removePending(tx)
+		list := p.pending[tx.Sender]
+		if i, ok := slices.BinarySearchFunc(list, tx.Nonce, byNonce); ok && list[i].Hash == tx.Hash {
+			if len(list) == 1 {
+				delete(p.pending, tx.Sender)
+			} else {
+				p.pending[tx.Sender] = slices.Delete(list, i, i+1)
+			}
+		}
 	}
 }
 
-// UnmarkIncluded returns transactions to the pending set after their
-// containing block was abandoned in a reorg. Nonces are recomputed
-// conservatively: the sender's next includable nonce drops back if the
-// reverted tx sits below it.
+// UnmarkIncluded returns the transactions of a block abandoned in a
+// reorg to the pending set. txs must list each sender's nonces in
+// ascending order, as a block built from Executable does; the list is
+// walked in reverse, so each transaction below its sender's watermark
+// lowers the watermark to its nonce and goes back to pending, and a
+// block holding nonces n..m of one sender restores all of them. A
+// transaction at or above the watermark is not included and is left
+// alone. Blocks are unmarked newest first.
 func (p *Pool) UnmarkIncluded(txs []*types.Transaction) {
-	for _, tx := range txs {
-		if !p.included[tx.Hash] {
+	for i := len(txs) - 1; i >= 0; i-- {
+		tx := txs[i]
+		if tx.Nonce >= p.nextOnce[tx.Sender] {
 			continue
 		}
-		delete(p.included, tx.Hash)
-		if p.nextOnce[tx.Sender] > tx.Nonce {
-			p.nextOnce[tx.Sender] = tx.Nonce
-		}
+		p.nextOnce[tx.Sender] = tx.Nonce
 		p.Add(tx)
 	}
 }
 
-// WasIncluded reports whether tx has been included in the miner's chain.
-func (p *Pool) WasIncluded(h types.Hash) bool { return p.included[h] }
-
 // NextNonce returns the next includable nonce for a sender.
 func (p *Pool) NextNonce(a types.AccountID) uint64 { return p.nextOnce[a] }
-
-func (p *Pool) removePending(tx *types.Transaction) {
-	if _, ok := p.byHash[tx.Hash]; !ok {
-		return
-	}
-	delete(p.byHash, tx.Hash)
-	list := p.pending[tx.Sender]
-	i := sort.Search(len(list), func(i int) bool { return list[i].Nonce >= tx.Nonce })
-	if i < len(list) && list[i].Hash == tx.Hash {
-		list = append(list[:i], list[i+1:]...)
-		if len(list) == 0 {
-			delete(p.pending, tx.Sender)
-		} else {
-			p.pending[tx.Sender] = list
-		}
-	}
-}
 
 // PendingOf returns the pending transactions of one sender in nonce
 // order (diagnostics and tests).
 func (p *Pool) PendingOf(a types.AccountID) []*types.Transaction {
-	list := p.pending[a]
-	out := make([]*types.Transaction, len(list))
-	copy(out, list)
-	return out
+	return slices.Clone(p.pending[a])
 }
+
+// byNonce orders a sender's pending list for binary search by nonce.
+func byNonce(tx *types.Transaction, nonce uint64) int { return cmp.Compare(tx.Nonce, nonce) }

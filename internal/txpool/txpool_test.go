@@ -1,6 +1,7 @@
 package txpool
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -21,20 +22,17 @@ func tx(sender types.AccountID, nonce uint64, price uint64) *types.Transaction {
 	}
 }
 
-func TestAddAndHas(t *testing.T) {
+func TestAddRejectsDuplicate(t *testing.T) {
 	p := New()
 	a := tx(1, 0, 10)
 	if !p.Add(a) {
 		t.Fatal("fresh tx rejected")
 	}
-	if !p.Has(a.Hash) {
-		t.Error("Has should report pending tx")
-	}
 	if p.Add(a) {
 		t.Error("duplicate accepted")
 	}
-	if p.Len() != 1 {
-		t.Errorf("len = %d", p.Len())
+	if got := p.PendingOf(1); len(got) != 1 || got[0] != a {
+		t.Errorf("pending = %v", got)
 	}
 }
 
@@ -48,27 +46,6 @@ func TestAddRejectsStaleNonce(t *testing.T) {
 	}
 	if !p.Add(tx(1, 1, 1)) {
 		t.Error("next nonce rejected")
-	}
-}
-
-func TestAddReplaceByPrice(t *testing.T) {
-	p := New()
-	low := tx(1, 0, 10)
-	p.Add(low)
-	sameLow := tx(1, 0, 10)
-	if p.Add(sameLow) {
-		t.Error("equal-price replacement accepted")
-	}
-	high := tx(1, 0, 20)
-	if !p.Add(high) {
-		t.Fatal("higher-price replacement rejected")
-	}
-	if p.Has(low.Hash) {
-		t.Error("replaced tx still present")
-	}
-	got := p.Executable(1)
-	if len(got) != 1 || got[0].Hash != high.Hash {
-		t.Errorf("executable = %v", got)
 	}
 }
 
@@ -151,11 +128,8 @@ func TestMarkIncludedAdvancesAndRemoves(t *testing.T) {
 	if p.NextNonce(1) != 1 {
 		t.Errorf("next nonce = %d", p.NextNonce(1))
 	}
-	if p.Has(a.Hash) {
-		t.Error("included tx still pending")
-	}
-	if !p.WasIncluded(a.Hash) {
-		t.Error("WasIncluded false")
+	if got := p.PendingOf(1); len(got) != 1 || got[0] != b {
+		t.Errorf("pending after inclusion = %v, want only the next nonce", got)
 	}
 	got := p.Executable(10)
 	if len(got) != 1 || got[0].Hash != b.Hash {
@@ -170,8 +144,8 @@ func TestUnmarkIncludedRestores(t *testing.T) {
 	p.Add(a)
 	p.Add(b)
 	p.MarkIncluded([]*types.Transaction{a, b})
-	if p.Len() != 0 {
-		t.Fatalf("pending after inclusion = %d", p.Len())
+	if n := len(p.PendingOf(1)); n != 0 {
+		t.Fatalf("pending after inclusion = %d", n)
 	}
 	// Reorg reverts the block containing b only.
 	p.UnmarkIncluded([]*types.Transaction{b})
@@ -182,13 +156,10 @@ func TestUnmarkIncludedRestores(t *testing.T) {
 	if len(got) != 1 || got[0].Hash != b.Hash {
 		t.Errorf("executable after revert = %v", got)
 	}
-	if p.WasIncluded(b.Hash) {
-		t.Error("reverted tx still marked included")
-	}
 	// Unmarking something never included is a no-op.
 	c := tx(2, 0, 1)
 	p.UnmarkIncluded([]*types.Transaction{c})
-	if p.Has(c.Hash) {
+	if len(p.PendingOf(2)) != 0 || p.NextNonce(2) != 0 {
 		t.Error("unmark of unknown tx added it")
 	}
 }
@@ -218,8 +189,9 @@ func TestExecutableDoesNotMutatePool(t *testing.T) {
 	}
 }
 
-// Property: Executable never returns included txs, never violates
-// per-sender nonce contiguity, and never exceeds max.
+// Property: Executable never returns included txs (nonces below the
+// watermark), never violates per-sender nonce contiguity, and never
+// exceeds max.
 func TestExecutableInvariantsProperty(t *testing.T) {
 	f := func(ops []struct {
 		Sender uint8
@@ -250,9 +222,6 @@ func TestExecutableInvariantsProperty(t *testing.T) {
 			next[s] = p.NextNonce(s)
 		}
 		for _, got := range out {
-			if p.WasIncluded(got.Hash) {
-				return false
-			}
 			if got.Nonce != next[got.Sender] {
 				return false // gap or disorder within sender
 			}
@@ -263,4 +232,67 @@ func TestExecutableInvariantsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// A block lists a sender's nonces in ascending order; unmarking it in
+// one call must restore every one of them, not stop after lowering the
+// watermark to the first.
+func TestUnmarkIncludedRestoresWholeBlock(t *testing.T) {
+	p := New()
+	var block []*types.Transaction
+	for n := uint64(0); n < 6; n++ {
+		block = append(block, tx(1, n, 10))
+		p.Add(block[n])
+	}
+	p.MarkIncluded(p.Executable(10))
+	p.UnmarkIncluded(block)
+	if p.NextNonce(1) != 0 {
+		t.Errorf("next nonce = %d after unmarking the block, want 0", p.NextNonce(1))
+	}
+	got := p.PendingOf(1)
+	if len(got) != len(block) {
+		t.Fatalf("pending after unmark = %d txs, want %d", len(got), len(block))
+	}
+	for i := range got {
+		if got[i] != block[i] {
+			t.Errorf("pending[%d] has nonce %d, want %d", i, got[i].Nonce, block[i].Nonce)
+		}
+	}
+}
+
+// Inclusion is per-sender state: marking 10 000 transactions of 10
+// senders included must not retain memory per transaction.
+func TestMarkIncludedRetainsPerSenderStateOnly(t *testing.T) {
+	const senders, perSender, blockSize = 10, 1000, 100
+	txs := make([]*types.Transaction, 0, senders*perSender)
+	for n := uint64(0); n < perSender; n++ {
+		for s := types.AccountID(1); s <= senders; s++ {
+			txs = append(txs, tx(s, n, 1))
+		}
+	}
+	before := liveHeap()
+	p := New()
+	for i := 0; i < len(txs); i += blockSize {
+		for _, tx := range txs[i : i+blockSize] {
+			p.Add(tx)
+		}
+		if sel := p.Executable(blockSize); len(sel) != blockSize {
+			t.Fatalf("selected %d of %d executable txs", len(sel), blockSize)
+		} else {
+			p.MarkIncluded(sel)
+		}
+	}
+	retained := liveHeap() - before
+	runtime.KeepAlive(p)
+	runtime.KeepAlive(txs)
+	if retained > 32<<10 {
+		t.Errorf("pool retains %d B after marking %d txs of %d senders, want < 32 KB", retained, len(txs), senders)
+	}
+}
+
+func liveHeap() int64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
 }
