@@ -74,6 +74,11 @@ func run(args []string) error {
 	fmt.Printf("streamed %d block records, %d tx records, %d chain blocks from %s\n",
 		res.Stats.BlockRecords, res.Stats.TxRecords, res.Dataset.Chain.Len(), *logPath)
 	fmt.Printf("consensus protocol: %s\n", res.Protocol)
+	if res.ModelRevision > 0 {
+		fmt.Printf("model revision: %d\n", res.ModelRevision)
+	} else {
+		fmt.Println("model revision: unrecorded")
+	}
 	if res.Scenarios != nil {
 		fmt.Printf("campaign scenarios: %s\n", strings.Join(res.Scenarios.Tags, "; "))
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"ethmeasure"
+	"ethmeasure/internal/core"
 	"ethmeasure/internal/logs"
 )
 
@@ -177,6 +179,26 @@ func TestRunRejectsLogWithoutMeta(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "metadata") {
 		t.Errorf("error %q does not name the missing metadata", err)
+	}
+}
+
+// TestRunPrintsModelRevision: the header names the model revision the
+// log records, and "unrecorded" for a log written before revisions
+// were, whose metadata has none.
+func TestRunPrintsModelRevision(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "spill.ethlog")
+	spillCampaign(t, path)
+	want := fmt.Sprintf("\nmodel revision: %d\n", core.ModelRevision)
+	if out := captureRun(t, []string{"-logs", path}, path); !strings.Contains(out, want) {
+		t.Errorf("header lacks %q:\n%.400s", want, out)
+	}
+	entries := readEntries(t, path)
+	entries[0].Meta.ModelRevision = 0
+	old := filepath.Join(dir, "old.ethlog")
+	writeEntries(t, old, entries)
+	if out := captureRun(t, []string{"-logs", old}, old); !strings.Contains(out, "\nmodel revision: unrecorded\n") {
+		t.Errorf("header of a log without a revision lacks \"model revision: unrecorded\":\n%.400s", out)
 	}
 }
 

@@ -431,7 +431,7 @@ func deliverEntries(w io.Writer) []Entry {
 		sink := &benchSink{}
 		round := func(n int) {
 			for i := 0; i < n; i++ {
-				d := net.Transmit(senders[i], dst, 600)
+				d := net.Transmit(senders[i], dst, 600, 1, uint64(i))
 				engine.AfterArg(d, sink, sim.Arg{K: 1, U: uint64(i)})
 			}
 			if _, err := engine.Run(engine.Now() + time.Second); err != nil {

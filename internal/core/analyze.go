@@ -134,6 +134,7 @@ func AnalyzeLog(r io.Reader) (*Results, error) {
 		return nil, err
 	}
 	res.Protocol = meta.Protocol
+	res.ModelRevision = meta.ModelRevision
 	if res.Protocol == "" {
 		res.Protocol = proto.Name()
 	}

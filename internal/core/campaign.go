@@ -73,7 +73,18 @@ type Results struct {
 	// campaign ran under ("ethereum", "bitcoin",
 	// "ghost-inclusive:depth=10", ...).
 	Protocol string
+
+	// ModelRevision is the model revision the campaign ran under, 0
+	// for a log written before revisions were recorded.
+	ModelRevision int
 }
+
+// ModelRevision numbers the simulation model: a change that alters what
+// a campaign produces from a given config and seed bumps it, with the
+// REV line of testdata/fingerprints.golden that the fingerprint tests
+// hold it to. Campaign logs record it; logs written before revision 2,
+// which keyed every message delay by the message, carry none.
+const ModelRevision = 2
 
 // Campaign is one configured measurement run.
 type Campaign struct {
@@ -432,6 +443,7 @@ func (c *Campaign) Analyze() (*Results, error) {
 	res.Stats.TxsCreated = c.store.Len()
 	res.Scenarios = c.scenarioRes
 	res.Protocol = c.cfg.ProtocolTag()
+	res.ModelRevision = ModelRevision
 	return res, nil
 }
 
@@ -447,6 +459,7 @@ func (c *Campaign) logMeta() *logs.Meta {
 		Seed:              c.cfg.Seed,
 		Scenarios:         c.scenarioTags,
 		Protocol:          c.cfg.ProtocolTag(),
+		ModelRevision:     ModelRevision,
 	}
 	meta.Vantages = c.cfg.PrimaryVantages()
 	return meta

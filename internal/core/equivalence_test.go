@@ -91,15 +91,16 @@ func equivalenceVariants() []struct {
 	// bit-identical off the Ethereum consensus path too. The bitcoin
 	// variant exercises the no-reference rules (zero uncles, discarding
 	// withholder); ghost-inclusive the deeper reference window. Both
-	// run 30 minutes on seed 10, where Ethereum recognizes uncles and
+	// run 30 minutes on seed 70, where Ethereum recognizes uncles and
 	// the GHOST window includes a reference Ethereum's cannot, so each
 	// protocol's rules change the chain
-	// (TestProtocolVariantsExerciseTheirRules).
+	// (TestProtocolVariantsExerciseTheirRules). Such a reference is
+	// rare: a change to the model's draws may need a new seed.
 	protocolCfg := func(spec consensus.Spec) Config {
 		cfg := tinyConfig()
 		cfg.EnableTxWorkload = false
 		cfg.Duration = 30 * time.Minute
-		cfg.Seed = 10
+		cfg.Seed = 70
 		cfg.Protocol = spec
 		return cfg
 	}
@@ -222,8 +223,9 @@ func TestStreamingEquivalence(t *testing.T) {
 		t.Logf("not comparing against %s: its fingerprints are linux/amd64's, this is %s/%s", goldenPath, runtime.GOOS, runtime.GOARCH)
 	}
 	variants := equivalenceVariants()
-	if golden != nil && !testing.Short() && len(golden) != len(variants) {
-		t.Errorf("%s holds %d variants, the suite runs %d; rewrite it with FINGERPRINT_DUMP=1", goldenPath, len(golden), len(variants))
+	// golden holds one line per variant and its REV line.
+	if golden != nil && !testing.Short() && len(golden)-1 != len(variants) {
+		t.Errorf("%s holds %d variants, the suite runs %d; rewrite it with FINGERPRINT_DUMP=1", goldenPath, len(golden)-1, len(variants))
 	}
 	for _, variant := range variants {
 		variant := variant

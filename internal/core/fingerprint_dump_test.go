@@ -9,12 +9,17 @@ import (
 	"testing"
 )
 
-// goldenPath holds the record and chain fingerprint of every
-// equivalence variant, one fingerprintLine each. TestStreamingEquivalence
-// and TestLadderHeapEquivalenceVariants compare against it, so a change
-// to the model shows as a diff of this file; TestFingerprintDump
+// goldenPath holds the model revision the fingerprints were recorded
+// under, one revisionLine, and the record and chain fingerprint of
+// every equivalence variant, one fingerprintLine each.
+// TestStreamingEquivalence and TestLadderHeapEquivalenceVariants
+// compare against it, so a change to the model shows as a diff of this
+// file, which must bump ModelRevision with it; TestFingerprintDump
 // rewrites it.
 const goldenPath = "testdata/fingerprints.golden"
+
+// revisionLine is goldenPath's line for the model revision.
+func revisionLine(rev int) string { return fmt.Sprintf("REV %d", rev) }
 
 // goldenPlatform reports whether this build can reproduce the golden
 // fingerprints. They were recorded on linux/amd64; on other
@@ -27,7 +32,7 @@ func fingerprintLine(name, rec, chain string) string {
 }
 
 // goldenFingerprints reads goldenPath into a map from variant name to
-// its fingerprintLine.
+// its fingerprintLine, and from "REV" to its revisionLine.
 func goldenFingerprints(t *testing.T) map[string]string {
 	t.Helper()
 	data, err := os.ReadFile(goldenPath)
@@ -36,19 +41,26 @@ func goldenFingerprints(t *testing.T) map[string]string {
 	}
 	golden := make(map[string]string)
 	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		f := strings.Fields(line)
-		if len(f) != 4 || f[0] != "FP" {
+		switch f := strings.Fields(line); {
+		case len(f) == 2 && f[0] == "REV":
+			golden["REV"] = line
+		case len(f) == 4 && f[0] == "FP":
+			golden[f[1]] = line
+		default:
 			t.Fatalf("%s: malformed line %q", goldenPath, line)
 		}
-		golden[f[1]] = line
 	}
 	return golden
 }
 
 // checkGolden fails t, naming the variant, unless its record and chain
-// fingerprints equal its line in golden.
+// fingerprints equal its line in golden, and unless golden was recorded
+// under this ModelRevision.
 func checkGolden(t *testing.T, golden map[string]string, name, rec, chain string) {
 	t.Helper()
+	if got, want := golden["REV"], revisionLine(ModelRevision); got != want {
+		t.Errorf("%s records %q, but ModelRevision is %d: a model change rewrites the file and bumps ModelRevision together", goldenPath, got, ModelRevision)
+	}
 	got := fingerprintLine(name, rec, chain)
 	if want, ok := golden[name]; !ok {
 		t.Errorf("variant %s has no line in %s; rewrite it with FINGERPRINT_DUMP=1", name, goldenPath)
@@ -69,6 +81,7 @@ func TestFingerprintDump(t *testing.T) {
 		t.Fatal("-short drops equivalence variants; dump without it")
 	}
 	var out strings.Builder
+	out.WriteString(revisionLine(ModelRevision) + "\n")
 	for _, variant := range equivalenceVariants() {
 		campaign, err := NewCampaign(variant.cfg)
 		if err != nil {

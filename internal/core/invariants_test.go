@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"maps"
 	"testing"
 	"time"
 
@@ -14,6 +15,15 @@ func TestCampaignInvariants(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.RetainRecords = true // the record invariants inspect each reception
 	cfg.Duration = 20 * time.Minute
+	// Thirty senders at tinyConfig's 0.3 tx/s issue a transaction every
+	// 100 s each, so blocks often carry several nonces of one sender,
+	// and frequent siblings with fresh selections build on their
+	// original's parent: the nonce invariants below need both.
+	cfg.TxGen.NumAccounts = 30
+	for i := range cfg.Pools {
+		cfg.Pools[i].SiblingRate = 0.3
+		cfg.Pools[i].SiblingSameTxFrac = 0
+	}
 	if testing.Short() {
 		cfg.Duration = 10 * time.Minute
 	}
@@ -95,6 +105,33 @@ func TestCampaignInvariants(t *testing.T) {
 				next[tx.Sender]++
 			}
 		}
+	})
+
+	t.Run("no block skips a sender nonce", func(t *testing.T) {
+		// Every block, main chain or not, siblings included, must be
+		// valid on its own parent: each of its transactions carries
+		// the next nonce of its sender along the block's ancestry.
+		next := make(map[types.Hash]map[types.AccountID]uint64)
+		next[reg.Genesis().Hash] = map[types.AccountID]uint64{}
+		reg.Blocks(func(b *types.Block) bool {
+			if b.Hash == reg.Genesis().Hash {
+				return true
+			}
+			nonces := maps.Clone(next[b.ParentHash])
+			for _, h := range b.TxHashes {
+				tx := campaign.store.Get(h)
+				if tx == nil {
+					t.Fatalf("block %s carries tx %s missing from store", b.Hash, h)
+				}
+				if tx.Nonce != nonces[tx.Sender] {
+					t.Fatalf("block %s (height %d, pool %d) carries nonce %d of sender %d, whose next nonce on its parent is %d",
+						b.Hash, b.Number, b.Miner, tx.Nonce, tx.Sender, nonces[tx.Sender])
+				}
+				nonces[tx.Sender]++
+			}
+			next[b.Hash] = nonces
+			return true
+		})
 	})
 
 	t.Run("uncle references valid", func(t *testing.T) {

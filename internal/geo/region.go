@@ -233,6 +233,7 @@ type LatencyModel struct {
 	// Precomputed lookup tables (see finalize).
 	baseD        [NumRegions + 1][NumRegions + 1]time.Duration // defaulted base
 	baseF        [NumRegions + 1][NumRegions + 1]float64       // float64(defaulted base)
+	floor        [NumRegions + 1][NumRegions + 1]time.Duration // SampleFloor
 	oneMinusHalf float64                                       // 1 - jitter/2
 }
 
@@ -252,6 +253,7 @@ func (m *LatencyModel) finalize() *LatencyModel {
 			}
 			m.baseD[a][b] = d
 			m.baseF[a][b] = float64(d)
+			m.floor[a][b] = time.Duration(float64(d) * (1 - m.jitter/2))
 		}
 	}
 	m.oneMinusHalf = 1 - m.jitter/2
@@ -335,17 +337,9 @@ func (m *LatencyModel) Base(from, to Region) time.Duration {
 
 // SampleFloor returns the smallest delay Sample can return for the
 // pair: the base delay scaled by the minimum jitter factor, a lower
-// bound on every delivery between the two regions.
-func (m *LatencyModel) SampleFloor(from, to Region) time.Duration {
-	d := m.baseD[from][to]
-	if d == 0 { // zero-constructed model without finalize
-		d = fallbackBase
-	}
-	if m.jitter == 0 {
-		return d
-	}
-	return time.Duration(float64(d) * m.oneMinusHalf)
-}
+// bound on every delivery between the two regions. A zero-constructed
+// model returns 0, a bound too.
+func (m *LatencyModel) SampleFloor(from, to Region) time.Duration { return m.floor[from][to] }
 
 // Sample draws a one-way delay between two regions, applying jitter.
 // Jitter is asymmetric: delays can stretch more than they can shrink,

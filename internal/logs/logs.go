@@ -60,6 +60,10 @@ type Meta struct {
 	// campaign ran under. Empty in pre-protocol logs, which were all
 	// ethereum.
 	Protocol string `json:"protocol,omitempty"`
+	// ModelRevision is the simulation model revision that wrote the
+	// log (core.ModelRevision). Zero in logs written before revisions
+	// were recorded.
+	ModelRevision int `json:"modelRevision,omitempty"`
 }
 
 // ChainBlock is the serialized form of a registry block (the "chain

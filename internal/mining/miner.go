@@ -220,6 +220,24 @@ func (m *Miner) syncTxs(pool *Pool) {
 	pool.txHead = tip
 }
 
+// sendersBetween returns the senders of the transactions in the blocks
+// that one of a and b has in its chain and the other has not: the
+// senders whose nonce state differs between the two. It is nil when a
+// and b are the same block.
+func (m *Miner) sendersBetween(a, b *types.Block) map[types.AccountID]bool {
+	if a.Hash == b.Hash {
+		return nil
+	}
+	senders := make(map[types.AccountID]bool)
+	abandoned, adopted := chain.Reorg(m.reg, a, b, 64)
+	for _, blk := range append(abandoned, adopted...) {
+		for _, tx := range m.resolveAll(blk.TxHashes) {
+			senders[tx.Sender] = true
+		}
+	}
+	return senders
+}
+
 func (m *Miner) resolveAll(hashes []types.Hash) []*types.Transaction {
 	if m.resolve == nil || len(hashes) == 0 {
 		return nil
@@ -385,12 +403,14 @@ func (m *Miner) mineTuple(k int) {
 
 // buildBlock assembles a block for pool extending parent. When txHashes
 // is nil and the block is not empty, transactions come from the pool's
-// executable set. The wire size derives from the block's actual RLP
-// encoding.
+// executable set, less the senders whose nonces differ between parent
+// and the txpool's head (a sibling or tuple block builds on the parent
+// of the pool's tip). The wire size derives from the block's actual
+// RLP encoding.
 func (m *Miner) buildBlock(pool *Pool, parent *types.Block, empty bool, txHashes []types.Hash) *types.Block {
 	var selected []*types.Transaction
 	if txHashes == nil && !empty {
-		selected = pool.txs.Executable(m.cfg.BlockCapacity)
+		selected = pool.txs.Executable(m.cfg.BlockCapacity, m.sendersBetween(parent, pool.txHead))
 		txHashes = make([]types.Hash, len(selected))
 		for i, tx := range selected {
 			txHashes[i] = tx.Hash

@@ -1,6 +1,7 @@
 package mining
 
 import (
+	"maps"
 	"testing"
 	"time"
 
@@ -243,6 +244,63 @@ func TestMinerSiblingsProduceOneMinerForks(t *testing.T) {
 	}
 	if pairs == 0 {
 		t.Error("no one-miner forks recorded")
+	}
+}
+
+// TestSiblingSelectsAgainstItsParent: a sibling with a fresh
+// transaction selection builds on its original's parent, so it may
+// carry only transactions valid there. The pool's txpool already counts
+// the original's transactions as included, so the next nonces of the
+// original's senders would leave a gap on the sibling's chain; the
+// sibling leaves those senders out and selects from the others.
+func TestSiblingSelectsAgainstItsParent(t *testing.T) {
+	h := newMiningHarness(t, 2)
+	specs := []PoolSpec{{
+		Name:              "Solo",
+		Power:             1,
+		Gateways:          []geo.Region{geo.NorthAmerica},
+		SiblingRate:       1,
+		SiblingSameTxFrac: 0,
+	}}
+	cfg := DefaultConfig()
+	cfg.InterBlockTime = time.Hour
+	cfg.BlockCapacity = 2
+	m := h.newMiner(cfg, specs, [][]*p2p.Node{{h.nodes[0]}})
+	pool := m.Pools()[0]
+	for nonce := uint64(0); nonce < 4; nonce++ {
+		pool.TxPool().Add(h.addTx(1, nonce, 20)) // the original takes nonces 0 and 1
+		pool.TxPool().Add(h.addTx(2, nonce, 10))
+	}
+	h.engine.Schedule(0, m.mineOne)
+	if _, err := h.engine.Run(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if m.Siblings() == 0 {
+		t.Fatal("sibling rate 1 produced no sibling")
+	}
+	next := map[types.Hash]map[types.AccountID]uint64{h.reg.Genesis().Hash: {}}
+	blocks := 0
+	h.reg.Blocks(func(b *types.Block) bool {
+		if b.Hash == h.reg.Genesis().Hash {
+			return true
+		}
+		blocks++
+		nonces := maps.Clone(next[b.ParentHash])
+		for _, hash := range b.TxHashes {
+			tx := h.txs[hash]
+			if tx.Nonce != nonces[tx.Sender] {
+				t.Errorf("block %s carries nonce %d of sender %d, next on its parent is %d", b.Hash, tx.Nonce, tx.Sender, nonces[tx.Sender])
+			}
+			nonces[tx.Sender]++
+		}
+		if b.Number == 1 && blocks > 1 && (len(b.TxHashes) != 2 || h.txs[b.TxHashes[0]].Sender != 2) {
+			t.Errorf("sibling %s carries %d txs, want sender 2's nonces 0 and 1", b.Hash, len(b.TxHashes))
+		}
+		next[b.Hash] = nonces
+		return true
+	})
+	if blocks < 2 {
+		t.Fatalf("%d blocks mined, want an original and its sibling", blocks)
 	}
 }
 

@@ -7,22 +7,20 @@ import (
 
 // txFlood is one transaction spreading from its origin across the
 // network. It keeps every relayed message that can still be a first
-// sighting as a pending arrival (time, seq, edge) and owns exactly one
-// engine event, at its earliest pending arrival: the event settles that
-// arrival's node, relays from it, and re-arms at the new earliest. A
-// message to a node that is already settled in the flood, or that
-// already has an earlier-or-equal arrival pending, is transmitted (its
-// delay drawn and the message counted) but never becomes an arrival,
-// and an arrival superseded by an earlier one is replaced in place, so
-// no dead delivery ever becomes an event.
+// sighting as a pending arrival (time, sender, receiver) and owns
+// exactly one engine event, at its earliest pending arrival: the event
+// settles that arrival's node, relays from it, and re-arms at the new
+// earliest. Arrivals at one instant tie-break on the sender's node ID,
+// the lower first, so a flood's outcome depends only on the graph, the
+// seed and the transaction, not on the order of any events.
 //
-// Each pending arrival carries the seq its delivery event would have
-// had (reserved from the engine at relay time, where the event would
-// have been scheduled), and the flood's event is scheduled at exactly
-// that (time, seq). Every first sighting therefore runs at the same
-// point of the engine's total order as a per-message delivery would
-// have, and runs are bit-identical to scheduling every live delivery
-// as its own event.
+// Every relayed message is counted, but a message to a node that is
+// already settled in the flood, or that has a pending arrival the
+// message cannot beat even at the pair's delay floor, is dead whatever
+// its delay: its delay is never computed. A live message's delay is
+// computed, and the message becomes the receiver's pending arrival if
+// it beats the pending one, which it replaces in place. No dead
+// delivery ever becomes an event.
 //
 // A transaction floods once (SubmitTx ignores a repeated submission),
 // so a node holds the transaction exactly when it is settled in the
@@ -37,7 +35,7 @@ type txFlood struct {
 	// of the node's pending arrival in heap.
 	pos   []int32
 	peers []floodPeer
-	// heap is a binary min-heap of the pending arrivals by (at, seq),
+	// heap is a binary min-heap of the pending arrivals by (at, from),
 	// rooted at index 1; heap[0] is unused.
 	heap []floodArrival
 }
@@ -54,19 +52,23 @@ type floodPeer struct {
 	from *Edge
 }
 
-// floodArrival is one pending arrival: the delivery time and seq of
-// the message, and the ID of its receiver.
+// floodArrival is one pending arrival: the delivery time of the
+// message and the IDs of its sender and receiver.
 type floodArrival struct {
-	at  sim.Time
-	seq uint64
-	id  int32
+	at       sim.Time
+	from, id int32
 }
+
+// txKind is a transaction message's kind in its delay key; block
+// messages use their node event kinds, which start at 1.
+const txKind = 0
 
 // floodPool is a network's free list of released floods, whose arrays
 // keep their capacity. It lives in the network's protocol-layer slot
 // (simnet.Network.Local), so the run's floods share it.
 type floodPool struct {
-	free []*txFlood
+	free   []*txFlood
+	delays uint64 // relayed messages whose delay was computed
 }
 
 // flood opens a flood of tx at its origin n, relays from n and arms
@@ -90,7 +92,7 @@ func (n *Node) flood(tx *types.Transaction) {
 		f.peers = make([]floodPeer, nodes)
 	}
 	f.tx, f.sched = tx, n.sched
-	f.pos[n.netNode.ID] = settled
+	f.pos[n.id] = settled
 	f.relay(n, nil)
 	f.arm()
 }
@@ -114,47 +116,48 @@ func (f *txFlood) HandleSimEvent(sim.Arg) {
 // relay sends the transaction from n to every peer but the one it came
 // from (Geth 1.8 broadcasts transactions to every peer not known to
 // have them, and at a node's first sighting that is everyone but the
-// sender). Every message is transmitted — its delay drawn from the
-// sender's stream in edge order — and offered to the flood as an
-// arrival.
+// sender). Every message is counted; its delay is computed only when
+// the message can still be its receiver's first arrival.
 func (f *txFlood) relay(n *Node, from *Edge) {
 	now := f.sched.Now()
-	b := n.net.Burst(n.netNode, f.tx.Size)
+	src := int32(n.id)
+	b := n.net.Burst(n.netNode, f.tx.Size, txKind, uint64(f.tx.Hash))
+	sent := 0
 	for _, e := range n.edges {
 		if e == from {
 			continue
 		}
+		sent++
 		peer := e.Other(n)
-		f.offer(peer, e, now+b.Transmit(peer.netNode))
+		id := peer.id
+		p := f.pos[id]
+		if p == settled {
+			continue
+		}
+		if p != unreached && !arrivalLess(floodArrival{at: now + n.net.Floor(n.netNode, peer.netNode), from: src}, f.heap[p]) {
+			continue // the pending arrival wins even against the floor
+		}
+		f.pool.delays++
+		a := floodArrival{at: now + b.Delay(peer.netNode), from: src, id: int32(id)}
+		switch {
+		case p == unreached:
+			f.peers[id] = floodPeer{node: peer, from: e}
+			f.heap = append(f.heap, a)
+			f.up(len(f.heap) - 1)
+		case arrivalLess(a, f.heap[p]):
+			f.peers[id].from = e
+			f.heap[p] = a
+			f.up(int(p))
+		}
 	}
-	b.Done()
-}
-
-// offer records a message reaching peer over e at `at`, unless peer is
-// settled in this flood or already has an arrival at or before `at`
-// pending: on a tie the pending one has the lower seq and runs first.
-// A live message reserves its seq now, where its delivery event would
-// have been scheduled.
-func (f *txFlood) offer(peer *Node, e *Edge, at sim.Time) {
-	id := peer.netNode.ID
-	switch p := f.pos[id]; {
-	case p == unreached:
-		f.peers[id] = floodPeer{node: peer, from: e}
-		f.heap = append(f.heap, floodArrival{at: at, seq: f.sched.ReserveSeq(), id: int32(id)})
-		f.up(len(f.heap) - 1)
-	case p == settled || f.heap[p].at <= at:
-	default:
-		f.peers[id].from = e
-		f.heap[p] = floodArrival{at: at, seq: f.sched.ReserveSeq(), id: int32(id)}
-		f.up(int(p))
-	}
+	n.net.Count(sent)
 }
 
 // arm schedules the flood's event at its earliest pending arrival, or
 // releases the flood when nothing is pending.
 func (f *txFlood) arm() {
 	if len(f.heap) > 1 {
-		f.sched.ScheduleReserved(f.heap[1].at, f.heap[1].seq, f, sim.Arg{})
+		f.sched.ScheduleArg(f.heap[1].at, f, sim.Arg{})
 		return
 	}
 	clear(f.pos)
@@ -167,7 +170,7 @@ func arrivalLess(a, b floodArrival) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	return a.seq < b.seq
+	return a.from < b.from
 }
 
 // popMin removes the earliest pending arrival and returns its node ID.

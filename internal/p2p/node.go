@@ -18,23 +18,23 @@
 // only marks the sending peer in the node's known-block table for the
 // node's own push and announce of the block to read. Such a delivery
 // is settled when it is sent (see knownBlocks.settle). It is still
-// transmitted, its delay drawn and the message counted, but it takes no
-// engine seq, which keeps the relative (time, seq) order of every
-// scheduled event. A delivery that lands after the receiver's announce
-// is dead and is dropped. One that lands before the receiver's next
-// read has its mark set at once. Only a delivery that lands between the
-// receiver's push and announce, or reaches an observed node or one
-// still without the block, becomes an event. Block requests are never
-// settled early.
+// transmitted, its delay computed and the message counted, but it
+// schedules no event. A delivery that lands after the receiver's
+// announce is dead and is dropped. One that lands before the receiver's
+// next read has its mark set at once. Only a delivery that lands
+// between the receiver's push and announce, or reaches an observed node
+// or one still without the block, becomes an event. Block requests are
+// never settled early.
 //
 // Transaction relay carries nearly all of a campaign's messages, and
 // most of them reach a peer that already has the transaction or will
 // get it sooner through another link. Each transaction therefore runs
-// as one flood (see txFlood): every relayed message is still
-// transmitted — its delay drawn and the message counted — but only a
-// node's first arrival becomes an engine event, so duplicates never
-// become events or reach an observer, and the flood alone records
-// which nodes hold the transaction.
+// as one flood (see txFlood): every relayed message is counted, but
+// only a message that can still be its receiver's first arrival has
+// its delay computed, and only a node's first arrival becomes an
+// engine event, so duplicates never become events or reach an
+// observer, and the flood alone records which nodes hold the
+// transaction.
 package p2p
 
 import (
@@ -146,6 +146,7 @@ type Node struct {
 	cfg     *Config
 	net     *simnet.Network
 	netNode *simnet.Node
+	id      types.NodeID // netNode.ID, beside netNode: a relay reads it for every message
 	sched   *sim.Engine
 	rng     *rand.Rand
 	reg     *chain.Registry
@@ -183,6 +184,7 @@ func NewNode(cfg *Config, net *simnet.Network, endpoint *simnet.Node, reg *chain
 		cfg:       cfg,
 		net:       net,
 		netNode:   endpoint,
+		id:        endpoint.ID,
 		sched:     net.Engine(),
 		rng:       sim.NewStream(net.Engine().Seed(), "p2p", uint64(endpoint.ID)),
 		reg:       reg,
@@ -208,7 +210,7 @@ func (n *Node) scale(d time.Duration) time.Duration {
 }
 
 // ID returns the node's network ID.
-func (n *Node) ID() types.NodeID { return n.netNode.ID }
+func (n *Node) ID() types.NodeID { return n.id }
 
 // Endpoint returns the underlying network endpoint.
 func (n *Node) Endpoint() *simnet.Node { return n.netNode }
@@ -403,7 +405,7 @@ func (n *Node) sendBlock(b *types.Block, e *Edge, kind MsgKind) {
 // knownBlocks.settle): then nothing is scheduled.
 func (n *Node) send(e *Edge, size int, ev int32, b *types.Block) {
 	peer := e.Other(n)
-	d := n.net.Transmit(n.netNode, peer.netNode, size)
+	d := n.net.Transmit(n.netNode, peer.netNode, size, uint64(ev), uint64(b.Hash))
 	if now := n.sched.Now(); peer.Observer == nil && peer.known.settle(b.Hash, *e.slot(peer), now, now+d) {
 		return
 	}
@@ -459,7 +461,7 @@ func (n *Node) fetchTimeout(b *types.Block, announcer *Edge) {
 		return
 	}
 	peer := announcer.Other(n)
-	d := n.net.Transmit(n.netNode, peer.netNode, 64)
+	d := n.net.Transmit(n.netNode, peer.netNode, 64, uint64(evGetBlock), uint64(h))
 	n.sched.AfterArg(d, peer, sim.Arg{B: announcer, U: uint64(h), K: evGetBlock})
 }
 

@@ -162,31 +162,6 @@ func (e *Engine) ScheduleArg(at Time, h Handler, arg Arg) {
 	e.lq.push(at, e.seq, idx)
 }
 
-// ReserveSeq claims the tie-break sequence number the next scheduling
-// call would take, without scheduling anything. A component that keeps
-// its own pending work (a transaction flood's arrivals) reserves a seq
-// where it would have scheduled an event, and later hands the
-// (at, seq) pair to ScheduleReserved, so the work runs exactly where
-// the event would have.
-func (e *Engine) ReserveSeq() uint64 {
-	e.seq++
-	return e.seq
-}
-
-// ScheduleReserved runs h.HandleSimEvent(arg) at the given absolute
-// virtual time, ordered among same-time events by seq, a number from
-// ReserveSeq, instead of by when this call is made. Each reserved seq
-// must be scheduled at most once; at must not precede Now.
-func (e *Engine) ScheduleReserved(at Time, seq uint64, h Handler, arg Arg) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
-	}
-	idx := e.alloc()
-	ev := &e.slab[idx]
-	ev.at, ev.seq, ev.h, ev.arg = at, seq, h, arg
-	e.lq.push(at, seq, idx)
-}
-
 // After runs fn after the given delay from the current time. Negative
 // delays are clamped to zero.
 func (e *Engine) After(d time.Duration, fn func()) {
@@ -306,11 +281,25 @@ again:
 }
 
 func (s *Splitmix) Uint64() uint64 {
-	s.state += 0x9E3779B97F4A7C15
-	z := s.state
+	s.state += splitmixGamma
+	return mix64(s.state)
+}
+
+const splitmixGamma = 0x9E3779B97F4A7C15
+
+// mix64 is splitmix64's finalizer, a bijection of uint64.
+func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
+}
+
+// Fold returns the stream seeded by a splitmix64 hash of s's state and
+// w, leaving s as it is: a keyed stream, a pure function of the base
+// stream and the key w, which a caller holds by value, on its stack,
+// for the few draws one keyed sample takes.
+func (s Splitmix) Fold(w uint64) Splitmix {
+	return Splitmix{state: mix64((s.state ^ w) + splitmixGamma)}
 }
 
 func (s *Splitmix) Int63() int64 { return int64(s.Uint64() >> 1) }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -298,36 +297,6 @@ func TestEngineTimestampsNondecreasing(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestScheduleReservedOrdersBySeq: an event scheduled with a reserved
-// seq runs in (at, seq) order among the events scheduled between the
-// reservation and its scheduling — ahead of same-time events with
-// later seqs, behind earlier ones.
-func TestScheduleReservedOrdersBySeq(t *testing.T) {
-	const at = 10 * time.Millisecond
-	e := NewEngine(1)
-	var got []string
-	h := func(name string) Handler {
-		return handlerFunc(func(Arg) { got = append(got, name) })
-	}
-	// Reserve a seq between two same-time events, schedule two more
-	// same-time events and a later one, then schedule the reserved
-	// event — and a second reserved event at a later time.
-	e.ScheduleArg(at, h("a"), Arg{})
-	r1 := e.ReserveSeq()
-	r2 := e.ReserveSeq()
-	e.ScheduleArg(at, h("b"), Arg{})
-	e.ScheduleArg(at+time.Millisecond, h("d"), Arg{})
-	e.ScheduleArg(at, h("c"), Arg{})
-	e.ScheduleReserved(at+time.Millisecond, r2, h("r2"), Arg{})
-	e.ScheduleReserved(at, r1, h("r1"), Arg{})
-	if _, err := e.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if want := "[a r1 b c r2 d]"; fmt.Sprint(got) != want {
-		t.Errorf("ran %v, want %v", got, want)
 	}
 }
 

@@ -1,11 +1,12 @@
 // The engine's pending-event queue: a multi-rung ladder queue with O(1)
 // amortized push and pop that orders events by their unique (at, seq)
-// key. It is the only queue the engine runs on. A push's seq need not
-// exceed the pending ones: events scheduled with a reserved seq
-// (Engine.ScheduleReserved) arrive late with a small one. The test
-// files keep a plain binary heap as the reference order; the
-// differential tests and FuzzQueueOrder check that the ladder pops
-// exactly its sequence.
+// key. It is the only queue the engine runs on. The engine hands out
+// seqs in increasing order, so every push carries a seq above all
+// pending ones; the queue does not rely on that, and keeps the (at, seq)
+// order for a push with a smaller seq too. The test files keep a plain
+// binary heap as the reference order; the differential tests and
+// FuzzQueueOrder check that the ladder pops exactly its sequence, with
+// and without such late seqs.
 package sim
 
 import "math/bits"
@@ -78,8 +79,8 @@ const spillLimit = 256
 // its rung's, and the lone entry of an empty queue sets topStart just
 // past itself. Entries of one timestamp therefore always meet in one
 // tier — the bottom heap, or a bucket that reaches it whole — so the
-// (at, seq) order holds for any seq, including a reserved one pushed
-// after larger seqs at the same time. (A tier that kept an entry at its
+// (at, seq) order holds for any seq, including one pushed after larger
+// seqs at the same time. (A tier that kept an entry at its
 // bound would pop it ahead of a later push at that bound with a smaller
 // seq, which went to the tier above.) Timestamps must stay below
 // math.MaxInt64, whose successor is not representable.

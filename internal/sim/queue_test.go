@@ -118,9 +118,9 @@ func farFirstStep() diffStep {
 // correct priority queues must agree exactly. "Cancel" in the workload
 // sense is realized as pop-and-discard — the engine has no cancel API,
 // so removal always happens at the minimum. With late set, pushes also
-// reserve seqs and later push with one of them, as a transaction flood
-// schedules its next arrival with the seq reserved when the arrival was
-// relayed: a push's seq is then often below pending ones.
+// reserve seqs and later push with one of them, so a push's seq is
+// often below pending ones: the engine never does this, but the queue's
+// order does not depend on it.
 func runDifferential(t testing.TB, ops int, step diffStep, late bool, r *rand.Rand) {
 	t.Helper()
 	var lad ladder

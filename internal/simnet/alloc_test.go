@@ -43,7 +43,7 @@ func TestSendZeroAllocsPerDelivery(t *testing.T) {
 
 	warm := func() {
 		for i := 0; i < 32; i++ {
-			d := net.Transmit(a, b, 100)
+			d := net.Transmit(a, b, 100, 1, uint64(i))
 			engine.AfterArg(d, recv, sim.Arg{A: payload, U: uint64(i), K: 1})
 		}
 		if _, err := engine.Run(engine.Now() + time.Minute); err != nil {
@@ -63,7 +63,7 @@ func TestSendZeroAllocsPerDelivery(t *testing.T) {
 	if recv.delivered == 0 || recv.lastKind != 1 {
 		t.Fatalf("receiver saw %d deliveries, last kind %d", recv.delivered, recv.lastKind)
 	}
-	if allocs := testing.AllocsPerRun(200, func() { net.Transmit(a, b, 100) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(200, func() { net.Transmit(a, b, 100, 1, 1) }); allocs != 0 {
 		t.Fatalf("Transmit allocated %.1f times per message, want 0", allocs)
 	}
 }

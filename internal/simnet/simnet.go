@@ -5,14 +5,14 @@
 // internal/p2p.
 //
 // The network is only the wire model: Transmit counts a message and
-// draws its one-way delay, and the protocol layer schedules the
+// computes its one-way delay, and the protocol layer schedules the
 // delivery as an event on the receiving node itself. Nothing here
 // allocates per message.
 //
-// Delay jitter draws from a per-sender RNG stream (derived from the
-// master seed and the sender's node ID), never from a shared stream:
-// a node's delays depend only on its own sends, not on how they
-// interleave with other nodes'.
+// A message's delay is a pure function of the message (see Burst), so
+// it does not depend on which other messages were sent, or in what
+// order: a protocol may count a message and never compute its delay
+// when no delay could change what the message does (see Floor).
 package simnet
 
 import (
@@ -38,8 +38,7 @@ type Network struct {
 	latency *geo.LatencyModel
 	nodes   []*Node
 
-	// Per-sender jitter streams, parallel to nodes.
-	senderRNG []*sim.Splitmix
+	key sim.Splitmix // the base every message's key is hashed under
 
 	// local holds one protocol-layer value (Local).
 	local any
@@ -56,6 +55,7 @@ func New(engine *sim.Engine, latency *geo.LatencyModel) *Network {
 	return &Network{
 		engine:      engine,
 		latency:     latency,
+		key:         *sim.NewSplitmix(engine.Seed(), "simnet", 0),
 		MinOverhead: 200 * time.Microsecond,
 	}
 }
@@ -72,7 +72,6 @@ func (n *Network) AddNode(region geo.Region, bandwidth float64) (*Node, error) {
 	id := types.NodeID(len(n.nodes))
 	node := &Node{ID: id, Region: region, Bandwidth: bandwidth}
 	n.nodes = append(n.nodes, node)
-	n.senderRNG = append(n.senderRNG, sim.NewSplitmix(n.engine.Seed(), "simnet", uint64(id)))
 	return node, nil
 }
 
@@ -88,8 +87,8 @@ func (n *Network) Nodes() []*Node { return n.nodes }
 // NumNodes returns the number of registered nodes.
 func (n *Network) NumNodes() int { return len(n.nodes) }
 
-// Sent returns the number of messages transmitted so far, whether
-// their deliveries were scheduled or settled at send time.
+// Sent returns the number of messages put on the wire so far, whether
+// or not their deliveries were scheduled or their delays computed.
 func (n *Network) Sent() uint64 { return n.sent }
 
 // Local returns the network's protocol-layer value slot, where the
@@ -97,65 +96,70 @@ func (n *Network) Sent() uint64 { return n.sent }
 // lists.
 func (n *Network) Local() *any { return &n.local }
 
-// Transmit puts one message of the given wire size on the wire from
-// one node to another: it counts the message and draws its one-way
-// delay, which is propagation latency (region pair, jittered, drawn
-// from the sender's stream) + transmission time at the slower endpoint
-// + fixed overhead. Every wire message is transmitted exactly once;
-// the caller then schedules its delivery on the receiver, unless
-// the protocol layer settles the delivery at send time: the receiver
-// already has the payload and can no longer act on the message (a dead
-// delivery), or the message's only effect can be applied at once
-// because nothing reads it before it would land. A settled delivery is
-// still counted here but schedules nothing. Transmit is the one-message
-// case of a Burst.
-func (n *Network) Transmit(from, to *Node, size int) time.Duration {
+// Transmit puts one message of the given wire size, kind and object
+// (see Burst) on the wire from one node to another, now: it counts the
+// message and returns its one-way delay. The caller then schedules its
+// delivery on the receiver, unless the protocol layer settles the
+// delivery at send time: the receiver can no longer act on the message
+// (a dead delivery), or the message's only effect can be applied at
+// once because nothing reads it before it would land.
+func (n *Network) Transmit(from, to *Node, size int, kind, object uint64) time.Duration {
 	n.sent++
-	return n.delay(n.senderRNG[from.ID], from, float64(size), to)
+	b := n.Burst(from, size, kind, object)
+	return b.Delay(to)
 }
 
-// delay draws the one-way delay of a message of the given size from a
-// sender, with its jitter stream, to a receiver.
-func (n *Network) delay(rng *sim.Splitmix, from *Node, size float64, to *Node) time.Duration {
-	lat := n.latency.Sample(rng, from.Region, to.Region)
-	bw := from.Bandwidth
-	if to.Bandwidth < bw {
-		bw = to.Bandwidth
-	}
-	transmit := time.Duration(size / bw * float64(time.Second))
-	return lat + transmit + n.MinOverhead
+// Count counts k messages put on the wire now whose delays the protocol
+// layer never needs: it settles them whatever their delays are.
+func (n *Network) Count(k int) { n.sent += uint64(k) }
+
+// Floor returns a lower bound on the delay of every message from one
+// node to another: the region pair's latency floor plus MinOverhead,
+// since transmission time is never negative.
+func (n *Network) Floor(from, to *Node) time.Duration {
+	return n.latency.SampleFloor(from.Region, to.Region) + n.MinOverhead
 }
 
-// Burst is a transmit cursor for one sender putting a run of equal-size
-// messages on the wire, such as a relay to every peer: the sender's
-// jitter stream is looked up once, and the messages are counted once,
-// by Done. Its delays are exactly those of the same sequence of
-// Transmit calls. A Burst is a value; it allocates nothing.
+// Burst computes the delays of the messages one node sends now that
+// share a size, a kind and an object (a protocol-defined kind, and the
+// hash of the block or transaction carried), such as a relay to every
+// peer. A message's delay is propagation latency (region pair,
+// jittered) + transmission time at the slower endpoint + MinOverhead,
+// and a pure function of its key (seed, kind, object, sender, receiver,
+// send time): the jitter is sampled from a stream seeded by a
+// splitmix64 hash of the key. A Burst is a value, counts nothing and
+// allocates nothing.
 type Burst struct {
-	net  *Network
-	rng  *sim.Splitmix
-	from *Node
-	size float64
-	sent uint64
+	net    *Network
+	from   *Node
+	prefix uint64 // the key words the burst's messages share, absorbed
+	size   float64
 }
 
-// Burst opens a transmit cursor for messages of the given wire size
-// from one node.
-func (n *Network) Burst(from *Node, size int) Burst {
-	return Burst{net: n, rng: n.senderRNG[from.ID], from: from, size: float64(size)}
+// Odd multipliers that absorb the key words: each word's product is a
+// bijection of the word, and the products of different words are
+// combined, then hashed once per message by Delay's Fold.
+const (
+	objectMul = 0xC2B2AE3D27D4EB4F
+	senderMul = 0x165667B19E3779F9
+	timeMul   = 0xD6E8FEB86659FD93
+	toMul     = 0x9E3779B97F4A7C15
+)
+
+// Burst opens a delay cursor for messages of the given size, kind and
+// object sent now from one node.
+func (n *Network) Burst(from *Node, size int, kind, object uint64) Burst {
+	sender := kind<<32 | uint64(uint32(from.ID))
+	prefix := object*objectMul ^ sender*senderMul ^ uint64(n.engine.Now())*timeMul
+	return Burst{net: n, from: from, prefix: prefix, size: float64(size)}
 }
 
-// Transmit puts the burst's next message on the wire to the given node
-// and returns its one-way delay (see Network.Transmit).
-func (b *Burst) Transmit(to *Node) time.Duration {
-	b.sent++
-	return b.net.delay(b.rng, b.from, b.size, to)
-}
-
-// Done adds the burst's messages to the network's sent count.
-func (b *Burst) Done() {
-	b.net.sent += b.sent
-	b.sent = 0
+// Delay returns the delay of the burst's message to the given node.
+func (b *Burst) Delay(to *Node) time.Duration {
+	rng := b.net.key.Fold(b.prefix ^ uint64(to.ID)*toMul)
+	lat := b.net.latency.Sample(&rng, b.from.Region, to.Region)
+	bw := min(b.from.Bandwidth, to.Bandwidth)
+	return lat + time.Duration(b.size/bw*float64(time.Second)) + b.net.MinOverhead
 }
 
 // Engine returns the simulation engine the network runs on.

@@ -125,7 +125,7 @@ func (h *diffHarness) add(tx *types.Transaction) {
 }
 
 func (h *diffHarness) selection(c chooser) []*types.Transaction {
-	return h.pool.Executable(c.Intn(6) + 1)
+	return h.pool.Executable(c.Intn(6)+1, nil)
 }
 
 func (h *diffHarness) build(parent *types.Block, txs []*types.Transaction) *types.Block {
@@ -210,7 +210,7 @@ func (h *diffHarness) check() {
 		}
 	}
 	for _, n := range []int{1, 3, 1 << 10} {
-		if got, want := hashes(h.pool.Executable(n)), hashes(h.ref.Executable(n)); !slices.Equal(got, want) {
+		if got, want := hashes(h.pool.Executable(n, nil)), hashes(h.ref.Executable(n)); !slices.Equal(got, want) {
 			h.t.Fatalf("Executable(%d) = %v, reference %v", n, got, want)
 		}
 	}

@@ -54,8 +54,11 @@ func (p *Pool) Add(tx *types.Transaction) bool {
 // included in the next block: for each sender, the maximal prefix of
 // consecutive nonces starting at the sender's next includable nonce.
 // Among executable transactions, higher gas prices are selected first
-// (price-sorted selection, as in Geth's miner).
-func (p *Pool) Executable(max int) []*types.Transaction {
+// (price-sorted selection, as in Geth's miner). The senders in skip
+// are left out: a block built on another parent than the one the
+// pool's watermarks follow may include only senders whose nonces agree
+// on both.
+func (p *Pool) Executable(max int, skip map[types.AccountID]bool) []*types.Transaction {
 	if max <= 0 {
 		return nil
 	}
@@ -65,6 +68,9 @@ func (p *Pool) Executable(max int) []*types.Transaction {
 	}
 	queues := make([]senderQueue, 0, len(p.pending))
 	for sender, list := range p.pending {
+		if skip[sender] {
+			continue
+		}
 		next := p.nextOnce[sender]
 		k := 0
 		for k < len(list) && list[k].Nonce == next+uint64(k) {

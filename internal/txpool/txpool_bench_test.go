@@ -24,7 +24,7 @@ func BenchmarkAddAndSelect(b *testing.B) {
 		})
 		nonces[sender]++
 		if i%16 == 15 {
-			selected := p.Executable(20)
+			selected := p.Executable(20, nil)
 			p.MarkIncluded(selected)
 		}
 	}
@@ -41,7 +41,7 @@ func BenchmarkExecutableLargePool(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := p.Executable(150); len(got) != 150 {
+		if got := p.Executable(150, nil); len(got) != 150 {
 			b.Fatalf("selected %d", len(got))
 		}
 	}

@@ -55,14 +55,14 @@ func TestExecutableNonceOrderAndGap(t *testing.T) {
 	t2 := tx(1, 2, 50) // gap at nonce 1
 	p.Add(t0)
 	p.Add(t2)
-	got := p.Executable(10)
+	got := p.Executable(10, nil)
 	if len(got) != 1 || got[0].Hash != t0.Hash {
 		t.Fatalf("executable with gap = %v", got)
 	}
 	// Filling the gap unlocks the stalled tx.
 	t1 := tx(1, 1, 1)
 	p.Add(t1)
-	got = p.Executable(10)
+	got = p.Executable(10, nil)
 	if len(got) != 3 {
 		t.Fatalf("executable after fill = %d txs", len(got))
 	}
@@ -78,7 +78,7 @@ func TestExecutablePriceOrderAcrossSenders(t *testing.T) {
 	p.Add(tx(1, 0, 5))
 	p.Add(tx(2, 0, 50))
 	p.Add(tx(3, 0, 20))
-	got := p.Executable(10)
+	got := p.Executable(10, nil)
 	if len(got) != 3 {
 		t.Fatalf("executable = %d", len(got))
 	}
@@ -96,7 +96,7 @@ func TestExecutableTimeTieBreak(t *testing.T) {
 	newer.Created = 9 * time.Second
 	p.Add(newer)
 	p.Add(older)
-	got := p.Executable(2)
+	got := p.Executable(2, nil)
 	if len(got) != 2 || got[0].Hash != older.Hash {
 		t.Error("same-price txs must be ordered by arrival time")
 	}
@@ -107,13 +107,13 @@ func TestExecutableRespectsMax(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		p.Add(tx(types.AccountID(i+1), 0, uint64(i+1)))
 	}
-	if got := p.Executable(4); len(got) != 4 {
+	if got := p.Executable(4, nil); len(got) != 4 {
 		t.Errorf("max ignored: %d", len(got))
 	}
-	if got := p.Executable(0); got != nil {
+	if got := p.Executable(0, nil); got != nil {
 		t.Error("max 0 should return nil")
 	}
-	if got := p.Executable(-1); got != nil {
+	if got := p.Executable(-1, nil); got != nil {
 		t.Error("negative max should return nil")
 	}
 }
@@ -131,7 +131,7 @@ func TestMarkIncludedAdvancesAndRemoves(t *testing.T) {
 	if got := p.PendingOf(1); len(got) != 1 || got[0] != b {
 		t.Errorf("pending after inclusion = %v, want only the next nonce", got)
 	}
-	got := p.Executable(10)
+	got := p.Executable(10, nil)
 	if len(got) != 1 || got[0].Hash != b.Hash {
 		t.Errorf("executable = %v", got)
 	}
@@ -152,7 +152,7 @@ func TestUnmarkIncludedRestores(t *testing.T) {
 	if p.NextNonce(1) != 1 {
 		t.Errorf("next nonce = %d, want rollback to 1", p.NextNonce(1))
 	}
-	got := p.Executable(10)
+	got := p.Executable(10, nil)
 	if len(got) != 1 || got[0].Hash != b.Hash {
 		t.Errorf("executable after revert = %v", got)
 	}
@@ -182,8 +182,8 @@ func TestPendingOf(t *testing.T) {
 func TestExecutableDoesNotMutatePool(t *testing.T) {
 	p := New()
 	p.Add(tx(1, 0, 10))
-	first := p.Executable(10)
-	second := p.Executable(10)
+	first := p.Executable(10, nil)
+	second := p.Executable(10, nil)
 	if len(first) != 1 || len(second) != 1 {
 		t.Error("Executable must be a read-only selection")
 	}
@@ -213,7 +213,7 @@ func TestExecutableInvariantsProperty(t *testing.T) {
 			}
 		}
 		m := int(max%16) + 1
-		out := p.Executable(m)
+		out := p.Executable(m, nil)
 		if len(out) > m {
 			return false
 		}
@@ -244,7 +244,7 @@ func TestUnmarkIncludedRestoresWholeBlock(t *testing.T) {
 		block = append(block, tx(1, n, 10))
 		p.Add(block[n])
 	}
-	p.MarkIncluded(p.Executable(10))
+	p.MarkIncluded(p.Executable(10, nil))
 	p.UnmarkIncluded(block)
 	if p.NextNonce(1) != 0 {
 		t.Errorf("next nonce = %d after unmarking the block, want 0", p.NextNonce(1))
@@ -276,7 +276,7 @@ func TestMarkIncludedRetainsPerSenderStateOnly(t *testing.T) {
 		for _, tx := range txs[i : i+blockSize] {
 			p.Add(tx)
 		}
-		if sel := p.Executable(blockSize); len(sel) != blockSize {
+		if sel := p.Executable(blockSize, nil); len(sel) != blockSize {
 			t.Fatalf("selected %d of %d executable txs", len(sel), blockSize)
 		} else {
 			p.MarkIncluded(sel)
