@@ -91,11 +91,10 @@ func equivalenceVariants() []struct {
 	// bit-identical off the Ethereum consensus path too. The bitcoin
 	// variant exercises the no-reference rules (zero uncles, discarding
 	// withholder); ghost-inclusive the deeper reference window. Both
-	// run 30 minutes on seed 70, where Ethereum recognizes uncles and
-	// the GHOST window includes a reference Ethereum's cannot, so each
-	// protocol's rules change the chain
-	// (TestProtocolVariantsExerciseTheirRules). Such a reference is
-	// rare: a change to the model's draws may need a new seed.
+	// run 30 minutes on seed 70. That each protocol's rules change the
+	// chain is checked on a config with a high fork rate
+	// (TestProtocolVariantsExerciseTheirRules): at this rate a
+	// reference only the GHOST window includes is rare.
 	protocolCfg := func(spec consensus.Spec) Config {
 		cfg := tinyConfig()
 		cfg.EnableTxWorkload = false
@@ -140,47 +139,53 @@ func equivalenceVariants() []struct {
 	return variants
 }
 
-// TestProtocolVariantsExerciseTheirRules guards the protocol variants
-// of the equivalence suite against configs too small for the rules to
-// matter: the same campaign under Ethereum must recognize uncles, and
-// Ethereum, bitcoin and ghost-inclusive must each produce a different
-// chain. Otherwise the variants re-prove the Ethereum run.
+// TestProtocolVariantsExerciseTheirRules: each protocol's rules change
+// the chain. On a config with a high fork rate (a block a second, about
+// one in three blocks an uncle), where references at depth 7–10 and
+// blocks with three uncles to take are common, Ethereum recognizes
+// uncles, and Ethereum, bitcoin and ghost-inclusive (depth 10, cap 3)
+// mine three different chains on each of four seeds. The golden
+// protocol variants run the same rules at the campaign's native rate.
 func TestProtocolVariantsExerciseTheirRules(t *testing.T) {
 	if testing.Short() {
-		t.Skip("the ghost-inclusive variant runs only in the full suite")
+		t.Skip("twelve campaigns run only in the full suite")
 	}
-	byName := make(map[string]Config)
-	for _, v := range equivalenceVariants() {
-		byName[v.name] = v.cfg
-	}
-	eth := byName["bitcoin"]
-	eth.Protocol = consensus.Spec{}
-	ghostBase := byName["ghost-inclusive"]
-	ghostBase.Protocol = consensus.Spec{}
-	if !reflect.DeepEqual(eth, ghostBase) {
-		t.Fatal("bitcoin and ghost-inclusive variants differ in more than the protocol")
-	}
-	seen := make(map[string]string)
-	for _, run := range []struct {
+	protocols := []struct {
 		name string
-		cfg  Config
-	}{{"ethereum", eth}, {"bitcoin", byName["bitcoin"]}, {"ghost-inclusive", byName["ghost-inclusive"]}} {
-		campaign, err := NewCampaign(run.cfg)
-		if err != nil {
-			t.Fatal(err)
+		spec consensus.Spec
+	}{
+		{"ethereum", consensus.Spec{}},
+		{"bitcoin", consensus.Spec{Name: consensus.BitcoinName}},
+		{"ghost-inclusive", consensus.Spec{
+			Name:   consensus.GhostInclusiveName,
+			Params: map[string]string{"depth": "10", "cap": "3"},
+		}},
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		seen := make(map[string]string)
+		for _, p := range protocols {
+			cfg := tinyConfig()
+			cfg.EnableTxWorkload = false
+			cfg.Mining.InterBlockTime = time.Second
+			cfg.Seed = seed
+			cfg.Protocol = p.spec
+			campaign, err := NewCampaign(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := campaign.RunContext(context.Background(), RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.name == "ethereum" && res.Forks.RecognizedUncles == 0 {
+				t.Fatalf("seed %d: Ethereum recognizes no uncle", seed)
+			}
+			fp := chainFingerprint(campaign)
+			if other, dup := seen[fp]; dup {
+				t.Fatalf("seed %d: %s and %s produced the same chain", seed, other, p.name)
+			}
+			seen[fp] = p.name
 		}
-		res, err := campaign.RunContext(context.Background(), RunOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if run.name == "ethereum" && res.Forks.RecognizedUncles == 0 {
-			t.Fatal("the protocol variants' campaign recognizes no uncle under Ethereum")
-		}
-		fp := chainFingerprint(campaign)
-		if other, dup := seen[fp]; dup {
-			t.Fatalf("%s and %s produced the same chain", other, run.name)
-		}
-		seen[fp] = run.name
 	}
 }
 

@@ -137,17 +137,17 @@ func TestKnownTableAllocatesOnce(t *testing.T) {
 	}
 	b := types.Hash(uint64(1)<<48 + 1)
 	relay := func() {
-		k.mark(b, *n.edges[int(b)%len(n.edges)].slot(n))
+		k.mark(b, n.links[int(b)%len(n.links)].slot)
 		r := k.find(b)
-		for i, e := range n.edges {
-			if !k.has(r, *e.slot(n)) && i%3 == 0 {
-				k.mark(b, *e.slot(n))
+		for i, l := range n.links {
+			if !k.has(r, l.slot) && i%3 == 0 {
+				k.mark(b, l.slot)
 			}
 		}
 		r = k.claim(b)
-		for _, e := range n.edges {
-			if !k.has(r, *e.slot(n)) {
-				k.set(r, *e.slot(n))
+		for _, l := range n.links {
+			if !k.has(r, l.slot) {
+				k.set(r, l.slot)
 			}
 		}
 		b++
@@ -175,20 +175,33 @@ func TestKnownTableAllocatesOnce(t *testing.T) {
 	}
 }
 
-// TestNewEdgeHoldsNoSetStorage: an edge is one allocation holding a
-// slot per endpoint, and a fresh node holds no known-block table.
-func TestNewEdgeHoldsNoSetStorage(t *testing.T) {
-	h := newHarness(t, 2, DefaultConfig())
-	a, b := h.nodes[0], h.nodes[1]
-	var e *Edge
-	if allocs := testing.AllocsPerRun(10, func() { e = newEdge(a, b) }); allocs != 1 {
-		t.Fatalf("newEdge made %.0f allocations, want 1 (the Edge itself)", allocs)
+// TestConnectHoldsNoSetStorage: a link is one value at each end
+// naming the peer and both ends' slots, a torn-down link's slot goes
+// to the next link under a new generation, and a linked node holds no
+// known-block table before its first block.
+func TestConnectHoldsNoSetStorage(t *testing.T) {
+	h := newHarness(t, 3, DefaultConfig())
+	a, b, c := h.nodes[0], h.nodes[1], h.nodes[2]
+	Connect(a, b)
+	Connect(b, c)
+	if a.links[0] != (link{peer: b.ID(), slot: 0, peerSlot: 0}) || b.links[0] != (link{peer: a.ID(), slot: 0, peerSlot: 0}) {
+		t.Fatalf("a–b link ends %+v / %+v", a.links[0], b.links[0])
 	}
-	if *e.slot(a) != 10 || *e.slot(b) != 10 {
-		t.Fatalf("eleventh edge holds slots %d/%d, want 10/10", *e.slot(a), *e.slot(b))
+	if c.links[0] != (link{peer: b.ID(), slot: 0, peerSlot: 1}) {
+		t.Fatalf("c's end of b–c: %+v", c.links[0])
+	}
+	old := b.known.handle(0)
+	Disconnect(a, b)
+	Connect(c, a)
+	if got := b.links; len(got) != 1 || got[0] != (link{peer: c.ID(), slot: 1, peerSlot: 0}) {
+		t.Fatalf("b's links after a–b went: %+v", got)
+	}
+	Connect(b, a)
+	if l := b.links[1]; l.slot != 0 || b.known.resolve(old) != -1 || b.known.resolve(b.known.handle(0)) != 0 {
+		t.Fatalf("re-dialled link %+v: stale handle resolves to %d, fresh to %d", l, b.known.resolve(old), b.known.resolve(b.known.handle(0)))
 	}
 	for _, n := range h.nodes {
-		if n.known.rows != nil || n.known.capacity != h.cfg.KnownBlocksPerPeer {
+		if n.known.rows != nil || int(n.known.capacity) != h.cfg.KnownBlocksPerPeer {
 			t.Fatalf("fresh node: table of %d words, capacity %d; want none, capacity %d",
 				len(n.known.rows), n.known.capacity, h.cfg.KnownBlocksPerPeer)
 		}

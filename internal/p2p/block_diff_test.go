@@ -41,6 +41,10 @@ var gossipCases = []gossipCase{
 	{seed: 7, nodes: 24, outDegree: 4, capacity: 256, mode: 2, blocks: 8, spacing: time.Second, churn: 6},
 	// Cut mid-gossip, with deliveries still pending.
 	{seed: 8, nodes: 40, outDegree: 8, capacity: 256, blocks: 12, spacing: 200 * time.Millisecond, churn: 8, horizon: 2 * time.Second},
+	// Dense churn during gossip: pairs re-dialled with blocks in flight
+	// between them, which must mark nothing on arrival.
+	{seed: 9, nodes: 30, outDegree: 6, capacity: 256, blocks: 12, spacing: 150 * time.Millisecond, churn: 60},
+	{seed: 10, nodes: 20, outDegree: 5, capacity: 256, blocks: 8, spacing: 100 * time.Millisecond, churn: 60},
 }
 
 // gossipEntry is one observed block message at a node.
@@ -134,8 +138,15 @@ func newGossipRun(tb testing.TB, c gossipCase, observe func(i int) bool) *gossip
 		g.engine.Schedule(when, func() {
 			switch kind {
 			case 0:
-				if len(a.edges) > 0 {
-					Disconnect(a, a.edges[k%len(a.edges)].Other(a))
+				// Drop one link; at odd k dial the pair afresh at once,
+				// so deliveries in flight on the old link arrive over a
+				// torn-down link while the pair is peered again.
+				if peers := a.Peers(); len(peers) > 0 {
+					p := peers[k%len(peers)]
+					Disconnect(a, p)
+					if k%2 == 1 {
+						Connect(a, p)
+					}
 				}
 			case 1:
 				Connect(a, b)
@@ -253,7 +264,7 @@ func FuzzBlockGossip(f *testing.F) {
 			mode:       int(mode % 3),
 			blocks:     1 + int(blocks%20),
 			spacing:    time.Duration(spacingMs%3000) * time.Millisecond,
-			churn:      int(churn % 16),
+			churn:      int(churn % 64),
 			horizon:    time.Duration(horizonMs) * time.Millisecond,
 		})
 	})
@@ -283,7 +294,7 @@ func TestSettleDecidesBySchedule(t *testing.T) {
 		{"sent after the push", true, 1, s(10.1), s(10.5), true, true},
 		{"torn-down link", true, -1, s(5), s(9), true, false},
 	} {
-		k := knownBlocks{capacity: 4, nSlots: 2}
+		k := knownBlocks{capacity: 4, gens: make([]uint32, 2)}
 		k.mark(h, 0)
 		if c.scheduled {
 			k.schedule(h, s(10), s(11))

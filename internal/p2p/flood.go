@@ -29,12 +29,13 @@ import (
 type txFlood struct {
 	tx    *types.Transaction
 	sched *sim.Engine
-	pool  *floodPool
-	// pos and peers are indexed by node ID and sized to the network
-	// when the flood opens. pos[id] is unreached, settled, or the index
-	// of the node's pending arrival in heap.
-	pos   []int32
-	peers []floodPeer
+	tab   *table
+	// pos and via are indexed by node ID and sized to the network when
+	// the flood opens. pos[id] is unreached, settled, or the index of
+	// the node's pending arrival in heap; via[id] is the node's handle
+	// for the link its pending arrival comes over.
+	pos []int32
+	via []uint64
 	// heap is a binary min-heap of the pending arrivals by (at, from),
 	// rooted at index 1; heap[0] is unused.
 	heap []floodArrival
@@ -45,12 +46,6 @@ const (
 	unreached = 0
 	settled   = -1
 )
-
-// floodPeer is a reached node and the link of its pending arrival.
-type floodPeer struct {
-	node *Node
-	from *Edge
-}
 
 // floodArrival is one pending arrival: the delivery time of the
 // message and the IDs of its sender and receiver.
@@ -63,92 +58,79 @@ type floodArrival struct {
 // messages use their node event kinds, which start at 1.
 const txKind = 0
 
-// floodPool is a network's free list of released floods, whose arrays
-// keep their capacity. It lives in the network's protocol-layer slot
-// (simnet.Network.Local), so the run's floods share it.
-type floodPool struct {
-	free   []*txFlood
-	delays uint64 // relayed messages whose delay was computed
-}
-
 // flood opens a flood of tx at its origin n, relays from n and arms
 // the flood's event.
 func (n *Node) flood(tx *types.Transaction) {
-	slot := n.net.Local()
-	pool, _ := (*slot).(*floodPool)
-	if pool == nil {
-		pool = &floodPool{}
-		*slot = pool
-	}
+	tab := n.tab
 	var f *txFlood
-	if k := len(pool.free); k > 0 {
-		f = pool.free[k-1]
-		pool.free = pool.free[:k-1]
+	if k := len(tab.free); k > 0 {
+		f = tab.free[k-1]
+		tab.free = tab.free[:k-1]
 	} else {
-		f = &txFlood{pool: pool, heap: make([]floodArrival, 1)}
+		f = &txFlood{tab: tab, heap: make([]floodArrival, 1)}
 	}
 	if nodes := n.net.NumNodes(); len(f.pos) < nodes {
 		f.pos = make([]int32, nodes)
-		f.peers = make([]floodPeer, nodes)
+		f.via = make([]uint64, nodes)
 	}
 	f.tx, f.sched = tx, n.sched
 	f.pos[n.id] = settled
-	f.relay(n, nil)
+	f.relay(n, -1)
 	f.arm()
 }
 
 // HandleSimEvent settles the earliest pending arrival (sim.Handler):
 // the node sights the transaction for the first time and relays it.
 func (f *txFlood) HandleSimEvent(sim.Arg) {
-	id := f.popMin()
-	f.pos[id] = settled
-	n, from := f.peers[id].node, f.peers[id].from
+	a := f.popMin()
+	f.pos[a.id] = settled
+	n := f.tab.nodes[a.id]
 	if n.Observer != nil {
-		n.Observer.ObserveTx(f.sched.Now(), f.tx, from.Other(n).ID())
+		n.Observer.ObserveTx(f.sched.Now(), f.tx, types.NodeID(a.from))
 	}
 	if n.TxSink != nil {
 		n.TxSink(f.tx)
 	}
-	f.relay(n, from)
+	f.relay(n, n.known.resolve(f.via[a.id]))
 	f.arm()
 }
 
-// relay sends the transaction from n to every peer but the one it came
-// from (Geth 1.8 broadcasts transactions to every peer not known to
-// have them, and at a node's first sighting that is everyone but the
-// sender). Every message is counted; its delay is computed only when
-// the message can still be its receiver's first arrival.
-func (f *txFlood) relay(n *Node, from *Edge) {
+// relay sends the transaction from n over every link but the one on
+// slot skip, which it came over (Geth 1.8 broadcasts transactions to
+// every peer not known to have them: at a first sighting, every link
+// but that one). Every message is counted; its delay is computed only
+// when the message can still be its receiver's first arrival.
+func (f *txFlood) relay(n *Node, skip int32) {
 	now := f.sched.Now()
 	src := int32(n.id)
 	b := n.net.Burst(n.netNode, f.tx.Size, txKind, uint64(f.tx.Hash))
 	sent := 0
-	for _, e := range n.edges {
-		if e == from {
+	for _, l := range n.links {
+		if l.slot == skip {
 			continue
 		}
 		sent++
-		peer := e.Other(n)
-		id := peer.id
+		id := l.peer
 		p := f.pos[id]
 		if p == settled {
 			continue
 		}
-		if p != unreached && !arrivalLess(floodArrival{at: now + n.net.Floor(n.netNode, peer.netNode), from: src}, f.heap[p]) {
+		if p != unreached && !arrivalLess(floodArrival{at: now + n.net.Floor(n.id, id), from: src}, f.heap[p]) {
 			continue // the pending arrival wins even against the floor
 		}
-		f.pool.delays++
-		a := floodArrival{at: now + b.Delay(peer.netNode), from: src, id: int32(id)}
+		f.tab.delays++
+		a := floodArrival{at: now + b.Delay(id), from: src, id: int32(id)}
 		switch {
 		case p == unreached:
-			f.peers[id] = floodPeer{node: peer, from: e}
 			f.heap = append(f.heap, a)
 			f.up(len(f.heap) - 1)
 		case arrivalLess(a, f.heap[p]):
-			f.peers[id].from = e
 			f.heap[p] = a
 			f.up(int(p))
+		default:
+			continue
 		}
+		f.via[id] = f.tab.nodes[id].known.handle(l.peerSlot)
 	}
 	n.net.Count(sent)
 }
@@ -161,9 +143,8 @@ func (f *txFlood) arm() {
 		return
 	}
 	clear(f.pos)
-	clear(f.peers)
 	f.tx, f.sched = nil, nil
-	f.pool.free = append(f.pool.free, f)
+	f.tab.free = append(f.tab.free, f)
 }
 
 func arrivalLess(a, b floodArrival) bool {
@@ -173,13 +154,13 @@ func arrivalLess(a, b floodArrival) bool {
 	return a.from < b.from
 }
 
-// popMin removes the earliest pending arrival and returns its node ID.
+// popMin removes the earliest pending arrival and returns it.
 // The root's hole sinks along the smaller children to a leaf, and the
 // last arrival fills it from there: one compare per level instead of
 // two, since the last arrival nearly always belongs near the bottom.
-func (f *txFlood) popMin() int32 {
+func (f *txFlood) popMin() floodArrival {
 	h := f.heap
-	top := h[1].id
+	top := h[1]
 	last := len(h) - 1
 	i := 1
 	for {

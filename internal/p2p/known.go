@@ -9,8 +9,10 @@ import (
 // each of its recent blocks: Geth's per-peer known-block sets, kept as
 // one table per node instead of one cache per link.
 //
-// Every link endpoint holds a small slot number (see Edge), handed out
-// when the link is made and released when it is torn down. The table
+// Every link endpoint holds a small slot number (see link), the lowest
+// free one when the link is made. A slot's generation is odd while a
+// link holds it: acquire and release each bump it, so a handle of the
+// link goes stale when the link is torn down. The table
 // has capacity rows indexed by hash mod capacity; a row holds the hash
 // it tracks and a bitmask over the node's slots. Block hashes are
 // sequential ids from one issuer, so the node's last capacity blocks
@@ -33,11 +35,11 @@ import (
 // slot passes 64·stride. Nothing is allocated until the node's first
 // block, so a built network holds no tables.
 type knownBlocks struct {
-	capacity int
-	stride   int      // mask words per row, once rows is allocated
+	capacity int32
+	stride   int32    // mask words per row, once rows is allocated
 	rows     []uint64 // nil until the first claim
-	nSlots   int32    // slots handed out (high-water mark)
-	free     []int32  // released slots, handed out again first
+	gens     []uint32 // by slot ever handed out: its generation
+	next     int32    // no slot below it is free
 }
 
 // rowHead is the number of words before a row's mask: key, push time,
@@ -45,53 +47,68 @@ type knownBlocks struct {
 const rowHead = 3
 
 // rowLen returns the words per row.
-func (k *knownBlocks) rowLen() int { return rowHead + k.stride }
+func (k *knownBlocks) rowLen() int { return rowHead + int(k.stride) }
 
 // slotBit returns the word offset within a row and the mask of a slot.
 func slotBit(slot int32) (int, uint64) { return rowHead + int(slot>>6), 1 << (slot & 63) }
 
-// acquire hands out a slot for a new link.
+// acquire hands out the lowest free slot for a new link.
 func (k *knownBlocks) acquire() int32 {
-	if n := len(k.free); n > 0 {
-		s := k.free[n-1]
-		k.free = k.free[:n-1]
-		return s
+	s := k.next
+	for int(s) < len(k.gens) && k.gens[s]&1 == 1 {
+		s++
 	}
-	s := k.nSlots
-	k.nSlots++
-	if k.rows != nil && int(s) >= 64*k.stride {
-		k.grow(int(s>>6) + 1)
+	if int(s) == len(k.gens) {
+		k.gens = append(k.gens, 0)
+		if k.rows != nil && s >= 64*k.stride {
+			k.grow(s>>6 + 1)
+		}
 	}
+	k.gens[s]++
+	k.next = s + 1
 	return s
 }
 
 // release frees a link's slot, clearing its bit in every row so a
-// later link given the same slot starts with no knowledge.
+// later link given the same slot starts with no knowledge, and bumping
+// its generation so no handle of the link resolves any more.
 func (k *knownBlocks) release(slot int32) {
 	w, m := slotBit(slot)
 	for r := w; r < len(k.rows); r += k.rowLen() {
 		k.rows[r] &^= m
 	}
-	k.free = append(k.free, slot)
-}
-
-// releaseAll frees every slot (the node dropped all its links).
-func (k *knownBlocks) releaseAll() {
-	for r := 0; r < len(k.rows); r += k.rowLen() {
-		clear(k.rows[r+rowHead : r+k.rowLen()])
-	}
-	k.nSlots = 0
-	k.free = k.free[:0]
+	k.gens[slot]++
+	k.next = min(k.next, slot)
 }
 
 // grow re-lays the rows with a wider stride.
-func (k *knownBlocks) grow(stride int) {
-	old := k.rowLen()
-	rows := make([]uint64, k.capacity*(rowHead+stride))
-	for r := 0; r < k.capacity; r++ {
-		copy(rows[r*(rowHead+stride):], k.rows[r*old:(r+1)*old])
+func (k *knownBlocks) grow(stride int32) {
+	old, n := k.rowLen(), rowHead+int(stride)
+	rows := make([]uint64, int(k.capacity)*n)
+	for r := 0; r < int(k.capacity); r++ {
+		copy(rows[r*n:], k.rows[r*old:(r+1)*old])
 	}
 	k.rows, k.stride = rows, stride
+}
+
+// handle names the node's end of the link on slot, as an event's U
+// word carries it: the slot in the low half, its generation in the
+// high. Once the link is torn down the handle resolves to no slot, also
+// after a new link takes the slot over.
+func (k *knownBlocks) handle(slot int32) uint64 {
+	if slot < 0 {
+		return uint64(uint32(slot)) // no link: resolves to no slot
+	}
+	return uint64(k.gens[slot])<<32 | uint64(slot)
+}
+
+// resolve returns the slot of h's link while the link lives, else -1.
+func (k *knownBlocks) resolve(h uint64) int32 {
+	slot := int32(uint32(h))
+	if slot < 0 || k.gens[slot] != uint32(h>>32) {
+		return -1
+	}
+	return slot
 }
 
 // find returns the offset of h's row, or -1 if the table does not
@@ -113,8 +130,8 @@ func (k *knownBlocks) find(h types.Hash) int {
 // holds the row.
 func (k *knownBlocks) claim(h types.Hash) int {
 	if k.rows == nil {
-		k.stride = max(int(k.nSlots+63)>>6, 1)
-		k.rows = make([]uint64, k.capacity*k.rowLen())
+		k.stride = max(int32(len(k.gens)+63)>>6, 1)
+		k.rows = make([]uint64, int(k.capacity)*k.rowLen())
 	}
 	r := int(uint64(h)%uint64(k.capacity)) * k.rowLen()
 	switch key := uint64(h) + 1; {

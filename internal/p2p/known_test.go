@@ -26,15 +26,28 @@ type knownDriver struct {
 	node   *Node
 	peers  []*Node
 	links  []knownLink
-	dead   []*Edge // torn-down links a message may still arrive on
+	dead   []uint64 // handles of torn-down links a message may still arrive on
 	window int
 	first  types.Hash // first id issued
 	next   types.Hash // next id to issue
 }
 
+// knownLink is one of the node's links: its peer, the node's handle
+// for it, taken when it was made, and its per-link FIFO reference.
 type knownLink struct {
-	e   *Edge
-	ref *hashSet
+	peer *Node
+	via  uint64
+	ref  *hashSet
+}
+
+// slot returns the link's slot, failing if its handle no longer
+// resolves to one.
+func (d *knownDriver) slot(l knownLink) int32 {
+	s := d.node.known.resolve(l.via)
+	if s < 0 {
+		d.t.Fatalf("live link to node %v: handle %#x resolves to no slot", l.peer.ID(), l.via)
+	}
+	return s
 }
 
 func newKnownDriver(t *testing.T, capacity, peers int) *knownDriver {
@@ -68,12 +81,13 @@ func (d *knownDriver) link(x byte) (knownLink, bool) {
 	return d.links[int(x)%len(d.links)], true
 }
 
-// drop forgets every link whose edge is gone from the node.
-func (d *knownDriver) drop(gone func(*Edge) bool) {
+// drop forgets every link to a peer gone picks, keeping its handle
+// for messages still in flight on it.
+func (d *knownDriver) drop(gone func(*Node) bool) {
 	kept := d.links[:0]
 	for _, l := range d.links {
-		if gone(l.e) {
-			d.dead = append(d.dead, l.e)
+		if gone(l.peer) {
+			d.dead = append(d.dead, l.via)
 		} else {
 			kept = append(kept, l)
 		}
@@ -95,48 +109,51 @@ func (d *knownDriver) step(op, arg byte) {
 		d.next++
 	case 2, 3, 4: // connect (a no-op for an existing peer)
 		p := d.peers[int(arg)%len(d.peers)]
-		if n.edgeTo(p) == nil {
+		if _, ok := n.linkTo(p); !ok {
+			Connect(n, p)
+			l, _ := n.linkTo(p)
 			ref := &hashSet{}
 			ref.setCapacity(n.cfg.KnownBlocksPerPeer)
-			d.links = append(d.links, knownLink{Connect(n, p), ref})
+			d.links = append(d.links, knownLink{p, k.handle(l.slot), ref})
 		}
 	case 5: // the node drops every link (rare), or one link goes
 		if arg == 0 {
 			n.DisconnectAll()
-			d.drop(func(*Edge) bool { return true })
+			d.drop(func(*Node) bool { return true })
 		} else if l, ok := d.link(arg / 2); ok {
 			if arg%2 == 1 {
-				Disconnect(n, l.e.Other(n))
+				Disconnect(n, l.peer)
 			} else {
-				l.e.Other(n).DisconnectAll()
+				l.peer.DisconnectAll()
 			}
-			d.drop(func(e *Edge) bool { return e == l.e })
+			d.drop(func(p *Node) bool { return p == l.peer })
 		}
 	case 6, 7, 8: // a block arrives over, or is sent over, a link
 		if l, ok := d.link(arg); ok {
 			if h, ok := d.id(arg / 7); ok {
-				k.mark(h, *l.e.slot(n))
+				k.mark(h, d.slot(l))
 				l.ref.Add(h)
 			}
 		}
-	case 9: // a block arrives over a torn-down link
+	case 9: // a block arrives over a torn-down link: its handle, taken
+		// before the link went, may name a slot a new link holds now
 		if len(d.dead) > 0 {
 			if h, ok := d.id(arg / 7); ok {
-				k.mark(h, *d.dead[int(arg)%len(d.dead)].slot(n))
+				k.mark(h, k.resolve(d.dead[int(arg)%len(d.dead)]))
 			}
 		}
 	case 10, 11: // pushBlock: one lookup, then a test per link
 		if h, ok := d.id(arg); ok {
 			r := k.find(h)
 			for _, l := range d.links {
-				d.check("push", h, k.has(r, *l.e.slot(n)), l.ref.Has(h))
+				d.check("push", h, k.has(r, d.slot(l)), l.ref.Has(h))
 			}
 		}
 	case 12, 13: // announceBlock: one claim, then test-and-set per link
 		if h, ok := d.id(arg); ok {
 			r := k.claim(h)
 			for _, l := range d.links {
-				slot := *l.e.slot(n)
+				slot := d.slot(l)
 				known := k.has(r, slot)
 				if !known {
 					k.set(r, slot)
@@ -147,11 +164,15 @@ func (d *knownDriver) step(op, arg byte) {
 	default: // a single membership test
 		if l, ok := d.link(arg); ok {
 			if h, ok := d.id(arg / 7); ok {
-				d.check("test", h, k.has(k.find(h), *l.e.slot(n)), l.ref.Has(h))
+				d.check("test", h, k.has(k.find(h), d.slot(l)), l.ref.Has(h))
 			}
 		}
 	}
-	if inUse := int(k.nSlots) - len(k.free); inUse != len(d.links) {
+	inUse := 0
+	for _, g := range k.gens {
+		inUse += int(g & 1)
+	}
+	if inUse != len(d.links) {
 		d.t.Fatalf("%d slots in use for %d links", inUse, len(d.links))
 	}
 }
@@ -169,7 +190,7 @@ func (d *knownDriver) run(ops []byte) {
 		}
 		r := d.node.known.find(h)
 		for _, l := range d.links {
-			d.check("sweep", h, d.node.known.has(r, *l.e.slot(d.node)), l.ref.Has(h))
+			d.check("sweep", h, d.node.known.has(r, d.slot(l)), l.ref.Has(h))
 		}
 	}
 }

@@ -13,6 +13,10 @@
 //   - a first-seen transaction is relayed to every peer but the one it
 //     came from.
 //
+// A node holds its peers by node ID (see link), and the network's table
+// maps IDs to nodes. A message still in flight on a link torn down is
+// delivered and observed but marks nothing (see knownBlocks.handle).
+//
 // A node receives each block about nine times, and only the first
 // reception starts its relay: a later one, at a node with no Observer,
 // only marks the sending peer in the node's known-block table for the
@@ -41,6 +45,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"ethmeasure/internal/chain"
@@ -81,16 +86,18 @@ func (k MsgKind) String() string {
 // Event kinds (sim.Arg.K) of a node's own engine events: wire
 // deliveries to the node and its local timers. Both arrive through
 // HandleSimEvent and are allocation-free, which is what keeps
-// multi-thousand-node campaigns off the garbage collector.
+// multi-thousand-node campaigns off the garbage collector. A wire
+// delivery carries its sender (*Node) in B and its receiver's handle
+// for the link in U.
 const (
-	evBlockPush    int32 = iota + 1 // A=*types.Block, B=*Edge
-	evBlockFetched                  // A=*types.Block, B=*Edge
-	evAnnounce                      // A=*types.Block, B=*Edge
-	evGetBlock                      // U=hash, B=*Edge (request)
+	evBlockPush    int32 = iota + 1 // A=*types.Block
+	evBlockFetched                  // A=*types.Block
+	evAnnounce                      // A=*types.Block
+	evGetBlock                      // A=*types.Block (request)
 
 	tmPushBlock    // A=*types.Block: post-header-check relay
 	tmFinishImport // A=*types.Block: post-import announce
-	tmFetch        // A=*types.Block, B=*Edge: fetcher arrive-timeout
+	tmFetch        // as evAnnounce: fetcher arrive-timeout
 )
 
 // Observer receives every inbound protocol message at a node. The
@@ -106,39 +113,28 @@ type Observer interface {
 	ObserveTx(at sim.Time, tx *types.Transaction, from types.NodeID)
 }
 
-// Edge is a bidirectional peer link. Each endpoint holds a slot in its
-// own node's known-block table (see knownBlocks): Geth marks a hash as
-// known by a peer both when sending it to and when receiving it from
-// that peer, and each endpoint keeps its own view of that knowledge, as
-// each Geth node keeps its own peer set. While a block is in flight the
-// sender has marked it in its table, and the receiver has not, unless
-// the delivery was settled at send time (see knownBlocks.settle). A
-// torn-down link's slots are -1, so a message still in flight on it
-// marks nothing; releasing a slot clears a mark set early the same way.
-//
-// Transactions need no per-peer knowledge: a node relays a transaction
-// once, at its first sighting, and at that moment the only peer known
-// to hold it is the one it arrived from.
-type Edge struct {
-	a, b         *Node
-	aSlot, bSlot int32
+// link is a node's end of a peer link: the peer's ID and the link's
+// slot in each end's known-block table. Geth marks a hash as known by a
+// peer both when sending it to and when receiving it from that peer,
+// and each endpoint keeps its own view of that knowledge. While a
+// block is in flight the sender has marked it, and the receiver has
+// not, unless the delivery was settled at send time (see
+// knownBlocks.settle). Transactions need no per-peer knowledge: a node
+// relays a transaction once, at its first sighting, and then the only
+// peer known to hold it is the one it arrived from.
+type link struct {
+	peer           types.NodeID
+	slot, peerSlot int32
 }
 
-// Other returns the endpoint of the edge that is not n.
-func (e *Edge) Other(n *Node) *Node {
-	if e.a == n {
-		return e.b
-	}
-	return e.a
-}
-
-// slot returns n's endpoint slot: the edge's slot in n's known-block
-// table.
-func (e *Edge) slot(n *Node) *int32 {
-	if e.a == n {
-		return &e.aSlot
-	}
-	return &e.bSlot
+// table is a network's protocol-layer state (simnet.Network.Local):
+// its nodes by ID, and the scratch they share: released floods, whose
+// arrays keep their capacity, and pushBlock's targets.
+type table struct {
+	nodes   []*Node
+	free    []*txFlood
+	pushTmp []link
+	delays  uint64 // relayed messages whose delay was computed
 }
 
 // Node is one protocol participant.
@@ -146,15 +142,14 @@ type Node struct {
 	cfg     *Config
 	net     *simnet.Network
 	netNode *simnet.Node
-	id      types.NodeID // netNode.ID, beside netNode: a relay reads it for every message
+	id      types.NodeID // netNode.ID, beside netNode: link scans compare it
 	sched   *sim.Engine
 	rng     *rand.Rand
-	reg     *chain.Registry
 	view    *chain.View
+	tab     *table
 
-	edges      []*Edge
+	links      []link
 	known      knownBlocks // which peers are known to have which blocks
-	pushTmp    []*Edge     // reusable scratch for pushBlock targets
 	seenBlocks hashset.U64 // received at least once (pre-import)
 	fetching   hashset.U64 // announced, awaiting push or fetch
 
@@ -175,23 +170,35 @@ type Node struct {
 	TxSink func(tx *types.Transaction)
 }
 
-// NewNode creates a protocol node bound to a network endpoint. Each
+// NewNode creates a protocol node bound to a network endpoint and
+// registers it in the network's table under the endpoint's ID. Each
 // node gets its own chain view over the shared registry, schedules its
 // timers on the network's engine, and draws jitter from a per-node RNG
 // stream so its randomness is independent of event interleaving.
 func NewNode(cfg *Config, net *simnet.Network, endpoint *simnet.Node, reg *chain.Registry) *Node {
-	return &Node{
+	local := net.Local()
+	tab, _ := (*local).(*table)
+	if tab == nil {
+		tab = &table{}
+		*local = tab
+	}
+	n := &Node{
 		cfg:       cfg,
 		net:       net,
 		netNode:   endpoint,
 		id:        endpoint.ID,
 		sched:     net.Engine(),
 		rng:       sim.NewStream(net.Engine().Seed(), "p2p", uint64(endpoint.ID)),
-		reg:       reg,
 		view:      chain.NewView(reg),
-		known:     knownBlocks{capacity: max(cfg.KnownBlocksPerPeer, 1)},
+		tab:       tab,
+		known:     knownBlocks{capacity: int32(min(max(cfg.KnownBlocksPerPeer, 1), math.MaxInt32))},
 		procSpeed: 1,
 	}
+	for len(tab.nodes) <= int(n.id) {
+		tab.nodes = append(tab.nodes, nil)
+	}
+	tab.nodes[n.id] = n
+	return n
 }
 
 // SetProcSpeed scales the node's processing delays (1.0 = baseline,
@@ -219,85 +226,78 @@ func (n *Node) Endpoint() *simnet.Node { return n.netNode }
 func (n *Node) View() *chain.View { return n.view }
 
 // NumPeers returns the number of connected peers.
-func (n *Node) NumPeers() int { return len(n.edges) }
+func (n *Node) NumPeers() int { return len(n.links) }
 
 // Peers returns the connected peer nodes in connection order.
 func (n *Node) Peers() []*Node {
-	out := make([]*Node, len(n.edges))
-	for i, e := range n.edges {
-		out[i] = e.Other(n)
+	out := make([]*Node, len(n.links))
+	for i, l := range n.links {
+		out[i] = n.tab.nodes[l.peer]
 	}
 	return out
 }
 
 // Connect links two nodes. Connecting a node to itself or re-connecting
-// an existing pair is a no-op returning the existing (or nil) edge.
-func Connect(a, b *Node) *Edge {
-	if a == b {
-		return nil
+// an existing pair does nothing.
+func Connect(a, b *Node) {
+	if _, ok := a.linkTo(b); ok || a == b {
+		return
 	}
-	if e := a.edgeTo(b); e != nil {
-		return e
-	}
-	e := newEdge(a, b)
-	a.edges = append(a.edges, e)
-	b.edges = append(b.edges, e)
-	return e
+	as, bs := a.known.acquire(), b.known.acquire()
+	a.links = append(a.links, link{peer: b.id, slot: as, peerSlot: bs})
+	b.links = append(b.links, link{peer: a.id, slot: bs, peerSlot: as})
 }
 
-// edgeTo returns the edge between n and b, or nil if they are not
-// peers. It scans the shorter of the two edge lists, so a dial check
-// costs O(min degree) and a node keeps no per-peer index.
-func (n *Node) edgeTo(b *Node) *Edge {
-	from, to := n, b
-	if len(b.edges) < len(n.edges) {
-		from, to = b, n
+// linkTo returns n's link to p, if they are peers. It scans the
+// shorter of the two link lists, so a dial check costs O(min degree)
+// and a node keeps no per-peer index.
+func (n *Node) linkTo(p *Node) (link, bool) {
+	if len(p.links) < len(n.links) {
+		l, ok := p.linkTo(n)
+		return link{peer: p.id, slot: l.peerSlot, peerSlot: l.slot}, ok
 	}
-	for _, e := range from.edges {
-		if e.Other(from) == to {
-			return e
+	for _, l := range n.links {
+		if l.peer == p.id {
+			return l, true
 		}
 	}
-	return nil
+	return link{}, false
 }
 
-// newEdge builds the edge for Connect, taking a slot in each
-// endpoint's known-block table. An edge is a single allocation.
-func newEdge(a, b *Node) *Edge {
-	return &Edge{a: a, b: b, aSlot: a.known.acquire(), bSlot: b.known.acquire()}
+// linkOver returns the link to p that n's handle via names, or, once
+// that link is torn down, a link to p whose slots are -1, so a message
+// over it marks nothing on either side.
+func (n *Node) linkOver(p *Node, via uint64) link {
+	if l, ok := n.linkTo(p); ok && n.known.resolve(via) >= 0 {
+		return l
+	}
+	return link{peer: p.id, slot: -1, peerSlot: -1}
 }
 
 // Disconnect tears down the link between two nodes (peer drop). It is
 // a no-op if they are not connected.
 func Disconnect(a, b *Node) {
-	if e := a.edgeTo(b); e != nil {
-		a.removeEdge(e)
-		b.removeEdge(e)
+	if l, ok := a.linkTo(b); ok {
+		a.removeLink(l.slot)
+		b.removeLink(l.peerSlot)
 	}
 }
 
 // DisconnectAll drops every peer connection (node restart / departure,
 // the churn real deployments see constantly).
 func (n *Node) DisconnectAll() {
-	edges := n.edges
-	n.edges = nil
-	for _, e := range edges {
-		e.Other(n).removeEdge(e)
-		*e.slot(n) = -1
+	for _, l := range n.links {
+		n.tab.nodes[l.peer].removeLink(l.peerSlot)
+		n.known.release(l.slot)
 	}
-	n.known.releaseAll()
+	n.links = nil
 }
 
-func (n *Node) removeEdge(target *Edge) {
-	for i, e := range n.edges {
-		if e == target {
-			n.edges = append(n.edges[:i], n.edges[i+1:]...)
-			s := target.slot(n)
-			n.known.release(*s)
-			*s = -1
-			return
-		}
-	}
+// removeLink drops the link on slot, keeping the others in order, and
+// releases the slot.
+func (n *Node) removeLink(slot int32) {
+	n.links = slices.DeleteFunc(n.links, func(l link) bool { return l.slot == slot })
+	n.known.release(slot)
 }
 
 // HandleSimEvent dispatches one of the node's own engine events, a
@@ -305,19 +305,19 @@ func (n *Node) removeEdge(target *Edge) {
 func (n *Node) HandleSimEvent(arg sim.Arg) {
 	switch arg.K {
 	case evBlockPush:
-		n.handleBlock(arg.A.(*types.Block), arg.B.(*Edge), MsgFullBlock)
+		n.handleBlock(arg.A.(*types.Block), arg.B.(*Node), arg.U, MsgFullBlock)
 	case evBlockFetched:
-		n.handleBlock(arg.A.(*types.Block), arg.B.(*Edge), MsgFetchedBlock)
+		n.handleBlock(arg.A.(*types.Block), arg.B.(*Node), arg.U, MsgFetchedBlock)
 	case evAnnounce:
-		n.handleAnnounce(arg.A.(*types.Block), arg.B.(*Edge))
+		n.handleAnnounce(arg.A.(*types.Block), arg.B.(*Node), arg.U)
 	case evGetBlock:
-		n.handleGetBlock(types.Hash(arg.U), arg.B.(*Edge))
+		n.handleGetBlock(arg.A.(*types.Block), arg.B.(*Node), arg.U)
 	case tmPushBlock:
 		n.pushBlock(arg.A.(*types.Block))
 	case tmFinishImport:
 		n.finishImport(arg.A.(*types.Block))
 	case tmFetch:
-		n.fetchTimeout(arg.A.(*types.Block), arg.B.(*Edge))
+		n.fetchTimeout(arg.A.(*types.Block), arg.B.(*Node), arg.U)
 	default:
 		// A dropped message would skew propagation metrics silently;
 		// fail loudly like the engine does for past-time scheduling.
@@ -342,10 +342,10 @@ func (n *Node) PublishBlock(b *types.Block) {
 }
 
 // handleBlock processes an inbound full block (pushed or fetched).
-func (n *Node) handleBlock(b *types.Block, from *Edge, kind MsgKind) {
-	n.known.mark(b.Hash, *from.slot(n))
+func (n *Node) handleBlock(b *types.Block, from *Node, via uint64, kind MsgKind) {
+	n.known.mark(b.Hash, n.known.resolve(via))
 	if n.Observer != nil {
-		n.Observer.ObserveBlock(n.sched.Now(), b, from.Other(n).ID(), kind)
+		n.Observer.ObserveBlock(n.sched.Now(), b, from.id, kind)
 	}
 	if !n.seenBlocks.Add(uint64(b.Hash)) {
 		return
@@ -369,47 +369,48 @@ func (n *Node) pushBlock(b *types.Block) {
 	if !n.cfg.SqrtPush {
 		return
 	}
-	targets := n.pushTmp[:0]
+	targets := n.tab.pushTmp[:0]
 	r := n.known.find(b.Hash)
-	for _, e := range n.edges {
-		if !n.known.has(r, *e.slot(n)) {
-			targets = append(targets, e)
+	for _, l := range n.links {
+		if !n.known.has(r, l.slot) {
+			targets = append(targets, l)
 		}
 	}
-	n.pushTmp = targets[:0]
+	n.tab.pushTmp = targets[:0]
 	if len(targets) == 0 {
 		return
 	}
-	k := int(math.Ceil(math.Sqrt(float64(len(n.edges)))))
+	k := int(math.Ceil(math.Sqrt(float64(len(n.links)))))
 	if k > len(targets) {
 		k = len(targets)
 	}
 	n.rng.Shuffle(len(targets), func(i, j int) { targets[i], targets[j] = targets[j], targets[i] })
-	for _, e := range targets[:k] {
-		n.sendBlock(b, e, MsgFullBlock)
+	for _, l := range targets[:k] {
+		n.sendBlock(b, l, MsgFullBlock)
 	}
 }
 
-func (n *Node) sendBlock(b *types.Block, e *Edge, kind MsgKind) {
-	n.known.mark(b.Hash, *e.slot(n))
+func (n *Node) sendBlock(b *types.Block, l link, kind MsgKind) {
+	n.known.mark(b.Hash, l.slot)
 	ev := evBlockPush
 	if kind == MsgFetchedBlock {
 		ev = evBlockFetched
 	}
-	n.send(e, b.Size, ev, b)
+	n.send(l, b.Size, ev, b)
 }
 
-// send transmits a block message (a push, fetched block or
-// announcement of b) over e and schedules its delivery as an event on
+// send transmits a block message (a push, fetched block, announcement
+// or request of b) over l and schedules its delivery as an event on
 // the peer, unless the receiver settles it at send time (see
-// knownBlocks.settle): then nothing is scheduled.
-func (n *Node) send(e *Edge, size int, ev int32, b *types.Block) {
-	peer := e.Other(n)
+// knownBlocks.settle): then nothing is scheduled. A request is never
+// settled.
+func (n *Node) send(l link, size int, ev int32, b *types.Block) {
+	peer := n.tab.nodes[l.peer]
 	d := n.net.Transmit(n.netNode, peer.netNode, size, uint64(ev), uint64(b.Hash))
-	if now := n.sched.Now(); peer.Observer == nil && peer.known.settle(b.Hash, *e.slot(peer), now, now+d) {
+	if now := n.sched.Now(); ev != evGetBlock && peer.Observer == nil && peer.known.settle(b.Hash, l.peerSlot, now, now+d) {
 		return
 	}
-	n.sched.AfterArg(d, peer, sim.Arg{A: b, B: e, K: ev})
+	n.sched.AfterArg(d, peer, sim.Arg{A: b, B: n, U: peer.known.handle(l.peerSlot), K: ev})
 }
 
 // finishImport completes validation, applies fork choice and announces
@@ -427,13 +428,12 @@ func (n *Node) announceBlock(b *types.Block) {
 	}
 	r := n.known.claim(b.Hash)
 	size := rlp.AnnouncementWireSize(b.Number)
-	for _, e := range n.edges {
-		slot := *e.slot(n)
-		if n.known.has(r, slot) {
+	for _, l := range n.links {
+		if n.known.has(r, l.slot) {
 			continue
 		}
-		n.known.set(r, slot)
-		n.send(e, size, evAnnounce, b)
+		n.known.set(r, l.slot)
+		n.send(l, size, evAnnounce, b)
 	}
 }
 
@@ -441,41 +441,35 @@ func (n *Node) announceBlock(b *types.Block) {
 // wire carries hash+number; the block pointer is simulator-internal
 // plumbing). Unknown hashes arm the fetcher: wait for the direct push,
 // then request the block from the announcing peer if it never arrives.
-func (n *Node) handleAnnounce(b *types.Block, from *Edge) {
+func (n *Node) handleAnnounce(b *types.Block, from *Node, via uint64) {
 	h := b.Hash
-	n.known.mark(h, *from.slot(n))
+	n.known.mark(h, n.known.resolve(via))
 	if n.Observer != nil {
-		n.Observer.ObserveAnnounce(n.sched.Now(), h, b.Number, from.Other(n).ID())
+		n.Observer.ObserveAnnounce(n.sched.Now(), h, b.Number, from.id)
 	}
 	if n.seenBlocks.Has(uint64(h)) || !n.fetching.Add(uint64(h)) {
 		return
 	}
-	n.sched.AfterArg(n.cfg.fetchDelay(n.rng), n, sim.Arg{A: b, B: from, K: tmFetch})
+	n.sched.AfterArg(n.cfg.fetchDelay(n.rng), n, sim.Arg{A: b, B: from, U: via, K: tmFetch})
 }
 
 // fetchTimeout fires when an announced block still has not arrived by
 // direct push: request it explicitly from the announcing peer.
-func (n *Node) fetchTimeout(b *types.Block, announcer *Edge) {
+func (n *Node) fetchTimeout(b *types.Block, announcer *Node, via uint64) {
 	h := b.Hash
 	if n.seenBlocks.Has(uint64(h)) || !n.fetching.Remove(uint64(h)) {
 		return
 	}
-	peer := announcer.Other(n)
-	d := n.net.Transmit(n.netNode, peer.netNode, 64, uint64(evGetBlock), uint64(h))
-	n.sched.AfterArg(d, peer, sim.Arg{B: announcer, U: uint64(h), K: evGetBlock})
+	n.send(n.linkOver(announcer, via), 64, evGetBlock, b)
 }
 
 // handleGetBlock serves a block body to a peer that requested it after
-// an announcement.
-func (n *Node) handleGetBlock(h types.Hash, from *Edge) {
-	if !n.seenBlocks.Has(uint64(h)) {
+// an announcement, over the link the request came over.
+func (n *Node) handleGetBlock(b *types.Block, from *Node, via uint64) {
+	if !n.seenBlocks.Has(uint64(b.Hash)) {
 		return // cannot serve what we do not have
 	}
-	b, ok := n.reg.Get(h)
-	if !ok {
-		return
-	}
-	n.sendBlock(b, from, MsgFetchedBlock)
+	n.sendBlock(b, n.linkOver(from, via), MsgFetchedBlock)
 }
 
 // SubmitTx injects a locally created transaction (the node is the

@@ -80,14 +80,12 @@ func (h *harness) run(d time.Duration) {
 func TestConnectDeduplicatesAndRejectsSelf(t *testing.T) {
 	h := newHarness(t, 2, DefaultConfig())
 	a, b := h.nodes[0], h.nodes[1]
-	if Connect(a, a) != nil {
-		t.Error("self-connect should return nil")
+	Connect(a, a)
+	if a.NumPeers() != 0 {
+		t.Error("self-connect made a link")
 	}
-	e1 := Connect(a, b)
-	e2 := Connect(b, a)
-	if e1 == nil || e1 != e2 {
-		t.Error("reconnect must return the existing edge")
-	}
+	Connect(a, b)
+	Connect(b, a)
 	if a.NumPeers() != 1 || b.NumPeers() != 1 {
 		t.Errorf("peer counts %d/%d", a.NumPeers(), b.NumPeers())
 	}
@@ -352,7 +350,7 @@ func TestCompetingBlocksFirstSeenWins(t *testing.T) {
 	b := h.mineBlock(h.reg.Genesis(), 2)
 	h.nodes[0].PublishBlock(a)
 	h.run(30 * time.Second)
-	h.nodes[1].handleBlock(b, h.nodes[1].edges[0], MsgFullBlock)
+	h.nodes[1].handleBlock(b, h.nodes[0], h.nodes[1].known.handle(h.nodes[1].links[0].slot), MsgFullBlock)
 	h.run(time.Minute)
 	// Both know both blocks; heads keep the first-seen (a for node 0).
 	if h.nodes[0].View().Head().Hash != a.Hash {
@@ -424,10 +422,11 @@ func TestDisconnectAllAndRejoin(t *testing.T) {
 }
 
 // TestConnectFindsEdgeFromEitherSide pins the dial check on a lopsided
-// pair, a 300-peer hub and a 3-peer leaf, where edgeTo scans the
-// leaf's list whichever side asks: reconnecting from either side
-// returns the existing edge, and a pair torn down by Disconnect or by
-// either side's DisconnectAll is no longer peered and connects afresh.
+// pair, a 300-peer hub and a 3-peer leaf, where linkTo scans the
+// leaf's list whichever side asks: each side finds its own end of the
+// link, reconnecting from either side leaves the one link, and a pair
+// torn down by Disconnect or by either side's DisconnectAll is no
+// longer peered and connects afresh.
 func TestConnectFindsEdgeFromEitherSide(t *testing.T) {
 	h := newHarness(t, 302, DefaultConfig())
 	hub, leaf := h.nodes[0], h.nodes[1]
@@ -436,28 +435,39 @@ func TestConnectFindsEdgeFromEitherSide(t *testing.T) {
 	}
 	Connect(leaf, h.nodes[2])
 	Connect(leaf, h.nodes[3])
-	edge := Connect(leaf, hub)
+	Connect(leaf, hub)
 	if hub.NumPeers() != 301 || leaf.NumPeers() != 3 {
 		t.Fatalf("peer counts %d/%d, want 301/3", hub.NumPeers(), leaf.NumPeers())
 	}
-	check := func(stage string, want *Edge) {
+	check := func(stage string, peered bool) {
 		t.Helper()
-		if got := hub.edgeTo(leaf); got != want {
-			t.Errorf("%s: hub.edgeTo(leaf) = %p, want %p", stage, got, want)
+		hl, hok := hub.linkTo(leaf)
+		lh, lok := leaf.linkTo(hub)
+		if hok != peered || lok != peered {
+			t.Fatalf("%s: hub.linkTo(leaf) found %v, leaf.linkTo(hub) %v, want %v", stage, hok, lok, peered)
 		}
-		if got := leaf.edgeTo(hub); got != want {
-			t.Errorf("%s: leaf.edgeTo(hub) = %p, want %p", stage, got, want)
+		if !peered {
+			return
+		}
+		if hl != hub.links[len(hub.links)-1] || lh != leaf.links[len(leaf.links)-1] {
+			t.Errorf("%s: linkTo gave %+v / %+v, want the newest ends %+v / %+v",
+				stage, hl, lh, hub.links[len(hub.links)-1], leaf.links[len(leaf.links)-1])
+		}
+		if hl.peer != leaf.ID() || lh.peer != hub.ID() || hl.slot != lh.peerSlot || hl.peerSlot != lh.slot {
+			t.Errorf("%s: ends %+v / %+v do not name each other", stage, hl, lh)
 		}
 	}
-	check("connected", edge)
-	if Connect(hub, leaf) != edge || Connect(leaf, hub) != edge {
-		t.Fatal("reconnecting a connected pair must return the existing edge")
-	}
+	check("connected", true)
+	Connect(hub, leaf)
+	Connect(leaf, hub)
 	if hub.NumPeers() != 301 || leaf.NumPeers() != 3 {
 		t.Fatalf("reconnect changed peer counts to %d/%d", hub.NumPeers(), leaf.NumPeers())
 	}
-	if hub.edgeTo(h.nodes[300]) == nil || leaf.edgeTo(h.nodes[300]) != nil {
-		t.Fatal("edgeTo misreports a pair other than hub–leaf")
+	if _, ok := hub.linkTo(h.nodes[300]); !ok {
+		t.Fatal("linkTo misses the hub's link to node 300")
+	}
+	if _, ok := leaf.linkTo(h.nodes[300]); ok {
+		t.Fatal("linkTo finds a leaf link to node 300")
 	}
 
 	teardowns := []struct {
@@ -470,17 +480,65 @@ func TestConnectFindsEdgeFromEitherSide(t *testing.T) {
 	}
 	for _, td := range teardowns {
 		td.drop()
-		check(td.name, nil)
-		edge = Connect(hub, leaf)
-		if edge == nil {
-			t.Fatalf("%s: reconnect returned nil", td.name)
-		}
-		check(td.name+" then Connect", edge)
-		if Connect(leaf, hub) != edge {
-			t.Fatalf("%s: reconnect from the other side made a second edge", td.name)
-		}
+		check(td.name, false)
+		Connect(hub, leaf)
+		check(td.name+" then Connect", true)
+		Connect(leaf, hub)
+		check(td.name+" then Connect from the other side", true)
 	}
 	if hub.NumPeers() != 1 || leaf.NumPeers() != 1 {
 		t.Fatalf("after hub DisconnectAll and reconnect: peer counts %d/%d, want 1/1", hub.NumPeers(), leaf.NumPeers())
+	}
+}
+
+// staleObserver records the senders of the block deliveries to node
+// x and checks that the first marked no slot of x.
+type staleObserver struct {
+	t    *testing.T
+	x    *Node
+	from []types.NodeID
+}
+
+func (o *staleObserver) ObserveBlock(_ sim.Time, b *types.Block, from types.NodeID, _ MsgKind) {
+	r := o.x.known.find(b.Hash)
+	for _, l := range o.x.links {
+		if len(o.from) == 0 && o.x.known.has(r, l.slot) {
+			o.t.Errorf("delivery from node %v over a torn-down link marked slot %d (link to node %v)", from, l.slot, l.peer)
+		}
+	}
+	o.from = append(o.from, from)
+}
+
+func (o *staleObserver) ObserveAnnounce(sim.Time, types.Hash, uint64, types.NodeID) {}
+func (o *staleObserver) ObserveTx(sim.Time, *types.Transaction, types.NodeID)       {}
+
+// TestDeliveryOverTornDownLinkMarksNothing: a block in flight from y
+// to x when the x–y link is torn down is still delivered to x and
+// observed as coming from y, but marks no slot of x, although x's
+// freed slot already holds a new link: to a third node z, or to y
+// again, re-dialled.
+func TestDeliveryOverTornDownLinkMarksNothing(t *testing.T) {
+	for _, redial := range []bool{false, true} {
+		h := newHarness(t, 3, DefaultConfig())
+		x, y, z := h.nodes[0], h.nodes[1], h.nodes[2]
+		obs := &staleObserver{t: t, x: x}
+		x.Observer = obs
+		Connect(x, y)
+		b := h.mineBlock(h.reg.Genesis(), 1)
+		y.PublishBlock(b) // one push to x, its only peer
+		slot := x.links[0].slot
+		Disconnect(x, y)
+		if redial {
+			Connect(x, y)
+		} else {
+			Connect(x, z)
+		}
+		if x.links[0].slot != slot {
+			t.Fatalf("redial %v: new link on slot %d, want the freed slot %d", redial, x.links[0].slot, slot)
+		}
+		h.run(time.Minute)
+		if len(obs.from) == 0 || obs.from[0] != y.ID() {
+			t.Fatalf("redial %v: x observed block deliveries from %v, want the first from y (%v)", redial, obs.from, y.ID())
+		}
 	}
 }

@@ -14,8 +14,8 @@ import (
 
 // floodCase is one differential transaction flood: a random graph of
 // mixed-region nodes, txs submitted spacing apart from a few origins,
-// and one link cut plus one node departure at cutAt (mid-flood when
-// cutAt falls inside a flood).
+// and at cutAt (mid-flood when cutAt falls inside a flood) one link
+// cut and re-dialled and one node departure.
 type floodCase struct {
 	seed       int64
 	nodes      int
@@ -62,7 +62,7 @@ type floodNet struct {
 	nodes   []*Node
 	origins []*Node
 	txs     []*types.Transaction
-	cut     [2]*Node // link severed at cutAt
+	cut     [2]*Node // link severed and dialled afresh at cutAt
 	leaver  *Node    // node that drops every peer at cutAt
 }
 
@@ -102,13 +102,16 @@ func newFloodNet(tb testing.TB, c floodCase) *floodNet {
 		f.txs = append(f.txs, &types.Transaction{Hash: issuer.Next(), Size: types.TxSize})
 	}
 	a := f.nodes[rng.Intn(len(f.nodes))]
-	f.cut = [2]*Node{a, a.edges[rng.Intn(len(a.edges))].Other(a)}
+	f.cut = [2]*Node{a, a.Peers()[rng.Intn(a.NumPeers())]}
 	f.leaver = f.nodes[rng.Intn(len(f.nodes))]
 	return f
 }
 
-// schedule queues the submissions and the mid-flood disconnects before
-// the run, so they take the lowest sequence numbers in both instances.
+// schedule queues the submissions and the mid-flood topology changes
+// before the run, so they take the lowest sequence numbers in both
+// instances. A message in flight between the cut pair arrives over a
+// torn-down link, so its receiver relays back to its sender over the
+// new one.
 func (f *floodNet) schedule(c floodCase, submit func(origin *Node, tx *types.Transaction)) {
 	for i, tx := range f.txs {
 		origin, tx := f.origins[i%len(f.origins)], tx
@@ -117,6 +120,7 @@ func (f *floodNet) schedule(c floodCase, submit func(origin *Node, tx *types.Tra
 	f.engine.Schedule(c.cutAt, func() {
 		Disconnect(f.cut[0], f.cut[1])
 		f.leaver.DisconnectAll()
+		Connect(f.cut[0], f.cut[1])
 	})
 }
 
@@ -128,7 +132,9 @@ func (f *floodNet) run(tb testing.TB) {
 }
 
 // refRelay is the un-elided reference flood: every first sighting
-// relays to every edge but `from`, every message's delay is computed
+// relays over every link but the one it came over, while that link
+// lives (a delivery carries its receiver's handle for the link, as a
+// block message does), every message's delay is computed
 // with Transmit, and every delivery is scheduled and run as its own
 // event. Deliveries that reach an unsighted node at one instant are
 // gathered, and a resolve event at that instant, which runs after all
@@ -139,7 +145,7 @@ func (f *floodNet) run(tb testing.TB) {
 type refRelay struct {
 	first      []map[types.Hash]sighting
 	earliest   []map[types.Hash]refArrival // earliest scheduled arrival of unsighted txs
-	gathered   []map[types.Hash]*Edge      // lowest-sender delivery at this instant, awaiting resolve
+	gathered   []map[types.Hash]refArrival // lowest-sender delivery at this instant, awaiting resolve
 	sinks      []refSink
 	superseded int64
 }
@@ -147,6 +153,7 @@ type refRelay struct {
 type refArrival struct {
 	at   sim.Time
 	from types.NodeID
+	via  uint64 // the receiver's handle for the link, in gathered
 }
 
 func (a refArrival) less(b refArrival) bool {
@@ -170,32 +177,32 @@ const (
 func (s *refSink) HandleSimEvent(arg sim.Arg) {
 	tx := arg.A.(*types.Transaction)
 	if arg.K == refResolve {
-		e := s.r.gathered[s.n.ID()][tx.Hash]
+		a := s.r.gathered[s.n.ID()][tx.Hash]
 		delete(s.r.gathered[s.n.ID()], tx.Hash)
-		s.r.sight(s.n, tx, e)
+		s.r.sight(s.n, tx, a.from, a.via)
 		return
 	}
-	s.r.deliver(s.n, tx, arg.B.(*Edge))
+	s.r.deliver(s.n, tx, refArrival{at: s.n.sched.Now(), from: arg.B.(*Node).ID(), via: arg.U})
 }
 
 func newRefRelay(f *floodNet) *refRelay {
 	r := &refRelay{
 		first:    make([]map[types.Hash]sighting, len(f.nodes)),
 		earliest: make([]map[types.Hash]refArrival, len(f.nodes)),
-		gathered: make([]map[types.Hash]*Edge, len(f.nodes)),
+		gathered: make([]map[types.Hash]refArrival, len(f.nodes)),
 		sinks:    make([]refSink, len(f.nodes)),
 	}
 	for i, n := range f.nodes {
 		r.first[i] = make(map[types.Hash]sighting)
 		r.earliest[i] = make(map[types.Hash]refArrival)
-		r.gathered[i] = make(map[types.Hash]*Edge)
+		r.gathered[i] = make(map[types.Hash]refArrival)
 		r.sinks[i] = refSink{r: r, n: n}
 	}
 	return r
 }
 
-// deliver is one message of tx reaching n over e.
-func (r *refRelay) deliver(n *Node, tx *types.Transaction, e *Edge) {
+// deliver is one message of tx reaching n.
+func (r *refRelay) deliver(n *Node, tx *types.Transaction, a refArrival) {
 	if _, ok := r.first[n.ID()][tx.Hash]; ok {
 		return
 	}
@@ -204,29 +211,29 @@ func (r *refRelay) deliver(n *Node, tx *types.Transaction, e *Edge) {
 	if !ok {
 		n.sched.ScheduleArg(n.sched.Now(), &r.sinks[n.ID()], sim.Arg{A: tx, K: refResolve})
 	}
-	if !ok || e.Other(n).ID() < prev.Other(n).ID() {
-		gathered[tx.Hash] = e
+	if !ok || a.from < prev.from {
+		gathered[tx.Hash] = a
 	}
 }
 
-func (r *refRelay) sight(n *Node, tx *types.Transaction, from *Edge) {
+// sight is n's first sighting of tx, from a peer over the link n's
+// handle via names (from -1 and via handle(-1) for n's own submission).
+func (r *refRelay) sight(n *Node, tx *types.Transaction, from types.NodeID, via uint64) {
 	first := r.first[n.ID()]
 	if _, ok := first[tx.Hash]; ok {
 		return
 	}
-	s := sighting{at: n.sched.Now(), from: -1}
-	if from != nil {
-		s.from = from.Other(n).ID()
-	}
-	first[tx.Hash] = s
-	for _, e := range n.edges {
-		if e == from {
+	first[tx.Hash] = sighting{at: n.sched.Now(), from: from}
+	skip := n.known.resolve(via)
+	for _, l := range n.links {
+		if l.slot == skip {
 			continue
 		}
-		peer := e.Other(n)
+		peer := n.tab.nodes[l.peer]
 		at := n.sched.Now() + n.net.Transmit(n.netNode, peer.netNode, tx.Size, txKind, uint64(tx.Hash))
 		r.countSupersession(peer, tx.Hash, refArrival{at: at, from: n.ID()})
-		n.sched.ScheduleArg(at, &r.sinks[peer.ID()], sim.Arg{A: tx, B: e, K: refDeliver})
+		arg := sim.Arg{A: tx, B: n, U: peer.known.handle(l.peerSlot), K: refDeliver}
+		n.sched.ScheduleArg(at, &r.sinks[peer.ID()], arg)
 	}
 }
 
@@ -288,7 +295,7 @@ func runFloodDiff(t *testing.T, c floodCase) (prodEvents, refEvents uint64, supe
 	prod.run(t)
 
 	rr := newRefRelay(ref)
-	ref.schedule(c, func(origin *Node, tx *types.Transaction) { rr.sight(origin, tx, nil) })
+	ref.schedule(c, func(origin *Node, tx *types.Transaction) { rr.sight(origin, tx, -1, origin.known.handle(-1)) })
 	ref.run(t)
 
 	for i := range prod.nodes {
@@ -318,7 +325,8 @@ func runFloodDiff(t *testing.T, c floodCase) (prodEvents, refEvents uint64, supe
 // node the same first sighting (time and sender) as the un-elided
 // reference flood and counts the same wire messages, under jittered geo
 // latencies, forced equal-time ties, superseded arrivals, overlapping
-// concurrent floods and mid-flood disconnects.
+// concurrent floods, mid-flood disconnects and a pair re-dialled with
+// messages in flight between them.
 func TestRelayMatchesReference(t *testing.T) {
 	for _, c := range floodCases {
 		prodEvents, refEvents, superseded := runFloodDiff(t, c)
@@ -392,7 +400,7 @@ func TestFloodComputesFewDelays(t *testing.T) {
 	if _, err := engine.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	delays := (*net.Local()).(*floodPool).delays
+	delays := nodes[0].tab.delays
 	share := float64(delays) / float64(net.Sent())
 	t.Logf("%d of %d relayed messages computed a delay (%.1f %%)", delays, net.Sent(), 100*share)
 	if share > 0.20 {

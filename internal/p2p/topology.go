@@ -16,11 +16,8 @@ import (
 // It returns an error if the parameters cannot produce a connected
 // dial pattern (fewer than two nodes, or outDegree out of range).
 func BuildRandomTopology(rng *rand.Rand, nodes []*Node, outDegree int) error {
-	if len(nodes) < 2 {
-		return fmt.Errorf("p2p: topology needs at least 2 nodes, got %d", len(nodes))
-	}
-	if outDegree < 1 || outDegree >= len(nodes) {
-		return fmt.Errorf("p2p: outDegree %d out of range [1,%d)", outDegree, len(nodes))
+	if err := checkTopology(nodes, outDegree); err != nil {
+		return err
 	}
 	for i, node := range nodes {
 		dialed := 0
@@ -33,7 +30,7 @@ func BuildRandomTopology(rng *rand.Rand, nodes []*Node, outDegree int) error {
 				continue
 			}
 			target := nodes[j]
-			if node.edgeTo(target) != nil {
+			if _, ok := node.linkTo(target); ok {
 				continue
 			}
 			Connect(node, target)
@@ -58,7 +55,7 @@ func ConnectToRandom(rng *rand.Rand, node *Node, candidates []*Node, k int) int 
 			break
 		}
 		target := candidates[i]
-		if target == node || node.edgeTo(target) != nil {
+		if _, ok := node.linkTo(target); ok || target == node {
 			continue
 		}
 		Connect(node, target)
@@ -74,19 +71,14 @@ func ConnectToRandom(rng *rand.Rand, node *Node, candidates []*Node, k int) int 
 // geography-blind (paper §III-B1), but neighbour sets now come from
 // the actual ID-space machinery.
 func BuildDiscoveryTopology(rng *rand.Rand, nodes []*Node, outDegree int) error {
-	if len(nodes) < 2 {
-		return fmt.Errorf("p2p: topology needs at least 2 nodes, got %d", len(nodes))
-	}
-	if outDegree < 1 || outDegree >= len(nodes) {
-		return fmt.Errorf("p2p: outDegree %d out of range [1,%d)", outDegree, len(nodes))
+	if err := checkTopology(nodes, outDegree); err != nil {
+		return err
 	}
 	overlay := discovery.NewNetwork(rng)
-	byID := make(map[int32]*Node, len(nodes))
 	for _, node := range nodes {
 		if _, err := overlay.Join(node.ID()); err != nil {
 			return fmt.Errorf("p2p: discovery join: %w", err)
 		}
-		byID[int32(node.ID())] = node
 	}
 	for _, node := range nodes {
 		dialed := 0
@@ -94,8 +86,8 @@ func BuildDiscoveryTopology(rng *rand.Rand, nodes []*Node, outDegree int) error 
 			if dialed >= outDegree {
 				break
 			}
-			peer := byID[int32(peerID)]
-			if peer == nil || peer == node || node.edgeTo(peer) != nil {
+			peer := node.tab.nodes[peerID] // a joined node other than node
+			if _, ok := node.linkTo(peer); ok {
 				continue
 			}
 			Connect(node, peer)
@@ -104,6 +96,18 @@ func BuildDiscoveryTopology(rng *rand.Rand, nodes []*Node, outDegree int) error 
 		if dialed == 0 {
 			return fmt.Errorf("p2p: node %v discovered no dialable peers", node.ID())
 		}
+	}
+	return nil
+}
+
+// checkTopology rejects parameters that cannot produce a connected dial
+// pattern: fewer than two nodes, or outDegree out of range.
+func checkTopology(nodes []*Node, outDegree int) error {
+	if len(nodes) < 2 {
+		return fmt.Errorf("p2p: topology needs at least 2 nodes, got %d", len(nodes))
+	}
+	if outDegree < 1 || outDegree >= len(nodes) {
+		return fmt.Errorf("p2p: outDegree %d out of range [1,%d)", outDegree, len(nodes))
 	}
 	return nil
 }

@@ -37,6 +37,7 @@ type Network struct {
 	engine  *sim.Engine
 	latency *geo.LatencyModel
 	nodes   []*Node
+	regions []geo.Region // by node ID: a node's region never changes
 
 	key sim.Splitmix // the base every message's key is hashed under
 
@@ -72,12 +73,8 @@ func (n *Network) AddNode(region geo.Region, bandwidth float64) (*Node, error) {
 	id := types.NodeID(len(n.nodes))
 	node := &Node{ID: id, Region: region, Bandwidth: bandwidth}
 	n.nodes = append(n.nodes, node)
+	n.regions = append(n.regions, region)
 	return node, nil
-}
-
-// Node returns the node with the given ID.
-func (n *Network) Node(id types.NodeID) *Node {
-	return n.nodes[int(id)]
 }
 
 // Nodes returns all nodes in creation order. The returned slice is
@@ -106,18 +103,18 @@ func (n *Network) Local() *any { return &n.local }
 func (n *Network) Transmit(from, to *Node, size int, kind, object uint64) time.Duration {
 	n.sent++
 	b := n.Burst(from, size, kind, object)
-	return b.Delay(to)
+	return b.Delay(to.ID)
 }
 
 // Count counts k messages put on the wire now whose delays the protocol
 // layer never needs: it settles them whatever their delays are.
 func (n *Network) Count(k int) { n.sent += uint64(k) }
 
-// Floor returns a lower bound on the delay of every message from one
-// node to another: the region pair's latency floor plus MinOverhead,
-// since transmission time is never negative.
-func (n *Network) Floor(from, to *Node) time.Duration {
-	return n.latency.SampleFloor(from.Region, to.Region) + n.MinOverhead
+// Floor returns a lower bound on the delay of every message between
+// the nodes with the given IDs: their region pair's latency floor plus
+// MinOverhead, since transmission time is never negative.
+func (n *Network) Floor(from, to types.NodeID) time.Duration {
+	return n.latency.SampleFloor(n.regions[from], n.regions[to]) + n.MinOverhead
 }
 
 // Burst computes the delays of the messages one node sends now that
@@ -154,11 +151,13 @@ func (n *Network) Burst(from *Node, size int, kind, object uint64) Burst {
 	return Burst{net: n, from: from, prefix: prefix, size: float64(size)}
 }
 
-// Delay returns the delay of the burst's message to the given node.
-func (b *Burst) Delay(to *Node) time.Duration {
-	rng := b.net.key.Fold(b.prefix ^ uint64(to.ID)*toMul)
-	lat := b.net.latency.Sample(&rng, b.from.Region, to.Region)
-	bw := min(b.from.Bandwidth, to.Bandwidth)
+// Delay returns the delay of the burst's message to the node with the
+// given ID, reading its bandwidth from its Node: a scenario may change
+// it during a run.
+func (b *Burst) Delay(to types.NodeID) time.Duration {
+	rng := b.net.key.Fold(b.prefix ^ uint64(to)*toMul)
+	lat := b.net.latency.Sample(&rng, b.from.Region, b.net.regions[to])
+	bw := min(b.from.Bandwidth, b.net.nodes[to].Bandwidth)
 	return lat + time.Duration(b.size/bw*float64(time.Second)) + b.net.MinOverhead
 }
 

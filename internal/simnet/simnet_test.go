@@ -38,7 +38,7 @@ func TestAddNodeValidation(t *testing.T) {
 	if n.ID != 0 || n.Region != geo.EasternAsia {
 		t.Errorf("node = %+v", n)
 	}
-	if net.NumNodes() != 1 || net.Node(0) != n {
+	if net.NumNodes() != 1 || net.Nodes()[0] != n {
 		t.Error("node registry inconsistent")
 	}
 }
@@ -69,7 +69,7 @@ func TestTransferDelayComponents(t *testing.T) {
 // delay returns the delay of one message, computed and not counted.
 func delay(net *Network, from, to *Node, size int, kind, object uint64) time.Duration {
 	b := net.Burst(from, size, kind, object)
-	return b.Delay(to)
+	return b.Delay(to.ID)
 }
 
 // keyedNet is a jittered geographic network with one node per region,
@@ -243,7 +243,7 @@ func TestFloorIsALowerBound(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		for _, from := range nodes {
 			for _, to := range nodes {
-				floor := net.Floor(from, to)
+				floor := net.Floor(from.ID, to.ID)
 				if floor <= net.MinOverhead {
 					t.Fatalf("Floor(%v,%v) = %v", from.Region, to.Region, floor)
 				}

@@ -155,8 +155,7 @@ type Generator struct {
 
 	filler      []*account
 	fillerNext  int
-	outstanding int                 // created minus included
-	included    map[types.Hash]bool // dedup across fork blocks
+	outstanding int // created minus included
 
 	created int
 	bursts  int
@@ -233,18 +232,18 @@ func (g *Generator) Start(horizon sim.Time) {
 
 // NoteIncluded informs the generator that the given transactions were
 // included in a block. The mempool-floor controller uses it to track
-// how many transactions remain outstanding; hashes are deduplicated so
+// how many transactions remain outstanding; each stored transaction
+// counts once, at its first inclusion (types.Transaction.Included), so
 // fork blocks carrying the same transactions do not double-count
 // (double-counting would make the controller over-inject filler).
+// Hashes the store does not hold are not outstanding and are skipped.
 func (g *Generator) NoteIncluded(hashes []types.Hash) {
-	if g.included == nil {
-		g.included = make(map[types.Hash]bool, 1024)
-	}
 	for _, h := range hashes {
-		if g.included[h] {
+		tx := g.store.Get(h)
+		if tx == nil || tx.Included {
 			continue
 		}
-		g.included[h] = true
+		tx.Included = true
 		if g.outstanding > 0 {
 			g.outstanding--
 		}

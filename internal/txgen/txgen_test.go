@@ -2,6 +2,7 @@ package txgen
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -246,6 +247,43 @@ func TestNoteIncludedDedupes(t *testing.T) {
 	if gen.Outstanding() != mid {
 		t.Error("duplicate inclusion changed the outstanding count")
 	}
+}
+
+// TestNoteIncludedAllocatesNothing: inclusion is a flag on the stored
+// transaction, so the generator keeps no set of included hashes, and
+// noting the inclusion of 6 400 new transactions allocates nothing.
+func TestNoteIncludedAllocatesNothing(t *testing.T) {
+	engine, nodes := genHarness(t, 3)
+	store := NewStore()
+	gen, err := New(DefaultConfig(), engine, nodes, senderDist(), types.NewHashIssuer(2), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	issuer := types.NewHashIssuer(3)
+	blocks := make([][]types.Hash, 64)
+	for i := range blocks {
+		for j := 0; j < 100; j++ {
+			tx := &types.Transaction{Hash: issuer.Next(), Size: types.TxSize}
+			store.Add(tx)
+			blocks[i] = append(blocks[i], tx.Hash)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, b := range blocks {
+		gen.NoteIncluded(b)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.Mallocs - before.Mallocs; got != 0 {
+		t.Fatalf("noting 6 400 inclusions made %d allocations, want 0", got)
+	}
+	store.All(func(tx *types.Transaction) bool {
+		if !tx.Included {
+			t.Fatalf("tx %v not flagged included", tx.Hash)
+		}
+		return true
+	})
 }
 
 func TestEffectiveRate(t *testing.T) {

@@ -50,10 +50,13 @@ type Transaction struct {
 	// (p2p.Node.SubmitTx). A transaction floods the network once, so a
 	// repeated submission is ignored.
 	Submitted bool
-	Nonce     uint64
-	GasPrice  uint64        // relative priority fee, arbitrary units
-	Size      int           // wire size in bytes
-	Created   time.Duration // virtual time the sender created it
+	// Included is set when a mined block first carries the transaction
+	// (txgen.Generator.NoteIncluded); fork blocks do not count it again.
+	Included bool
+	Nonce    uint64
+	GasPrice uint64        // relative priority fee, arbitrary units
+	Size     int           // wire size in bytes
+	Created  time.Duration // virtual time the sender created it
 }
 
 // Block is a mined block. Transactions are referenced by hash; bodies
