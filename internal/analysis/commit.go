@@ -39,7 +39,7 @@ type CommitTimeResult struct {
 // k-confirmation curve only if the chain grew at least k blocks past
 // its including block before the run ended (no right-censored points).
 func (c *Collector) Commit() *CommitTimeResult {
-	idx := c.mainIndex()
+	idx := c.ds.index()
 
 	res := &CommitTimeResult{
 		InclusionSec: stats.NewSample(len(c.txList)),
@@ -48,13 +48,8 @@ func (c *Collector) Commit() *CommitTimeResult {
 	for _, k := range ConfirmationLevels {
 		res.ConfirmSec[k] = stats.NewSample(len(c.txList))
 	}
-	var headNumber uint64
-	if len(idx.main) > 0 {
-		headNumber = idx.main[len(idx.main)-1].Number
-	}
-
 	for _, a := range c.txList {
-		block, ok := idx.txToBlock[a.hash]
+		block, ok := idx.includer(a.hash)
 		if !ok {
 			continue // never committed
 		}
@@ -65,12 +60,8 @@ func (c *Collector) Commit() *CommitTimeResult {
 		res.CommittedTxs++
 		res.InclusionSec.Add(secondsSince(a.minTime, inclAt))
 		for _, k := range ConfirmationLevels {
-			confHeight := block.Number + uint64(k)
-			if confHeight > headNumber {
-				continue
-			}
-			confBlock, ok := idx.byHeight[confHeight]
-			if !ok {
+			confBlock := idx.at(block.Number + uint64(k))
+			if confBlock == nil {
 				continue
 			}
 			confAt, ok := c.blockFirstSeen(confBlock.Hash)
@@ -115,15 +106,11 @@ type OrderingResult struct {
 // transaction's sender, nonce and global first observation in stream
 // order, so this is a pass over unique transactions, not raw records.
 func (c *Collector) Ordering() *OrderingResult {
-	idx := c.mainIndex()
+	idx := c.ds.index()
 
 	// Commit delay runs to the 12th confirmation block (the paper's
 	// 189 s / 192 s medians use the default commit rule).
 	const commitDepth = 12
-	var headNumber uint64
-	if len(idx.main) > 0 {
-		headNumber = idx.main[len(idx.main)-1].Number
-	}
 	type txObs struct {
 		nonce  uint64
 		seenAt time.Duration
@@ -132,17 +119,13 @@ func (c *Collector) Ordering() *OrderingResult {
 	bySender := make(map[types.AccountID][]txObs)
 	senderOrder := make([]types.AccountID, 0, 64) // first-appearance order
 	for _, a := range c.txList {
-		block, ok := idx.txToBlock[a.hash]
+		block, ok := idx.includer(a.hash)
 		if !ok {
 			continue
 		}
-		confHeight := block.Number + commitDepth
-		if confHeight > headNumber {
+		confBlock := idx.at(block.Number + commitDepth)
+		if confBlock == nil {
 			continue // not committed before the run ended
-		}
-		confBlock, ok := idx.byHeight[confHeight]
-		if !ok {
-			continue
 		}
 		commitAt, ok := c.blockFirstSeen(confBlock.Hash)
 		if !ok {

@@ -30,7 +30,7 @@ func EmptyBlocks(d *Dataset, topN int) *EmptyBlocksResult {
 	type agg struct{ total, empty int }
 	byPool := make(map[types.PoolID]*agg)
 	res := &EmptyBlocksResult{}
-	for _, b := range d.Chain.MainChain() {
+	for _, b := range d.index().main {
 		if b.Miner == 0 {
 			continue // genesis
 		}

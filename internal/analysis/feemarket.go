@@ -41,7 +41,7 @@ var defaultFeeBands = []FeeBandRow{
 // shared transaction arrival index. priceOf maps a transaction hash to
 // its gas price (return 0, false when unknown).
 func (c *Collector) FeeMarket(priceOf func(types.Hash) (uint64, bool)) *FeeMarketResult {
-	idx := c.mainIndex()
+	idx := c.ds.index()
 
 	samples := make([]*stats.Sample, len(defaultFeeBands))
 	for i := range samples {
@@ -52,7 +52,7 @@ func (c *Collector) FeeMarket(priceOf func(types.Hash) (uint64, bool)) *FeeMarke
 		if !ok {
 			continue
 		}
-		block, ok := idx.txToBlock[a.hash]
+		block, ok := idx.includer(a.hash)
 		if !ok {
 			continue
 		}

@@ -52,7 +52,7 @@ type FinalityResult struct {
 // chain, sweeping depths 1..maxDepth.
 func Finality(d *Dataset, maxDepth int) *FinalityResult {
 	winners := make([]types.PoolID, 0, 1024)
-	for _, b := range d.Chain.MainChain() {
+	for _, b := range d.index().main {
 		if b.Miner != 0 {
 			winners = append(winners, b.Miner)
 		}

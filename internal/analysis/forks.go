@@ -45,28 +45,27 @@ type ForksResult struct {
 // Forks computes Table III from the registry.
 func Forks(d *Dataset) *ForksResult {
 	reg := d.Chain
-	mainSet := reg.MainChainSet()
-	uncleRefs := reg.UncleRefs()
+	idx := d.index()
 	genesis := reg.Genesis().Hash
 
 	res := &ForksResult{References: reg.Protocol().MaxReferencesPerBlock() > 0}
-	sideRoots := make([]types.Hash, 0, 64)
+	sideRoots := make([]*types.Block, 0, 64)
 	reg.Blocks(func(b *types.Block) bool {
 		if b.Hash == genesis {
 			return true
 		}
 		res.TotalBlocks++
-		if mainSet[b.Hash] {
+		if idx.onMain(b) {
 			res.MainBlocks++
 			return true
 		}
-		if _, ok := uncleRefs[b.Hash]; ok {
+		if idx.referenced[b.Hash] {
 			res.RecognizedUncles++
 		} else {
 			res.UnrecognizedSide++
 		}
-		if mainSet[b.ParentHash] {
-			sideRoots = append(sideRoots, b.Hash)
+		if p := idx.at(b.Number - 1); p != nil && p.Hash == b.ParentHash {
+			sideRoots = append(sideRoots, b)
 		}
 		return true
 	})
@@ -85,7 +84,7 @@ func Forks(d *Dataset) *ForksResult {
 	// (a side block's child can never be a valid uncle).
 	byLength := make(map[int]*ForkLengthRow)
 	for _, root := range sideRoots {
-		length, recognized := sideSubtree(d, root, mainSet, uncleRefs)
+		length, recognized := idx.sideSubtree(root)
 		row, ok := byLength[length]
 		if !ok {
 			row = &ForkLengthRow{Length: length}
@@ -113,9 +112,9 @@ func Forks(d *Dataset) *ForksResult {
 // sideSubtree measures the depth of the side branch rooted at root and
 // whether the entire branch was recognized (every block referenced as
 // an uncle by some main-chain block).
-func sideSubtree(d *Dataset, root types.Hash, mainSet map[types.Hash]bool, uncleRefs map[types.Hash][]types.Hash) (length int, recognized bool) {
+func (idx *chainIndex) sideSubtree(root *types.Block) (length int, recognized bool) {
 	type frame struct {
-		hash  types.Hash
+		b     *types.Block
 		depth int
 	}
 	recognized = true
@@ -126,13 +125,10 @@ func sideSubtree(d *Dataset, root types.Hash, mainSet map[types.Hash]bool, uncle
 		if f.depth > length {
 			length = f.depth
 		}
-		if _, ok := uncleRefs[f.hash]; !ok {
+		if !idx.referenced[f.b.Hash] {
 			recognized = false
 		}
-		for _, child := range d.Chain.Children(f.hash) {
-			if mainSet[child] {
-				continue
-			}
+		for _, child := range idx.sideChildren[f.b.Hash] {
 			stack = append(stack, frame{child, f.depth + 1})
 		}
 	}
@@ -165,8 +161,7 @@ type OneMinerForksResult struct {
 // OneMinerForks computes the §III-C5 analysis.
 func OneMinerForks(d *Dataset, forks *ForksResult) *OneMinerForksResult {
 	reg := d.Chain
-	mainSet := reg.MainChainSet()
-	uncleRefs := reg.UncleRefs()
+	idx := d.index()
 	genesis := reg.Genesis().Hash
 
 	type key struct {
@@ -198,12 +193,12 @@ func OneMinerForks(d *Dataset, forks *ForksResult) *OneMinerForksResult {
 			sameTx++
 		}
 		for _, b := range blocks {
-			if mainSet[b.Hash] {
+			if idx.onMain(b) {
 				continue
 			}
 			sideMembers++
 			res.SiblingBlocks++
-			if _, ok := uncleRefs[b.Hash]; ok {
+			if idx.referenced[b.Hash] {
 				recognized++
 				res.RewardedUncleCnt++
 			}

@@ -28,7 +28,7 @@ type InterBlockResult struct {
 // InterBlock computes main-chain inter-block statistics from block
 // mining times.
 func InterBlock(d *Dataset) *InterBlockResult {
-	main := d.Chain.MainChain()
+	main := d.index().main
 	res := &InterBlockResult{GapsSec: stats.NewSample(len(main))}
 	for i := 2; i < len(main); i++ { // skip the genesis gap
 		gap := main[i].MinedAt - main[i-1].MinedAt

@@ -58,7 +58,7 @@ type RewardsResult struct {
 func Rewards(d *Dataset) *RewardsResult {
 	reg := d.Chain
 	proto := reg.Protocol()
-	mainSet := reg.MainChainSet()
+	idx := d.index()
 	genesis := reg.Genesis().Hash
 
 	rows := make(map[types.PoolID]*PoolRewardRow)
@@ -75,18 +75,10 @@ func Rewards(d *Dataset) *RewardsResult {
 		Protocol:   proto.Name(),
 		References: proto.MaxReferencesPerBlock() > 0,
 	}
-	rewarded := make(map[types.Hash]bool)
 
 	// Pass 1: main-chain blocks pay block + nephew rewards and assign
 	// uncle rewards to the referenced blocks' miners.
-	mainByHeight := make(map[uint64]types.PoolID)
-	for _, b := range reg.MainChain() {
-		if b.Hash == genesis {
-			continue
-		}
-		mainByHeight[b.Number] = b.Miner
-	}
-	for _, b := range reg.MainChain() {
+	for _, b := range idx.main {
 		if b.Hash == genesis || b.Miner == 0 {
 			continue
 		}
@@ -98,7 +90,6 @@ func Rewards(d *Dataset) *RewardsResult {
 			if !ok {
 				continue
 			}
-			rewarded[uncleHash] = true
 			r.UnclesCited++
 			r.NephewRewardETH += proto.NephewReward()
 			ur := row(uncle.Miner)
@@ -108,7 +99,7 @@ func Rewards(d *Dataset) *RewardsResult {
 			res.UncleETH += reward
 			// One-miner fork profit: the uncle's miner also mined the
 			// main block at the uncle's own height.
-			if mainByHeight[uncle.Number] == uncle.Miner {
+			if m := idx.at(uncle.Number); m != nil && m.Miner == uncle.Miner {
 				ur.SiblingUncleETH += reward
 				res.SiblingUncleETH += reward
 			}
@@ -122,7 +113,7 @@ func Rewards(d *Dataset) *RewardsResult {
 			return true
 		}
 		total++
-		if mainSet[b.Hash] || rewarded[b.Hash] {
+		if idx.onMain(b) || idx.referenced[b.Hash] {
 			return true
 		}
 		row(b.Miner).OrphanBlocks++

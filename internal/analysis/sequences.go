@@ -48,7 +48,7 @@ type SequencesResult struct {
 // the per-pool rows (the paper plots the top 6 pools).
 func Sequences(d *Dataset, topN int) *SequencesResult {
 	winners := make([]types.PoolID, 0, 1024)
-	for _, b := range d.Chain.MainChain() {
+	for _, b := range d.index().main {
 		if b.Miner == 0 {
 			continue
 		}

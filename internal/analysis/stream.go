@@ -85,7 +85,6 @@ type Collector struct {
 	redSeen bool        // any record at the redundancy vantage
 
 	blockRecords, txRecords int
-	mainIdx                 *mainChainIndex
 }
 
 var _ measure.Recorder = (*Collector)(nil)
@@ -230,15 +229,6 @@ func (c *Collector) blockFirstSeen(h types.Hash) (time.Duration, bool) {
 		return 0, false
 	}
 	return a.minTime, true
-}
-
-// mainIndex lazily builds (once) the shared main-chain/tx inclusion
-// index the commit-path finalizers use.
-func (c *Collector) mainIndex() *mainChainIndex {
-	if c.mainIdx == nil {
-		c.mainIdx = c.ds.buildMainIndex()
-	}
-	return c.mainIdx
 }
 
 // vantageName resolves a vantage slot back to its display name.

@@ -39,7 +39,7 @@ type ThroughputResult struct {
 // Throughput computes the §V waste analysis.
 func Throughput(d *Dataset) *ThroughputResult {
 	reg := d.Chain
-	mainSet := reg.MainChainSet()
+	idx := d.index()
 	genesis := reg.Genesis().Hash
 
 	res := &ThroughputResult{}
@@ -51,7 +51,7 @@ func Throughput(d *Dataset) *ThroughputResult {
 			return true
 		}
 		res.TotalBlocks++
-		if mainSet[b.Hash] {
+		if idx.onMain(b) {
 			res.MainBlocks++
 			mainTxs += len(b.TxHashes)
 			if !b.Empty() {

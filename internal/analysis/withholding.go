@@ -44,7 +44,7 @@ type WithholdingResult struct {
 // same-miner consecutive main-chain blocks, with first-observation
 // times served by the shared arrival index.
 func (c *Collector) Withholding() *WithholdingResult {
-	main := c.ds.Chain.MainChain()
+	main := c.ds.index().main
 
 	type agg struct {
 		sequences int

@@ -21,6 +21,7 @@ package catalog
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -126,13 +127,18 @@ func (p *Params) Int(key string, def int) int {
 	return n
 }
 
-// Float returns the float parameter key, or def when absent.
+// Float returns the float parameter key, or def when absent. NaN and
+// ±Inf are rejected: no spec parameter has a meaning for them, and
+// they pass every range check.
 func (p *Params) Float(key string, def float64) float64 {
 	v, ok := p.lookup(key)
 	if !ok {
 		return def
 	}
 	f, err := strconv.ParseFloat(v, 64)
+	if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+		err = fmt.Errorf("%q is not a finite number", v)
+	}
 	if err != nil {
 		p.fail(key, err)
 		return def

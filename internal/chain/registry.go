@@ -19,11 +19,12 @@ import (
 // forks and determines the final main chain from it. It is the
 // simulation-wide source of truth; per-node state lives in View.
 type Registry struct {
-	blocks   map[types.Hash]*types.Block
-	children map[types.Hash][]types.Hash
-	byHeight map[uint64][]types.Hash
-	genesis  *types.Block
-	order    []types.Hash // insertion order, deterministic iteration
+	blocks  map[types.Hash]*types.Block
+	genesis *types.Block
+	order   []*types.Block // insertion order, deterministic iteration
+	// head is the protocol's preferred block so far, folded in
+	// creation order as blocks are added (ties keep the earliest).
+	head *types.Block
 
 	// proto is the consensus rule set the chain runs under: fork
 	// choice, reference (uncle) validity, reward schedule. Ethereum
@@ -54,8 +55,6 @@ func NewRegistryWithGenesis(genesisNumber uint64, genesisHash types.Hash) *Regis
 	}
 	r := &Registry{
 		blocks:   make(map[types.Hash]*types.Block, 1024),
-		children: make(map[types.Hash][]types.Hash, 1024),
-		byHeight: make(map[uint64][]types.Hash, 1024),
 		genesis:  g,
 		proto:    consensus.Ethereum(),
 		refDepth: consensus.EthereumUncleDepth,
@@ -84,10 +83,9 @@ func (r *Registry) SetProtocol(p consensus.Protocol) {
 
 func (r *Registry) insert(b *types.Block) {
 	r.blocks[b.Hash] = b
-	r.byHeight[b.Number] = append(r.byHeight[b.Number], b.Hash)
-	r.order = append(r.order, b.Hash)
-	if !b.ParentHash.IsZero() {
-		r.children[b.ParentHash] = append(r.children[b.ParentHash], b.Hash)
+	r.order = append(r.order, b)
+	if r.head == nil || r.proto.Prefer(b, r.head) {
+		r.head = b
 	}
 }
 
@@ -135,25 +133,10 @@ func (r *Registry) MustGet(h types.Hash) *types.Block {
 // Len returns the number of blocks in the registry, including genesis.
 func (r *Registry) Len() int { return len(r.blocks) }
 
-// Children returns the hashes of blocks whose parent is h.
-func (r *Registry) Children(h types.Hash) []types.Hash {
-	out := make([]types.Hash, len(r.children[h]))
-	copy(out, r.children[h])
-	return out
-}
-
-// AtHeight returns the hashes of all blocks at the given height, in the
-// order they were created.
-func (r *Registry) AtHeight(n uint64) []types.Hash {
-	out := make([]types.Hash, len(r.byHeight[n]))
-	copy(out, r.byHeight[n])
-	return out
-}
-
 // Blocks iterates all blocks in creation order.
 func (r *Registry) Blocks(fn func(*types.Block) bool) {
-	for _, h := range r.order {
-		if !fn(r.blocks[h]) {
+	for _, b := range r.order {
+		if !fn(b) {
 			return
 		}
 	}
@@ -161,16 +144,7 @@ func (r *Registry) Blocks(fn func(*types.Block) bool) {
 
 // Head returns the tip of the final main chain under the protocol's
 // fork-choice rule (ties broken by earliest creation).
-func (r *Registry) Head() *types.Block {
-	best := r.genesis
-	for _, h := range r.order {
-		b := r.blocks[h]
-		if r.proto.Prefer(b, best) {
-			best = b
-		}
-	}
-	return best
-}
+func (r *Registry) Head() *types.Block { return r.head }
 
 // MainChain returns the main chain from genesis to head, inclusive, in
 // ascending height order.
@@ -186,16 +160,6 @@ func (r *Registry) MainChain() []*types.Block {
 		}
 	}
 	return out
-}
-
-// MainChainSet returns the set of main-chain block hashes.
-func (r *Registry) MainChainSet() map[types.Hash]bool {
-	main := r.MainChain()
-	set := make(map[types.Hash]bool, len(main))
-	for _, b := range main {
-		set[b.Hash] = true
-	}
-	return set
 }
 
 // IsAncestor reports whether a is an ancestor of (or equal to) b,
@@ -218,19 +182,6 @@ func (r *Registry) IsAncestor(a, b types.Hash, maxDepth int) bool {
 		}
 	}
 	return false
-}
-
-// UncleRefs returns, for every block, the set of main-chain blocks that
-// reference it as an uncle. Keyed by uncle hash; values are referencing
-// main-chain block hashes.
-func (r *Registry) UncleRefs() map[types.Hash][]types.Hash {
-	refs := make(map[types.Hash][]types.Hash)
-	for _, b := range r.MainChain() {
-		for _, u := range b.Uncles {
-			refs[u] = append(refs[u], b.Hash)
-		}
-	}
-	return refs
 }
 
 // ValidUncle checks the protocol's reference-validity rules for

@@ -121,28 +121,6 @@ func TestRegistryMainChain(t *testing.T) {
 			t.Error("main chain heights not contiguous")
 		}
 	}
-	set := tc.reg.MainChainSet()
-	if len(set) != 4 || !set[a3.Hash] {
-		t.Error("MainChainSet mismatch")
-	}
-}
-
-func TestRegistryChildrenAndAtHeight(t *testing.T) {
-	tc := newTestChain(t)
-	g := tc.reg.Genesis()
-	a := tc.extend(g, 1)
-	b := tc.extend(g, 2)
-	kids := tc.reg.Children(g.Hash)
-	if len(kids) != 2 || kids[0] != a.Hash || kids[1] != b.Hash {
-		t.Errorf("children = %v", kids)
-	}
-	at := tc.reg.AtHeight(101)
-	if len(at) != 2 {
-		t.Errorf("AtHeight(101) = %v", at)
-	}
-	if len(tc.reg.AtHeight(999)) != 0 {
-		t.Error("unknown height should be empty")
-	}
 }
 
 func TestRegistryIsAncestor(t *testing.T) {
@@ -212,9 +190,14 @@ func TestUncleRefs(t *testing.T) {
 	a2 := tc.extend(a1, 1, u1.Hash)
 	tc.extend(a2, 1)
 
-	refs := tc.reg.UncleRefs()
+	refs := map[types.Hash][]types.Hash{}
+	for _, b := range tc.reg.MainChain() {
+		for _, u := range b.Uncles {
+			refs[u] = append(refs[u], b.Hash)
+		}
+	}
 	if got := refs[u1.Hash]; len(got) != 1 || got[0] != a2.Hash {
-		t.Errorf("UncleRefs[u1] = %v", got)
+		t.Errorf("uncle refs of u1 = %v", got)
 	}
 	if len(refs) != 1 {
 		t.Errorf("refs = %v", refs)
@@ -295,5 +278,62 @@ func TestRegistryForkChoiceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// foldHead is the reference head: the protocol's preference folded
+// over every block in creation order, starting from genesis (ties keep
+// the earliest block).
+func foldHead(r *Registry) *types.Block {
+	best := r.Genesis()
+	r.Blocks(func(b *types.Block) bool {
+		if r.Protocol().Prefer(b, best) {
+			best = b
+		}
+		return true
+	})
+	return best
+}
+
+// Property: under every protocol, the head the registry keeps as
+// blocks arrive equals the creation-order fold after every Add, on
+// random block trees with mixed difficulties (so heavier-but-lower
+// branches and total-difficulty ties both occur).
+func TestRegistryHeadMatchesCreationOrderFold(t *testing.T) {
+	protocols := []consensus.Protocol{consensus.Ethereum(), consensus.Bitcoin(), consensus.GhostInclusive()}
+	for _, proto := range protocols {
+		proto := proto
+		t.Run(proto.Name(), func(t *testing.T) {
+			f := func(choices []uint16) bool {
+				issuer := types.NewHashIssuer(5)
+				reg := NewRegistry(0, issuer)
+				reg.SetProtocol(proto)
+				blocks := []*types.Block{reg.Genesis()}
+				if reg.Head() != foldHead(reg) {
+					return false
+				}
+				for _, c := range choices {
+					parent := blocks[int(c>>2)%len(blocks)]
+					b := &types.Block{
+						Hash:       issuer.Next(),
+						Number:     parent.Number + 1,
+						ParentHash: parent.Hash,
+						Miner:      1,
+						Difficulty: uint64(c&3) + 1,
+					}
+					if err := reg.Add(b); err != nil {
+						return false
+					}
+					blocks = append(blocks, b)
+					if reg.Head() != foldHead(reg) {
+						return false
+					}
+				}
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

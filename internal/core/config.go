@@ -303,6 +303,8 @@ func Configure(preset string, o Overrides) (Config, error) {
 		return Config{}, fmt.Errorf("duration must be non-negative, got %v", o.Duration)
 	case o.Nodes < 0:
 		return Config{}, fmt.Errorf("nodes must be non-negative, got %d", o.Nodes)
+	case math.IsNaN(o.TxRate) || math.IsInf(o.TxRate, 0):
+		return Config{}, fmt.Errorf("txrate must be a finite number, got %g", o.TxRate)
 	case o.TxRate < 0:
 		return Config{}, fmt.Errorf("txrate must be non-negative, got %g", o.TxRate)
 	}
@@ -419,6 +421,9 @@ func (c *Config) Validate() error {
 	}
 	if c.RedundancyVantage != "" && !seen[c.RedundancyVantage] {
 		return fmt.Errorf("core: redundancy vantage %q not among vantages", c.RedundancyVantage)
+	}
+	if math.IsNaN(c.TxGen.Rate) || math.IsInf(c.TxGen.Rate, 0) {
+		return fmt.Errorf("core: tx rate must be a finite number, got %g", c.TxGen.Rate)
 	}
 	if c.EnableTxWorkload {
 		if c.TxGen.Rate <= 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -46,6 +47,9 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"bad vantage region", func(c *Config) { c.Vantages[0].Region = geo.Region(0) }},
 		{"unknown redundancy vantage", func(c *Config) { c.RedundancyVantage = "nope" }},
 		{"tx workload without rate", func(c *Config) { c.TxGen.Rate = 0 }},
+		{"NaN tx rate", func(c *Config) { c.TxGen.Rate = math.NaN() }},
+		{"infinite tx rate", func(c *Config) { c.TxGen.Rate = math.Inf(1); ApplyCapacity(c) }},
+		{"infinite tx rate, workload off", func(c *Config) { c.TxGen.Rate = math.Inf(1); c.EnableTxWorkload = false }},
 		{"tx workload without senders", func(c *Config) { c.SenderDistribution = nil }},
 	}
 	for _, tt := range mutations {
@@ -147,6 +151,11 @@ func TestConfigure(t *testing.T) {
 		{"negative duration", "quick", Overrides{Duration: -time.Minute}, "duration"},
 		{"negative nodes", "quick", Overrides{Nodes: -5}, "nodes"},
 		{"negative txrate", "quick", Overrides{TxRate: -0.5}, "txrate"},
+		{"NaN txrate", "quick", Overrides{TxRate: math.NaN()}, "txrate must be a finite number, got NaN"},
+		{"infinite txrate", "quick", Overrides{TxRate: math.Inf(1)}, "txrate must be a finite number, got +Inf"},
+		{"negative infinite txrate", "quick", Overrides{TxRate: math.Inf(-1)}, "txrate must be a finite number, got -Inf"},
+		{"NaN scenario float", "quick", Overrides{Scenarios: []string{"bandwidth:regions=EA+SEA+NA+WE+CE,factor=NaN"}}, `parameter factor: "NaN" is not a finite number`},
+		{"NaN protocol float", "quick", Overrides{Protocol: "ghost-inclusive:decay=NaN"}, `parameter decay: "NaN" is not a finite number`},
 		{"bad protocol name", "quick", Overrides{Protocol: "pow2"}, "unknown protocol"},
 		{"bad protocol param", "quick", Overrides{Protocol: "ethereum:gravity=9"}, "unknown parameter"},
 		{"bad protocol syntax", "quick", Overrides{Protocol: "bitcoin:reward"}, "want key=val"},

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ethmeasure/internal/logs"
-	"ethmeasure/internal/measure"
 	"ethmeasure/internal/scenario"
 	"ethmeasure/internal/sim"
 )
@@ -84,29 +83,13 @@ func (c *Campaign) RunContext(ctx context.Context, opts RunOptions) (*Results, e
 	return c.Analyze()
 }
 
-// runInstr is the per-run instrumentation state: a record-bus consumer
-// counting (and optionally fingerprinting) emissions, plus the
-// divergence verdict of a resumed run.
+// runInstr is the per-run instrumentation state: the record
+// fingerprinter of a checkpointed or resumed run, plus the divergence
+// verdict of a resumed run. Record counts are the collector's.
 type runInstr struct {
 	c       *Campaign
 	fp      *logs.RecordFingerprinter // nil unless checkpointing/resuming
-	nblocks uint64
-	ntxs    uint64
-	failure error // resume divergence, checked after the engine stops
-}
-
-func (ri *runInstr) RecordBlock(rec measure.BlockRecord) {
-	ri.nblocks++
-	if ri.fp != nil {
-		ri.fp.RecordBlock(rec)
-	}
-}
-
-func (ri *runInstr) RecordTx(rec measure.TxRecord) {
-	ri.ntxs++
-	if ri.fp != nil {
-		ri.fp.RecordTx(rec)
-	}
+	failure error                     // resume divergence, checked after the engine stops
 }
 
 // progress builds the live snapshot at the current virtual time.
@@ -116,8 +99,8 @@ func (ri *runInstr) progress() Progress {
 		SimTime:      c.engine.Now(),
 		Duration:     c.cfg.Duration,
 		Events:       c.engine.EventsRun(),
-		BlockRecords: ri.nblocks,
-		TxRecords:    ri.ntxs,
+		BlockRecords: uint64(c.collector.BlockRecords()),
+		TxRecords:    uint64(c.collector.TxRecords()),
 		Blocks:       c.registry.Len(),
 	}
 }
@@ -127,8 +110,8 @@ func (ri *runInstr) progress() Progress {
 func (ri *runInstr) checkpoint() logs.Checkpoint {
 	return logs.Checkpoint{
 		SimTimeNs:         int64(ri.c.engine.Now()),
-		BlockRecords:      ri.nblocks,
-		TxRecords:         ri.ntxs,
+		BlockRecords:      uint64(ri.c.collector.BlockRecords()),
+		TxRecords:         uint64(ri.c.collector.TxRecords()),
 		Blocks:            ri.c.registry.Len(),
 		RecordFingerprint: ri.fp.Sum(),
 		ChainFingerprint:  logs.ChainFingerprint(ri.c.registry),
@@ -199,16 +182,14 @@ func (c *Campaign) SimulateContext(ctx context.Context, opts RunOptions) error {
 	c.simulated = true
 	start := time.Now()
 
-	// Instrumentation taps the record bus like any other consumer and
-	// schedules read-only ticks on the serial timeline. Attach before
-	// the workloads start so no record escapes the counters.
+	// Instrumentation schedules read-only ticks on the serial timeline;
+	// a checkpointed or resumed run also fingerprints the record bus,
+	// attached before the workloads start so no record escapes it.
 	instr := &runInstr{c: c}
-	if opts.Progress != nil || opts.Checkpoint != nil || opts.Resume != nil {
-		if opts.Checkpoint != nil || opts.Resume != nil {
-			instr.fp = logs.NewRecordFingerprinter()
-			c.instrFP = instr.fp
-		}
-		c.bus.Attach(instr)
+	if opts.Checkpoint != nil || opts.Resume != nil {
+		instr.fp = logs.NewRecordFingerprinter()
+		c.instrFP = instr.fp
+		c.bus.Attach(instr.fp)
 	}
 	if opts.Progress != nil {
 		interval := opts.ProgressInterval

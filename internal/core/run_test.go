@@ -68,9 +68,12 @@ func TestProgressTicks(t *testing.T) {
 		t.Fatalf("NewCampaign: %v", err)
 	}
 	var snaps []Progress
+	var cks []logs.Checkpoint
 	res, err := campaign.RunContext(context.Background(), RunOptions{
-		ProgressInterval: 2 * time.Minute,
-		Progress:         func(p Progress) { snaps = append(snaps, p) },
+		ProgressInterval:   2 * time.Minute,
+		Progress:           func(p Progress) { snaps = append(snaps, p) },
+		CheckpointInterval: 5 * time.Minute,
+		Checkpoint:         func(ck logs.Checkpoint) { cks = append(cks, ck) },
 	})
 	if err != nil {
 		t.Fatalf("RunContext: %v", err)
@@ -94,11 +97,22 @@ func TestProgressTicks(t *testing.T) {
 	if final.SimTime != cfg.Duration {
 		t.Errorf("final SimTime = %v, want %v", final.SimTime, cfg.Duration)
 	}
-	if final.BlockRecords == 0 || final.Blocks == 0 {
+	if final.BlockRecords == 0 || final.TxRecords == 0 || final.Blocks == 0 {
 		t.Errorf("final counters empty: %+v", final)
 	}
-	if res.Stats.BlockRecords != int(final.BlockRecords) {
-		t.Errorf("stats blocks %d != final progress %d", res.Stats.BlockRecords, final.BlockRecords)
+	if res.Stats.BlockRecords != int(final.BlockRecords) || res.Stats.TxRecords != int(final.TxRecords) {
+		t.Errorf("stats records %d/%d != final progress %d/%d",
+			res.Stats.BlockRecords, res.Stats.TxRecords, final.BlockRecords, final.TxRecords)
+	}
+	// The checkpoint at the horizon counts what the run's results do.
+	if len(cks) != 2 {
+		t.Fatalf("got %d checkpoints, want 2", len(cks))
+	}
+	last := cks[len(cks)-1]
+	if time.Duration(last.SimTimeNs) != cfg.Duration ||
+		res.Stats.BlockRecords != int(last.BlockRecords) || res.Stats.TxRecords != int(last.TxRecords) ||
+		res.Stats.BlocksCreated+1 != last.Blocks {
+		t.Errorf("last checkpoint %+v disagrees with stats %+v", last, res.Stats)
 	}
 }
 

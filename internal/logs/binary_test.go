@@ -83,7 +83,7 @@ func TestBinaryRoundTripInMemory(t *testing.T) {
 	if c.chain.Head().Hash != reg.Head().Hash {
 		t.Error("rebuilt head differs")
 	}
-	if len(c.chain.UncleRefs()) != 1 {
+	if mainUncleRefs(c.chain) != 1 {
 		t.Error("uncle refs lost in binary round trip")
 	}
 }

@@ -349,19 +349,19 @@ func TestMinerUnclesGetReferenced(t *testing.T) {
 	if _, err := h.engine.Run(10 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	refs := h.reg.UncleRefs()
-	if len(refs) == 0 {
-		t.Fatal("siblings were never referenced as uncles")
-	}
+	refs := 0
 	// Each referencing block must satisfy the uncle validity rules.
-	for uncle, blocks := range refs {
-		u := h.reg.MustGet(uncle)
-		for _, ref := range blocks {
-			b := h.reg.MustGet(ref)
+	for _, b := range h.reg.MainChain() {
+		for _, uncle := range b.Uncles {
+			refs++
+			u := h.reg.MustGet(uncle)
 			if u.Number >= b.Number || b.Number-u.Number > h.reg.Protocol().MaxReferenceDepth() {
-				t.Errorf("uncle %s at depth %d from %s", uncle, b.Number-u.Number, ref)
+				t.Errorf("uncle %s at depth %d from %s", uncle, b.Number-u.Number, b.Hash)
 			}
 		}
+	}
+	if refs == 0 {
+		t.Fatal("siblings were never referenced as uncles")
 	}
 }
 

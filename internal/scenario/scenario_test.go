@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ethmeasure/internal/catalog"
+	"ethmeasure/internal/consensus"
 	"ethmeasure/internal/geo"
 )
 
@@ -98,6 +99,54 @@ func TestRegistryRejectsBadValues(t *testing.T) {
 		}
 		if err := Validate(spec); err == nil {
 			t.Errorf("Validate(%q) accepted", raw)
+		}
+	}
+}
+
+// Every float parameter of the scenario and protocol catalogs rejects
+// NaN and ±Inf, naming the parameter and the value: each would
+// otherwise pass the range checks.
+func TestSpecFloatsMustBeFinite(t *testing.T) {
+	pairs := []struct {
+		prefix string // spec up to the float parameter
+		param  string
+	}{
+		{"bandwidth:regions=EA+SEA+NA+WE+CE,", "factor"},
+		{"relayoverlay:", "bw"},
+		{"relayoverlay:", "procspeed"},
+		{"eclipse:", "procspeed"},
+		{"bitcoin:", "reward"},
+		{"ghost-inclusive:", "decay"},
+		{"ghost-inclusive:", "reward"},
+	}
+	validate := func(raw string) error {
+		if strings.HasPrefix(raw, "bitcoin:") || strings.HasPrefix(raw, "ghost-inclusive:") {
+			spec, err := consensus.Parse(raw)
+			if err != nil {
+				return err
+			}
+			return consensus.Validate(spec)
+		}
+		spec, err := Parse(raw)
+		if err != nil {
+			return err
+		}
+		return Validate(spec)
+	}
+	for _, p := range pairs {
+		if err := validate(p.prefix + p.param + "=1"); err != nil {
+			t.Errorf("%s%s=1 rejected: %v", p.prefix, p.param, err)
+		}
+		for _, v := range []string{"NaN", "Inf", "-Inf"} {
+			raw := p.prefix + p.param + "=" + v
+			err := validate(raw)
+			if err == nil {
+				t.Errorf("%s accepted", raw)
+				continue
+			}
+			if want := "parameter " + p.param + `: "` + v + `" is not a finite number`; !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: err = %v, want it to contain %q", raw, err, want)
+			}
 		}
 	}
 }
