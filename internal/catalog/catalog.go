@@ -224,7 +224,8 @@ type Registration[T any] struct {
 	Usage string
 	// New instantiates the product from parsed parameters. Factories
 	// read every parameter they accept through p's typed getters (the
-	// catalog rejects unconsumed keys) and validate values eagerly.
+	// catalog rejects unconsumed keys and reports malformed values) and
+	// validate values eagerly.
 	New func(p *Params) (T, error)
 }
 
@@ -317,11 +318,13 @@ func (c *Catalog[T]) Build(spec Spec) (T, error) {
 	}
 	p := NewParams(c.kind, name, spec.Params)
 	v, err := reg.New(p)
+	// A parameter error names the entry already, and it explains any
+	// complaint of the factory about the default it fell back to.
+	if perr := p.Err(); perr != nil {
+		return zero, perr
+	}
 	if err != nil {
 		return zero, fmt.Errorf("%s %s: %w", c.kind, name, err)
-	}
-	if err := p.Err(); err != nil {
-		return zero, err
 	}
 	return v, nil
 }

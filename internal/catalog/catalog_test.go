@@ -163,6 +163,26 @@ func TestBuildParamsAndUnknownKeys(t *testing.T) {
 	}
 }
 
+// A factory that returns its parameters' error itself gets it back
+// from Build unwrapped: the error names the entry once.
+func TestBuildNamesTheEntryOnce(t *testing.T) {
+	c := New[*widget]("widgets", "widget", "")
+	c.Register(Registration[*widget]{
+		Name: "checked",
+		New: func(p *Params) (*widget, error) {
+			w := &widget{size: p.Int("size", 1)}
+			if err := p.Err(); err != nil {
+				return nil, err
+			}
+			return w, nil
+		},
+	})
+	_, err := c.Build(Spec{Name: "checked", Params: map[string]string{"size": "x"}})
+	if want := `widget checked: parameter size: strconv.Atoi: parsing "x": invalid syntax`; err == nil || err.Error() != want {
+		t.Errorf("Build err = %v, want %q", err, want)
+	}
+}
+
 func TestNamesAndRegistrations(t *testing.T) {
 	c := testCatalog(t)
 	if got, want := c.Names(), []string{"plain", "timed"}; !reflect.DeepEqual(got, want) {

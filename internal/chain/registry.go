@@ -8,7 +8,6 @@ package chain
 
 import (
 	"fmt"
-	"sort"
 
 	"ethmeasure/internal/consensus"
 	"ethmeasure/internal/types"
@@ -162,28 +161,6 @@ func (r *Registry) MainChain() []*types.Block {
 	return out
 }
 
-// IsAncestor reports whether a is an ancestor of (or equal to) b,
-// searching at most maxDepth generations up from b.
-func (r *Registry) IsAncestor(a, b types.Hash, maxDepth int) bool {
-	cur, ok := r.blocks[b]
-	if !ok {
-		return false
-	}
-	for depth := 0; depth <= maxDepth; depth++ {
-		if cur.Hash == a {
-			return true
-		}
-		if cur.ParentHash.IsZero() {
-			return false
-		}
-		cur, ok = r.blocks[cur.ParentHash]
-		if !ok {
-			return false
-		}
-	}
-	return false
-}
-
 // ValidUncle checks the protocol's reference-validity rules for
 // candidate uncle u referenced from a block that would extend parent:
 //
@@ -228,10 +205,4 @@ func (r *Registry) ValidUncle(u *types.Block, parent *types.Block) bool {
 		cur = next
 	}
 	return false
-}
-
-// SortHashes sorts a hash slice in place (deterministic ordering for
-// iteration over map-derived slices).
-func SortHashes(hs []types.Hash) {
-	sort.Slice(hs, func(i, j int) bool { return hs[i] < hs[j] })
 }

@@ -123,26 +123,6 @@ func TestRegistryMainChain(t *testing.T) {
 	}
 }
 
-func TestRegistryIsAncestor(t *testing.T) {
-	tc := newTestChain(t)
-	g := tc.reg.Genesis()
-	b1 := tc.extend(g, 1)
-	b2 := tc.extend(b1, 1)
-	b3 := tc.extend(b2, 1)
-	if !tc.reg.IsAncestor(b1.Hash, b3.Hash, 10) {
-		t.Error("b1 should be ancestor of b3")
-	}
-	if !tc.reg.IsAncestor(b3.Hash, b3.Hash, 0) {
-		t.Error("block is its own ancestor at depth 0")
-	}
-	if tc.reg.IsAncestor(b1.Hash, b3.Hash, 1) {
-		t.Error("depth bound not respected")
-	}
-	if tc.reg.IsAncestor(b3.Hash, b1.Hash, 10) {
-		t.Error("descendant is not an ancestor")
-	}
-}
-
 func TestValidUncleRules(t *testing.T) {
 	tc := newTestChain(t)
 	g := tc.reg.Genesis()
@@ -227,14 +207,6 @@ func TestMustGetPanicsOnMissing(t *testing.T) {
 		}
 	}()
 	tc.reg.MustGet(types.Hash(0xbeef))
-}
-
-func TestSortHashes(t *testing.T) {
-	hs := []types.Hash{3, 1, 2}
-	SortHashes(hs)
-	if hs[0] != 1 || hs[1] != 2 || hs[2] != 3 {
-		t.Errorf("sorted = %v", hs)
-	}
 }
 
 // Property: after growing random fork structures, the head always has

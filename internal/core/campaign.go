@@ -312,6 +312,8 @@ func (c *Campaign) build() error {
 			}
 		}
 	}
+	// The graph is complete: only churn rewires it from here on.
+	p2p.PackLinks(c.network)
 	for _, s := range c.scenarios {
 		if ms, ok := s.(scenario.MinerStrategy); ok {
 			if err := ms.AttachStrategy(c.miner); err != nil {

@@ -1,26 +1,29 @@
 package p2p
 
 import (
+	"math/bits"
+
 	"ethmeasure/internal/sim"
 	"ethmeasure/internal/types"
 )
 
 // txFlood is one transaction spreading from its origin across the
 // network. It keeps every relayed message that can still be a first
-// sighting as a pending arrival (time, sender, receiver) and owns
-// exactly one engine event, at its earliest pending arrival: the event
-// settles that arrival's node, relays from it, and re-arms at the new
-// earliest. Arrivals at one instant tie-break on the sender's node ID,
-// the lower first, so a flood's outcome depends only on the graph, the
-// seed and the transaction, not on the order of any events.
+// sighting as a pending arrival (time, sender, receiver) in its queue
+// and owns exactly one engine event, at its earliest pending arrival:
+// the event settles that arrival's node, relays from it, and re-arms at
+// the new earliest. Arrivals at one instant settle by sender ID, then
+// receiver ID, the lower first, so a flood's outcome depends only on
+// the graph, the seed and the transaction, not on the order of any
+// events.
 //
 // Every relayed message is counted, but a message to a node that is
 // already settled in the flood, or that has a pending arrival the
 // message cannot beat even at the pair's delay floor, is dead whatever
 // its delay: its delay is never computed. A live message's delay is
 // computed, and the message becomes the receiver's pending arrival if
-// it beats the pending one, which it replaces in place. No dead
-// delivery ever becomes an event.
+// it beats the pending one, which it replaces. No dead delivery ever
+// becomes an event.
 //
 // A transaction floods once (SubmitTx ignores a repeated submission),
 // so a node holds the transaction exactly when it is settled in the
@@ -30,29 +33,64 @@ type txFlood struct {
 	tx    *types.Transaction
 	sched *sim.Engine
 	tab   *table
-	// pos and via are indexed by node ID and sized to the network when
-	// the flood opens. pos[id] is unreached, settled, or the index of
-	// the node's pending arrival in heap; via[id] is the node's handle
-	// for the link its pending arrival comes over.
-	pos []int32
-	via []uint64
-	// heap is a binary min-heap of the pending arrivals by (at, from),
-	// rooted at index 1; heap[0] is unused.
-	heap []floodArrival
+	q     floodQueue
 }
 
-// Node states in txFlood.pos besides a heap index.
+// floodArrival is one pending arrival: the delivery time of the
+// message, the IDs of its sender and receiver, and the receiver's
+// handle for the link it comes over.
+type floodArrival struct {
+	at       sim.Time
+	via      uint64
+	from, id int32
+}
+
+// floodQueue holds a flood's pending arrivals, at most one per node,
+// as a monotone radix heap. last is the time of the latest settled
+// arrival (the flood's opening time before the first); a relay at
+// last only adds arrivals at or after it, so no arrival is ever
+// earlier than last. A pending arrival at time at sits in bucket
+// bits.Len64(at ^ last): bucket 0 holds the arrivals at last itself,
+// and bucket b > 0 those that first differ from last in bit b-1, all
+// later than every arrival in a lower bucket.
+//
+// A bucket's low mark is the earliest time linked into it since it was
+// last empty. It is no later than any arrival still in the bucket, and
+// it stays in the bucket's range after its own arrival was replaced.
+// earliest makes the lowest non-empty bucket's mark the new last and
+// moves that bucket's arrivals down against it, which leaves every
+// other bucket in place; pop then takes bucket 0's lowest (sender,
+// receiver).
+//
+// A bucket is a doubly linked list threaded through the per-node
+// slots, so replacing a node's pending arrival is an unlink and a link,
+// and a queue allocates nothing once its slots are sized.
+type floodQueue struct {
+	slots    []floodSlot  // by node ID, sized to the network
+	head     [64]int32    // each bucket's first node, while occupied
+	low      [64]sim.Time // each bucket's low mark, while occupied
+	occupied uint64       // bit b set while bucket b holds an arrival
+	last     sim.Time
+}
+
+// floodSlot is a node's state in a flood: unreached, settled, or
+// pending, then with its arrival and its neighbours in its bucket.
+type floodSlot struct {
+	at         sim.Time
+	via        uint64
+	from       int32
+	state      int32 // unreached, settled, or 1 + the arrival's bucket
+	next, prev int32 // bucket neighbours, or none
+}
+
+// Node states in floodSlot.state besides a bucket.
 const (
 	unreached = 0
 	settled   = -1
 )
 
-// floodArrival is one pending arrival: the delivery time of the
-// message and the IDs of its sender and receiver.
-type floodArrival struct {
-	at       sim.Time
-	from, id int32
-}
+// none ends a bucket list.
+const none = -1
 
 // txKind is a transaction message's kind in its delay key; block
 // messages use their node event kinds, which start at 1.
@@ -67,14 +105,14 @@ func (n *Node) flood(tx *types.Transaction) {
 		f = tab.free[k-1]
 		tab.free = tab.free[:k-1]
 	} else {
-		f = &txFlood{tab: tab, heap: make([]floodArrival, 1)}
+		f = &txFlood{tab: tab}
 	}
-	if nodes := n.net.NumNodes(); len(f.pos) < nodes {
-		f.pos = make([]int32, nodes)
-		f.via = make([]uint64, nodes)
+	if nodes := n.net.NumNodes(); len(f.q.slots) < nodes {
+		f.q.slots = make([]floodSlot, nodes)
 	}
 	f.tx, f.sched = tx, n.sched
-	f.pos[n.id] = settled
+	f.q.last = n.sched.Now()
+	f.q.slots[n.id].state = settled
 	f.relay(n, -1)
 	f.arm()
 }
@@ -82,8 +120,7 @@ func (n *Node) flood(tx *types.Transaction) {
 // HandleSimEvent settles the earliest pending arrival (sim.Handler):
 // the node sights the transaction for the first time and relays it.
 func (f *txFlood) HandleSimEvent(sim.Arg) {
-	a := f.popMin()
-	f.pos[a.id] = settled
+	a := f.q.pop()
 	n := f.tab.nodes[a.id]
 	if n.Observer != nil {
 		n.Observer.ObserveTx(f.sched.Now(), f.tx, types.NodeID(a.from))
@@ -91,7 +128,7 @@ func (f *txFlood) HandleSimEvent(sim.Arg) {
 	if n.TxSink != nil {
 		n.TxSink(f.tx)
 	}
-	f.relay(n, n.known.resolve(f.via[a.id]))
+	f.relay(n, n.known.resolve(a.via))
 	f.arm()
 }
 
@@ -110,27 +147,19 @@ func (f *txFlood) relay(n *Node, skip int32) {
 			continue
 		}
 		sent++
-		id := l.peer
-		p := f.pos[id]
-		if p == settled {
+		s := &f.q.slots[l.peer]
+		if s.state == settled {
 			continue
 		}
-		if p != unreached && !arrivalLess(floodArrival{at: now + n.net.Floor(n.id, id), from: src}, f.heap[p]) {
+		if s.state != unreached && !s.beatenBy(now+n.net.Floor(n.id, l.peer), src) {
 			continue // the pending arrival wins even against the floor
 		}
 		f.tab.delays++
-		a := floodArrival{at: now + b.Delay(id), from: src, id: int32(id)}
-		switch {
-		case p == unreached:
-			f.heap = append(f.heap, a)
-			f.up(len(f.heap) - 1)
-		case arrivalLess(a, f.heap[p]):
-			f.heap[p] = a
-			f.up(int(p))
-		default:
+		at := now + b.Delay(l.peer)
+		if s.state != unreached && !s.beatenBy(at, src) {
 			continue
 		}
-		f.via[id] = f.tab.nodes[id].known.handle(l.peerSlot)
+		f.q.push(floodArrival{at: at, via: f.tab.nodes[l.peer].known.handle(l.peerSlot), from: src, id: int32(l.peer)})
 	}
 	n.net.Count(sent)
 }
@@ -138,64 +167,101 @@ func (f *txFlood) relay(n *Node, skip int32) {
 // arm schedules the flood's event at its earliest pending arrival, or
 // releases the flood when nothing is pending.
 func (f *txFlood) arm() {
-	if len(f.heap) > 1 {
-		f.sched.ScheduleArg(f.heap[1].at, f, sim.Arg{})
+	if at, ok := f.q.earliest(); ok {
+		f.sched.ScheduleArg(at, f, sim.Arg{})
 		return
 	}
-	clear(f.pos)
+	clear(f.q.slots)
 	f.tx, f.sched = nil, nil
 	f.tab.free = append(f.tab.free, f)
 }
 
-func arrivalLess(a, b floodArrival) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.from < b.from
+// beatenBy reports whether an arrival at time at from sender from comes
+// before the node's pending arrival. Both reach the same node, so the
+// earlier time wins, and at one time the lower sender ID.
+func (s *floodSlot) beatenBy(at sim.Time, from int32) bool {
+	return at < s.at || at == s.at && from < s.from
 }
 
-// popMin removes the earliest pending arrival and returns it.
-// The root's hole sinks along the smaller children to a leaf, and the
-// last arrival fills it from there: one compare per level instead of
-// two, since the last arrival nearly always belongs near the bottom.
-func (f *txFlood) popMin() floodArrival {
-	h := f.heap
-	top := h[1]
-	last := len(h) - 1
-	i := 1
-	for {
-		c := 2 * i
-		if c >= last {
-			break
-		}
-		if c+1 < last && arrivalLess(h[c+1], h[c]) {
-			c++
-		}
-		h[i] = h[c]
-		f.pos[h[i].id] = int32(i)
-		i = c
+// push makes a its receiver's pending arrival. a must not be earlier
+// than last, and it must beat the receiver's pending arrival if there
+// is one, which it replaces.
+func (q *floodQueue) push(a floodArrival) {
+	s := &q.slots[a.id]
+	if s.state != unreached {
+		q.unlink(a.id)
 	}
-	h[i] = h[last]
-	f.heap = h[:last]
-	if i < last {
-		f.up(i)
-	}
-	return top
+	s.at, s.via, s.from = a.at, a.via, a.from
+	q.link(a.id, bits.Len64(uint64(a.at^q.last)))
 }
 
-// up restores heap order above index i.
-func (f *txFlood) up(i int) {
-	h := f.heap
-	a := h[i]
-	for i > 1 {
-		p := i / 2
-		if !arrivalLess(a, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		f.pos[h[i].id] = int32(i)
-		i = p
+// earliest returns the time of the earliest pending arrival, which
+// becomes last, and leaves every arrival at that time in bucket 0. It
+// reports false when nothing is pending.
+func (q *floodQueue) earliest() (sim.Time, bool) {
+	if q.occupied == 0 {
+		return 0, false
 	}
-	h[i] = a
-	f.pos[a.id] = int32(i)
+	for q.occupied&1 == 0 {
+		// Every arrival in bucket b shares its low mark's bits from
+		// b-1 up, so each lands in a lower bucket against it. The mark
+		// of a replaced arrival may leave bucket 0 empty: then the next
+		// lowest bucket follows.
+		b := bits.TrailingZeros64(q.occupied)
+		q.last = q.low[b]
+		q.occupied &^= 1 << b
+		for id := q.head[b]; id != none; {
+			next := q.slots[id].next
+			q.link(id, bits.Len64(uint64(q.slots[id].at^q.last)))
+			id = next
+		}
+	}
+	return q.last, true
+}
+
+// pop settles and returns the pending arrival at last with the lowest
+// sender, then receiver, ID. earliest must have reported an arrival,
+// and nothing may have been pushed since.
+func (q *floodQueue) pop() floodArrival {
+	best := q.head[0]
+	for id := q.slots[best].next; id != none; id = q.slots[id].next {
+		if s := &q.slots[id]; s.from < q.slots[best].from || s.from == q.slots[best].from && id < best {
+			best = id
+		}
+	}
+	q.unlink(best)
+	s := &q.slots[best]
+	s.state = settled
+	return floodArrival{at: s.at, via: s.via, from: s.from, id: best}
+}
+
+// link puts the pending node id at the front of bucket b.
+func (q *floodQueue) link(id int32, b int) {
+	s := &q.slots[id]
+	s.state, s.prev, s.next = int32(b)+1, none, none
+	if q.occupied&(1<<b) == 0 {
+		q.low[b] = s.at
+	} else {
+		s.next = q.head[b]
+		q.slots[s.next].prev = id
+		q.low[b] = min(q.low[b], s.at)
+	}
+	q.head[b] = id
+	q.occupied |= 1 << b
+}
+
+// unlink takes the pending node id out of its bucket.
+func (q *floodQueue) unlink(id int32) {
+	s := &q.slots[id]
+	b := s.state - 1
+	if s.prev != none {
+		q.slots[s.prev].next = s.next
+	} else {
+		q.head[b] = s.next
+	}
+	if s.next != none {
+		q.slots[s.next].prev = s.prev
+	} else if s.prev == none {
+		q.occupied &^= 1 << b
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"ethmeasure/internal/discovery"
+	"ethmeasure/internal/simnet"
 )
 
 // BuildRandomTopology wires the given nodes into a random graph where
@@ -110,4 +111,34 @@ func checkTopology(nodes []*Node, outDegree int) error {
 		return fmt.Errorf("p2p: outDegree %d out of range [1,%d)", outDegree, len(nodes))
 	}
 	return nil
+}
+
+// PackLinks re-homes the link list and the slot generations of every
+// node on net into exact-length slices carved from one backing array
+// each, once the topology is built: grown by append, they would hold
+// up to twice the memory their links need for the whole run. Each
+// node's slices are capped at their length, so a later Connect copies
+// that node's slice out rather than writing over its neighbour's.
+func PackLinks(net *simnet.Network) {
+	tab, _ := (*net.Local()).(*table)
+	if tab == nil {
+		return
+	}
+	nl, ng := 0, 0
+	for _, n := range tab.nodes {
+		if n != nil {
+			nl += len(n.links)
+			ng += len(n.known.gens)
+		}
+	}
+	links, gens := make([]link, nl), make([]uint32, ng)
+	for _, n := range tab.nodes {
+		if n == nil {
+			continue
+		}
+		k := copy(links, n.links)
+		n.links, links = links[:k:k], links[k:]
+		k = copy(gens, n.known.gens)
+		n.known.gens, gens = gens[:k:k], gens[k:]
+	}
 }

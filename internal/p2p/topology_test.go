@@ -2,6 +2,7 @@ package p2p
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -107,5 +108,53 @@ func TestConnectToRandom(t *testing.T) {
 	}
 	if made != 4 {
 		t.Errorf("made = %d, want 4", made)
+	}
+}
+
+// TestPackLinksSizesExactly: after PackLinks every node's link list
+// and slot generations are exactly as long as their capacity, hold the
+// same values as before, and come from one backing array each; links made
+// or dropped afterwards touch only their own two nodes.
+func TestPackLinksSizesExactly(t *testing.T) {
+	h := newHarness(t, 40, DefaultConfig())
+	if err := BuildRandomTopology(rand.New(rand.NewSource(2)), h.nodes, 3); err != nil {
+		t.Fatal(err)
+	}
+	Disconnect(h.nodes[0], h.nodes[0].Peers()[0]) // a released slot
+	links := make([][]link, len(h.nodes))
+	gens := make([][]uint32, len(h.nodes))
+	for i, n := range h.nodes {
+		links[i], gens[i] = slices.Clone(n.links), slices.Clone(n.known.gens)
+	}
+	PackLinks(h.net)
+	for i, n := range h.nodes {
+		if !slices.Equal(n.links, links[i]) || !slices.Equal(n.known.gens, gens[i]) {
+			t.Fatalf("node %d: links %v gens %v after packing, want %v %v", i, n.links, n.known.gens, links[i], gens[i])
+		}
+		if cap(n.links) != len(n.links) || cap(n.known.gens) != len(n.known.gens) {
+			t.Fatalf("node %d: %d links in %d, %d generations in %d", i, len(n.links), cap(n.links), len(n.known.gens), cap(n.known.gens))
+		}
+	}
+	if allocs := testing.AllocsPerRun(1, func() { PackLinks(h.net) }); allocs != 2 {
+		t.Fatalf("packing allocated %.0f times, want one array of links and one of generations", allocs)
+	}
+
+	// Churn after packing: a new link, a dropped one and a departure.
+	a, b := h.nodes[1], h.nodes[2]
+	if _, ok := a.linkTo(b); ok {
+		Disconnect(a, b)
+	}
+	Connect(a, b)
+	Disconnect(h.nodes[3], h.nodes[3].Peers()[0])
+	h.nodes[4].DisconnectAll()
+	for i, n := range h.nodes {
+		for _, l := range n.links {
+			if p := h.nodes[l.peer]; !slices.Contains(p.links, link{peer: n.id, slot: l.peerSlot, peerSlot: l.slot}) {
+				t.Fatalf("node %d links to %d on slots %d/%d, but %d has no matching end", i, l.peer, l.slot, l.peerSlot, l.peer)
+			}
+			if n.known.resolve(n.known.handle(l.slot)) != l.slot {
+				t.Fatalf("node %d: slot %d of a live link does not resolve", i, l.slot)
+			}
+		}
 	}
 }

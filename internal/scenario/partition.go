@@ -23,9 +23,6 @@ func init() {
 				At:     p.Dur("start", 0),
 				Window: p.Dur("dur", 0),
 			}
-			if err := p.Err(); err != nil {
-				return nil, err
-			}
 			if len(s.A) == 0 {
 				return nil, fmt.Errorf("region set a is required")
 			}

@@ -103,6 +103,30 @@ func TestRegistryRejectsBadValues(t *testing.T) {
 	}
 }
 
+// A spec error names its scenario once, whether a typed getter or the
+// factory's own check rejected the value, and a malformed value is
+// reported as such even when the factory also complains about the
+// default it fell back to.
+func TestSpecErrorsNameTheScenarioOnce(t *testing.T) {
+	cases := []struct{ spec, want string }{
+		{"bandwidth:regions=EA,factor=banana", `scenario bandwidth: parameter factor: strconv.ParseFloat: parsing "banana": invalid syntax`},
+		{"bandwidth:regions=EA,factr=2", "scenario bandwidth: unknown parameter(s) factr"},
+		{"bandwidth:regions=EA,factor=0", "scenario bandwidth: factor must be positive"},
+		{"bandwidth:regions=Mars", `scenario bandwidth: parameter regions: geo: unknown region "Mars"`},
+		{"partition:a=Mars", `scenario partition: parameter a: geo: unknown region "Mars"`},
+		{"churn:interval=banana", `scenario churn: parameter interval: time: invalid duration "banana"`},
+	}
+	for _, c := range cases {
+		spec, err := Parse(c.spec)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", c.spec, err)
+		}
+		if _, err := Build([]Spec{spec}); err == nil || err.Error() != c.want {
+			t.Errorf("Build(%q) err = %v, want %q", c.spec, err, c.want)
+		}
+	}
+}
+
 // Every float parameter of the scenario and protocol catalogs rejects
 // NaN and ±Inf, naming the parameter and the value: each would
 // otherwise pass the range checks.
