@@ -83,7 +83,8 @@ func TestReportMatchesLiveCampaign(t *testing.T) {
 	}
 }
 
-// readEntries reads every entry of a log.
+// readEntries reads every entry of a log, copying each block and tx
+// record out of the Reader, which reuses them.
 func readEntries(t *testing.T, path string) []*logs.Entry {
 	t.Helper()
 	f, err := os.Open(path)
@@ -101,7 +102,16 @@ func readEntries(t *testing.T, path string) []*logs.Entry {
 		if err != nil {
 			t.Fatal(err)
 		}
-		entries = append(entries, e)
+		c := *e
+		switch {
+		case c.Block != nil:
+			b := *c.Block
+			c.Block = &b
+		case c.Tx != nil:
+			tx := *c.Tx
+			c.Tx = &tx
+		}
+		entries = append(entries, &c)
 	}
 }
 

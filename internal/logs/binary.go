@@ -259,104 +259,109 @@ var (
 	errTrailing  = errors.New("trailing bytes in frame")
 )
 
-// decoder walks one frame payload with full bounds checking: every
-// malformed input yields an error, never a panic (pinned by
-// FuzzDecode).
+// decoder walks one frame payload with full bounds checking. The first
+// malformed field records its error and empties the payload, and every
+// read after it returns zero, so a frame is checked once, by end: every
+// malformed input yields an error, never a panic (pinned by FuzzDecode).
 type decoder struct {
-	p []byte
+	p   []byte
+	err error
 }
 
-func (d *decoder) uvarint() (uint64, error) {
+// fail records err unless an earlier failure already stands.
+func (d *decoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+	d.p = nil
+}
+
+func (d *decoder) uvarint() uint64 {
 	v, n := binary.Uvarint(d.p)
 	if n <= 0 {
-		return 0, errTruncated
+		d.fail(errTruncated)
+		return 0
 	}
 	d.p = d.p[n:]
-	return v, nil
+	return v
 }
 
-func (d *decoder) varint() (int64, error) {
+func (d *decoder) varint() int64 {
 	v, n := binary.Varint(d.p)
 	if n <= 0 {
-		return 0, errTruncated
+		d.fail(errTruncated)
+		return 0
 	}
 	d.p = d.p[n:]
-	return v, nil
+	return v
 }
 
-func (d *decoder) byte() (byte, error) {
+func (d *decoder) byte() byte {
 	if len(d.p) == 0 {
-		return 0, errTruncated
+		d.fail(errTruncated)
+		return 0
 	}
 	b := d.p[0]
 	d.p = d.p[1:]
-	return b, nil
+	return b
 }
 
 // str decodes a length-prefixed string, interning through tab: vantage
 // names repeat millions of times per log, so each distinct string is
 // allocated once. The map lookup on a []byte key conversion does not
 // allocate.
-func (d *decoder) str(tab map[string]string) (string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
-	}
+func (d *decoder) str(tab map[string]string) string {
+	n := d.uvarint()
 	if n > uint64(len(d.p)) {
-		return "", errTruncated
+		d.fail(errTruncated)
+	}
+	if d.err != nil {
+		return ""
 	}
 	raw := d.p[:n]
 	d.p = d.p[n:]
 	if s, ok := tab[string(raw)]; ok {
-		return s, nil
+		return s
 	}
 	s := string(raw)
 	tab[s] = s
-	return s, nil
+	return s
 }
 
-func (d *decoder) hashes() ([]types.Hash, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
+func (d *decoder) hashes() []types.Hash {
+	n := d.uvarint()
 	// Each hash costs at least one byte, so a count beyond the
 	// remaining payload is a corrupt length — reject before allocating.
 	if n > uint64(len(d.p)) {
-		return nil, errTruncated
+		d.fail(errTruncated)
 	}
-	if n == 0 {
-		return nil, nil
+	if d.err != nil || n == 0 {
+		return nil
 	}
 	out := make([]types.Hash, n)
 	for i := range out {
-		v, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = types.Hash(v)
+		out[i] = types.Hash(d.uvarint())
 	}
-	return out, nil
+	return out
 }
 
-func (d *decoder) done() error {
-	if len(d.p) != 0 {
+// end returns the frame's first failure, or errTrailing when the
+// fields left bytes over.
+func (d *decoder) end() error {
+	if d.err == nil && len(d.p) != 0 {
 		return errTrailing
 	}
-	return nil
+	return d.err
 }
 
-// decodeBinaryEntry decodes one frame payload into a fresh Entry.
-// Fresh allocations (not struct reuse) keep the streaming contract
-// identical to the JSONL path: callers may retain entries and the
-// slices inside them.
-func decodeBinaryEntry(p []byte, intern map[string]string) (*Entry, error) {
+// decodeFrame decodes one frame payload. A block or tx frame decodes
+// into the Reader's own entry and record, overwritten by the next call;
+// a meta or chain frame decodes into fresh values, which callers keep
+// (the metadata, and the chain slices a ChainBuilder holds on to).
+func (r *Reader) decodeFrame(p []byte) (*Entry, error) {
 	d := decoder{p: p}
-	kind, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	switch kind {
+	e := &r.entry
+	switch kind := d.byte(); kind {
 	case frameMeta:
 		var m Meta
 		if err := json.Unmarshal(d.p, &m); err != nil {
@@ -364,144 +369,56 @@ func decodeBinaryEntry(p []byte, intern map[string]string) (*Entry, error) {
 		}
 		return &Entry{Kind: KindMeta, Meta: &m}, nil
 	case frameBlock:
-		r := &measure.BlockRecord{}
-		if r.Vantage, err = d.str(intern); err != nil {
-			return nil, err
-		}
-		at, err := d.varint()
-		if err != nil {
-			return nil, err
-		}
-		r.At = time.Duration(at)
-		h, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		r.Hash = types.Hash(h)
-		if r.Number, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		miner, err := d.varint()
-		if err != nil {
-			return nil, err
-		}
-		r.Miner = types.PoolID(miner)
-		parent, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		r.Parent = types.Hash(parent)
-		from, err := d.varint()
-		if err != nil {
-			return nil, err
-		}
-		r.From = types.NodeID(from)
-		kc, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		switch kc {
+		b := &r.block
+		b.Vantage = d.str(r.intern)
+		b.At = time.Duration(d.varint())
+		b.Hash = types.Hash(d.uvarint())
+		b.Number = d.uvarint()
+		b.Miner = types.PoolID(d.varint())
+		b.Parent = types.Hash(d.uvarint())
+		b.From = types.NodeID(d.varint())
+		switch kc := d.byte(); kc {
 		case blockKindBlock:
-			r.Kind = "block"
+			b.Kind = "block"
 		case blockKindAnnounce:
-			r.Kind = "announce"
+			b.Kind = "announce"
 		case blockKindFetched:
-			r.Kind = "fetched"
+			b.Kind = "fetched"
 		case blockKindOther:
-			if r.Kind, err = d.str(intern); err != nil {
-				return nil, err
-			}
+			b.Kind = d.str(r.intern)
 		default:
-			return nil, fmt.Errorf("unknown block kind code %d", kc)
+			d.fail(fmt.Errorf("unknown block kind code %d", kc))
 		}
-		ntxs, err := d.varint()
-		if err != nil {
-			return nil, err
-		}
-		r.NTxs = int(ntxs)
-		size, err := d.varint()
-		if err != nil {
-			return nil, err
-		}
-		r.Size = int(size)
-		if err := d.done(); err != nil {
-			return nil, err
-		}
-		return &Entry{Kind: KindBlock, Block: r}, nil
+		b.NTxs = int(d.varint())
+		b.Size = int(d.varint())
+		*e = Entry{Kind: KindBlock, Block: b}
 	case frameTx:
-		r := &measure.TxRecord{}
-		if r.Vantage, err = d.str(intern); err != nil {
-			return nil, err
-		}
-		at, err := d.varint()
-		if err != nil {
-			return nil, err
-		}
-		r.At = time.Duration(at)
-		h, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		r.Hash = types.Hash(h)
-		sender, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		r.Sender = types.AccountID(sender)
-		if r.Nonce, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		from, err := d.varint()
-		if err != nil {
-			return nil, err
-		}
-		r.From = types.NodeID(from)
-		if err := d.done(); err != nil {
-			return nil, err
-		}
-		return &Entry{Kind: KindTx, Tx: r}, nil
+		t := &r.tx
+		t.Vantage = d.str(r.intern)
+		t.At = time.Duration(d.varint())
+		t.Hash = types.Hash(d.uvarint())
+		t.Sender = types.AccountID(d.uvarint())
+		t.Nonce = d.uvarint()
+		t.From = types.NodeID(d.varint())
+		*e = Entry{Kind: KindTx, Tx: t}
 	case frameChain:
-		cb := &ChainBlock{}
-		h, err := d.uvarint()
-		if err != nil {
-			return nil, err
+		cb := &ChainBlock{
+			Hash:   types.Hash(d.uvarint()),
+			Number: d.uvarint(),
+			Parent: types.Hash(d.uvarint()),
+			Miner:  types.PoolID(d.varint()),
 		}
-		cb.Hash = types.Hash(h)
-		if cb.Number, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		parent, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		cb.Parent = types.Hash(parent)
-		miner, err := d.varint()
-		if err != nil {
-			return nil, err
-		}
-		cb.Miner = types.PoolID(miner)
-		if cb.TxHashes, err = d.hashes(); err != nil {
-			return nil, err
-		}
-		if cb.Uncles, err = d.hashes(); err != nil {
-			return nil, err
-		}
-		if cb.TotalDiff, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		if cb.MinedAtNs, err = d.varint(); err != nil {
-			return nil, err
-		}
-		size, err := d.varint()
-		if err != nil {
-			return nil, err
-		}
-		cb.Size = int(size)
-		if err := d.done(); err != nil {
-			return nil, err
-		}
-		return &Entry{Kind: KindChain, Chain: cb}, nil
+		cb.TxHashes = d.hashes()
+		cb.Uncles = d.hashes()
+		cb.TotalDiff = d.uvarint()
+		cb.MinedAtNs = d.varint()
+		cb.Size = int(d.varint())
+		e = &Entry{Kind: KindChain, Chain: cb}
 	default:
-		return nil, fmt.Errorf("unknown frame kind 0x%02x", kind)
+		d.fail(fmt.Errorf("unknown frame kind 0x%02x", kind))
 	}
+	if err := d.end(); err != nil {
+		return nil, err
+	}
+	return e, nil
 }

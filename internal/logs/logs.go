@@ -18,6 +18,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"ethmeasure/internal/chain"
@@ -217,14 +218,26 @@ func (fw *FileWriter) Close() error {
 // binary decoder, anything else is treated as JSONL. JSONL lines are
 // read through an explicitly growing buffer, so entries larger than
 // any fixed scanner token limit (big chain-dump lines) decode fine.
+//
+// A binary block or tx entry, and the record in it, belong to the
+// Reader and stay valid only until the next call to Next, which
+// decodes into the same values: a caller that keeps a record copies
+// it (*e.Block, *e.Tx). This keeps the record loop free of
+// allocations. Meta and chain entries, and every JSONL entry, are
+// fresh values the caller may keep.
 type Reader struct {
 	br      *bufio.Reader
 	format  Format
 	sniffed bool
 	line    int               // JSONL line counter (error context)
 	frame   int               // binary frame counter (error context)
-	buf     []byte            // reusable line / frame-payload buffer
+	buf     []byte            // reusable line buffer, and frames larger than br's buffer
 	intern  map[string]string // decoded-string interning table
+
+	// entry, block and tx hold the last binary record entry.
+	entry Entry
+	block measure.BlockRecord
+	tx    measure.TxRecord
 }
 
 // NewReader wraps r in a format-sniffing log reader.
@@ -272,7 +285,8 @@ func (r *Reader) sniff() error {
 	return nil
 }
 
-// Next returns the next entry, or io.EOF when exhausted.
+// Next returns the next entry, or io.EOF when exhausted. A binary
+// block or tx entry is valid until the next call (see Reader).
 func (r *Reader) Next() (*Entry, error) {
 	if !r.sniffed {
 		if err := r.sniff(); err != nil {
@@ -330,33 +344,43 @@ func (r *Reader) nextJSONL() (*Entry, error) {
 	}
 }
 
-// nextBinary reads one length-prefixed frame and decodes it.
+// nextBinary reads one length-prefixed frame and decodes it. A frame
+// that fits br's buffer is decoded where it lies there; a larger one
+// is read into r.buf.
 func (r *Reader) nextBinary() (*Entry, error) {
 	n, err := binary.ReadUvarint(r.br)
 	if err == io.EOF {
 		return nil, io.EOF
 	}
+	r.frame++
 	if err != nil {
-		return nil, fmt.Errorf("logs: frame %d length: %w", r.frame+1, err)
+		return nil, fmt.Errorf("logs: frame %d length: %w", r.frame, err)
 	}
 	if n == 0 || n > maxFrameLen {
-		return nil, fmt.Errorf("logs: frame %d: invalid length %d", r.frame+1, n)
+		return nil, fmt.Errorf("logs: frame %d: invalid length %d", r.frame, n)
 	}
-	if uint64(cap(r.buf)) < n {
-		r.buf = make([]byte, n)
+	var p []byte
+	inPlace := n <= uint64(r.br.Size())
+	if inPlace {
+		p, err = r.br.Peek(int(n))
+	} else {
+		r.buf = slices.Grow(r.buf[:0], int(n))[:n]
+		p = r.buf
+		_, err = io.ReadFull(r.br, p)
 	}
-	r.buf = r.buf[:n]
-	if _, err := io.ReadFull(r.br, r.buf); err != nil {
+	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, fmt.Errorf("logs: frame %d: %w", r.frame+1, err)
+		return nil, fmt.Errorf("logs: frame %d: %w", r.frame, err)
 	}
-	r.frame++
 	if r.intern == nil {
 		r.intern = make(map[string]string, 16)
 	}
-	e, err := decodeBinaryEntry(r.buf, r.intern)
+	e, err := r.decodeFrame(p)
+	if inPlace {
+		r.br.Discard(len(p)) // Peek buffered these bytes: it cannot fail
+	}
 	if err != nil {
 		return nil, fmt.Errorf("logs: frame %d: %w", r.frame, err)
 	}

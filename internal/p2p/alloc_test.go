@@ -119,13 +119,15 @@ func TestFreshTxFloodsAllocateNothing(t *testing.T) {
 	}
 }
 
-// TestKnownTableAllocatesOnce: one node relays 4 × KnownBlocksPerPeer
-// sequential blocks over its links, each block running the table steps
-// of a relay (handleBlock's mark on the arrival link, pushBlock's
-// lookup and tests, sendBlock's marks, announceBlock's claim with
-// test-and-set). The table is allocated at the first block and never
-// again, and it tracks exactly capacity blocks, never more.
-func TestKnownTableAllocatesOnce(t *testing.T) {
+// TestKnownTableAllocatesAtMostTwice: one node relays 5 ×
+// KnownBlocksPerPeer sequential blocks over its links, each block
+// running the table steps of a relay (handleBlock's mark on the arrival
+// link, pushBlock's lookup and tests, sendBlock's marks, announceBlock's
+// claim with test-and-set). The table is allocated at the first block,
+// small, and grown once to its capacity when a block's residue passes
+// it; relaying allocates nothing from then on, and the table tracks
+// exactly capacity blocks, never more.
+func TestKnownTableAllocatesAtMostTwice(t *testing.T) {
 	h := newHarness(t, 9, DefaultConfig())
 	n := h.nodes[0]
 	for _, p := range h.nodes[1:] {
@@ -153,16 +155,25 @@ func TestKnownTableAllocatesOnce(t *testing.T) {
 		b++
 	}
 	capacity := h.cfg.KnownBlocksPerPeer
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	relay()
-	if k.rows == nil {
-		t.Fatal("no table after the first block")
+	if k.rows == nil || int(k.nrows) >= capacity {
+		t.Fatalf("first block: %d of %d rows allocated, want a small table", k.nrows, capacity)
+	}
+	for range capacity - 1 {
+		relay()
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.Mallocs - before.Mallocs; got > 2 {
+		t.Fatalf("the first %d blocks allocated %d times, want at most 2", capacity, got)
 	}
 	rows := &k.rows[0]
 	if allocs := testing.AllocsPerRun(4*capacity, relay); allocs != 0 {
-		t.Fatalf("relaying allocated %.4f times per block after the first, want 0", allocs)
+		t.Fatalf("relaying allocated %.4f times per block once the table was full size, want 0", allocs)
 	}
-	if &k.rows[0] != rows || len(k.rows) != capacity*k.rowLen() {
-		t.Fatalf("table re-laid: %d words for %d rows of %d", len(k.rows), capacity, k.rowLen())
+	if &k.rows[0] != rows || int(k.nrows) != capacity || len(k.rows) != capacity*k.rowLen() {
+		t.Fatalf("table re-laid: %d words for %d rows of %d", len(k.rows), k.nrows, k.rowLen())
 	}
 	tracked := 0
 	for r := 0; r < len(k.rows); r += k.rowLen() {

@@ -33,14 +33,23 @@ import (
 // matches it), the push and announce times plus one (0 while the
 // schedule is unknown), then stride mask words. The stride grows when a
 // slot passes 64·stride. Nothing is allocated until the node's first
-// block, so a built network holds no tables.
+// block, so a built network holds no tables, and the rows then grow to
+// cover the residues the node's blocks take: the first minRows rows
+// while they suffice, then all capacity. A residue past the allocated
+// rows is an empty row.
 type knownBlocks struct {
 	capacity int32
 	stride   int32    // mask words per row, once rows is allocated
 	rows     []uint64 // nil until the first claim
 	gens     []uint32 // by slot ever handed out: its generation
 	next     int32    // no slot below it is free
+	nrows    int32    // rows allocated
 }
+
+// minRows is the table's first size. Block hashes count up from
+// genesis, so a short campaign's blocks all take low residues, and a
+// node in it never needs the full table.
+const minRows = 8
 
 // rowHead is the number of words before a row's mask: key, push time,
 // announce time.
@@ -61,7 +70,7 @@ func (k *knownBlocks) acquire() int32 {
 	if int(s) == len(k.gens) {
 		k.gens = append(k.gens, 0)
 		if k.rows != nil && s >= 64*k.stride {
-			k.grow(s>>6 + 1)
+			k.layout(k.nrows, s>>6+1)
 		}
 	}
 	k.gens[s]++
@@ -81,14 +90,15 @@ func (k *knownBlocks) release(slot int32) {
 	k.next = min(k.next, slot)
 }
 
-// grow re-lays the rows with a wider stride.
-func (k *knownBlocks) grow(stride int32) {
+// layout re-lays the table as nrows rows of stride mask words, keeping
+// what the current rows hold.
+func (k *knownBlocks) layout(nrows, stride int32) {
 	old, n := k.rowLen(), rowHead+int(stride)
-	rows := make([]uint64, int(k.capacity)*n)
-	for r := 0; r < int(k.capacity); r++ {
+	rows := make([]uint64, int(nrows)*n)
+	for r := 0; r < int(k.nrows); r++ {
 		copy(rows[r*n:], k.rows[r*old:(r+1)*old])
 	}
-	k.rows, k.stride = rows, stride
+	k.rows, k.nrows, k.stride = rows, nrows, stride
 }
 
 // handle names the node's end of the link on slot, as an event's U
@@ -114,10 +124,11 @@ func (k *knownBlocks) resolve(h uint64) int32 {
 // find returns the offset of h's row, or -1 if the table does not
 // track h.
 func (k *knownBlocks) find(h types.Hash) int {
-	if k.rows == nil {
+	res := uint64(h) % uint64(k.capacity)
+	if res >= uint64(k.nrows) {
 		return -1
 	}
-	r := int(uint64(h)%uint64(k.capacity)) * k.rowLen()
+	r := int(res) * k.rowLen()
 	if k.rows[r] != uint64(h)+1 {
 		return -1
 	}
@@ -129,11 +140,15 @@ func (k *knownBlocks) find(h types.Hash) int {
 // slot marked. It returns -1, tracking nothing, when a newer block
 // holds the row.
 func (k *knownBlocks) claim(h types.Hash) int {
-	if k.rows == nil {
-		k.stride = max(int32(len(k.gens)+63)>>6, 1)
-		k.rows = make([]uint64, int(k.capacity)*k.rowLen())
+	res := int32(uint64(h) % uint64(k.capacity))
+	if res >= k.nrows {
+		n := min(minRows, k.capacity)
+		if k.nrows > 0 || res >= n {
+			n = k.capacity
+		}
+		k.layout(n, max(k.stride, int32(len(k.gens)+63)>>6, 1))
 	}
-	r := int(uint64(h)%uint64(k.capacity)) * k.rowLen()
+	r := int(res) * k.rowLen()
 	switch key := uint64(h) + 1; {
 	case k.rows[r] == key:
 	case k.rows[r] > key:

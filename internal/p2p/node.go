@@ -129,11 +129,13 @@ type link struct {
 
 // table is a network's protocol-layer state (simnet.Network.Local):
 // its nodes by ID, and the scratch they share: released floods, whose
-// arrays keep their capacity, and pushBlock's targets.
+// arrays keep their capacity, pushBlock's targets and ConnectToRandom's
+// permutation.
 type table struct {
 	nodes   []*Node
 	free    []*txFlood
 	pushTmp []link
+	perm    []int
 	delays  uint64 // relayed messages whose delay was computed
 }
 

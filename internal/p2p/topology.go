@@ -3,6 +3,7 @@ package p2p
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"ethmeasure/internal/discovery"
 	"ethmeasure/internal/simnet"
@@ -49,7 +50,15 @@ func BuildRandomTopology(rng *rand.Rand, nodes []*Node, outDegree int) error {
 // use this to reach their "more peers than default" configuration.
 // It returns the number of new connections made.
 func ConnectToRandom(rng *rand.Rand, node *Node, candidates []*Node, k int) int {
-	idx := rng.Perm(len(candidates))
+	// rng.Perm's loop, into the table's buffer: the same permutation
+	// from the same draws, without allocating one per call.
+	idx := slices.Grow(node.tab.perm[:0], len(candidates))[:len(candidates)]
+	for i := range idx {
+		j := rng.Intn(i + 1)
+		idx[i] = idx[j]
+		idx[j] = i
+	}
+	node.tab.perm = idx
 	made := 0
 	for _, i := range idx {
 		if made >= k {
@@ -118,12 +127,15 @@ func checkTopology(nodes []*Node, outDegree int) error {
 // each, once the topology is built: grown by append, they would hold
 // up to twice the memory their links need for the whole run. Each
 // node's slices are capped at their length, so a later Connect copies
-// that node's slice out rather than writing over its neighbour's.
+// that node's slice out rather than writing over its neighbour's. It
+// also lets go of ConnectToRandom's buffer, which a build fills for
+// every gateway and vantage and a run needs only under churn.
 func PackLinks(net *simnet.Network) {
 	tab, _ := (*net.Local()).(*table)
 	if tab == nil {
 		return
 	}
+	tab.perm = nil
 	nl, ng := 0, 0
 	for _, n := range tab.nodes {
 		if n != nil {

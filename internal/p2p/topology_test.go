@@ -5,6 +5,8 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"ethmeasure/internal/types"
 )
 
 func TestBuildRandomTopologyDegrees(t *testing.T) {
@@ -108,6 +110,42 @@ func TestConnectToRandom(t *testing.T) {
 	}
 	if made != 4 {
 		t.Errorf("made = %d, want 4", made)
+	}
+}
+
+// TestConnectToRandomDrawsPerm: ConnectToRandom dials in the order of
+// rng.Perm over the candidates and leaves the RNG where rng.Perm would,
+// once its buffer has grown a call allocates nothing but the links, and
+// PackLinks lets the buffer go.
+func TestConnectToRandomDrawsPerm(t *testing.T) {
+	h := newHarness(t, 60, DefaultConfig())
+	node, peer := h.nodes[0], h.nodes[1]
+	for seed := int64(1); seed <= 5; seed++ {
+		node.DisconnectAll()
+		Connect(node, peer) // an existing peer is skipped
+		rng, ref := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		ConnectToRandom(rng, node, h.nodes, 7)
+		var want []types.NodeID
+		for _, i := range ref.Perm(len(h.nodes)) {
+			if c := h.nodes[i]; c != node && c != peer && len(want) < 7 {
+				want = append(want, c.ID())
+			}
+		}
+		for i, l := range node.links[1:] {
+			if l.peer != want[i] {
+				t.Fatalf("seed %d: link %d goes to %v, rng.Perm order gives %v", seed, i, l.peer, want[i])
+			}
+		}
+		if len(node.links) != 1+len(want) || rng.Int63() != ref.Int63() {
+			t.Fatalf("seed %d: %d links, or the RNG stream moved", seed, len(node.links))
+		}
+	}
+	rng := rand.New(rand.NewSource(9))
+	if allocs := testing.AllocsPerRun(10, func() { ConnectToRandom(rng, node, h.nodes, 0) }); allocs != 0 {
+		t.Errorf("ConnectToRandom allocates %.1f times per call, want 0", allocs)
+	}
+	if PackLinks(h.net); node.tab.perm != nil {
+		t.Error("PackLinks kept ConnectToRandom's buffer")
 	}
 }
 
