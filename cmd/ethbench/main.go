@@ -23,8 +23,6 @@
 // microbenchmarks (per-import fork choice, uncle-candidate sweep —
 // the hot paths that call through the consensus.Protocol interface)
 // via testing.Benchmark.
-// Campaigns run in bounded-memory mode by default (-retain restores
-// record retention, for before/after comparisons of the two modes).
 // -cpuprofile / -memprofile capture pprof profiles of the whole run.
 // Regression checks compare ns_per_op, allocs_per_op and analysis
 // ns/record within a fractional threshold, and analysis peak heap
@@ -94,10 +92,6 @@ type Entry struct {
 	AnalysisNsPerRecord   float64 `json:"analysis_ns_per_record,omitempty"`
 	AnalysisRecordsPerSec float64 `json:"analysis_records_per_sec,omitempty"`
 	AnalysisPeakHeapBytes uint64  `json:"analysis_peak_heap_bytes,omitempty"`
-
-	// RetainRecords marks entries measured with raw-record retention
-	// (the batch-compatible mode) rather than the bounded default.
-	RetainRecords bool `json:"retain_records,omitempty"`
 
 	// VantagePeers records a non-default vantage adjacency
 	// (-vantage-peers), which drives record volume.
@@ -218,9 +212,8 @@ func (hs *heapSampler) Stop() uint64 {
 	return hs.peak.Load()
 }
 
-func runCampaignEntry(s scale, retain bool, vantagePeers int, proto consensus.Spec, scens []scenario.Spec, w io.Writer) (Entry, error) {
+func runCampaignEntry(s scale, vantagePeers int, proto consensus.Spec, scens []scenario.Spec, w io.Writer) (Entry, error) {
 	cfg := campaignConfig(s, 1, vantagePeers)
-	cfg.RetainRecords = retain
 	cfg.Protocol = proto
 	cfg.Scenarios = scens
 	campaign, err := core.NewCampaign(cfg)
@@ -228,9 +221,6 @@ func runCampaignEntry(s scale, retain bool, vantagePeers int, proto consensus.Sp
 		return Entry{}, fmt.Errorf("build %d-node campaign: %w", s.nodes, err)
 	}
 	name := fmt.Sprintf("campaign/%d", s.nodes)
-	if retain {
-		name += "/retain"
-	}
 	if tag := cfg.ProtocolTag(); tag != consensus.DefaultName {
 		// Non-default-protocol entries are named apart so they never
 		// gate against (or pollute) the ethereum baseline.
@@ -261,8 +251,8 @@ func runCampaignEntry(s scale, retain bool, vantagePeers int, proto consensus.Sp
 
 	// Analysis phase: release the dead simulation graph and GC-fence
 	// first, so the phase's peak heap reflects record-pipeline state —
-	// the arrival index, the chain registry, and (in retained mode)
-	// the raw record slices — not the network or simulation garbage.
+	// the arrival index and the chain registry — not the network or
+	// simulation garbage.
 	campaign.ReleaseNetwork()
 	runtime.GC()
 	analysisSampler := startHeapSampler()
@@ -309,7 +299,6 @@ func runCampaignEntry(s scale, retain bool, vantagePeers int, proto consensus.Sp
 		AnalysisNsPerRecord:   float64(analysisWall.Nanoseconds()) / float64(records),
 		AnalysisRecordsPerSec: float64(records) / analysisWall.Seconds(),
 		AnalysisPeakHeapBytes: analysisPeak,
-		RetainRecords:         retain,
 		VantagePeers:          vantagePeers,
 	}
 	fmt.Fprintf(w, "%-22s %9.1f ms/run %10.0f allocs/run %9.1f ns/event %8.3f allocs/event %12.0f events/s  peak heap %6.1f MB  (%d events)\n",
@@ -827,8 +816,6 @@ func run(args []string, w io.Writer) error {
 	threshold := fs.Float64("threshold", 0.15, "max fractional ns/allocs regression against the baseline")
 	allocsOnly := fs.Bool("allocs-only", false, "gate only on allocs/op; report ns drift without failing (for cross-hardware baselines)")
 	skipEngine := fs.Bool("skip-engine", false, "skip the scheduler microbenchmark")
-	retain := fs.Bool("retain", false, "run campaigns with raw-record retention (batch-compatible mode) instead of the bounded-memory default")
-	bothModes := fs.Bool("both-modes", false, "run every scale in bounded AND retained modes (before/after memory comparison)")
 	vantagePeers := fs.Int("vantage-peers", 0, "re-peer primary vantages with this many nodes (0 = default 50 cap); raises record volume for analysis-phase benchmarks")
 	skipDispatch := fs.Bool("skip-dispatch", false, "skip the chain protocol-dispatch microbenchmarks")
 	skipLogs := fs.Bool("skip-logs", false, "skip the record-pipeline microbenchmarks (logs/* and analysis/stream entries)")
@@ -904,17 +891,11 @@ func run(args []string, w io.Writer) error {
 		report.Entries = append(report.Entries, entries...)
 	}
 	for _, s := range scales {
-		modes := []bool{*retain}
-		if *bothModes {
-			modes = []bool{false, true}
+		entry, err := runCampaignEntry(s, *vantagePeers, proto, scens, w)
+		if err != nil {
+			return err
 		}
-		for _, mode := range modes {
-			entry, err := runCampaignEntry(s, mode, *vantagePeers, proto, scens, w)
-			if err != nil {
-				return err
-			}
-			report.Entries = append(report.Entries, entry)
-		}
+		report.Entries = append(report.Entries, entry)
 	}
 
 	if *out != "" {

@@ -9,12 +9,16 @@ import (
 	"ethmeasure/internal/types"
 )
 
-// fixture builds synthetic datasets with known answers.
+// fixture builds synthetic datasets with known answers: a chain on
+// d and the records observe and observeTx logged, which the tests
+// stream into a Collector.
 type fixture struct {
 	t      *testing.T
 	reg    *chain.Registry
 	issuer *types.HashIssuer
 	d      *Dataset
+	blocks []measure.BlockRecord
+	txs    []measure.TxRecord
 }
 
 func newFixture(t *testing.T) *fixture {
@@ -53,7 +57,7 @@ func (f *fixture) block(parent *types.Block, miner types.PoolID, txs []types.Has
 
 // observe records a block reception at a vantage.
 func (f *fixture) observe(vantage string, at time.Duration, b *types.Block, kind string) {
-	f.d.Blocks = append(f.d.Blocks, measure.BlockRecord{
+	f.blocks = append(f.blocks, measure.BlockRecord{
 		Vantage: vantage, At: at, Hash: b.Hash, Number: b.Number,
 		Miner: b.Miner, Parent: b.ParentHash, Kind: kind,
 		NTxs: len(b.TxHashes),
@@ -62,19 +66,23 @@ func (f *fixture) observe(vantage string, at time.Duration, b *types.Block, kind
 
 // observeTx records a transaction first-observation at a vantage.
 func (f *fixture) observeTx(vantage string, at time.Duration, hash types.Hash, sender types.AccountID, nonce uint64) {
-	f.d.Txs = append(f.d.Txs, measure.TxRecord{
+	f.txs = append(f.txs, measure.TxRecord{
 		Vantage: vantage, At: at, Hash: hash, Sender: sender, Nonce: nonce,
 	})
 }
 
-// collect feeds d's retained records (d.Blocks, then d.Txs) into a
-// new collector, the way a log reader streams them.
-func collect(d *Dataset, redundancyVantage string) *Collector {
-	c := NewCollector(d, redundancyVantage)
-	for _, r := range d.Blocks {
+// collect streams the fixture's records into a new collector over f.d.
+func (f *fixture) collect(redundancyVantage string) *Collector {
+	return f.replay(NewCollector(f.d, redundancyVantage))
+}
+
+// replay feeds the fixture's records into c, blocks then transactions,
+// the way a log reader streams them, and returns c.
+func (f *fixture) replay(c *Collector) *Collector {
+	for _, r := range f.blocks {
 		c.RecordBlock(r)
 	}
-	for _, r := range d.Txs {
+	for _, r := range f.txs {
 		c.RecordTx(r)
 	}
 	return c
@@ -93,7 +101,7 @@ func TestBlockPropagationKnownDelays(t *testing.T) {
 	// b2: only one vantage → excluded.
 	f.observe("EA", 2000*time.Millisecond, b2, "block")
 
-	res, err := collect(f.d, "").Propagation()
+	res, err := f.collect("").Propagation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +122,7 @@ func TestBlockPropagationKnownDelays(t *testing.T) {
 	}
 	// Duplicate later receptions must not affect first-arrival times.
 	f.observe("NA", 3000*time.Millisecond, b1, "announce")
-	res2, err := collect(f.d, "").Propagation()
+	res2, err := f.collect("").Propagation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +138,7 @@ func TestBlockPropagationClampsClockSkew(t *testing.T) {
 	// clamped at zero rather than going negative.
 	f.observe("EA", 1000*time.Millisecond, b, "block")
 	f.observe("NA", 990*time.Millisecond, b, "block")
-	res, err := collect(f.d, "").Propagation()
+	res, err := f.collect("").Propagation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +169,7 @@ func TestRedundancyCounts(t *testing.T) {
 	// Noise from a primary vantage must be ignored.
 	f.observe("NA", time.Second, b1, "block")
 
-	res, err := collect(f.d, aux).Redundancy(150)
+	res, err := f.collect(aux).Redundancy(150)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +192,7 @@ func TestRedundancyCounts(t *testing.T) {
 
 func TestRedundancyUnknownVantage(t *testing.T) {
 	f := newFixture(t)
-	if _, err := collect(f.d, "nope").Redundancy(10); err == nil {
+	if _, err := f.collect("nope").Redundancy(10); err == nil {
 		t.Fatal("unknown vantage must error")
 	}
 }
@@ -211,7 +219,7 @@ func TestFirstObservationSharesAndTies(t *testing.T) {
 			f.observe("EA", base+30*time.Millisecond, b, "block")
 		}
 	}
-	res := collect(f.d, "").FirstObservation()
+	res := f.collect("").FirstObservation()
 	if res.Blocks != 5 {
 		t.Fatalf("blocks = %d", res.Blocks)
 	}
@@ -232,7 +240,7 @@ func TestFirstObservationIgnoresAuxiliaryVantages(t *testing.T) {
 	f.observe("WE-default", time.Second, b, "block") // auxiliary: earliest but excluded
 	f.observe("EA", 2*time.Second, b, "block")
 	f.observe("NA", 3*time.Second, b, "block")
-	res := collect(f.d, "").FirstObservation()
+	res := f.collect("").FirstObservation()
 	if res.Shares["EA"] != 1 {
 		t.Errorf("EA share = %f; auxiliary vantage leaked into analysis", res.Shares["EA"])
 	}
@@ -257,7 +265,7 @@ func TestPoolGeographyAttribution(t *testing.T) {
 		f.observe("WE", at, b, "block")
 		f.observe("EA", at+time.Second, b, "block")
 	}
-	res := collect(f.d, "").PoolGeography(10)
+	res := f.collect("").PoolGeography(10)
 	if res.Blocks != 5 {
 		t.Fatalf("blocks = %d", res.Blocks)
 	}
@@ -289,7 +297,7 @@ func TestPoolGeographyAggregatesTail(t *testing.T) {
 		f.observe("EA", at, b, "block")
 		f.observe("NA", at+time.Second, b, "block")
 	}
-	res := collect(f.d, "").PoolGeography(2)
+	res := f.collect("").PoolGeography(2)
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d (2 named + aggregate)", len(res.Rows))
 	}

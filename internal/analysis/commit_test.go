@@ -36,7 +36,7 @@ func TestCommitTimesKnownDelays(t *testing.T) {
 	f.observeTx("EA", 2*time.Second, txHash, 1, 0)
 	f.observeTx("WE", 3*time.Second, txHash, 1, 0)
 
-	res := collect(f.d, "").Commit()
+	res := f.collect("").Commit()
 	if res.CommittedTxs != 1 {
 		t.Fatalf("committed = %d", res.CommittedTxs)
 	}
@@ -61,7 +61,7 @@ func TestCommitTimesCensorsUnconfirmed(t *testing.T) {
 	// Chain of only 5 blocks: 3-conf exists, 12-conf does not.
 	buildConfirmedChain(f, 5, []types.Hash{txHash})
 	f.observeTx("EA", time.Second, txHash, 1, 0)
-	res := collect(f.d, "").Commit()
+	res := f.collect("").Commit()
 	if res.ConfirmSec[3].N() != 1 {
 		t.Errorf("3-conf samples = %d", res.ConfirmSec[3].N())
 	}
@@ -74,7 +74,7 @@ func TestCommitTimesIgnoresUncommitted(t *testing.T) {
 	f := newFixture(t)
 	buildConfirmedChain(f, 15, nil)
 	f.observeTx("EA", time.Second, types.Hash(0xA3), 1, 0) // never included
-	res := collect(f.d, "").Commit()
+	res := f.collect("").Commit()
 	if res.CommittedTxs != 0 {
 		t.Errorf("committed = %d, want 0", res.CommittedTxs)
 	}
@@ -101,7 +101,7 @@ func TestTransactionOrderingDetection(t *testing.T) {
 	f.observeTx("EA", 4*time.Second, h1, 1, 1) // ...then nonce 1: OOO
 	f.observeTx("EA", 2*time.Second, hx, 2, 0)
 
-	res := collect(f.d, "").Ordering()
+	res := f.collect("").Ordering()
 	if res.CommittedTxs != 4 {
 		t.Fatalf("committed = %d", res.CommittedTxs)
 	}
@@ -139,7 +139,7 @@ func TestTransactionOrderingRunningMax(t *testing.T) {
 	f.observeTx("EA", 2*time.Second, hashes[1], 1, 1)
 	f.observeTx("EA", 5*time.Second, hashes[2], 1, 2)
 
-	res := collect(f.d, "").Ordering()
+	res := f.collect("").Ordering()
 	if res.OutOfOrderTxs != 2 {
 		t.Errorf("out-of-order = %d, want 2 (running max, not adjacent pairs)", res.OutOfOrderTxs)
 	}
@@ -149,7 +149,7 @@ func TestTransactionOrderingUncommittedExcluded(t *testing.T) {
 	f := newFixture(t)
 	buildConfirmedChain(f, 15, nil)
 	f.observeTx("EA", time.Second, types.Hash(0xD0), 1, 0)
-	res := collect(f.d, "").Ordering()
+	res := f.collect("").Ordering()
 	if res.CommittedTxs != 0 {
 		t.Errorf("committed = %d", res.CommittedTxs)
 	}

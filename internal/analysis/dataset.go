@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"ethmeasure/internal/chain"
-	"ethmeasure/internal/measure"
 	"ethmeasure/internal/types"
 )
 
@@ -22,16 +21,6 @@ type Dataset struct {
 	// are excluded from first-observation and delay analyses, matching
 	// the paper's separate subsidiary measurement.
 	Vantages []string
-
-	// Blocks holds every block-related message reception at every
-	// vantage (full blocks, announcements, fetched bodies). Nil unless
-	// the campaign opted into record retention: by default the records
-	// stream through the Collector instead of being retained.
-	Blocks []measure.BlockRecord
-
-	// Txs holds the first observation of each transaction per vantage.
-	// Nil without record retention, like Blocks.
-	Txs []measure.TxRecord
 
 	// Chain is the global registry of all blocks created during the
 	// run, including every fork.

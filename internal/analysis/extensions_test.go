@@ -226,7 +226,7 @@ func TestFeeMarketBands(t *testing.T) {
 	f.observeTx("EA", 2*time.Second, slow, 2, 0)
 
 	prices := map[types.Hash]uint64{fast: 50, slow: 2}
-	res := collect(f.d, "").FeeMarket(func(h types.Hash) (uint64, bool) {
+	res := f.collect("").FeeMarket(func(h types.Hash) (uint64, bool) {
 		p, ok := prices[h]
 		return p, ok
 	})
@@ -249,7 +249,7 @@ func TestFeeMarketBands(t *testing.T) {
 
 func TestFeeMarketUnknownPrices(t *testing.T) {
 	f := newFixture(t)
-	res := collect(f.d, "").FeeMarket(func(types.Hash) (uint64, bool) { return 0, false })
+	res := f.collect("").FeeMarket(func(types.Hash) (uint64, bool) { return 0, false })
 	for _, band := range res.Bands {
 		if band.Txs != 0 {
 			t.Errorf("band %s populated without price data", band.Label)
@@ -270,7 +270,7 @@ func TestGeoDelayPerVantage(t *testing.T) {
 		f.observe("WE", base+40*time.Millisecond, b, "block")
 		f.observe("CE", base+60*time.Millisecond, b, "block")
 	}
-	res := collect(f.d, "").GeoDelay()
+	res := f.collect("").GeoDelay()
 	if res.Blocks != 3 {
 		t.Fatalf("blocks = %d", res.Blocks)
 	}

@@ -214,7 +214,7 @@ func TestTxPropagationGeoNeutral(t *testing.T) {
 			}
 		}
 	}
-	res := collect(f.d, "").TxPropagation()
+	res := f.collect("").TxPropagation()
 	if res.Txs != 8 {
 		t.Fatalf("txs = %d", res.Txs)
 	}
@@ -233,7 +233,7 @@ func TestTxPropagationGeoNeutral(t *testing.T) {
 
 func TestTxPropagationEmpty(t *testing.T) {
 	f := newFixture(t)
-	res := collect(f.d, "").TxPropagation()
+	res := f.collect("").TxPropagation()
 	if res.Txs != 0 {
 		t.Errorf("txs = %d", res.Txs)
 	}

@@ -73,10 +73,10 @@ func TestAnalyzersSeeChainGrowth(t *testing.T) {
 	c := NewCollector(f.d, "")
 	fed := 0
 	feed := func() {
-		for _, r := range f.d.Blocks[fed:] {
+		for _, r := range f.blocks[fed:] {
 			c.RecordBlock(r)
 		}
-		fed = len(f.d.Blocks)
+		fed = len(f.blocks)
 	}
 	at := time.Duration(0)
 	mine := func(parent *types.Block, miner types.PoolID, txs []types.Hash, uncles ...types.Hash) *types.Block {
@@ -89,7 +89,7 @@ func TestAnalyzersSeeChainGrowth(t *testing.T) {
 	tx1, tx2 := types.Hash(0xB1), types.Hash(0xB2)
 	f.observeTx("EA", time.Second, tx1, 1, 0)
 	f.observeTx("NA", 2*time.Second, tx2, 1, 1)
-	for _, r := range f.d.Txs {
+	for _, r := range f.txs {
 		c.RecordTx(r)
 	}
 
@@ -117,7 +117,7 @@ func TestAnalyzersSeeChainGrowth(t *testing.T) {
 
 	fresh := *f.d
 	fresh.idx = nil
-	want := chainResults(t, &fresh, collect(&fresh, ""))
+	want := chainResults(t, &fresh, f.replay(NewCollector(&fresh, "")))
 	changed := false
 	for name, w := range want {
 		if got[name] != w {

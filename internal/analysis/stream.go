@@ -16,8 +16,7 @@ const MaxVantages = 64
 
 // blockArrivals is one block's earliest observation per primary
 // vantage. Slots are indexed by vantage position in presentation
-// order, so every consumer iterates vantages deterministically —
-// unlike the map the batch pipeline used to rebuild per analyzer.
+// order, so every consumer iterates vantages deterministically.
 type blockArrivals struct {
 	hash     types.Hash
 	at       []time.Duration // earliest local time, indexed by vantage
@@ -29,8 +28,8 @@ type blockArrivals struct {
 
 // txArrival is the transaction analogue of blockArrivals, plus the
 // sender/nonce metadata the ordering analyses need. Entries are also
-// kept in first-primary-observation (stream) order, which is what the
-// batch pipeline's iteration over Dataset.Txs produced.
+// kept in first-primary-observation (stream) order, the order the tx
+// analyses iterate in.
 type txArrival struct {
 	hash     types.Hash
 	sender   types.AccountID
@@ -64,7 +63,7 @@ type redCount struct {
 //
 // The wrapped Dataset provides the vantage roster up front and the
 // campaign context (chain registry, pool names, timing) at finalize
-// time; its record slices may stay nil. Feed records live (as a bus
+// time. Feed records live (as a bus
 // consumer) or from a log reader (cmd/ethanalyze) — both produce
 // bit-identical results because all state transitions depend only on
 // per-kind record order, which the bus and the log preserve.

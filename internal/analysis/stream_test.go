@@ -10,8 +10,8 @@ import (
 )
 
 // TestCollectorLiveEqualsReplay feeds the same records once live
-// (interleaved, as a bus would deliver them) and once per kind from a
-// materialized dataset, and requires identical finalizer output.
+// (interleaved, as a bus would deliver them) and once per kind from
+// the fixture's record slices, and requires identical finalizer output.
 func TestCollectorLiveEqualsReplay(t *testing.T) {
 	f := newFixture(t)
 	g := f.reg.Genesis()
@@ -48,8 +48,8 @@ func TestCollectorLiveEqualsReplay(t *testing.T) {
 	live.RecordBlock(blocks[5])
 	live.RecordBlock(blocks[6])
 
-	f.d.Blocks, f.d.Txs = blocks, txs
-	replay := collect(f.d, "")
+	f.blocks, f.txs = blocks, txs
+	replay := f.collect("")
 
 	if live.BlockRecords() != 7 || live.TxRecords() != 3 {
 		t.Fatalf("record counts = %d/%d", live.BlockRecords(), live.TxRecords())
@@ -121,8 +121,7 @@ func TestCollectorArrivalIndex(t *testing.T) {
 	}
 }
 
-// TestCollectorRedundancyCounters mirrors the batch Redundancy
-// semantics: only the configured vantage's records count, fetched
+// TestCollectorRedundancyCounters checks the Table II counters: only the configured vantage's records count, fetched
 // bodies are excluded, and an unseen vantage is an error.
 func TestCollectorRedundancyCounters(t *testing.T) {
 	f := newFixture(t)

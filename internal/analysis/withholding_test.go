@@ -24,7 +24,7 @@ func TestWithholdingDetectsBursts(t *testing.T) {
 		f.observe("EA", 5*time.Minute+time.Duration(i)*13*time.Second, b, "block")
 	}
 
-	res := collect(f.d, "").Withholding()
+	res := f.collect("").Withholding()
 	rows := make(map[string]WithholdingRow)
 	for _, r := range res.Rows {
 		rows[r.Pool] = r
@@ -61,7 +61,7 @@ func TestWithholdingSuspectThreshold(t *testing.T) {
 		parent = b
 		f.observe("EA", time.Duration(s)*time.Minute+30*time.Second, b, "block")
 	}
-	res := collect(f.d, "").Withholding()
+	res := f.collect("").Withholding()
 	if len(res.Suspects) != 1 || res.Suspects[0] != "Ethermine" {
 		t.Errorf("suspects = %v", res.Suspects)
 	}
@@ -75,7 +75,7 @@ func TestWithholdingNoSequences(t *testing.T) {
 		parent = b
 		f.observe("EA", time.Duration(i)*13*time.Second, b, "block")
 	}
-	res := collect(f.d, "").Withholding()
+	res := f.collect("").Withholding()
 	if len(res.Rows) != 0 || len(res.Suspects) != 0 {
 		t.Errorf("alternating miners produced rows: %+v", res)
 	}

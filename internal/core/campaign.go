@@ -108,12 +108,11 @@ type Campaign struct {
 	scenarioRes  *analysis.ScenarioResult
 
 	// Record pipeline: every vantage writes to the bus, which fans out
-	// to the streaming analysis collector, the optional in-memory
-	// retainer and the optional binary spill writer.
+	// to the streaming analysis collector and the optional binary spill
+	// writer.
 	bus       *measure.Bus
 	collector *analysis.Collector
-	recorder  *measure.MemoryRecorder // nil unless Config.RetainRecords
-	spill     *logs.FileWriter        // nil unless Config.SpillPath set
+	spill     *logs.FileWriter // nil unless Config.SpillPath set
 	dataset   *analysis.Dataset
 
 	simulated bool
@@ -170,8 +169,7 @@ func (c *Campaign) build() error {
 	c.store = txgen.NewStore()
 
 	// Record pipeline: the dataset carries the campaign context the
-	// analysis finalizers need; its record slices stay nil unless
-	// RetainRecords fills them after the run.
+	// analysis finalizers need.
 	c.dataset = &analysis.Dataset{
 		Vantages:   cfg.PrimaryVantages(),
 		Chain:      c.registry,
@@ -181,10 +179,6 @@ func (c *Campaign) build() error {
 	}
 	c.collector = analysis.NewCollector(c.dataset, cfg.RedundancyVantage)
 	c.bus = measure.NewBus(c.collector)
-	if cfg.RetainRecords {
-		c.recorder = measure.NewMemoryRecorder()
-		c.bus.Attach(c.recorder)
-	}
 
 	placeRNG := c.engine.RNG("placement")
 	speedRNG := c.engine.RNG("procspeed")
@@ -200,7 +194,7 @@ func (c *Campaign) build() error {
 		lo, hi := cfg.NodeProcSpeedMin, cfg.NodeProcSpeedMax
 		if hi > lo {
 			node.SetProcSpeed(lo + speedRNG.Float64()*(hi-lo))
-		} else if lo > 0 {
+		} else {
 			node.SetProcSpeed(lo)
 		}
 		c.regular = append(c.regular, node)

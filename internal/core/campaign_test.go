@@ -98,7 +98,6 @@ func TestCampaignEndToEnd(t *testing.T) {
 
 func TestCampaignDeterministicAcrossRuns(t *testing.T) {
 	cfg := tinyConfig()
-	cfg.RetainRecords = true // compares the retained record counts
 	run := func() (*Results, []types.Hash) {
 		campaign, err := NewCampaign(cfg)
 		if err != nil {
@@ -128,8 +127,9 @@ func TestCampaignDeterministicAcrossRuns(t *testing.T) {
 	if resA.Stats.Events != resB.Stats.Events {
 		t.Errorf("event counts differ: %d vs %d", resA.Stats.Events, resB.Stats.Events)
 	}
-	if len(resA.Dataset.Blocks) != len(resB.Dataset.Blocks) {
-		t.Error("record counts differ")
+	if resA.Stats.BlockRecords != resB.Stats.BlockRecords || resA.Stats.TxRecords != resB.Stats.TxRecords {
+		t.Errorf("record counts differ: %d/%d vs %d/%d blocks/txs",
+			resA.Stats.BlockRecords, resA.Stats.TxRecords, resB.Stats.BlockRecords, resB.Stats.TxRecords)
 	}
 }
 
@@ -176,12 +176,12 @@ func TestCampaignWithoutTxWorkload(t *testing.T) {
 }
 
 func TestCampaignAuxiliaryVantageExcluded(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.RetainRecords = true // inspects individual receptions
-	campaign, err := NewCampaign(cfg)
+	campaign, err := NewCampaign(tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	records := &recordLog{}
+	campaign.bus.Attach(records)
 	res, err := campaign.RunContext(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -196,8 +196,8 @@ func TestCampaignAuxiliaryVantageExcluded(t *testing.T) {
 	}
 	// But its records must exist for the redundancy analysis.
 	found := false
-	for i := range res.Dataset.Blocks {
-		if res.Dataset.Blocks[i].Vantage == "WE-default" {
+	for i := range records.blocks {
+		if records.blocks[i].Vantage == "WE-default" {
 			found = true
 			break
 		}

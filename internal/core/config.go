@@ -152,14 +152,11 @@ type Config struct {
 	// Clock is the NTP offset model for vantage timestamps.
 	Clock measure.ClockModel
 
-	// RetainRecords additionally keeps every raw measurement record in
-	// memory (a MemoryRecorder on the bus) and exposes the slices as
-	// Results.Dataset.Blocks/Txs. It is an opt-in for callers that
-	// inspect individual receptions; the presets leave it off. Without
-	// it records stream through the analysis collector (and the
-	// optional SpillPath writer) only, so record memory is bounded by
-	// distinct blocks + transactions rather than by total receptions.
-	// Analysis results are bit-identical either way.
+	// RetainRecords is kept only for perfbench, which sets it to false:
+	// true fails Validate, because a campaign keeps no raw records in
+	// memory. Its records reach the analysis collector and, when
+	// SpillPath is set, the ethlog, which holds them bit for bit. Delete
+	// it, with Shards, in the next change to the benchmark.
 	RetainRecords bool
 
 	// SpillPath, when non-empty, streams every raw record to a binary
@@ -374,8 +371,42 @@ func (c *Config) Validate() error {
 	if c.Shards < 0 || c.Shards > 1 {
 		return fmt.Errorf("core: shards = %d: the sharded engine was removed; campaigns run on one engine", c.Shards)
 	}
-	if c.NodeBandwidth <= 0 || c.GatewayBandwidth <= 0 || c.VantageBandwidth <= 0 {
-		return fmt.Errorf("core: bandwidths must be positive")
+	if c.RetainRecords {
+		return fmt.Errorf("core: RetainRecords was removed; set SpillPath to keep a campaign's raw records in its ethlog")
+	}
+	// Every float must be finite before its range is checked: NaN fails
+	// every comparison, so it passes a check written as a rejection,
+	// and NaN or ±Inf breaks the model silently or panics mid-run.
+	for _, f := range []struct {
+		name string
+		v    float64
+		ok   bool   // v is in range
+		want string // the range, for the error
+	}{
+		{"NodeBandwidth", c.NodeBandwidth, c.NodeBandwidth > 0, "positive"},
+		{"GatewayBandwidth", c.GatewayBandwidth, c.GatewayBandwidth > 0, "positive"},
+		{"VantageBandwidth", c.VantageBandwidth, c.VantageBandwidth > 0, "positive"},
+		{"VantageGatewayFraction", c.VantageGatewayFraction, c.VantageGatewayFraction >= 0 && c.VantageGatewayFraction <= 1, "in [0, 1]"},
+		{"VantageProcSpeed", c.VantageProcSpeed, c.VantageProcSpeed > 0, "positive"},
+		{"GatewayProcSpeed", c.GatewayProcSpeed, c.GatewayProcSpeed > 0, "positive"},
+		{"NodeProcSpeedMin", c.NodeProcSpeedMin, c.NodeProcSpeedMin > 0, "positive"},
+		{"NodeProcSpeedMax", c.NodeProcSpeedMax, c.NodeProcSpeedMax >= c.NodeProcSpeedMin, "at least NodeProcSpeedMin"},
+		{"TxGen.Rate", c.TxGen.Rate, true, ""}, // positive when the workload runs, checked below
+		{"TxGen.SkewExponent", c.TxGen.SkewExponent, true, ""},
+		{"TxGen.BurstProb", c.TxGen.BurstProb, true, ""},
+		{"TxGen.BurstMeanExtra", c.TxGen.BurstMeanExtra, true, ""},
+		{"TxGen.MultiEntryProb", c.TxGen.MultiEntryProb, true, ""},
+		{"TxGen.GasPriceMean", c.TxGen.GasPriceMean, true, ""},
+		{"TxGen.FloorPriceMean", c.TxGen.FloorPriceMean, true, ""},
+		{"Clock.P10ms", c.Clock.P10ms, c.Clock.P10ms >= 0 && c.Clock.P10ms <= 1, "in [0, 1]"},
+		{"Clock.P100ms", c.Clock.P100ms, c.Clock.P100ms >= 0 && c.Clock.P100ms <= 1, "in [0, 1]"},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("core: %s must be a finite number, got %g", f.name, f.v)
+		}
+		if !f.ok {
+			return fmt.Errorf("core: %s must be %s, got %g", f.name, f.want, f.v)
+		}
 	}
 	if c.Latency == nil || c.NodeDistribution == nil {
 		return fmt.Errorf("core: latency model and node distribution are required")
@@ -421,9 +452,6 @@ func (c *Config) Validate() error {
 	}
 	if c.RedundancyVantage != "" && !seen[c.RedundancyVantage] {
 		return fmt.Errorf("core: redundancy vantage %q not among vantages", c.RedundancyVantage)
-	}
-	if math.IsNaN(c.TxGen.Rate) || math.IsInf(c.TxGen.Rate, 0) {
-		return fmt.Errorf("core: tx rate must be a finite number, got %g", c.TxGen.Rate)
 	}
 	if c.EnableTxWorkload {
 		if c.TxGen.Rate <= 0 {

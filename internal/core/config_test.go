@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -58,6 +61,120 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: expected validation error", tt.name)
 		}
+	}
+}
+
+// floatFields returns the path of every float64 field reachable from v
+// through struct fields and slice elements (pointers are shared models,
+// not config), e.g. "Pools[0].Power".
+func floatFields(v reflect.Value, path string) []string {
+	switch v.Kind() {
+	case reflect.Float64:
+		return []string{path}
+	case reflect.Struct:
+		var out []string
+		for i := 0; i < v.NumField(); i++ {
+			name := v.Type().Field(i).Name
+			if path != "" {
+				name = path + "." + name
+			}
+			out = append(out, floatFields(v.Field(i), name)...)
+		}
+		return out
+	case reflect.Slice:
+		var out []string
+		for i := 0; i < v.Len(); i++ {
+			out = append(out, floatFields(v.Index(i), fmt.Sprintf("%s[%d]", path, i))...)
+		}
+		return out
+	}
+	return nil
+}
+
+// fieldAt resolves a floatFields path in v.
+func fieldAt(v reflect.Value, path string) reflect.Value {
+	for _, part := range strings.Split(path, ".") {
+		name, index, indexed := strings.Cut(part, "[")
+		v = v.FieldByName(name)
+		if indexed {
+			i, err := strconv.Atoi(strings.TrimSuffix(index, "]"))
+			if err != nil {
+				panic(err)
+			}
+			v = v.Index(i)
+		}
+	}
+	return v
+}
+
+// TestValidateRejectsNonFiniteFloats sets every float64 field of the
+// Config tree, found by reflection so that a new field cannot skip the
+// rule, to NaN and ±Inf in turn: Validate and NewCampaign must reject
+// each, and the error must name the field.
+func TestValidateRejectsNonFiniteFloats(t *testing.T) {
+	base := QuickConfig()
+	paths := floatFields(reflect.ValueOf(base), "")
+	for _, want := range []string{"NodeBandwidth", "P2P.ImportJitter", "Pools[0].Power", "TxGen.Rate", "Clock.P10ms"} {
+		if !slices.Contains(paths, want) {
+			t.Fatalf("the walk missed %s: found %v", want, paths)
+		}
+	}
+	for _, path := range paths {
+		name := path[strings.LastIndex(path, ".")+1:]
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := QuickConfig()
+			fieldAt(reflect.ValueOf(&cfg).Elem(), path).SetFloat(bad)
+			err := cfg.Validate()
+			if err == nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("%s = %g: Validate() = %v, want an error naming %s", path, bad, err, name)
+			}
+			if _, err := NewCampaign(cfg); err == nil {
+				t.Errorf("%s = %g: NewCampaign accepted it", path, bad)
+			}
+		}
+	}
+}
+
+// TestValidateRejectsOutOfRangeFloats covers the finite values that
+// have no meaning: non-positive processing speeds, an inverted speed
+// range and probabilities outside [0, 1].
+func TestValidateRejectsOutOfRangeFloats(t *testing.T) {
+	tests := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"VantageProcSpeed", func(c *Config) { c.VantageProcSpeed = 0 }},
+		{"GatewayProcSpeed", func(c *Config) { c.GatewayProcSpeed = -1 }},
+		{"NodeProcSpeedMin", func(c *Config) { c.NodeProcSpeedMin = -0.5 }},
+		{"NodeProcSpeedMax", func(c *Config) { c.NodeProcSpeedMax = c.NodeProcSpeedMin / 2 }},
+		{"VantageGatewayFraction", func(c *Config) { c.VantageGatewayFraction = 1.5 }},
+		{"VantageGatewayFraction", func(c *Config) { c.VantageGatewayFraction = -0.1 }},
+		{"Clock.P10ms", func(c *Config) { c.Clock.P10ms = -0.1 }},
+		{"Clock.P100ms", func(c *Config) { c.Clock.P100ms = 2 }},
+	}
+	for _, tt := range tests {
+		cfg := QuickConfig()
+		tt.mutate(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), tt.name) {
+			t.Errorf("%s: Validate() = %v, want an error naming it", tt.name, err)
+		}
+	}
+	// The edges are legal: a single node speed, fractions of 0 and 1.
+	cfg := QuickConfig()
+	cfg.NodeProcSpeedMax = cfg.NodeProcSpeedMin
+	cfg.VantageGatewayFraction, cfg.Clock.P10ms, cfg.Clock.P100ms = 0, 0, 1
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("edge values rejected: %v", err)
+	}
+}
+
+// TestValidateRejectsRecordRetention checks that the removed
+// RetainRecords option fails and points at SpillPath.
+func TestValidateRejectsRecordRetention(t *testing.T) {
+	cfg := QuickConfig()
+	cfg.RetainRecords = true
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "SpillPath") {
+		t.Errorf("Validate() = %v, want an error naming SpillPath", err)
 	}
 }
 

@@ -13,12 +13,12 @@ import (
 
 	"ethmeasure/internal/consensus"
 	"ethmeasure/internal/logs"
+	"ethmeasure/internal/measure"
 	"ethmeasure/internal/scenario"
 )
 
 // recordHasher is a bus consumer that folds every record into a hash
-// as it streams by — the bounded-memory equivalent of fingerprinting
-// retained record slices. It is anchored on logs.RecordFingerprinter,
+// as it streams by. It is anchored on logs.RecordFingerprinter,
 // the exact digest the checkpoint/restore pipeline persists, so the
 // equivalence suite and production replay verification can never
 // drift apart.
@@ -28,14 +28,24 @@ type recordHasher struct {
 
 func newRecordHasher() *recordHasher { return &recordHasher{logs.NewRecordFingerprinter()} }
 
+// recordLog is a bus consumer that keeps every record, for the tests
+// that inspect individual receptions.
+type recordLog struct {
+	blocks []measure.BlockRecord
+	txs    []measure.TxRecord
+}
+
+func (l *recordLog) RecordBlock(r measure.BlockRecord) { l.blocks = append(l.blocks, r) }
+func (l *recordLog) RecordTx(r measure.TxRecord)       { l.txs = append(l.txs, r) }
+
 // chainFingerprint hashes the full block registry with the production
 // digest (logs.ChainFingerprint).
 func chainFingerprint(c *Campaign) string {
 	return logs.ChainFingerprint(c.registry)
 }
 
-// equivalenceVariants are the configurations the streaming pipeline
-// must reproduce bit for bit against the batch path, and whose
+// equivalenceVariants are the configurations whose logs must
+// re-analyse bit for bit into their live Results, and whose
 // fingerprints goldenPath pins: twelve in the full suite, seven under
 // -short.
 func equivalenceVariants() []struct {
@@ -192,8 +202,8 @@ func TestProtocolVariantsExerciseTheirRules(t *testing.T) {
 // analysisJSON serializes every analysis field of a Results bit-
 // exactly (float64s marshal to their shortest round-trip decimal, so
 // equal JSON means equal bits; stats.Sample marshals its full
-// observation vector). Dataset and wall-clock stats are excluded: the
-// bounded run intentionally retains no records.
+// observation vector). Dataset and the run stats are excluded: the
+// callers compare the stats themselves, less what they cannot match.
 func analysisJSON(t *testing.T, res *Results) map[string]string {
 	t.Helper()
 	out := make(map[string]string)
@@ -213,13 +223,11 @@ func analysisJSON(t *testing.T, res *Results) map[string]string {
 	return out
 }
 
-// TestStreamingEquivalence is the golden equivalence suite: for each
-// seed config variant, a bounded-memory (streaming) campaign must
-// produce bit-identical analysis results, KeyMetrics and record/chain
-// fingerprints to the record-retaining (batch) campaign, and those
-// fingerprints must equal the variant's line in goldenPath. The
-// streaming run also spills its log, and AnalyzeLog must re-analyse
-// that log into the same Results, less what the log does not carry.
+// TestStreamingEquivalence is the golden equivalence suite: each seed
+// config variant runs once, spilling its log, and its record and chain
+// fingerprints must equal the variant's line in goldenPath; AnalyzeLog
+// must re-analyse the spilled log into the same Results, less what the
+// log does not carry.
 func TestStreamingEquivalence(t *testing.T) {
 	var golden map[string]string
 	if goldenPlatform() {
@@ -235,70 +243,22 @@ func TestStreamingEquivalence(t *testing.T) {
 	for _, variant := range variants {
 		variant := variant
 		t.Run(variant.name, func(t *testing.T) {
-			spillPath := filepath.Join(t.TempDir(), "spill.ethlog")
-			run := func(retain bool) (*Results, string, string) {
-				cfg := variant.cfg
-				cfg.RetainRecords = retain
-				if !retain {
-					cfg.SpillPath = spillPath
-				}
-				campaign, err := NewCampaign(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				hasher := newRecordHasher()
-				campaign.bus.Attach(hasher)
-				res, err := campaign.RunContext(context.Background(), RunOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res, hasher.Sum(), chainFingerprint(campaign)
+			cfg := variant.cfg
+			cfg.SpillPath = filepath.Join(t.TempDir(), "spill.ethlog")
+			campaign, err := NewCampaign(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-
-			resBatch, recBatch, chainBatch := run(true)
-			resStream, recStream, chainStream := run(false)
-
-			// The raw record streams and the chain are the same runs.
-			if recBatch != recStream {
-				t.Fatalf("record streams diverged:\n%s\n%s", recBatch, recStream)
-			}
-			if chainBatch != chainStream {
-				t.Fatalf("chains diverged")
+			hasher := newRecordHasher()
+			campaign.bus.Attach(hasher)
+			res, err := campaign.RunContext(context.Background(), RunOptions{})
+			if err != nil {
+				t.Fatal(err)
 			}
 			if golden != nil {
-				checkGolden(t, golden, variant.name, recBatch, chainBatch)
+				checkGolden(t, golden, variant.name, hasher.Sum(), chainFingerprint(campaign))
 			}
-
-			// Every analysis result, bit for bit.
-			jsonBatch := analysisJSON(t, resBatch)
-			jsonStream := analysisJSON(t, resStream)
-			for name, batch := range jsonBatch {
-				if stream := jsonStream[name]; stream != batch {
-					t.Errorf("%s diverged:\nbatch:  %.200s\nstream: %.200s", name, batch, stream)
-				}
-			}
-
-			// KeyMetrics, exact float equality.
-			if !reflect.DeepEqual(resBatch.KeyMetrics(), resStream.KeyMetrics()) {
-				t.Errorf("KeyMetrics diverged:\n%v\n%v", resBatch.KeyMetrics(), resStream.KeyMetrics())
-			}
-
-			// Run bookkeeping (minus wall time) must agree too.
-			sa, sb := resBatch.Stats, resStream.Stats
-			sa.WallDuration, sb.WallDuration = 0, 0
-			if sa != sb {
-				t.Errorf("stats diverged: %+v vs %+v", sa, sb)
-			}
-
-			// The memory contract of bounded mode.
-			if resStream.Dataset.Blocks != nil || resStream.Dataset.Txs != nil {
-				t.Error("bounded-memory run retained records")
-			}
-			if resBatch.Dataset.Blocks == nil {
-				t.Error("batch run lost its records")
-			}
-
-			checkLogReanalysis(t, spillPath, resStream)
+			checkLogReanalysis(t, cfg.SpillPath, res)
 		})
 	}
 }

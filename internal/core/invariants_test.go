@@ -13,7 +13,6 @@ import (
 // protocol-level invariants the analyses depend on.
 func TestCampaignInvariants(t *testing.T) {
 	cfg := tinyConfig()
-	cfg.RetainRecords = true // the record invariants inspect each reception
 	cfg.Duration = 20 * time.Minute
 	// Thirty senders at tinyConfig's 0.3 tx/s issue a transaction every
 	// 100 s each, so blocks often carry several nonces of one sender,
@@ -31,6 +30,8 @@ func TestCampaignInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	records := &recordLog{} // the record invariants inspect each reception
+	campaign.bus.Attach(records)
 	res, err := campaign.RunContext(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -171,8 +172,8 @@ func TestCampaignInvariants(t *testing.T) {
 	})
 
 	t.Run("records reference real blocks", func(t *testing.T) {
-		for i := range res.Dataset.Blocks {
-			r := &res.Dataset.Blocks[i]
+		for i := range records.blocks {
+			r := &records.blocks[i]
 			if _, ok := reg.Get(r.Hash); !ok {
 				t.Fatalf("record references unknown block %s", r.Hash)
 			}
@@ -182,15 +183,15 @@ func TestCampaignInvariants(t *testing.T) {
 	t.Run("each vantage records a transaction once", func(t *testing.T) {
 		// A transaction floods once and settles each node once, so a
 		// vantage sees it at most once with no filter of its own.
-		if len(res.Dataset.Txs) == 0 {
-			t.Fatal("campaign retained no transaction records")
+		if len(records.txs) == 0 {
+			t.Fatal("campaign recorded no transactions")
 		}
 		type key struct {
 			vantage string
 			hash    types.Hash
 		}
-		seen := make(map[key]bool, len(res.Dataset.Txs))
-		for _, r := range res.Dataset.Txs {
+		seen := make(map[key]bool, len(records.txs))
+		for _, r := range records.txs {
 			k := key{r.Vantage, r.Hash}
 			if seen[k] {
 				t.Fatalf("vantage %s recorded tx %s twice", r.Vantage, r.Hash)
@@ -203,8 +204,8 @@ func TestCampaignInvariants(t *testing.T) {
 		// Local timestamps may deviate from [0, Duration] by at most
 		// the NTP model's maximum offset.
 		maxOff := cfg.Clock.MaxOff
-		for i := range res.Dataset.Blocks {
-			at := res.Dataset.Blocks[i].At
+		for i := range records.blocks {
+			at := records.blocks[i].At
 			if at < -maxOff || at > cfg.Duration+maxOff {
 				t.Fatalf("record timestamp %v outside campaign window", at)
 			}

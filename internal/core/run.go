@@ -273,10 +273,6 @@ func (c *Campaign) SimulateContext(ctx context.Context, opts RunOptions) error {
 	}
 	c.events = c.engine.EventsRun()
 	c.messages = c.network.Sent()
-	if c.recorder != nil {
-		c.dataset.Blocks = c.recorder.Blocks
-		c.dataset.Txs = c.recorder.Txs
-	}
 	if c.spill != nil {
 		logs.WriteChain(c.spill, c.registry)
 		if err := c.spill.Close(); err != nil {

@@ -195,6 +195,33 @@ func TestBandwidthAndChurnBurstEndToEnd(t *testing.T) {
 	}
 }
 
+// TestNearZeroBandwidthRunsToHorizon throttles a region to a finite but
+// vanishing bandwidth for the whole run, transactions on: the region's
+// messages must take the capped transfer time and never arrive, not
+// overflow into negative delays that panic the tx flood.
+func TestNearZeroBandwidthRunsToHorizon(t *testing.T) {
+	cfg := tinyConfig()
+	spec, err := scenario.Parse("bandwidth:regions=EA,factor=1e-300")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Scenarios = []scenario.Spec{spec}
+	campaign, err := NewCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := campaign.RunContext(context.Background(), RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Scenarios.Metrics["scenario_bandwidth_nodes_affected"] == 0 {
+		t.Error("bandwidth throttle hit no nodes")
+	}
+	if res.Stats.BlocksCreated == 0 || res.Stats.TxRecords == 0 {
+		t.Errorf("run stalled: %d blocks, %d tx records", res.Stats.BlocksCreated, res.Stats.TxRecords)
+	}
+}
+
 // TestComposedScenariosDeterministic: a campaign stacking several
 // scenarios reproduces bit-for-bit, and a different seed diverges.
 func TestComposedScenariosDeterministic(t *testing.T) {

@@ -93,8 +93,8 @@ func ReadCheckpointFile(path string) (Checkpoint, error) {
 // taps the record bus exactly like a log writer. Records are hashed
 // through the same scratch-buffer binary encoding the ethlog spill
 // writer uses — fmt-free, zero allocations per record — so the digest
-// is pinned to the wire format and comparable across the batch and
-// streaming pipelines.
+// is pinned to the wire format and comparable across runs, commits
+// and a live campaign against its replay.
 //
 // Sum does not disturb the running state, so mid-run checkpoint
 // fingerprints and the final fingerprint come from one instance.

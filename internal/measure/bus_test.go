@@ -50,3 +50,19 @@ func TestVantageWritesThroughBus(t *testing.T) {
 		t.Fatalf("bus-backed vantage records = %+v", rec.Blocks)
 	}
 }
+
+// MemoryRecorder accumulates records in memory, for the tests to
+// inspect.
+type MemoryRecorder struct {
+	Blocks []BlockRecord
+	Txs    []TxRecord
+}
+
+// NewMemoryRecorder creates an empty in-memory recorder.
+func NewMemoryRecorder() *MemoryRecorder { return &MemoryRecorder{} }
+
+// RecordBlock appends a block record.
+func (m *MemoryRecorder) RecordBlock(r BlockRecord) { m.Blocks = append(m.Blocks, r) }
+
+// RecordTx appends a transaction record.
+func (m *MemoryRecorder) RecordTx(r TxRecord) { m.Txs = append(m.Txs, r) }

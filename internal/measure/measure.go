@@ -38,8 +38,9 @@ type TxRecord struct {
 	From    types.NodeID    `json:"f"`
 }
 
-// Recorder receives measurement records. Implementations: in-memory
-// (internal use, benchmarks) and JSONL (internal/logs).
+// Recorder receives measurement records. Implementations: the
+// streaming analysis collector (internal/analysis) and the ethlog
+// writers and record fingerprinter (internal/logs).
 type Recorder interface {
 	RecordBlock(BlockRecord)
 	RecordTx(TxRecord)
@@ -48,9 +49,8 @@ type Recorder interface {
 // Bus is a Recorder that fans every record out to its registered
 // consumers, in attach order. It is the campaign's record pipeline
 // spine: the vantages write to one bus, and the streaming analysis
-// collector, the optional in-memory retainer (MemoryRecorder) and the
-// optional JSONL spill writer all subscribe to it. A bus with no
-// consumers drops records.
+// collector and the optional ethlog spill writer subscribe to it. A
+// bus with no consumers drops records.
 type Bus struct {
 	consumers []Recorder
 }
@@ -90,21 +90,6 @@ func (b *Bus) RecordTx(r TxRecord) {
 		c.RecordTx(r)
 	}
 }
-
-// MemoryRecorder accumulates records in memory.
-type MemoryRecorder struct {
-	Blocks []BlockRecord
-	Txs    []TxRecord
-}
-
-// NewMemoryRecorder creates an empty in-memory recorder.
-func NewMemoryRecorder() *MemoryRecorder { return &MemoryRecorder{} }
-
-// RecordBlock appends a block record.
-func (m *MemoryRecorder) RecordBlock(r BlockRecord) { m.Blocks = append(m.Blocks, r) }
-
-// RecordTx appends a transaction record.
-func (m *MemoryRecorder) RecordTx(r TxRecord) { m.Txs = append(m.Txs, r) }
 
 // ClockModel samples NTP synchronization offsets. The paper (§II,
 // citing Murta et al.) takes NTP offsets to be under 10 ms in 90% of

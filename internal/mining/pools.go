@@ -49,20 +49,18 @@ func (s *PoolSpec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("mining: pool spec missing name")
 	}
-	if s.Power < 0 || s.Power > 1 {
-		return fmt.Errorf("mining: pool %s power %f out of [0,1]", s.Name, s.Power)
-	}
 	for _, p := range []struct {
 		name string
 		v    float64
 	}{
+		{"Power", s.Power},
 		{"EmptyRate", s.EmptyRate},
 		{"SiblingRate", s.SiblingRate},
 		{"SiblingTripleFrac", s.SiblingTripleFrac},
 		{"SiblingSameTxFrac", s.SiblingSameTxFrac},
 	} {
-		if p.v < 0 || p.v > 1 {
-			return fmt.Errorf("mining: pool %s %s %f out of [0,1]", s.Name, p.name, p.v)
+		if !(p.v >= 0 && p.v <= 1) { // NaN fails both comparisons
+			return fmt.Errorf("mining: pool %s %s %g out of [0,1]", s.Name, p.name, p.v)
 		}
 	}
 	if len(s.Gateways) == 0 {

@@ -2,6 +2,7 @@ package p2p
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -64,9 +65,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate rejects negative timings: a negative GatherSlack would
-// panic inside the fetcher's jitter draw at the first announcement, and
-// negative delays have no protocol meaning.
+// Validate rejects negative timings and a negative or non-finite
+// ImportJitter: a negative GatherSlack would panic inside the fetcher's
+// jitter draw at the first announcement, and negative delays have no
+// protocol meaning.
 func (c *Config) Validate() error {
 	for _, f := range []struct {
 		name string
@@ -82,8 +84,8 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("p2p: %s must be non-negative, got %v", f.name, f.d)
 		}
 	}
-	if c.ImportJitter < 0 {
-		return fmt.Errorf("p2p: ImportJitter must be non-negative, got %v", c.ImportJitter)
+	if math.IsNaN(c.ImportJitter) || math.IsInf(c.ImportJitter, 0) || c.ImportJitter < 0 {
+		return fmt.Errorf("p2p: ImportJitter must be a finite non-negative number, got %v", c.ImportJitter)
 	}
 	return nil
 }

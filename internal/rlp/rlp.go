@@ -1,8 +1,10 @@
-// Package rlp implements Ethereum's Recursive Length Prefix encoding
+// Package rlp models Ethereum's Recursive Length Prefix encoding
 // (Appendix B of the Yellow Paper), the serialization used by every
 // devp2p message the paper's instrumented client logged. The simulator
 // uses it to derive wire sizes of blocks, transactions and
-// announcements from their actual encodings rather than constants.
+// announcements from the exact length of their encodings
+// (EncodedSize) rather than constants; the encoder itself is the
+// tests' reference.
 //
 // Supported item types: byte strings and lists, with helpers for
 // unsigned integers (big-endian, no leading zeros — canonical RLP).
@@ -41,12 +43,6 @@ func Uint(v uint64) Item {
 // List creates a list item.
 func List(items ...Item) Item { return Item{List: true, Items: items} }
 
-// Encode serializes an item.
-func Encode(item Item) []byte {
-	var out []byte
-	return appendItem(out, item)
-}
-
 // EncodedSize returns the exact serialized length without allocating
 // the full encoding.
 func EncodedSize(item Item) int {
@@ -78,36 +74,4 @@ func lenOfLen(n int) int {
 		n >>= 8
 	}
 	return size
-}
-
-func appendItem(out []byte, item Item) []byte {
-	if !item.List {
-		return appendString(out, item.Str)
-	}
-	var payload []byte
-	for _, sub := range item.Items {
-		payload = appendItem(payload, sub)
-	}
-	out = appendHeader(out, 0xc0, len(payload))
-	return append(out, payload...)
-}
-
-func appendString(out, s []byte) []byte {
-	if len(s) == 1 && s[0] < 0x80 {
-		return append(out, s[0])
-	}
-	out = appendHeader(out, 0x80, len(s))
-	return append(out, s...)
-}
-
-func appendHeader(out []byte, base byte, payloadLen int) []byte {
-	if payloadLen <= 55 {
-		return append(out, base+byte(payloadLen))
-	}
-	ll := lenOfLen(payloadLen)
-	out = append(out, base+55+byte(ll))
-	for shift := (ll - 1) * 8; shift >= 0; shift -= 8 {
-		out = append(out, byte(payloadLen>>shift))
-	}
-	return out
 }

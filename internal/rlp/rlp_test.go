@@ -141,3 +141,42 @@ func TestHeaderItemSize(t *testing.T) {
 		t.Errorf("header size = %d, want ≈500-550", size)
 	}
 }
+
+// Encode serializes an item: the reference encoder EncodedSize is
+// checked against.
+func Encode(item Item) []byte {
+	var out []byte
+	return appendItem(out, item)
+}
+
+func appendItem(out []byte, item Item) []byte {
+	if !item.List {
+		return appendString(out, item.Str)
+	}
+	var payload []byte
+	for _, sub := range item.Items {
+		payload = appendItem(payload, sub)
+	}
+	out = appendHeader(out, 0xc0, len(payload))
+	return append(out, payload...)
+}
+
+func appendString(out, s []byte) []byte {
+	if len(s) == 1 && s[0] < 0x80 {
+		return append(out, s[0])
+	}
+	out = appendHeader(out, 0x80, len(s))
+	return append(out, s...)
+}
+
+func appendHeader(out []byte, base byte, payloadLen int) []byte {
+	if payloadLen <= 55 {
+		return append(out, base+byte(payloadLen))
+	}
+	ll := lenOfLen(payloadLen)
+	out = append(out, base+55+byte(ll))
+	for shift := (ll - 1) * 8; shift >= 0; shift -= 8 {
+		out = append(out, byte(payloadLen>>shift))
+	}
+	return out
+}

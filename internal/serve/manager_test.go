@@ -146,6 +146,34 @@ func TestSubCampaignSecondDefaultsCheckpoint(t *testing.T) {
 	}
 }
 
+// TestThrottledCampaignEndsAndServerRuns submits a campaign whose
+// scenario throttles a region to a vanishing bandwidth, then a normal
+// one to the same single slot: the first must end without taking the
+// server down, and the second must still run to done.
+func TestThrottledCampaignEndsAndServerRuns(t *testing.T) {
+	m := openManager(t, t.TempDir(), Options{MaxJobs: 1})
+	defer m.Close()
+
+	throttled, err := m.Submit(JobSpec{
+		Kind:      "campaign",
+		Duration:  "2m",
+		Nodes:     40,
+		Scenarios: []string{"bandwidth:regions=EA,factor=1e-300"},
+	})
+	if err != nil {
+		t.Fatalf("Submit throttled: %v", err)
+	}
+	next, err := m.Submit(quickSpec())
+	if err != nil {
+		t.Fatalf("Submit next: %v", err)
+	}
+	end := waitJob(t, m, throttled.ID, 2*time.Minute, func(j Job) bool { return terminal(j.State) })
+	if end.State != StateDone && end.State != StateFailed {
+		t.Errorf("throttled job ended %s", end.State)
+	}
+	waitJob(t, m, next.ID, 2*time.Minute, isState(StateDone))
+}
+
 func TestOversubscribedPoolQueues(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs three multi-second campaigns; covered by the CI race job")

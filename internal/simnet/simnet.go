@@ -17,6 +17,7 @@ package simnet
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"ethmeasure/internal/geo"
@@ -62,10 +63,10 @@ func New(engine *sim.Engine, latency *geo.LatencyModel) *Network {
 }
 
 // AddNode registers a node in the given region with the given bandwidth
-// (bytes/second). Bandwidth must be positive.
+// (bytes/second). Bandwidth must be positive and finite.
 func (n *Network) AddNode(region geo.Region, bandwidth float64) (*Node, error) {
-	if bandwidth <= 0 {
-		return nil, fmt.Errorf("simnet: bandwidth must be positive, got %f", bandwidth)
+	if !(bandwidth > 0) || math.IsInf(bandwidth, 1) { // NaN fails the comparison
+		return nil, fmt.Errorf("simnet: bandwidth must be positive and finite, got %g", bandwidth)
 	}
 	if !region.Valid() {
 		return nil, fmt.Errorf("simnet: invalid region %d", int(region))
@@ -151,6 +152,13 @@ func (n *Network) Burst(from *Node, size int, kind, object uint64) Burst {
 	return Burst{net: n, from: from, prefix: prefix, size: float64(size)}
 }
 
+// maxTransfer caps a message's transmission time, in nanoseconds
+// (about 146 years, past the horizon of any campaign): a bandwidth
+// throttled to almost nothing would otherwise overflow the conversion
+// to time.Duration into a negative delay. A message held at the cap is
+// never delivered.
+const maxTransfer = 1 << 62
+
 // Delay returns the delay of the burst's message to the node with the
 // given ID, reading its bandwidth from its Node: a scenario may change
 // it during a run.
@@ -158,7 +166,11 @@ func (b *Burst) Delay(to types.NodeID) time.Duration {
 	rng := b.net.key.Fold(b.prefix ^ uint64(to)*toMul)
 	lat := b.net.latency.Sample(&rng, b.from.Region, b.net.regions[to])
 	bw := min(b.from.Bandwidth, b.net.nodes[to].Bandwidth)
-	return lat + time.Duration(b.size/bw*float64(time.Second)) + b.net.MinOverhead
+	transfer := b.size / bw * float64(time.Second)
+	if !(transfer < maxTransfer) { // also 0 bytes over a bandwidth throttled to 0 (NaN)
+		transfer = maxTransfer
+	}
+	return lat + time.Duration(transfer) + b.net.MinOverhead
 }
 
 // Engine returns the simulation engine the network runs on.

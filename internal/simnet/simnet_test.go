@@ -28,6 +28,11 @@ func TestAddNodeValidation(t *testing.T) {
 	if _, err := net.AddNode(geo.NorthAmerica, -5); err == nil {
 		t.Error("negative bandwidth must error")
 	}
+	for _, bw := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := net.AddNode(geo.NorthAmerica, bw); err == nil {
+			t.Errorf("bandwidth %g must error", bw)
+		}
+	}
 	if _, err := net.AddNode(geo.Region(0), 1e6); err == nil {
 		t.Error("invalid region must error")
 	}
@@ -63,6 +68,35 @@ func TestTransferDelayComponents(t *testing.T) {
 	fast2, _ := net.AddNode(geo.NorthAmerica, 1e6)
 	if d3 := net.Transmit(fast, fast2, 100, 1, 3); d3 > 12*time.Millisecond {
 		t.Errorf("fast-fast delay = %v", d3)
+	}
+}
+
+// TestVanishingBandwidthNeverDelivers throttles a receiver to a finite
+// but vanishing bandwidth, then to none: the transfer time saturates at
+// maxTransfer instead of overflowing into a negative delay, so the
+// message is never delivered within the run's horizon.
+func TestVanishingBandwidthNeverDelivers(t *testing.T) {
+	engine, net := newNet(t)
+	from, _ := net.AddNode(geo.NorthAmerica, 1e6)
+	to, _ := net.AddNode(geo.NorthAmerica, 1e6)
+	delivered := 0
+	h := handlerFunc(func(sim.Arg) { delivered++ })
+	for _, msg := range []struct {
+		bw   float64
+		size int
+	}{{1e6 * 1e-300, 1000}, {0, 1000}, {0, 0}} {
+		to.Bandwidth = msg.bw
+		d := net.Transmit(from, to, msg.size, 1, 1)
+		if d < maxTransfer {
+			t.Errorf("bandwidth %g, %d bytes: delay %v, want at least %v", msg.bw, msg.size, d, time.Duration(maxTransfer))
+		}
+		engine.AfterArg(d, h, sim.Arg{})
+	}
+	if _, err := engine.Run(30 * 24 * time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if delivered != 0 {
+		t.Errorf("%d throttled messages delivered within the horizon", delivered)
 	}
 }
 

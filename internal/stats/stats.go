@@ -178,8 +178,8 @@ func (s *Sample) Values() []float64 {
 // MarshalJSON emits the observations as a plain array, in their
 // current order (insertion order until the first quantile query sorts
 // the sample). Two samples built by identical pipelines therefore
-// marshal identically bit for bit — the property the streaming-vs-
-// batch equivalence suite asserts.
+// marshal identically bit for bit — the property the equivalence
+// suite asserts between a live campaign and its log's re-analysis.
 func (s *Sample) MarshalJSON() ([]byte, error) { return json.Marshal(s.xs) }
 
 func (s *Sample) ensureSorted() {

@@ -38,17 +38,6 @@ func (r *RunResult) Ok() bool { return r.Err == nil && r.Metrics != nil }
 // owns a private engine, registry and record pipeline, so runs proceed
 // fully independently; the runner adds no synchronization beyond
 // handing out job indices and collecting results into per-index slots.
-//
-// Campaigns honour the matrix base's Config.RetainRecords. The presets
-// leave it off, so by default records stream through the analysis
-// collector instead of accumulating in RAM and a run's footprint is
-// dominated by its live network state rather than its record volume.
-// That makes worker counts beyond GOMAXPROCS safe memory-wise:
-// oversubscription buys no throughput for these CPU-bound campaigns,
-// but long sweeps need not trim concurrency to fit record retention
-// in memory. A base with RetainRecords set (with KeepResults, to read
-// Results.Dataset.Blocks/Txs of every run) keeps every run's records
-// alive until the sweep returns.
 type Runner struct {
 	// Workers is the concurrency level; <= 0 means GOMAXPROCS.
 	Workers int

@@ -109,9 +109,9 @@ func TestParallelMatchesSerialAggregate(t *testing.T) {
 }
 
 // TestOversubscribedWorkersMatchSerial pushes the worker count well
-// past GOMAXPROCS — viable now that each run streams its records
-// through the bounded-memory pipeline instead of retaining them — and
-// requires byte-identical aggregates against a serial execution.
+// past GOMAXPROCS — viable because each run streams its records
+// through the collector and keeps none in memory — and requires
+// byte-identical aggregates against a serial execution.
 func TestOversubscribedWorkersMatchSerial(t *testing.T) {
 	matrix := func() *Matrix {
 		return &Matrix{
@@ -140,34 +140,16 @@ func TestOversubscribedWorkersMatchSerial(t *testing.T) {
 	}
 }
 
-// TestRunnerBoundedMemoryDefault verifies the memory contract: runs
-// over a preset base execute bounded (no retained records even with
-// KeepResults), and a base with RetainRecords restores the raw
-// dataset.
+// TestRunnerBoundedMemoryDefault verifies KeepResults: a runner that
+// sets it hands back each run's full Results.
 func TestRunnerBoundedMemoryDefault(t *testing.T) {
 	m := &Matrix{Base: testConfig(), Seeds: Seeds(9, 1)}
-
-	bounded, err := (&Runner{Workers: 1, KeepResults: true}).Run(context.Background(), m)
+	res, err := (&Runner{Workers: 1, KeepResults: true}).Run(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bounded[0].Ok() || bounded[0].Results == nil {
+	if !res[0].Ok() || res[0].Results == nil {
 		t.Fatal("run failed or results dropped")
-	}
-	if bounded[0].Results.Dataset.Blocks != nil {
-		t.Error("bounded-by-default run retained records")
-	}
-
-	m.Base.RetainRecords = true
-	retained, err := (&Runner{Workers: 1, KeepResults: true}).Run(context.Background(), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if retained[0].Results.Dataset.Blocks == nil {
-		t.Error("RetainRecords run lost its records")
-	}
-	if !metricsEqual(bounded[0].Metrics, retained[0].Metrics) {
-		t.Error("retention mode changed metrics")
 	}
 }
 
