@@ -15,7 +15,9 @@ import (
 	"testing"
 	"time"
 
+	"ethmeasure/internal/analysis"
 	"ethmeasure/internal/core"
+	"ethmeasure/internal/measure"
 )
 
 // benchBlocksConfig is the campaign for block-centric experiments
@@ -74,7 +76,7 @@ func runCampaign(b *testing.B, cfg Config) *Results {
 // machine specifications) — configuration rendering only.
 func BenchmarkTableIInfrastructure(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		specs := PaperInfrastructure()
+		specs := measure.PaperInfrastructure()
 		if len(specs) != 4 {
 			b.Fatal("infrastructure must list 4 machines")
 		}
@@ -397,7 +399,7 @@ func BenchmarkExtensionFinality(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res := AnalyzeFinality(winners, names, 14)
+		res := analysis.FinalityFromWinners(winners, names, 14)
 		b.ReportMetric(float64(res.TwelveBlockViolations), "12-block-violations")
 		var at8, at9 int
 		for _, row := range res.Rows {

@@ -24,6 +24,13 @@
 // RunContext is the one way to run a campaign in full. Cancelling ctx
 // stops the simulation after the current event; RunOptions adds live
 // progress and checkpoint/resume.
+//
+// Beyond a campaign, the facade covers winner sequences without a
+// network (FastWinners, HistoricalWinners, AnalyzeSequences), seed
+// sweeps (SweepMatrix, RunSweep) and parsed scenario and protocol
+// specs for Config.Scenarios and Config.Protocol. It exports what the
+// commands and the runnable programs under examples/ use, and
+// ethmeasure_test.go pins that list.
 package ethmeasure
 
 import (
@@ -33,8 +40,6 @@ import (
 	"ethmeasure/internal/analysis"
 	"ethmeasure/internal/consensus"
 	"ethmeasure/internal/core"
-	"ethmeasure/internal/geo"
-	"ethmeasure/internal/logs"
 	"ethmeasure/internal/measure"
 	"ethmeasure/internal/mining"
 	"ethmeasure/internal/report"
@@ -48,24 +53,12 @@ import (
 type (
 	// Config fully describes a measurement campaign.
 	Config = core.Config
-	// VantageSpec places one instrumented measurement node.
-	VantageSpec = core.VantageSpec
 	// Campaign is one configured run.
 	Campaign = core.Campaign
 	// Results bundles the dataset and every per-figure analysis.
 	Results = core.Results
-	// RunStats summarises a finished run.
-	RunStats = core.RunStats
 	// PoolSpec describes one mining pool.
 	PoolSpec = mining.PoolSpec
-	// Region is a coarse geographic area.
-	Region = geo.Region
-	// MachineSpec is one measurement machine (paper Table I).
-	MachineSpec = measure.MachineSpec
-	// BlockRecord is one logged block-related message reception.
-	BlockRecord = measure.BlockRecord
-	// TxRecord is one transaction first-observation record.
-	TxRecord = measure.TxRecord
 	// PoolID identifies a mining pool in winner sequences.
 	PoolID = types.PoolID
 	// HistoricalEpoch is one period of chain history with its own
@@ -75,26 +68,8 @@ type (
 	SequencesResult = analysis.SequencesResult
 )
 
-// Geographic regions (the first four are the paper's vantage points).
-const (
-	NorthAmerica  = geo.NorthAmerica
-	EasternAsia   = geo.EasternAsia
-	WesternEurope = geo.WesternEurope
-	CentralEurope = geo.CentralEurope
-	EasternEurope = geo.EasternEurope
-	SoutheastAsia = geo.SoutheastAsia
-	SouthAmerica  = geo.SouthAmerica
-	Oceania       = geo.Oceania
-)
-
-// DefaultConfig returns the laptop-scale campaign preset.
-func DefaultConfig() Config { return core.DefaultConfig() }
-
 // QuickConfig returns a small preset for tests and examples.
 func QuickConfig() Config { return core.QuickConfig() }
-
-// PaperScaleConfig approximates the paper's real campaign dimensions.
-func PaperScaleConfig() Config { return core.PaperScaleConfig() }
 
 // NewCampaign validates cfg and builds the full simulated system.
 func NewCampaign(cfg Config) (*Campaign, error) { return core.NewCampaign(cfg) }
@@ -106,14 +81,7 @@ type (
 	RunOptions = core.RunOptions
 	// RunProgress is one live progress snapshot.
 	RunProgress = core.Progress
-	// Checkpoint is one resumable barrier of a running campaign.
-	Checkpoint = logs.Checkpoint
 )
-
-// ErrResumeDiverged reports that a resumed campaign failed fingerprint
-// verification at its checkpoint barrier — the replayed prefix did not
-// reproduce the checkpointed run bit for bit.
-var ErrResumeDiverged = core.ErrResumeDiverged
 
 // PaperPools returns the 15 named pools (plus remainder) with the
 // paper's measured power shares and behaviour calibration.
@@ -121,9 +89,6 @@ func PaperPools() []PoolSpec { return mining.PaperPools() }
 
 // UniformGatewayPools is PaperPools with geography removed (ablation).
 func UniformGatewayPools() []PoolSpec { return mining.UniformGatewayPools() }
-
-// PaperInfrastructure returns the paper's Table I machine specs.
-func PaperInfrastructure() []MachineSpec { return measure.PaperInfrastructure() }
 
 // FastWinners generates n main-chain block winners without simulating
 // the network (chain-level fast simulation). Consecutive-sequence
@@ -168,18 +133,6 @@ func ExpectedSequences(p float64, k, n int) float64 {
 // WriteSequences renders a Figure 7 analysis to w.
 func WriteSequences(w io.Writer, r *SequencesResult) { report.Figure7(w, r) }
 
-// FinalityResult is the k-block confirmation-rule safety analysis.
-type FinalityResult = analysis.FinalityResult
-
-// AnalyzeFinality evaluates the k-block rule over a winner sequence,
-// sweeping confirmation depths 1..maxDepth (paper §III-D).
-func AnalyzeFinality(winners []PoolID, poolNames []string, maxDepth int) *FinalityResult {
-	return analysis.FinalityFromWinners(winners, poolNames, maxDepth)
-}
-
-// WriteFinality renders a finality analysis to w.
-func WriteFinality(w io.Writer, r *FinalityResult) { report.Finality(w, r) }
-
 // Sweep types: multi-seed, multi-scenario campaign fleets with
 // cross-seed aggregate statistics (see internal/sweep).
 type (
@@ -187,33 +140,17 @@ type (
 	SweepMatrix = sweep.Matrix
 	// SweepAxis is one scenario dimension of a sweep matrix.
 	SweepAxis = sweep.Axis
-	// SweepVariant is one setting of a sweep axis.
-	SweepVariant = sweep.Variant
-	// SweepRunner executes a matrix's campaigns on a worker pool.
-	SweepRunner = sweep.Runner
 	// SweepRunResult is one campaign's outcome within a sweep.
 	SweepRunResult = sweep.RunResult
 	// SweepAggregate is the cross-seed summary of a whole sweep.
 	SweepAggregate = sweep.AggregateResult
-	// KeyMetrics is the flat map of one run's headline scalars.
-	KeyMetrics = analysis.KeyMetrics
 )
 
 // SweepSeeds returns n consecutive seeds starting at base.
 func SweepSeeds(base int64, n int) []int64 { return sweep.Seeds(base, n) }
 
-// SweepNodes varies the regular node count across a sweep.
-func SweepNodes(counts ...int) SweepAxis { return sweep.Nodes(counts...) }
-
 // SweepDiscovery varies the topology-construction mechanism.
 func SweepDiscovery(vals ...bool) SweepAxis { return sweep.Discovery(vals...) }
-
-// SweepPoolSplits varies the pool population / hash-rate split
-// ("paper", "uniform", "equal", "majority").
-func SweepPoolSplits(kinds ...string) (SweepAxis, error) { return sweep.PoolSplits(kinds...) }
-
-// SweepChurnProfiles varies node turnover ("none", "default", "heavy").
-func SweepChurnProfiles(kinds ...string) (SweepAxis, error) { return sweep.ChurnProfiles(kinds...) }
 
 // RunSweep expands the matrix, executes every campaign on up to
 // workers concurrent goroutines (GOMAXPROCS when workers <= 0), and
@@ -224,53 +161,25 @@ func RunSweep(ctx context.Context, m *SweepMatrix, workers int) (*SweepAggregate
 	return sweep.Sweep(ctx, m, workers)
 }
 
-// Scenario types: composable interventions plugged into a campaign via
-// Config.Scenarios (see internal/scenario for the plugin catalog:
-// churn, withhold, partition, relayoverlay, eclipse, bandwidth,
-// churnburst).
-type (
-	// ScenarioSpec names one scenario plus its parameters; textual form
-	// "name[:key=val,...]".
-	ScenarioSpec = scenario.Spec
-	// ScenarioRegistration describes one catalog entry.
-	ScenarioRegistration = scenario.Registration
-	// ScenarioResult annotates a run's Results with its scenarios.
-	ScenarioResult = analysis.ScenarioResult
-)
+// ScenarioSpec names one scenario plus its parameters; textual form
+// "name[:key=val,...]". Scenarios are composable interventions plugged
+// into a campaign via Config.Scenarios (see internal/scenario for the
+// plugin catalog: churn, withhold, partition, relayoverlay, eclipse,
+// bandwidth, churnburst).
+type ScenarioSpec = scenario.Spec
 
 // ParseScenario reads a scenario spec from "name[:key=val,...]".
 func ParseScenario(s string) (ScenarioSpec, error) { return scenario.Parse(s) }
 
-// ScenarioCatalog returns every registered scenario, sorted by name.
-func ScenarioCatalog() []ScenarioRegistration { return scenario.Catalog() }
-
-// SweepScenarios varies the composed scenario list across a sweep:
-// each spec string is one variant ("none" = the unmodified base).
-func SweepScenarios(specs ...string) (SweepAxis, error) { return sweep.Scenarios(specs...) }
-
-// Consensus-protocol types: the pluggable rule set a campaign's chain
-// runs under (see internal/consensus for the catalog: ethereum,
-// bitcoin, ghost-inclusive).
-type (
-	// Protocol bundles fork choice, reference (uncle) policy, reward
-	// schedule and target interval.
-	Protocol = consensus.Protocol
-	// ProtocolSpec names one protocol plus its parameters; textual
-	// form "name[:key=val,...]". The zero value means ethereum.
-	ProtocolSpec = consensus.Spec
-	// ProtocolRegistration describes one catalog entry.
-	ProtocolRegistration = consensus.Registration
-)
+// ProtocolSpec names one consensus protocol plus its parameters;
+// textual form "name[:key=val,...]". The zero value means ethereum.
+// The protocol is the pluggable rule set a campaign's chain runs under
+// (see internal/consensus for the catalog: ethereum, bitcoin,
+// ghost-inclusive).
+type ProtocolSpec = consensus.Spec
 
 // ParseProtocol reads a protocol spec from "name[:key=val,...]".
 func ParseProtocol(s string) (ProtocolSpec, error) { return consensus.Parse(s) }
-
-// ProtocolCatalog returns every registered protocol, sorted by name.
-func ProtocolCatalog() []ProtocolRegistration { return consensus.Catalog() }
-
-// SweepProtocols varies the consensus rule set across a sweep: each
-// spec string is one variant.
-func SweepProtocols(specs ...string) (SweepAxis, error) { return sweep.Protocols(specs...) }
 
 // WriteReport renders every available analysis in results to w in the
 // order the paper presents them.

@@ -2,6 +2,10 @@ package ethmeasure
 
 import (
 	"context"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -54,34 +58,14 @@ func TestPublicPoolPresets(t *testing.T) {
 	if len(uniform) != len(pools) {
 		t.Error("uniform pools must mirror the paper population")
 	}
-	if len(PaperInfrastructure()) != 4 {
-		t.Error("PaperInfrastructure must list 4 machines")
-	}
 }
 
-func TestRegionConstantsExposed(t *testing.T) {
-	regions := []Region{
-		NorthAmerica, EasternAsia, WesternEurope, CentralEurope,
-		EasternEurope, SoutheastAsia, SouthAmerica, Oceania,
-	}
-	seen := make(map[Region]bool)
-	for _, r := range regions {
-		if seen[r] {
-			t.Fatalf("duplicate region constant %v", r)
-		}
-		seen[r] = true
-	}
-}
-
+// TestPresetsExposed: the facade's one preset validates; the other
+// presets are reached through core.Configure by the commands.
 func TestPresetsExposed(t *testing.T) {
-	for name, cfg := range map[string]Config{
-		"default": DefaultConfig(),
-		"quick":   QuickConfig(),
-		"paper":   PaperScaleConfig(),
-	} {
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
+	cfg := QuickConfig()
+	if err := cfg.Validate(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -115,17 +99,55 @@ func TestRunSweepFacade(t *testing.T) {
 			t.Errorf("scenario %s lacks propagation summary: %+v", s.Scenario, s.Metrics)
 		}
 	}
+}
 
-	poolAxis, err := SweepPoolSplits("paper", "equal")
+// TestFacadeExports pins the facade's exported names: what cmd/ and
+// examples/ use, plus the types their signatures name. Growing the
+// public API takes a deliberate edit here and in README's "Library
+// API" paragraph.
+func TestFacadeExports(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "ethmeasure.go", nil, parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatal(err)
 	}
-	churnAxis, err := SweepChurnProfiles("none", "default")
-	if err != nil {
-		t.Fatal(err)
+	var got []string
+	add := func(id *ast.Ident) {
+		if id.IsExported() {
+			got = append(got, id.Name)
+		}
 	}
-	nodeAxis := SweepNodes(60, 120)
-	if len(poolAxis.Variants) != 2 || len(churnAxis.Variants) != 2 || len(nodeAxis.Variants) != 2 {
-		t.Error("axis helpers returned wrong variant counts")
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				add(d.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					add(spec.Name)
+				case *ast.ValueSpec:
+					for _, id := range spec.Names {
+						add(id)
+					}
+				}
+			}
+		}
+	}
+	slices.Sort(got)
+	want := []string{
+		"AnalyzeSequences", "Campaign", "Config", "DefaultHistory",
+		"ExpectedSequences", "FastWinners", "HistoricalEpoch",
+		"HistoricalSequenceCounts", "HistoricalWinners", "NewCampaign",
+		"PaperPools", "ParseProtocol", "ParseScenario", "PoolID",
+		"PoolSpec", "ProtocolSpec", "QuickConfig", "Results",
+		"RunOptions", "RunProgress", "RunSweep", "ScenarioSpec",
+		"SequencesResult", "SweepAggregate", "SweepAxis",
+		"SweepDiscovery", "SweepMatrix", "SweepRunResult", "SweepSeeds",
+		"UniformGatewayPools", "WriteReport", "WriteSequences",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("facade exports\n%q\nwant\n%q", got, want)
 	}
 }

@@ -122,21 +122,3 @@ func (idx *chainIndex) includer(h types.Hash) (*types.Block, bool) {
 	b, ok := idx.txBlock[h]
 	return b, ok
 }
-
-// DurationsToSeconds converts a slice of durations to float seconds.
-func DurationsToSeconds(ds []time.Duration) []float64 {
-	out := make([]float64, len(ds))
-	for i, d := range ds {
-		out[i] = d.Seconds()
-	}
-	return out
-}
-
-// DurationsToMillis converts a slice of durations to float milliseconds.
-func DurationsToMillis(ds []time.Duration) []float64 {
-	out := make([]float64, len(ds))
-	for i, d := range ds {
-		out[i] = float64(d) / float64(time.Millisecond)
-	}
-	return out
-}

@@ -3,7 +3,6 @@ package analysis
 import (
 	"math"
 	"testing"
-	"time"
 
 	"ethmeasure/internal/types"
 )
@@ -135,17 +134,5 @@ func TestDatasetPoolName(t *testing.T) {
 	}
 	if got := f.d.PoolName(99); got != "pool-99" {
 		t.Errorf("PoolName(99) = %q", got)
-	}
-}
-
-func TestDurationConversions(t *testing.T) {
-	ds := []time.Duration{1500 * time.Millisecond, 250 * time.Millisecond}
-	secs := DurationsToSeconds(ds)
-	if secs[0] != 1.5 || secs[1] != 0.25 {
-		t.Errorf("seconds = %v", secs)
-	}
-	ms := DurationsToMillis(ds[:1])
-	if ms[0] != 1500 {
-		t.Errorf("millis = %v", ms)
 	}
 }

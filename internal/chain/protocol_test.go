@@ -41,7 +41,7 @@ func TestRegistryDefaultsToEthereum(t *testing.T) {
 
 func TestBitcoinRegistryAcceptsNoUncles(t *testing.T) {
 	reg := NewRegistry(0, types.NewHashIssuer(1))
-	reg.SetProtocol(consensus.Bitcoin())
+	reg.SetProtocol(build(t, consensus.BitcoinName))
 	v, sibs := buildFork(t, reg, 4)
 
 	// Every sibling is one generation back from the tip — a valid uncle
@@ -141,5 +141,16 @@ func TestSetProtocolAfterBlocksPanics(t *testing.T) {
 			t.Fatal("mid-chain SetProtocol did not panic")
 		}
 	}()
-	reg.SetProtocol(consensus.Bitcoin())
+	reg.SetProtocol(build(t, consensus.BitcoinName))
+}
+
+// build returns the named protocol with its default parameters, as a
+// campaign's config builds it.
+func build(t testing.TB, name string) consensus.Protocol {
+	t.Helper()
+	p, err := consensus.Build(consensus.Spec{Name: name})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }

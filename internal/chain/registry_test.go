@@ -272,7 +272,7 @@ func foldHead(r *Registry) *types.Block {
 // random block trees with mixed difficulties (so heavier-but-lower
 // branches and total-difficulty ties both occur).
 func TestRegistryHeadMatchesCreationOrderFold(t *testing.T) {
-	protocols := []consensus.Protocol{consensus.Ethereum(), consensus.Bitcoin(), consensus.GhostInclusive()}
+	protocols := []consensus.Protocol{consensus.Ethereum(), build(t, consensus.BitcoinName), build(t, consensus.GhostInclusiveName)}
 	for _, proto := range protocols {
 		proto := proto
 		t.Run(proto.Name(), func(t *testing.T) {

@@ -179,18 +179,3 @@ func (v *View) UncleCandidatesFor(parent *types.Block, max int) []types.Hash {
 	}
 	return out
 }
-
-// KnownAtHeight returns the hashes the view tracks at a height
-// (diagnostics and tests).
-func (v *View) KnownAtHeight(n uint64) []types.Hash {
-	at := v.tracked[v.from(n):]
-	k := 0
-	for k < len(at) && at[k].num == n {
-		k++
-	}
-	out := make([]types.Hash, k)
-	for i := range out {
-		out[i] = at[i].hash
-	}
-	return out
-}

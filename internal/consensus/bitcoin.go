@@ -43,9 +43,6 @@ type bitcoin struct {
 	reward float64
 }
 
-// Bitcoin returns the Bitcoin-style protocol with the default subsidy.
-func Bitcoin() Protocol { return bitcoin{reward: BitcoinBlockReward} }
-
 // Name implements Protocol.
 func (bitcoin) Name() string { return BitcoinName }
 

@@ -84,7 +84,10 @@ func TestEthereumSchedule(t *testing.T) {
 }
 
 func TestBitcoinHasNoReferences(t *testing.T) {
-	b := Bitcoin()
+	b, err := Build(Spec{Name: BitcoinName})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if b.MaxReferenceDepth() != 0 || b.MaxReferencesPerBlock() != 0 {
 		t.Fatal("bitcoin must not allow references")
 	}
@@ -130,7 +133,7 @@ func TestPreferIsStrict(t *testing.T) {
 	a := &types.Block{TotalDiff: 5}
 	b := &types.Block{TotalDiff: 5}
 	heavier := &types.Block{TotalDiff: 6}
-	for _, name := range Names() {
+	for _, name := range cat.Names() {
 		proto, err := Build(Spec{Name: name})
 		if err != nil {
 			t.Fatal(err)
@@ -148,7 +151,7 @@ func TestPreferIsStrict(t *testing.T) {
 }
 
 func TestCatalogListsAllProtocols(t *testing.T) {
-	names := Names()
+	names := cat.Names()
 	if len(names) < 3 {
 		t.Fatalf("catalog too small: %v", names)
 	}

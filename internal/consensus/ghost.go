@@ -64,17 +64,6 @@ type ghostInclusive struct {
 	reward float64
 }
 
-// GhostInclusive returns the inclusive-GHOST protocol with default
-// parameters.
-func GhostInclusive() Protocol {
-	return ghostInclusive{
-		depth:  GhostDefaultDepth,
-		cap:    GhostDefaultCap,
-		decay:  GhostDefaultDecay,
-		reward: EthereumBlockReward,
-	}
-}
-
 // Name implements Protocol.
 func (ghostInclusive) Name() string { return GhostInclusiveName }
 

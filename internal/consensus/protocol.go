@@ -137,11 +137,6 @@ func Validate(spec Spec) error {
 	return cat.Validate(catalog.Spec(spec))
 }
 
-// Names returns the registered protocol names, sorted.
-func Names() []string {
-	return cat.Names()
-}
-
 // Catalog returns every registration sorted by name — the source of
 // CLI -list-protocols output.
 func Catalog() []Registration {

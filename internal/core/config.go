@@ -481,13 +481,6 @@ func (c *Config) ResolveShards() int { return 1 }
 // carried by results and log metadata.
 func (c *Config) ProtocolTag() string { return c.Protocol.String() }
 
-// ScenarioTags returns the canonical textual form of every composed
-// scenario, in composition order — the annotation carried by results
-// and log metadata.
-func (c *Config) ScenarioTags() []string {
-	return scenario.Tags(c.Scenarios)
-}
-
 // PrimaryVantages returns the non-auxiliary vantage names in
 // presentation order — the roster the arrival analyses cover.
 func (c *Config) PrimaryVantages() []string {

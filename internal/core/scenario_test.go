@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ethmeasure/internal/geo"
+	"ethmeasure/internal/p2p"
 	"ethmeasure/internal/scenario"
 )
 
@@ -143,17 +144,18 @@ func TestEclipseEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The victim's peer set is exactly its attackers before the run.
-	var eclipse *scenario.Eclipse
-	for _, s := range campaign.scenarios {
-		if e, ok := s.(*scenario.Eclipse); ok {
-			eclipse = e
+	regular := make(map[*p2p.Node]bool, len(campaign.regular))
+	for _, n := range campaign.regular {
+		regular[n] = true
+	}
+	peers := campaign.regular[7].Peers()
+	for _, p := range peers {
+		if regular[p] {
+			t.Errorf("victim keeps regular peer %d", p.ID())
 		}
 	}
-	if eclipse == nil {
-		t.Fatal("eclipse scenario not composed")
-	}
-	if eclipse.Victim() != 7 {
-		t.Errorf("victim = %d, want 7", eclipse.Victim())
+	if len(peers) != 3 {
+		t.Errorf("victim has %d peers, want its 3 attackers", len(peers))
 	}
 	res, err := campaign.RunContext(context.Background(), RunOptions{})
 	if err != nil {

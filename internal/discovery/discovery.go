@@ -172,9 +172,6 @@ func (n *Network) Join(node types.NodeID) (ID, error) {
 	return id, nil
 }
 
-// Table returns a node's routing table.
-func (n *Network) Table(node types.NodeID) *Table { return n.tables[node] }
-
 // Lookup performs an iterative Kademlia lookup from the given node
 // toward target: repeatedly query the closest known nodes for their
 // closest records until no progress, filling the querier's table along
@@ -237,6 +234,3 @@ func (n *Network) DiscoverPeers(from types.NodeID, want int) []types.NodeID {
 	}
 	return peers
 }
-
-// Size returns the number of joined nodes.
-func (n *Network) Size() int { return len(n.records) }

@@ -107,8 +107,8 @@ func TestNetworkJoinUniqueIDs(t *testing.T) {
 	if _, err := n.Join(types.NodeID(3)); err == nil {
 		t.Error("double join must error")
 	}
-	if n.Size() != 500 {
-		t.Errorf("size = %d", n.Size())
+	if len(n.records) != 500 {
+		t.Errorf("size = %d", len(n.records))
 	}
 }
 

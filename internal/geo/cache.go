@@ -1,28 +1,16 @@
 package geo
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // Shared latency-model cache. A LatencyModel is immutable once
 // constructed (finalize flattens the matrices; Sample only reads), so
 // concurrent sweep workers can safely share one instance instead of
-// re-flattening the full region×region matrix for every run. The cache
-// is process-wide and never evicts: the key space is the handful of
-// distinct models a sweep actually uses.
+// re-flattening the full region×region matrix for every run.
 
 var (
 	defaultModelOnce sync.Once
 	defaultModel     *LatencyModel
-
-	uniformModels sync.Map // uniformKey -> *LatencyModel
 )
-
-type uniformKey struct {
-	base   time.Duration
-	jitter float64
-}
 
 // SharedDefaultLatencyModel returns the process-wide default latency
 // model. It is the cached equivalent of DefaultLatencyModel: the same
@@ -30,17 +18,4 @@ type uniformKey struct {
 func SharedDefaultLatencyModel() *LatencyModel {
 	defaultModelOnce.Do(func() { defaultModel = DefaultLatencyModel() })
 	return defaultModel
-}
-
-// SharedUniformLatencyModel returns the process-wide uniform latency
-// model for the given base latency and jitter fraction, building and
-// caching it on first use. Equal parameters always return the same
-// instance.
-func SharedUniformLatencyModel(base time.Duration, jitter float64) *LatencyModel {
-	key := uniformKey{base: base, jitter: jitter}
-	if v, ok := uniformModels.Load(key); ok {
-		return v.(*LatencyModel)
-	}
-	v, _ := uniformModels.LoadOrStore(key, UniformLatencyModel(base, jitter))
-	return v.(*LatencyModel)
 }

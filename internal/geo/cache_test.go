@@ -3,7 +3,6 @@ package geo
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"ethmeasure/internal/sim"
 )
@@ -11,16 +10,6 @@ import (
 func TestSharedModelIdentity(t *testing.T) {
 	if SharedDefaultLatencyModel() != SharedDefaultLatencyModel() {
 		t.Error("SharedDefaultLatencyModel returned distinct instances")
-	}
-	a := SharedUniformLatencyModel(10*time.Millisecond, 0)
-	b := SharedUniformLatencyModel(10*time.Millisecond, 0)
-	if a != b {
-		t.Error("equal parameters returned distinct instances")
-	}
-	c := SharedUniformLatencyModel(20*time.Millisecond, 0)
-	d := SharedUniformLatencyModel(10*time.Millisecond, 0.3)
-	if c == a || d == a || c == d {
-		t.Error("distinct parameters shared an instance")
 	}
 }
 
@@ -58,11 +47,9 @@ func TestSharedModelConcurrent(t *testing.T) {
 			rng := sim.NewSplitmix(int64(g), "geo-test", 0)
 			for i := 0; i < 200; i++ {
 				m := SharedDefaultLatencyModel()
-				u := SharedUniformLatencyModel(time.Duration(1+i%4)*time.Millisecond, 0.2)
 				from := regions[i%len(regions)]
 				to := regions[(i+g)%len(regions)]
 				_ = m.Sample(rng, from, to)
-				_ = u.Sample(rng, from, to)
 			}
 		}(g)
 	}

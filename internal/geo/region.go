@@ -36,10 +36,6 @@ const (
 // NumRegions is the number of distinct regions.
 const NumRegions = 8
 
-// VantageRegions lists the four regions where the paper deployed
-// measurement nodes, in the order used throughout the paper's figures.
-var VantageRegions = []Region{NorthAmerica, EasternAsia, WesternEurope, CentralEurope}
-
 var regionNames = map[Region]string{
 	NorthAmerica:  "North America",
 	EasternAsia:   "Eastern Asia",
@@ -169,19 +165,6 @@ func (d *Distribution) Regions() []Region {
 	out := make([]Region, len(d.regions))
 	copy(out, d.regions)
 	return out
-}
-
-// Weight returns the normalized weight of region r (0 if absent).
-func (d *Distribution) Weight(r Region) float64 {
-	total := d.cum[len(d.cum)-1]
-	prev := 0.0
-	for i, reg := range d.regions {
-		if reg == r {
-			return (d.cum[i] - prev) / total
-		}
-		prev = d.cum[i]
-	}
-	return 0
 }
 
 // GlobalNodeDistribution approximates the geographic spread of public
@@ -328,11 +311,6 @@ func UniformLatencyModel(base time.Duration, jitter float64) *LatencyModel {
 		}
 	}
 	return m.finalize()
-}
-
-// Base returns the base one-way delay between two regions.
-func (m *LatencyModel) Base(from, to Region) time.Duration {
-	return m.base[from][to]
 }
 
 // SampleFloor returns the smallest delay Sample can return for the

@@ -237,3 +237,21 @@ func TestLatencySampleProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Weight returns the normalized weight of region r (0 if absent).
+func (d *Distribution) Weight(r Region) float64 {
+	total := d.cum[len(d.cum)-1]
+	prev := 0.0
+	for i, reg := range d.regions {
+		if reg == r {
+			return (d.cum[i] - prev) / total
+		}
+		prev = d.cum[i]
+	}
+	return 0
+}
+
+// Base returns the base one-way delay between two regions.
+func (m *LatencyModel) Base(from, to Region) time.Duration {
+	return m.base[from][to]
+}

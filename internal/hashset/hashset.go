@@ -145,6 +145,3 @@ func (s *U64) rebase(k uint64) bool {
 	s.words, s.base = words, start<<6
 	return true
 }
-
-// Len returns the number of members.
-func (s *U64) Len() int { return s.n + len(s.far) }

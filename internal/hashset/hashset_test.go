@@ -189,3 +189,6 @@ func BenchmarkAddHas(b *testing.B) {
 		s.Has(k + 1)
 	}
 }
+
+// Len returns the number of members.
+func (s *U64) Len() int { return s.n + len(s.far) }

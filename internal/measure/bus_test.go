@@ -10,8 +10,8 @@ func TestBusFansOut(t *testing.T) {
 	bus := NewBus(a)
 	bus.Attach(b)
 	bus.Attach(nil) // must be ignored
-	if bus.Consumers() != 2 {
-		t.Fatalf("consumers = %d, want 2", bus.Consumers())
+	if len(bus.consumers) != 2 {
+		t.Fatalf("consumers = %d, want 2", len(bus.consumers))
 	}
 
 	bus.RecordBlock(BlockRecord{Vantage: "NA", Hash: 5, Number: 10, Kind: "block"})

@@ -74,9 +74,6 @@ func (b *Bus) Attach(c Recorder) {
 	}
 }
 
-// Consumers returns the number of attached consumers.
-func (b *Bus) Consumers() int { return len(b.consumers) }
-
 // RecordBlock fans a block record out to every consumer.
 func (b *Bus) RecordBlock(r BlockRecord) {
 	for _, c := range b.consumers {

@@ -218,3 +218,12 @@ func TestPoolSpecValidate(t *testing.T) {
 		}
 	}
 }
+
+// TotalPower sums the power shares of the given specs.
+func TotalPower(specs []PoolSpec) float64 {
+	total := 0.0
+	for i := range specs {
+		total += specs[i].Power
+	}
+	return total
+}

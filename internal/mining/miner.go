@@ -71,9 +71,6 @@ type Pool struct {
 	rrGate   int          // round-robin gateway cursor for publishing
 }
 
-// JobHead returns the public head the pool's fork choice settled on.
-func (p *Pool) JobHead() *types.Block { return p.jobHead }
-
 // tip returns the block the pool mines on: its strategy's private tip
 // while it holds one (a withholding pool extends its private chain),
 // the job head otherwise.
@@ -85,12 +82,6 @@ func (p *Pool) tip() *types.Block {
 	}
 	return p.jobHead
 }
-
-// TxPool returns the pool's pending-transaction pool (diagnostics).
-func (p *Pool) TxPool() *txpool.Pool { return p.txs }
-
-// Gateways returns the pool's gateway nodes.
-func (p *Pool) Gateways() []*p2p.Node { return p.gateways }
 
 // Miner drives block production for all pools on the simulation engine.
 type Miner struct {
@@ -277,14 +268,6 @@ func (m *Miner) EmptyByPolicy() int { return m.emptyByPolicy }
 // EmptyStarved returns how many blocks came out empty because the
 // pool's transaction pool had nothing executable at mining time.
 func (m *Miner) EmptyStarved() int { return m.emptyStarved }
-
-// Pools returns the runtime pools in spec order.
-func (m *Miner) Pools() []*Pool { return m.pools }
-
-// Protocol returns the consensus rule set the miner produces blocks
-// under (the registry's protocol). Strategies and scenario plugins
-// consult it for the reward schedule.
-func (m *Miner) Protocol() consensus.Protocol { return m.proto }
 
 func (m *Miner) scheduleNext() {
 	wait := sim.ExpDuration(m.rng, m.cfg.InterBlockTime)

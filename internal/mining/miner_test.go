@@ -160,7 +160,7 @@ func TestMinerEmptyRatePolicy(t *testing.T) {
 	m := h.newMiner(cfg, specs, [][]*p2p.Node{{h.nodes[0]}})
 	// Seed transactions so non-empty blocks would be possible.
 	for i := uint64(0); i < 50; i++ {
-		m.Pools()[0].TxPool().Add(h.addTx(1, i, 10))
+		m.pools[0].txs.Add(h.addTx(1, i, 10))
 	}
 	m.Start(5 * time.Minute)
 	if _, err := h.engine.Run(5 * time.Minute); err != nil {
@@ -188,7 +188,7 @@ func TestMinerIncludesTransactionsUpToCapacity(t *testing.T) {
 	specs := []PoolSpec{{Name: "Solo", Power: 1, Gateways: []geo.Region{geo.NorthAmerica}}}
 	m := h.newMiner(cfg, specs, [][]*p2p.Node{{h.nodes[0]}})
 	for i := uint64(0); i < 30; i++ {
-		m.Pools()[0].TxPool().Add(h.addTx(1, i, 10))
+		m.pools[0].txs.Add(h.addTx(1, i, 10))
 	}
 	m.Start(time.Minute)
 	if _, err := h.engine.Run(time.Minute); err != nil {
@@ -266,10 +266,10 @@ func TestSiblingSelectsAgainstItsParent(t *testing.T) {
 	cfg.InterBlockTime = time.Hour
 	cfg.BlockCapacity = 2
 	m := h.newMiner(cfg, specs, [][]*p2p.Node{{h.nodes[0]}})
-	pool := m.Pools()[0]
+	pool := m.pools[0]
 	for nonce := uint64(0); nonce < 4; nonce++ {
-		pool.TxPool().Add(h.addTx(1, nonce, 20)) // the original takes nonces 0 and 1
-		pool.TxPool().Add(h.addTx(2, nonce, 10))
+		pool.txs.Add(h.addTx(1, nonce, 20)) // the original takes nonces 0 and 1
+		pool.txs.Add(h.addTx(2, nonce, 10))
 	}
 	h.engine.Schedule(0, m.mineOne)
 	if _, err := h.engine.Run(time.Minute); err != nil {
@@ -372,10 +372,10 @@ func TestMinerReorgReconcilesTxPool(t *testing.T) {
 	cfg.HeadSwitchMean = time.Millisecond
 	specs := []PoolSpec{{Name: "Solo", Power: 1, Gateways: []geo.Region{geo.NorthAmerica}}}
 	m := h.newMiner(cfg, specs, [][]*p2p.Node{{h.nodes[0]}})
-	pool := m.Pools()[0]
+	pool := m.pools[0]
 
 	tx := h.addTx(1, 0, 10)
-	pool.TxPool().Add(tx)
+	pool.txs.Add(tx)
 
 	// A competing miner publishes a block containing our tx; the pool
 	// adopts it and marks the tx included.
@@ -391,11 +391,13 @@ func TestMinerReorgReconcilesTxPool(t *testing.T) {
 	if _, err := h.engine.Run(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if pool.TxPool().NextNonce(tx.Sender) != tx.Nonce+1 || len(pool.TxPool().PendingOf(tx.Sender)) != 0 {
+	// Nothing is left to include, and the sender's watermark has passed
+	// the tx's nonce, so the pool refuses it as stale.
+	if len(pool.txs.Executable(10, nil)) != 0 || pool.txs.Add(tx) {
 		t.Fatal("adopted block's tx not marked included")
 	}
-	if pool.JobHead().Hash != b1.Hash {
-		t.Fatalf("job head = %s, want adopted %s", pool.JobHead().Hash, b1.Hash)
+	if pool.jobHead.Hash != b1.Hash {
+		t.Fatalf("job head = %s, want adopted %s", pool.jobHead.Hash, b1.Hash)
 	}
 
 	// A heavier branch without the tx replaces it; the tx must return
@@ -413,13 +415,12 @@ func TestMinerReorgReconcilesTxPool(t *testing.T) {
 	if _, err := h.engine.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if pool.JobHead().Hash != c2.Hash {
-		t.Fatalf("job head = %s after reorg, want %s", pool.JobHead().Hash, c2.Hash)
+	if pool.jobHead.Hash != c2.Hash {
+		t.Fatalf("job head = %s after reorg, want %s", pool.jobHead.Hash, c2.Hash)
 	}
-	if pool.TxPool().NextNonce(tx.Sender) != tx.Nonce {
-		t.Error("reverted tx still marked included")
-	}
-	if pending := pool.TxPool().PendingOf(tx.Sender); len(pending) != 1 || pending[0] != tx {
-		t.Error("reverted tx not back in pending")
+	// Executable starts each sender at its watermark, so the tx comes
+	// back only if the watermark fell to its nonce.
+	if got := pool.txs.Executable(10, nil); len(got) != 1 || got[0] != tx {
+		t.Errorf("executable after reorg = %v, want the reverted tx %s", got, tx.Hash)
 	}
 }

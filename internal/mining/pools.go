@@ -252,12 +252,3 @@ func UniformGatewayPools() []PoolSpec {
 	}
 	return pools
 }
-
-// TotalPower sums the power shares of the given specs.
-func TotalPower(specs []PoolSpec) float64 {
-	total := 0.0
-	for i := range specs {
-		total += specs[i].Power
-	}
-	return total
-}

@@ -26,8 +26,8 @@ func TestWithholdingConsultsRewardSchedule(t *testing.T) {
 	if burst := eth.OnPublicBlock(blk(2)); len(burst) != 1 {
 		t.Fatalf("ethereum withholder released %d blocks, want 1", len(burst))
 	}
-	if eth.Discarded() != 0 {
-		t.Errorf("ethereum withholder discarded %d blocks", eth.Discarded())
+	if eth.discarded != 0 {
+		t.Errorf("ethereum withholder discarded %d blocks", eth.discarded)
 	}
 
 	// Under Bitcoin a strictly overtaken private chain is worthless:
@@ -36,13 +36,13 @@ func TestWithholdingConsultsRewardSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	btc.BindProtocol(consensus.Bitcoin())
+	btc.BindProtocol(build(t, consensus.BitcoinName))
 	btc.OnMined(blk(1))
 	if burst := btc.OnPublicBlock(blk(2)); burst != nil {
 		t.Fatalf("bitcoin withholder published a beaten chain: %d blocks", len(burst))
 	}
-	if btc.Discarded() != 1 || btc.Lead() != 0 {
-		t.Errorf("discarded=%d lead=%d, want 1/0", btc.Discarded(), btc.Lead())
+	if btc.discarded != 1 || len(btc.private) != 0 {
+		t.Errorf("discarded=%d lead=%d, want 1/0", btc.discarded, len(btc.private))
 	}
 
 	// A tie is NOT overtaken: the private block can still win the
@@ -52,13 +52,13 @@ func TestWithholdingConsultsRewardSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tie.BindProtocol(consensus.Bitcoin())
+	tie.BindProtocol(build(t, consensus.BitcoinName))
 	tie.OnMined(blk(1))
 	if burst := tie.OnPublicBlock(blk(1)); len(burst) != 1 {
 		t.Fatalf("bitcoin withholder forfeited the tie race: released %d blocks, want 1", len(burst))
 	}
-	if tie.Discarded() != 0 {
-		t.Errorf("tie race discarded %d blocks", tie.Discarded())
+	if tie.discarded != 0 {
+		t.Errorf("tie race discarded %d blocks", tie.discarded)
 	}
 
 	// The race branch survives: a private chain still ahead by one is
@@ -67,14 +67,14 @@ func TestWithholdingConsultsRewardSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	race.BindProtocol(consensus.Bitcoin())
+	race.BindProtocol(build(t, consensus.BitcoinName))
 	race.OnMined(blk(5))
 	race.OnMined(blk(6))
 	if burst := race.OnPublicBlock(blk(5)); len(burst) != 2 {
 		t.Fatalf("bitcoin withholder raced with %d blocks, want 2", len(burst))
 	}
-	if race.Discarded() != 0 {
-		t.Errorf("racing withholder discarded %d blocks", race.Discarded())
+	if race.discarded != 0 {
+		t.Errorf("racing withholder discarded %d blocks", race.discarded)
 	}
 }
 
@@ -82,7 +82,7 @@ func TestWithholdingConsultsRewardSchedule(t *testing.T) {
 // attached through the miner receives the registry's protocol, and a
 // bitcoin miner builds blocks without uncle references end to end.
 func TestMinerBindsProtocolToStrategy(t *testing.T) {
-	h := newMiningHarnessProto(t, 3, consensus.Bitcoin())
+	h := newMiningHarnessProto(t, 3, build(t, consensus.BitcoinName))
 	specs := []PoolSpec{
 		{Name: "Attacker", Power: 0.6, Gateways: []geo.Region{geo.NorthAmerica}},
 		{Name: "Honest", Power: 0.4, Gateways: []geo.Region{geo.NorthAmerica}},
@@ -90,8 +90,8 @@ func TestMinerBindsProtocolToStrategy(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.InterBlockTime = 8 * time.Second
 	m := h.newMiner(cfg, specs, [][]*p2p.Node{{h.nodes[0]}, {h.nodes[1]}})
-	if m.Protocol().Name() != consensus.BitcoinName {
-		t.Fatalf("miner protocol = %q", m.Protocol().Name())
+	if m.proto.Name() != consensus.BitcoinName {
+		t.Fatalf("miner protocol = %q", m.proto.Name())
 	}
 	w, err := NewWithholding(3)
 	if err != nil {
@@ -117,4 +117,15 @@ func TestMinerBindsProtocolToStrategy(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// build returns the named protocol with its default parameters, as a
+// campaign's config builds it.
+func build(t testing.TB, name string) consensus.Protocol {
+	t.Helper()
+	p, err := consensus.Build(consensus.Spec{Name: name})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }

@@ -102,18 +102,11 @@ func NewWithholding(depth int) (*Withholding, error) {
 	return &Withholding{depth: depth}, nil
 }
 
-// Lead is the current private chain length.
-func (w *Withholding) Lead() int { return len(w.private) }
-
 // Bursts returns how many burst releases occurred.
 func (w *Withholding) Bursts() int { return w.bursts }
 
 // Released returns how many blocks were published through bursts.
 func (w *Withholding) Released() int { return w.released }
-
-// Discarded returns how many beaten private blocks were dropped
-// unpublished (only under protocols without reference rewards).
-func (w *Withholding) Discarded() int { return w.discarded }
 
 // BindProtocol implements ProtocolAware.
 func (w *Withholding) BindProtocol(p consensus.Protocol) { w.proto = p }
@@ -179,18 +172,6 @@ func (w *Withholding) flush() []*types.Block {
 	w.bursts++
 	w.released += len(out)
 	return out
-}
-
-// Withheld returns how many blocks are currently private across all
-// withholding strategies (diagnostics).
-func (m *Miner) Withheld() int {
-	n := 0
-	for _, p := range m.pools {
-		if w, ok := p.strategy.(*Withholding); ok {
-			n += w.Lead()
-		}
-	}
-	return n
 }
 
 // maybeIntercept hands a freshly mined block to the pool's strategy.

@@ -97,8 +97,8 @@ func TestWithholdingOverridesPublicProgress(t *testing.T) {
 	if err := attachWithholding(m, "Attacker", 10); err != nil {
 		t.Fatal(err)
 	}
-	attacker := m.Pools()[0]
-	honest := m.Pools()[1]
+	attacker := m.pools[0]
+	honest := m.pools[1]
 
 	// Attacker privately mines two blocks.
 	g := h.reg.Genesis()
@@ -135,7 +135,7 @@ func TestWithholdingOverridesPublicProgress(t *testing.T) {
 // takes the next transaction instead of repeating one, and a private
 // chain it discards returns its transactions to the pool.
 func TestWithholdingTxPoolFollowsPrivateTip(t *testing.T) {
-	h := newMiningHarnessProto(t, 3, consensus.Bitcoin())
+	h := newMiningHarnessProto(t, 3, build(t, consensus.BitcoinName))
 	specs := []PoolSpec{
 		{Name: "Attacker", Power: 0.6, Gateways: []geo.Region{geo.NorthAmerica}},
 		{Name: "Honest", Power: 0.4, Gateways: []geo.Region{geo.NorthAmerica}},
@@ -151,10 +151,10 @@ func TestWithholdingTxPoolFollowsPrivateTip(t *testing.T) {
 	if err := m.AttachStrategy("Attacker", w); err != nil {
 		t.Fatal(err)
 	}
-	attacker, honest := m.Pools()[0], m.Pools()[1]
+	attacker, honest := m.pools[0], m.pools[1]
 	tx0, tx1 := h.addTx(1, 0, 10), h.addTx(1, 1, 10)
-	attacker.TxPool().Add(tx0)
-	attacker.TxPool().Add(tx1)
+	attacker.txs.Add(tx0)
+	attacker.txs.Add(tx1)
 
 	g := h.reg.Genesis()
 	b1 := m.buildBlock(attacker, g, false, nil)
@@ -177,13 +177,24 @@ func TestWithholdingTxPoolFollowsPrivateTip(t *testing.T) {
 		parent = b
 	}
 	m.publish(honest, m.buildBlock(honest, parent, true, nil), true)
-	if w.Discarded() != 2 || m.Withheld() != 0 {
-		t.Fatalf("discarded %d, withheld %d; want 2 and 0", w.Discarded(), m.Withheld())
+	if w.discarded != 2 || m.Withheld() != 0 {
+		t.Fatalf("discarded %d, withheld %d; want 2 and 0", w.discarded, m.Withheld())
 	}
-	if next := attacker.TxPool().NextNonce(1); next != 0 {
-		t.Errorf("sender's next nonce = %d after the discard, want 0", next)
+	// Executable starts the sender at its watermark: both txs return
+	// only if the discard rolled the watermark back to nonce 0.
+	if got := attacker.txs.Executable(10, nil); len(got) != 2 || got[0] != tx0 || got[1] != tx1 {
+		t.Errorf("executable after the discard = %v, want the discarded chain's %s and %s", got, tx0.Hash, tx1.Hash)
 	}
-	if pending := attacker.TxPool().PendingOf(1); len(pending) != 2 || pending[0] != tx0 || pending[1] != tx1 {
-		t.Errorf("pending after the discard = %v, want the discarded chain's %s and %s", pending, tx0.Hash, tx1.Hash)
+}
+
+// Withheld returns how many blocks are currently private across all
+// withholding strategies (diagnostics).
+func (m *Miner) Withheld() int {
+	n := 0
+	for _, p := range m.pools {
+		if w, ok := p.strategy.(*Withholding); ok {
+			n += len(w.private)
+		}
 	}
+	return n
 }

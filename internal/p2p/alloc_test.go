@@ -155,6 +155,9 @@ func TestKnownTableAllocatesAtMostTwice(t *testing.T) {
 		b++
 	}
 	capacity := h.cfg.KnownBlocksPerPeer
+	// Mallocs is process-wide: one P keeps other goroutines from
+	// allocating inside the window, as testing.AllocsPerRun does.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	relay()

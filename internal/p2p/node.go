@@ -211,9 +211,6 @@ func (n *Node) SetProcSpeed(speed float64) {
 	}
 }
 
-// ProcSpeed returns the node's processing-speed scale.
-func (n *Node) ProcSpeed() float64 { return n.procSpeed }
-
 func (n *Node) scale(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * n.procSpeed)
 }
@@ -226,9 +223,6 @@ func (n *Node) Endpoint() *simnet.Node { return n.netNode }
 
 // View returns the node's chain view.
 func (n *Node) View() *chain.View { return n.view }
-
-// NumPeers returns the number of connected peers.
-func (n *Node) NumPeers() int { return len(n.links) }
 
 // Peers returns the connected peer nodes in connection order.
 func (n *Node) Peers() []*Node {

@@ -81,13 +81,13 @@ func TestConnectDeduplicatesAndRejectsSelf(t *testing.T) {
 	h := newHarness(t, 2, DefaultConfig())
 	a, b := h.nodes[0], h.nodes[1]
 	Connect(a, a)
-	if a.NumPeers() != 0 {
+	if len(a.links) != 0 {
 		t.Error("self-connect made a link")
 	}
 	Connect(a, b)
 	Connect(b, a)
-	if a.NumPeers() != 1 || b.NumPeers() != 1 {
-		t.Errorf("peer counts %d/%d", a.NumPeers(), b.NumPeers())
+	if len(a.links) != 1 || len(b.links) != 1 {
+		t.Errorf("peer counts %d/%d", len(a.links), len(b.links))
 	}
 	if a.Peers()[0] != b {
 		t.Error("Peers() wrong")
@@ -330,15 +330,15 @@ func TestSetProcSpeedIgnoresNonPositive(t *testing.T) {
 	h := newHarness(t, 1, DefaultConfig())
 	n := h.nodes[0]
 	n.SetProcSpeed(-1)
-	if n.ProcSpeed() != 1 {
+	if n.procSpeed != 1 {
 		t.Error("negative speed should be ignored")
 	}
 	n.SetProcSpeed(0)
-	if n.ProcSpeed() != 1 {
+	if n.procSpeed != 1 {
 		t.Error("zero speed should be ignored")
 	}
 	n.SetProcSpeed(2)
-	if n.ProcSpeed() != 2 {
+	if n.procSpeed != 2 {
 		t.Error("valid speed not applied")
 	}
 }
@@ -363,15 +363,15 @@ func TestDisconnectPair(t *testing.T) {
 	h.full()
 	a, b, c := h.nodes[0], h.nodes[1], h.nodes[2]
 	Disconnect(a, b)
-	if a.NumPeers() != 1 || b.NumPeers() != 1 {
-		t.Errorf("peer counts after disconnect: %d/%d", a.NumPeers(), b.NumPeers())
+	if len(a.links) != 1 || len(b.links) != 1 {
+		t.Errorf("peer counts after disconnect: %d/%d", len(a.links), len(b.links))
 	}
 	if a.Peers()[0] != c || b.Peers()[0] != c {
 		t.Error("surviving edges wrong")
 	}
 	// Disconnecting again is a no-op.
 	Disconnect(a, b)
-	if a.NumPeers() != 1 {
+	if len(a.links) != 1 {
 		t.Error("repeat disconnect changed state")
 	}
 	// Traffic still flows via c.
@@ -388,8 +388,8 @@ func TestDisconnectAllAndRejoin(t *testing.T) {
 	h.full()
 	n := h.nodes[2]
 	n.DisconnectAll()
-	if n.NumPeers() != 0 {
-		t.Fatalf("peers after DisconnectAll = %d", n.NumPeers())
+	if len(n.links) != 0 {
+		t.Fatalf("peers after DisconnectAll = %d", len(n.links))
 	}
 	for i, other := range h.nodes {
 		if other == n {
@@ -436,8 +436,8 @@ func TestConnectFindsEdgeFromEitherSide(t *testing.T) {
 	Connect(leaf, h.nodes[2])
 	Connect(leaf, h.nodes[3])
 	Connect(leaf, hub)
-	if hub.NumPeers() != 301 || leaf.NumPeers() != 3 {
-		t.Fatalf("peer counts %d/%d, want 301/3", hub.NumPeers(), leaf.NumPeers())
+	if len(hub.links) != 301 || len(leaf.links) != 3 {
+		t.Fatalf("peer counts %d/%d, want 301/3", len(hub.links), len(leaf.links))
 	}
 	check := func(stage string, peered bool) {
 		t.Helper()
@@ -460,8 +460,8 @@ func TestConnectFindsEdgeFromEitherSide(t *testing.T) {
 	check("connected", true)
 	Connect(hub, leaf)
 	Connect(leaf, hub)
-	if hub.NumPeers() != 301 || leaf.NumPeers() != 3 {
-		t.Fatalf("reconnect changed peer counts to %d/%d", hub.NumPeers(), leaf.NumPeers())
+	if len(hub.links) != 301 || len(leaf.links) != 3 {
+		t.Fatalf("reconnect changed peer counts to %d/%d", len(hub.links), len(leaf.links))
 	}
 	if _, ok := hub.linkTo(h.nodes[300]); !ok {
 		t.Fatal("linkTo misses the hub's link to node 300")
@@ -486,8 +486,8 @@ func TestConnectFindsEdgeFromEitherSide(t *testing.T) {
 		Connect(leaf, hub)
 		check(td.name+" then Connect from the other side", true)
 	}
-	if hub.NumPeers() != 1 || leaf.NumPeers() != 1 {
-		t.Fatalf("after hub DisconnectAll and reconnect: peer counts %d/%d, want 1/1", hub.NumPeers(), leaf.NumPeers())
+	if len(hub.links) != 1 || len(leaf.links) != 1 {
+		t.Fatalf("after hub DisconnectAll and reconnect: peer counts %d/%d, want 1/1", len(hub.links), len(leaf.links))
 	}
 }
 

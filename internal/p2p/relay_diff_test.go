@@ -102,7 +102,7 @@ func newFloodNet(tb testing.TB, c floodCase) *floodNet {
 		f.txs = append(f.txs, &types.Transaction{Hash: issuer.Next(), Size: types.TxSize})
 	}
 	a := f.nodes[rng.Intn(len(f.nodes))]
-	f.cut = [2]*Node{a, a.Peers()[rng.Intn(a.NumPeers())]}
+	f.cut = [2]*Node{a, a.Peers()[rng.Intn(len(a.links))]}
 	f.leaver = f.nodes[rng.Intn(len(f.nodes))]
 	return f
 }

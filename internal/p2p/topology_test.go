@@ -17,10 +17,10 @@ func TestBuildRandomTopologyDegrees(t *testing.T) {
 	}
 	totalDegree := 0
 	for i, n := range h.nodes {
-		if n.NumPeers() < 4 {
-			t.Errorf("node %d degree %d < outDegree", i, n.NumPeers())
+		if len(n.links) < 4 {
+			t.Errorf("node %d degree %d < outDegree", i, len(n.links))
 		}
-		totalDegree += n.NumPeers()
+		totalDegree += len(n.links)
 	}
 	mean := float64(totalDegree) / float64(len(h.nodes))
 	if mean < 7 || mean > 9.5 {
@@ -65,8 +65,8 @@ func TestBuildDiscoveryTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, n := range h.nodes {
-		if n.NumPeers() < 4 {
-			t.Errorf("node %d degree %d < outDegree", i, n.NumPeers())
+		if len(n.links) < 4 {
+			t.Errorf("node %d degree %d < outDegree", i, len(n.links))
 		}
 	}
 	// The discovery-built graph must be flood-connected.
@@ -99,14 +99,14 @@ func TestConnectToRandom(t *testing.T) {
 	if made != 5 {
 		t.Errorf("made %d connections, want 5", made)
 	}
-	if node.NumPeers() != 5 {
-		t.Errorf("peers = %d", node.NumPeers())
+	if len(node.links) != 5 {
+		t.Errorf("peers = %d", len(node.links))
 	}
 	// Self and existing peers are skipped; asking for more than
 	// available caps out.
 	made = ConnectToRandom(rng, node, h.nodes, 100)
-	if node.NumPeers() != 9 {
-		t.Errorf("peers after exhaustive connect = %d, want 9", node.NumPeers())
+	if len(node.links) != 9 {
+		t.Errorf("peers after exhaustive connect = %d, want 9", len(node.links))
 	}
 	if made != 4 {
 		t.Errorf("made = %d, want 4", made)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ethmeasure/internal/analysis"
-	"ethmeasure/internal/stats"
 )
 
 func TestRewardsRendering(t *testing.T) {
@@ -64,7 +63,7 @@ func TestThroughputRendering(t *testing.T) {
 
 func TestInterBlockRendering(t *testing.T) {
 	r := &analysis.InterBlockResult{
-		GapsSec: stats.FromSlice([]float64{13, 14}),
+		GapsSec: sampleOf(13, 14),
 		MeanSec: 15.0, MedianSec: 11.0, P95Sec: 41.7, CoeffVar: 0.90, Blocks: 480,
 	}
 	out := render(func(sb *strings.Builder) { InterBlock(sb, r) })

@@ -11,7 +11,6 @@ import (
 
 	"ethmeasure/internal/analysis"
 	"ethmeasure/internal/measure"
-	"ethmeasure/internal/stats"
 )
 
 const barWidth = 40
@@ -287,17 +286,4 @@ func TxPropagation(w io.Writer, r *analysis.TxPropagationResult) {
 	}
 	Table(w, []string{"Vantage", "First share", "Median delay"}, rows)
 	fmt.Fprintln(w, "(paper: no geographic effect within NTP measurement error)")
-}
-
-// CDFPlot renders a sample's CDF as a small text plot.
-func CDFPlot(w io.Writer, title, unit string, s *stats.Sample) {
-	fmt.Fprintln(w, title)
-	if s.N() == 0 {
-		fmt.Fprintln(w, "(no samples)")
-		return
-	}
-	for _, q := range []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99} {
-		v := s.MustQuantile(q)
-		fmt.Fprintf(w, "%3.0f%% <= %8.1f%s %s\n", q*100, v, unit, bar(q))
-	}
 }

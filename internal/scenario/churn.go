@@ -90,9 +90,6 @@ func (c *Churn) Start(env *Env) error {
 	return nil
 }
 
-// Events returns how many restarts occurred.
-func (c *Churn) Events() int { return c.events }
-
 // Metrics implements MetricsReporter.
 func (c *Churn) Metrics() map[string]float64 {
 	return map[string]float64{"events": float64(c.events)}

@@ -118,10 +118,6 @@ func (s *Eclipse) MutateTopology(env *Env) error {
 	return nil
 }
 
-// Victim returns the index of the eclipsed regular node (diagnostics;
-// valid after MutateTopology).
-func (s *Eclipse) Victim() int { return s.victim }
-
 // Metrics implements MetricsReporter.
 func (s *Eclipse) Metrics() map[string]float64 {
 	return map[string]float64{

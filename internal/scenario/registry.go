@@ -49,11 +49,6 @@ func Validate(spec Spec) error {
 	return cat.Validate(spec)
 }
 
-// Names returns the registered scenario names, sorted.
-func Names() []string {
-	return cat.Names()
-}
-
 // Catalog returns every registration sorted by name — the source of
 // CLI -list-scenarios output.
 func Catalog() []Registration {

@@ -180,9 +180,9 @@ func TestCatalogCoversAllPlugins(t *testing.T) {
 		BandwidthName, ChurnName, ChurnBurstName, EclipseName,
 		PartitionName, RelayOverlayName, WithholdName,
 	}
-	got := Names()
+	got := cat.Names()
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Names() = %v, want %v", got, want)
+		t.Errorf("names = %v, want %v", got, want)
 	}
 	for _, reg := range Catalog() {
 		if reg.Desc == "" || reg.Usage == "" {

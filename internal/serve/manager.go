@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -61,6 +62,10 @@ type Manager struct {
 	closing bool
 	killed  bool
 	wg      sync.WaitGroup
+
+	// run, when set, replaces runJob (tests inject failing jobs). Set
+	// it before the first Submit; workers read it under mu.
+	run func(context.Context, *jobState) error
 }
 
 // Open loads persisted jobs from opts.Dir and starts the worker pool.
@@ -310,12 +315,12 @@ func (m *Manager) notifyLocked(js *jobState) {
 func (m *Manager) worker() {
 	defer m.wg.Done()
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	for {
 		for !m.closing && len(m.queue) == 0 {
 			m.cond.Wait()
 		}
 		if m.closing {
+			m.mu.Unlock()
 			return
 		}
 		id := m.queue[0]
@@ -339,15 +344,31 @@ func (m *Manager) worker() {
 		}
 		m.persistLocked(js)
 		m.notifyLocked(js)
+		run := m.runJob
+		if m.run != nil {
+			run = m.run
+		}
 		m.mu.Unlock()
 
-		err := m.runJob(ctx, js)
+		err := runRecovered(ctx, js, id, run)
 
 		m.mu.Lock()
 		cancel()
 		js.cancel = nil
 		m.finishLocked(js, err)
 	}
+}
+
+// runRecovered runs one job outside the manager lock and turns a panic
+// in it into the job's error, stack included, so a bug in one job fails
+// that job and leaves the server and its other jobs running.
+func runRecovered(ctx context.Context, js *jobState, id string, run func(context.Context, *jobState) error) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("serve: job %s panicked: %v\n%s", id, p, debug.Stack())
+		}
+	}()
+	return run(ctx, js)
 }
 
 // finishLocked maps a finished run's error to the job's next state.

@@ -1,9 +1,13 @@
 package serve
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -436,5 +440,79 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if jobs := m.List(); len(jobs) != 0 {
 		t.Errorf("%d jobs created by invalid submissions", len(jobs))
+	}
+}
+
+// TestJobPanicFailsOnlyThatJob: a panic inside a job ends that job
+// failed with the panic text and its stack; the worker that ran it
+// goes on to run the next job to done.
+func TestJobPanicFailsOnlyThatJob(t *testing.T) {
+	m := openManager(t, t.TempDir(), Options{MaxJobs: 1})
+	defer m.Close()
+	var calls atomic.Int32
+	m.mu.Lock()
+	m.run = func(ctx context.Context, js *jobState) error {
+		if calls.Add(1) == 1 {
+			panic("injected job fault")
+		}
+		return m.runJob(ctx, js)
+	}
+	m.mu.Unlock()
+
+	bad, err := m.Submit(quickSpec())
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	good, err := m.Submit(quickSpec())
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	failed := waitJob(t, m, bad.ID, time.Minute, isState(StateFailed))
+	for _, want := range []string{"panicked: injected job fault", "runRecovered"} {
+		if !strings.Contains(failed.Error, want) {
+			t.Errorf("failed job's error lacks %q:\n%s", want, failed.Error)
+		}
+	}
+	waitJob(t, m, good.ID, 2*time.Minute, isState(StateDone))
+}
+
+// TestDamagedJobFileDoesNotStopServer: a truncated job.json beside a
+// good queued job lets the server open; the damaged job is listed as
+// failed with the reason, its file is left as found, its number is not
+// reused, and the good job runs to done.
+func TestDamagedJobFileDoesNotStopServer(t *testing.T) {
+	dir := t.TempDir()
+	spec := quickSpec()
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	storeQueued(t, dir, "j000001", spec)
+	storeQueued(t, dir, "j000002", spec)
+	damaged := filepath.Join(dir, "jobs", "j000002", "job.json")
+	whole, err := os.ReadFile(damaged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truncated := whole[:len(whole)/2]
+	if err := os.WriteFile(damaged, truncated, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m := openManager(t, dir, Options{MaxJobs: 1})
+	defer m.Close()
+	waitJob(t, m, "j000001", 2*time.Minute, isState(StateDone))
+	j, ok := m.Get("j000002")
+	if !ok || j.State != StateFailed || !strings.Contains(j.Error, "load job j000002") {
+		t.Fatalf("damaged job = %+v (listed %v), want failed naming the load error", j, ok)
+	}
+	if got, err := os.ReadFile(damaged); err != nil || !bytes.Equal(got, truncated) {
+		t.Errorf("damaged job.json changed (err %v)", err)
+	}
+	next, err := m.Submit(quickSpec())
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if next.ID != "j000003" {
+		t.Errorf("next job ID = %s, want j000003", next.ID)
 	}
 }

@@ -84,7 +84,9 @@ func (st *store) saveJob(j *Job) error {
 }
 
 // loadJobs reads every persisted job, sorted by ID (IDs are zero-padded
-// sequence numbers, so lexical order is submission order).
+// sequence numbers, so lexical order is submission order). A job.json
+// that cannot be read or decoded does not stop the others: its job is
+// listed as failed with the reason, and its file is left as found.
 func (st *store) loadJobs() ([]*Job, error) {
 	entries, err := os.ReadDir(filepath.Join(st.dir, "jobs"))
 	if err != nil {
@@ -100,7 +102,7 @@ func (st *store) loadJobs() ([]*Job, error) {
 			if errors.Is(err, fs.ErrNotExist) {
 				continue // directory created but job.json never landed
 			}
-			return nil, fmt.Errorf("serve: load job %s: %w", e.Name(), err)
+			j = Job{ID: e.Name(), State: StateFailed, Error: fmt.Sprintf("serve: load job %s: %v", e.Name(), err)}
 		}
 		jobs = append(jobs, &j)
 	}

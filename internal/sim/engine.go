@@ -234,16 +234,6 @@ func (e *Engine) Run(horizon Time) (Time, error) {
 	return e.now, nil
 }
 
-// Step executes exactly one event, if any, and reports whether an
-// event ran. Useful in tests that need fine-grained control.
-func (e *Engine) Step() bool {
-	if e.lq.size() == 0 {
-		return false
-	}
-	e.execTop()
-	return true
-}
-
 // slabSize reports the number of slots ever allocated (tests: slot
 // reuse keeps this bounded by the high-water pending count, not the
 // total event count).

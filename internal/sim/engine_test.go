@@ -137,22 +137,21 @@ func TestEngineStopBeforeRun(t *testing.T) {
 	}
 }
 
+// TestEngineStep advances the engine one event at a time through
+// horizons that each admit one more event.
 func TestEngineStep(t *testing.T) {
 	e := NewEngine(1)
-	if e.Step() {
-		t.Fatal("Step on empty queue should return false")
+	if _, err := e.Run(0); err != nil || e.EventsRun() != 0 {
+		t.Fatalf("Run on empty queue = %v after %d events", err, e.EventsRun())
 	}
 	ran := 0
 	e.Schedule(time.Millisecond, func() { ran++ })
 	e.Schedule(2*time.Millisecond, func() { ran++ })
-	if !e.Step() || ran != 1 {
-		t.Fatalf("first step ran %d events", ran)
+	if now, _ := e.Run(time.Millisecond); ran != 1 || now != time.Millisecond {
+		t.Fatalf("first step ran %d events, now %v", ran, now)
 	}
-	if e.Now() != time.Millisecond {
-		t.Errorf("now = %v after first step", e.Now())
-	}
-	if !e.Step() || ran != 2 {
-		t.Fatalf("second step ran %d events", ran)
+	if now, _ := e.Run(2 * time.Millisecond); ran != 2 || now != 2*time.Millisecond {
+		t.Fatalf("second step ran %d events, now %v", ran, now)
 	}
 }
 

@@ -175,6 +175,3 @@ func (b *Burst) Delay(to types.NodeID) time.Duration {
 
 // Engine returns the simulation engine the network runs on.
 func (n *Network) Engine() *sim.Engine { return n.engine }
-
-// Latency returns the latency model (read-only use).
-func (n *Network) Latency() *geo.LatencyModel { return n.latency }

@@ -131,7 +131,7 @@ func keyedNet(t *testing.T, seed int64) (*sim.Engine, *Network, []*Node) {
 // no Burst delay.
 func TestTransmitDelayIsLatencyPlusTransferPlusOverhead(t *testing.T) {
 	engine, net, nodes := keyedNet(t, 7)
-	lat := net.Latency()
+	lat := net.latency
 	want := func(from, to *Node, size int, kind, object uint64) time.Duration {
 		words := object*objectMul ^ (kind<<32|uint64(from.ID))*senderMul ^
 			uint64(engine.Now())*timeMul ^ uint64(to.ID)*toMul
@@ -226,7 +226,7 @@ func TestKeyedDelaysMatchStreamLaw(t *testing.T) {
 	tol := 3.2 * math.Sqrt(2.0/draws)
 	engine, net, nodes := keyedNet(t, 5)
 	net.MinOverhead = 0
-	lat := net.Latency()
+	lat := net.latency
 	stream := sim.NewSplitmix(engine.Seed(), "stream-law", 0)
 	// Latencies are counted in buckets of 1/4096 of the pair's floor:
 	// far finer than the tolerance needs, and no sort.

@@ -1,7 +1,7 @@
 // Package stats provides the statistical primitives the analysis
-// pipeline needs: streaming summaries, quantiles, histograms and
-// empirical CDFs. It replaces the pandas/NumPy post-processing the
-// paper used (§II) with pure-Go equivalents.
+// pipeline needs: streaming summaries, quantiles and histograms. It
+// replaces the pandas/NumPy post-processing the paper used (§II) with
+// pure-Go equivalents.
 package stats
 
 import (
@@ -41,28 +41,6 @@ func (s *Summary) Add(x float64) {
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
 	s.m2 += delta * (x - s.mean)
-}
-
-// Merge combines another summary into s (parallel Welford merge).
-func (s *Summary) Merge(o *Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *o
-		return
-	}
-	n := s.n + o.n
-	delta := o.mean - s.mean
-	mean := s.mean + delta*float64(o.n)/float64(n)
-	m2 := s.m2 + o.m2 + delta*delta*float64(s.n)*float64(o.n)/float64(n)
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.n, s.mean, s.m2 = n, mean, m2
 }
 
 // N returns the number of observations.
@@ -151,13 +129,6 @@ func NewSample(capacity int) *Sample {
 	return &Sample{xs: make([]float64, 0, capacity)}
 }
 
-// FromSlice wraps a copy of xs in a Sample.
-func FromSlice(xs []float64) *Sample {
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	return &Sample{xs: cp}
-}
-
 // Add appends one observation.
 func (s *Sample) Add(x float64) {
 	s.xs = append(s.xs, x)
@@ -223,9 +194,6 @@ func (s *Sample) MustQuantile(q float64) float64 {
 	return v
 }
 
-// Median returns the 0.5-quantile.
-func (s *Sample) Median() (float64, error) { return s.Quantile(0.5) }
-
 // Mean returns the arithmetic mean.
 func (s *Sample) Mean() (float64, error) {
 	if len(s.xs) == 0 {
@@ -236,38 +204,6 @@ func (s *Sample) Mean() (float64, error) {
 		sum += x
 	}
 	return sum / float64(len(s.xs)), nil
-}
-
-// Min returns the smallest observation.
-func (s *Sample) Min() (float64, error) {
-	if len(s.xs) == 0 {
-		return 0, ErrEmpty
-	}
-	s.ensureSorted()
-	return s.xs[0], nil
-}
-
-// Max returns the largest observation.
-func (s *Sample) Max() (float64, error) {
-	if len(s.xs) == 0 {
-		return 0, ErrEmpty
-	}
-	s.ensureSorted()
-	return s.xs[len(s.xs)-1], nil
-}
-
-// CountAtMost returns how many observations are ≤ x.
-func (s *Sample) CountAtMost(x float64) int {
-	s.ensureSorted()
-	return sort.SearchFloat64s(s.xs, math.Nextafter(x, math.Inf(1)))
-}
-
-// FractionAtMost returns the empirical CDF evaluated at x.
-func (s *Sample) FractionAtMost(x float64) float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	return float64(s.CountAtMost(x)) / float64(len(s.xs))
 }
 
 // Histogram is a fixed-width bucketed histogram over [Lo, Hi). Values
@@ -325,68 +261,4 @@ func (h *Histogram) Density(i int) float64 {
 		return 0
 	}
 	return float64(h.Buckets[i]) / float64(h.total)
-}
-
-// CDF is an empirical cumulative distribution function built from a
-// sample, queryable at arbitrary points and exportable as plot series.
-type CDF struct {
-	sorted []float64
-}
-
-// NewCDF builds a CDF from a copy of xs.
-func NewCDF(xs []float64) *CDF {
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	sort.Float64s(cp)
-	return &CDF{sorted: cp}
-}
-
-// At returns P(X ≤ x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	idx := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(idx) / float64(len(c.sorted))
-}
-
-// InverseAt returns the smallest x with P(X ≤ x) ≥ p.
-func (c *CDF) InverseAt(p float64) (float64, error) {
-	if len(c.sorted) == 0 {
-		return 0, ErrEmpty
-	}
-	if p <= 0 {
-		return c.sorted[0], nil
-	}
-	if p >= 1 {
-		return c.sorted[len(c.sorted)-1], nil
-	}
-	idx := int(math.Ceil(p*float64(len(c.sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return c.sorted[idx], nil
-}
-
-// N returns the number of points backing the CDF.
-func (c *CDF) N() int { return len(c.sorted) }
-
-// Series samples the CDF at n evenly spaced x positions across the data
-// range, returning (xs, ps) suitable for text plotting.
-func (c *CDF) Series(n int) ([]float64, []float64) {
-	if len(c.sorted) == 0 || n <= 0 {
-		return nil, nil
-	}
-	lo, hi := c.sorted[0], c.sorted[len(c.sorted)-1]
-	xs := make([]float64, n)
-	ps := make([]float64, n)
-	for i := 0; i < n; i++ {
-		x := lo
-		if n > 1 {
-			x = lo + (hi-lo)*float64(i)/float64(n-1)
-		}
-		xs[i] = x
-		ps[i] = c.At(x)
-	}
-	return xs, ps
 }

@@ -34,16 +34,3 @@ func BenchmarkHistogramAdd(b *testing.B) {
 		h.Add(float64(i % 600))
 	}
 }
-
-func BenchmarkCDFAt(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]float64, 50_000)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-	}
-	c := NewCDF(xs)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = c.At(float64(i%7) - 3)
-	}
-}

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -36,46 +36,6 @@ func TestSummaryEmpty(t *testing.T) {
 	var s Summary
 	if s.N() != 0 || s.Mean() != 0 || s.Variance() != 0 {
 		t.Error("empty summary should be all zeros")
-	}
-}
-
-func TestSummaryMergeMatchesBulk(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	var bulk, a, b Summary
-	for i := 0; i < 1000; i++ {
-		x := rng.NormFloat64()*3 + 10
-		bulk.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(&b)
-	if a.N() != bulk.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), bulk.N())
-	}
-	if math.Abs(a.Mean()-bulk.Mean()) > 1e-9 {
-		t.Errorf("merged mean %f vs bulk %f", a.Mean(), bulk.Mean())
-	}
-	if math.Abs(a.Variance()-bulk.Variance()) > 1e-9 {
-		t.Errorf("merged variance %f vs bulk %f", a.Variance(), bulk.Variance())
-	}
-	if a.Min() != bulk.Min() || a.Max() != bulk.Max() {
-		t.Error("merged min/max mismatch")
-	}
-}
-
-func TestSummaryMergeEmptyCases(t *testing.T) {
-	var a, b Summary
-	a.Merge(&b) // both empty: no-op
-	if a.N() != 0 {
-		t.Fatal("merging empties changed N")
-	}
-	b.Add(3)
-	a.Merge(&b)
-	if a.N() != 1 || a.Mean() != 3 {
-		t.Fatal("merge into empty failed")
 	}
 }
 
@@ -133,40 +93,22 @@ func TestSampleSingleValue(t *testing.T) {
 
 func TestSampleMinMaxMeanMedian(t *testing.T) {
 	s := FromSlice([]float64{5, 1, 9, 3})
-	if got, _ := s.Min(); got != 1 {
-		t.Errorf("min %f", got)
-	}
-	if got, _ := s.Max(); got != 9 {
-		t.Errorf("max %f", got)
+	for _, c := range []struct {
+		q, want float64
+	}{{0, 1}, {1, 9}, {0.5, 4}} {
+		if got, _ := s.Quantile(c.q); got != c.want {
+			t.Errorf("Quantile(%v) = %f, want %f", c.q, got, c.want)
+		}
 	}
 	if got, _ := s.Mean(); got != 4.5 {
 		t.Errorf("mean %f", got)
 	}
-	if got, _ := s.Median(); got != 4 {
-		t.Errorf("median %f", got)
-	}
 	var empty Sample
-	for _, fn := range []func() (float64, error){empty.Min, empty.Max, empty.Mean, empty.Median} {
-		if _, err := fn(); !errors.Is(err, ErrEmpty) {
-			t.Error("empty sample stats must return ErrEmpty")
-		}
+	if _, err := empty.Mean(); !errors.Is(err, ErrEmpty) {
+		t.Error("empty sample mean must return ErrEmpty")
 	}
-}
-
-func TestSampleCounts(t *testing.T) {
-	s := FromSlice([]float64{1, 2, 2, 3, 10})
-	if got := s.CountAtMost(2); got != 3 {
-		t.Errorf("CountAtMost(2) = %d, want 3", got)
-	}
-	if got := s.CountAtMost(0.5); got != 0 {
-		t.Errorf("CountAtMost(0.5) = %d", got)
-	}
-	if got := s.FractionAtMost(3); got != 0.8 {
-		t.Errorf("FractionAtMost(3) = %f", got)
-	}
-	var empty Sample
-	if got := empty.FractionAtMost(1); got != 0 {
-		t.Errorf("empty FractionAtMost = %f", got)
+	if _, err := empty.Quantile(0.5); !errors.Is(err, ErrEmpty) {
+		t.Error("empty sample median must return ErrEmpty")
 	}
 }
 
@@ -174,7 +116,7 @@ func TestSampleValuesIsCopy(t *testing.T) {
 	s := FromSlice([]float64{1, 2, 3})
 	v := s.Values()
 	v[0] = 99
-	if got, _ := s.Min(); got != 1 {
+	if got, _ := s.Quantile(0); got != 1 {
 		t.Error("Values() must not alias internal storage")
 	}
 }
@@ -243,63 +185,6 @@ func TestHistogramEmptyDensity(t *testing.T) {
 	}
 }
 
-func TestCDFAt(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4})
-	tests := []struct {
-		x    float64
-		want float64
-	}{
-		{0.5, 0}, {1, 0.25}, {2.5, 0.5}, {4, 1}, {99, 1},
-	}
-	for _, tt := range tests {
-		if got := c.At(tt.x); got != tt.want {
-			t.Errorf("At(%f) = %f, want %f", tt.x, got, tt.want)
-		}
-	}
-	if NewCDF(nil).At(1) != 0 {
-		t.Error("empty CDF At should be 0")
-	}
-}
-
-func TestCDFInverse(t *testing.T) {
-	c := NewCDF([]float64{10, 20, 30, 40})
-	tests := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 10}, {0.25, 10}, {0.26, 20}, {0.5, 20}, {0.75, 30}, {1, 40},
-	}
-	for _, tt := range tests {
-		got, err := c.InverseAt(tt.p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != tt.want {
-			t.Errorf("InverseAt(%f) = %f, want %f", tt.p, got, tt.want)
-		}
-	}
-	if _, err := NewCDF(nil).InverseAt(0.5); !errors.Is(err, ErrEmpty) {
-		t.Error("empty inverse must return ErrEmpty")
-	}
-}
-
-func TestCDFSeries(t *testing.T) {
-	c := NewCDF([]float64{0, 10})
-	xs, ps := c.Series(11)
-	if len(xs) != 11 || len(ps) != 11 {
-		t.Fatalf("series lengths %d/%d", len(xs), len(ps))
-	}
-	if xs[0] != 0 || xs[10] != 10 {
-		t.Errorf("x range [%f, %f]", xs[0], xs[10])
-	}
-	if ps[10] != 1 {
-		t.Errorf("final p = %f", ps[10])
-	}
-	if xs2, _ := NewCDF(nil).Series(5); xs2 != nil {
-		t.Error("empty CDF series should be nil")
-	}
-}
-
 // Property: quantiles are monotonic in q and bracketed by min/max.
 func TestQuantileMonotonicProperty(t *testing.T) {
 	f := func(raw []float64, q1, q2 float64) bool {
@@ -322,76 +207,9 @@ func TestQuantileMonotonicProperty(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		lo, _ := s.Min()
-		hi, _ := s.Max()
-		return v1 <= v2 && v1 >= lo && v2 <= hi
+		return v1 <= v2 && v1 >= slices.Min(raw) && v2 <= slices.Max(raw)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: the empirical CDF is nondecreasing and within [0,1].
-func TestCDFMonotoneProperty(t *testing.T) {
-	f := func(raw []float64, probes []float64) bool {
-		for _, x := range raw {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return true
-			}
-		}
-		c := NewCDF(raw)
-		sort.Float64s(probes)
-		prev := 0.0
-		for _, x := range probes {
-			if math.IsNaN(x) {
-				continue
-			}
-			p := c.At(x)
-			if p < prev || p < 0 || p > 1 {
-				return false
-			}
-			prev = p
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Summary.Merge is order-insensitive for mean and N.
-func TestSummaryMergeProperty(t *testing.T) {
-	f := func(a, b []float64) bool {
-		clean := func(xs []float64) []float64 {
-			var out []float64
-			for _, x := range xs {
-				if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e12 {
-					out = append(out, x)
-				}
-			}
-			return out
-		}
-		a, b = clean(a), clean(b)
-		var s1, s2, t1, t2 Summary
-		for _, x := range a {
-			s1.Add(x)
-			t2.Add(x)
-		}
-		for _, x := range b {
-			s2.Add(x)
-			t1.Add(x)
-		}
-		s1.Merge(&s2) // a then b
-		t1.Merge(&t2) // b then a
-		if s1.N() != t1.N() {
-			return false
-		}
-		if s1.N() == 0 {
-			return true
-		}
-		return math.Abs(s1.Mean()-t1.Mean()) < 1e-6*(1+math.Abs(s1.Mean()))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -451,4 +269,11 @@ func TestSummaryCI95(t *testing.T) {
 	if got := s.CI95(); math.Abs(got-want) > 1e-9 {
 		t.Errorf("CI95 = %v, want %v", got, want)
 	}
+}
+
+// FromSlice wraps a copy of xs in a Sample.
+func FromSlice(xs []float64) *Sample {
+	cp := make([]float64, len(xs))
+	copy(cp, xs)
+	return &Sample{xs: cp}
 }

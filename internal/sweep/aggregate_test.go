@@ -171,3 +171,23 @@ func TestWriteTextRendersEveryScenario(t *testing.T) {
 		}
 	}
 }
+
+// Scenario returns the named scenario summary, or nil.
+func (a *AggregateResult) Scenario(name string) *ScenarioSummary {
+	for i := range a.Scenarios {
+		if a.Scenarios[i].Scenario == name {
+			return &a.Scenarios[i]
+		}
+	}
+	return nil
+}
+
+// Metric returns the named metric within a scenario summary, or nil.
+func (s *ScenarioSummary) Metric(name string) *MetricSummary {
+	for i := range s.Metrics {
+		if s.Metrics[i].Metric == name {
+			return &s.Metrics[i]
+		}
+	}
+	return nil
+}

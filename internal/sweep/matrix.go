@@ -159,11 +159,6 @@ func (m *Matrix) NumRuns() int {
 	return n
 }
 
-// CustomAxis builds an axis from explicit variants.
-func CustomAxis(name string, variants ...Variant) Axis {
-	return Axis{Name: name, Variants: variants}
-}
-
 // Nodes varies the regular node count.
 func Nodes(counts ...int) Axis {
 	ax := Axis{Name: "nodes"}

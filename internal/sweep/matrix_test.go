@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ethmeasure/internal/core"
+	"ethmeasure/internal/scenario"
 )
 
 func TestSeeds(t *testing.T) {
@@ -169,7 +170,7 @@ func TestChurnProfiles(t *testing.T) {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("%s: %v", v.Name, err)
 		}
-		if got := cfg.ScenarioTags(); !reflect.DeepEqual(got, want[i]) {
+		if got := scenario.Tags(cfg.Scenarios); !reflect.DeepEqual(got, want[i]) {
 			t.Errorf("%s: scenario tags = %q, want %q", v.Name, got, want[i])
 		}
 	}
@@ -204,7 +205,7 @@ func TestChurnAxisComposesFirst(t *testing.T) {
 		if len(runs) != 1 {
 			t.Fatalf("runs = %d, want 1", len(runs))
 		}
-		if got := runs[0].Config.ScenarioTags(); !reflect.DeepEqual(got, want) {
+		if got := scenario.Tags(runs[0].Config.Scenarios); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: scenario tags = %q, want %q", runs[0].Scenario, got, want)
 		}
 	}

@@ -106,7 +106,6 @@ func (c *Config) EffectiveRate() float64 {
 // analysis.
 type Store struct {
 	byHash map[types.Hash]*types.Transaction
-	order  []types.Hash
 }
 
 // NewStore creates an empty store.
@@ -117,7 +116,6 @@ func NewStore() *Store {
 // Add registers a transaction.
 func (s *Store) Add(tx *types.Transaction) {
 	s.byHash[tx.Hash] = tx
-	s.order = append(s.order, tx.Hash)
 }
 
 // Get returns the transaction with the given hash, or nil.
@@ -125,15 +123,6 @@ func (s *Store) Get(h types.Hash) *types.Transaction { return s.byHash[h] }
 
 // Len returns the number of stored transactions.
 func (s *Store) Len() int { return len(s.byHash) }
-
-// All iterates transactions in creation order.
-func (s *Store) All(fn func(*types.Transaction) bool) {
-	for _, h := range s.order {
-		if !fn(s.byHash[h]) {
-			return
-		}
-	}
-}
 
 type account struct {
 	id        types.AccountID
@@ -156,9 +145,6 @@ type Generator struct {
 	filler      []*account
 	fillerNext  int
 	outstanding int // created minus included
-
-	created int
-	bursts  int
 }
 
 // New creates a generator. entryNodes are the nodes through which
@@ -250,10 +236,6 @@ func (g *Generator) NoteIncluded(hashes []types.Hash) {
 	}
 }
 
-// Outstanding returns the controller's current estimate of pending
-// (created but not included) transactions.
-func (g *Generator) Outstanding() int { return g.outstanding }
-
 func (g *Generator) initFiller() {
 	n := g.cfg.FloorAccounts
 	if n <= 0 {
@@ -299,7 +281,6 @@ func (g *Generator) topUpFloor() {
 		}
 		tx.Size = rlp.TxWireSize(tx)
 		acct.nextNonce++
-		g.created++
 		g.outstanding++
 		g.store.Add(tx)
 		node := acct.homeNode
@@ -307,12 +288,6 @@ func (g *Generator) topUpFloor() {
 		g.engine.After(spacing, func() { node.SubmitTx(tx) })
 	}
 }
-
-// Created returns the number of transactions generated so far.
-func (g *Generator) Created() int { return g.created }
-
-// Bursts returns the number of multi-transaction burst events so far.
-func (g *Generator) Bursts() int { return g.bursts }
 
 func (g *Generator) scheduleNext() {
 	mean := time.Duration(float64(time.Second) / g.cfg.Rate)
@@ -343,7 +318,6 @@ func (g *Generator) emit() {
 	n := 1
 	if g.rng.Float64() < g.cfg.BurstProb {
 		n = 2 + geometric(g.rng, g.cfg.BurstMeanExtra)
-		g.bursts++
 	}
 	for i := 0; i < n; i++ {
 		tx := g.makeTx(acct)
@@ -373,7 +347,6 @@ func (g *Generator) makeTx(acct *account) *types.Transaction {
 	}
 	tx.Size = rlp.TxWireSize(tx)
 	acct.nextNonce++
-	g.created++
 	g.outstanding++
 	g.store.Add(tx)
 	return tx

@@ -161,14 +161,5 @@ func (p *Pool) UnmarkIncluded(txs []*types.Transaction) {
 	}
 }
 
-// NextNonce returns the next includable nonce for a sender.
-func (p *Pool) NextNonce(a types.AccountID) uint64 { return p.nextOnce[a] }
-
-// PendingOf returns the pending transactions of one sender in nonce
-// order (diagnostics and tests).
-func (p *Pool) PendingOf(a types.AccountID) []*types.Transaction {
-	return slices.Clone(p.pending[a])
-}
-
 // byNonce orders a sender's pending list for binary search by nonce.
 func byNonce(tx *types.Transaction, nonce uint64) int { return cmp.Compare(tx.Nonce, nonce) }

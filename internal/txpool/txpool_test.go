@@ -2,6 +2,7 @@ package txpool
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -295,4 +296,13 @@ func liveHeap() int64 {
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
 	return int64(m.HeapAlloc)
+}
+
+// NextNonce returns the next includable nonce for a sender.
+func (p *Pool) NextNonce(a types.AccountID) uint64 { return p.nextOnce[a] }
+
+// PendingOf returns the pending transactions of one sender in nonce
+// order.
+func (p *Pool) PendingOf(a types.AccountID) []*types.Transaction {
+	return slices.Clone(p.pending[a])
 }

@@ -99,10 +99,10 @@ func (hi *HashIssuer) Next() Hash {
 
 // BlockSize estimates the wire size of a block carrying n average
 // transactions. Calibrated to 2019 mainnet: ~540-byte header+trailer
-// and ~110 bytes per transaction in an RLP-encoded body, landing close
+// and TxSize bytes per transaction in an RLP-encoded body, landing close
 // to the ~20 kB average block of the measurement period.
 func BlockSize(nTxs int) int {
-	return 540 + nTxs*110
+	return 540 + nTxs*TxSize
 }
 
 // TxSize is the average wire size of a transaction announcement.
