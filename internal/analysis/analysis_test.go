@@ -134,8 +134,8 @@ func TestBlockPropagationKnownDelays(t *testing.T) {
 func TestBlockPropagationClampsClockSkew(t *testing.T) {
 	f := newFixture(t)
 	b := f.block(f.reg.Genesis(), 1, nil)
-	// NTP offsets can make a later vantage appear earlier; deltas are
-	// clamped at zero rather than going negative.
+	// NTP offsets can make a later vantage appear earlier; the earliest
+	// reading is the first observation, so no delay goes negative.
 	f.observe("EA", 1000*time.Millisecond, b, "block")
 	f.observe("NA", 990*time.Millisecond, b, "block")
 	res, err := f.collect("").Propagation()
@@ -144,6 +144,9 @@ func TestBlockPropagationClampsClockSkew(t *testing.T) {
 	}
 	if min, _ := res.DelaysMs.Quantile(0); min < 0 {
 		t.Error("negative delay leaked through")
+	}
+	if res.DelaysMs.N() != 1 || res.MedianMs != 10 {
+		t.Errorf("delays N=%d median=%v, want EA 10ms behind NA", res.DelaysMs.N(), res.MedianMs)
 	}
 }
 

@@ -34,13 +34,11 @@ type CommitTimeResult struct {
 	Median12Sec float64
 }
 
-// Commit finalizes Figure 4 from the shared transaction arrival index
-// and the main-chain index. A transaction contributes to the
-// k-confirmation curve only if the chain grew at least k blocks past
-// its including block before the run ended (no right-censored points).
+// Commit finalizes Figure 4 from the transaction arrivals and the
+// commit lookup. A transaction contributes to the k-confirmation curve
+// only if the chain grew at least k blocks past its including block
+// before the run ended (no right-censored points).
 func (c *Collector) Commit() *CommitTimeResult {
-	idx := c.ds.index()
-
 	res := &CommitTimeResult{
 		InclusionSec: stats.NewSample(len(c.txList)),
 		ConfirmSec:   make(map[int]*stats.Sample, len(ConfirmationLevels)),
@@ -49,30 +47,36 @@ func (c *Collector) Commit() *CommitTimeResult {
 		res.ConfirmSec[k] = stats.NewSample(len(c.txList))
 	}
 	for _, a := range c.txList {
-		block, ok := idx.includer(a.hash)
+		inclAt, ok := c.commitSeen(a.hash, 0)
 		if !ok {
-			continue // never committed
-		}
-		inclAt, ok := c.blockFirstSeen(block.Hash)
-		if !ok {
-			continue // including block never observed (shouldn't happen)
+			continue // never committed, or its block never observed
 		}
 		res.CommittedTxs++
 		res.InclusionSec.Add(secondsSince(a.minTime, inclAt))
 		for _, k := range ConfirmationLevels {
-			confBlock := idx.at(block.Number + uint64(k))
-			if confBlock == nil {
-				continue
+			if confAt, ok := c.commitSeen(a.hash, k); ok {
+				res.ConfirmSec[k].Add(secondsSince(a.minTime, confAt))
 			}
-			confAt, ok := c.blockFirstSeen(confBlock.Hash)
-			if !ok {
-				continue
-			}
-			res.ConfirmSec[k].Add(secondsSince(a.minTime, confAt))
 		}
 	}
 	res.Median12Sec = res.ConfirmSec[12].MustQuantile(0.5)
 	return res
+}
+
+// commitSeen returns when the primary vantages first saw the main-chain
+// block k blocks past the one that includes transaction h (k = 0: the
+// including block itself). ok is false when h is not on the main
+// chain, the chain ends before that block, or no vantage saw it.
+func (c *Collector) commitSeen(h types.Hash, k int) (time.Duration, bool) {
+	idx := c.ds.index()
+	block, ok := idx.includer(h)
+	if !ok {
+		return 0, false
+	}
+	if block = idx.at(block.Number + uint64(k)); block == nil {
+		return 0, false
+	}
+	return c.blockFirstSeen(block.Hash)
 }
 
 func secondsSince(from, to time.Duration) float64 {
@@ -106,8 +110,6 @@ type OrderingResult struct {
 // transaction's sender, nonce and global first observation in stream
 // order, so this is a pass over unique transactions, not raw records.
 func (c *Collector) Ordering() *OrderingResult {
-	idx := c.ds.index()
-
 	// Commit delay runs to the 12th confirmation block (the paper's
 	// 189 s / 192 s medians use the default commit rule).
 	const commitDepth = 12
@@ -119,17 +121,9 @@ func (c *Collector) Ordering() *OrderingResult {
 	bySender := make(map[types.AccountID][]txObs)
 	senderOrder := make([]types.AccountID, 0, 64) // first-appearance order
 	for _, a := range c.txList {
-		block, ok := idx.includer(a.hash)
+		commitAt, ok := c.commitSeen(a.hash, commitDepth)
 		if !ok {
-			continue
-		}
-		confBlock := idx.at(block.Number + commitDepth)
-		if confBlock == nil {
 			continue // not committed before the run ended
-		}
-		commitAt, ok := c.blockFirstSeen(confBlock.Hash)
-		if !ok {
-			continue
 		}
 		if _, ok := bySender[a.sender]; !ok {
 			senderOrder = append(senderOrder, a.sender)

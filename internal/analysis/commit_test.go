@@ -80,6 +80,33 @@ func TestCommitTimesIgnoresUncommitted(t *testing.T) {
 	}
 }
 
+// TestCommitSeen: the commit lookup answers with the first sighting of
+// the block k past a transaction's including block, and with false
+// when the transaction is uncommitted, the chain is too short, or no
+// vantage saw that block.
+func TestCommitSeen(t *testing.T) {
+	f := newFixture(t)
+	tx, orphan := types.Hash(0xA4), types.Hash(0xA5)
+	blocks := buildConfirmedChain(f, 5, []types.Hash{tx})
+	f.block(blocks[len(blocks)-1], 1, nil) // main-chain head, never observed
+	c := f.collect("")
+	// Block i (from 0) was first seen at (i+1)*10 s.
+	for _, k := range []int{0, 1, 4} {
+		want := time.Duration(k+1) * 10 * time.Second
+		if got, ok := c.commitSeen(tx, k); !ok || got != want {
+			t.Errorf("commitSeen(tx, %d) = %v, %v; want %v", k, got, ok, want)
+		}
+	}
+	for _, q := range []struct {
+		h types.Hash
+		k int
+	}{{orphan, 0}, {tx, 5}, {tx, 6}} {
+		if got, ok := c.commitSeen(q.h, q.k); ok {
+			t.Errorf("commitSeen(%v, %d) = %v, want not found", q.h, q.k, got)
+		}
+	}
+}
+
 func TestTransactionOrderingDetection(t *testing.T) {
 	f := newFixture(t)
 	// Three txs from one sender; nonce 1 observed AFTER nonce 2

@@ -41,8 +41,6 @@ var defaultFeeBands = []FeeBandRow{
 // shared transaction arrival index. priceOf maps a transaction hash to
 // its gas price (return 0, false when unknown).
 func (c *Collector) FeeMarket(priceOf func(types.Hash) (uint64, bool)) *FeeMarketResult {
-	idx := c.ds.index()
-
 	samples := make([]*stats.Sample, len(defaultFeeBands))
 	for i := range samples {
 		samples[i] = stats.NewSample(256)
@@ -52,11 +50,7 @@ func (c *Collector) FeeMarket(priceOf func(types.Hash) (uint64, bool)) *FeeMarke
 		if !ok {
 			continue
 		}
-		block, ok := idx.includer(a.hash)
-		if !ok {
-			continue
-		}
-		inclAt, ok := c.blockFirstSeen(block.Hash)
+		inclAt, ok := c.commitSeen(a.hash, 0)
 		if !ok {
 			continue
 		}

@@ -1,8 +1,8 @@
 package analysis
 
 import (
+	"math/bits"
 	"sort"
-	"time"
 
 	"ethmeasure/internal/types"
 )
@@ -24,39 +24,24 @@ type FirstObservationResult struct {
 	UncertainShare float64
 }
 
-// FirstObservation finalizes Figure 2 from the shared arrival index.
+// FirstObservation finalizes Figure 2 from the block lag profile.
+// Counts and Shares list only the vantages that saw some block first.
 func (c *Collector) FirstObservation() *FirstObservationResult {
+	lags := c.blockLags()
 	res := &FirstObservationResult{
 		Vantages: append([]string(nil), c.ds.Vantages...),
 		Shares:   make(map[string]float64, len(c.ds.Vantages)),
 		Counts:   make(map[string]int, len(c.ds.Vantages)),
+		Blocks:   lags.arrivals,
 	}
-	uncertain := 0
-	for _, a := range c.sortedArrivals() {
-		if a.vantages < 2 {
-			continue
-		}
-		res.Blocks++
-		res.Counts[c.vantageName(a.minVant)]++
-		// Margin to the runner-up.
-		second := time.Duration(1<<62 - 1)
-		for vi := range a.at {
-			if vi == a.minVant || a.seen&(1<<uint(vi)) == 0 {
-				continue
-			}
-			if delta := a.at[vi] - a.minTime; delta < second {
-				second = delta
-			}
-		}
-		if second < 10*time.Millisecond {
-			uncertain++
+	for vi, v := range c.ds.Vantages {
+		if n := lags.firsts[vi]; n > 0 {
+			res.Counts[v] = n
+			res.Shares[v] = float64(n) / float64(res.Blocks)
 		}
 	}
 	if res.Blocks > 0 {
-		for v, cnt := range res.Counts {
-			res.Shares[v] = float64(cnt) / float64(res.Blocks)
-		}
-		res.UncertainShare = float64(uncertain) / float64(res.Blocks)
+		res.UncertainShare = float64(lags.close) / float64(res.Blocks)
 	}
 	return res
 }
@@ -91,7 +76,7 @@ func (c *Collector) PoolGeography(topN int) *PoolGeographyResult {
 	byPool := make(map[types.PoolID]*poolAgg)
 	total := 0
 	for _, a := range c.sortedArrivals() {
-		if a.vantages < 2 {
+		if bits.OnesCount64(a.seen) < 2 {
 			continue
 		}
 		b, ok := c.ds.Chain.Get(a.hash)

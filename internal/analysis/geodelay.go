@@ -1,11 +1,5 @@
 package analysis
 
-import (
-	"time"
-
-	"ethmeasure/internal/stats"
-)
-
 // GeoDelayResult drills into Figure 1: per-vantage block reception
 // delays relative to the first observation, exposing which vantage
 // pairs sit close together (WE/CE) and which lag (NA behind EA-origin
@@ -27,37 +21,19 @@ type GeoDelayResult struct {
 	Blocks int
 }
 
-// GeoDelay finalizes per-vantage lag distributions from the shared
-// arrival index.
+// GeoDelay finalizes per-vantage lag distributions from the block lag
+// profile.
 func (c *Collector) GeoDelay() *GeoDelayResult {
+	lags := c.blockLags()
 	res := &GeoDelayResult{
 		Vantages: append([]string(nil), c.ds.Vantages...),
 		MedianMs: make(map[string]float64, len(c.ds.Vantages)),
 		P90Ms:    make(map[string]float64, len(c.ds.Vantages)),
 		Samples:  make(map[string]int, len(c.ds.Vantages)),
-	}
-	perVantage := make([]*stats.Sample, len(c.ds.Vantages))
-	for vi := range perVantage {
-		perVantage[vi] = stats.NewSample(1024)
-	}
-	for _, a := range c.sortedArrivals() {
-		if a.vantages < 2 {
-			continue
-		}
-		res.Blocks++
-		for vi := range a.at {
-			if vi == a.minVant || a.seen&(1<<uint(vi)) == 0 {
-				continue
-			}
-			delta := a.at[vi] - a.minTime
-			if delta < 0 {
-				delta = 0
-			}
-			perVantage[vi].Add(float64(delta) / float64(time.Millisecond))
-		}
+		Blocks:   lags.arrivals,
 	}
 	for vi, v := range c.ds.Vantages {
-		s := perVantage[vi]
+		s := lags.slotMs[vi]
 		res.Samples[v] = s.N()
 		if s.N() > 0 {
 			res.MedianMs[v] = s.MustQuantile(0.5)

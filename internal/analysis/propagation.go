@@ -30,38 +30,22 @@ type PropagationResult struct {
 	InterBlockRatio float64
 }
 
-// Propagation finalizes the Figure 1 analysis from the shared arrival
-// index: one pass over per-block arrivals, vantages in roster order.
+// Propagation finalizes the Figure 1 analysis from the block lag
+// profile.
 func (c *Collector) Propagation() (*PropagationResult, error) {
-	arrivals := c.sortedArrivals()
-	sample := stats.NewSample(len(arrivals) * 3)
 	hist, err := stats.NewHistogram(0, 500, 50)
 	if err != nil {
 		return nil, err
 	}
-	blocks := 0
-	for _, a := range arrivals {
-		if a.vantages < 2 {
-			continue
-		}
-		blocks++
-		for vi := range a.at {
-			if vi == a.minVant || a.seen&(1<<uint(vi)) == 0 {
-				continue
-			}
-			delta := a.at[vi] - a.minTime
-			if delta < 0 {
-				delta = 0
-			}
-			ms := float64(delta) / float64(time.Millisecond)
-			sample.Add(ms)
-			hist.Add(ms)
-		}
+	lags := c.blockLags()
+	sample := lags.lagsMs
+	for _, ms := range sample.Values() {
+		hist.Add(ms)
 	}
 	res := &PropagationResult{
 		DelaysMs:  sample,
 		Histogram: hist,
-		Blocks:    blocks,
+		Blocks:    lags.arrivals,
 	}
 	if sample.N() > 0 {
 		res.MedianMs = sample.MustQuantile(0.5)

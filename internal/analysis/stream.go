@@ -1,10 +1,13 @@
 package analysis
 
 import (
+	"math"
+	"math/bits"
 	"sort"
 	"time"
 
 	"ethmeasure/internal/measure"
+	"ethmeasure/internal/stats"
 	"ethmeasure/internal/types"
 )
 
@@ -14,31 +17,39 @@ import (
 // Collector is built.
 const MaxVantages = 64
 
-// blockArrivals is one block's earliest observation per primary
-// vantage. Slots are indexed by vantage position in presentation
-// order, so every consumer iterates vantages deterministically.
-type blockArrivals struct {
-	hash     types.Hash
-	at       []time.Duration // earliest local time, indexed by vantage
-	seen     uint64          // bitmask over vantage indices
-	vantages int             // distinct vantages that observed the block
-	minTime  time.Duration   // global first observation
-	minVant  int             // vantage index of the first observer
+// arrival is one block's or transaction's earliest observation per
+// primary vantage. Slots are indexed by vantage position in
+// presentation order, so every consumer iterates vantages
+// deterministically; bits.OnesCount64(seen) is how many vantages saw it.
+type arrival struct {
+	hash    types.Hash
+	at      []time.Duration // earliest local time, indexed by vantage
+	seen    uint64          // bitmask over vantage indices
+	minTime time.Duration   // global first observation
+	minVant int             // vantage index of the first observer
 }
 
-// txArrival is the transaction analogue of blockArrivals, plus the
-// sender/nonce metadata the ordering analyses need. Entries are also
-// kept in first-primary-observation (stream) order, the order the tx
-// analyses iterate in.
+// txArrival is a transaction's arrival plus the sender/nonce metadata
+// the ordering analyses need.
 type txArrival struct {
-	hash     types.Hash
-	sender   types.AccountID
-	nonce    uint64
-	at       []time.Duration
-	seen     uint64
-	vantages int
-	minTime  time.Duration
-	minVant  int
+	arrival
+	sender types.AccountID
+	nonce  uint64
+}
+
+// observe folds vantage vi's sighting at local time at into a.
+func (a *arrival) observe(vi int, at time.Duration) {
+	bit := uint64(1) << uint(vi)
+	if a.seen&bit == 0 {
+		a.seen |= bit
+		a.at[vi] = at
+	} else if at < a.at[vi] {
+		a.at[vi] = at
+	}
+	if at < a.minTime {
+		a.minTime = at
+		a.minVant = vi
+	}
 }
 
 // redCount tallies gossip copies of one block at the redundancy
@@ -48,13 +59,14 @@ type redCount struct {
 }
 
 // Collector is the streaming analysis pipeline: a measure.Recorder
-// that folds every record into O(1)-amortized incremental state — the
-// shared per-block/per-transaction arrival index plus the redundancy
-// counters — as records arrive. At campaign end the per-figure
-// finalizers (Propagation, FirstObservation, PoolGeography, Commit,
-// ...) assemble their results from that shared state; no finalizer
-// re-scans the raw record stream, so the campaign never needs to
-// retain it.
+// that folds every record into O(1)-amortized incremental state — one
+// arrival per block and per transaction, folded by arrival.observe,
+// plus the redundancy counters — as records arrive. At campaign end the
+// per-figure finalizers (Propagation, FirstObservation, PoolGeography,
+// Commit, ...) assemble their results from that shared state: the delay
+// figures from one lag profile (lagProfile), the commit figures from
+// one commit lookup (commitSeen). No finalizer re-scans the raw record
+// stream, so the campaign never needs to retain it.
 //
 // Memory is bounded by the number of distinct blocks and transactions
 // observed (one fixed-size entry each), not by the number of records:
@@ -63,21 +75,21 @@ type redCount struct {
 //
 // The wrapped Dataset provides the vantage roster up front and the
 // campaign context (chain registry, pool names, timing) at finalize
-// time. Feed records live (as a bus
-// consumer) or from a log reader (cmd/ethanalyze) — both produce
-// bit-identical results because all state transitions depend only on
-// per-kind record order, which the bus and the log preserve.
+// time. Feed records live (as a bus consumer) or from a log reader
+// (cmd/ethanalyze) — both produce bit-identical results because all
+// state transitions depend only on per-kind record order, which the bus
+// and the log preserve.
 type Collector struct {
 	ds         *Dataset
 	vidx       map[string]int // primary vantage name -> slot
 	redVantage string
 
-	byBlock      map[types.Hash]*blockArrivals
-	blockList    []*blockArrivals // sorted by (minTime, hash) on demand
+	byBlock      map[types.Hash]*arrival
+	blockList    []*arrival // sorted by (minTime, hash) on demand
 	blocksSorted bool
 
 	byTx   map[types.Hash]*txArrival
-	txList []*txArrival // first-observation stream order
+	txList []*txArrival // first-primary-observation (stream) order
 
 	red     map[types.Hash]*redCount
 	redList []*redCount // creation order, for deterministic finalize
@@ -101,7 +113,7 @@ func NewCollector(ds *Dataset, redundancyVantage string) *Collector {
 		ds:         ds,
 		vidx:       make(map[string]int, len(ds.Vantages)),
 		redVantage: redundancyVantage,
-		byBlock:    make(map[types.Hash]*blockArrivals, 1024),
+		byBlock:    make(map[types.Hash]*arrival, 1024),
 		byTx:       make(map[types.Hash]*txArrival, 1024),
 	}
 	for i, v := range ds.Vantages {
@@ -139,7 +151,7 @@ func (c *Collector) RecordBlock(r measure.BlockRecord) {
 	}
 	a, ok := c.byBlock[r.Hash]
 	if !ok {
-		a = &blockArrivals{
+		a = &arrival{
 			hash:    r.Hash,
 			at:      make([]time.Duration, len(c.ds.Vantages)),
 			minTime: r.At,
@@ -149,18 +161,7 @@ func (c *Collector) RecordBlock(r measure.BlockRecord) {
 		c.blockList = append(c.blockList, a)
 		c.blocksSorted = false
 	}
-	bit := uint64(1) << uint(vi)
-	if a.seen&bit == 0 {
-		a.seen |= bit
-		a.vantages++
-		a.at[vi] = r.At
-	} else if r.At < a.at[vi] {
-		a.at[vi] = r.At
-	}
-	if r.At < a.minTime {
-		a.minTime = r.At
-		a.minVant = vi
-	}
+	a.observe(vi, r.At)
 }
 
 // RecordTx implements measure.Recorder: O(1) amortized per record.
@@ -173,28 +174,19 @@ func (c *Collector) RecordTx(r measure.TxRecord) {
 	a, ok := c.byTx[r.Hash]
 	if !ok {
 		a = &txArrival{
-			hash:    r.Hash,
-			sender:  r.Sender,
-			nonce:   r.Nonce,
-			at:      make([]time.Duration, len(c.ds.Vantages)),
-			minTime: r.At,
-			minVant: vi,
+			arrival: arrival{
+				hash:    r.Hash,
+				at:      make([]time.Duration, len(c.ds.Vantages)),
+				minTime: r.At,
+				minVant: vi,
+			},
+			sender: r.Sender,
+			nonce:  r.Nonce,
 		}
 		c.byTx[r.Hash] = a
 		c.txList = append(c.txList, a)
 	}
-	bit := uint64(1) << uint(vi)
-	if a.seen&bit == 0 {
-		a.seen |= bit
-		a.vantages++
-		a.at[vi] = r.At
-	} else if r.At < a.at[vi] {
-		a.at[vi] = r.At
-	}
-	if r.At < a.minTime {
-		a.minTime = r.At
-		a.minVant = vi
-	}
+	a.observe(vi, r.At)
 }
 
 // BlockRecords returns how many block records the collector consumed
@@ -207,7 +199,7 @@ func (c *Collector) TxRecords() int { return c.txRecords }
 // sortedArrivals returns per-block arrivals in ascending order of
 // global first observation (ties broken by hash), the iteration order
 // every block-level finalizer shares.
-func (c *Collector) sortedArrivals() []*blockArrivals {
+func (c *Collector) sortedArrivals() []*arrival {
 	if !c.blocksSorted {
 		sort.Slice(c.blockList, func(i, j int) bool {
 			if c.blockList[i].minTime != c.blockList[j].minTime {
@@ -218,6 +210,65 @@ func (c *Collector) sortedArrivals() []*blockArrivals {
 		c.blocksSorted = true
 	}
 	return c.blockList
+}
+
+// lagProfile is what Figures 1 and 2 and §III-A1 read from one arrival
+// list: the paper's delay (§II) between a message's first observation
+// at any primary vantage and its arrival at each remaining one, over
+// the arrivals at least two vantages saw.
+type lagProfile struct {
+	arrivals int             // arrivals at least two vantages saw
+	firsts   []int           // first observations per vantage slot
+	lagsMs   *stats.Sample   // every later vantage's lag, in list order
+	slotMs   []*stats.Sample // the same lags per vantage slot
+	close    int             // arrivals whose runner-up trailed by < 10 ms
+}
+
+// profileLags folds the n arrivals get(0), ..., get(n-1) in that order.
+// minTime is the least value in at, so no lag is negative.
+func (c *Collector) profileLags(n int, get func(int) *arrival) *lagProfile {
+	p := &lagProfile{
+		firsts: make([]int, len(c.ds.Vantages)),
+		lagsMs: stats.NewSample(n * 3),
+		slotMs: make([]*stats.Sample, len(c.ds.Vantages)),
+	}
+	for vi := range p.slotMs {
+		p.slotMs[vi] = stats.NewSample(1024)
+	}
+	for i := 0; i < n; i++ {
+		a := get(i)
+		if bits.OnesCount64(a.seen) < 2 {
+			continue
+		}
+		p.arrivals++
+		p.firsts[a.minVant]++
+		second := time.Duration(math.MaxInt64)
+		for vi := range a.at {
+			if vi == a.minVant || a.seen&(1<<uint(vi)) == 0 {
+				continue
+			}
+			lag := a.at[vi] - a.minTime
+			second = min(second, lag)
+			ms := float64(lag) / float64(time.Millisecond)
+			p.lagsMs.Add(ms)
+			p.slotMs[vi].Add(ms)
+		}
+		if second < 10*time.Millisecond {
+			p.close++
+		}
+	}
+	return p
+}
+
+// blockLags profiles the block arrivals in sortedArrivals order.
+func (c *Collector) blockLags() *lagProfile {
+	blocks := c.sortedArrivals()
+	return c.profileLags(len(blocks), func(i int) *arrival { return blocks[i] })
+}
+
+// txLags profiles the transaction arrivals in stream order.
+func (c *Collector) txLags() *lagProfile {
+	return c.profileLags(len(c.txList), func(i int) *arrival { return &c.txList[i].arrival })
 }
 
 // blockFirstSeen returns a block's earliest observation across the

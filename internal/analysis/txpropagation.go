@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"time"
-
-	"ethmeasure/internal/stats"
-)
+import "ethmeasure/internal/stats"
 
 // TxPropagationResult covers §III-A1's transaction-propagation
 // finding: unlike blocks, transaction first observations are *not*
@@ -35,44 +31,22 @@ type TxPropagationResult struct {
 }
 
 // TxPropagation finalizes the §III-A1 transaction-geography analysis
-// from the shared transaction arrival index.
+// from the transaction lag profile.
 func (c *Collector) TxPropagation() *TxPropagationResult {
+	lags := c.txLags()
 	res := &TxPropagationResult{
 		Vantages:      append([]string(nil), c.ds.Vantages...),
 		FirstShares:   make(map[string]float64, len(c.ds.Vantages)),
 		MedianDelayMs: make(map[string]float64, len(c.ds.Vantages)),
-		DelaysMs:      stats.NewSample(len(c.txList) * 3),
-	}
-	perVantage := make([]*stats.Sample, len(c.ds.Vantages))
-	firsts := make([]int, len(c.ds.Vantages))
-	for vi := range perVantage {
-		perVantage[vi] = stats.NewSample(1024)
-	}
-	for _, a := range c.txList {
-		if a.vantages < 2 {
-			continue
-		}
-		res.Txs++
-		firsts[a.minVant]++
-		for vi := range a.at {
-			if vi == a.minVant || a.seen&(1<<uint(vi)) == 0 {
-				continue
-			}
-			delta := a.at[vi] - a.minTime
-			if delta < 0 {
-				delta = 0
-			}
-			ms := float64(delta) / float64(time.Millisecond)
-			res.DelaysMs.Add(ms)
-			perVantage[vi].Add(ms)
-		}
+		DelaysMs:      lags.lagsMs,
+		Txs:           lags.arrivals,
 	}
 	if res.Txs == 0 {
 		return res
 	}
 	minShare, maxShare := 1.0, 0.0
 	for vi, v := range c.ds.Vantages {
-		share := float64(firsts[vi]) / float64(res.Txs)
+		share := float64(lags.firsts[vi]) / float64(res.Txs)
 		res.FirstShares[v] = share
 		if share < minShare {
 			minShare = share
@@ -80,7 +54,7 @@ func (c *Collector) TxPropagation() *TxPropagationResult {
 		if share > maxShare {
 			maxShare = share
 		}
-		if s := perVantage[vi]; s.N() > 0 {
+		if s := lags.slotMs[vi]; s.N() > 0 {
 			res.MedianDelayMs[v] = s.MustQuantile(0.5)
 		}
 	}

@@ -225,20 +225,28 @@ func analysisJSON(t *testing.T, res *Results) map[string]string {
 
 // TestStreamingEquivalence is the golden equivalence suite: each seed
 // config variant runs once, spilling its log, and its record and chain
-// fingerprints must equal the variant's line in goldenPath; AnalyzeLog
-// must re-analyse the spilled log into the same Results, less what the
-// log does not carry.
+// fingerprints must equal the variant's line in goldenPath and its live
+// analyses its line in analysisGoldenPath; AnalyzeLog must re-analyse
+// the spilled log into the same Results, less what the log does not
+// carry.
 func TestStreamingEquivalence(t *testing.T) {
-	var golden map[string]string
+	var golden, goldenAnalysis map[string]string
 	if goldenPlatform() {
 		golden = goldenFingerprints(t)
+		goldenAnalysis = goldenAnalyses(t)
 	} else {
-		t.Logf("not comparing against %s: its fingerprints are linux/amd64's, this is %s/%s", goldenPath, runtime.GOOS, runtime.GOARCH)
+		t.Logf("not comparing against %s and %s: they hold linux/amd64's runs, this is %s/%s", goldenPath, analysisGoldenPath, runtime.GOOS, runtime.GOARCH)
 	}
 	variants := equivalenceVariants()
-	// golden holds one line per variant and its REV line.
-	if golden != nil && !testing.Short() && len(golden)-1 != len(variants) {
-		t.Errorf("%s holds %d variants, the suite runs %d; rewrite it with FINGERPRINT_DUMP=1", goldenPath, len(golden)-1, len(variants))
+	// golden holds one line per variant and its REV line,
+	// goldenAnalysis one line per variant.
+	if golden != nil && !testing.Short() {
+		if len(golden)-1 != len(variants) {
+			t.Errorf("%s holds %d variants, the suite runs %d; rewrite it with FINGERPRINT_DUMP=1", goldenPath, len(golden)-1, len(variants))
+		}
+		if len(goldenAnalysis) != len(variants) {
+			t.Errorf("%s holds %d variants, the suite runs %d; rewrite it with FINGERPRINT_DUMP=1", analysisGoldenPath, len(goldenAnalysis), len(variants))
+		}
 	}
 	for _, variant := range variants {
 		variant := variant
@@ -257,6 +265,7 @@ func TestStreamingEquivalence(t *testing.T) {
 			}
 			if golden != nil {
 				checkGolden(t, golden, variant.name, hasher.Sum(), chainFingerprint(campaign))
+				checkAnalysisGolden(t, goldenAnalysis, variant.name, res)
 			}
 			checkLogReanalysis(t, cfg.SpillPath, res)
 		})

@@ -3,11 +3,7 @@ package logs
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"fmt"
 	"hash"
-	"os"
-	"path/filepath"
 	"time"
 
 	"ethmeasure/internal/chain"
@@ -43,49 +39,6 @@ type Checkpoint struct {
 	// WallTime stamps when the checkpoint was written (informational;
 	// not part of the verified state).
 	WallTime time.Time `json:"wall_time"`
-}
-
-// WriteCheckpointFile atomically persists a checkpoint: written to a
-// temp file in the target directory, then renamed over path, so a
-// crash mid-write never leaves a truncated checkpoint behind.
-func WriteCheckpointFile(path string, ck Checkpoint) error {
-	data, err := json.MarshalIndent(ck, "", "  ")
-	if err != nil {
-		return fmt.Errorf("logs: marshal checkpoint: %w", err)
-	}
-	data = append(data, '\n')
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".checkpoint-*.tmp")
-	if err != nil {
-		return fmt.Errorf("logs: checkpoint temp file: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("logs: write checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("logs: close checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("logs: rename checkpoint: %w", err)
-	}
-	return nil
-}
-
-// ReadCheckpointFile loads a checkpoint written by WriteCheckpointFile.
-func ReadCheckpointFile(path string) (Checkpoint, error) {
-	var ck Checkpoint
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return ck, fmt.Errorf("logs: read checkpoint: %w", err)
-	}
-	if err := json.Unmarshal(data, &ck); err != nil {
-		return ck, fmt.Errorf("logs: parse checkpoint %s: %w", path, err)
-	}
-	return ck, nil
 }
 
 // RecordFingerprinter folds every measurement record into a running
@@ -144,17 +97,7 @@ func ChainFingerprint(reg *chain.Registry) string {
 	h := sha256.New()
 	scratch := make([]byte, 0, 256)
 	reg.Blocks(func(b *types.Block) bool {
-		cb := ChainBlock{
-			Hash:      b.Hash,
-			Number:    b.Number,
-			Parent:    b.ParentHash,
-			Miner:     b.Miner,
-			TxHashes:  b.TxHashes,
-			Uncles:    b.Uncles,
-			TotalDiff: b.TotalDiff,
-			MinedAtNs: int64(b.MinedAt),
-			Size:      b.Size,
-		}
+		cb := chainBlockOf(b)
 		scratch = appendChainBlock(scratch[:0], &cb)
 		h.Write(scratch)
 		return true

@@ -161,19 +161,26 @@ func (w *Writer) Flush() error {
 // WriteChain dumps every block in the registry (including genesis) to w.
 func WriteChain(w EntryWriter, reg *chain.Registry) {
 	reg.Blocks(func(b *types.Block) bool {
-		w.Write(&Entry{Kind: KindChain, Chain: &ChainBlock{
-			Hash:      b.Hash,
-			Number:    b.Number,
-			Parent:    b.ParentHash,
-			Miner:     b.Miner,
-			TxHashes:  b.TxHashes,
-			Uncles:    b.Uncles,
-			TotalDiff: b.TotalDiff,
-			MinedAtNs: int64(b.MinedAt),
-			Size:      b.Size,
-		}})
+		cb := chainBlockOf(b)
+		w.Write(&Entry{Kind: KindChain, Chain: &cb})
 		return true
 	})
+}
+
+// chainBlockOf is b as a chain-dump entry: the form WriteChain logs and
+// ChainFingerprint hashes.
+func chainBlockOf(b *types.Block) ChainBlock {
+	return ChainBlock{
+		Hash:      b.Hash,
+		Number:    b.Number,
+		Parent:    b.ParentHash,
+		Miner:     b.Miner,
+		TxHashes:  b.TxHashes,
+		Uncles:    b.Uncles,
+		TotalDiff: b.TotalDiff,
+		MinedAtNs: int64(b.MinedAt),
+		Size:      b.Size,
+	}
 }
 
 // FileWriter couples an entry writer with its backing file, for

@@ -138,9 +138,10 @@ type Vantage struct {
 	Name     string
 	recorder Recorder
 
-	clock   ClockModel
-	rng     *rand.Rand
-	offsets map[int64]time.Duration // window index -> sampled offset
+	clock  ClockModel
+	rng    *rand.Rand
+	window int64         // index of the current OffsetWindow, -1 before the first
+	offset time.Duration // the offset sampled for window
 }
 
 var _ p2p.Observer = (*Vantage)(nil)
@@ -154,22 +155,24 @@ func NewVantage(name string, clock ClockModel, seed int64, recorder Recorder) *V
 		recorder: recorder,
 		clock:    clock,
 		rng:      rand.New(rand.NewSource(seed)),
-		offsets:  make(map[int64]time.Duration, 16),
+		window:   -1,
 	}
 }
 
 // Offset returns the machine's clock offset in effect at virtual time
-// at. Offsets are sampled per OffsetWindow; lazily, in window order,
-// which keeps them deterministic because observations arrive in
-// nondecreasing time.
+// at. Offsets are sampled lazily, one per OffsetWindow that is queried,
+// in window order, so they are deterministic. Calls must come in
+// non-decreasing time order, as observations do (every Observe* call
+// passes the engine's current time): only the current window's offset
+// is kept.
 func (v *Vantage) Offset(at sim.Time) time.Duration {
-	w := int64(at / OffsetWindow)
-	off, ok := v.offsets[w]
-	if !ok {
-		off = v.clock.Sample(v.rng)
-		v.offsets[w] = off
+	if w := int64(at / OffsetWindow); w != v.window {
+		if w < v.window {
+			panic("measure: Vantage.Offset queried out of time order")
+		}
+		v.window, v.offset = w, v.clock.Sample(v.rng)
 	}
-	return off
+	return v.offset
 }
 
 // local converts simulation time to this machine's clock reading.

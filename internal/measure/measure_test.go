@@ -81,6 +81,53 @@ func TestVantageOffsetConstantWithinWindow(t *testing.T) {
 	}
 }
 
+// refOffsets is the reference Vantage.Offset: it keeps the offset of
+// every window it has sampled, so it answers queries in any order.
+type refOffsets struct {
+	clock   ClockModel
+	rng     *rand.Rand
+	offsets map[int64]time.Duration // window index -> sampled offset
+}
+
+func newRefOffsets(clock ClockModel, seed int64) *refOffsets {
+	return &refOffsets{clock: clock, rng: rand.New(rand.NewSource(seed)), offsets: make(map[int64]time.Duration)}
+}
+
+func (r *refOffsets) Offset(at time.Duration) time.Duration {
+	w := int64(at / OffsetWindow)
+	off, ok := r.offsets[w]
+	if !ok {
+		off = r.clock.Sample(r.rng)
+		r.offsets[w] = off
+	}
+	return off
+}
+
+// TestVantageOffsetMatchesReference: over non-decreasing query times,
+// with several queries per window and windows skipped, the vantage's
+// current-window offset equals the reference's, so its random draws,
+// and the records stamped with them, are the reference's.
+func TestVantageOffsetMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		v := NewVantage("X", DefaultClockModel(), seed, NewMemoryRecorder())
+		ref := newRefOffsets(DefaultClockModel(), seed)
+		steps := rand.New(rand.NewSource(seed + 100))
+		at := time.Duration(0)
+		for i := 0; i < 2000; i++ {
+			if got, want := v.Offset(at), ref.Offset(at); got != want {
+				t.Fatalf("seed %d: Offset(%v) = %v, reference %v", seed, at, got, want)
+			}
+			switch steps.Intn(3) {
+			case 0: // the same instant again
+			case 1: // mostly within the window
+				at += time.Duration(steps.Int63n(int64(time.Second)))
+			case 2: // up to three windows on, skipping some
+				at += time.Duration(steps.Int63n(int64(3 * OffsetWindow)))
+			}
+		}
+	}
+}
+
 func TestVantageRecordsBlocks(t *testing.T) {
 	rec := NewMemoryRecorder()
 	v := NewVantage("NA", ClockModel{P10ms: 1, P100ms: 1, MaxOff: time.Millisecond}, 1, rec)

@@ -1,10 +1,11 @@
 // Package serve implements the campaign server: a long-running daemon
 // that accepts campaign and sweep jobs over HTTP/JSON, multiplexes
 // them over a bounded worker pool, streams live progress, and survives
-// being killed — in-flight campaigns checkpoint at simulation barriers
-// and resume from the last checkpoint on restart (verified replay, see
-// internal/core RunOptions.Resume), while sweeps resume at completed-
-// run granularity.
+// being killed — in-flight campaigns checkpoint at simulation barriers,
+// and on restart a campaign replays from virtual time zero and is
+// verified against its last checkpoint (see internal/core
+// RunOptions.Resume), so it costs a full run; sweeps keep their
+// completed runs and rerun only the others.
 //
 // The package splits into the job model (this file), the on-disk store
 // (store.go), the manager owning the worker pool and job lifecycle
@@ -25,7 +26,8 @@ import (
 
 // Job states. A job moves queued → running → done/failed/cancelled; a
 // server restart moves interrupted running jobs back to queued (with
-// their checkpoint, so the re-run resumes rather than restarts).
+// their checkpoint, which the re-run, replayed from the start, is
+// verified against).
 const (
 	StateQueued    = "queued"
 	StateRunning   = "running"

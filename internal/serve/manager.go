@@ -70,9 +70,9 @@ type Manager struct {
 
 // Open loads persisted jobs from opts.Dir and starts the worker pool.
 // Jobs that were queued or running when the previous process died are
-// requeued; previously running ones are marked resumed and will pick
-// up from their last checkpoint (campaigns) or completed runs
-// (sweeps).
+// requeued; previously running ones are marked resumed. A campaign
+// replays from virtual time zero and is verified against its last
+// checkpoint; a sweep reuses its completed runs.
 func Open(opts Options) (*Manager, error) {
 	st, err := newStore(opts.Dir)
 	if err != nil {
@@ -95,7 +95,8 @@ func Open(opts Options) (*Manager, error) {
 	for _, j := range jobs {
 		if j.State == StateRunning {
 			// The previous process died mid-run: requeue; the worker
-			// resumes from the persisted checkpoint.
+			// replays a campaign and verifies it against the persisted
+			// checkpoint.
 			j.State = StateQueued
 			j.Resumed++
 			j.Progress = nil
@@ -231,8 +232,9 @@ func (m *Manager) Watch(id string) (wake <-chan struct{}, stop func(), err error
 }
 
 // Close drains the server: running jobs are stopped at their next safe
-// point and requeued (their checkpoints make the next start a resume,
-// not a restart), queued jobs stay queued, and the worker pool exits.
+// point and requeued (the next start replays a campaign from the start
+// and verifies it against its last checkpoint), queued jobs stay
+// queued, and the worker pool exits.
 // The store is left exactly as a subsequent Open expects it.
 func (m *Manager) Close() {
 	m.mu.Lock()
@@ -437,7 +439,7 @@ func (m *Manager) runCampaign(ctx context.Context, js *jobState, id string, spec
 		return err
 	}
 	if resume != nil {
-		m.logf("serve: job %s resuming from checkpoint at %v", id, time.Duration(resume.SimTimeNs))
+		m.logf("serve: job %s replaying from the start, verified against its checkpoint at %v", id, time.Duration(resume.SimTimeNs))
 	}
 	opts := core.RunOptions{
 		ProgressInterval: progressInterval(cfg.Duration),

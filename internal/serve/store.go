@@ -127,18 +127,23 @@ func (st *store) nextID() (string, error) {
 
 // saveCheckpoint persists a campaign job's latest checkpoint.
 func (st *store) saveCheckpoint(id string, ck logs.Checkpoint) error {
-	return logs.WriteCheckpointFile(filepath.Join(st.jobDir(id), "checkpoint.json"), ck)
+	path := filepath.Join(st.jobDir(id), "checkpoint.json")
+	if err := writeJSON(path, ck); err != nil {
+		return fmt.Errorf("serve: job %s: save checkpoint %s: %w", id, path, err)
+	}
+	return nil
 }
 
 // loadCheckpoint returns the job's last checkpoint, or nil when none
 // was ever written.
 func (st *store) loadCheckpoint(id string) (*logs.Checkpoint, error) {
-	ck, err := logs.ReadCheckpointFile(filepath.Join(st.jobDir(id), "checkpoint.json"))
-	if err != nil {
+	path := filepath.Join(st.jobDir(id), "checkpoint.json")
+	var ck logs.Checkpoint
+	if err := readJSON(path, &ck); err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return nil, nil
 		}
-		return nil, err
+		return nil, fmt.Errorf("serve: job %s: load checkpoint %s: %w", id, path, err)
 	}
 	return &ck, nil
 }

@@ -21,9 +21,6 @@ type RunResult struct {
 	Metrics analysis.KeyMetrics
 	// Stats is the run's bookkeeping (events, blocks, wall time).
 	Stats core.RunStats
-	// Results is the full analysis bundle, retained only when the
-	// runner's KeepResults is set.
-	Results *core.Results
 	// Err is non-nil when the run failed, panicked (the panic is
 	// captured, not propagated), or was skipped due to cancellation.
 	Err error
@@ -41,11 +38,6 @@ func (r *RunResult) Ok() bool { return r.Err == nil && r.Metrics != nil }
 type Runner struct {
 	// Workers is the concurrency level; <= 0 means GOMAXPROCS.
 	Workers int
-	// KeepResults retains every run's full *core.Results. Off by
-	// default: a month-scale run's dataset dwarfs its KeyMetrics, and
-	// sweeps with hundreds of runs would otherwise hold every dataset
-	// alive simultaneously.
-	KeepResults bool
 	// OnResult, when set, observes each finished run. Calls are
 	// serialized by the runner and report monotonically increasing
 	// done counts; execution order across workers is nondeterministic,
@@ -193,7 +185,6 @@ func (rn *Runner) execute(ctx context.Context, run Run) (rr RunResult, canceled 
 			rr.Err = fmt.Errorf("sweep: run %d (%s, seed %d) panicked: %v\n%s",
 				run.Index, run.Scenario, run.Seed, p, debug.Stack())
 			rr.Metrics = nil
-			rr.Results = nil
 		}
 		rr.Wall = time.Since(start)
 	}()
@@ -217,8 +208,5 @@ func (rn *Runner) execute(ctx context.Context, run Run) (rr RunResult, canceled 
 	}
 	rr.Metrics = res.KeyMetrics()
 	rr.Stats = res.Stats
-	if rn.KeepResults {
-		rr.Results = res
-	}
 	return
 }

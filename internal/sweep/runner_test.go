@@ -140,19 +140,6 @@ func TestOversubscribedWorkersMatchSerial(t *testing.T) {
 	}
 }
 
-// TestRunnerBoundedMemoryDefault verifies KeepResults: a runner that
-// sets it hands back each run's full Results.
-func TestRunnerBoundedMemoryDefault(t *testing.T) {
-	m := &Matrix{Base: testConfig(), Seeds: Seeds(9, 1)}
-	res, err := (&Runner{Workers: 1, KeepResults: true}).Run(context.Background(), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res[0].Ok() || res[0].Results == nil {
-		t.Fatal("run failed or results dropped")
-	}
-}
-
 // TestRunnerConcurrentCampaignsNoLeakage drives >= 8 campaigns
 // concurrently (one worker each), twice, and spot-checks against
 // serial executions of the same configs: any shared state between
